@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -89,12 +90,26 @@ FIGURE_IDS = ("fig3b", "fig3c", "fig4e", "figS3", "figS5", "figS6", "figS7",
               "figS8", "figS9", "figS15", "figS16")
 
 
+def _reject_non_finite(text: str):
+    raise ConfigError(f"non-finite number {text} is not allowed")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        _reject_non_finite(text)
+    return value
+
+
 def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+            doc = json.load(f, parse_constant=_reject_non_finite,
+                            parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     try:
         jsonschema.validate(doc, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -150,6 +165,8 @@ def _sweep_config(doc: dict, threads: int) -> experiments.SweepConfig:
     sys_doc = doc.get("system", {})
     if "sink_length" in sys_doc:
         kwargs["sink_length"] = sys_doc["sink_length"]
+    if "sink_coupling_per_mm" in sys_doc:
+        kwargs["sink_coupling"] = sys_doc["sink_coupling_per_mm"]
     if "with_vibration" in sys_doc:
         kwargs["with_vibration"] = sys_doc["with_vibration"]
     if "kind" in nd:
@@ -181,11 +198,7 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     h = _system(doc)
     ncfg = _noise_config(doc, seed)
-    if ncfg.amplitude == 0.0:
-        det = noise_mod.NoiseRealization(
-            np.zeros((len(h.fmo_indices), ncfg.segments)), ncfg)
-    else:
-        det = noise_mod.generate(ncfg, n_sites=len(h.fmo_indices))
+    det = noise_mod.generate(ncfg, n_sites=len(h.fmo_indices))
     ph = dynamics.PiecewiseHamiltonian(
         h, det, segment_length=ncfg.total_length / ncfg.segments,
         total_length=ncfg.total_length)
@@ -373,11 +386,7 @@ def cmd_chip_plan(args) -> int:
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     h = _system(doc, with_sink=False)
     ncfg = _noise_config(doc, seed)
-    if ncfg.amplitude == 0.0:
-        det = noise_mod.NoiseRealization(
-            np.zeros((len(h.fmo_indices), ncfg.segments)), ncfg)
-    else:
-        det = noise_mod.generate(ncfg, n_sites=len(h.fmo_indices))
+    det = noise_mod.generate(ncfg, n_sites=len(h.fmo_indices))
     rows = model.export_chip_plan(h, det)
     out = _outdir(args)
     path = os.path.join(out, "chip_plan.csv")
@@ -402,7 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (0 = auto)")
+                       help="accepted for compatibility; a study runs as "
+                            "one batch, so the value changes neither "
+                            "execution nor results")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("simulate", help="single evolution trace")

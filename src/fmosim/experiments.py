@@ -3,10 +3,10 @@ reorganization-energy curves, vibrational-assistance comparisons,
 segment-count studies, noise-distribution comparisons, and excitation
 traces.
 
-Every study is deterministic given its master seed.  Realizations are the
-unit of parallelism; the per-realization seed is derived from (master
-seed, grid index, realization index), and results are aggregated in a
-fixed order so the worker count never changes the output.
+Every study is deterministic given its master seed.  The per-realization
+seeds are derived from (master seed, grid index, realization index), and
+all the realizations of a study are evolved together as the columns of
+one batch (dynamics.propagate), whose columns do not depend on each other.
 """
 
 from __future__ import annotations
@@ -14,14 +14,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import analysis, dynamics, noise as noise_mod
 from .errors import PhysicsError
-from .model import (FmoSpec, Hamiltonian, apply_static_disorder, attach_sink,
+from .model import (DEFAULT_SINK_COUPLING, FmoSpec, Hamiltonian,
+                    apply_static_disorder, attach_sink,
                     attach_vibrational_mode, build_fmo_hamiltonian)
 
 __all__ = ["SweepConfig", "SweepResult", "sweep_dephasing",
@@ -34,7 +35,13 @@ DEFAULT_GRID = tuple(round(0.1 * k, 10) for k in range(11))
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Parameters of one Monte Carlo sweep over detuning amplitude."""
+    """Parameters of one Monte Carlo sweep over detuning amplitude.
+
+    ``sink_coupling`` (mm^-1) is both the drain-to-chain and the
+    within-chain coupling of the sink.  ``threads`` is accepted for
+    compatibility only: a study runs as one batch, so the value changes
+    neither how it executes nor its results.
+    """
 
     grid: tuple = DEFAULT_GRID
     realizations: int = 100
@@ -44,6 +51,7 @@ class SweepConfig:
     observe_z: float = 20.0
     seed: int = 0
     sink_length: int = 100
+    sink_coupling: float = DEFAULT_SINK_COUPLING
     segments: int = 20
     with_vibration: bool = False
     coupling_correction: bool = False
@@ -57,18 +65,28 @@ class SweepConfig:
             raise PhysicsError("grid must be nonempty")
         if any(b < a for a, b in zip(self.grid, self.grid[1:])):
             raise PhysicsError("grid must be sorted ascending")
+        for name in ("disorder", "observe_z", "sink_coupling",
+                     "filter_time_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise PhysicsError(f"{name} must be finite")
+        if not all(math.isfinite(g) for g in self.grid):
+            raise PhysicsError("grid values must be finite")
         if self.disorder < 0:
             raise PhysicsError("disorder strength must be nonnegative")
         if self.observe_z <= 0:
             raise PhysicsError("observation length must be positive")
+        if self.sink_coupling <= 0:
+            raise PhysicsError("sink coupling must be positive")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
 
     def canonical_dict(self) -> dict:
         d = asdict(self)
-        # worker count is an execution detail, not part of the study:
-        # results are aggregated in fixed order, so any thread count
-        # yields identical output and must hash identically
+        # the thread count changes nothing, so it must not change the hash
         d.pop("threads")
+        # left out at its default so that configs from before the field
+        # existed keep their hashes
+        if self.sink_coupling == DEFAULT_SINK_COUPLING:
+            d.pop("sink_coupling")
         fd = asdict(self.fmo)
         fd["raw_hamiltonian"] = np.asarray(fd["raw_hamiltonian"]).tolist()
         d["fmo"] = fd
@@ -107,7 +125,8 @@ def _base_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
     h = build_fmo_hamiltonian(cfg.fmo)
     if cfg.with_vibration:
         h = attach_vibrational_mode(h)
-    return attach_sink(h, cfg.sink_length)
+    return attach_sink(h, cfg.sink_length, drain_coupling=cfg.sink_coupling,
+                       internal_coupling=cfg.sink_coupling)
 
 
 def _noise_seed(master: int, grid_index: int, realization: int) -> int:
@@ -115,60 +134,62 @@ def _noise_seed(master: int, grid_index: int, realization: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _realization_trace(cfg: SweepConfig, base: Hamiltonian, amplitude: float,
-                       grid_index: int, realization: int,
-                       fine_step: float) -> dynamics.EvolutionTrace:
-    h = base
-    if cfg.disorder > 0:
-        h = apply_static_disorder(
-            h, cfg.disorder,
-            rng_seed=[cfg.seed, grid_index, realization, 1], sites="all")
-    ncfg = noise_mod.NoiseConfig(
+def _noise_config(cfg: SweepConfig, amplitude: float, grid_index: int,
+                  realization: int) -> noise_mod.NoiseConfig:
+    return noise_mod.NoiseConfig(
         kind=cfg.noise_kind, amplitude=amplitude, segments=cfg.segments,
-        total_length=cfg.observe_z, seed=_noise_seed(cfg.seed, grid_index, realization),
+        total_length=cfg.observe_z,
+        seed=_noise_seed(cfg.seed, grid_index, realization),
         filter_time_scale=cfg.filter_time_scale)
-    if amplitude == 0.0:
-        det = noise_mod.NoiseRealization(
-            np.zeros((len(h.fmo_indices), cfg.segments)),
-            replace(ncfg, amplitude=0.0))
-    else:
-        det = noise_mod.generate(ncfg, n_sites=len(h.fmo_indices))
-    ph = dynamics.PiecewiseHamiltonian(
-        h, det, segment_length=cfg.observe_z / cfg.segments,
-        total_length=cfg.observe_z, coupling_correction=cfg.coupling_correction)
-    return dynamics.evolve(ph, fine_step=fine_step)
 
 
-def _efficiency_matrix(cfg: SweepConfig, base: Hamiltonian) -> np.ndarray:
-    grid = cfg.grid
-    values = np.empty((len(grid), cfg.realizations))
-    tasks = [(gi, r) for gi in range(len(grid)) for r in range(cfg.realizations)]
+def _realization(cfg: SweepConfig, base: Hamiltonian, amplitude: float,
+                 grid_index: int, realization: int):
+    """Disordered Hamiltonian and detuning schedule of one realization."""
+    h = apply_static_disorder(
+        base, cfg.disorder, rng_seed=[cfg.seed, grid_index, realization, 1],
+        sites="all")
+    det = noise_mod.generate(_noise_config(cfg, amplitude, grid_index, realization),
+                             n_sites=len(h.fmo_indices))
+    return h, det
 
-    def one(task):
-        gi, r = task
-        tr = _realization_trace(cfg, base, grid[gi], gi, r,
-                                fine_step=cfg.observe_z / cfg.segments)
-        return gi, r, analysis.transport_efficiency(tr)
 
-    if cfg.threads == 1:
-        results = map(one, tasks)
-    else:
-        workers = cfg.threads if cfg.threads > 0 else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, tasks))
-    for gi, r, eta in results:
-        values[gi, r] = eta
-    return values
+def _evolve_study(cfg: SweepConfig, base: Hamiltonian, steps_per_segment: int):
+    """States of all the study's realizations, grid point by grid point,
+    one column each, at every step (see dynamics.propagate)."""
+    diagonals, detunings = [], []
+    for gi, amplitude in enumerate(cfg.grid):
+        for r in range(cfg.realizations):
+            h, det = _realization(cfg, base, amplitude, gi, r)
+            # a copy, so that the realization's dense matrix is freed
+            diagonals.append(h.matrix.diagonal().real.copy())
+            detunings.append(det.sequences)
+    return dynamics.propagate(
+        base, np.stack(detunings), cfg.observe_z / cfg.segments,
+        steps_per_segment, diagonals=np.stack(diagonals, axis=1),
+        coupling_correction=cfg.coupling_correction)
+
+
+def _sink_fraction(psi: np.ndarray, sink: np.ndarray) -> np.ndarray:
+    p = psi.real ** 2 + psi.imag ** 2
+    return p[sink].sum(axis=0) / p.sum(axis=0)
 
 
 def _make_result(cfg: SweepConfig, values: np.ndarray) -> SweepResult:
-    return SweepResult(np.asarray(cfg.grid), values.mean(axis=1),
-                       values.std(axis=1), values, cfg.config_hash(), cfg.seed)
+    # the spread is taken about each row's first value, which is exact
+    # (zero) when all the realizations agree, as at amplitude 0
+    stds = (values - values[:, :1]).std(axis=1)
+    return SweepResult(np.asarray(cfg.grid), values.mean(axis=1), stds,
+                       values, cfg.config_hash(), cfg.seed)
 
 
 def sweep_dephasing(cfg: SweepConfig) -> SweepResult:
     """Mean transport efficiency at z per detuning amplitude on the grid."""
-    return _make_result(cfg, _efficiency_matrix(cfg, _base_hamiltonian(cfg)))
+    base = _base_hamiltonian(cfg)
+    for psi in _evolve_study(cfg, base, 1):
+        pass
+    values = _sink_fraction(psi, base.sink_indices)
+    return _make_result(cfg, values.reshape(len(cfg.grid), cfg.realizations))
 
 
 def reorganization_curve(cfg: SweepConfig):
@@ -187,11 +208,7 @@ def reorganization_curve(cfg: SweepConfig):
         er_acc = 0.0
         count = 0
         for r in range(cfg.realizations):
-            ncfg = noise_mod.NoiseConfig(
-                kind=cfg.noise_kind, amplitude=amplitude, segments=cfg.segments,
-                total_length=cfg.observe_z,
-                seed=_noise_seed(cfg.seed, gi, r),
-                filter_time_scale=cfg.filter_time_scale)
+            ncfg = _noise_config(cfg, amplitude, gi, r)
             real = noise_mod.generate(ncfg)
             f_s = ncfg.sampling_frequency
             for row in real.sequences:
@@ -212,26 +229,18 @@ def vibrational_comparison(cfg: SweepConfig):
     realizations at every amplitude on the grid; shapes are
     (n_samples,), (len(grid), n_samples), (len(grid), n_samples).
     """
-    fine = cfg.observe_z / cfg.segments / 4.0
-    base_without = _base_hamiltonian(replace(cfg, with_vibration=False))
-    base_with = _base_hamiltonian(replace(cfg, with_vibration=True))
-    positions = None
-    curves = {}
-    for label, base in (("with", base_with), ("without", base_without)):
-        per_amp = []
-        for gi, amplitude in enumerate(cfg.grid):
-            acc = None
-            for r in range(cfg.realizations):
-                tr = _realization_trace(cfg, base, amplitude, gi, r, fine)
-                sink = list(tr.sink_indices)
-                p = np.abs(tr.amplitudes) ** 2
-                eta = p[:, sink].sum(axis=1) / p.sum(axis=1)
-                acc = eta if acc is None else acc + eta
-                if positions is None:
-                    positions = tr.positions
-            per_amp.append(acc / cfg.realizations)
-        curves[label] = np.asarray(per_amp)
-    return positions, curves["with"], curves["without"]
+    steps = 4
+    fine = cfg.observe_z / cfg.segments / steps
+    curves = []
+    for with_vibration in (True, False):
+        base = _base_hamiltonian(replace(cfg, with_vibration=with_vibration))
+        sink = base.sink_indices
+        eta = np.array([_sink_fraction(psi, sink)
+                        for psi in _evolve_study(cfg, base, steps)])
+        eta = eta.reshape(len(eta), len(cfg.grid), cfg.realizations)
+        curves.append(eta.mean(axis=2).T)
+    positions = np.arange(curves[0].shape[1]) * fine
+    return positions, curves[0], curves[1]
 
 
 def segment_count_study(cfg: SweepConfig, segment_counts=(10, 20, 40, 60, 80)):
@@ -260,10 +269,7 @@ def noise_distribution_comparison(cfg: SweepConfig):
         results[kind] = sweep_dephasing(sub)
         acc = 0.0
         for r in range(cfg.realizations):
-            ncfg = noise_mod.NoiseConfig(
-                kind=kind, amplitude=1.0, segments=cfg.segments,
-                total_length=cfg.observe_z, seed=_noise_seed(cfg.seed, 0, r),
-                filter_time_scale=cfg.filter_time_scale)
+            ncfg = _noise_config(sub, 1.0, 0, r)
             acc += float(noise_mod.generate(ncfg).sequences.mean())
         profile_means[kind] = acc / cfg.realizations
     return results, profile_means
@@ -276,22 +282,26 @@ def excitation_trace_study(cfg: SweepConfig,
     traces for a disorder family (no detuning) and a detuning family (no
     disorder).  Returns {(label, value): (positions, probs, argmax)}.
     """
-    out = {}
     fine = cfg.observe_z / cfg.segments / 4.0
+
+    def trace(sub, base, amplitude):
+        h, det = _realization(sub, base, amplitude, 0, 0)
+        ph = dynamics.PiecewiseHamiltonian(
+            h, det, segment_length=sub.observe_z / sub.segments,
+            total_length=sub.observe_z,
+            coupling_correction=sub.coupling_correction)
+        tr = dynamics.evolve(ph, fine_step=fine)
+        probs = dynamics.site_probabilities(tr, tr.fmo_indices, renormalize=True)
+        return tr.positions, probs, analysis.most_probable_site(tr)
+
+    out = {}
     for gamma in disorders:
         sub = replace(cfg, disorder=float(gamma))
-        base = _base_hamiltonian(sub)
-        tr = _realization_trace(sub, base, 0.0, 0, 0, fine)
-        probs = dynamics.site_probabilities(tr, tr.fmo_indices, renormalize=True)
-        out[("disorder", float(gamma))] = (tr.positions, probs,
-                                           analysis.most_probable_site(tr))
-    base = _base_hamiltonian(replace(cfg, disorder=0.0))
+        out[("disorder", float(gamma))] = trace(sub, _base_hamiltonian(sub), 0.0)
+    sub = replace(cfg, disorder=0.0)
+    base = _base_hamiltonian(sub)
     for amplitude in amplitudes:
-        sub = replace(cfg, disorder=0.0)
-        tr = _realization_trace(sub, base, float(amplitude), 0, 0, fine)
-        probs = dynamics.site_probabilities(tr, tr.fmo_indices, renormalize=True)
-        out[("detuning", float(amplitude))] = (tr.positions, probs,
-                                               analysis.most_probable_site(tr))
+        out[("detuning", float(amplitude))] = trace(sub, base, float(amplitude))
     return out
 
 

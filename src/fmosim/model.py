@@ -307,11 +307,14 @@ def speed_for_delta_beta(db: float, cal: CouplingCalibration = CouplingCalibrati
     return db / cal.delta_beta_slope
 
 
-def effective_coupling(c0: float, db: float) -> float:
-    """Coupling of a detuned waveguide pair: sqrt((db/2)^2 + c0^2)."""
+def effective_coupling(c0: float, db):
+    """Coupling of a detuned waveguide pair: sqrt((db/2)^2 + c0^2).
+
+    ``db`` may be an array of detunings; the result then has its shape.
+    """
     if c0 <= 0:
         raise PhysicsError("base coupling must be positive")
-    return float(np.hypot(db / 2.0, c0))
+    return np.hypot(np.divide(db, 2.0), c0)
 
 
 def delta_c(c0: float, db: float) -> float:

@@ -10,6 +10,7 @@ memory across segments, unlike the white families.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -67,6 +68,9 @@ class NoiseConfig:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise PhysicsError(f"unknown noise kind {self.kind!r}; choose from {NOISE_KINDS}")
+        for name in ("amplitude", "total_length", "filter_time_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise PhysicsError(f"{name} must be finite")
         if self.amplitude < 0:
             raise PhysicsError("amplitude must be nonnegative")
         if self.segments < 1:
@@ -146,15 +150,17 @@ def _raw_profile(cfg: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def generate(config: NoiseConfig, n_sites: int = 7) -> NoiseRealization:
-    """Draw one seed-deterministic realization for ``n_sites`` sites."""
+    """Draw one seed-deterministic realization for ``n_sites`` sites.
+
+    At amplitude 0 every sequence is zero and nothing is drawn.
+    """
     if n_sites < 1:
         raise PhysicsError("n_sites must be >= 1")
+    if config.amplitude == 0.0:
+        return NoiseRealization(np.zeros((n_sites, config.segments)), config)
     seqs = np.empty((n_sites, config.segments))
     for site in range(n_sites):
         profile = _raw_profile(config, _site_rng(config.seed, site))
-        if config.amplitude == 0.0:
-            seqs[site] = 0.0
-            continue
         if config.normalization == "by_max":
             peak = profile.max()
             profile = profile / peak if peak > 0 else profile

@@ -69,6 +69,28 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("where,key,value", [
+        ("sweep", "disorder_per_mm", float("nan")),
+        ("sweep", "grid_per_mm", [0.0, float("nan")]),
+        ("noise", "amplitude_per_mm", float("inf")),
+        ("system", "sink_coupling_per_mm", float("-inf"))])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, where, key,
+                                         value):
+        doc = base_config()
+        doc[where][key] = value
+        path = write_config(tmp_path, doc)   # json.dumps writes NaN/Infinity
+        assert main(["sweep", "--config", path,
+                     "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert "non-finite number" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_overflowing_number_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"schema_version": 1, "seed": 0, '
+                        '"sweep": {"observe_z_mm": 1e999}}')
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_config(str(path))
+
     def test_bad_noise_kind_rejected(self, tmp_path):
         doc = base_config()
         doc["noise"]["kind"] = "pink"
@@ -129,6 +151,16 @@ class TestSimulate:
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
         assert (out1 / "noise.csv").read_bytes() == (out2 / "noise.csv").read_bytes()
 
+    def test_zero_amplitude_writes_zero_noise(self, tmp_path):
+        doc = base_config()
+        doc["noise"]["amplitude_per_mm"] = 0.0
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
+        rows = (out / "noise.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 7 * 20
+        assert all(float(r.split(",")[2]) == 0.0 for r in rows)
+
     def test_seed_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, base_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -156,6 +188,20 @@ class TestSweep:
         manifest = json.loads(ref_man)
         assert manifest["seed"] == 3
         assert manifest["config"]["realizations"] == 2
+
+    def test_sink_coupling_is_honoured(self, tmp_path):
+        summaries = []
+        for coupling in (0.2, 0.9):
+            doc = base_config()
+            doc["system"]["sink_coupling_per_mm"] = coupling
+            doc["sweep"]["grid_per_mm"] = [0.0, 0.5]
+            path = write_config(tmp_path, doc, name=f"c{coupling}.json")
+            out = tmp_path / f"s{coupling}"
+            assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_OK
+            summaries.append((out / "sweep_summary.csv").read_bytes())
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"].get("sink_coupling", 0.2) == coupling
+        assert summaries[0] != summaries[1]
 
     def test_summary_consistent_with_raw(self, tmp_path):
         path = write_config(tmp_path, base_config())

@@ -5,17 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmosim import dynamics
 from fmosim.dynamics import (
     EvolutionTrace,
     PiecewiseHamiltonian,
     evolve,
+    propagate,
     segment_propagator,
     site_probabilities,
+    spectral_interval,
     write_trace_csv,
 )
 from fmosim.errors import PhysicsError
-from fmosim.model import FmoSpec, attach_sink, build_fmo_hamiltonian
-from fmosim.noise import NoiseConfig, NoiseRealization, generate
+from fmosim.model import (FmoSpec, Hamiltonian, apply_static_disorder,
+                          attach_sink, attach_vibrational_mode,
+                          build_fmo_hamiltonian)
+from fmosim.noise import NOISE_KINDS, NoiseConfig, NoiseRealization, generate
 
 
 def expm_taylor(a, order=30):
@@ -249,3 +254,125 @@ class TestTraceExport:
         assert float(first[0]) == 0.0
         assert float(first[4]) == pytest.approx(
             float(first[1] == "5") * 1.0)
+
+
+def batch_inputs(vibration=False, columns=5, sink=20, seed=11):
+    """A small batch: per-column detunings and static-disorder diagonals."""
+    h = build_fmo_hamiltonian(FmoSpec())
+    if vibration:
+        h = attach_vibrational_mode(h)
+    h = attach_sink(h, sink)
+    det = np.stack([generate(NoiseConfig(kind="uniform_white", amplitude=a,
+                                         segments=6, total_length=6.0,
+                                         seed=seed + r)).sequences
+                    for r, a in enumerate(np.linspace(0.0, 2.0, columns))])
+    diag = np.stack([apply_static_disorder(h, 3.0, [seed, r], sites="all")
+                     .matrix.diagonal().real for r in range(columns)], axis=1)
+    return h, det, diag
+
+
+def run_states(h, det, diag, correction, interval=None, steps=2):
+    return [psi.copy() for psi in propagate(
+        h, det, 1.0, steps, diagonals=diag, coupling_correction=correction,
+        interval=interval)]
+
+
+class TestPropagate:
+    @pytest.mark.parametrize("vibration", [False, True])
+    @pytest.mark.parametrize("correction", [False, True])
+    def test_column_alone_is_bitwise_equal_to_batch_column(self, correction,
+                                                           vibration):
+        h, det, diag = batch_inputs(vibration)
+        interval = spectral_interval(h, det, diag, correction)
+        batch = run_states(h, det, diag, correction, interval)
+        for c in range(det.shape[0]):
+            alone = run_states(h, det[c:c + 1], diag[:, c:c + 1], correction,
+                               interval)
+            for a, b in zip(alone, batch):
+                np.testing.assert_array_equal(a[:, 0], b[:, c])
+
+    def test_interval_encloses_every_segment_spectrum(self):
+        h, det, diag = batch_inputs()
+        lo, hi = spectral_interval(h, det, diag, coupling_correction=True)
+        for c in range(det.shape[0]):
+            hd = Hamiltonian(h.matrix - np.diag(h.matrix.diagonal())
+                             + np.diag(diag[:, c]), h.roles)
+            ph = PiecewiseHamiltonian(
+                hd, NoiseRealization(det[c], NoiseConfig(segments=6)),
+                total_length=6.0, coupling_correction=True)
+            for k in range(ph.n_segments):
+                w = np.linalg.eigvalsh(ph.segment_matrix(k))
+                assert lo <= w[0] and w[-1] <= hi
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(NOISE_KINDS),
+           amplitude=st.floats(0.0, 80.0),
+           disorder=st.floats(0.0, 100.0),
+           vibration=st.booleans(), correction=st.booleans(),
+           segments=st.integers(1, 10))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_segment_propagator_chain(self, seed, kind, amplitude,
+                                              disorder, vibration,
+                                              correction, segments):
+        h = build_fmo_hamiltonian(FmoSpec())
+        if vibration:
+            h = attach_vibrational_mode(h)
+        h = attach_sink(h, 20)
+        hd = apply_static_disorder(h, disorder, [seed, 1], sites="all")
+        det = generate(NoiseConfig(kind=kind, amplitude=amplitude,
+                                   segments=segments,
+                                   total_length=float(segments), seed=seed))
+        ph = PiecewiseHamiltonian(hd, det, 1.0, float(segments), correction)
+        psi = np.zeros(h.dim, complex)
+        psi[h.source_index] = 1.0
+        expected = [psi]
+        for k in range(segments):
+            psi = segment_propagator(ph.segment_matrix(k), 1.0) @ psi
+            expected.append(psi)
+        got = [s[:, 0] for s in propagate(
+            h, det.sequences[None], 1.0,
+            diagonals=hd.matrix.diagonal().real[:, None],
+            coupling_correction=correction)]
+        assert np.abs(np.array(got) - np.array(expected)).max() < 1e-12
+
+    def test_zero_hamiltonian_leaves_batch_exactly_constant(self):
+        h = Hamiltonian(np.zeros((7, 7)), tuple(f"fmo_site_{i}" for i in range(1, 8)))
+        states = [s.copy() for s in propagate(h, np.zeros((3, 7, 4)), 1.0, 3)]
+        assert len(states) == 13
+        for psi in states:
+            np.testing.assert_array_equal(psi, states[0])
+
+    def test_too_narrow_interval_diverges_and_raises(self):
+        h, det, diag = batch_inputs()
+        with pytest.raises(PhysicsError, match="norm drift"):
+            run_states(h, det, diag, False, interval=(0.0, 0.1))
+
+    def test_nan_detuning_rejected(self):
+        det = NoiseRealization(np.full((7, 20), np.nan), NoiseConfig())
+        h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 10)
+        with pytest.raises(PhysicsError, match="finite"):
+            evolve(PiecewiseHamiltonian(h, det), fine_step=1.0)
+
+    def test_non_finite_interval_rejected(self):
+        h, det, diag = batch_inputs()
+        with pytest.raises(PhysicsError, match="interval"):
+            run_states(h, det, diag, False, interval=(0.0, np.inf))
+
+    def test_unstructured_hamiltonian_rejected(self):
+        h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 10)
+        m = h.matrix.copy()
+        m[0, 9] = m[9, 0] = 0.1   # a sink waveguide coupled to site 1
+        bad = Hamiltonian(m, h.roles)
+        with pytest.raises(PhysicsError, match="sink chain"):
+            list(propagate(bad, np.zeros((1, 7, 2)), 1.0))
+        m = h.matrix.copy()
+        m[0, 1], m[1, 0] = 0.1j, -0.1j
+        with pytest.raises(PhysicsError, match="real"):
+            list(propagate(Hamiltonian(m, h.roles), np.zeros((1, 7, 2)), 1.0))
+
+    def test_bessel_coefficients_match_scipy(self):
+        from scipy.special import jv
+        for x in (1e-6, 0.3, 3.5, 12.5, 60.0, 150.0):
+            n = int(1.5 * x) + 40
+            np.testing.assert_allclose(dynamics._bessel_j(x, n),
+                                       jv(np.arange(n), x), rtol=0, atol=1e-14)

@@ -57,6 +57,30 @@ class TestSweepConfig:
     def test_canonical_dict_json_serializable(self):
         json.dumps(small_cfg().canonical_dict(), sort_keys=True)
 
+    def test_default_hashes_pinned(self):
+        # the sink coupling stays out of the hash at its default, so these
+        # configs keep the hashes they had before it was a field
+        assert SweepConfig().config_hash() == "5bcf85f44d9e0421"
+        assert small_cfg().config_hash() == "4c7f7d2f0bba2143"
+        assert small_cfg(sink_coupling=0.2).config_hash() == "4c7f7d2f0bba2143"
+        assert "sink_coupling" not in small_cfg().canonical_dict()
+
+    def test_sink_coupling_changes_hash_and_values(self):
+        cfg = small_cfg(sink_coupling=0.9)
+        assert cfg.canonical_dict()["sink_coupling"] == 0.9
+        assert cfg.config_hash() != small_cfg().config_hash()
+        slow = sweep_dephasing(small_cfg(grid=(0.5,)))
+        fast = sweep_dephasing(small_cfg(grid=(0.5,), sink_coupling=0.9))
+        assert fast.means[0] > slow.means[0]
+
+    @pytest.mark.parametrize("field,value", [
+        ("disorder", float("nan")), ("observe_z", float("inf")),
+        ("sink_coupling", float("nan")), ("filter_time_scale", float("inf")),
+        ("grid", (0.0, float("nan"))), ("sink_coupling", 0.0)])
+    def test_non_finite_or_invalid_rejected(self, field, value):
+        with pytest.raises(PhysicsError):
+            small_cfg(**{field: value})
+
 
 class TestSweepDephasing:
     def test_deterministic(self):

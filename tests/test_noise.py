@@ -51,6 +51,13 @@ class TestConfig:
         with pytest.raises(PhysicsError):
             NoiseConfig(total_length=0.0)
 
+    @pytest.mark.parametrize("field", ["amplitude", "total_length",
+                                       "filter_time_scale"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(PhysicsError, match="finite"):
+            NoiseConfig(**{field: value})
+
 
 class TestGenerate:
     def test_uniform_white_mean(self):
@@ -86,6 +93,22 @@ class TestGenerate:
     def test_zero_amplitude_all_zero(self, kind):
         cfg = NoiseConfig(kind=kind, amplitude=0.0)
         assert np.all(generate(cfg).sequences == 0.0)
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_zero_amplitude_matches_explicit_zeros_without_drawing(
+            self, kind, monkeypatch):
+        import fmosim.noise as noise_mod
+
+        def no_draw(*_args):
+            raise AssertionError("a zero-amplitude realization drew noise")
+
+        monkeypatch.setattr(noise_mod, "_site_rng", no_draw)
+        cfg = NoiseConfig(kind=kind, amplitude=0.0, segments=13, seed=9)
+        got = generate(cfg, n_sites=5)
+        explicit = NoiseRealization(np.zeros((5, 13)), cfg)
+        assert got.sequences.dtype == explicit.sequences.dtype
+        assert got.sequences.tobytes() == explicit.sequences.tobytes()
+        assert got.config == explicit.config
 
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_determinism(self, kind):
