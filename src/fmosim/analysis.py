@@ -26,7 +26,8 @@ __all__ = ["SpectrumEstimate", "LinearFitResult", "sample_acf", "sample_ccf",
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """One-sided power spectral density on an ascending frequency grid."""
+    """One-sided power spectral density on an ascending frequency grid;
+    ``density`` may hold a stack of them along its leading axes."""
 
     frequencies: np.ndarray   # mm^-1 (ordinary frequency grid)
     density: np.ndarray       # power per unit frequency
@@ -37,7 +38,7 @@ class SpectrumEstimate:
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
         d = np.asarray(self.density, dtype=float)
-        if f.shape != d.shape:
+        if f.ndim != 1 or f.shape != d.shape[-1:]:
             raise PhysicsError("frequency and density grids differ in length")
         if np.any(f < 0) or np.any(np.diff(f) <= 0):
             raise PhysicsError("frequencies must be nonnegative and ascending")
@@ -107,10 +108,11 @@ def psd_periodogram(seq, f_s: float, nfft: int = 128, site: int = -1) -> Spectru
     The sequence is zero-padded to ``nfft`` points.  The density is
     scaled so that sum(J) * df equals the sample variance of the input
     (Parseval-consistent), with the one-sided folding applied to all
-    interior bins.
+    interior bins.  A stack of sequences (time along the last axis) gives
+    one density per sequence, of shape (..., nfft // 2 + 1).
     """
     x = np.asarray(seq, dtype=float)
-    n = len(x)
+    n = x.shape[-1] if x.ndim else 0
     if n == 0:
         raise PhysicsError("empty sequence has no spectrum")
     if n > nfft:
@@ -119,23 +121,24 @@ def psd_periodogram(seq, f_s: float, nfft: int = 128, site: int = -1) -> Spectru
         raise PhysicsError("nfft must be a power of two")
     if f_s <= 0:
         raise PhysicsError("sampling frequency must be positive")
-    xc = x - x.mean()
+    xc = x - x.mean(axis=-1, keepdims=True)
     spec = np.fft.rfft(xc, n=nfft)
     # Two-sided density |X|^2 / (n f_s); folding doubles interior bins.
     dens = (np.abs(spec) ** 2) / (n * f_s)
     if nfft % 2 == 0:
-        dens[1:-1] *= 2.0
+        dens[..., 1:-1] *= 2.0
     else:
-        dens[1:] *= 2.0
+        dens[..., 1:] *= 2.0
     freqs = np.fft.rfftfreq(nfft, d=1.0 / f_s)
     return SpectrumEstimate(freqs, dens, f_s, nfft, site)
 
 
-def reorganization_energy(spec: SpectrumEstimate) -> float:
+def reorganization_energy(spec: SpectrumEstimate):
     """(1/pi) * sum_{w>0} J(w)/w * dw over the positive angular-frequency bins.
 
     The zero-frequency bin is excluded: mean removal makes it an
-    estimation artifact and the 1/w weight is singular there.
+    estimation artifact and the 1/w weight is singular there.  A float for
+    one density; an array, one value per density, for a stack.
     """
     if len(spec.frequencies) == 0:
         raise PhysicsError("empty spectrum")
@@ -143,18 +146,21 @@ def reorganization_energy(spec: SpectrumEstimate) -> float:
     # Density per unit angular frequency; d_omega = 2 pi df.
     j_omega = spec.density / (2.0 * np.pi)
     if len(omega) < 2:
-        return 0.0
+        return 0.0 if j_omega.ndim == 1 else np.zeros(j_omega.shape[:-1])
     d_omega = omega[1] - omega[0]
     pos = omega > 0
-    return float(np.sum(j_omega[pos] / omega[pos]) * d_omega / np.pi)
+    energy = np.sum(j_omega[..., pos] / omega[pos], axis=-1) * d_omega / np.pi
+    return float(energy) if energy.ndim == 0 else energy
 
 
-def variance(seq) -> float:
-    """Population variance of a sequence."""
+def variance(seq):
+    """Population variance of a sequence: a float, or an array with one
+    value per sequence for a stack (time along the last axis)."""
     x = np.asarray(seq, dtype=float)
-    if len(x) == 0:
+    if x.ndim == 0 or x.shape[-1] == 0:
         raise PhysicsError("empty sequence has no variance")
-    return float(np.var(x))
+    var = np.var(x, axis=-1)
+    return float(var) if var.ndim == 0 else var
 
 
 def fit_reorganization_law(points) -> LinearFitResult:

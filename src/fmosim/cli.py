@@ -19,9 +19,9 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
-import jsonschema
 
 from . import __version__, analysis, dynamics, experiments, model
 from . import noise as noise_mod
@@ -110,12 +110,21 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigError(f"{path}: at {where}: {exc.message}") from exc
+    from jsonschema.exceptions import best_match
+    # the error jsonschema.validate would raise, without its per-call
+    # check of the schema itself (the tests check the schema once)
+    error = best_match(_config_validator().iter_errors(doc))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "(top level)"
+        raise ConfigError(f"{path}: at {where}: {error.message}")
     return doc
+
+
+@cache
+def _config_validator():
+    # imported on first use, so that importing the CLI does not pay for it
+    import jsonschema
+    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def _fmo_spec(doc: dict) -> model.FmoSpec:
@@ -181,7 +190,14 @@ def _sweep_config(doc: dict, threads: int) -> experiments.SweepConfig:
         kwargs["realizations"] = sd["realizations"]
     if "disorder_per_mm" in sd:
         kwargs["disorder"] = sd["disorder_per_mm"]
+    if "total_length_mm" in nd:
+        kwargs["observe_z"] = float(nd["total_length_mm"])
     if "observe_z_mm" in sd:
+        if "observe_z" in kwargs and kwargs["observe_z"] != sd["observe_z_mm"]:
+            raise ConfigError(
+                f"sweep.observe_z_mm ({sd['observe_z_mm']:g}) and "
+                f"noise.total_length_mm ({nd['total_length_mm']:g}) disagree; "
+                "give one of them, or the same value for both")
         kwargs["observe_z"] = sd["observe_z_mm"]
     if "coupling_correction" in sd:
         kwargs["coupling_correction"] = sd["coupling_correction"]
@@ -414,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted for compatibility; a study runs as "
                             "one batch, so the value changes neither "
                             "execution nor results")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("simulate", help="single evolution trace")
     common(p)

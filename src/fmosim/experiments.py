@@ -143,29 +143,31 @@ def _noise_config(cfg: SweepConfig, amplitude: float, grid_index: int,
         filter_time_scale=cfg.filter_time_scale)
 
 
-def _realization(cfg: SweepConfig, base: Hamiltonian, amplitude: float,
-                 grid_index: int, realization: int):
-    """Disordered Hamiltonian and detuning schedule of one realization."""
-    h = apply_static_disorder(
+def _noise_configs(cfg: SweepConfig, grid_indices):
+    """Noise configs of every realization at the given grid points, grid
+    point by grid point."""
+    return [_noise_config(cfg, cfg.grid[gi], gi, r)
+            for gi in grid_indices for r in range(cfg.realizations)]
+
+
+def _disordered(cfg: SweepConfig, base: Hamiltonian, grid_index: int,
+                realization: int) -> Hamiltonian:
+    """The disordered Hamiltonian of one realization."""
+    return apply_static_disorder(
         base, cfg.disorder, rng_seed=[cfg.seed, grid_index, realization, 1],
         sites="all")
-    det = noise_mod.generate(_noise_config(cfg, amplitude, grid_index, realization),
-                             n_sites=len(h.fmo_indices))
-    return h, det
 
 
 def _evolve_study(cfg: SweepConfig, base: Hamiltonian, steps_per_segment: int):
     """States of all the study's realizations, grid point by grid point,
     one column each, at every step (see dynamics.propagate)."""
-    diagonals, detunings = [], []
-    for gi, amplitude in enumerate(cfg.grid):
-        for r in range(cfg.realizations):
-            h, det = _realization(cfg, base, amplitude, gi, r)
-            # a copy, so that the realization's dense matrix is freed
-            diagonals.append(h.matrix.diagonal().real.copy())
-            detunings.append(det.sequences)
+    # copies, so that each realization's dense matrix is freed
+    diagonals = [_disordered(cfg, base, gi, r).matrix.diagonal().real.copy()
+                 for gi in range(len(cfg.grid)) for r in range(cfg.realizations)]
+    detunings = noise_mod.generate_batch(
+        _noise_configs(cfg, range(len(cfg.grid))), n_sites=len(base.fmo_indices))
     return dynamics.propagate(
-        base, np.stack(detunings), cfg.observe_z / cfg.segments,
+        base, detunings, cfg.observe_z / cfg.segments,
         steps_per_segment, diagonals=np.stack(diagonals, axis=1),
         coupling_correction=cfg.coupling_correction)
 
@@ -199,25 +201,14 @@ def reorganization_curve(cfg: SweepConfig):
     their variance and periodogram-based reorganization energy averaged
     over sites and realizations.  Returns (points array, LinearFitResult).
     """
-    pts = []
-    for gi, amplitude in enumerate(cfg.grid):
-        if amplitude == 0.0:
-            pts.append((0.0, 0.0))
-            continue
-        var_acc = 0.0
-        er_acc = 0.0
-        count = 0
-        for r in range(cfg.realizations):
-            ncfg = _noise_config(cfg, amplitude, gi, r)
-            real = noise_mod.generate(ncfg)
-            f_s = ncfg.sampling_frequency
-            for row in real.sequences:
-                var_acc += analysis.variance(row)
-                er_acc += analysis.reorganization_energy(
-                    analysis.psd_periodogram(row, f_s))
-                count += 1
-        pts.append((var_acc / count, er_acc / count))
-    points = np.asarray(pts)
+    points = np.zeros((len(cfg.grid), 2))
+    live = [gi for gi, amplitude in enumerate(cfg.grid) if amplitude != 0.0]
+    if live:
+        rows = noise_mod.generate_batch(_noise_configs(cfg, live)).reshape(
+            len(live), -1, cfg.segments)
+        spectra = analysis.psd_periodogram(rows, cfg.segments / cfg.observe_z)
+        points[live, 0] = analysis.variance(rows).mean(axis=1)
+        points[live, 1] = analysis.reorganization_energy(spectra).mean(axis=1)
     fit = analysis.fit_reorganization_law(points)
     return points, fit
 
@@ -267,11 +258,9 @@ def noise_distribution_comparison(cfg: SweepConfig):
     for kind in noise_mod.NOISE_KINDS:
         sub = replace(cfg, noise_kind=kind)
         results[kind] = sweep_dephasing(sub)
-        acc = 0.0
-        for r in range(cfg.realizations):
-            ncfg = _noise_config(sub, 1.0, 0, r)
-            acc += float(noise_mod.generate(ncfg).sequences.mean())
-        profile_means[kind] = acc / cfg.realizations
+        profiles = noise_mod.generate_batch(
+            [_noise_config(sub, 1.0, 0, r) for r in range(cfg.realizations)])
+        profile_means[kind] = float(profiles.mean())
     return results, profile_means
 
 
@@ -285,7 +274,9 @@ def excitation_trace_study(cfg: SweepConfig,
     fine = cfg.observe_z / cfg.segments / 4.0
 
     def trace(sub, base, amplitude):
-        h, det = _realization(sub, base, amplitude, 0, 0)
+        h = _disordered(sub, base, 0, 0)
+        det = noise_mod.generate(_noise_config(sub, amplitude, 0, 0),
+                                 n_sites=len(h.fmo_indices))
         ph = dynamics.PiecewiseHamiltonian(
             h, det, segment_length=sub.observe_z / sub.segments,
             total_length=sub.observe_z,

@@ -156,9 +156,26 @@ class TestPeriodogram:
         others = np.delete(est.density, k)
         assert np.all(others < 1e-10 * peak)
 
+    def test_stack_matches_one_sequence_at_a_time(self):
+        rows = np.random.default_rng(4).uniform(size=(3, 5, 20))
+        est = psd_periodogram(rows, f_s=0.5)
+        assert est.density.shape == (3, 5, 65)
+        energies = reorganization_energy(est)
+        variances = variance(rows)
+        assert energies.shape == variances.shape == (3, 5)
+        for idx in np.ndindex(3, 5):
+            one = psd_periodogram(rows[idx], f_s=0.5)
+            np.testing.assert_allclose(est.density[idx], one.density,
+                                       rtol=1e-13, atol=1e-16)
+            assert energies[idx] == pytest.approx(reorganization_energy(one),
+                                                  rel=1e-13)
+            assert variances[idx] == variance(rows[idx])
+
     def test_rejections(self):
         with pytest.raises(PhysicsError):
             psd_periodogram([], 1.0)
+        with pytest.raises(PhysicsError):
+            psd_periodogram(np.ones((3, 0)), 1.0)
         with pytest.raises(PhysicsError):
             psd_periodogram(np.ones(200), 1.0, nfft=128)
         with pytest.raises(PhysicsError):

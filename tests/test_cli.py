@@ -2,9 +2,15 @@
 output artifacts, and rerun determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import fmosim
 
 from fmosim.cli import (
     CONFIG_SCHEMA,
@@ -100,6 +106,26 @@ class TestConfigLoading:
 
     def test_schema_constants(self):
         assert CONFIG_SCHEMA["properties"]["schema_version"]["const"] == 1
+
+    def test_schema_is_valid(self):
+        # load_config validates against CONFIG_SCHEMA without checking the
+        # schema itself, so the check is made here
+        import jsonschema
+        jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(
+            CONFIG_SCHEMA)
+
+    def test_same_error_as_jsonschema_validate(self, tmp_path):
+        import jsonschema
+        doc = base_config()
+        doc["sweep"]["realizations"] = 0
+        doc["noise"]["segments"] = "20"
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(doc, CONFIG_SCHEMA)
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError) as got:
+            load_config(path)
+        where = "/".join(str(p) for p in expected.value.absolute_path)
+        assert str(got.value) == f"{path}: at {where}: {expected.value.message}"
 
 
 class TestExitCodes:
@@ -203,6 +229,45 @@ class TestSweep:
             assert manifest["config"].get("sink_coupling", 0.2) == coupling
         assert summaries[0] != summaries[1]
 
+    def test_total_length_sets_observation_length(self, tmp_path):
+        summaries = []
+        for total in (10.0, 20.0):
+            doc = base_config()
+            doc["noise"]["total_length_mm"] = total
+            path = write_config(tmp_path, doc, name=f"t{total}.json")
+            out = tmp_path / f"t{total}"
+            assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_OK
+            summaries.append((out / "sweep_summary.csv").read_bytes())
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["observe_z"] == total
+        assert summaries[0] != summaries[1]
+
+    def test_total_length_agreeing_with_observe_z_runs(self, tmp_path):
+        doc = base_config()
+        doc["sweep"]["observe_z_mm"] = 20.0
+        path = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", path,
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
+
+    def test_total_length_conflicting_with_observe_z_exits_two(
+            self, tmp_path, capsys):
+        doc = base_config()
+        doc["sweep"]["observe_z_mm"] = 10.0
+        path = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", path,
+                     "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "observe_z_mm" in err and "total_length_mm" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_format_flag_is_gone(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", path, "--format", "json",
+                  "--out", str(tmp_path / "run")])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--format" in capsys.readouterr().err
+
     def test_summary_consistent_with_raw(self, tmp_path):
         path = write_config(tmp_path, base_config())
         out = tmp_path / "run"
@@ -282,3 +347,17 @@ class TestChipPlan:
         assert len(spacing_rows) == 7
         printed = capsys.readouterr().out
         assert "max speed detuning" in printed
+
+
+def test_runtime_imports_no_scipy():
+    src = str(Path(fmosim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, fmosim.cli, fmosim.experiments; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

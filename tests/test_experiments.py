@@ -144,6 +144,27 @@ class TestReorganizationCurve:
         assert pts[2, 1] == pytest.approx(4 * pts[1, 1], rel=0.2)
 
 
+    def test_matches_per_sequence_oracle(self):
+        # the loop the batched study replaced: one noise realization and
+        # one periodogram per sequence
+        from fmosim import analysis
+        from fmosim.experiments import _noise_config
+        from fmosim.noise import generate
+        cfg = small_cfg(grid=(0.0, 0.4, 1.0), realizations=4,
+                        noise_kind="colored")
+        pts, _ = reorganization_curve(cfg)
+        for gi, amplitude in enumerate(cfg.grid[1:], start=1):
+            var, energy = [], []
+            for r in range(cfg.realizations):
+                ncfg = _noise_config(cfg, amplitude, gi, r)
+                for row in generate(ncfg).sequences:
+                    var.append(analysis.variance(row))
+                    energy.append(analysis.reorganization_energy(
+                        analysis.psd_periodogram(row, ncfg.sampling_frequency)))
+            assert pts[gi, 0] == pytest.approx(np.mean(var), rel=1e-13)
+            assert pts[gi, 1] == pytest.approx(np.mean(energy), rel=1e-13)
+
+
 class TestVibrationalComparison:
     def test_shapes_and_determinism(self):
         cfg = small_cfg(grid=(0.0, 0.5), realizations=2)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import bilinear, lfilter
 
+import fmosim.noise as noise_mod
 from fmosim.errors import PhysicsError
 from fmosim.noise import (
     FILTER_BURN_IN,
@@ -18,6 +19,7 @@ from fmosim.noise import (
     NoiseConfig,
     NoiseRealization,
     generate,
+    generate_batch,
     read_noise_csv,
     resample_amplitude,
     write_noise_csv,
@@ -97,8 +99,6 @@ class TestGenerate:
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_zero_amplitude_matches_explicit_zeros_without_drawing(
             self, kind, monkeypatch):
-        import fmosim.noise as noise_mod
-
         def no_draw(*_args):
             raise AssertionError("a zero-amplitude realization drew noise")
 
@@ -150,6 +150,88 @@ class TestGenerate:
             seqs = generate(cfg, n_sites=2).sequences
             total += abs(sample_ccf(seqs[0], seqs[1], 0))
         assert total / n_seeds < 0.3
+
+
+TIME_SCALES = (0.05, 0.2, 1.0, 5.0)
+
+
+class TestColoredFilter:
+    """The numpy filter against scipy.signal, which serves as the oracle."""
+
+    @pytest.mark.parametrize("time_scale", TIME_SCALES)
+    def test_coefficients_match_scipy_bilinear(self, time_scale):
+        b_ref, a_ref = bilinear(list(FILTER_NUM), list(FILTER_DEN),
+                                fs=time_scale)
+        b, a = noise_mod._filter_coefficients(time_scale)
+        np.testing.assert_allclose(b, b_ref, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(a, a_ref, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("time_scale", TIME_SCALES)
+    def test_batched_filter_matches_lfilter(self, time_scale):
+        white = np.random.default_rng(17).standard_normal(
+            (40, FILTER_BURN_IN + 60))
+        b, a = bilinear(list(FILTER_NUM), list(FILTER_DEN), fs=time_scale)
+        ref = lfilter(b, a, white, axis=1)[:, FILTER_BURN_IN:]
+        got = noise_mod._colored_filter(white, time_scale)
+        # relative to each row's peak, the scale of a by_max profile
+        peak = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-10 * peak)
+
+    @pytest.mark.parametrize("time_scale", TIME_SCALES)
+    def test_generate_matches_lfilter_oracle(self, time_scale):
+        cfg = NoiseConfig(kind="colored", amplitude=1.0, segments=30,
+                          total_length=30.0, seed=5,
+                          filter_time_scale=time_scale)
+        got = generate(cfg, n_sites=3).sequences
+        b, a = bilinear(list(FILTER_NUM), list(FILTER_DEN), fs=time_scale)
+        for site in range(3):
+            white = np.random.default_rng([5, site]).standard_normal(
+                30 + FILTER_BURN_IN)
+            y = np.abs(lfilter(b, a, white)[FILTER_BURN_IN:])
+            np.testing.assert_allclose(got[site], y / y.max(), rtol=0,
+                                       atol=1e-10)
+
+
+def mixed_configs():
+    """Every kind at several amplitudes (zero included), seeds, filter
+    time scales and both normalizations, all with 12 segments."""
+    configs = []
+    for i, kind in enumerate(NOISE_KINDS):
+        for amplitude in (0.0, 0.3, 2.5):
+            for seed in (i, 100 + i):
+                configs.append(NoiseConfig(
+                    kind=kind, amplitude=amplitude, segments=12,
+                    total_length=7.0 + seed % 3, seed=seed,
+                    filter_time_scale=(0.2, 1.5)[seed % 2]))
+        configs.append(NoiseConfig(kind=kind, amplitude=0.8, segments=12,
+                                   seed=i, normalization="none"))
+    return configs
+
+
+class TestGenerateBatch:
+    def test_rows_equal_single_generation_bitwise(self):
+        configs = mixed_configs()
+        batch = generate_batch(configs, n_sites=4)
+        assert batch.shape == (len(configs), 4, 12)
+        for row, cfg in zip(batch, configs):
+            assert row.tobytes() == generate(cfg, n_sites=4).sequences.tobytes()
+
+    def test_rows_independent_of_batch_order_and_chunks(self):
+        # more configs than one chunk, so a config's row is computed in a
+        # different chunk, next to different rows, in the two batches
+        configs = [NoiseConfig(kind="colored", amplitude=0.5, segments=9,
+                               seed=s) for s in range(noise_mod._BATCH_CHUNK + 5)]
+        forward = generate_batch(configs, n_sites=2)
+        backward = generate_batch(configs[::-1], n_sites=2)[::-1]
+        assert forward.tobytes() == backward.tobytes()
+
+    def test_rejections(self):
+        with pytest.raises(PhysicsError):
+            generate_batch([], n_sites=3)
+        with pytest.raises(PhysicsError):
+            generate_batch([NoiseConfig()], n_sites=0)
+        with pytest.raises(PhysicsError, match="segment count"):
+            generate_batch([NoiseConfig(segments=10), NoiseConfig(segments=11)])
 
 
 class TestResample:
