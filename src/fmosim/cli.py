@@ -191,7 +191,7 @@ def _sweep_config(doc: dict, threads: int) -> experiments.SweepConfig:
     if "disorder_per_mm" in sd:
         kwargs["disorder"] = sd["disorder_per_mm"]
     if "total_length_mm" in nd:
-        kwargs["observe_z"] = float(nd["total_length_mm"])
+        kwargs["observe_z"] = nd["total_length_mm"]
     if "observe_z_mm" in sd:
         if "observe_z" in kwargs and kwargs["observe_z"] != sd["observe_z_mm"]:
             raise ConfigError(

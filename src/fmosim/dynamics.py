@@ -12,10 +12,20 @@ where the Bessel coefficients fall below 1e-16; a step agrees with the
 exact propagator to about 1e-14.  The matrix-vector product follows the
 array's structure (a dense block over the network sites and the optional
 vibration mode, then a nearest-neighbour sink chain) and is written as
-elementwise operations only, so a column's result does not depend on
-which other columns share its batch.  :func:`segment_propagator` builds
-the exact propagator from a Hermitian eigendecomposition; it is the
-reference the kernel is tested against.
+elementwise operations and one reduction only, so a column's result does
+not depend on which other columns share its batch.
+
+The sink chain only has to look irreversible over the chip, so the light
+never reaches its far end.  :func:`propagate` evolves only the light cone:
+the network rows and the first L chain waveguides, where L is the
+smallest depth whose cut moves the state by at most LIGHT_CONE_TOL over
+the whole propagation (a Lieb-Robinson-style bound; Lieb & Robinson,
+Commun. Math. Phys. 28, 251 (1972)).  The rows past the window are exact
+zeros in the yielded states.  L depends only on the chain couplings and
+the propagation length, never on the detunings or diagonals.
+
+:func:`segment_propagator` builds the exact propagator from a Hermitian
+eigendecomposition; it is the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -43,6 +53,9 @@ SERIES_TOL = 1e-16
 
 #: Largest |1 - ||psi||^2| accepted at any sample of a propagation.
 NORM_TOL = 1e-9
+
+#: Largest bound on how far cutting the sink chain moves a propagated state.
+LIGHT_CONE_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -297,6 +310,31 @@ def _check_norm(x: np.ndarray) -> None:
             "diverges on a spectral interval that is too narrow)")
 
 
+def _light_cone_depth(coupling: float, length: float, max_depth: int) -> int:
+    """Smallest chain depth L with coupling * length * B(L) <= LIGHT_CONE_TOL.
+
+    B(L) = sum_{k >= L} a^k / k!, a = 2 coupling length, bounds the part
+    of the state at depth L (see :func:`propagate`).  It is summed from its
+    high-order end, which bounds the terms past ``max_depth`` by a geometric
+    series, so no partial sum is subtracted from exp(a).  Returns
+    ``max_depth`` (the whole chain) when no shallower cut is small enough.
+    """
+    scale = coupling * length
+    a = 2.0 * scale
+    if scale == 0.0 or max_depth == 0:
+        return 0
+    if a >= max_depth:  # then B(L) >= a^L / L! >= 1 for every L < max_depth
+        return max_depth
+    log_a = math.log(a)
+    term = math.exp(max_depth * log_a - math.lgamma(max_depth + 1))
+    tail = term / (1.0 - a / (max_depth + 1))  # B(max_depth)
+    for depth in range(max_depth - 1, -1, -1):
+        tail += math.exp(depth * log_a - math.lgamma(depth + 1))
+        if scale * tail > LIGHT_CONE_TOL:
+            return depth + 1
+    return 0
+
+
 def _chebyshev_step(x, matvec, weights, cos_t, sin_t):
     """exp(-i H dt) x, with ``matvec`` applying 2 (H - center) / half."""
     even = weights[0] * x
@@ -340,6 +378,22 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     segment.  ``interval`` defaults to :func:`spectral_interval` of the
     batch.  Raises PhysicsError if any column's norm drifts by more than
     NORM_TOL.
+
+    Only the light cone of the sink chain is evolved: rows ``[:n0 + L]``,
+    where n0 counts the non-sink rows, and every row past them holds an
+    exact zero.  With c the largest absolute coupling on the drain link
+    and along the chain and T the propagation length, L is the smallest
+    depth with c T B(L) <= LIGHT_CONE_TOL, B(L) = sum_{k >= L} (2 c T)^k /
+    k!.  The bound: the network block, the vibration mode and every
+    diagonal (detunings, disorder and the coupling correction included)
+    keep the chain depth fixed, while the link and the chain bonds, of norm
+    at most 2 c together, change it by exactly 1.  The source is at depth
+    0, so in the interaction-picture Dyson series the state at depth m
+    has norm at most B(m), and cutting the bond below depth L moves the
+    state by at most c T B(L).  The window is a leading principal
+    submatrix, whose spectrum lies inside the interval of the full matrix.
+    L depends on c and T only, so a column run alone and in a batch share
+    the window.
     """
     st = _structure(h)
     det, diag = _batch(h, detunings, diagonals)
@@ -358,14 +412,23 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     cos_t, sin_t = math.cos(center * dt), math.sin(center * dt)
     scale = 2.0 / half if half > 0 else 0.0
     n0 = st.n0
-    has_sink = n0 < h.dim
-    chain, link = st.chain * scale, st.link * scale
+    coupling = max(abs(st.link), float(np.abs(st.chain).max(initial=0.0)))
+    depth = _light_cone_depth(coupling, det.shape[2] * segment_length,
+                              h.dim - n0)
+    rows = n0 + depth
+    diag = diag[:rows]
+    chain, link = st.chain[:max(depth - 1, 0)] * scale, st.link * scale
+
+    def padded(x):
+        out = np.zeros((h.dim, x.shape[1]))
+        out[:rows] = x
+        return out.view(complex)
 
     # The state is real: column 2r holds Re psi_r and column 2r + 1 Im psi_r,
     # which the real operator 2 (H - center) / half acts on alike.
-    x = np.zeros((h.dim, 2 * det.shape[0]))
+    x = np.zeros((rows, 2 * det.shape[0]))
     x[h.source_index, 0::2] = 1.0
-    yield x.view(complex)
+    yield padded(x)
     for k in range(det.shape[2]):
         d, block = _segment(st, diag, det[:, :, k].T, coupling_correction)
         d = np.repeat((d - center) * scale, 2, axis=1)
@@ -375,9 +438,8 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
 
         def matvec(v):
             y = d * v
-            for j in range(n0):
-                y[:n0] += block[:, j] * v[j]
-            if has_sink:
+            y[:n0] += (block * v[None, :n0]).sum(axis=1)
+            if depth:
                 y[n0 + 1:] += chain * v[n0:-1]
                 y[n0:-1] += chain * v[n0 + 1:]
                 y[st.drain] += link * v[n0]
@@ -387,7 +449,7 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
         for _ in range(steps_per_segment):
             x = _chebyshev_step(x, matvec, weights, cos_t, sin_t)
             _check_norm(x)
-            yield x.view(complex)
+            yield padded(x)
 
 
 def evolve(ph: PiecewiseHamiltonian, fine_step: float = DEFAULT_FINE_STEP) -> EvolutionTrace:

@@ -23,7 +23,8 @@ from . import analysis, dynamics, noise as noise_mod
 from .errors import PhysicsError
 from .model import (DEFAULT_SINK_COUPLING, FmoSpec, Hamiltonian,
                     apply_static_disorder, attach_sink,
-                    attach_vibrational_mode, build_fmo_hamiltonian)
+                    attach_vibrational_mode, build_fmo_hamiltonian,
+                    static_disorder_shifts)
 
 __all__ = ["SweepConfig", "SweepResult", "sweep_dephasing",
            "reorganization_curve", "vibrational_comparison",
@@ -67,6 +68,8 @@ class SweepConfig:
             raise PhysicsError("grid must be sorted ascending")
         for name in ("disorder", "observe_z", "sink_coupling",
                      "filter_time_scale"):
+            # 20 and 20.0 are one study, so they must share a hash
+            object.__setattr__(self, name, float(getattr(self, name)))
             if not math.isfinite(getattr(self, name)):
                 raise PhysicsError(f"{name} must be finite")
         if not all(math.isfinite(g) for g in self.grid):
@@ -150,25 +153,25 @@ def _noise_configs(cfg: SweepConfig, grid_indices):
             for gi in grid_indices for r in range(cfg.realizations)]
 
 
-def _disordered(cfg: SweepConfig, base: Hamiltonian, grid_index: int,
-                realization: int) -> Hamiltonian:
-    """The disordered Hamiltonian of one realization."""
-    return apply_static_disorder(
-        base, cfg.disorder, rng_seed=[cfg.seed, grid_index, realization, 1],
-        sites="all")
+def _disorder_seed(cfg: SweepConfig, grid_index: int, realization: int):
+    return [cfg.seed, grid_index, realization, 1]
 
 
 def _evolve_study(cfg: SweepConfig, base: Hamiltonian, steps_per_segment: int):
     """States of all the study's realizations, grid point by grid point,
-    one column each, at every step (see dynamics.propagate)."""
-    # copies, so that each realization's dense matrix is freed
-    diagonals = [_disordered(cfg, base, gi, r).matrix.diagonal().real.copy()
-                 for gi in range(len(cfg.grid)) for r in range(cfg.realizations)]
+    one column each, at every step (see dynamics.propagate).  Static
+    disorder shifts every waveguide's diagonal (``sites="all"``)."""
+    diag = base.matrix.diagonal().real
+    diagonals = np.stack(
+        [diag + static_disorder_shifts(base.dim, cfg.disorder,
+                                       _disorder_seed(cfg, gi, r))
+         for gi in range(len(cfg.grid)) for r in range(cfg.realizations)],
+        axis=1)
     detunings = noise_mod.generate_batch(
         _noise_configs(cfg, range(len(cfg.grid))), n_sites=len(base.fmo_indices))
     return dynamics.propagate(
         base, detunings, cfg.observe_z / cfg.segments,
-        steps_per_segment, diagonals=np.stack(diagonals, axis=1),
+        steps_per_segment, diagonals=diagonals,
         coupling_correction=cfg.coupling_correction)
 
 
@@ -274,7 +277,8 @@ def excitation_trace_study(cfg: SweepConfig,
     fine = cfg.observe_z / cfg.segments / 4.0
 
     def trace(sub, base, amplitude):
-        h = _disordered(sub, base, 0, 0)
+        h = apply_static_disorder(base, sub.disorder,
+                                  _disorder_seed(sub, 0, 0), sites="all")
         det = noise_mod.generate(_noise_config(sub, amplitude, 0, 0),
                                  n_sites=len(h.fmo_indices))
         ph = dynamics.PiecewiseHamiltonian(

@@ -43,6 +43,7 @@ __all__ = [
     "speed_for_delta_beta",
     "effective_coupling",
     "delta_c",
+    "static_disorder_shifts",
     "apply_static_disorder",
     "export_chip_plan",
     "write_chip_plan",
@@ -324,25 +325,37 @@ def delta_c(c0: float, db: float) -> float:
     return effective_coupling(c0, db) - c0
 
 
+def static_disorder_shifts(n: int, gamma: float, rng_seed) -> np.ndarray:
+    """``n`` one-sided uniform site-energy shifts U(0, gamma).
+
+    This is the one definition of the disorder stream: the shifts are
+    drawn in site order from ``default_rng(rng_seed)``, and none are drawn
+    (all are zero) at ``gamma == 0``.
+    """
+    if gamma < 0:
+        raise PhysicsError("disorder strength must be nonnegative")
+    if gamma == 0:
+        return np.zeros(n)
+    return np.random.default_rng(rng_seed).uniform(0.0, gamma, size=n)
+
+
 def apply_static_disorder(h: Hamiltonian, gamma: float, rng_seed,
                           sites: str = "fmo") -> Hamiltonian:
-    """Add one-sided uniform site-energy shifts U(0, gamma).
+    """Add the :func:`static_disorder_shifts` to the chosen diagonals.
 
     ``sites="fmo"`` perturbs the seven network diagonals only;
     ``sites="all"`` perturbs every waveguide (including sink and
     vibration), which is the convention the disorder sweeps use: a
     disordered chip mis-writes every waveguide, not just the network.
     """
-    if gamma < 0:
-        raise PhysicsError("disorder strength must be nonnegative")
     if sites not in ("fmo", "all"):
         raise PhysicsError("sites must be 'fmo' or 'all'")
+    idx = h.fmo_indices if sites == "fmo" else np.arange(h.dim)
+    shifts = static_disorder_shifts(len(idx), gamma, rng_seed)
     if gamma == 0:
         return h
-    rng = np.random.default_rng(rng_seed)
     m = h.matrix.copy()
-    idx = h.fmo_indices if sites == "fmo" else np.arange(h.dim)
-    m[idx, idx] = m[idx, idx] + rng.uniform(0.0, gamma, size=len(idx))
+    m[idx, idx] = m[idx, idx] + shifts
     return Hamiltonian(m, h.roles, h.source_site, h.drain_site)
 
 

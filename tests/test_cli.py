@@ -242,6 +242,18 @@ class TestSweep:
             assert manifest["config"]["observe_z"] == total
         assert summaries[0] != summaries[1]
 
+    def test_int_and_float_observe_z_write_identical_manifests(self, tmp_path):
+        manifests = []
+        for observe_z in (20, 20.0):
+            doc = base_config()
+            del doc["noise"]["total_length_mm"]
+            doc["sweep"]["observe_z_mm"] = observe_z
+            path = write_config(tmp_path, doc, name=f"z{observe_z!r}.json")
+            out = tmp_path / f"z{observe_z!r}"
+            assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_OK
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+
     def test_total_length_agreeing_with_observe_z_runs(self, tmp_path):
         doc = base_config()
         doc["sweep"]["observe_z_mm"] = 20.0

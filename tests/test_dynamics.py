@@ -1,5 +1,7 @@
 """Tests for piecewise-constant evolution and the segment propagator."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,14 +258,15 @@ class TestTraceExport:
             float(first[1] == "5") * 1.0)
 
 
-def batch_inputs(vibration=False, columns=5, sink=20, seed=11):
+def batch_inputs(vibration=False, columns=5, sink=20, seed=11, segments=6):
     """A small batch: per-column detunings and static-disorder diagonals."""
     h = build_fmo_hamiltonian(FmoSpec())
     if vibration:
         h = attach_vibrational_mode(h)
     h = attach_sink(h, sink)
     det = np.stack([generate(NoiseConfig(kind="uniform_white", amplitude=a,
-                                         segments=6, total_length=6.0,
+                                         segments=segments,
+                                         total_length=float(segments),
                                          seed=seed + r)).sequences
                     for r, a in enumerate(np.linspace(0.0, 2.0, columns))])
     diag = np.stack([apply_static_disorder(h, 3.0, [seed, r], sites="all")
@@ -277,12 +280,33 @@ def run_states(h, det, diag, correction, interval=None, steps=2):
         interval=interval)]
 
 
+def b_tail_exact(a, depth, top=400):
+    """sum_{k >= depth} a^k / k! as an exact fraction (terms past ``top``
+    are below 1e-300 for the a used here)."""
+    term, total = Fraction(1), Fraction(0)
+    for k in range(top + 1):
+        if k:
+            term = term * a / k
+        if k >= depth:
+            total += term
+    return total
+
+
+# (correction, vibration, sink, segments); the long chain over 20 mm is
+# wider than its light cone, so the window is narrower than dim
+COLUMN_CASES = [(c, v, sink, segments)
+                for sink, segments in ((20, 6), (100, 20))
+                for c in (False, True) for v in (False, True)]
+
+
 class TestPropagate:
-    @pytest.mark.parametrize("vibration", [False, True])
-    @pytest.mark.parametrize("correction", [False, True])
-    def test_column_alone_is_bitwise_equal_to_batch_column(self, correction,
-                                                           vibration):
-        h, det, diag = batch_inputs(vibration)
+    @pytest.mark.parametrize(
+        "correction,vibration,sink,segments", COLUMN_CASES,
+        ids=[f"{c}-{v}" + ("-long_chain" if sink == 100 else "")
+             for c, v, sink, _ in COLUMN_CASES])
+    def test_column_alone_is_bitwise_equal_to_batch_column(
+            self, correction, vibration, sink, segments):
+        h, det, diag = batch_inputs(vibration, sink=sink, segments=segments)
         interval = spectral_interval(h, det, diag, correction)
         batch = run_states(h, det, diag, correction, interval)
         for c in range(det.shape[0]):
@@ -290,6 +314,43 @@ class TestPropagate:
                                interval)
             for a, b in zip(alone, batch):
                 np.testing.assert_array_equal(a[:, 0], b[:, c])
+
+    def test_light_cone_depth_is_the_smallest_within_tolerance(self):
+        # c = 0.2 mm^-1 over T = 20 mm: 2 c T = 8, as on the default chip
+        c, length = Fraction(1, 5), Fraction(20)
+        depth = dynamics._light_cone_depth(0.2, 20.0, 100)
+        tol = Fraction(dynamics.LIGHT_CONE_TOL)
+        assert 0 < depth < 100
+        assert c * length * b_tail_exact(2 * c * length, depth) <= tol
+        assert c * length * b_tail_exact(2 * c * length, depth - 1) > tol
+
+    def test_short_chain_keeps_every_row(self):
+        assert dynamics._light_cone_depth(0.2, 20.0, 20) == 20
+        h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 20)
+        det = generate(NoiseConfig(amplitude=0.5, seed=3)).sequences[None]
+        *_, last = propagate(h, det, 1.0)
+        assert last[-1, 0] != 0.0
+
+    def test_rows_past_the_light_cone_are_zero_and_the_cut_is_exact(self):
+        h = attach_sink(attach_vibrational_mode(build_fmo_hamiltonian()), 100)
+        hd = apply_static_disorder(h, 10.0, [4, 1], sites="all")
+        det = generate(NoiseConfig(kind="colored", amplitude=1.0,
+                                   segments=20, total_length=20.0, seed=4))
+        ph = PiecewiseHamiltonian(hd, det, 1.0, 20.0, coupling_correction=True)
+        rows = 8 + dynamics._light_cone_depth(0.2, 20.0, 100)
+        assert rows < h.dim
+        got = [s[:, 0] for s in propagate(
+            h, det.sequences[None], 1.0,
+            diagonals=hd.matrix.diagonal().real[:, None],
+            coupling_correction=True)]
+        psi = np.zeros(h.dim, complex)
+        psi[h.source_index] = 1.0
+        for k, state in enumerate(got):
+            assert not state[rows:].any()
+            assert np.abs(state - psi).max() < 1e-12
+            if k < ph.n_segments:
+                psi = segment_propagator(ph.segment_matrix(k), 1.0) @ psi
+        assert got[-1][rows - 1] != 0.0
 
     def test_interval_encloses_every_segment_spectrum(self):
         h, det, diag = batch_inputs()

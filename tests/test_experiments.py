@@ -65,6 +65,15 @@ class TestSweepConfig:
         assert small_cfg(sink_coupling=0.2).config_hash() == "4c7f7d2f0bba2143"
         assert "sink_coupling" not in small_cfg().canonical_dict()
 
+    @pytest.mark.parametrize("field,value", [
+        ("observe_z", 20), ("disorder", 0), ("sink_coupling", 1),
+        ("filter_time_scale", 1)])
+    def test_int_and_float_spellings_share_a_hash(self, field, value):
+        as_int = SweepConfig(**{field: value})
+        as_float = SweepConfig(**{field: float(value)})
+        assert isinstance(getattr(as_int, field), float)
+        assert as_int.config_hash() == as_float.config_hash()
+
     def test_sink_coupling_changes_hash_and_values(self):
         cfg = small_cfg(sink_coupling=0.9)
         assert cfg.canonical_dict()["sink_coupling"] == 0.9

@@ -29,6 +29,7 @@ from fmosim.model import (
     read_chip_plan,
     spacing_for_coupling,
     speed_for_delta_beta,
+    static_disorder_shifts,
     write_chip_plan,
 )
 from fmosim.noise import NoiseConfig, NoiseRealization, generate
@@ -243,6 +244,21 @@ class TestStaticDisorder:
         shifts = np.concatenate(shifts)
         sigma = gamma / math.sqrt(12.0)
         assert abs(shifts.mean() - gamma / 2) < 3 * sigma / math.sqrt(len(shifts))
+
+    @pytest.mark.parametrize("sites", ["fmo", "all"])
+    @pytest.mark.parametrize("gamma", [0.0, 3.0, 10.0])
+    def test_shifts_are_the_disordered_diagonal_bitwise(self, sites, gamma):
+        h = attach_sink(attach_vibrational_mode(build_fmo_hamiltonian()), 10)
+        idx = h.fmo_indices if sites == "fmo" else np.arange(h.dim)
+        for seed in ([5, 0, 1, 1], 17):
+            expected = h.matrix.diagonal().real.copy()
+            expected[idx] += static_disorder_shifts(len(idx), gamma, seed)
+            got = apply_static_disorder(h, gamma, seed, sites=sites)
+            np.testing.assert_array_equal(got.matrix.diagonal().real, expected)
+
+    def test_negative_gamma_rejected(self):
+        with pytest.raises(PhysicsError):
+            static_disorder_shifts(7, -1.0, 0)
 
 
 class TestChipPlan:
