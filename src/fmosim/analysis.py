@@ -33,7 +33,6 @@ class SpectrumEstimate:
     density: np.ndarray       # power per unit frequency
     sampling_frequency: float
     nfft: int
-    site: int = -1
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
@@ -102,7 +101,7 @@ def sample_ccf(x, y, lag: int) -> float:
     return float(np.dot(xc[lag:], yc[: n - lag]) / n) / (sx * sy)
 
 
-def psd_periodogram(seq, f_s: float, nfft: int = 128, site: int = -1) -> SpectrumEstimate:
+def psd_periodogram(seq, f_s: float, nfft: int = 128) -> SpectrumEstimate:
     """One-sided rectangular-window periodogram of a mean-removed sequence.
 
     The sequence is zero-padded to ``nfft`` points.  The density is
@@ -130,7 +129,7 @@ def psd_periodogram(seq, f_s: float, nfft: int = 128, site: int = -1) -> Spectru
     else:
         dens[..., 1:] *= 2.0
     freqs = np.fft.rfftfreq(nfft, d=1.0 / f_s)
-    return SpectrumEstimate(freqs, dens, f_s, nfft, site)
+    return SpectrumEstimate(freqs, dens, f_s, nfft)
 
 
 def reorganization_energy(spec: SpectrumEstimate):
@@ -238,23 +237,11 @@ def ipr(h, site_subset=None) -> float:
     """Inverse participation ratio of the eigenstates on a site block.
 
     The Hamiltonian is restricted to the subset's principal submatrix
-    (the 7-site network block by default) and IPR = 1 / sum |<i|E_a>|^4.
+    (the 7-site network block by default) and IPR = 1 / sum |<i|E_a>|^4,
+    from the weights of :func:`eigen_site_distribution`.
     """
-    from .model import Hamiltonian
-    if isinstance(h, Hamiltonian):
-        matrix = h.matrix
-        if site_subset is None:
-            site_subset = h.fmo_indices
-    else:
-        matrix = np.asarray(h)
-        if site_subset is None:
-            site_subset = range(matrix.shape[0])
-    idx = list(site_subset)
-    block = matrix[np.ix_(idx, idx)]
-    if np.abs(block - block.conj().T).max() > 1e-10:
-        raise PhysicsError("Hamiltonian block is not Hermitian")
-    _, v = np.linalg.eigh(block)
-    return float(1.0 / np.sum(np.abs(v) ** 4))
+    _, weights = eigen_site_distribution(h, site_subset)
+    return float(1.0 / np.sum(weights ** 2))
 
 
 def eigen_site_distribution(h, site_subset=None):

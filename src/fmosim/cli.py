@@ -7,8 +7,14 @@ Carlo dephasing sweep), ``reproduce`` (named preset studies),
 JSON with unit-suffixed field names and a versioned schema; unknown keys
 are rejected with a path to the offending field.
 
-Exit codes: 0 success, 2 configuration error, 3 physics rejection,
-4 I/O error.
+``simulate``, ``sweep`` and ``chip-plan`` read a document through one
+table, :data:`CONFIG_KEYS`, into an ``experiments.SweepConfig``, whose
+defaults fill the keys left out (no ``noise.kind`` means
+``uniform_white``).  A key the subcommand does not read
+(:data:`UNREAD_KEYS`) gets one ``note:`` line on stderr; the run goes on.
+
+Exit codes: 0 success, 2 configuration error, 3 physics rejection (also a
+series or trace over the ``dynamics.MAX_*`` budgets), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -127,81 +133,73 @@ def _config_validator():
     return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
-def _fmo_spec(doc: dict) -> model.FmoSpec:
-    sys_doc = doc.get("system", {})
-    kwargs = {k: sys_doc[k] for k in
-              ("coupling_scale", "site_energy_scale", "unit_conversion",
-               "include_weak_couplings") if k in sys_doc}
-    return model.FmoSpec(**kwargs)
+#: The one reading of a config document: (section, key) -> the
+#: SweepConfig field it sets, "fmo.<field>" for a FmoSpec field, or
+#: "amplitude" for the detuning amplitude of a single trace (simulate and
+#: chip-plan).  Top-level keys have section None; None as the field marks a
+#: key only the schema checks.  Two keys that set one field must agree.
+CONFIG_KEYS = {
+    ("system", "coupling_scale"): "fmo.coupling_scale",
+    ("system", "site_energy_scale"): "fmo.site_energy_scale",
+    ("system", "unit_conversion"): "fmo.unit_conversion",
+    ("system", "include_weak_couplings"): "fmo.include_weak_couplings",
+    ("system", "sink_length"): "sink_length",
+    ("system", "sink_coupling_per_mm"): "sink_coupling",
+    ("system", "with_vibration"): "with_vibration",
+    ("noise", "kind"): "noise_kind",
+    ("noise", "amplitude_per_mm"): "amplitude",
+    ("noise", "segments"): "segments",
+    ("noise", "total_length_mm"): "observe_z",
+    ("noise", "filter_time_scale"): "filter_time_scale",
+    ("sweep", "grid_per_mm"): "grid",
+    ("sweep", "realizations"): "realizations",
+    ("sweep", "disorder_per_mm"): "disorder",
+    ("sweep", "observe_z_mm"): "observe_z",
+    ("sweep", "coupling_correction"): "coupling_correction",
+    (None, "seed"): "seed",
+    (None, "schema_version"): None,
+}
+
+_ENSEMBLE_KEYS = {("sweep", "grid_per_mm"), ("sweep", "realizations")}
+
+#: Keys each subcommand does not read: a document that sets one gets a
+#: note on stderr, and the key is left out of the study.
+UNREAD_KEYS = {
+    "sweep": {("noise", "amplitude_per_mm")},
+    "simulate": _ENSEMBLE_KEYS,
+    "chip-plan": _ENSEMBLE_KEYS | {
+        ("system", "sink_length"), ("system", "sink_coupling_per_mm"),
+        ("sweep", "disorder_per_mm"), ("sweep", "coupling_correction")},
+}
 
 
-def _noise_config(doc: dict, seed: int) -> noise_mod.NoiseConfig:
-    nd = doc.get("noise", {})
-    kwargs = {"seed": seed}
-    if "kind" in nd:
-        kwargs["kind"] = nd["kind"]
-    if "amplitude_per_mm" in nd:
-        kwargs["amplitude"] = nd["amplitude_per_mm"]
-    if "segments" in nd:
-        kwargs["segments"] = nd["segments"]
-    if "total_length_mm" in nd:
-        kwargs["total_length"] = nd["total_length_mm"]
-    if "filter_time_scale" in nd:
-        kwargs["filter_time_scale"] = nd["filter_time_scale"]
-    return noise_mod.NoiseConfig(**kwargs)
-
-
-def _system(doc: dict, with_sink: bool = True) -> model.Hamiltonian:
-    sys_doc = doc.get("system", {})
-    h = model.build_fmo_hamiltonian(_fmo_spec(doc))
-    if sys_doc.get("with_vibration", False):
-        h = model.attach_vibrational_mode(h)
-    if with_sink:
-        coupling = sys_doc.get("sink_coupling_per_mm", model.DEFAULT_SINK_COUPLING)
-        h = model.attach_sink(h, sys_doc.get("sink_length", 100),
-                              drain_coupling=coupling, internal_coupling=coupling)
-    return h
-
-
-def _sweep_config(doc: dict, threads: int) -> experiments.SweepConfig:
-    sd = doc.get("sweep", {})
-    nd = doc.get("noise", {})
-    kwargs = {
-        "fmo": _fmo_spec(doc),
-        "seed": doc.get("seed", 0),
-        "threads": threads,
-    }
-    sys_doc = doc.get("system", {})
-    if "sink_length" in sys_doc:
-        kwargs["sink_length"] = sys_doc["sink_length"]
-    if "sink_coupling_per_mm" in sys_doc:
-        kwargs["sink_coupling"] = sys_doc["sink_coupling_per_mm"]
-    if "with_vibration" in sys_doc:
-        kwargs["with_vibration"] = sys_doc["with_vibration"]
-    if "kind" in nd:
-        kwargs["noise_kind"] = nd["kind"]
-    if "segments" in nd:
-        kwargs["segments"] = nd["segments"]
-    if "filter_time_scale" in nd:
-        kwargs["filter_time_scale"] = nd["filter_time_scale"]
-    if "grid_per_mm" in sd:
-        kwargs["grid"] = tuple(sd["grid_per_mm"])
-    if "realizations" in sd:
-        kwargs["realizations"] = sd["realizations"]
-    if "disorder_per_mm" in sd:
-        kwargs["disorder"] = sd["disorder_per_mm"]
-    if "total_length_mm" in nd:
-        kwargs["observe_z"] = nd["total_length_mm"]
-    if "observe_z_mm" in sd:
-        if "observe_z" in kwargs and kwargs["observe_z"] != sd["observe_z_mm"]:
+def _study(doc: dict, args):
+    """(SweepConfig, single-trace amplitude) of a validated document, as
+    the subcommand ``args.command`` reads it; ``--seed`` overrides the
+    document's seed."""
+    kwargs, source = {}, {}
+    for (section, key), name in CONFIG_KEYS.items():
+        part = doc.get(section, {}) if section else doc
+        if name is None or key not in part:
+            continue
+        where = f"{section}.{key}" if section else key
+        if (section, key) in UNREAD_KEYS[args.command]:
+            print(f"note: {args.command} does not read {where}; ignored",
+                  file=sys.stderr)
+            continue
+        if kwargs.setdefault(name, part[key]) != part[key]:
             raise ConfigError(
-                f"sweep.observe_z_mm ({sd['observe_z_mm']:g}) and "
-                f"noise.total_length_mm ({nd['total_length_mm']:g}) disagree; "
-                "give one of them, or the same value for both")
-        kwargs["observe_z"] = sd["observe_z_mm"]
-    if "coupling_correction" in sd:
-        kwargs["coupling_correction"] = sd["coupling_correction"]
-    return experiments.SweepConfig(**kwargs)
+                f"{where} ({part[key]:g}) and {source[name]} "
+                f"({kwargs[name]:g}) disagree; give one of them, or the "
+                "same value for both")
+        source[name] = where
+    fmo = {name[4:]: kwargs.pop(name) for name in list(kwargs)
+           if name.startswith("fmo.")}
+    amplitude = kwargs.pop("amplitude", noise_mod.NoiseConfig.amplitude)
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
+    return experiments.SweepConfig(fmo=model.FmoSpec(**fmo),
+                                   threads=args.threads, **kwargs), amplitude
 
 
 def _outdir(args) -> str:
@@ -210,15 +208,8 @@ def _outdir(args) -> str:
 
 
 def cmd_simulate(args) -> int:
-    doc = load_config(args.config)
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    h = _system(doc)
-    ncfg = _noise_config(doc, seed)
-    det = noise_mod.generate(ncfg, n_sites=len(h.fmo_indices))
-    ph = dynamics.PiecewiseHamiltonian(
-        h, det, segment_length=ncfg.total_length / ncfg.segments,
-        total_length=ncfg.total_length)
-    tr = dynamics.evolve(ph)
+    cfg, amplitude = _study(load_config(args.config), args)
+    tr, det = experiments.single_trace(cfg, amplitude, cfg.seed)
     out = _outdir(args)
     dynamics.write_trace_csv(tr, os.path.join(out, "trace.csv"),
                              stride=args.stride)
@@ -229,10 +220,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = load_config(args.config)
-    cfg = _sweep_config(doc, args.threads)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg, _ = _study(load_config(args.config), args)
     result = experiments.sweep_dephasing(cfg)
     out = _outdir(args)
     experiments.write_sweep_csv(result, os.path.join(out, "sweep_raw.csv"),
@@ -334,7 +322,7 @@ def cmd_reproduce(args) -> int:
                                         os.path.join(out, f"{tag}_summary.csv"))
             print(f"gamma={gamma:g}: argmax {res.argmax_value:.12g}")
     elif fig == "figS9":
-        h7 = model.build_fmo_hamiltonian(model.FmoSpec())
+        h7 = experiments.network_hamiltonian(base)
         for gamma in (0.0, 1.0, 5.0, 10.0, 50.0, 100.0):
             h = model.apply_static_disorder(h7, gamma, [seed, int(gamma)])
             w, dist = analysis.eigen_site_distribution(h)
@@ -398,11 +386,10 @@ def cmd_analyze_image(args) -> int:
 
 
 def cmd_chip_plan(args) -> int:
-    doc = load_config(args.config)
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    h = _system(doc, with_sink=False)
-    ncfg = _noise_config(doc, seed)
-    det = noise_mod.generate(ncfg, n_sites=len(h.fmo_indices))
+    cfg, amplitude = _study(load_config(args.config), args)
+    h = experiments.network_hamiltonian(cfg)
+    det = noise_mod.generate(experiments.noise_config(cfg, amplitude, cfg.seed),
+                             n_sites=len(h.fmo_indices))
     rows = model.export_chip_plan(h, det)
     out = _outdir(args)
     path = os.path.join(out, "chip_plan.csv")

@@ -51,6 +51,14 @@ DEFAULT_FINE_STEP = 0.05
 #: Chebyshev terms whose coefficient falls below this are dropped.
 SERIES_TOL = 1e-16
 
+#: Most Chebyshev terms one step may take; the count grows linearly with
+#: the spectral half-width times the step (149 terms for figS8's widest
+#: study: amplitude 90 and disorder 100 mm^-1 over 1 mm segments).
+MAX_SERIES_TERMS = 10_000
+
+#: Most samples one trace may record (5,000 mm at the default fine step).
+MAX_TRACE_SAMPLES = 100_000
+
 #: Largest |1 - ||psi||^2| accepted at any sample of a propagation.
 NORM_TOL = 1e-9
 
@@ -288,6 +296,10 @@ def _chebyshev_weights(rho: float) -> np.ndarray:
     with w_k = (2 - [k = 0]) (-1)^(k // 2) J_k(rho), truncated at the first
     order past rho whose coefficient is below SERIES_TOL.
     """
+    if not 1.5 * rho + 40 <= MAX_SERIES_TERMS:
+        raise PhysicsError(
+            f"the Chebyshev series for rho={rho:g} (spectral half-width "
+            f"times step) may need more than {MAX_SERIES_TERMS} terms")
     n = int(1.5 * rho) + 40
     j = _bessel_j(rho, n)
     k = np.arange(n)
@@ -463,6 +475,9 @@ def evolve(ph: PiecewiseHamiltonian, fine_step: float = DEFAULT_FINE_STEP) -> Ev
     if fine_step <= 0 or fine_step > dt + 1e-15:
         raise PhysicsError("fine step must lie in (0, segment_length]")
     per_seg = dt / fine_step
+    if not ph.n_segments * per_seg < MAX_TRACE_SAMPLES:
+        raise PhysicsError(f"a trace of {ph.total_length:g} mm would hold "
+                           f"more than {MAX_TRACE_SAMPLES} samples")
     if abs(per_seg - round(per_seg)) > 1e-9:
         raise PhysicsError("fine step must divide the segment length")
     states = propagate(ph.base, ph.detunings.sequences[None], dt,

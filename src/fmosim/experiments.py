@@ -29,7 +29,8 @@ from .model import (DEFAULT_SINK_COUPLING, FmoSpec, Hamiltonian,
 __all__ = ["SweepConfig", "SweepResult", "sweep_dephasing",
            "reorganization_curve", "vibrational_comparison",
            "segment_count_study", "noise_distribution_comparison",
-           "excitation_trace_study", "write_sweep_csv", "write_manifest"]
+           "excitation_trace_study", "network_hamiltonian", "noise_config",
+           "single_trace", "write_sweep_csv", "write_manifest"]
 
 DEFAULT_GRID = tuple(round(0.1 * k, 10) for k in range(11))
 
@@ -124,11 +125,16 @@ class SweepResult:
         return float(self.grid[int(np.argmax(self.means))])
 
 
-def _base_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
+def network_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
+    """The seven network sites of ``cfg.fmo``, plus the vibration mode if
+    ``cfg.with_vibration``; no sink."""
     h = build_fmo_hamiltonian(cfg.fmo)
-    if cfg.with_vibration:
-        h = attach_vibrational_mode(h)
-    return attach_sink(h, cfg.sink_length, drain_coupling=cfg.sink_coupling,
+    return attach_vibrational_mode(h) if cfg.with_vibration else h
+
+
+def _base_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
+    return attach_sink(network_hamiltonian(cfg), cfg.sink_length,
+                       drain_coupling=cfg.sink_coupling,
                        internal_coupling=cfg.sink_coupling)
 
 
@@ -137,19 +143,19 @@ def _noise_seed(master: int, grid_index: int, realization: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _noise_config(cfg: SweepConfig, amplitude: float, grid_index: int,
-                  realization: int) -> noise_mod.NoiseConfig:
+def noise_config(cfg: SweepConfig, amplitude: float,
+                 seed: int) -> noise_mod.NoiseConfig:
+    """The study's noise recipe at one amplitude, drawn from ``seed``."""
     return noise_mod.NoiseConfig(
         kind=cfg.noise_kind, amplitude=amplitude, segments=cfg.segments,
-        total_length=cfg.observe_z,
-        seed=_noise_seed(cfg.seed, grid_index, realization),
+        total_length=cfg.observe_z, seed=seed,
         filter_time_scale=cfg.filter_time_scale)
 
 
 def _noise_configs(cfg: SweepConfig, grid_indices):
     """Noise configs of every realization at the given grid points, grid
     point by grid point."""
-    return [_noise_config(cfg, cfg.grid[gi], gi, r)
+    return [noise_config(cfg, cfg.grid[gi], _noise_seed(cfg.seed, gi, r))
             for gi in grid_indices for r in range(cfg.realizations)]
 
 
@@ -262,9 +268,26 @@ def noise_distribution_comparison(cfg: SweepConfig):
         sub = replace(cfg, noise_kind=kind)
         results[kind] = sweep_dephasing(sub)
         profiles = noise_mod.generate_batch(
-            [_noise_config(sub, 1.0, 0, r) for r in range(cfg.realizations)])
+            [noise_config(sub, 1.0, _noise_seed(sub.seed, 0, r))
+             for r in range(cfg.realizations)])
         profile_means[kind] = float(profiles.mean())
     return results, profile_means
+
+
+def single_trace(cfg: SweepConfig, amplitude: float, seed: int,
+                 fine_step: float = dynamics.DEFAULT_FINE_STEP):
+    """(EvolutionTrace, NoiseRealization) of one realization at
+    ``amplitude``, its detunings drawn from ``seed`` as given, its static
+    disorder on every waveguide from the study's first disorder stream."""
+    h = apply_static_disorder(_base_hamiltonian(cfg), cfg.disorder,
+                              _disorder_seed(cfg, 0, 0), sites="all")
+    det = noise_mod.generate(noise_config(cfg, amplitude, seed),
+                             n_sites=len(h.fmo_indices))
+    ph = dynamics.PiecewiseHamiltonian(
+        h, det, segment_length=cfg.observe_z / cfg.segments,
+        total_length=cfg.observe_z,
+        coupling_correction=cfg.coupling_correction)
+    return dynamics.evolve(ph, fine_step=fine_step), det
 
 
 def excitation_trace_study(cfg: SweepConfig,
@@ -275,28 +298,15 @@ def excitation_trace_study(cfg: SweepConfig,
     disorder).  Returns {(label, value): (positions, probs, argmax)}.
     """
     fine = cfg.observe_z / cfg.segments / 4.0
-
-    def trace(sub, base, amplitude):
-        h = apply_static_disorder(base, sub.disorder,
-                                  _disorder_seed(sub, 0, 0), sites="all")
-        det = noise_mod.generate(_noise_config(sub, amplitude, 0, 0),
-                                 n_sites=len(h.fmo_indices))
-        ph = dynamics.PiecewiseHamiltonian(
-            h, det, segment_length=sub.observe_z / sub.segments,
-            total_length=sub.observe_z,
-            coupling_correction=sub.coupling_correction)
-        tr = dynamics.evolve(ph, fine_step=fine)
-        probs = dynamics.site_probabilities(tr, tr.fmo_indices, renormalize=True)
-        return tr.positions, probs, analysis.most_probable_site(tr)
-
+    seed = _noise_seed(cfg.seed, 0, 0)
     out = {}
-    for gamma in disorders:
-        sub = replace(cfg, disorder=float(gamma))
-        out[("disorder", float(gamma))] = trace(sub, _base_hamiltonian(sub), 0.0)
-    sub = replace(cfg, disorder=0.0)
-    base = _base_hamiltonian(sub)
-    for amplitude in amplitudes:
-        out[("detuning", float(amplitude))] = trace(sub, base, float(amplitude))
+    for label, value, gamma, amplitude in (
+            [("disorder", float(g), float(g), 0.0) for g in disorders]
+            + [("detuning", float(a), 0.0, float(a)) for a in amplitudes]):
+        tr, _ = single_trace(replace(cfg, disorder=gamma), amplitude, seed, fine)
+        probs = dynamics.site_probabilities(tr, tr.fmo_indices, renormalize=True)
+        out[(label, value)] = (tr.positions, probs,
+                               analysis.most_probable_site(tr))
     return out
 
 

@@ -175,13 +175,6 @@ class Hamiltonian:
             [i for i, r in enumerate(self.roles) if r.startswith("sink_")], dtype=int
         )
 
-    @property
-    def vibration_index(self):
-        for i, r in enumerate(self.roles):
-            if r == "vibration":
-                return i
-        return None
-
     def site_index(self, site: int) -> int:
         """Array index of FMO site ``site`` (1-based)."""
         return self.roles.index(f"fmo_site_{site}")

@@ -254,6 +254,10 @@ def generate_batch(configs, n_sites: int = 7) -> np.ndarray:
             chunk = rows[start:start + _BATCH_CHUNK]
             out[chunk] = _scaled_profiles([configs[r] for r in chunk], kind,
                                           rate, n_sites, segments)
+    if not np.isfinite(out).all():
+        # a colored filter at a rate far from 1 has no finite coefficients
+        raise PhysicsError("the detuning sequences are not finite; bring "
+                           "filter_time_scale * sampling frequency closer to 1")
     return out
 
 

@@ -1,5 +1,6 @@
 """Tests for estimators and observables, each against an independent oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -171,6 +172,12 @@ class TestPeriodogram:
                                                   rel=1e-13)
             assert variances[idx] == variance(rows[idx])
 
+    def test_has_no_site_option(self):
+        assert "site" not in {f.name for f in
+                              dataclasses.fields(SpectrumEstimate)}
+        with pytest.raises(TypeError):
+            psd_periodogram(np.ones(8), 1.0, site=2)
+
     def test_rejections(self):
         with pytest.raises(PhysicsError):
             psd_periodogram([], 1.0)
@@ -340,6 +347,19 @@ class TestIpr:
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 50)
         val = ipr(h)
         assert 1.0 / 7.0 <= val <= 1.0
+
+    def test_equals_inverse_sum_of_fourth_powers(self):
+        # the definition, computed on its own eigendecomposition
+        from fmosim.model import apply_static_disorder
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((7, 7))
+        h7 = build_fmo_hamiltonian(FmoSpec())
+        for h in (a + a.T, h7, attach_sink(h7, 20),
+                  apply_static_disorder(h7, 10.0, [3, 1])):
+            m = h.matrix[:7, :7] if hasattr(h, "matrix") else h
+            _, v = np.linalg.eigh(m)
+            assert ipr(h) == pytest.approx(1.0 / np.sum(np.abs(v) ** 4),
+                                           rel=1e-15)
 
     def test_disorder_decreases_ipr(self):
         from fmosim.model import apply_static_disorder

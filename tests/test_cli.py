@@ -1,28 +1,38 @@
 """Tests for the command-line front end: exit codes, config validation,
 output artifacts, and rerun determinism."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmosim
 
+from fmosim import dynamics, model, noise
 from fmosim.cli import (
+    CONFIG_KEYS,
     CONFIG_SCHEMA,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
     EXIT_PHYSICS,
     FIGURE_IDS,
+    UNREAD_KEYS,
     load_config,
     main,
 )
 from fmosim.errors import ConfigError
+from fmosim.experiments import SweepConfig
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -359,6 +369,232 @@ class TestChipPlan:
         assert len(spacing_rows) == 7
         printed = capsys.readouterr().out
         assert "max speed detuning" in printed
+
+
+def run_cli(tmp_path, command, doc, name, *extra):
+    """Exit code, stderr and output directory of one CLI run on ``doc``."""
+    path = write_config(tmp_path, doc, name=f"{name}.json")
+    out = tmp_path / name
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", path, "--out", str(out), *extra])
+    return code, err.getvalue(), out
+
+
+def leaf_keys(schema, section=None):
+    """(section, key) of every leaf of a config schema; top level is None."""
+    for key, sub in schema["properties"].items():
+        if "properties" in sub:
+            yield from leaf_keys(sub, key)
+        else:
+            yield (section, key)
+
+
+class TestOneReading:
+    """simulate, sweep and chip-plan read a document through one table."""
+
+    def test_every_schema_key_is_read_or_listed_unread(self):
+        leaves = set(leaf_keys(CONFIG_SCHEMA))
+        unread = set().union(*UNREAD_KEYS.values())
+        assert leaves == set(CONFIG_KEYS)
+        drawn = {(s, k) for s, keys in _SECTIONS.items() for k in keys}
+        assert drawn | {(None, "seed"), (None, "schema_version")} == leaves
+        assert unread <= leaves
+        fields = {f.name for f in dataclasses.fields(SweepConfig)}
+        fmo_fields = {f.name for f in dataclasses.fields(model.FmoSpec)}
+        for name in CONFIG_KEYS.values():
+            assert (name in (None, "amplitude") or name in fields
+                    or name.removeprefix("fmo.") in fmo_fields), name
+
+    @pytest.mark.parametrize("where,key,value", [
+        ("sweep", "disorder_per_mm", 10.0),
+        ("sweep", "coupling_correction", True)])
+    def test_simulate_honours_disorder_and_correction(self, tmp_path, where,
+                                                       key, value):
+        doc = base_config()
+        doc["noise"]["amplitude_per_mm"] = 1.0
+        code, _, plain = run_cli(tmp_path, "simulate", doc, "plain")
+        assert code == EXIT_OK
+        doc[where][key] = value
+        code, _, changed = run_cli(tmp_path, "simulate", doc, "changed")
+        assert code == EXIT_OK
+        assert ((plain / "trace.csv").read_bytes()
+                != (changed / "trace.csv").read_bytes())
+
+    def test_simulate_matches_hand_built_oracle(self, tmp_path):
+        # oracle: the system, noise and trace built step by step from the
+        # model, noise and dynamics calls
+        doc = base_config()
+        doc["system"].update(with_vibration=True, sink_coupling_per_mm=0.3,
+                             coupling_scale=0.2)
+        doc["noise"] = {"kind": "colored", "amplitude_per_mm": 0.7,
+                        "segments": 10, "total_length_mm": 10,
+                        "filter_time_scale": 0.5}
+        code, _, out = run_cli(tmp_path, "simulate", doc, "run", "--seed", "8")
+        assert code == EXIT_OK
+        h = model.attach_vibrational_mode(
+            model.build_fmo_hamiltonian(model.FmoSpec(coupling_scale=0.2)))
+        h = model.attach_sink(h, 10, drain_coupling=0.3, internal_coupling=0.3)
+        det = noise.generate(noise.NoiseConfig(
+            kind="colored", amplitude=0.7, segments=10, total_length=10,
+            seed=8, filter_time_scale=0.5), n_sites=7)
+        tr = dynamics.evolve(dynamics.PiecewiseHamiltonian(
+            h, det, segment_length=1.0, total_length=10))
+        dynamics.write_trace_csv(tr, tmp_path / "trace.csv")
+        noise.write_noise_csv(det, tmp_path / "noise.csv")
+        for name in ("trace.csv", "noise.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_chip_plan_matches_hand_built_oracle(self, tmp_path):
+        doc = base_config()
+        doc["system"] = {"with_vibration": True, "coupling_scale": 0.1}
+        doc["noise"]["kind"] = "exponential"
+        code, _, out = run_cli(tmp_path, "chip-plan", doc, "run")
+        assert code == EXIT_OK
+        h = model.attach_vibrational_mode(
+            model.build_fmo_hamiltonian(model.FmoSpec(coupling_scale=0.1)))
+        det = noise.generate(noise.NoiseConfig(
+            kind="exponential", amplitude=0.5, segments=20, total_length=20.0,
+            seed=3), n_sites=7)
+        model.write_chip_plan(model.export_chip_plan(h, det),
+                              tmp_path / "chip_plan.csv")
+        assert ((out / "chip_plan.csv").read_bytes()
+                == (tmp_path / "chip_plan.csv").read_bytes())
+
+    @pytest.mark.parametrize("command,name", [("simulate", "noise.csv"),
+                                              ("chip-plan", "chip_plan.csv")])
+    def test_missing_noise_kind_means_uniform_white(self, tmp_path, command,
+                                                    name):
+        doc = base_config()
+        code, _, given_kind = run_cli(tmp_path, command, doc, "given")
+        del doc["noise"]["kind"]
+        code2, _, default_kind = run_cli(tmp_path, command, doc, "default")
+        assert code == code2 == EXIT_OK
+        assert ((given_kind / name).read_bytes()
+                == (default_kind / name).read_bytes())
+
+    @pytest.mark.parametrize("command,unread", [
+        ("sweep", ["noise.amplitude_per_mm"]),
+        ("simulate", ["sweep.grid_per_mm", "sweep.realizations"]),
+        ("chip-plan", ["system.sink_length", "system.sink_coupling_per_mm",
+                       "sweep.grid_per_mm", "sweep.realizations",
+                       "sweep.disorder_per_mm", "sweep.coupling_correction"])])
+    def test_unread_key_gets_one_note_and_runs(self, tmp_path, command,
+                                               unread):
+        doc = base_config()
+        doc["system"]["sink_coupling_per_mm"] = 0.3
+        doc["sweep"].update(disorder_per_mm=1.0, coupling_correction=True)
+        code, err, _ = run_cli(tmp_path, command, doc, "run")
+        assert code == EXIT_OK
+        notes = [line for line in err.splitlines() if line.startswith("note:")]
+        assert sorted(notes) == sorted(
+            f"note: {command} does not read {key}; ignored" for key in unread)
+
+    @pytest.mark.parametrize("command", ["simulate", "chip-plan"])
+    def test_unread_key_does_not_reject(self, tmp_path, command):
+        doc = base_config()
+        doc["sweep"]["grid_per_mm"] = [1.0, 0.5]
+        code, err, _ = run_cli(tmp_path, command, doc, "run")
+        assert code == EXIT_OK
+        assert "sweep.grid_per_mm; ignored" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "chip-plan"])
+    def test_observe_z_conflict_exits_two(self, tmp_path, command):
+        doc = base_config()
+        doc["sweep"]["observe_z_mm"] = 10.0
+        code, err, out = run_cli(tmp_path, command, doc, "run")
+        assert code == EXIT_CONFIG
+        assert "observe_z_mm" in err and "total_length_mm" in err
+        assert not out.exists()
+
+
+class TestPhysicsRejections:
+    """A schema-valid document that cannot run exits 3 with a message: a
+    series or a trace too large to allocate, or detunings not finite."""
+
+    @pytest.mark.parametrize("sweep", [
+        {"grid_per_mm": [0.5], "realizations": 1, "observe_z_mm": 1e300},
+        {"grid_per_mm": [1e300], "realizations": 1}])
+    def test_sweep_exits_three(self, tmp_path, sweep):
+        doc = {"schema_version": 1, "sweep": sweep, "noise": {"segments": 2},
+               "system": {"sink_length": 10}}
+        code, err, _ = run_cli(tmp_path, "sweep", doc, "run")
+        assert code == EXIT_PHYSICS
+        assert "Chebyshev series" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "chip-plan"])
+    def test_non_finite_colored_filter_exits_three(self, tmp_path, command):
+        doc = base_config()
+        doc["noise"].update(kind="colored", filter_time_scale=1e300)
+        with np.errstate(all="ignore"):
+            code, err, out = run_cli(tmp_path, command, doc, "run")
+        assert code == EXIT_PHYSICS
+        assert "not finite" in err
+        assert not out.exists()
+
+    def test_simulate_exits_three(self, tmp_path):
+        doc = {"schema_version": 1, "sweep": {"observe_z_mm": 1e300},
+               "noise": {"segments": 2}, "system": {"sink_length": 10}}
+        code, err, _ = run_cli(tmp_path, "simulate", doc, "run")
+        assert code == EXIT_PHYSICS
+        assert "samples" in err
+
+
+def _number(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# Documents drawn over CONFIG_SCHEMA's keys, with values of the schema's
+# types, in and out of its ranges.  The bounds on the magnitudes (sink
+# length, amplitudes, disorder, lengths, couplings, realizations) only keep
+# each run short; they hide no failure.
+_SECTIONS = {
+    "system": {
+        "coupling_scale": _number(-1.0, 2.0),
+        "site_energy_scale": _number(-1.0, 1.0),
+        "unit_conversion": _number(-1.0, 1.0),
+        "include_weak_couplings": st.booleans(),
+        "sink_length": st.integers(0, 30),
+        "sink_coupling_per_mm": _number(0.0, 100.0),
+        "with_vibration": st.booleans(),
+    },
+    "noise": {
+        "kind": st.sampled_from(noise.NOISE_KINDS),
+        "amplitude_per_mm": _number(-1.0, 100.0),
+        "segments": st.integers(0, 40),
+        "total_length_mm": _number(0.0, 20.0),
+        "filter_time_scale": _number(0.0, 100.0),
+    },
+    "sweep": {
+        "grid_per_mm": st.lists(_number(-1.0, 100.0), max_size=3),
+        "realizations": st.integers(0, 2),
+        "disorder_per_mm": _number(-1.0, 100.0),
+        "observe_z_mm": _number(0.0, 20.0),
+        "coupling_correction": st.booleans(),
+    },
+}
+
+documents = st.fixed_dictionaries(
+    {"schema_version": st.just(1)},
+    optional={"seed": st.integers(0, 2 ** 64),
+              **{name: st.fixed_dictionaries({}, optional=keys)
+                 for name, keys in _SECTIONS.items()}})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(doc=documents)
+def test_drawn_documents_exit_with_a_documented_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), doc)
+        for command in ("simulate", "sweep", "chip-plan"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", path,
+                             "--out", os.path.join(tmp, command)])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PHYSICS, EXIT_IO)
+            assert "Traceback" not in err.getvalue()
 
 
 def test_runtime_imports_no_scipy():

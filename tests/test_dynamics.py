@@ -95,6 +95,24 @@ class TestSegmentPropagator:
             segment_propagator(np.eye(2), -0.1)
 
 
+class TestBudgets:
+    def test_series_budget_sits_far_above_the_studies(self):
+        # figS8's widest study (amplitude 90, disorder 100, 1 mm segments)
+        # has a spectral half-width times step of about 97
+        assert len(dynamics._chebyshev_weights(97.0)) * 50 < \
+            dynamics.MAX_SERIES_TERMS
+
+    @pytest.mark.parametrize("rho", [7000.0, 1e300, np.inf, np.nan])
+    def test_series_over_budget_rejected(self, rho):
+        with pytest.raises(PhysicsError, match="Chebyshev series"):
+            dynamics._chebyshev_weights(rho)
+
+    def test_trace_over_budget_rejected(self):
+        ph = default_piecewise(0.0)
+        with pytest.raises(PhysicsError, match="samples"):
+            evolve(ph, fine_step=20.0 / dynamics.MAX_TRACE_SAMPLES)
+
+
 class TestEvolve:
     def test_initial_state_is_source_basis_vector(self):
         tr = evolve(default_piecewise(0.0), fine_step=1.0)

@@ -157,7 +157,7 @@ class TestReorganizationCurve:
         # the loop the batched study replaced: one noise realization and
         # one periodogram per sequence
         from fmosim import analysis
-        from fmosim.experiments import _noise_config
+        from fmosim.experiments import _noise_seed, noise_config
         from fmosim.noise import generate
         cfg = small_cfg(grid=(0.0, 0.4, 1.0), realizations=4,
                         noise_kind="colored")
@@ -165,7 +165,8 @@ class TestReorganizationCurve:
         for gi, amplitude in enumerate(cfg.grid[1:], start=1):
             var, energy = [], []
             for r in range(cfg.realizations):
-                ncfg = _noise_config(cfg, amplitude, gi, r)
+                ncfg = noise_config(cfg, amplitude,
+                                    _noise_seed(cfg.seed, gi, r))
                 for row in generate(ncfg).sequences:
                     var.append(analysis.variance(row))
                     energy.append(analysis.reorganization_energy(

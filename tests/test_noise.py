@@ -233,6 +233,13 @@ class TestGenerateBatch:
         with pytest.raises(PhysicsError, match="segment count"):
             generate_batch([NoiseConfig(segments=10), NoiseConfig(segments=11)])
 
+    @pytest.mark.parametrize("time_scale", [5e-324, 1e300])
+    def test_non_finite_filter_rejected(self, time_scale):
+        # the bilinear coefficients overflow at these rates
+        with np.errstate(all="ignore"), pytest.raises(PhysicsError,
+                                                      match="not finite"):
+            generate_batch([NoiseConfig(filter_time_scale=time_scale)])
+
 
 class TestResample:
     def test_identity_scale(self):
