@@ -10,10 +10,14 @@ exp(-i H dz) as a Chebyshev series (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
 3967 (1984)) on a spectral interval bounded by Gershgorin discs, truncated
 where the Bessel coefficients fall below 1e-16; a step agrees with the
 exact propagator to about 1e-14.  The matrix-vector product follows the
-array's structure (a dense block over the network sites and the optional
-vibration mode, then a nearest-neighbour sink chain) and is written as
-elementwise operations and one reduction only, so a column's result does
-not depend on which other columns share its batch.
+array's structure: a banded einsum applies the diagonals and the
+nearest-neighbour sink chain to terms padded with a zero ghost row at
+either end, and a second einsum applies the dense block over the network
+sites, the optional vibration mode and the first sink, into which the
+drain-to-sink link is folded.  A step keeps its terms in one buffer of at
+most TERM_BUFFER_BYTES, so a wider batch runs as column chunks.  No call
+goes through BLAS, whose blocked sums may depend on the batch width, so a
+column's result does not depend on which other columns share its batch.
 
 The sink chain only has to look irreversible over the chip, so the light
 never reaches its far end.  :func:`propagate` evolves only the light cone:
@@ -64,6 +68,11 @@ NORM_TOL = 1e-9
 
 #: Largest bound on how far cutting the sink chain moves a propagated state.
 LIGHT_CONE_TOL = 1e-16
+
+#: Most bytes the Chebyshev terms of one step may take.  A batch that would
+#: need more runs as column chunks in lockstep.  The benchmark's sweeps fit
+#: in one chunk (0.9 MB on sweep_clean, 1.7 MB on sweep_disorder_cli).
+TERM_BUFFER_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -153,23 +162,20 @@ def segment_propagator(h_eff: np.ndarray, dz: float) -> np.ndarray:
     if dz < 0:
         raise PhysicsError("propagation distance must be nonnegative")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * dz)) @ v.conj().T
+    return np.einsum("ik,jk->ij", v * np.exp(-1j * w * dz), v.conj())
 
 
 @dataclass(frozen=True)
 class _Structure:
     """A Hamiltonian split into the parts the structured product uses."""
 
-    block: np.ndarray      # (n0, n0) couplings among the non-sink indices
-    chain: np.ndarray      # (n_sinks - 1, 1) couplings along the sink chain
-    link: float            # drain-to-first-sink coupling
-    drain: int
+    block: np.ndarray      # (nb, nb) couplings among the non-sink indices
+                           # and, when there is a sink, the first sink
+    chain: np.ndarray      # (n_sinks - 1,) couplings along the sink chain
+    link: float            # drain-to-first-sink coupling, also in the block
+    n0: int                # number of non-sink indices
     sites: np.ndarray      # network-site indices, all below n0
-    outer_radius: np.ndarray  # (dim,) Gershgorin radius outside the block
-
-    @property
-    def n0(self) -> int:
-        return self.block.shape[0]
+    chain_radius: np.ndarray  # (dim,) Gershgorin radius along the chain
 
 
 def _structure(h: Hamiltonian) -> _Structure:
@@ -182,24 +188,26 @@ def _structure(h: Hamiltonian) -> _Structure:
     n0 = dim - len(sinks)
     if not np.array_equal(sinks, np.arange(n0, dim)):
         raise PhysicsError("the sink waveguides must be the last indices")
-    block = m[:n0, :n0].copy()
+    nb = min(n0 + 1, dim)
+    block = np.zeros((nb, nb))
+    block[:n0, :n0] = m[:n0, :n0]
     np.fill_diagonal(block, 0.0)
-    chain = np.diag(m, 1)[n0:].copy()
     drain = h.drain_index
     link = float(m[drain, n0]) if len(sinks) else 0.0
+    if len(sinks):
+        block[drain, n0] = block[n0, drain] = link
+    chain = np.diag(m, 1)[n0:].copy()
     outer = np.zeros_like(m)
     i = np.arange(n0, dim - 1)
     outer[i, i + 1] = outer[i + 1, i] = chain
-    if len(sinks):
-        outer[drain, n0] = outer[n0, drain] = link
     rebuilt = outer.copy()
-    rebuilt[:n0, :n0] += block
+    rebuilt[:nb, :nb] += block
     np.fill_diagonal(rebuilt, np.diag(m))
     if not np.array_equal(rebuilt, m):
         raise PhysicsError(
             "propagation needs a network block plus a nearest-neighbour sink "
             "chain linked to the drain site only")
-    return _Structure(block, chain[:, None], link, drain, h.fmo_indices,
+    return _Structure(block, chain, link, n0, h.fmo_indices,
                       np.abs(outer).sum(axis=1))
 
 
@@ -221,7 +229,7 @@ def _batch(h: Hamiltonian, detunings, diagonals):
 
 
 def _segment(st: _Structure, diag, det_k, coupling_correction: bool):
-    """Diagonal (dim, R) and block (n0, n0, R or 1) of one segment.
+    """Diagonal (dim, R) and block (nb, nb, R or 1) of one segment.
 
     ``det_k`` is the segment's (sites, R) detuning.  Without the coupling
     correction every column shares the base block.
@@ -255,8 +263,8 @@ def spectral_interval(h: Hamiltonian, detunings, diagonals=None,
     lo, hi = math.inf, -math.inf
     for k in range(det.shape[2]):
         d, block = _segment(st, diag, det[:, :, k].T, coupling_correction)
-        r = np.repeat(st.outer_radius[:, None], d.shape[1], axis=1)
-        r[:st.n0] += np.abs(block).sum(axis=1)
+        r = np.repeat(st.chain_radius[:, None], d.shape[1], axis=1)
+        r[:len(block)] += np.abs(block).sum(axis=1)
         lo = min(lo, float((d - r).min()))
         hi = max(hi, float((d + r).max()))
     return lo, hi
@@ -347,22 +355,48 @@ def _light_cone_depth(coupling: float, length: float, max_depth: int) -> int:
     return 0
 
 
-def _chebyshev_step(x, matvec, weights, cos_t, sin_t):
-    """exp(-i H dt) x, with ``matvec`` applying 2 (H - center) / half."""
-    even = weights[0] * x
-    odd = np.zeros_like(x)
-    prev, cur = x, None
+def _term_buffer(n_terms: int, rows: int, cols: int):
+    """Zeroed (K, rows + 2, C) Chebyshev terms and their band view.
+
+    Each term carries a zero ghost row above and below the window.  The
+    band view is (K, 3, rows, C): band j of row i is padded row i + j, so
+    bands 0, 1 and 2 hold a row's lower neighbour, the row itself and its
+    upper neighbour, and the ghost rows stand in past either end.
+    """
+    terms = np.zeros((n_terms, rows + 2, cols))
+    sk, sp, sc = terms.strides
+    bands = np.lib.stride_tricks.as_strided(
+        terms, (n_terms, 3, rows, cols), (sk, sp, sp, sc), writeable=False)
+    return terms, bands
+
+
+def _chebyshev_step(x, coeff, block, weights, terms, bands, cos_t, sin_t):
+    """exp(-i H dt) x on the (rows, C) real columns ``x``.
+
+    2 A, with A = (H - center) / half, is ``coeff``, the (3, rows, C)
+    lower chain bond, diagonal and upper chain bond of every row, plus
+    ``block``, the (nb, nb) or per-column (nb, nb, C) couplings among the
+    first nb rows.
+    Term k is written into ``terms[k]`` by four numpy calls: the banded
+    product, the block product and its sum, and the recurrence.  Every
+    call is an elementwise loop over the columns, so a column's result
+    does not depend on the others (no BLAS, which may reorder sums).
+    """
+    cols = x.shape[1]
+    terms, bands = terms[..., :cols], bands[..., :cols]
+    nb = block.shape[0]
+    pattern = "ij,jr->ir" if block.ndim == 2 else "ijr,jr->ir"
+    terms[0, 1:-1] = x
     for k in range(1, len(weights)):
+        t = terms[k]
+        np.einsum("krc,krc->rc", coeff, bands[k - 1], out=t[1:-1])
+        t[1:nb + 1] += np.einsum(pattern, block, terms[k - 1, 1:nb + 1])
         if k == 1:
-            cur = 0.5 * matvec(x)
+            t *= 0.5      # T_1 = A x; T_k = 2 A T_{k-1} - T_{k-2} after it
         else:
-            nxt = matvec(cur)
-            nxt -= prev
-            prev, cur = cur, nxt
-        if k % 2:
-            odd += weights[k] * cur
-        else:
-            even += weights[k] * cur
+            t -= terms[k - 2]
+    even = np.einsum("k,krc->rc", weights[0::2], terms[0::2, 1:-1])
+    odd = np.einsum("k,krc->rc", weights[1::2], terms[1::2, 1:-1])
     # (cos - i sin) (even - i odd), written out on the real/imaginary columns
     re = even[:, 0::2] + odd[:, 1::2]
     im = even[:, 1::2] - odd[:, 0::2]
@@ -390,6 +424,16 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     segment.  ``interval`` defaults to :func:`spectral_interval` of the
     batch.  Raises PhysicsError if any column's norm drifts by more than
     NORM_TOL.
+
+    Each Chebyshev term costs four numpy calls (see
+    :func:`_chebyshev_step`): a banded einsum for the chain bonds and the
+    diagonals, on terms padded with a zero ghost row at either end of the
+    window, an einsum with the network block, into which the drain-to-sink
+    link is folded, plus its sum, and the recurrence.  The terms of a step
+    share one buffer of at most TERM_BUFFER_BYTES; a wider batch runs as
+    column chunks in lockstep, which gives the same bits because the
+    columns do not depend on each other.  Without BLAS, a column's result
+    does not depend on which other columns share its batch.
 
     Only the light cone of the sink chain is evolved: rows ``[:n0 + L]``,
     where n0 counts the non-sink rows, and every row past them holds an
@@ -423,13 +467,26 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     weights = _chebyshev_weights(half * dt)
     cos_t, sin_t = math.cos(center * dt), math.sin(center * dt)
     scale = 2.0 / half if half > 0 else 0.0
-    n0 = st.n0
+    n0, n_real = st.n0, det.shape[0]
     coupling = max(abs(st.link), float(np.abs(st.chain).max(initial=0.0)))
     depth = _light_cone_depth(coupling, det.shape[2] * segment_length,
                               h.dim - n0)
     rows = n0 + depth
+    # no sink row is evolved only when the link is zero or nothing is stepped
+    nb = min(len(st.block), rows)
     diag = diag[:rows]
-    chain, link = st.chain[:max(depth - 1, 0)] * scale, st.link * scale
+    chain = st.chain[:max(depth - 1, 0), None] * scale
+
+    # Column chunks of at most `width` realizations share one term buffer.
+    width = max(1, min(n_real, TERM_BUFFER_BYTES
+                       // (len(weights) * (rows + 2) * 2 * 8)))
+    terms, bands = _term_buffer(len(weights), rows, 2 * width)
+    chunks = []
+    for a in range(0, n_real, width):
+        real = slice(a, min(a + width, n_real))
+        coeff = np.zeros((3, rows, 2 * (real.stop - a)))
+        coeff[0, n0 + 1:] = coeff[2, n0:rows - 1] = chain
+        chunks.append((real, slice(2 * a, 2 * real.stop), coeff))
 
     def padded(x):
         out = np.zeros((h.dim, x.shape[1]))
@@ -438,28 +495,22 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
 
     # The state is real: column 2r holds Re psi_r and column 2r + 1 Im psi_r,
     # which the real operator 2 (H - center) / half acts on alike.
-    x = np.zeros((rows, 2 * det.shape[0]))
+    x = np.zeros((rows, 2 * n_real))
     x[h.source_index, 0::2] = 1.0
     yield padded(x)
     for k in range(det.shape[2]):
         d, block = _segment(st, diag, det[:, :, k].T, coupling_correction)
-        d = np.repeat((d - center) * scale, 2, axis=1)
-        block = block * scale
-        if block.shape[2] > 1:
-            block = np.repeat(block, 2, axis=2)
-
-        def matvec(v):
-            y = d * v
-            y[:n0] += (block * v[None, :n0]).sum(axis=1)
-            if depth:
-                y[n0 + 1:] += chain * v[n0:-1]
-                y[n0:-1] += chain * v[n0 + 1:]
-                y[st.drain] += link * v[n0]
-                y[n0] += link * v[st.drain]
-            return y
-
+        d = (d - center) * scale
+        block = block[:nb, :nb] * scale
+        blocks = []
+        for real, _, coeff in chunks:
+            coeff[1] = np.repeat(d[:, real], 2, axis=1)
+            blocks.append(block[:, :, 0] if block.shape[2] == 1
+                          else np.repeat(block[:, :, real], 2, axis=2))
         for _ in range(steps_per_segment):
-            x = _chebyshev_step(x, matvec, weights, cos_t, sin_t)
+            for (_, cols, coeff), blk in zip(chunks, blocks):
+                x[:, cols] = _chebyshev_step(x[:, cols], coeff, blk, weights,
+                                             terms, bands, cos_t, sin_t)
             _check_norm(x)
             yield padded(x)
 

@@ -275,17 +275,25 @@ def noise_distribution_comparison(cfg: SweepConfig):
 
 
 def single_trace(cfg: SweepConfig, amplitude: float, seed: int,
-                 fine_step: float = dynamics.DEFAULT_FINE_STEP):
+                 fine_step: float | None = None):
     """(EvolutionTrace, NoiseRealization) of one realization at
     ``amplitude``, its detunings drawn from ``seed`` as given, its static
-    disorder on every waveguide from the study's first disorder stream."""
+    disorder on every waveguide from the study's first disorder stream.
+
+    ``fine_step`` defaults to the largest step of at most
+    dynamics.DEFAULT_FINE_STEP that divides the segment length (exactly
+    0.05 mm on 1 mm segments)."""
+    seg = cfg.observe_z / cfg.segments
+    if fine_step is None:
+        # the tolerance keeps a quotient that rounds just above an integer
+        # from adding a sample per segment
+        fine_step = seg / math.ceil(seg / dynamics.DEFAULT_FINE_STEP - 1e-9)
     h = apply_static_disorder(_base_hamiltonian(cfg), cfg.disorder,
                               _disorder_seed(cfg, 0, 0), sites="all")
     det = noise_mod.generate(noise_config(cfg, amplitude, seed),
                              n_sites=len(h.fmo_indices))
     ph = dynamics.PiecewiseHamiltonian(
-        h, det, segment_length=cfg.observe_z / cfg.segments,
-        total_length=cfg.observe_z,
+        h, det, segment_length=seg, total_length=cfg.observe_z,
         coupling_correction=cfg.coupling_correction)
     return dynamics.evolve(ph, fine_step=fine_step), det
 

@@ -122,6 +122,9 @@ def _filter_coefficients(rate: float):
     The bilinear map s = 2 rate (z - 1)/(z + 1), built as scipy.signal's
     ``bilinear`` builds it: each s^q becomes (z - 1)^q (z + 1)^(N - q), with
     the factor 2 rate split evenly between the two polynomials.
+
+    At a rate far from 1 the coefficients overflow to inf or nan without
+    a warning; :func:`generate_batch` rejects the sequences they give.
     """
     fac = math.sqrt(2.0 * rate)
     zp1 = np.polynomial.Polynomial((1.0, 1.0)) / fac
@@ -134,8 +137,10 @@ def _filter_coefficients(rate: float):
                      for q, c in enumerate(np.asarray(coeffs)[::-1]))
         return s_poly.coef[::-1]
 
-    b, a = z_domain(FILTER_NUM), z_domain(FILTER_DEN)
-    return tuple(float(v) for v in b / a[0]), tuple(float(v) for v in a / a[0])
+    with np.errstate(all="ignore"):
+        b, a = z_domain(FILTER_NUM), z_domain(FILTER_DEN)
+        b, a = b / a[0], a / a[0]
+    return tuple(float(v) for v in b), tuple(float(v) for v in a)
 
 
 @lru_cache(maxsize=64)

@@ -197,6 +197,22 @@ class TestSimulate:
         assert len(rows) == 7 * 20
         assert all(float(r.split(",")[2]) == 0.0 for r in rows)
 
+    @pytest.mark.parametrize("segments,per_segment", [(20, 20), (3, 134)])
+    def test_sample_step_divides_the_segment(self, tmp_path, segments,
+                                             per_segment):
+        # 1 mm segments keep the 0.05 mm step; 20/3 mm ones take the
+        # largest step below it that puts every segment end on the grid
+        doc = base_config()
+        doc["noise"]["segments"] = segments
+        code, err, out = run_cli(tmp_path, "simulate", doc, "run")
+        assert code == EXIT_OK, err
+        z = np.unique(np.loadtxt(out / "trace.csv", delimiter=",",
+                                 skiprows=1, usecols=0))
+        assert len(z) == segments * per_segment + 1
+        assert z[-1] == pytest.approx(20.0, abs=1e-12)
+        if segments == 20:
+            assert z[1] == dynamics.DEFAULT_FINE_STEP
+
     def test_seed_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, base_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -532,6 +548,26 @@ class TestPhysicsRejections:
         assert code == EXIT_PHYSICS
         assert "not finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("time_scale", [1e300, 5e-324])
+    def test_non_finite_colored_filter_prints_no_warning(self, tmp_path,
+                                                         time_scale):
+        # a fresh process, so that no warning filter hides numpy's
+        doc = base_config()
+        doc["noise"].update(kind="colored", filter_time_scale=time_scale)
+        path = write_config(tmp_path, doc)
+        src = str(Path(fmosim.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "fmosim.cli", "simulate", "--config", path,
+             "--out", str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_PHYSICS
+        assert "not finite" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
 
     def test_simulate_exits_three(self, tmp_path):
         doc = {"schema_version": 1, "sweep": {"observe_z_mm": 1e300},

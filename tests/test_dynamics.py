@@ -333,6 +333,42 @@ class TestPropagate:
             for a, b in zip(alone, batch):
                 np.testing.assert_array_equal(a[:, 0], b[:, c])
 
+    @pytest.mark.parametrize("correction", [False, True])
+    def test_batch_width_does_not_change_a_column(self, correction):
+        # widths on either side of the einsum loops' vector tails; the
+        # long chain over 4 mm keeps the window narrower than dim
+        h, det, diag = batch_inputs(columns=33, sink=100, segments=4)
+        interval = spectral_interval(h, det, diag, correction)
+        full = run_states(h, det, diag, correction, interval)
+        for width in (1, 2, 3, 5, 8, 17):
+            part = run_states(h, det[-width:], diag[:, -width:], correction,
+                              interval)
+            for a, b in zip(part, full):
+                np.testing.assert_array_equal(a, b[:, -width:])
+
+    @pytest.mark.parametrize("correction", [False, True])
+    def test_column_chunks_are_bitwise_equal_to_one_chunk(self, correction,
+                                                          monkeypatch):
+        h, det, diag = batch_inputs(columns=7, segments=3)
+        shapes = []
+        term_buffer = dynamics._term_buffer
+
+        def spy(n_terms, rows, cols):
+            shapes.append((n_terms, rows, cols))
+            return term_buffer(n_terms, rows, cols)
+
+        monkeypatch.setattr(dynamics, "_term_buffer", spy)
+        whole = run_states(h, det, diag, correction)
+        (n_terms, rows, cols), = shapes
+        assert cols == 2 * 7
+        # room for three realizations: chunks of 3, 3 and 1
+        monkeypatch.setattr(dynamics, "TERM_BUFFER_BYTES",
+                            3 * n_terms * (rows + 2) * 2 * 8 + 8)
+        chunked = run_states(h, det, diag, correction)
+        assert shapes[1] == (n_terms, rows, 2 * 3)
+        for a, b in zip(chunked, whole):
+            np.testing.assert_array_equal(a, b)
+
     def test_light_cone_depth_is_the_smallest_within_tolerance(self):
         # c = 0.2 mm^-1 over T = 20 mm: 2 c T = 8, as on the default chip
         c, length = Fraction(1, 5), Fraction(20)
@@ -388,11 +424,11 @@ class TestPropagate:
            amplitude=st.floats(0.0, 80.0),
            disorder=st.floats(0.0, 100.0),
            vibration=st.booleans(), correction=st.booleans(),
-           segments=st.integers(1, 10))
+           segments=st.integers(1, 10), steps=st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_matches_segment_propagator_chain(self, seed, kind, amplitude,
                                               disorder, vibration,
-                                              correction, segments):
+                                              correction, segments, steps):
         h = build_fmo_hamiltonian(FmoSpec())
         if vibration:
             h = attach_vibrational_mode(h)
@@ -406,10 +442,12 @@ class TestPropagate:
         psi[h.source_index] = 1.0
         expected = [psi]
         for k in range(segments):
-            psi = segment_propagator(ph.segment_matrix(k), 1.0) @ psi
-            expected.append(psi)
+            u = segment_propagator(ph.segment_matrix(k), 1.0 / steps)
+            for _ in range(steps):
+                psi = u @ psi
+                expected.append(psi)
         got = [s[:, 0] for s in propagate(
-            h, det.sequences[None], 1.0,
+            h, det.sequences[None], 1.0, steps,
             diagonals=hd.matrix.diagonal().real[:, None],
             coupling_correction=correction)]
         assert np.abs(np.array(got) - np.array(expected)).max() < 1e-12
