@@ -14,10 +14,12 @@ array's structure: a banded einsum applies the diagonals and the
 nearest-neighbour sink chain to terms padded with a zero ghost row at
 either end, and a second einsum applies the dense block over the network
 sites, the optional vibration mode and the first sink, into which the
-drain-to-sink link is folded.  A step keeps its terms in one buffer of at
-most TERM_BUFFER_BYTES, so a wider batch runs as column chunks.  No call
-goes through BLAS, whose blocked sums may depend on the batch width, so a
-column's result does not depend on which other columns share its batch.
+drain-to-sink link is folded.  A step holds at most TERMS_HELD terms of a
+realization, as a ring summed each time it fills, in one buffer of at most
+TERM_BUFFER_BYTES (for windows of up to 65,534 rows), so a wider batch
+runs as column chunks.  No call goes through BLAS, whose blocked sums may
+depend on the batch width, so a column's result does not depend on which
+other columns share its batch.
 
 The sink chain only has to look irreversible over the chip, so the light
 never reaches its far end.  :func:`propagate` evolves only the light cone:
@@ -69,9 +71,15 @@ NORM_TOL = 1e-9
 #: Largest bound on how far cutting the sink chain moves a propagated state.
 LIGHT_CONE_TOL = 1e-16
 
-#: Most bytes the Chebyshev terms of one step may take.  A batch that would
-#: need more runs as column chunks in lockstep.  The benchmark's sweeps fit
-#: in one chunk (0.9 MB on sweep_clean, 1.7 MB on sweep_disorder_cli).
+#: Most Chebyshev terms of a realization one step holds at once; a longer
+#: series runs through them as a ring, summed with its weights each time it
+#: fills.  The benchmark's sweeps and fig4e (at most 42 terms) sum once.
+#: Even, so that a term's slot in the ring has the term's parity.
+TERMS_HELD = 48
+
+#: Most bytes the held terms of one step may take.  A batch that would need
+#: more runs as column chunks in lockstep.  The benchmark's sweeps fit in
+#: one chunk (0.9 MB on sweep_clean, 1.7 MB on sweep_disorder_cli).
 TERM_BUFFER_BYTES = 4 << 20
 
 
@@ -355,6 +363,23 @@ def _light_cone_depth(coupling: float, length: float, max_depth: int) -> int:
     return 0
 
 
+def _buffer_shape(n_terms: int, rows: int, n_real: int) -> tuple:
+    """(terms held, realizations) of the term buffer of one step.
+
+    A realization holds TERMS_HELD terms, or the whole series if shorter,
+    or the largest even count from four up that fits in TERM_BUFFER_BYTES
+    if fewer fit; then as many realizations share the buffer as fit, and
+    at least one.  So the buffer takes at most TERM_BUFFER_BYTES unless
+    four terms of one realization take more (from 65,535 window rows on).
+    The terms held depend on the series and the window only, never on the
+    batch, so a column's sums do not depend on its batch either.
+    """
+    term = (rows + 2) * 2 * 8  # one padded term of one realization
+    held = min(n_terms, TERMS_HELD,
+               max(4, TERM_BUFFER_BYTES // term // 2 * 2))
+    return held, max(1, min(n_real, TERM_BUFFER_BYTES // (held * term)))
+
+
 def _term_buffer(n_terms: int, rows: int, cols: int):
     """Zeroed (K, rows + 2, C) Chebyshev terms and their band view.
 
@@ -377,26 +402,38 @@ def _chebyshev_step(x, coeff, block, weights, terms, bands, cos_t, sin_t):
     lower chain bond, diagonal and upper chain bond of every row, plus
     ``block``, the (nb, nb) or per-column (nb, nb, C) couplings among the
     first nb rows.
-    Term k is written into ``terms[k]`` by four numpy calls: the banded
-    product, the block product and its sum, and the recurrence.  Every
+    Term k is written into slot k % len(terms) of the buffer by four numpy
+    calls: the banded product, the block product and its sum, and the
+    recurrence.  The held terms are summed with their weights when the
+    buffer fills and after the last term; a buffer shorter than the series
+    is a ring of even length, so a slot's parity is its term's.  Every
     call is an elementwise loop over the columns, so a column's result
     does not depend on the others (no BLAS, which may reorder sums).
     """
     cols = x.shape[1]
     terms, bands = terms[..., :cols], bands[..., :cols]
-    nb = block.shape[0]
+    held, n_terms, nb = len(terms), len(weights), block.shape[0]
     pattern = "ij,jr->ir" if block.ndim == 2 else "ijr,jr->ir"
-    terms[0, 1:-1] = x
-    for k in range(1, len(weights)):
-        t = terms[k]
-        np.einsum("krc,krc->rc", coeff, bands[k - 1], out=t[1:-1])
-        t[1:nb + 1] += np.einsum(pattern, block, terms[k - 1, 1:nb + 1])
-        if k == 1:
-            t *= 0.5      # T_1 = A x; T_k = 2 A T_{k-1} - T_{k-2} after it
+    even = odd = None
+    for k in range(n_terms):
+        t = terms[k % held]
+        if k == 0:
+            t[1:-1] = x
         else:
-            t -= terms[k - 2]
-    even = np.einsum("k,krc->rc", weights[0::2], terms[0::2, 1:-1])
-    odd = np.einsum("k,krc->rc", weights[1::2], terms[1::2, 1:-1])
+            np.einsum("krc,krc->rc", coeff, bands[(k - 1) % held],
+                      out=t[1:-1])
+            t[1:nb + 1] += np.einsum(pattern, block,
+                                     terms[(k - 1) % held, 1:nb + 1])
+            if k == 1:
+                t *= 0.5  # T_1 = A x; T_k = 2 A T_{k-1} - T_{k-2} after it
+            else:
+                t -= terms[(k - 2) % held]
+        if k % held == held - 1 or k == n_terms - 1:
+            first = k - k % held
+            w, ts = weights[first:k + 1], terms[:k + 1 - first, 1:-1]
+            e = np.einsum("k,krc->rc", w[0::2], ts[0::2])
+            o = np.einsum("k,krc->rc", w[1::2], ts[1::2])
+            even, odd = (e, o) if even is None else (even + e, odd + o)
     # (cos - i sin) (even - i odd), written out on the real/imaginary columns
     re = even[:, 0::2] + odd[:, 1::2]
     im = even[:, 1::2] - odd[:, 0::2]
@@ -429,11 +466,14 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     :func:`_chebyshev_step`): a banded einsum for the chain bonds and the
     diagonals, on terms padded with a zero ghost row at either end of the
     window, an einsum with the network block, into which the drain-to-sink
-    link is folded, plus its sum, and the recurrence.  The terms of a step
-    share one buffer of at most TERM_BUFFER_BYTES; a wider batch runs as
-    column chunks in lockstep, which gives the same bits because the
-    columns do not depend on each other.  Without BLAS, a column's result
-    does not depend on which other columns share its batch.
+    link is folded, plus its sum, and the recurrence.  A series longer
+    than TERMS_HELD runs through a ring of that many terms, summed with
+    its weights each time it fills.  The held terms of a step share one
+    buffer of at most TERM_BUFFER_BYTES (see :func:`_buffer_shape`); a
+    wider batch runs as column chunks in lockstep, which gives the same
+    bits because the columns do not depend on each other.  Without BLAS, a
+    column's result does not depend on which other columns share its
+    batch.
 
     Only the light cone of the sink chain is evolved: rows ``[:n0 + L]``,
     where n0 counts the non-sink rows, and every row past them holds an
@@ -477,16 +517,12 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     diag = diag[:rows]
     chain = st.chain[:max(depth - 1, 0), None] * scale
 
-    # Column chunks of at most `width` realizations share one term buffer.
-    width = max(1, min(n_real, TERM_BUFFER_BYTES
-                       // (len(weights) * (rows + 2) * 2 * 8)))
-    terms, bands = _term_buffer(len(weights), rows, 2 * width)
-    chunks = []
-    for a in range(0, n_real, width):
-        real = slice(a, min(a + width, n_real))
-        coeff = np.zeros((3, rows, 2 * (real.stop - a)))
-        coeff[0, n0 + 1:] = coeff[2, n0:rows - 1] = chain
-        chunks.append((real, slice(2 * a, 2 * real.stop), coeff))
+    # Column chunks of at most `width` realizations share one term buffer
+    # and one band array, whose chain bonds are the same for every column.
+    held, width = _buffer_shape(len(weights), rows, n_real)
+    terms, bands = _term_buffer(held, rows, 2 * width)
+    coeff = np.zeros((3, rows, 2 * width))
+    coeff[0, n0 + 1:] = coeff[2, n0:rows - 1] = chain
 
     def padded(x):
         out = np.zeros((h.dim, x.shape[1]))
@@ -500,16 +536,17 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     yield padded(x)
     for k in range(det.shape[2]):
         d, block = _segment(st, diag, det[:, :, k].T, coupling_correction)
-        d = (d - center) * scale
+        d = np.repeat((d - center) * scale, 2, axis=1)
         block = block[:nb, :nb] * scale
-        blocks = []
-        for real, _, coeff in chunks:
-            coeff[1] = np.repeat(d[:, real], 2, axis=1)
-            blocks.append(block[:, :, 0] if block.shape[2] == 1
-                          else np.repeat(block[:, :, real], 2, axis=2))
+        block = (block[:, :, 0] if block.shape[2] == 1
+                 else np.repeat(block, 2, axis=2))
         for _ in range(steps_per_segment):
-            for (_, cols, coeff), blk in zip(chunks, blocks):
-                x[:, cols] = _chebyshev_step(x[:, cols], coeff, blk, weights,
+            for a in range(0, 2 * n_real, 2 * width):
+                cols = slice(a, min(a + 2 * width, 2 * n_real))
+                c = coeff[..., :cols.stop - a]
+                c[1] = d[:, cols]
+                blk = block if block.ndim == 2 else block[:, :, cols]
+                x[:, cols] = _chebyshev_step(x[:, cols], c, blk, weights,
                                              terms, bands, cos_t, sin_t)
             _check_norm(x)
             yield padded(x)

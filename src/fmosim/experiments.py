@@ -287,7 +287,8 @@ def single_trace(cfg: SweepConfig, amplitude: float, seed: int,
     if fine_step is None:
         # the tolerance keeps a quotient that rounds just above an integer
         # from adding a sample per segment
-        fine_step = seg / math.ceil(seg / dynamics.DEFAULT_FINE_STEP - 1e-9)
+        fine_step = seg / max(
+            1, math.ceil(seg / dynamics.DEFAULT_FINE_STEP - 1e-9))
     h = apply_static_disorder(_base_hamiltonian(cfg), cfg.disorder,
                               _disorder_seed(cfg, 0, 0), sites="all")
     det = noise_mod.generate(noise_config(cfg, amplitude, seed),

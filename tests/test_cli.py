@@ -213,6 +213,24 @@ class TestSimulate:
         if segments == 20:
             assert z[1] == dynamics.DEFAULT_FINE_STEP
 
+    @pytest.mark.parametrize("length,expected", [(1e-12, EXIT_OK),
+                                                 (5e-324, EXIT_PHYSICS)])
+    def test_segment_shorter_than_the_step_is_one_sample(self, tmp_path,
+                                                        length, expected):
+        # 20 segments of 5e-14 mm are sampled at their ends; of 5e-324 mm
+        # they underflow to zero length, which is rejected
+        doc = base_config()
+        doc["noise"]["total_length_mm"] = length
+        code, err, out = run_cli(tmp_path, "simulate", doc, "run")
+        assert code == expected, err
+        if expected == EXIT_OK:
+            z = np.unique(np.loadtxt(out / "trace.csv", delimiter=",",
+                                     skiprows=1, usecols=0))
+            assert len(z) == 21
+            assert z[-1] == pytest.approx(length, rel=1e-12)
+        else:
+            assert "fine step" in err
+
     def test_seed_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, base_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -298,6 +298,19 @@ def run_states(h, det, diag, correction, interval=None, steps=2):
         interval=interval)]
 
 
+def spy_term_buffers(monkeypatch):
+    """The (terms held, rows, columns) of every term buffer propagate makes."""
+    shapes = []
+    term_buffer = dynamics._term_buffer
+
+    def spy(n_terms, rows, cols):
+        shapes.append((n_terms, rows, cols))
+        return term_buffer(n_terms, rows, cols)
+
+    monkeypatch.setattr(dynamics, "_term_buffer", spy)
+    return shapes
+
+
 def b_tail_exact(a, depth, top=400):
     """sum_{k >= depth} a^k / k! as an exact fraction (terms past ``top``
     are below 1e-300 for the a used here)."""
@@ -350,14 +363,7 @@ class TestPropagate:
     def test_column_chunks_are_bitwise_equal_to_one_chunk(self, correction,
                                                           monkeypatch):
         h, det, diag = batch_inputs(columns=7, segments=3)
-        shapes = []
-        term_buffer = dynamics._term_buffer
-
-        def spy(n_terms, rows, cols):
-            shapes.append((n_terms, rows, cols))
-            return term_buffer(n_terms, rows, cols)
-
-        monkeypatch.setattr(dynamics, "_term_buffer", spy)
+        shapes = spy_term_buffers(monkeypatch)
         whole = run_states(h, det, diag, correction)
         (n_terms, rows, cols), = shapes
         assert cols == 2 * 7
@@ -368,6 +374,53 @@ class TestPropagate:
         assert shapes[1] == (n_terms, rows, 2 * 3)
         for a, b in zip(chunked, whole):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("correction", [False, True])
+    def test_series_longer_than_the_buffer_runs_in_a_ring(self, correction,
+                                                          monkeypatch):
+        h, det, diag = batch_inputs(columns=3, segments=3)
+        interval = spectral_interval(h, det, diag, correction)
+        shapes = spy_term_buffers(monkeypatch)
+        whole = run_states(h, det, diag, correction, interval)
+        (n_terms, rows, _), = shapes
+        assert n_terms % 6  # the last sum over six held takes a partial ring
+        for held in (4, 6):
+            # a budget below one realization's series, with room for
+            # held + 1 of its terms: the ring keeps an even count
+            monkeypatch.setattr(dynamics, "TERM_BUFFER_BYTES",
+                                (held + 1) * (rows + 2) * 2 * 8 + 8)
+            ring = run_states(h, det, diag, correction, interval)
+            assert shapes[-1] == (held, rows, 2)
+            alone = run_states(h, det[1:2], diag[:, 1:2], correction,
+                               interval)
+            for a, b, c in zip(ring, whole, alone):
+                assert np.abs(a - b).max() < 1e-14
+                np.testing.assert_array_equal(c[:, 0], a[:, 1])
+        # a ring shared by the whole batch
+        monkeypatch.undo()
+        monkeypatch.setattr(dynamics, "TERMS_HELD", 6)
+        shapes = spy_term_buffers(monkeypatch)
+        ring = run_states(h, det, diag, correction, interval)
+        assert shapes == [(6, rows, 2 * 3)]
+        for a, b in zip(ring, whole):
+            assert np.abs(a - b).max() < 1e-14
+
+    @pytest.mark.parametrize("n_terms", [1, 3, 40, 149, 10_000])
+    @pytest.mark.parametrize("rows", [8, 54, 5823, 70_000])
+    def test_term_buffer_stays_within_its_budget(self, n_terms, rows):
+        # 5823 rows leave room for an odd count (45) of terms
+        term = (rows + 2) * 2 * 8  # one padded term of one realization
+        budget = dynamics.TERM_BUFFER_BYTES
+        for n_real in (1, 7, 1100):
+            held, width = dynamics._buffer_shape(n_terms, rows, n_real)
+            assert 1 <= width <= n_real
+            assert held * width * term <= max(budget, 4 * term)
+            assert held <= min(n_terms, dynamics.TERMS_HELD)
+            if held < n_terms:
+                assert held >= 4 and held % 2 == 0
+            if min(n_terms, dynamics.TERMS_HELD) * term <= budget:
+                assert held == min(n_terms, dynamics.TERMS_HELD)
+                assert width == min(n_real, budget // (held * term))
 
     def test_light_cone_depth_is_the_smallest_within_tolerance(self):
         # c = 0.2 mm^-1 over T = 20 mm: 2 c T = 8, as on the default chip
