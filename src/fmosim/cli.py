@@ -107,6 +107,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
@@ -246,11 +257,11 @@ def cmd_reproduce(args) -> int:
             f"unknown figure id {fig!r}; valid ids: {', '.join(FIGURE_IDS)}")
     out = _outdir(args)
     seed = args.seed if args.seed is not None else 0
-    r_override = args.realizations
     base = experiments.SweepConfig(seed=seed, threads=args.threads)
 
     def with_r(cfg, default_r):
-        return replace(cfg, realizations=r_override or default_r)
+        r = default_r if args.realizations is None else args.realizations
+        return replace(cfg, realizations=r)
 
     if fig == "fig3b":
         cfg = with_r(replace(base, noise_kind="colored",
@@ -411,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config_required=True):
         if config_required:
             p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
+                       help="master seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; a study runs as "
@@ -420,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="single evolution trace")
     common(p)
-    p.add_argument("--stride", type=int, default=1,
+    p.add_argument("--stride", type=_int_at_least(1), default=1,
                    help="trace down-sampling stride")
     p.set_defaults(func=cmd_simulate)
 
@@ -431,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run a named preset study")
     p.add_argument("figure_id", help=f"one of: {', '.join(FIGURE_IDS)}")
     common(p, config_required=False)
-    p.add_argument("--realizations", type=int, default=None,
+    p.add_argument("--realizations", type=_int_at_least(1), default=None,
                    help="override ensemble size")
     p.set_defaults(func=cmd_reproduce)
 

@@ -30,8 +30,10 @@ Commun. Math. Phys. 28, 251 (1972)).  The rows past the window are exact
 zeros in the yielded states.  L depends only on the chain couplings and
 the propagation length, never on the detunings or diagonals.
 
+:func:`evolve` is :func:`propagate` on one column, recorded into an
+:class:`EvolutionTrace`; the excitation traces run through it.
 :func:`segment_propagator` builds the exact propagator from a Hermitian
-eigendecomposition; it is the reference the kernel is tested against.
+eigendecomposition; the tests check the kernel against it.
 """
 
 from __future__ import annotations
@@ -44,11 +46,9 @@ import numpy as np
 
 from .errors import PhysicsError
 from .model import HERMITICITY_TOL, Hamiltonian, effective_coupling
-from .noise import NoiseRealization
 
-__all__ = ["PiecewiseHamiltonian", "EvolutionTrace", "segment_propagator",
-           "spectral_interval", "propagate", "evolve", "site_probabilities",
-           "write_trace_csv"]
+__all__ = ["EvolutionTrace", "segment_propagator", "spectral_interval",
+           "propagate", "evolve", "site_probabilities", "write_trace_csv"]
 
 #: Default fine sampling step in mm: 20 samples per 1 mm segment resolves
 #: the fastest beating frequency present on the chip (~1.344 mm^-1).
@@ -81,55 +81,6 @@ TERMS_HELD = 48
 #: more runs as column chunks in lockstep.  The benchmark's sweeps fit in
 #: one chunk (0.9 MB on sweep_clean, 1.7 MB on sweep_disorder_cli).
 TERM_BUFFER_BYTES = 4 << 20
-
-
-@dataclass(frozen=True)
-class PiecewiseHamiltonian:
-    """A base array Hamiltonian plus a per-segment detuning schedule.
-
-    ``detunings.sequences`` has one row per network site (applied to the
-    first seven diagonals only) and one column per segment of length
-    ``segment_length`` mm.  With ``coupling_correction`` enabled, each
-    nearest-neighbour network coupling is replaced segment-wise by the
-    effective value sqrt((d/2)^2 + C0^2) built from the pair's mean
-    detuning d; by default only the diagonals are detuned.
-    """
-
-    base: Hamiltonian
-    detunings: NoiseRealization
-    segment_length: float = 1.0
-    total_length: float = 20.0
-    coupling_correction: bool = False
-
-    def __post_init__(self):
-        n_seg = self.detunings.sequences.shape[1]
-        if abs(n_seg * self.segment_length - self.total_length) > 1e-9:
-            raise PhysicsError(
-                f"{n_seg} segments of {self.segment_length} mm do not tile "
-                f"{self.total_length} mm")
-        if self.detunings.n_sites != len(self.base.fmo_indices):
-            raise PhysicsError("one detuning sequence per network site is required")
-
-    @property
-    def n_segments(self) -> int:
-        return self.detunings.sequences.shape[1]
-
-    def segment_matrix(self, k: int) -> np.ndarray:
-        """Effective Hamiltonian of segment ``k`` (0-based)."""
-        h = self.base.matrix.copy()
-        idx = np.asarray(self.base.fmo_indices)
-        d = self.detunings.sequences[:, k]
-        h[idx, idx] += d
-        if self.coupling_correction:
-            for a in range(len(idx) - 1):
-                i, j = idx[a], idx[a + 1]
-                c0 = self.base.matrix[i, j]
-                if c0 == 0.0:
-                    continue
-                ceff = np.sign(c0) * effective_coupling(
-                    abs(c0), 0.5 * (d[a] + d[a + 1]))
-                h[i, j] = h[j, i] = ceff
-        return h
 
 
 @dataclass(frozen=True)
@@ -188,9 +139,6 @@ class _Structure:
 
 def _structure(h: Hamiltonian) -> _Structure:
     m = h.matrix
-    if np.any(m.imag != 0.0):
-        raise PhysicsError("propagation needs a real symmetric Hamiltonian")
-    m = m.real
     dim = h.dim
     sinks = h.sink_indices
     n0 = dim - len(sinks)
@@ -226,7 +174,7 @@ def _batch(h: Hamiltonian, detunings, diagonals):
         raise PhysicsError(
             "detunings must have shape (realizations, network sites, segments)")
     if diagonals is None:
-        diag = np.repeat(h.matrix.diagonal().real[:, None], det.shape[0], axis=1)
+        diag = np.repeat(h.matrix.diagonal()[:, None], det.shape[0], axis=1)
     else:
         diag = np.asarray(diagonals, dtype=float)
         if diag.shape != (h.dim, det.shape[0]):
@@ -452,8 +400,10 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     batch adds ``detunings[r, :, k]`` to the network diagonals during
     segment k.  ``diagonals`` (dim, R) replaces the diagonal of ``h`` per
     column (static disorder); by default every column keeps it.  With
-    ``coupling_correction`` the network couplings are corrected per column
-    and segment as in :meth:`PiecewiseHamiltonian.segment_matrix`.
+    ``coupling_correction`` each nearest-neighbour network coupling C0 is
+    replaced per column and segment by sign(C0) sqrt((d/2)^2 + C0^2),
+    where d is the pair's mean detuning; by default only the diagonals are
+    detuned.
 
     Every column starts with a unit excitation at the source site.  The
     generator yields a fresh (dim, R) complex array: the initial state,
@@ -552,29 +502,38 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
             yield padded(x)
 
 
-def evolve(ph: PiecewiseHamiltonian, fine_step: float = DEFAULT_FINE_STEP) -> EvolutionTrace:
-    """Propagate a unit excitation at the source site across all segments.
+def evolve(h: Hamiltonian, detunings, segment_length: float,
+           fine_step: float = DEFAULT_FINE_STEP, diagonal=None,
+           coupling_correction: bool = False) -> EvolutionTrace:
+    """:func:`propagate` on one column, recorded into an EvolutionTrace.
 
-    Amplitudes are recorded every ``fine_step`` mm; the step must divide
-    the segment length so segment boundaries land on the grid.  This is
-    :func:`propagate` on a batch of one.
+    ``detunings`` has shape (network sites, segments) and ``diagonal``
+    (dim,) replaces the diagonal of ``h``; both, and
+    ``coupling_correction``, are read as by :func:`propagate`.  Amplitudes
+    are recorded every ``fine_step`` mm; the step must divide the segment
+    length so segment boundaries land on the grid.
     """
-    dt = ph.segment_length
-    if fine_step <= 0 or fine_step > dt + 1e-15:
+    det = np.asarray(detunings, dtype=float)
+    if det.ndim != 2 or len(det) != len(h.fmo_indices):
+        raise PhysicsError("detunings must have shape (network sites, segments)")
+    if fine_step <= 0 or fine_step > segment_length + 1e-15:
         raise PhysicsError("fine step must lie in (0, segment_length]")
-    per_seg = dt / fine_step
-    if not ph.n_segments * per_seg < MAX_TRACE_SAMPLES:
-        raise PhysicsError(f"a trace of {ph.total_length:g} mm would hold "
-                           f"more than {MAX_TRACE_SAMPLES} samples")
+    per_seg = segment_length / fine_step
+    if not det.shape[1] * per_seg < MAX_TRACE_SAMPLES:
+        raise PhysicsError(
+            f"a trace of {det.shape[1] * segment_length:g} mm would hold "
+            f"more than {MAX_TRACE_SAMPLES} samples")
     if abs(per_seg - round(per_seg)) > 1e-9:
         raise PhysicsError("fine step must divide the segment length")
-    states = propagate(ph.base, ph.detunings.sequences[None], dt,
-                       int(round(per_seg)),
-                       coupling_correction=ph.coupling_correction)
+    if diagonal is not None:
+        diagonal = np.asarray(diagonal, dtype=float).reshape(-1, 1)
+    states = propagate(h, det[None], segment_length, int(round(per_seg)),
+                       diagonals=diagonal,
+                       coupling_correction=coupling_correction)
     amps = np.array([psi[:, 0] for psi in states])
     positions = np.arange(len(amps)) * fine_step
-    return EvolutionTrace(positions, amps, ph.base.roles,
-                          ph.base.source_site, ph.base.drain_site, fine_step)
+    return EvolutionTrace(positions, amps, h.roles, h.source_site,
+                          h.drain_site, fine_step)
 
 
 def site_probabilities(tr: EvolutionTrace, subset=None, renormalize: bool = False) -> np.ndarray:

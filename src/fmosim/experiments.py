@@ -21,10 +21,11 @@ import numpy as np
 
 from . import analysis, dynamics, noise as noise_mod
 from .errors import PhysicsError
-from .model import (DEFAULT_SINK_COUPLING, FmoSpec, Hamiltonian,
-                    apply_static_disorder, attach_sink,
+from .model import (DEFAULT_SINK_COUPLING, FmoSpec, Hamiltonian, attach_sink,
                     attach_vibrational_mode, build_fmo_hamiltonian,
                     static_disorder_shifts)
+# not called here: bench/tracing.py wraps it here by name (ROADMAP item 2)
+from .model import apply_static_disorder  # noqa: F401
 
 __all__ = ["SweepConfig", "SweepResult", "sweep_dephasing",
            "reorganization_curve", "vibrational_comparison",
@@ -163,14 +164,19 @@ def _disorder_seed(cfg: SweepConfig, grid_index: int, realization: int):
     return [cfg.seed, grid_index, realization, 1]
 
 
+def _diagonal(cfg: SweepConfig, base: Hamiltonian, grid_index: int,
+              realization: int) -> np.ndarray:
+    """The diagonal of one realization's column: the base diagonal plus
+    its static disorder, which shifts every waveguide."""
+    return base.matrix.diagonal() + static_disorder_shifts(
+        base.dim, cfg.disorder, _disorder_seed(cfg, grid_index, realization))
+
+
 def _evolve_study(cfg: SweepConfig, base: Hamiltonian, steps_per_segment: int):
     """States of all the study's realizations, grid point by grid point,
-    one column each, at every step (see dynamics.propagate).  Static
-    disorder shifts every waveguide's diagonal (``sites="all"``)."""
-    diag = base.matrix.diagonal().real
+    one column each, at every step (see dynamics.propagate)."""
     diagonals = np.stack(
-        [diag + static_disorder_shifts(base.dim, cfg.disorder,
-                                       _disorder_seed(cfg, gi, r))
+        [_diagonal(cfg, base, gi, r)
          for gi in range(len(cfg.grid)) for r in range(cfg.realizations)],
         axis=1)
     detunings = noise_mod.generate_batch(
@@ -277,8 +283,10 @@ def noise_distribution_comparison(cfg: SweepConfig):
 def single_trace(cfg: SweepConfig, amplitude: float, seed: int,
                  fine_step: float | None = None):
     """(EvolutionTrace, NoiseRealization) of one realization at
-    ``amplitude``, its detunings drawn from ``seed`` as given, its static
-    disorder on every waveguide from the study's first disorder stream.
+    ``amplitude``, its detunings drawn from ``seed`` as given.  It is
+    built as a sweep builds each column, with the static disorder of the
+    sweep's first column; at ``cfg.grid[0]`` and that column's noise seed
+    it ends at the sweep's first value.
 
     ``fine_step`` defaults to the largest step of at most
     dynamics.DEFAULT_FINE_STEP that divides the segment length (exactly
@@ -289,14 +297,13 @@ def single_trace(cfg: SweepConfig, amplitude: float, seed: int,
         # from adding a sample per segment
         fine_step = seg / max(
             1, math.ceil(seg / dynamics.DEFAULT_FINE_STEP - 1e-9))
-    h = apply_static_disorder(_base_hamiltonian(cfg), cfg.disorder,
-                              _disorder_seed(cfg, 0, 0), sites="all")
+    base = _base_hamiltonian(cfg)
     det = noise_mod.generate(noise_config(cfg, amplitude, seed),
-                             n_sites=len(h.fmo_indices))
-    ph = dynamics.PiecewiseHamiltonian(
-        h, det, segment_length=seg, total_length=cfg.observe_z,
-        coupling_correction=cfg.coupling_correction)
-    return dynamics.evolve(ph, fine_step=fine_step), det
+                             n_sites=len(base.fmo_indices))
+    tr = dynamics.evolve(base, det.sequences, seg, fine_step,
+                         diagonal=_diagonal(cfg, base, 0, 0),
+                         coupling_correction=cfg.coupling_correction)
+    return tr, det
 
 
 def excitation_trace_study(cfg: SweepConfig,

@@ -2,8 +2,8 @@
 
 The seven pigment sites are mapped onto a waveguide array: coupling
 coefficients become evanescent couplings set by waveguide spacing, site
-energies become propagation-constant offsets.  All Hamiltonians produced
-here are dense Hermitian matrices in mm^-1.
+energies become propagation-constant offsets.  All Hamiltonians are dense
+real symmetric matrices in mm^-1, stored as float64.
 
 Calibration note: the default site-energy convention scales the raw
 site-energy offsets (cm^-1) by 0.014 and keeps the full coupling matrix.
@@ -135,7 +135,10 @@ class CouplingCalibration:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Dense Hermitian matrix (mm^-1) with labelled index roles.
+    """Dense real symmetric matrix (mm^-1) with labelled index roles.
+
+    The matrix is stored as float64; complex input is accepted only when
+    every imaginary part is zero.
 
     Roles are strings: ``"fmo_site_1"`` .. ``"fmo_site_7"``, ``"sink_1"``
     .. ``"sink_k"``, ``"vibration"``.  ``source_site`` and ``drain_site``
@@ -148,14 +151,17 @@ class Hamiltonian:
     drain_site: int = 3
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix)
+        if np.iscomplexobj(m) and np.any(m.imag != 0.0):
+            raise PhysicsError("the matrix must be real symmetric")
+        m = np.array(m.real, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "roles", tuple(self.roles))
         if m.shape != (len(self.roles), len(self.roles)):
             raise PhysicsError("role labels must match matrix dimension")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise PhysicsError("matrix is not Hermitian within tolerance")
+        if np.max(np.abs(m - m.T)) > HERMITICITY_TOL:
+            raise PhysicsError("matrix is not symmetric within tolerance")
         if f"fmo_site_{self.drain_site}" not in self.roles:
             raise PhysicsError(f"drain site {self.drain_site} not present")
         if f"fmo_site_{self.source_site}" not in self.roles:
@@ -205,7 +211,7 @@ def build_fmo_hamiltonian(spec: FmoSpec = FmoSpec()) -> Hamiltonian:
     diag = (np.diag(raw) - np.diag(raw).min()) * spec.site_energy_scale
     matrix = (off * spec.coupling_scale + np.diag(diag)) * spec.unit_conversion
     roles = tuple(f"fmo_site_{i + 1}" for i in range(n))
-    return Hamiltonian(matrix=matrix.astype(complex), roles=roles)
+    return Hamiltonian(matrix=matrix, roles=roles)
 
 
 def attach_sink(
@@ -230,7 +236,7 @@ def attach_sink(
     if drain_coupling <= 0 or internal_coupling <= 0:
         raise PhysicsError("sink couplings must be positive")
     n = h.dim
-    m = np.zeros((n + sink_length, n + sink_length), dtype=complex)
+    m = np.zeros((n + sink_length, n + sink_length))
     m[:n, :n] = h.matrix
     drain = h.drain_index
     m[np.arange(n, n + sink_length), np.arange(n, n + sink_length)] = h.matrix[
@@ -253,7 +259,7 @@ def attach_vibrational_mode(h7: Hamiltonian, coupling="auto") -> Hamiltonian:
     if h7.dim != 7 or len(h7.fmo_indices) != 7:
         raise PhysicsError(f"expected a bare 7-site Hamiltonian, got dim {h7.dim}")
     c = lowest_eigengap(h7) if coupling == "auto" else float(coupling)
-    m = np.zeros((8, 8), dtype=complex)
+    m = np.zeros((8, 8))
     m[:7, :7] = h7.matrix
     m[7, :7] = c
     m[:7, 7] = c
@@ -332,23 +338,19 @@ def static_disorder_shifts(n: int, gamma: float, rng_seed) -> np.ndarray:
     return np.random.default_rng(rng_seed).uniform(0.0, gamma, size=n)
 
 
-def apply_static_disorder(h: Hamiltonian, gamma: float, rng_seed,
-                          sites: str = "fmo") -> Hamiltonian:
-    """Add the :func:`static_disorder_shifts` to the chosen diagonals.
+def apply_static_disorder(h: Hamiltonian, gamma: float, rng_seed) -> Hamiltonian:
+    """``h`` with the :func:`static_disorder_shifts` added to every diagonal.
 
-    ``sites="fmo"`` perturbs the seven network diagonals only;
-    ``sites="all"`` perturbs every waveguide (including sink and
-    vibration), which is the convention the disorder sweeps use: a
-    disordered chip mis-writes every waveguide, not just the network.
+    Every waveguide of ``h`` is shifted, sink and vibration included: a
+    disordered chip mis-writes every waveguide.  The studies follow the
+    same convention, passing the shifts to dynamics.propagate as its
+    ``diagonals``.
     """
-    if sites not in ("fmo", "all"):
-        raise PhysicsError("sites must be 'fmo' or 'all'")
-    idx = h.fmo_indices if sites == "fmo" else np.arange(h.dim)
-    shifts = static_disorder_shifts(len(idx), gamma, rng_seed)
+    shifts = static_disorder_shifts(h.dim, gamma, rng_seed)
     if gamma == 0:
         return h
     m = h.matrix.copy()
-    m[idx, idx] = m[idx, idx] + shifts
+    np.fill_diagonal(m, m.diagonal() + shifts)
     return Hamiltonian(m, h.roles, h.source_site, h.drain_site)
 
 
@@ -377,7 +379,7 @@ def export_chip_plan(h: Hamiltonian, noise=None, cal: CouplingCalibration = Coup
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            c_mm = abs(m[i, j].real)
+            c_mm = abs(m[i, j])
             if c_mm == 0:
                 continue
             c_cm = c_mm / CM_PER_MM

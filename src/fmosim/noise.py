@@ -63,7 +63,7 @@ class NoiseConfig:
     ``FILTER_BURN_IN`` outputs are discarded.
     """
 
-    kind: str = "colored"
+    kind: str = "uniform_white"
     amplitude: float = 0.5
     segments: int = 20
     total_length: float = 20.0

@@ -24,7 +24,7 @@ from fmosim.experiments import (
 from fmosim.model import FmoSpec, apply_static_disorder, build_fmo_hamiltonian
 
 from test_analysis import acf_oracle, periodogram_oracle
-from test_dynamics import default_piecewise, expm_taylor
+from test_dynamics import default_chip, expm_taylor
 
 THREADS = 4
 _CACHE = {}
@@ -168,7 +168,7 @@ def test_a05_numerical_core():
     t0 = time.time()
     failures = []
     for kind in noise_mod.NOISE_KINDS:
-        tr = dynamics.evolve(default_piecewise(1.0, seed=3, kind=kind),
+        tr = dynamics.evolve(**default_chip(1.0, seed=3, kind=kind),
                              fine_step=1.0)
         drift = float(np.abs(np.linalg.norm(tr.amplitudes, axis=1) - 1.0).max())
         if drift >= 1e-9:

@@ -27,10 +27,10 @@ from fmosim.analysis import (
     transport_efficiency,
     variance,
 )
-from fmosim.dynamics import EvolutionTrace, PiecewiseHamiltonian, evolve
+from fmosim.dynamics import EvolutionTrace, evolve
 from fmosim.errors import PhysicsError
 from fmosim.model import FmoSpec, Hamiltonian, attach_sink, build_fmo_hamiltonian
-from fmosim.noise import NoiseConfig, NoiseRealization, generate
+from fmosim.noise import NoiseConfig, generate
 
 
 def acf_oracle(x, lag):
@@ -244,9 +244,8 @@ def make_trace(amplitude=0.5, seed=0, sink=100, fine_step=0.5):
     h = attach_sink(build_fmo_hamiltonian(FmoSpec()), sink)
     cfg = NoiseConfig(kind="uniform_white", amplitude=amplitude, segments=20,
                       total_length=20.0, seed=seed)
-    det = generate(cfg) if amplitude else NoiseRealization(
-        np.zeros((7, 20)), cfg)
-    return evolve(PiecewiseHamiltonian(h, det), fine_step=fine_step)
+    det = generate(cfg).sequences if amplitude else np.zeros((7, 20))
+    return evolve(h, det, 1.0, fine_step=fine_step)
 
 
 class TestTransportEfficiency:
@@ -277,9 +276,7 @@ class TestTransportEfficiency:
 
     def test_no_sink_rejected(self):
         h = build_fmo_hamiltonian(FmoSpec())
-        det = NoiseRealization(np.zeros((7, 20)),
-                               NoiseConfig(amplitude=0.0))
-        tr = evolve(PiecewiseHamiltonian(h, det), fine_step=1.0)
+        tr = evolve(h, np.zeros((7, 20)), 1.0, fine_step=1.0)
         with pytest.raises(PhysicsError):
             transport_efficiency(tr)
 
@@ -402,8 +399,7 @@ class TestMostProbableSite:
     def test_zero_hamiltonian_stays_at_six(self):
         m = np.zeros((7, 7))
         h = Hamiltonian(m, tuple(f"fmo_site_{i}" for i in range(1, 8)))
-        det = NoiseRealization(np.zeros((7, 20)), NoiseConfig(amplitude=0.0))
-        tr = evolve(PiecewiseHamiltonian(h, det), fine_step=1.0)
+        tr = evolve(h, np.zeros((7, 20)), 1.0, fine_step=1.0)
         assert np.all(most_probable_site(tr) == 6)
 
     def test_tie_breaks_to_lowest_site(self):

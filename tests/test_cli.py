@@ -157,6 +157,24 @@ class TestExitCodes:
         assert main(["sweep", "--config", path,
                      "--out", str(tmp_path)]) == EXIT_PHYSICS
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--seed", "-1"], ["simulate", "--seed", "-1"],
+        ["chip-plan", "--seed", "-1"], ["reproduce", "figS9", "--seed", "-1"],
+        ["reproduce", "fig4e", "--realizations", "0"],
+        ["simulate", "--stride", "0"]], ids=" ".join)
+    def test_out_of_range_flag_exits_two_before_any_work(
+            self, tmp_path, capsys, argv):
+        flag = argv[-2]
+        if argv[0] != "reproduce":
+            argv = argv + ["--config", write_config(tmp_path, base_config())]
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{flag}: must be >=" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_figure_lists_valid_ids(self, tmp_path, capsys):
         assert main(["reproduce", "figZZ",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -473,8 +491,7 @@ class TestOneReading:
         det = noise.generate(noise.NoiseConfig(
             kind="colored", amplitude=0.7, segments=10, total_length=10,
             seed=8, filter_time_scale=0.5), n_sites=7)
-        tr = dynamics.evolve(dynamics.PiecewiseHamiltonian(
-            h, det, segment_length=1.0, total_length=10))
+        tr = dynamics.evolve(h, det.sequences, 1.0)
         dynamics.write_trace_csv(tr, tmp_path / "trace.csv")
         noise.write_noise_csv(det, tmp_path / "noise.csv")
         for name in ("trace.csv", "noise.csv"):

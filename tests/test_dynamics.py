@@ -1,5 +1,6 @@
 """Tests for piecewise-constant evolution and the segment propagator."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from fmosim import dynamics
 from fmosim.dynamics import (
     EvolutionTrace,
-    PiecewiseHamiltonian,
     evolve,
     propagate,
     segment_propagator,
@@ -22,7 +22,7 @@ from fmosim.errors import PhysicsError
 from fmosim.model import (FmoSpec, Hamiltonian, apply_static_disorder,
                           attach_sink, attach_vibrational_mode,
                           build_fmo_hamiltonian)
-from fmosim.noise import NOISE_KINDS, NoiseConfig, NoiseRealization, generate
+from fmosim.noise import NOISE_KINDS, NoiseConfig, generate
 
 
 def expm_taylor(a, order=30):
@@ -41,17 +41,40 @@ def expm_taylor(a, order=30):
     return out
 
 
-def default_piecewise(amplitude=0.5, seed=0, segments=20, sink=100,
-                      kind="uniform_white", correction=False):
+def default_chip(amplitude=0.5, seed=0, segments=20, sink=100,
+                 kind="uniform_white", correction=False):
+    """Keyword arguments of :func:`evolve` for the default 20 mm chip."""
     h = attach_sink(build_fmo_hamiltonian(FmoSpec()), sink)
-    cfg = NoiseConfig(kind=kind, amplitude=amplitude, segments=segments,
-                      total_length=20.0, seed=seed)
     if amplitude == 0:
-        det = NoiseRealization(np.zeros((7, segments)), cfg)
+        det = np.zeros((7, segments))
     else:
-        det = generate(cfg)
-    return PiecewiseHamiltonian(h, det, segment_length=20.0 / segments,
-                                coupling_correction=correction)
+        det = generate(NoiseConfig(kind=kind, amplitude=amplitude,
+                                   segments=segments, total_length=20.0,
+                                   seed=seed)).sequences
+    return dict(h=h, detunings=det, segment_length=20.0 / segments,
+                coupling_correction=correction)
+
+
+def segment_matrix(h, det_k, correction=False):
+    """The dense Hamiltonian of one segment, the reference for the kernel.
+
+    ``det_k`` is the segment's detuning of each network site, added to the
+    network diagonals.  With ``correction`` every nonzero nearest-neighbour
+    network coupling c0 becomes sign(c0) sqrt((d/2)^2 + c0^2), where d is
+    the pair's mean detuning.  Built entry by entry from the dense matrix,
+    with nothing taken from the kernel.
+    """
+    m = np.array(h.matrix)
+    idx = h.fmo_indices
+    m[idx, idx] += det_k
+    if correction:
+        for a in range(len(idx) - 1):
+            i, j = idx[a], idx[a + 1]
+            c0 = h.matrix[i, j]
+            if c0 != 0.0:
+                d = 0.5 * (det_k[a] + det_k[a + 1])
+                m[i, j] = m[j, i] = math.copysign(math.hypot(0.5 * d, c0), c0)
+    return m
 
 
 class TestSegmentPropagator:
@@ -108,14 +131,14 @@ class TestBudgets:
             dynamics._chebyshev_weights(rho)
 
     def test_trace_over_budget_rejected(self):
-        ph = default_piecewise(0.0)
         with pytest.raises(PhysicsError, match="samples"):
-            evolve(ph, fine_step=20.0 / dynamics.MAX_TRACE_SAMPLES)
+            evolve(**default_chip(0.0),
+                   fine_step=20.0 / dynamics.MAX_TRACE_SAMPLES)
 
 
 class TestEvolve:
     def test_initial_state_is_source_basis_vector(self):
-        tr = evolve(default_piecewise(0.0), fine_step=1.0)
+        tr = evolve(**default_chip(0.0), fine_step=1.0)
         psi0 = tr.amplitudes[0]
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 100)
         expected = np.zeros(h.dim)
@@ -127,52 +150,47 @@ class TestEvolve:
         m = np.zeros((7, 7))
         from fmosim.model import Hamiltonian
         h = Hamiltonian(m, tuple(f"fmo_site_{i}" for i in range(1, 8)))
-        det = NoiseRealization(np.zeros((7, 4)),
-                               NoiseConfig(amplitude=0.0, segments=4,
-                                           total_length=4.0))
-        tr = evolve(PiecewiseHamiltonian(h, det, segment_length=1.0,
-                                         total_length=4.0), fine_step=0.5)
+        tr = evolve(h, np.zeros((7, 4)), 1.0, fine_step=0.5)
         for psi in tr.amplitudes:
             np.testing.assert_array_equal(psi, tr.amplitudes[0])
 
     def test_deterministic_trace(self):
-        a = evolve(default_piecewise(0.3, seed=5), fine_step=0.5)
-        b = evolve(default_piecewise(0.3, seed=5), fine_step=0.5)
+        a = evolve(**default_chip(0.3, seed=5), fine_step=0.5)
+        b = evolve(**default_chip(0.3, seed=5), fine_step=0.5)
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
     def test_norm_conservation(self):
         for kind in ("uniform_white", "colored", "cauchy"):
-            tr = evolve(default_piecewise(0.8, seed=3, kind=kind),
+            tr = evolve(**default_chip(0.8, seed=3, kind=kind),
                         fine_step=0.25)
             norms = np.linalg.norm(tr.amplitudes, axis=1)
             assert np.abs(norms - 1.0).max() < 1e-9
 
     def test_grid_refinement_identity(self):
-        ph = default_piecewise(0.5, seed=1)
-        coarse = evolve(ph, fine_step=0.5)
-        fine = evolve(ph, fine_step=0.25)
+        ph = default_chip(0.5, seed=1)
+        coarse = evolve(**ph, fine_step=0.5)
+        fine = evolve(**ph, fine_step=0.25)
         np.testing.assert_allclose(coarse.amplitudes, fine.amplitudes[::2],
                                    atol=1e-12)
 
     def test_global_diagonal_shift_invariance(self):
-        ph = default_piecewise(0.5, seed=2)
-        tr = evolve(ph, fine_step=1.0)
-        from fmosim.model import Hamiltonian
-        shifted_m = ph.base.matrix + 3.7 * np.eye(ph.base.dim)
-        shifted = PiecewiseHamiltonian(
-            Hamiltonian(shifted_m, ph.base.roles, ph.base.source_site,
-                        ph.base.drain_site),
-            ph.detunings, ph.segment_length, ph.total_length)
-        tr2 = evolve(shifted, fine_step=1.0)
+        ph = default_chip(0.5, seed=2)
+        tr = evolve(**ph, fine_step=1.0)
+        h = ph["h"]
+        shifted = Hamiltonian(h.matrix + 3.7 * np.eye(h.dim), h.roles,
+                              h.source_site, h.drain_site)
+        tr2 = evolve(**{**ph, "h": shifted}, fine_step=1.0)
         assert np.abs(np.abs(tr.amplitudes) ** 2
                       - np.abs(tr2.amplitudes) ** 2).max() < 1e-10
 
     def test_time_reversal(self):
-        ph = default_piecewise(0.5, seed=4)
-        tr = evolve(ph, fine_step=1.0)
+        ph = default_chip(0.5, seed=4)
+        tr = evolve(**ph, fine_step=1.0)
         psi = tr.amplitudes[-1].copy()
-        for k in reversed(range(ph.n_segments)):
-            u = segment_propagator(ph.segment_matrix(k), ph.segment_length)
+        for k in reversed(range(ph["detunings"].shape[1])):
+            u = segment_propagator(
+                segment_matrix(ph["h"], ph["detunings"][:, k]),
+                ph["segment_length"])
             psi = u.conj().T @ psi
         np.testing.assert_allclose(psi, tr.amplitudes[0], atol=1e-9)
 
@@ -181,70 +199,81 @@ class TestEvolve:
         src = h.source_index
         pops = {}
         for amp in (0.1, 80.0):
-            tr = evolve(default_piecewise(amp, seed=6), fine_step=1.0)
+            tr = evolve(**default_chip(amp, seed=6), fine_step=1.0)
             j = int(round(2.0 / tr.fine_step))
             pops[amp] = abs(tr.amplitudes[j][src]) ** 2
         assert pops[80.0] > pops[0.1]
 
     def test_large_step_rejected(self):
         with pytest.raises(PhysicsError):
-            evolve(default_piecewise(0.0), fine_step=2.0)
+            evolve(**default_chip(0.0), fine_step=2.0)
 
     def test_non_dividing_step_rejected(self):
         with pytest.raises(PhysicsError):
-            evolve(default_piecewise(0.0), fine_step=0.3)
+            evolve(**default_chip(0.0), fine_step=0.3)
+
+    @pytest.mark.parametrize("shape", [(20,), (6, 20), (1, 7, 20)])
+    def test_detunings_of_another_shape_rejected(self, shape):
+        h = default_chip(0.0)["h"]
+        with pytest.raises(PhysicsError, match=r"\(network sites, segments\)"):
+            evolve(h, np.zeros(shape), 1.0)
 
     def test_final_position_is_total_length(self):
-        tr = evolve(default_piecewise(0.2, seed=9), fine_step=0.5)
+        tr = evolve(**default_chip(0.2, seed=9), fine_step=0.5)
         assert tr.positions[-1] == pytest.approx(20.0)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=10, deadline=None)
     def test_norm_conserved_any_seed(self, seed):
-        tr = evolve(default_piecewise(1.0, seed=seed, sink=20), fine_step=1.0)
+        tr = evolve(**default_chip(1.0, seed=seed, sink=20), fine_step=1.0)
         assert abs(np.linalg.norm(tr.amplitudes[-1]) - 1.0) < 1e-9
 
 
 class TestCouplingCorrection:
+    @staticmethod
+    def kernel_segment(k, correction):
+        """The kernel's diagonal (dim,) and block of segment ``k``."""
+        ph = default_chip(0.5, seed=1)
+        h = ph["h"]
+        st = dynamics._structure(h)
+        d, block = dynamics._segment(st, h.matrix.diagonal()[:, None],
+                                     ph["detunings"][:, k:k + 1], correction)
+        return d[:, 0], block[:, :, 0], ph["detunings"][:, k]
+
     def test_correction_changes_offdiagonals_only_slightly(self):
-        plain = default_piecewise(0.5, seed=1, correction=False)
-        corr = default_piecewise(0.5, seed=1, correction=True)
-        m0 = plain.segment_matrix(0)
-        m1 = corr.segment_matrix(0)
-        np.testing.assert_array_equal(np.diag(m0), np.diag(m1))
-        diff = np.abs(m1 - m0).max()
+        d0, b0, _ = self.kernel_segment(0, False)
+        d1, b1, _ = self.kernel_segment(0, True)
+        np.testing.assert_array_equal(d0, d1)
+        diff = np.abs(b1 - b0).max()
         assert 0 < diff < 0.05  # ~db^2/(8 c0) scale
 
     def test_correction_magnitude_matches_pair_formula(self):
         from fmosim.model import effective_coupling
-        ph = default_piecewise(0.5, seed=1, correction=True)
-        base = ph.base.matrix
-        m = ph.segment_matrix(3)
-        d = ph.detunings.sequences[:, 3]
-        c0 = abs(base[0, 1])
+        _, block, d = self.kernel_segment(3, True)
+        c0 = abs(build_fmo_hamiltonian(FmoSpec()).matrix[0, 1])
         expected = -effective_coupling(c0, (d[0] + d[1]) / 2)
-        assert m[0, 1].real == pytest.approx(expected, abs=1e-12)
+        assert block[0, 1] == pytest.approx(expected, abs=1e-12)
 
 
 class TestSiteProbabilities:
     def test_z0_source_probability_one(self):
-        tr = evolve(default_piecewise(0.0), fine_step=1.0)
+        tr = evolve(**default_chip(0.0), fine_step=1.0)
         p = site_probabilities(tr, tr.fmo_indices)
         assert p[0, 5] == pytest.approx(1.0)
         assert p[0].sum() == pytest.approx(1.0)
 
     def test_renormalized_rows_sum_to_one(self):
-        tr = evolve(default_piecewise(0.4, seed=2), fine_step=0.5)
+        tr = evolve(**default_chip(0.4, seed=2), fine_step=0.5)
         p = site_probabilities(tr, tr.fmo_indices, renormalize=True)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_full_probabilities_sum_to_one(self):
-        tr = evolve(default_piecewise(0.4, seed=2), fine_step=0.5)
+        tr = evolve(**default_chip(0.4, seed=2), fine_step=0.5)
         p = site_probabilities(tr)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
     def test_empty_subset_rejected(self):
-        tr = evolve(default_piecewise(0.0), fine_step=1.0)
+        tr = evolve(**default_chip(0.0), fine_step=1.0)
         with pytest.raises(PhysicsError):
             site_probabilities(tr, [])
 
@@ -252,18 +281,14 @@ class TestSiteProbabilities:
         m = np.zeros((7, 7))
         from fmosim.model import Hamiltonian
         h = Hamiltonian(m, tuple(f"fmo_site_{i}" for i in range(1, 8)))
-        det = NoiseRealization(np.zeros((7, 2)),
-                               NoiseConfig(amplitude=0.0, segments=2,
-                                           total_length=2.0))
-        tr = evolve(PiecewiseHamiltonian(h, det, total_length=2.0),
-                    fine_step=1.0)
+        tr = evolve(h, np.zeros((7, 2)), 1.0, fine_step=1.0)
         with pytest.raises(PhysicsError, match="z="):
             site_probabilities(tr, [0], renormalize=True)
 
 
 class TestTraceExport:
     def test_csv_columns_and_stride(self, tmp_path):
-        tr = evolve(default_piecewise(0.2, seed=1, sink=10), fine_step=1.0)
+        tr = evolve(**default_chip(0.2, seed=1, sink=10), fine_step=1.0)
         path = tmp_path / "trace.csv"
         write_trace_csv(tr, path, stride=5)
         lines = path.read_text().strip().split("\n")
@@ -287,8 +312,8 @@ def batch_inputs(vibration=False, columns=5, sink=20, seed=11, segments=6):
                                          total_length=float(segments),
                                          seed=seed + r)).sequences
                     for r, a in enumerate(np.linspace(0.0, 2.0, columns))])
-    diag = np.stack([apply_static_disorder(h, 3.0, [seed, r], sites="all")
-                     .matrix.diagonal().real for r in range(columns)], axis=1)
+    diag = np.stack([apply_static_disorder(h, 3.0, [seed, r])
+                     .matrix.diagonal() for r in range(columns)], axis=1)
     return h, det, diag
 
 
@@ -434,29 +459,30 @@ class TestPropagate:
     def test_short_chain_keeps_every_row(self):
         assert dynamics._light_cone_depth(0.2, 20.0, 20) == 20
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 20)
-        det = generate(NoiseConfig(amplitude=0.5, seed=3)).sequences[None]
+        det = generate(NoiseConfig(kind="colored", amplitude=0.5,
+                                   seed=3)).sequences[None]
         *_, last = propagate(h, det, 1.0)
         assert last[-1, 0] != 0.0
 
     def test_rows_past_the_light_cone_are_zero_and_the_cut_is_exact(self):
         h = attach_sink(attach_vibrational_mode(build_fmo_hamiltonian()), 100)
-        hd = apply_static_disorder(h, 10.0, [4, 1], sites="all")
+        hd = apply_static_disorder(h, 10.0, [4, 1])
         det = generate(NoiseConfig(kind="colored", amplitude=1.0,
-                                   segments=20, total_length=20.0, seed=4))
-        ph = PiecewiseHamiltonian(hd, det, 1.0, 20.0, coupling_correction=True)
+                                   segments=20, total_length=20.0,
+                                   seed=4)).sequences
         rows = 8 + dynamics._light_cone_depth(0.2, 20.0, 100)
         assert rows < h.dim
         got = [s[:, 0] for s in propagate(
-            h, det.sequences[None], 1.0,
-            diagonals=hd.matrix.diagonal().real[:, None],
+            h, det[None], 1.0, diagonals=hd.matrix.diagonal()[:, None],
             coupling_correction=True)]
         psi = np.zeros(h.dim, complex)
         psi[h.source_index] = 1.0
         for k, state in enumerate(got):
             assert not state[rows:].any()
             assert np.abs(state - psi).max() < 1e-12
-            if k < ph.n_segments:
-                psi = segment_propagator(ph.segment_matrix(k), 1.0) @ psi
+            if k < det.shape[1]:
+                psi = segment_propagator(
+                    segment_matrix(hd, det[:, k], True), 1.0) @ psi
         assert got[-1][rows - 1] != 0.0
 
     def test_interval_encloses_every_segment_spectrum(self):
@@ -465,11 +491,8 @@ class TestPropagate:
         for c in range(det.shape[0]):
             hd = Hamiltonian(h.matrix - np.diag(h.matrix.diagonal())
                              + np.diag(diag[:, c]), h.roles)
-            ph = PiecewiseHamiltonian(
-                hd, NoiseRealization(det[c], NoiseConfig(segments=6)),
-                total_length=6.0, coupling_correction=True)
-            for k in range(ph.n_segments):
-                w = np.linalg.eigvalsh(ph.segment_matrix(k))
+            for k in range(det.shape[2]):
+                w = np.linalg.eigvalsh(segment_matrix(hd, det[c, :, k], True))
                 assert lo <= w[0] and w[-1] <= hi
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -486,22 +509,23 @@ class TestPropagate:
         if vibration:
             h = attach_vibrational_mode(h)
         h = attach_sink(h, 20)
-        hd = apply_static_disorder(h, disorder, [seed, 1], sites="all")
+        hd = apply_static_disorder(h, disorder, [seed, 1])
         det = generate(NoiseConfig(kind=kind, amplitude=amplitude,
                                    segments=segments,
-                                   total_length=float(segments), seed=seed))
-        ph = PiecewiseHamiltonian(hd, det, 1.0, float(segments), correction)
+                                   total_length=float(segments),
+                                   seed=seed)).sequences
         psi = np.zeros(h.dim, complex)
         psi[h.source_index] = 1.0
         expected = [psi]
         for k in range(segments):
-            u = segment_propagator(ph.segment_matrix(k), 1.0 / steps)
+            u = segment_propagator(segment_matrix(hd, det[:, k], correction),
+                                   1.0 / steps)
             for _ in range(steps):
                 psi = u @ psi
                 expected.append(psi)
         got = [s[:, 0] for s in propagate(
-            h, det.sequences[None], 1.0, steps,
-            diagonals=hd.matrix.diagonal().real[:, None],
+            h, det[None], 1.0, steps,
+            diagonals=hd.matrix.diagonal()[:, None],
             coupling_correction=correction)]
         assert np.abs(np.array(got) - np.array(expected)).max() < 1e-12
 
@@ -518,10 +542,9 @@ class TestPropagate:
             run_states(h, det, diag, False, interval=(0.0, 0.1))
 
     def test_nan_detuning_rejected(self):
-        det = NoiseRealization(np.full((7, 20), np.nan), NoiseConfig())
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 10)
         with pytest.raises(PhysicsError, match="finite"):
-            evolve(PiecewiseHamiltonian(h, det), fine_step=1.0)
+            evolve(h, np.full((7, 20), np.nan), 1.0, fine_step=1.0)
 
     def test_non_finite_interval_rejected(self):
         h, det, diag = batch_inputs()
@@ -535,10 +558,10 @@ class TestPropagate:
         bad = Hamiltonian(m, h.roles)
         with pytest.raises(PhysicsError, match="sink chain"):
             list(propagate(bad, np.zeros((1, 7, 2)), 1.0))
-        m = h.matrix.copy()
+        m = h.matrix.astype(complex)
         m[0, 1], m[1, 0] = 0.1j, -0.1j
         with pytest.raises(PhysicsError, match="real"):
-            list(propagate(Hamiltonian(m, h.roles), np.zeros((1, 7, 2)), 1.0))
+            Hamiltonian(m, h.roles)
 
     def test_bessel_coefficients_match_scipy(self):
         from scipy.special import jv

@@ -6,15 +6,18 @@ import json
 import numpy as np
 import pytest
 
+from fmosim.analysis import transport_efficiency
 from fmosim.errors import PhysicsError
 from fmosim.experiments import (
     DEFAULT_GRID,
     SweepConfig,
     SweepResult,
+    _noise_seed,
     excitation_trace_study,
     noise_distribution_comparison,
     reorganization_curve,
     segment_count_study,
+    single_trace,
     sweep_dephasing,
     vibrational_comparison,
     write_manifest,
@@ -239,6 +242,25 @@ class TestExcitationTraceStudy:
         out2 = excitation_trace_study(cfg, disorders=(0.0,), amplitudes=(0.5,))
         np.testing.assert_array_equal(out[("disorder", 0.0)][1],
                                       out2[("disorder", 0.0)][1])
+
+
+# systems with disorder, the coupling correction, the vibration mode and
+# colored noise, whose first grid point is not zero
+TRACE_CASES = {
+    "disorder-correction": dict(disorder=3.0, coupling_correction=True),
+    "disorder-vibration": dict(disorder=10.0, with_vibration=True),
+    "all": dict(disorder=10.0, coupling_correction=True, with_vibration=True,
+                segments=3),
+}
+
+
+class TestSingleTrace:
+    @pytest.mark.parametrize("kw", TRACE_CASES.values(), ids=TRACE_CASES)
+    def test_trace_is_its_sweep_column(self, kw):
+        cfg = small_cfg(grid=(0.7, 1.5), noise_kind="colored", **kw)
+        tr, _ = single_trace(cfg, cfg.grid[0], _noise_seed(cfg.seed, 0, 0))
+        eta = transport_efficiency(tr)
+        assert abs(eta - sweep_dephasing(cfg).values[0, 0]) < 1e-12
 
 
 class TestOutputs:

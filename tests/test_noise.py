@@ -238,7 +238,8 @@ class TestGenerateBatch:
         # the bilinear coefficients overflow at these rates
         with np.errstate(all="ignore"), pytest.raises(PhysicsError,
                                                       match="not finite"):
-            generate_batch([NoiseConfig(filter_time_scale=time_scale)])
+            generate_batch([NoiseConfig(kind="colored",
+                                        filter_time_scale=time_scale)])
 
 
 class TestResample:
