@@ -1,0 +1,141 @@
+"""Seeding of many random streams in one pass, bit for bit as numpy seeds
+them one at a time.
+
+Every stream a study draws from is ``numpy.random.default_rng(entropy)``
+for some row of nonnegative integers (:func:`streams`), or words of
+``numpy.random.SeedSequence(entropy).generate_state`` (:func:`seed_words`).
+Built one row at a time, each costs a ``SeedSequence`` and a ``PCG64``.
+Here the ``SeedSequence`` hashing (entropy pool and ``generate_state``) runs
+for all the rows at once in numpy ``uint32`` arithmetic, which wraps modulo
+2^32 as numpy's C code does, and the PCG64 seeding steps run in Python
+integers; the results are the same bits (numpy's ``bit_generator.pyx`` and
+``pcg64.h``).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import PhysicsError
+
+MASK32 = 0xFFFF_FFFF
+#: SeedSequence's default pool size, in uint32 words.
+POOL_SIZE = 4
+#: SeedSequence's hash constants.
+INIT_A, MULT_A = 0x43B0_D7E5, 0x931E_8875
+INIT_B, MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+MIX_MULT_L, MIX_MULT_R = np.uint32(0xCA01_F9DD), np.uint32(0x4973_F715)
+XSHIFT = np.uint32(16)
+#: PCG64's 128-bit LCG multiplier.
+PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+MASK128 = (1 << 128) - 1
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int if it is a nonnegative integer; PhysicsError if not.
+
+    A negative seed is rejected rather than wrapped into another stream.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise PhysicsError(f"seed must be a nonnegative integer, got {seed!r}")
+    if seed < 0:
+        raise PhysicsError(f"seed must be nonnegative, got {seed}")
+    return int(seed)
+
+
+def entropy_words(entropy) -> list:
+    """The uint32 words ``SeedSequence(entropy)`` hashes: an int is split
+    into 32-bit words, least significant first (0 is one word), and the
+    words of a sequence's items are concatenated."""
+    if isinstance(entropy, (int, np.integer)):
+        n = int(entropy)
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words = [n & MASK32]
+        while n > MASK32:
+            n >>= 32
+            words.append(n & MASK32)
+        return words
+    return [w for item in entropy for w in entropy_words(item)]
+
+
+def _constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """(calls + 1, 1) uint32: a SeedSequence hash constant before its first
+    call and after each call, which multiplies it by ``mult``."""
+    out = [init]
+    for _ in range(calls):
+        out.append(out[-1] * mult & MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hash(values, const):
+    """SeedSequence's hashmix of ``values`` at consecutive calls: call i
+    takes row i of ``values`` (or all of a 1-D ``values``), xors in
+    ``const[i]`` and multiplies by ``const[i + 1]``."""
+    v = (values ^ const[:-1]) * const[1:]
+    return v ^ (v >> XSHIFT)
+
+
+def _mix(x, y):
+    result = MIX_MULT_L * x - MIX_MULT_R * y
+    return result ^ (result >> XSHIFT)
+
+
+def seed_words(rows, n_words: int) -> np.ndarray:
+    """(len(rows), n_words) uint64: row i is
+    ``SeedSequence(rows[i]).generate_state(n_words, np.uint64)``, where
+    each row is a list of uint32 words (:func:`entropy_words`).
+
+    The pool (POOL_SIZE words) is held as one array with a column per row.
+    Rows shorter than the pool are zero-padded to it, as the pool's own
+    fill does; the words past the pool of a longer row are mixed in by
+    SeedSequence's extra loop, applied to the rows that have them.  The
+    hash constant advances the same way for every row, so each step is
+    one array operation over all the rows.
+    """
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    width = max(POOL_SIZE, int(lengths.max(initial=0)))
+    words = np.zeros((width, len(rows)), dtype=np.uint32)
+    for length in set(lengths.tolist()):
+        # rows of one length fill their columns in one assignment
+        idx = np.flatnonzero(lengths == length)
+        words[:length, idx] = np.array([rows[i] for i in idx],
+                                       dtype=np.uint32).T
+    # hashmix calls: POOL_SIZE to fill the pool, POOL_SIZE - 1 per pool word
+    # to mix it, POOL_SIZE per word past the pool
+    const = _constants(INIT_A, MULT_A, POOL_SIZE * width)
+    pool = _hash(words[:POOL_SIZE], const[:POOL_SIZE + 1])
+    k = POOL_SIZE
+    for src in range(POOL_SIZE):
+        # word src stays fixed while it is mixed into the others
+        dst = [d for d in range(POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], const[k:k + POOL_SIZE]))
+        k += POOL_SIZE - 1
+    for src in range(POOL_SIZE, width):
+        mixed = _mix(pool, _hash(words[src], const[k:k + POOL_SIZE + 1]))
+        pool = np.where(lengths > src, mixed, pool)
+        k += POOL_SIZE
+    # generate_state: 2 n_words uint32 words, paired low half first
+    state = _hash(pool[np.arange(2 * n_words) % POOL_SIZE],
+                  _constants(INIT_B, MULT_B, 2 * n_words)).astype(np.uint64)
+    return (state[0::2] | (state[1::2] << np.uint64(32))).T
+
+
+def streams(rows):
+    """For each row of uint32 words, ``numpy.random.default_rng(row)`` in
+    the state it starts in.
+
+    One Generator is built per call and re-seeded for each row, so the
+    same object is yielded every time: draw from it before taking the
+    next row.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for s_hi, s_lo, i_hi, i_lo in seed_words(rows, 4).tolist():
+        # pcg_setseq_128_srandom_r: state 0, one step, add the seed, one step
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * PCG_MULT + inc) & MASK128
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng

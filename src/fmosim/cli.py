@@ -12,6 +12,8 @@ table, :data:`CONFIG_KEYS`, into an ``experiments.SweepConfig``, whose
 defaults fill the keys left out (no ``noise.kind`` means
 ``uniform_white``).  A key the subcommand does not read
 (:data:`UNREAD_KEYS`) gets one ``note:`` line on stderr; the run goes on.
+So does ``reproduce --realizations`` for the figures that do not read it
+(:data:`UNREAD_REALIZATIONS`).
 
 Exit codes: 0 success, 2 configuration error, 3 physics rejection (also a
 series or trace over the ``dynamics.MAX_*`` budgets), 4 I/O error.
@@ -184,6 +186,11 @@ UNREAD_KEYS = {
 }
 
 
+#: Figures of one trace per setting (figS6, figS7) or of no ensemble at
+#: all (figS9): ``reproduce --realizations`` gets a note and changes nothing.
+UNREAD_REALIZATIONS = ("figS6", "figS7", "figS9")
+
+
 def _study(doc: dict, args):
     """(SweepConfig, single-trace amplitude) of a validated document, as
     the subcommand ``args.command`` reads it; ``--seed`` overrides the
@@ -255,6 +262,9 @@ def cmd_reproduce(args) -> int:
     if fig not in FIGURE_IDS:
         raise ConfigError(
             f"unknown figure id {fig!r}; valid ids: {', '.join(FIGURE_IDS)}")
+    if args.realizations is not None and fig in UNREAD_REALIZATIONS:
+        print(f"note: reproduce {fig} does not read --realizations; ignored",
+              file=sys.stderr)
     out = _outdir(args)
     seed = args.seed if args.seed is not None else 0
     base = experiments.SweepConfig(seed=seed, threads=args.threads)

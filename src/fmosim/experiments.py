@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import analysis, dynamics, noise as noise_mod
+from . import _seeding, analysis, dynamics, noise as noise_mod
 from .errors import PhysicsError
 from .model import (DEFAULT_SINK_COUPLING, FmoSpec, Hamiltonian, attach_sink,
                     attach_vibrational_mode, build_fmo_hamiltonian,
@@ -41,9 +41,10 @@ class SweepConfig:
     """Parameters of one Monte Carlo sweep over detuning amplitude.
 
     ``sink_coupling`` (mm^-1) is both the drain-to-chain and the
-    within-chain coupling of the sink.  ``threads`` is accepted for
-    compatibility only: a study runs as one batch, so the value changes
-    neither how it executes nor its results.
+    within-chain coupling of the sink.  ``seed`` is a nonnegative integer
+    of any size.  ``threads`` is accepted for compatibility only: a study
+    runs as one batch, so the value changes neither how it executes nor
+    its results.
     """
 
     grid: tuple = DEFAULT_GRID
@@ -62,6 +63,7 @@ class SweepConfig:
     threads: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _seeding.check_seed(self.seed))
         if self.realizations < 1:
             raise PhysicsError("realizations must be >= 1")
         if not self.grid:
@@ -139,9 +141,13 @@ def _base_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
                        internal_coupling=cfg.sink_coupling)
 
 
-def _noise_seed(master: int, grid_index: int, realization: int) -> int:
-    ss = np.random.SeedSequence((master, grid_index, realization))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+def _noise_seeds(master: int, grid_indices, realizations: int) -> list:
+    """The noise seed of every realization at the given grid points, grid
+    point by grid point: ``SeedSequence((master, grid index,
+    realization)).generate_state(1, np.uint64)[0]``, seeded in one pass."""
+    rows = [_seeding.entropy_words((master, gi, r))
+            for gi in grid_indices for r in range(realizations)]
+    return _seeding.seed_words(rows, 1)[:, 0].tolist()
 
 
 def noise_config(cfg: SweepConfig, amplitude: float,
@@ -156,31 +162,35 @@ def noise_config(cfg: SweepConfig, amplitude: float,
 def _noise_configs(cfg: SweepConfig, grid_indices):
     """Noise configs of every realization at the given grid points, grid
     point by grid point."""
-    return [noise_config(cfg, cfg.grid[gi], _noise_seed(cfg.seed, gi, r))
-            for gi in grid_indices for r in range(cfg.realizations)]
+    seeds = iter(_noise_seeds(cfg.seed, grid_indices, cfg.realizations))
+    return [noise_config(cfg, cfg.grid[gi], next(seeds))
+            for gi in grid_indices for _ in range(cfg.realizations)]
 
 
-def _disorder_seed(cfg: SweepConfig, grid_index: int, realization: int):
-    return [cfg.seed, grid_index, realization, 1]
+def _diagonals(cfg: SweepConfig, base: Hamiltonian, columns) -> np.ndarray:
+    """(dim, len(columns)) diagonals of the (grid index, realization)
+    columns: the base diagonal plus each column's static disorder, drawn
+    from ``[seed, grid index, realization, 1]``, which shifts every
+    waveguide."""
+    shifts = static_disorder_shifts(
+        base.dim, cfg.disorder, [(cfg.seed, gi, r, 1) for gi, r in columns])
+    return base.matrix.diagonal()[:, None] + shifts.T
 
 
-def _diagonal(cfg: SweepConfig, base: Hamiltonian, grid_index: int,
-              realization: int) -> np.ndarray:
-    """The diagonal of one realization's column: the base diagonal plus
-    its static disorder, which shifts every waveguide."""
-    return base.matrix.diagonal() + static_disorder_shifts(
-        base.dim, cfg.disorder, _disorder_seed(cfg, grid_index, realization))
-
-
-def _evolve_study(cfg: SweepConfig, base: Hamiltonian, steps_per_segment: int):
-    """States of all the study's realizations, grid point by grid point,
-    one column each, at every step (see dynamics.propagate)."""
-    diagonals = np.stack(
-        [_diagonal(cfg, base, gi, r)
-         for gi in range(len(cfg.grid)) for r in range(cfg.realizations)],
-        axis=1)
-    detunings = noise_mod.generate_batch(
+def _detunings(cfg: SweepConfig, base: Hamiltonian) -> np.ndarray:
+    """Detunings of all the study's realizations, grid point by grid point,
+    on the network sites of ``base``."""
+    return noise_mod.generate_batch(
         _noise_configs(cfg, range(len(cfg.grid))), n_sites=len(base.fmo_indices))
+
+
+def _evolve_study(cfg: SweepConfig, base: Hamiltonian, steps_per_segment: int,
+                  detunings: np.ndarray):
+    """States of all the study's realizations, grid point by grid point,
+    one column each, at every step (see dynamics.propagate), driven by
+    ``detunings`` (see :func:`_detunings`)."""
+    diagonals = _diagonals(cfg, base, [(gi, r) for gi in range(len(cfg.grid))
+                                       for r in range(cfg.realizations)])
     return dynamics.propagate(
         base, detunings, cfg.observe_z / cfg.segments,
         steps_per_segment, diagonals=diagonals,
@@ -203,7 +213,7 @@ def _make_result(cfg: SweepConfig, values: np.ndarray) -> SweepResult:
 def sweep_dephasing(cfg: SweepConfig) -> SweepResult:
     """Mean transport efficiency at z per detuning amplitude on the grid."""
     base = _base_hamiltonian(cfg)
-    for psi in _evolve_study(cfg, base, 1):
+    for psi in _evolve_study(cfg, base, 1, _detunings(cfg, base)):
         pass
     values = _sink_fraction(psi, base.sink_indices)
     return _make_result(cfg, values.reshape(len(cfg.grid), cfg.realizations))
@@ -233,16 +243,19 @@ def vibrational_comparison(cfg: SweepConfig):
 
     Returns (positions, mean_with, mean_without), each averaged over the
     realizations at every amplitude on the grid; shapes are
-    (n_samples,), (len(grid), n_samples), (len(grid), n_samples).
+    (n_samples,), (len(grid), n_samples), (len(grid), n_samples).  Both
+    curves are driven by the same detunings, drawn once.
     """
     steps = 4
     fine = cfg.observe_z / cfg.segments / steps
+    bases = [_base_hamiltonian(replace(cfg, with_vibration=with_vibration))
+             for with_vibration in (True, False)]
+    detunings = _detunings(cfg, bases[0])
     curves = []
-    for with_vibration in (True, False):
-        base = _base_hamiltonian(replace(cfg, with_vibration=with_vibration))
+    for base in bases:
         sink = base.sink_indices
         eta = np.array([_sink_fraction(psi, sink)
-                        for psi in _evolve_study(cfg, base, steps)])
+                        for psi in _evolve_study(cfg, base, steps, detunings)])
         eta = eta.reshape(len(eta), len(cfg.grid), cfg.realizations)
         curves.append(eta.mean(axis=2).T)
     positions = np.arange(curves[0].shape[1]) * fine
@@ -274,8 +287,8 @@ def noise_distribution_comparison(cfg: SweepConfig):
         sub = replace(cfg, noise_kind=kind)
         results[kind] = sweep_dephasing(sub)
         profiles = noise_mod.generate_batch(
-            [noise_config(sub, 1.0, _noise_seed(sub.seed, 0, r))
-             for r in range(cfg.realizations)])
+            [noise_config(sub, 1.0, seed)
+             for seed in _noise_seeds(sub.seed, [0], cfg.realizations)])
         profile_means[kind] = float(profiles.mean())
     return results, profile_means
 
@@ -301,7 +314,7 @@ def single_trace(cfg: SweepConfig, amplitude: float, seed: int,
     det = noise_mod.generate(noise_config(cfg, amplitude, seed),
                              n_sites=len(base.fmo_indices))
     tr = dynamics.evolve(base, det.sequences, seg, fine_step,
-                         diagonal=_diagonal(cfg, base, 0, 0),
+                         diagonal=_diagonals(cfg, base, [(0, 0)])[:, 0],
                          coupling_correction=cfg.coupling_correction)
     return tr, det
 
@@ -314,7 +327,7 @@ def excitation_trace_study(cfg: SweepConfig,
     disorder).  Returns {(label, value): (positions, probs, argmax)}.
     """
     fine = cfg.observe_z / cfg.segments / 4.0
-    seed = _noise_seed(cfg.seed, 0, 0)
+    [seed] = _noise_seeds(cfg.seed, [0], 1)
     out = {}
     for label, value, gamma, amplitude in (
             [("disorder", float(g), float(g), 0.0) for g in disorders]

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _seeding
 from .errors import PhysicsError
 
 __all__ = [
@@ -324,18 +325,22 @@ def delta_c(c0: float, db: float) -> float:
     return effective_coupling(c0, db) - c0
 
 
-def static_disorder_shifts(n: int, gamma: float, rng_seed) -> np.ndarray:
-    """``n`` one-sided uniform site-energy shifts U(0, gamma).
+def static_disorder_shifts(n: int, gamma: float, rng_seeds) -> np.ndarray:
+    """(len(rng_seeds), n) one-sided uniform site-energy shifts U(0, gamma),
+    one row per seed.
 
-    This is the one definition of the disorder stream: the shifts are
-    drawn in site order from ``default_rng(rng_seed)``, and none are drawn
-    (all are zero) at ``gamma == 0``.
+    This is the one definition of the disorder stream: row i is drawn in
+    site order from ``default_rng(rng_seeds[i])`` (each seed a nonnegative
+    int or a sequence of them), the streams of all the rows seeded in one
+    pass; none are drawn (all are zero) at ``gamma == 0``.
     """
     if gamma < 0:
         raise PhysicsError("disorder strength must be nonnegative")
     if gamma == 0:
-        return np.zeros(n)
-    return np.random.default_rng(rng_seed).uniform(0.0, gamma, size=n)
+        return np.zeros((len(rng_seeds), n))
+    rows = [_seeding.entropy_words(seed) for seed in rng_seeds]
+    return np.array([rng.uniform(0.0, gamma, size=n)
+                     for rng in _seeding.streams(rows)])
 
 
 def apply_static_disorder(h: Hamiltonian, gamma: float, rng_seed) -> Hamiltonian:
@@ -346,7 +351,7 @@ def apply_static_disorder(h: Hamiltonian, gamma: float, rng_seed) -> Hamiltonian
     same convention, passing the shifts to dynamics.propagate as its
     ``diagonals``.
     """
-    shifts = static_disorder_shifts(h.dim, gamma, rng_seed)
+    shifts = static_disorder_shifts(h.dim, gamma, [rng_seed])[0]
     if gamma == 0:
         return h
     m = h.matrix.copy()

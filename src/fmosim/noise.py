@@ -6,8 +6,11 @@ segment, in mm^-1.  Five distribution families are supported; the
 response 1/(10 s + 1) + 1/(100 s^2 + 10 s + 1) and therefore carries
 memory across segments, unlike the white families.
 
-Every (seed, site) pair draws from its own stream, so a realization does
-not depend on which others are generated with it.  :func:`generate_batch`
+Every (seed, site) pair draws from its own stream,
+``default_rng([seed, site])``, so a realization does not depend on which
+others are generated with it; the streams of a whole batch are seeded in
+one pass (``_seeding.streams``), bit for bit as ``default_rng`` seeds
+them one at a time.  :func:`generate_batch`
 draws all the realizations of a study at once; the colored filter is plain
 numpy (bilinear discretization, then a third-order recurrence applied to
 the whole batch elementwise), so each row is bit-for-bit the same as when
@@ -23,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _seeding
 from .errors import PhysicsError
 
 __all__ = ["NoiseConfig", "NoiseRealization", "generate", "generate_batch",
@@ -49,7 +53,8 @@ class NoiseConfig:
 
     ``amplitude`` is the detuning amplitude in mm^-1, ``segments`` the
     sequence length and ``total_length`` the evolution length in mm, so
-    the sampling frequency is ``segments / total_length``.
+    the sampling frequency is ``segments / total_length``.  ``seed`` is a
+    nonnegative integer of any size.
 
     ``normalization`` defaults to "none" for uniform_white (whose samples
     already live on [0, amplitude]) and "by_max" for the other kinds.
@@ -72,6 +77,7 @@ class NoiseConfig:
     filter_time_scale: float = 0.2
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _seeding.check_seed(self.seed))
         if self.kind not in NOISE_KINDS:
             raise PhysicsError(f"unknown noise kind {self.kind!r}; choose from {NOISE_KINDS}")
         for name in ("amplitude", "total_length", "filter_time_scale"):
@@ -183,16 +189,11 @@ def _colored_filter(white: np.ndarray, rate: float) -> np.ndarray:
     return y.T
 
 
-def _site_rng(seed: int, site: int) -> np.random.Generator:
-    # Substream per (seed, site): generation order across sites is irrelevant.
-    return np.random.default_rng([seed, site])
-
-
 def _draw(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
     """One site's raw samples; for "colored", the white input of the
     filter, burn-in included."""
     if kind == "uniform_white":
-        return rng.uniform(0.0, 1.0, n)
+        return rng.random(n)     # the bits of rng.uniform(0.0, 1.0, n)
     if kind == "colored":
         return rng.standard_normal(n + FILTER_BURN_IN)
     if kind == "normal_abs":
@@ -219,8 +220,13 @@ def _scaled_profiles(configs, kind: str, rate, n_sites: int,
                      segments: int) -> np.ndarray:
     """(len(configs), n_sites, segments) sequences of configs that are all
     of ``kind`` and, if colored, filtered at ``rate``."""
-    draws = np.stack([_draw(kind, _site_rng(c.seed, site), segments)
-                      for c in configs for site in range(n_sites)])
+    # the entropy of stream (seed, site): the seed's words, then the site's
+    # one word
+    rows = [words + [site]
+            for words in (_seeding.entropy_words(c.seed) for c in configs)
+            for site in range(n_sites)]
+    draws = np.array([_draw(kind, rng, segments)
+                      for rng in _seeding.streams(rows)])
     if kind == "colored":
         draws = np.abs(_colored_filter(draws, rate))
     profiles = draws.reshape(len(configs), n_sites, segments)

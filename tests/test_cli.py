@@ -277,6 +277,13 @@ class TestSweep:
         assert manifest["seed"] == 3
         assert manifest["config"]["realizations"] == 2
 
+    def test_seed_past_64_bits_runs(self, tmp_path):
+        # the CLI schema takes any nonnegative seed; 2**70 is three words
+        path = write_config(tmp_path, base_config(seed=2**70))
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 2**70
+
     def test_sink_coupling_is_honoured(self, tmp_path):
         summaries = []
         for coupling in (0.2, 0.9):
@@ -373,6 +380,25 @@ class TestReproduce:
         assert (out / "fig3b_fit.csv").exists()
         printed = capsys.readouterr().out
         assert "R^2" in printed
+
+    @pytest.mark.parametrize("fig", FIGURE_IDS)
+    def test_realizations_note_only_where_unread(self, tmp_path, fig, capsys):
+        assert main(["reproduce", fig, "--realizations", "1",
+                     "--out", str(tmp_path / fig)]) == EXIT_OK
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("note:")]
+        unread = fig in ("figS6", "figS7", "figS9")
+        assert notes == ([f"note: reproduce {fig} does not read "
+                          "--realizations; ignored"] if unread else [])
+
+    @pytest.mark.parametrize("fig", ["figS6", "figS7", "figS9"])
+    def test_unread_realizations_change_no_file(self, tmp_path, fig):
+        runs = []
+        for name, extra in (("plain", []), ("flag", ["--realizations", "50"])):
+            out = tmp_path / name
+            assert main(["reproduce", fig, "--out", str(out), *extra]) == EXIT_OK
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert runs[0] and runs[0] == runs[1]
 
 
 class TestAnalyzeImage:

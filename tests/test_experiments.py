@@ -12,7 +12,7 @@ from fmosim.experiments import (
     DEFAULT_GRID,
     SweepConfig,
     SweepResult,
-    _noise_seed,
+    _noise_seeds,
     excitation_trace_study,
     noise_distribution_comparison,
     reorganization_curve,
@@ -48,6 +48,17 @@ class TestSweepConfig:
             SweepConfig(grid=(1.0, 0.5))
         with pytest.raises(PhysicsError):
             SweepConfig(disorder=-1.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_seed_not_a_nonnegative_integer_rejected(self, seed):
+        # a negative seed would wrap into another stream under uint64
+        with pytest.raises(PhysicsError, match="seed"):
+            SweepConfig(seed=seed)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        cfg = SweepConfig(seed=np.int64(7))
+        assert type(cfg.seed) is int
+        assert cfg.config_hash() == SweepConfig(seed=7).config_hash()
 
     def test_hash_stable_and_sensitive(self):
         a = small_cfg()
@@ -160,7 +171,7 @@ class TestReorganizationCurve:
         # the loop the batched study replaced: one noise realization and
         # one periodogram per sequence
         from fmosim import analysis
-        from fmosim.experiments import _noise_seed, noise_config
+        from fmosim.experiments import noise_config
         from fmosim.noise import generate
         cfg = small_cfg(grid=(0.0, 0.4, 1.0), realizations=4,
                         noise_kind="colored")
@@ -168,8 +179,9 @@ class TestReorganizationCurve:
         for gi, amplitude in enumerate(cfg.grid[1:], start=1):
             var, energy = [], []
             for r in range(cfg.realizations):
-                ncfg = noise_config(cfg, amplitude,
-                                    _noise_seed(cfg.seed, gi, r))
+                ss = np.random.SeedSequence((cfg.seed, gi, r))
+                ncfg = noise_config(
+                    cfg, amplitude, int(ss.generate_state(1, np.uint64)[0]))
                 for row in generate(ncfg).sequences:
                     var.append(analysis.variance(row))
                     energy.append(analysis.reorganization_energy(
@@ -258,7 +270,8 @@ class TestSingleTrace:
     @pytest.mark.parametrize("kw", TRACE_CASES.values(), ids=TRACE_CASES)
     def test_trace_is_its_sweep_column(self, kw):
         cfg = small_cfg(grid=(0.7, 1.5), noise_kind="colored", **kw)
-        tr, _ = single_trace(cfg, cfg.grid[0], _noise_seed(cfg.seed, 0, 0))
+        [seed] = _noise_seeds(cfg.seed, [0], 1)
+        tr, _ = single_trace(cfg, cfg.grid[0], seed)
         eta = transport_efficiency(tr)
         assert abs(eta - sweep_dephasing(cfg).values[0, 0]) < 1e-12
 
@@ -294,3 +307,52 @@ class TestOutputs:
         write_manifest(cfg, p1)
         write_manifest(cfg, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _numpy_streams(rows):
+    # numpy's own seeding, one row at a time: a row of uint32 words is the
+    # same entropy as the seeds it was split from
+    for row in rows:
+        yield np.random.default_rng(row)
+
+
+def _numpy_words(rows, n_words):
+    return np.array([np.random.SeedSequence(row).generate_state(n_words,
+                                                                np.uint64)
+                     for row in rows])
+
+
+class TestSeeding:
+    # seeds of one, two, three and three words; the disorder rows then
+    # have 4 to 6 words, past SeedSequence's pool of 4
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1, 2**70])
+    def test_study_is_the_one_numpy_seeds_row_by_row(self, seed,
+                                                     monkeypatch):
+        from fmosim import _seeding
+        cfg = small_cfg(seed=seed, noise_kind="colored", disorder=3.0,
+                        grid=(0.0, 0.6, 1.4))
+        batched = sweep_dephasing(cfg)
+        points, _ = reorganization_curve(cfg)
+        monkeypatch.setattr(_seeding, "streams", _numpy_streams)
+        monkeypatch.setattr(_seeding, "seed_words", _numpy_words)
+        oracle = sweep_dephasing(cfg)
+        oracle_points, _ = reorganization_curve(cfg)
+        assert batched.values.tobytes() == oracle.values.tobytes()
+        assert points.tobytes() == oracle_points.tobytes()
+
+    def test_vibrational_comparison_draws_the_noise_once(self, monkeypatch):
+        from fmosim import noise
+        cfg = small_cfg(grid=(0.0, 0.8), realizations=2, disorder=3.0)
+        before = vibrational_comparison(cfg)
+        calls = []
+        real = noise.generate_batch
+
+        def spy(configs, n_sites=7):
+            calls.append(len(configs))
+            return real(configs, n_sites)
+
+        monkeypatch.setattr(noise, "generate_batch", spy)
+        after = vibrational_comparison(cfg)
+        assert calls == [len(cfg.grid) * cfg.realizations]
+        for a, b in zip(before, after):
+            assert a.tobytes() == b.tobytes()

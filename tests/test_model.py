@@ -275,7 +275,7 @@ class TestStaticDisorder:
             h = attach_sink(attach_vibrational_mode(h), 10)
         for seed in ([5, 0, 1, 1], 17):
             expected = h.matrix.diagonal() + static_disorder_shifts(
-                h.dim, gamma, seed)
+                h.dim, gamma, [seed])[0]
             got = apply_static_disorder(h, gamma, seed)
             np.testing.assert_array_equal(got.matrix.diagonal(), expected)
             off = ~np.eye(h.dim, dtype=bool)
@@ -283,7 +283,7 @@ class TestStaticDisorder:
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(PhysicsError):
-            static_disorder_shifts(7, -1.0, 0)
+            static_disorder_shifts(7, -1.0, [0])
 
 
 class TestChipPlan:

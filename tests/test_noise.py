@@ -32,6 +32,19 @@ def long_config(kind, amplitude=1.0, n=100_000, seed=0):
 
 
 class TestConfig:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_seed_not_a_nonnegative_integer_rejected(self, seed):
+        with pytest.raises(PhysicsError, match="seed"):
+            NoiseConfig(seed=seed)
+
+    def test_seed_of_several_words_is_the_numpy_stream(self):
+        # 2**70 splits into three 32-bit words, so [seed, site] has four
+        cfg = NoiseConfig(amplitude=1.0, segments=8, seed=2**70)
+        got = generate(cfg, n_sites=3).sequences
+        for site in range(3):
+            want = np.random.default_rng([2**70, site]).uniform(0.0, 1.0, 8)
+            np.testing.assert_array_equal(got[site], want)
+
     def test_sampling_frequency(self):
         cfg = NoiseConfig(segments=20, total_length=20.0)
         assert cfg.sampling_frequency == pytest.approx(1.0)
@@ -102,7 +115,7 @@ class TestGenerate:
         def no_draw(*_args):
             raise AssertionError("a zero-amplitude realization drew noise")
 
-        monkeypatch.setattr(noise_mod, "_site_rng", no_draw)
+        monkeypatch.setattr(noise_mod._seeding, "streams", no_draw)
         cfg = NoiseConfig(kind=kind, amplitude=0.0, segments=13, seed=9)
         got = generate(cfg, n_sites=5)
         explicit = NoiseRealization(np.zeros((5, 13)), cfg)

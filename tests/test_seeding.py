@@ -1,0 +1,116 @@
+"""The batched seeding of the random streams, pinned bit for bit against
+numpy's own one-at-a-time seeding: ``default_rng([seed, site])`` for the
+noise, ``SeedSequence((master, grid, realization))`` for the noise seeds
+and ``default_rng([master, grid, realization, 1])`` for the disorder."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fmosim import _seeding, experiments, model, noise
+from fmosim._seeding import entropy_words, seed_words, streams
+from fmosim.errors import PhysicsError
+
+# seeds of one, two and three 32-bit words, so that one batch mixes rows
+# of several lengths
+MASTER = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                   st.integers(2**64, 2**70 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(MASTER, st.integers(0, 63)), min_size=1,
+                      max_size=8),
+       kind=st.sampled_from(noise.NOISE_KINDS))
+def test_site_streams_are_default_rng(pairs, kind):
+    # rows as noise.generate_batch builds them: the seed's words, the site
+    rows = [entropy_words(seed) + [site] for seed, site in pairs]
+    for (seed, site), rng in zip(pairs, streams(rows)):
+        ref = np.random.default_rng([seed, site])
+        assert rng.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(noise._draw(kind, rng, 20),
+                                      noise._draw(kind, ref, 20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(master=MASTER, grid_indices=st.lists(st.integers(0, 20), min_size=1,
+                                            max_size=4),
+       realizations=st.integers(1, 5))
+def test_noise_seeds_are_seed_sequence_words(master, grid_indices,
+                                             realizations):
+    got = experiments._noise_seeds(master, grid_indices, realizations)
+    want = [int(np.random.SeedSequence((master, gi, r)).generate_state(
+        1, np.uint64)[0]) for gi in grid_indices for r in range(realizations)]
+    assert got == want
+    assert all(type(seed) is int for seed in got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(masters=st.lists(MASTER, min_size=1, max_size=6),
+       cell=st.tuples(st.integers(0, 20), st.integers(0, 99)),
+       gamma=st.floats(0.5, 100.0))
+# master seeds that give the disorder rows 4, 5 and 6 entropy words
+@example(masters=[2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 - 1],
+         cell=(3, 7), gamma=10.0)
+def test_disorder_streams_are_default_rng(masters, cell, gamma):
+    seeds = [(m, *cell, 1) for m in masters]
+    assert {len(entropy_words(s)) for s in seeds} <= {4, 5, 6}
+    got = model.static_disorder_shifts(9, gamma, seeds)
+    rows = [entropy_words(s) for s in seeds]
+    for seed, row, rng in zip(seeds, got, streams(rows)):
+        ref = np.random.default_rng(list(seed))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(row, ref.uniform(0.0, gamma, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=1,
+                              max_size=11), min_size=1, max_size=6),
+       n_words=st.integers(1, 9))
+def test_seed_words_are_generate_state(rows, n_words):
+    # rows longer than the pool run its extra mixing loop
+    for row, words in zip(rows, seed_words(rows, n_words)):
+        np.testing.assert_array_equal(
+            words, np.random.SeedSequence(row).generate_state(n_words,
+                                                              np.uint64))
+
+
+@pytest.mark.parametrize("entropy", [0, 1, 2**32 - 1, 2**32, 2**64 + 1,
+                                     [2**70, 0, 5], (3, [4, 2**40])])
+def test_entropy_words_are_numpys(entropy):
+    from numpy.random.bit_generator import _coerce_to_uint32_array
+    assert entropy_words(entropy) == _coerce_to_uint32_array(entropy).tolist()
+
+
+@pytest.mark.parametrize("entropy,error", [(-1, ValueError), ([3, -2], ValueError),
+                                           (1.5, TypeError)])
+def test_entropy_words_reject_what_numpy_rejects(entropy, error):
+    with pytest.raises(error):
+        entropy_words(entropy)
+    with pytest.raises(error):
+        np.random.default_rng(entropy)
+
+
+def test_interleaved_calls_share_no_state():
+    # each call builds its own generator, so two batches drawn in turns
+    # give what each gives alone
+    a = [[1, s] for s in range(5)]
+    b = [entropy_words(2**40) + [s] for s in range(5)]
+    alone = [[rng.random(3) for rng in streams(rows)] for rows in (a, b)]
+    turns = [(ra.random(3), rb.random(3))
+             for ra, rb in zip(streams(a), streams(b))]
+    for (x, y), xa, yb in zip(turns, *alone):
+        np.testing.assert_array_equal(x, xa)
+        np.testing.assert_array_equal(y, yb)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None])
+def test_check_seed_rejects_non_integers(seed):
+    with pytest.raises(PhysicsError, match="seed"):
+        _seeding.check_seed(seed)
+
+
+def test_check_seed_keeps_large_and_numpy_integers():
+    assert _seeding.check_seed(2**70) == 2**70
+    got = _seeding.check_seed(np.uint64(2**63))
+    assert got == 2**63 and type(got) is int
