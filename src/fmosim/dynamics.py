@@ -7,11 +7,11 @@ sink and the optional vibration waveguide stay undetuned.
 :func:`propagate` evolves a whole batch of realizations at once, one
 column of the state array per realization.  Within a segment it applies
 exp(-i H dz) as a Chebyshev series (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-3967 (1984)) on a spectral interval bounded by Gershgorin discs, truncated
-where the Bessel coefficients fall below 1e-16; a step agrees with the
-exact propagator to about 1e-14.  The matrix-vector product follows the
-array's structure: a banded einsum applies the diagonals and the
-nearest-neighbour sink chain to terms padded with a zero ghost row at
+3967 (1984)) on a spectral interval enclosing every segment's spectrum,
+truncated where the Bessel coefficients fall below 1e-16; a step agrees
+with the exact propagator to about 1e-14.  The matrix-vector product
+follows the array's structure: a banded einsum applies the diagonals and
+the nearest-neighbour sink chain to terms padded with a zero ghost row at
 either end, and a second einsum applies the dense block over the network
 sites, the optional vibration mode and the first sink, into which the
 drain-to-sink link is folded.  A step holds at most TERMS_HELD terms of a
@@ -23,12 +23,18 @@ other columns share its batch.
 
 The sink chain only has to look irreversible over the chip, so the light
 never reaches its far end.  :func:`propagate` evolves only the light cone:
-the network rows and the first L chain waveguides, where L is the
-smallest depth whose cut moves the state by at most LIGHT_CONE_TOL over
-the whole propagation (a Lieb-Robinson-style bound; Lieb & Robinson,
-Commun. Math. Phys. 28, 251 (1972)).  The rows past the window are exact
-zeros in the yielded states.  L depends only on the chain couplings and
-the propagation length, never on the detunings or diagonals.
+in each segment, the network rows and the first L_k chain waveguides,
+where L_k is the smallest depth whose cut moves the state by at most
+LIGHT_CONE_TOL over the whole propagation, from a Combes-Thomas bound at
+the segment's end (Combes & Thomas, Commun. Math. Phys. 34, 251 (1973)).
+The window grows from segment to segment; on the default chip (20
+segments of 1 mm, chain coupling 0.2 mm^-1) the depths run 13, 15, 17,
+... 33, 34 of the 100 sink waveguides.  The rows past the window are exact
+zeros in the yielded states.  The depths depend only on the chain
+couplings and the segment ends, never on the detunings or diagonals.  The
+spectral interval is the intersection of a Weyl bound (the base window's
+extreme eigenvalues moved by each column's diagonal offsets) and the
+Gershgorin discs of the window rows.
 
 :func:`evolve` is :func:`propagate` on one column, recorded into an
 :class:`EvolutionTrace`; the excitation traces run through it.
@@ -184,14 +190,12 @@ def _batch(h: Hamiltonian, detunings, diagonals):
     return det, diag
 
 
-def _segment(st: _Structure, diag, det_k, coupling_correction: bool):
-    """Diagonal (dim, R) and block (nb, nb, R or 1) of one segment.
+def _block(st: _Structure, det_k, coupling_correction: bool):
+    """Block (nb, nb, C) of one segment, or (nb, nb, 1) shared by all.
 
-    ``det_k`` is the segment's (sites, R) detuning.  Without the coupling
+    ``det_k`` is the segment's (sites, C) detuning.  Without the coupling
     correction every column shares the base block.
     """
-    d = diag.copy()
-    d[st.sites] += det_k
     block = st.block[:, :, None]
     if coupling_correction:
         block = np.repeat(block, det_k.shape[1], axis=2)
@@ -203,27 +207,84 @@ def _segment(st: _Structure, diag, det_k, coupling_correction: bool):
             ceff = np.sign(c0) * effective_coupling(
                 abs(c0), 0.5 * (det_k[a] + det_k[a + 1]))
             block[i, j] = block[j, i] = ceff
-    return d, block
+    return block
 
 
 def spectral_interval(h: Hamiltonian, detunings, diagonals=None,
                       coupling_correction: bool = False) -> tuple:
     """(lo, hi) enclosing the spectrum of every segment of every column.
 
-    The bound is the union of the Gershgorin discs of all the segment
-    matrices, so it depends on the whole batch; pass it to
-    :func:`propagate` to run a subset of the columns on the same interval.
+    The bound (see :func:`_interval`) is taken over the whole matrix, so it
+    encloses every light-cone window too and depends on the whole batch;
+    pass it to :func:`propagate` to run a subset of the columns on the same
+    interval.  :func:`propagate`'s default is the same bound over the rows
+    it evolves, which is never wider.
     """
     st = _structure(h)
     det, diag = _batch(h, detunings, diagonals)
-    lo, hi = math.inf, -math.inf
-    for k in range(det.shape[2]):
-        d, block = _segment(st, diag, det[:, :, k].T, coupling_correction)
-        r = np.repeat(st.chain_radius[:, None], d.shape[1], axis=1)
-        r[:len(block)] += np.abs(block).sum(axis=1)
-        lo = min(lo, float((d - r).min()))
-        hi = max(hi, float((d + r).max()))
-    return lo, hi
+    return _interval(h, st, det, diag, coupling_correction, h.dim)
+
+
+def _interval(h: Hamiltonian, st: _Structure, det, diag,
+              coupling_correction: bool, rows: int) -> tuple:
+    """(lo, hi) enclosing the spectra of the leading ``rows`` x ``rows``
+    windows of every segment matrix of every column.
+
+    It is the intersection of two enclosures, each taken in one pass over
+    all the segments and columns:
+
+    - Weyl: a window is the base Hamiltonian's window, plus a diagonal
+      offset (the detunings and the disorder), plus the change the coupling
+      correction makes.  So its eigenvalues lie within the base window's
+      extreme eigenvalues (one ``eigvalsh``, widened by its rounding),
+      moved by the column's least and largest diagonal offset and widened
+      by the infinity norm of the change.
+    - Gershgorin: the union of the discs of the window rows.
+
+    By Cauchy interlacing the interval also encloses every smaller window.
+    It is never wider than the Gershgorin union alone, which Weyl beats
+    unless the offsets spread far wider than the coupling (strong disorder
+    on a few columns).  The ``eigvalsh`` sees the base window only, never a
+    column.  (inf, -inf) when there is no segment.
+    """
+    sites = st.sites
+    rest = np.ones(rows, bool)
+    rest[sites] = False
+    base = h.matrix.diagonal()[:rows]
+    static = diag[:rows][rest]                            # (rows - sites, R)
+    net = diag[sites][:, :, None] + det.transpose(1, 0, 2)  # (sites, R, S)
+    radius = st.chain_radius[:rows].copy()
+    nb = min(len(st.block), rows)
+    radius[:nb] += np.abs(st.block).sum(axis=1)[:nb]
+    # row sums of |change| the coupling correction makes on the network
+    grow = np.zeros(net.shape)
+    if coupling_correction:
+        for a in range(len(sites) - 1):
+            c0 = abs(st.block[sites[a], sites[a + 1]])
+            if c0 == 0.0:
+                continue
+            dc = effective_coupling(c0, 0.5 * (det[:, a] + det[:, a + 1])) - c0
+            grow[a] += dc
+            grow[a + 1] += dc
+    inf = math.inf
+    net_r = radius[sites][:, None, None] + grow
+    lo_g = min((static - radius[rest, None]).min(initial=inf),
+               (net - net_r).min(initial=inf))
+    hi_g = max((static + radius[rest, None]).max(initial=-inf),
+               (net + net_r).max(initial=-inf))
+
+    lam = np.linalg.eigvalsh(h.matrix[:rows, :rows])
+    slack = rows * np.finfo(float).eps * float(np.abs(lam).max())
+    off = static - base[rest, None]
+    off_net = net - base[sites, None, None]
+    change = grow.max(axis=0, initial=0.0)                # (R, S)
+    lo_off = np.minimum(off_net.min(axis=0, initial=inf),
+                        off.min(axis=0, initial=inf)[:, None]) - change
+    hi_off = np.maximum(off_net.max(axis=0, initial=-inf),
+                        off.max(axis=0, initial=-inf)[:, None]) + change
+    lo_w = float(lam[0]) - slack + lo_off.min(initial=inf)
+    hi_w = float(lam[-1]) + slack + hi_off.max(initial=-inf)
+    return max(lo_g, lo_w), min(hi_g, hi_w)
 
 
 def _bessel_j(x: float, n: int) -> np.ndarray:
@@ -286,29 +347,48 @@ def _check_norm(x: np.ndarray) -> None:
             "diverges on a spectral interval that is too narrow)")
 
 
-def _light_cone_depth(coupling: float, length: float, max_depth: int) -> int:
-    """Smallest chain depth L with coupling * length * B(L) <= LIGHT_CONE_TOL.
+def _cone_log_weight(depth: int, a: float) -> float:
+    """log E(depth, t), a = 2 c t: the Combes-Thomas bound on the weight at
+    chain depth ``depth`` and beyond (see :func:`propagate`).
 
-    B(L) = sum_{k >= L} a^k / k!, a = 2 coupling length, bounds the part
-    of the state at depth L (see :func:`propagate`).  It is summed from its
-    high-order end, which bounds the terms past ``max_depth`` by a geometric
-    series, so no partial sum is subtracted from exp(a).  Returns
-    ``max_depth`` (the whole chain) when no shallower cut is small enough.
+    E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L), reached at
+    cosh mu = L / 2ct, which gives sqrt(L^2 - a^2) - L arccosh(L / a) for
+    L > a, and at mu = 0 otherwise, where the bound is 1.
     """
-    scale = coupling * length
-    a = 2.0 * scale
-    if scale == 0.0 or max_depth == 0:
-        return 0
-    if a >= max_depth:  # then B(L) >= a^L / L! >= 1 for every L < max_depth
-        return max_depth
-    log_a = math.log(a)
-    term = math.exp(max_depth * log_a - math.lgamma(max_depth + 1))
-    tail = term / (1.0 - a / (max_depth + 1))  # B(max_depth)
-    for depth in range(max_depth - 1, -1, -1):
-        tail += math.exp(depth * log_a - math.lgamma(depth + 1))
-        if scale * tail > LIGHT_CONE_TOL:
-            return depth + 1
-    return 0
+    if depth <= a:
+        return 0.0
+    return math.sqrt(depth * depth - a * a) - depth * math.acosh(depth / a)
+
+
+def _light_cone_depths(coupling: float, ends, max_depth: int) -> list:
+    """Chain depth L_k of the window of each segment, from its end t_k.
+
+    L_k is the smallest depth with c T E(L_k, t_k) <= LIGHT_CONE_TOL, where
+    c is ``coupling`` and T the last end (the whole propagation), capped at
+    ``max_depth`` (the whole chain).  E grows with t, so the depths never
+    decrease.
+    """
+    if coupling == 0.0 or not len(ends):
+        return [0] * len(ends)
+    budget = (math.log(LIGHT_CONE_TOL) - math.log(coupling)
+              - math.log(ends[-1]))
+    depths, depth = [], 0
+    for t in ends:
+        a = 2.0 * coupling * t
+        while depth < max_depth and _cone_log_weight(depth, a) > budget:
+            depth += 1
+        depths.append(depth)
+    return depths
+
+
+def _windows(st: _Structure, dim: int, segment_length: float,
+             segments: int) -> list:
+    """Rows evolved in each segment: the non-sink rows and the segment's
+    light-cone depth of the chain (see :func:`propagate`)."""
+    coupling = max(abs(st.link), float(np.abs(st.chain).max(initial=0.0)))
+    ends = [segment_length * (k + 1) for k in range(segments)]
+    return [st.n0 + d for d in _light_cone_depths(coupling, ends,
+                                                  dim - st.n0)]
 
 
 def _buffer_shape(n_terms: int, rows: int, n_real: int) -> tuple:
@@ -358,8 +438,9 @@ def _chebyshev_step(x, coeff, block, weights, terms, bands, cos_t, sin_t):
     call is an elementwise loop over the columns, so a column's result
     does not depend on the others (no BLAS, which may reorder sums).
     """
-    cols = x.shape[1]
-    terms, bands = terms[..., :cols], bands[..., :cols]
+    rows, cols = x.shape
+    terms = terms[:, :rows + 2, :cols]
+    bands = bands[:, :, :rows, :cols]
     held, n_terms, nb = len(terms), len(weights), block.shape[0]
     pattern = "ij,jr->ir" if block.ndim == 2 else "ijr,jr->ir"
     even = odd = None
@@ -408,9 +489,10 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     Every column starts with a unit excitation at the source site.  The
     generator yields a fresh (dim, R) complex array: the initial state,
     then the state after each of ``steps_per_segment`` equal steps per
-    segment.  ``interval`` defaults to :func:`spectral_interval` of the
-    batch.  Raises PhysicsError if any column's norm drifts by more than
-    NORM_TOL.
+    segment.  ``interval`` defaults to the spectral interval of the batch
+    over the largest window (:func:`_interval`), which is never wider than
+    :func:`spectral_interval`.  Raises PhysicsError if any column's norm
+    drifts by more than NORM_TOL.
 
     Each Chebyshev term costs four numpy calls (see
     :func:`_chebyshev_step`): a banded einsum for the chain bonds and the
@@ -425,21 +507,37 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     column's result does not depend on which other columns share its
     batch.
 
-    Only the light cone of the sink chain is evolved: rows ``[:n0 + L]``,
-    where n0 counts the non-sink rows, and every row past them holds an
-    exact zero.  With c the largest absolute coupling on the drain link
-    and along the chain and T the propagation length, L is the smallest
-    depth with c T B(L) <= LIGHT_CONE_TOL, B(L) = sum_{k >= L} (2 c T)^k /
-    k!.  The bound: the network block, the vibration mode and every
-    diagonal (detunings, disorder and the coupling correction included)
-    keep the chain depth fixed, while the link and the chain bonds, of norm
-    at most 2 c together, change it by exactly 1.  The source is at depth
-    0, so in the interaction-picture Dyson series the state at depth m
-    has norm at most B(m), and cutting the bond below depth L moves the
-    state by at most c T B(L).  The window is a leading principal
-    submatrix, whose spectrum lies inside the interval of the full matrix.
-    L depends on c and T only, so a column run alone and in a batch share
-    the window.
+    Only the light cone of the sink chain is evolved: in segment k, rows
+    ``[:n0 + L_k]``, where n0 counts the non-sink rows, and every row past
+    them holds an exact zero.  With c the largest absolute coupling on the
+    drain link and along the chain, t_k the end of segment k and T the
+    propagation length, L_k is the smallest depth with
+    c T E(L_k, t_k) <= LIGHT_CONE_TOL, capped at the chain length, where
+    E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L), in closed form
+    at cosh mu = L / 2ct (see :func:`_cone_log_weight`).  The proof:
+
+    - Let N be the chain-depth operator: 0 on the network rows and the
+      vibration mode, m on the m-th sink waveguide.  The network block
+      (the coupling correction included) and every diagonal (detunings and
+      disorder included) commute with N.  So e^{mu N} H e^{-mu N} - H =
+      (e^mu - 1) V+ + (e^-mu - 1) V-, where V+ is the part of H that raises
+      the depth (the drain link and the chain bonds, ||V+|| <= c) and
+      V- = V+^T.  Its anti-Hermitian part is sinh mu (V+ - V-), of norm at
+      most 2 c sinh mu.  The source is at depth 0, so
+      ||e^{mu N} psi(t)|| <= e^{2 c t sinh mu} (Combes & Thomas, Commun.
+      Math. Phys. 34, 251 (1973)), and the weight at depth L and beyond is
+      at most e^{-mu L} times that, for every mu >= 0: at most E(L, t).
+    - Cutting the bond below depth L_k during segment k changes the
+      generator by that bond alone, which acts on the weight at depth L_k
+      and beyond with norm at most c.  Duhamel's formula then bounds the
+      total cut error by c sum_k Delta_k E(L_k, t_k) <= LIGHT_CONE_TOL,
+      since E grows with t and the segment lengths Delta_k sum to T.
+
+    E grows with t, so the windows never shrink: a smaller window is a
+    leading principal submatrix of a larger one, and by Cauchy interlacing
+    the interval of the largest window (:func:`_interval`) encloses the
+    spectra of all of them.  The depths depend on c and the segment ends
+    only, so a column run alone and in a batch share the windows.
     """
     st = _structure(h)
     det, diag = _batch(h, detunings, diagonals)
@@ -447,8 +545,11 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
         raise PhysicsError("segment length must be positive and finite")
     if steps_per_segment < 1:
         raise PhysicsError("steps_per_segment must be >= 1")
+    n0, n_real, sites = st.n0, det.shape[0], st.sites
+    windows = _windows(st, h.dim, segment_length, det.shape[2])
+    rows = max(windows, default=n0)
     if interval is None:
-        interval = spectral_interval(h, det, diag, coupling_correction)
+        interval = _interval(h, st, det, diag, coupling_correction, rows)
     lo, hi = (float(v) for v in interval)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise PhysicsError(f"invalid spectral interval ({lo:g}, {hi:g})")
@@ -457,22 +558,19 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     weights = _chebyshev_weights(half * dt)
     cos_t, sin_t = math.cos(center * dt), math.sin(center * dt)
     scale = 2.0 / half if half > 0 else 0.0
-    n0, n_real = st.n0, det.shape[0]
-    coupling = max(abs(st.link), float(np.abs(st.chain).max(initial=0.0)))
-    depth = _light_cone_depth(coupling, det.shape[2] * segment_length,
-                              h.dim - n0)
-    rows = n0 + depth
-    # no sink row is evolved only when the link is zero or nothing is stepped
-    nb = min(len(st.block), rows)
-    diag = diag[:rows]
-    chain = st.chain[:max(depth - 1, 0), None] * scale
 
-    # Column chunks of at most `width` realizations share one term buffer
-    # and one band array, whose chain bonds are the same for every column.
+    # The term buffer, its band view, the chain bonds and the scaled
+    # diagonals are built once for the largest window, and a segment uses
+    # their leading rows.  Column chunks of at most `width` realizations
+    # share the buffer and the bands.  The windows never shrink, so no row
+    # past a segment's window has been written yet: the ghost row below it
+    # is still zero, which cuts the chain bond there.
     held, width = _buffer_shape(len(weights), rows, n_real)
     terms, bands = _term_buffer(held, rows, 2 * width)
     coeff = np.zeros((3, rows, 2 * width))
-    coeff[0, n0 + 1:] = coeff[2, n0:rows - 1] = chain
+    coeff[0, n0 + 1:] = coeff[2, n0:rows - 1] = \
+        st.chain[:max(rows - n0 - 1, 0), None] * scale
+    scaled = np.repeat((diag[:rows] - center) * scale, 2, axis=1)
 
     def padded(x):
         out = np.zeros((h.dim, x.shape[1]))
@@ -484,21 +582,23 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     x = np.zeros((rows, 2 * n_real))
     x[h.source_index, 0::2] = 1.0
     yield padded(x)
-    for k in range(det.shape[2]):
-        d, block = _segment(st, diag, det[:, :, k].T, coupling_correction)
-        d = np.repeat((d - center) * scale, 2, axis=1)
-        block = block[:nb, :nb] * scale
+    for k, r in enumerate(windows):
+        det_k = det[:, :, k].T
+        scaled[sites] = np.repeat((diag[sites] + det_k - center) * scale, 2,
+                                  axis=1)
+        nb = min(len(st.block), r)
+        block = _block(st, det_k, coupling_correction)[:nb, :nb] * scale
         block = (block[:, :, 0] if block.shape[2] == 1
                  else np.repeat(block, 2, axis=2))
         for _ in range(steps_per_segment):
             for a in range(0, 2 * n_real, 2 * width):
                 cols = slice(a, min(a + 2 * width, 2 * n_real))
-                c = coeff[..., :cols.stop - a]
-                c[1] = d[:, cols]
+                c = coeff[:, :r, :cols.stop - a]
+                c[1] = scaled[:r, cols]
                 blk = block if block.ndim == 2 else block[:, :, cols]
-                x[:, cols] = _chebyshev_step(x[:, cols], c, blk, weights,
-                                             terms, bands, cos_t, sin_t)
-            _check_norm(x)
+                x[:r, cols] = _chebyshev_step(x[:r, cols], c, blk, weights,
+                                              terms, bands, cos_t, sin_t)
+            _check_norm(x[:r])
             yield padded(x)
 
 

@@ -1,7 +1,7 @@
 """Tests for piecewise-constant evolution and the segment propagator."""
 
 import math
-from fractions import Fraction
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -231,25 +231,23 @@ class TestEvolve:
 
 class TestCouplingCorrection:
     @staticmethod
-    def kernel_segment(k, correction):
-        """The kernel's diagonal (dim,) and block of segment ``k``."""
+    def kernel_block(k, correction):
+        """The kernel's network block of segment ``k`` and its detuning."""
         ph = default_chip(0.5, seed=1)
-        h = ph["h"]
-        st = dynamics._structure(h)
-        d, block = dynamics._segment(st, h.matrix.diagonal()[:, None],
-                                     ph["detunings"][:, k:k + 1], correction)
-        return d[:, 0], block[:, :, 0], ph["detunings"][:, k]
+        st = dynamics._structure(ph["h"])
+        block = dynamics._block(st, ph["detunings"][:, k:k + 1], correction)
+        return block[:, :, 0], ph["detunings"][:, k]
 
     def test_correction_changes_offdiagonals_only_slightly(self):
-        d0, b0, _ = self.kernel_segment(0, False)
-        d1, b1, _ = self.kernel_segment(0, True)
-        np.testing.assert_array_equal(d0, d1)
+        b0, _ = self.kernel_block(0, False)
+        b1, _ = self.kernel_block(0, True)
+        assert not np.diagonal(b1).any()
         diff = np.abs(b1 - b0).max()
         assert 0 < diff < 0.05  # ~db^2/(8 c0) scale
 
     def test_correction_magnitude_matches_pair_formula(self):
         from fmosim.model import effective_coupling
-        _, block, d = self.kernel_segment(3, True)
+        block, d = self.kernel_block(3, True)
         c0 = abs(build_fmo_hamiltonian(FmoSpec()).matrix[0, 1])
         expected = -effective_coupling(c0, (d[0] + d[1]) / 2)
         assert block[0, 1] == pytest.approx(expected, abs=1e-12)
@@ -336,16 +334,57 @@ def spy_term_buffers(monkeypatch):
     return shapes
 
 
-def b_tail_exact(a, depth, top=400):
-    """sum_{k >= depth} a^k / k! as an exact fraction (terms past ``top``
-    are below 1e-300 for the a used here)."""
-    term, total = Fraction(1), Fraction(0)
-    for k in range(top + 1):
-        if k:
-            term = term * a / k
-        if k >= depth:
-            total += term
-    return total
+def cone_bound_exact(c, t, length, depth, digits=50):
+    """c T E(depth, t) in ``digits``-digit decimals, T = ``length``, with
+    E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L) found by a
+    ternary search over mu (the exponent is convex in mu), not from the
+    closed form the kernel uses."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        c, t, length = Decimal(c), Decimal(t), Decimal(length)
+
+        def exponent(mu):
+            return c * t * (mu.exp() - (-mu).exp()) - mu * depth
+
+        lo, hi = Decimal(0), Decimal(60)
+        for _ in range(200):
+            a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+            if exponent(a) <= exponent(b):
+                hi = b
+            else:
+                lo = a
+        return c * length * min(exponent(lo), Decimal(0)).exp()
+
+
+def window_rows(h, segments):
+    """Rows of the window of each of ``segments`` 1 mm segments."""
+    return dynamics._windows(dynamics._structure(h), h.dim, 1.0, segments)
+
+
+def assert_within_gershgorin_union(lo, hi, h, det, diag, correction):
+    """(lo, hi) lies within the union of the Gershgorin discs of every
+    whole segment matrix of every column, up to the rounding of the disc
+    radii, which are summed in another order here."""
+    g_lo, g_hi = math.inf, -math.inf
+    for c in range(det.shape[0]):
+        hd = Hamiltonian(h.matrix - np.diag(h.matrix.diagonal())
+                         + np.diag(diag[:, c]), h.roles)
+        for k in range(det.shape[2]):
+            m = segment_matrix(hd, det[c, :, k], correction)
+            d = m.diagonal()
+            r = np.abs(m - np.diag(d)).sum(axis=1)
+            g_lo, g_hi = min(g_lo, (d - r).min()), max(g_hi, (d + r).max())
+    slack = 1e-13 * max(1.0, abs(g_lo), abs(g_hi))
+    assert g_lo - slack <= lo <= hi <= g_hi + slack
+
+
+def growing_window_inputs(columns):
+    """A batch on the long chain over six 1 mm segments, whose window grows
+    from segment to segment and stays narrower than dim."""
+    h, det, diag = batch_inputs(columns=columns, sink=100, segments=6)
+    rows = window_rows(h, 6)
+    assert rows[0] < rows[-1] < h.dim
+    return h, det, diag
 
 
 # (correction, vibration, sink, segments); the long chain over 20 mm is
@@ -373,9 +412,8 @@ class TestPropagate:
 
     @pytest.mark.parametrize("correction", [False, True])
     def test_batch_width_does_not_change_a_column(self, correction):
-        # widths on either side of the einsum loops' vector tails; the
-        # long chain over 4 mm keeps the window narrower than dim
-        h, det, diag = batch_inputs(columns=33, sink=100, segments=4)
+        # widths on either side of the einsum loops' vector tails
+        h, det, diag = growing_window_inputs(33)
         interval = spectral_interval(h, det, diag, correction)
         full = run_states(h, det, diag, correction, interval)
         for width in (1, 2, 3, 5, 8, 17):
@@ -387,7 +425,7 @@ class TestPropagate:
     @pytest.mark.parametrize("correction", [False, True])
     def test_column_chunks_are_bitwise_equal_to_one_chunk(self, correction,
                                                           monkeypatch):
-        h, det, diag = batch_inputs(columns=7, segments=3)
+        h, det, diag = growing_window_inputs(7)
         shapes = spy_term_buffers(monkeypatch)
         whole = run_states(h, det, diag, correction)
         (n_terms, rows, cols), = shapes
@@ -403,7 +441,7 @@ class TestPropagate:
     @pytest.mark.parametrize("correction", [False, True])
     def test_series_longer_than_the_buffer_runs_in_a_ring(self, correction,
                                                           monkeypatch):
-        h, det, diag = batch_inputs(columns=3, segments=3)
+        h, det, diag = growing_window_inputs(3)
         interval = spectral_interval(h, det, diag, correction)
         shapes = spy_term_buffers(monkeypatch)
         whole = run_states(h, det, diag, correction, interval)
@@ -447,18 +485,41 @@ class TestPropagate:
                 assert held == min(n_terms, dynamics.TERMS_HELD)
                 assert width == min(n_real, budget // (held * term))
 
+    @pytest.mark.parametrize("c,step,segments,max_depth", [
+        (0.2, 1.0, 20, 100),    # the default chip: 2 c T = 8
+        (0.2, 1.0, 20, 25),     # a chain shorter than the light cone
+        (0.5, 3.0, 7, 400),
+        (0.05, 0.25, 9, 100),
+        (1e-20, 1.0, 3, 100),   # c T below the tolerance: no sink row
+    ])
+    def test_light_cone_depths_are_the_smallest_within_tolerance(
+            self, c, step, segments, max_depth):
+        ends = [step * (k + 1) for k in range(segments)]
+        depths = dynamics._light_cone_depths(c, ends, max_depth)
+        tol = Decimal(dynamics.LIGHT_CONE_TOL)
+        assert len(depths) == segments
+        assert all(a <= b for a, b in zip(depths, depths[1:]))
+        assert all(0 <= d <= max_depth for d in depths)
+        for t, depth in zip(ends, depths):
+            if depth < max_depth:
+                assert cone_bound_exact(c, t, ends[-1], depth) <= tol
+            if depth > 0:
+                assert cone_bound_exact(c, t, ends[-1], depth - 1) > tol
+
     def test_light_cone_depth_is_the_smallest_within_tolerance(self):
-        # c = 0.2 mm^-1 over T = 20 mm: 2 c T = 8, as on the default chip
-        c, length = Fraction(1, 5), Fraction(20)
-        depth = dynamics._light_cone_depth(0.2, 20.0, 100)
-        tol = Fraction(dynamics.LIGHT_CONE_TOL)
-        assert 0 < depth < 100
-        assert c * length * b_tail_exact(2 * c * length, depth) <= tol
-        assert c * length * b_tail_exact(2 * c * length, depth - 1) > tol
+        # the default chip: c = 0.2 mm^-1 over 20 segments of 1 mm
+        depths = dynamics._light_cone_depths(
+            0.2, [k + 1.0 for k in range(20)], 100)
+        assert depths[:3] == [13, 15, 17] and depths[-2:] == [33, 34]
+        assert sum(depths) / 20 == pytest.approx(25.05)
+        # a chain shorter than the light cone stops at its end
+        short = dynamics._light_cone_depths(
+            0.2, [k + 1.0 for k in range(20)], 25)
+        assert short == [min(d, 25) for d in depths]
 
     def test_short_chain_keeps_every_row(self):
-        assert dynamics._light_cone_depth(0.2, 20.0, 20) == 20
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 20)
+        assert window_rows(h, 20)[-1] == h.dim
         det = generate(NoiseConfig(kind="colored", amplitude=0.5,
                                    seed=3)).sequences[None]
         *_, last = propagate(h, det, 1.0)
@@ -470,20 +531,21 @@ class TestPropagate:
         det = generate(NoiseConfig(kind="colored", amplitude=1.0,
                                    segments=20, total_length=20.0,
                                    seed=4)).sequences
-        rows = 8 + dynamics._light_cone_depth(0.2, 20.0, 100)
-        assert rows < h.dim
+        rows = window_rows(h, 20)
+        assert rows[0] < rows[-1] < h.dim
         got = [s[:, 0] for s in propagate(
             h, det[None], 1.0, diagonals=hd.matrix.diagonal()[:, None],
             coupling_correction=True)]
         psi = np.zeros(h.dim, complex)
         psi[h.source_index] = 1.0
         for k, state in enumerate(got):
-            assert not state[rows:].any()
             assert np.abs(state - psi).max() < 1e-12
+            if k:   # the state at the end of segment k - 1
+                assert not state[rows[k - 1]:].any()
+                assert state[rows[k - 1] - 1] != 0.0
             if k < det.shape[1]:
                 psi = segment_propagator(
                     segment_matrix(hd, det[:, k], True), 1.0) @ psi
-        assert got[-1][rows - 1] != 0.0
 
     def test_interval_encloses_every_segment_spectrum(self):
         h, det, diag = batch_inputs()
@@ -494,6 +556,59 @@ class TestPropagate:
             for k in range(det.shape[2]):
                 w = np.linalg.eigvalsh(segment_matrix(hd, det[c, :, k], True))
                 assert lo <= w[0] and w[-1] <= hi
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(NOISE_KINDS),
+           amplitude=st.floats(0.0, 80.0),
+           disorder=st.floats(0.0, 100.0),
+           vibration=st.booleans(), correction=st.booleans(),
+           columns=st.integers(1, 3), segments=st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_window_interval_encloses_every_windowed_segment_spectrum(
+            self, seed, kind, amplitude, disorder, vibration, correction,
+            columns, segments):
+        h = build_fmo_hamiltonian(FmoSpec())
+        if vibration:
+            h = attach_vibrational_mode(h)
+        h = attach_sink(h, 100)
+        # column r has amplitude (r + 1) / columns of ``amplitude`` and its
+        # own disorder draw
+        det = np.stack([generate(NoiseConfig(
+            kind=kind, amplitude=amplitude * (r + 1) / columns,
+            segments=segments, total_length=float(segments),
+            seed=seed + r)).sequences for r in range(columns)])
+        disordered = [apply_static_disorder(h, disorder, [seed, r])
+                      for r in range(columns)]
+        diag = np.stack([hd.matrix.diagonal() for hd in disordered], axis=1)
+        rows = window_rows(h, segments)
+        lo, hi = dynamics._interval(h, dynamics._structure(h), det, diag,
+                                    correction, rows[-1])
+        for c, hd in enumerate(disordered):
+            for k in range(segments):
+                m = segment_matrix(hd, det[c, :, k], correction)
+                w = np.linalg.eigvalsh(m[:rows[k], :rows[k]])
+                assert lo <= w[0] and w[-1] <= hi
+        assert_within_gershgorin_union(lo, hi, h, det, diag, correction)
+
+    def test_strong_disorder_keeps_the_gershgorin_bound(self):
+        # a single trace at disorder 100: its diagonal offsets spread far
+        # wider than the coupling, so Weyl's bound alone would be wider
+        h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 100)
+        diag = apply_static_disorder(h, 100.0, [7, 0]).matrix.diagonal()
+        det = generate(NoiseConfig(amplitude=1.0, segments=20,
+                                   total_length=20.0, seed=7)).sequences
+        rows = window_rows(h, 20)[-1]
+        lo, hi = dynamics._interval(h, dynamics._structure(h), det[None],
+                                    diag[:, None], False, rows)
+        lam = np.linalg.eigvalsh(h.matrix[:rows, :rows])
+        base = h.matrix.diagonal()
+        offsets = np.concatenate([diag[:rows] - base[:rows],
+                                  (diag[:7, None] + det - base[:7, None])
+                                  .ravel()])
+        weyl_width = lam[-1] - lam[0] + offsets.max() - offsets.min()
+        assert hi - lo < weyl_width - 1.0
+        assert_within_gershgorin_union(lo, hi, h, det[None], diag[:, None],
+                                       False)
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
            kind=st.sampled_from(NOISE_KINDS),
