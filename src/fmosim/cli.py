@@ -3,14 +3,14 @@
 Subcommands: ``simulate`` (single evolution trace), ``sweep`` (Monte
 Carlo dephasing sweep), ``reproduce`` (named preset studies),
 ``analyze-image`` (efficiency from an intensity image), and
-``chip-plan`` (fabrication plan export).  Configuration documents are
-JSON with unit-suffixed field names and a versioned schema; unknown keys
-are rejected with a path to the offending field.
+``chip-plan`` (fabrication plan export).
 
-``simulate``, ``sweep`` and ``chip-plan`` read a document through one
-table, :data:`CONFIG_KEYS`, into an ``experiments.SweepConfig``, whose
-defaults fill the keys left out (no ``noise.kind`` means
-``uniform_white``).  A key the subcommand does not read
+Configuration documents are JSON with unit-suffixed field names.
+``simulate``, ``sweep`` and ``chip-plan`` check and read a document
+through one table, :data:`CONFIG_KEYS` (each key's field, JSON type and
+bound; an unknown key is rejected with its path), into an
+``experiments.SweepConfig``, whose defaults fill the keys left out (no
+``noise.kind`` means ``uniform_white``).  A key the subcommand does not read
 (:data:`UNREAD_KEYS`) gets one ``note:`` line on stderr; the run goes on.
 So does ``reproduce --realizations`` for the figures that do not read it
 (:data:`UNREAD_REALIZATIONS`).
@@ -24,10 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import replace
-from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,71 +43,8 @@ EXIT_IO = 4
 
 SCHEMA_VERSION = 1
 
-_SYSTEM_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "coupling_scale": {"type": "number"},
-        "site_energy_scale": {"type": "number"},
-        "unit_conversion": {"type": "number"},
-        "include_weak_couplings": {"type": "boolean"},
-        "sink_length": {"type": "integer", "minimum": 1},
-        "sink_coupling_per_mm": {"type": "number", "exclusiveMinimum": 0},
-        "with_vibration": {"type": "boolean"},
-    },
-}
-
-_NOISE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": list(noise_mod.NOISE_KINDS)},
-        "amplitude_per_mm": {"type": "number", "minimum": 0},
-        "segments": {"type": "integer", "minimum": 1},
-        "total_length_mm": {"type": "number", "exclusiveMinimum": 0},
-        "filter_time_scale": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
-_SWEEP_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "grid_per_mm": {"type": "array", "items": {"type": "number"},
-                        "minItems": 1},
-        "realizations": {"type": "integer", "minimum": 1},
-        "disorder_per_mm": {"type": "number", "minimum": 0},
-        "observe_z_mm": {"type": "number", "exclusiveMinimum": 0},
-        "coupling_correction": {"type": "boolean"},
-    },
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "system": _SYSTEM_SCHEMA,
-        "noise": _NOISE_SCHEMA,
-        "sweep": _SWEEP_SCHEMA,
-        "seed": {"type": "integer", "minimum": 0},
-    },
-    "required": ["schema_version"],
-}
-
 FIGURE_IDS = ("fig3b", "fig3c", "fig4e", "figS3", "figS5", "figS6", "figS7",
               "figS8", "figS9", "figS15", "figS16")
-
-
-def _reject_non_finite(text: str):
-    raise ConfigError(f"non-finite number {text} is not allowed")
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        _reject_non_finite(text)
-    return value
 
 
 def _int_at_least(low: int):
@@ -120,58 +58,119 @@ def _int_at_least(low: int):
     return parse
 
 
+class Key(NamedTuple):
+    """One row of :data:`CONFIG_KEYS`: the field a key sets, the key's JSON
+    type (a name in :data:`_TYPES`) and its bound, ``value op limit``."""
+
+    field: str | None
+    type: str
+    op: str = ""
+    limit: int = 0
+
+
+#: The one description of a config document: (section, key) -> the
+#: SweepConfig field the key sets, "fmo.<field>" for a FmoSpec field, or
+#: "amplitude" for the detuning amplitude of a single trace (simulate and
+#: chip-plan), with the key's JSON type and bound.  Top-level keys have
+#: section None; None as the field marks a key that is only checked.  Two
+#: keys that set one field must agree.
+CONFIG_KEYS = {
+    ("system", "coupling_scale"): Key("fmo.coupling_scale", "number"),
+    ("system", "site_energy_scale"): Key("fmo.site_energy_scale", "number"),
+    ("system", "unit_conversion"): Key("fmo.unit_conversion", "number"),
+    ("system", "include_weak_couplings"):
+        Key("fmo.include_weak_couplings", "boolean"),
+    ("system", "sink_length"): Key("sink_length", "integer", ">=", 1),
+    ("system", "sink_coupling_per_mm"): Key("sink_coupling", "number", ">", 0),
+    ("system", "with_vibration"): Key("with_vibration", "boolean"),
+    ("noise", "kind"): Key("noise_kind", "noise kind"),
+    ("noise", "amplitude_per_mm"): Key("amplitude", "number", ">=", 0),
+    ("noise", "segments"): Key("segments", "integer", ">=", 1),
+    ("noise", "total_length_mm"): Key("observe_z", "number", ">", 0),
+    ("noise", "filter_time_scale"): Key("filter_time_scale", "number", ">", 0),
+    ("sweep", "grid_per_mm"): Key("grid", "numbers"),
+    ("sweep", "realizations"): Key("realizations", "integer", ">=", 1),
+    ("sweep", "disorder_per_mm"): Key("disorder", "number", ">=", 0),
+    ("sweep", "observe_z_mm"): Key("observe_z", "number", ">", 0),
+    ("sweep", "coupling_correction"): Key("coupling_correction", "boolean"),
+    (None, "seed"): Key("seed", "integer", ">=", 0),
+    (None, "schema_version"): Key(None, "number", "==", SCHEMA_VERSION),
+}
+
+_SECTIONS = {section for section, _ in CONFIG_KEYS} - {None}
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number (a boolean is not); NaN, an
+    infinity and an integer too large for a float are rejected."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        if math.isfinite(value):
+            return True
+    except OverflowError:
+        pass
+    raise ConfigError(f"non-finite number {value} is not allowed")
+
+
+#: JSON type of a config key -> (test of a parsed value, its name in errors).
+#: An integer is a JSON integer: 10.0 and 1e2 are not.
+_TYPES = {
+    "integer": (lambda v: type(v) is int, "an integer"),
+    "number": (_is_number, "a number"),
+    "boolean": (lambda v: type(v) is bool, "a boolean"),
+    "noise kind": (lambda v: v in noise_mod.NOISE_KINDS,
+                   "one of " + ", ".join(noise_mod.NOISE_KINDS)),
+    "numbers": (lambda v: type(v) is list and v != [] and all(map(_is_number, v)),
+                "a non-empty list of numbers"),
+}
+
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "==": operator.eq}
+
+
+def _check_value(row: Key | None, value) -> None:
+    if row is None:
+        raise ConfigError("unknown key")
+    is_type, name = _TYPES[row.type]
+    if not is_type(value):
+        raise ConfigError(f"{json.dumps(value)} is not {name}")
+    if row.op and not _BOUNDS[row.op](value, row.limit):
+        raise ConfigError(f"must be {row.op} {row.limit}, got {value}")
+
+
+def _check(doc) -> None:
+    """Raise ConfigError at the first key of ``doc``, in document order,
+    that :data:`CONFIG_KEYS` rejects."""
+    if type(doc) is not dict:
+        raise ConfigError("at (top level): must be a JSON object")
+    if "schema_version" not in doc:
+        raise ConfigError("at (top level): schema_version is required")
+    for key, value in doc.items():
+        if key not in _SECTIONS:
+            leaves = [(key, CONFIG_KEYS.get((None, key)), value)]
+        elif type(value) is dict:
+            leaves = [(f"{key}/{sub}", CONFIG_KEYS.get((key, sub)), item)
+                      for sub, item in value.items()]
+        else:
+            raise ConfigError(f"at {key}: must be a JSON object")
+        for where, row, item in leaves:
+            try:
+                _check_value(row, item)
+            except ConfigError as exc:
+                raise ConfigError(f"at {where}: {exc}") from None
+
+
 def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f, parse_constant=_reject_non_finite,
-                            parse_float=_finite_float)
+            doc = json.load(f)
+        _check(doc)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    from jsonschema.exceptions import best_match
-    # the error jsonschema.validate would raise, without its per-call
-    # check of the schema itself (the tests check the schema once)
-    error = best_match(_config_validator().iter_errors(doc))
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "(top level)"
-        raise ConfigError(f"{path}: at {where}: {error.message}")
     return doc
 
-
-@cache
-def _config_validator():
-    # imported on first use, so that importing the CLI does not pay for it
-    import jsonschema
-    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-
-
-#: The one reading of a config document: (section, key) -> the
-#: SweepConfig field it sets, "fmo.<field>" for a FmoSpec field, or
-#: "amplitude" for the detuning amplitude of a single trace (simulate and
-#: chip-plan).  Top-level keys have section None; None as the field marks a
-#: key only the schema checks.  Two keys that set one field must agree.
-CONFIG_KEYS = {
-    ("system", "coupling_scale"): "fmo.coupling_scale",
-    ("system", "site_energy_scale"): "fmo.site_energy_scale",
-    ("system", "unit_conversion"): "fmo.unit_conversion",
-    ("system", "include_weak_couplings"): "fmo.include_weak_couplings",
-    ("system", "sink_length"): "sink_length",
-    ("system", "sink_coupling_per_mm"): "sink_coupling",
-    ("system", "with_vibration"): "with_vibration",
-    ("noise", "kind"): "noise_kind",
-    ("noise", "amplitude_per_mm"): "amplitude",
-    ("noise", "segments"): "segments",
-    ("noise", "total_length_mm"): "observe_z",
-    ("noise", "filter_time_scale"): "filter_time_scale",
-    ("sweep", "grid_per_mm"): "grid",
-    ("sweep", "realizations"): "realizations",
-    ("sweep", "disorder_per_mm"): "disorder",
-    ("sweep", "observe_z_mm"): "observe_z",
-    ("sweep", "coupling_correction"): "coupling_correction",
-    (None, "seed"): "seed",
-    (None, "schema_version"): None,
-}
 
 _ENSEMBLE_KEYS = {("sweep", "grid_per_mm"), ("sweep", "realizations")}
 
@@ -196,7 +195,7 @@ def _study(doc: dict, args):
     the subcommand ``args.command`` reads it; ``--seed`` overrides the
     document's seed."""
     kwargs, source = {}, {}
-    for (section, key), name in CONFIG_KEYS.items():
+    for (section, key), (name, *_) in CONFIG_KEYS.items():
         part = doc.get(section, {}) if section else doc
         if name is None or key not in part:
             continue

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +22,6 @@ import fmosim
 from fmosim import dynamics, model, noise
 from fmosim.cli import (
     CONFIG_KEYS,
-    CONFIG_SCHEMA,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
@@ -53,6 +53,27 @@ def base_config(**over):
     for key, val in over.items():
         doc[key] = val
     return doc
+
+
+#: Values of the wrong JSON type for each type of CONFIG_KEYS.
+WRONG_TYPES = {
+    "integer": [True, 2.0, "2", None],
+    "number": [True, "1", [1.0], None],
+    "boolean": [1, "true", None],
+    "noise kind": ["pink", True, 0],
+    "numbers": [True, 0.5, [True], ["0.5"]],
+}
+
+
+def bound_edges(row):
+    """(a value just past the bound of ``row``, the value at its edge that
+    loads)."""
+    if row.op == ">":
+        return row.limit, math.nextafter(row.limit, math.inf)
+    if row.op == "==":
+        return row.limit + 1, row.limit
+    below = math.nextafter(row.limit, -math.inf)
+    return (row.limit - 1 if row.type == "integer" else below), row.limit
 
 
 class TestConfigLoading:
@@ -114,28 +135,91 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_schema_constants(self):
-        assert CONFIG_SCHEMA["properties"]["schema_version"]["const"] == 1
+    @pytest.mark.parametrize("section,key", CONFIG_KEYS, ids=[
+        f"{section}.{key}" if section else key for section, key in CONFIG_KEYS])
+    def test_every_key_checks_its_type_and_bound(self, tmp_path, capsys,
+                                                 section, key):
+        row = CONFIG_KEYS[section, key]
+        where = f"{section}/{key}" if section else key
+        cases = [(value, f"at {where}: {json.dumps(value)} is not")
+                 for value in WRONG_TYPES[row.type]]
+        if row.op:
+            past, edge = bound_edges(row)
+            cases.append((past, f"at {where}: must be {row.op} {row.limit}"))
+        for i, (value, message) in enumerate(cases):
+            doc = base_config()
+            (doc[section] if section else doc)[key] = value
+            path = write_config(tmp_path, doc)
+            out = tmp_path / f"run{i}"
+            assert main(["sweep", "--config", path,
+                         "--out", str(out)]) == EXIT_CONFIG
+            assert f"{path}: {message}" in capsys.readouterr().err
+            assert not out.exists()
+        if row.op:
+            doc = base_config()
+            (doc[section] if section else doc)[key] = edge
+            load_config(write_config(tmp_path, doc))
 
-    def test_schema_is_valid(self):
-        # load_config validates against CONFIG_SCHEMA without checking the
-        # schema itself, so the check is made here
-        import jsonschema
-        jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(
-            CONFIG_SCHEMA)
+    @pytest.mark.parametrize("text,message", [
+        ("[1]", "at (top level): must be a JSON object"),
+        ('{"seed": 1}', "at (top level): schema_version is required"),
+        ('{"schema_version": 1, "noise": [1]}',
+         "at noise: must be a JSON object"),
+        ('{"schema_version": 1, "seeds": 1}', "at seeds: unknown key"),
+        ('{"schema_version": 1, "sweep": {"grid_per_mm": []}}',
+         "at sweep/grid_per_mm: [] is not a non-empty list of numbers"),
+        # the first failing key in document order is the one reported
+        ('{"schema_version": 1, "sweep": {"realizations": 0}, '
+         '"noise": {"segments": "20"}}',
+         "at sweep/realizations: must be >= 1, got 0"),
+        ('{"schema_version": 1, "noise": {"segments": "20"}, '
+         '"sweep": {"realizations": 0}}',
+         'at noise/segments: "20" is not an integer')],
+        ids=["top-level", "required", "section", "unknown", "empty-grid",
+             "first-of-two", "first-of-two-reversed"])
+    def test_document_shape_exits_two(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: {path}: {message}\n")
 
-    def test_same_error_as_jsonschema_validate(self, tmp_path):
-        import jsonschema
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "chip-plan"])
+    @pytest.mark.parametrize("section,key", [
+        ("system", "sink_length"), ("noise", "segments"),
+        ("sweep", "realizations"), (None, "seed")],
+        ids=["sink_length", "segments", "realizations", "seed"])
+    def test_integral_float_at_integer_key_exits_two(self, tmp_path, command,
+                                                     section, key):
         doc = base_config()
-        doc["sweep"]["realizations"] = 0
-        doc["noise"]["segments"] = "20"
-        with pytest.raises(jsonschema.ValidationError) as expected:
-            jsonschema.validate(doc, CONFIG_SCHEMA)
-        path = write_config(tmp_path, doc)
-        with pytest.raises(ConfigError) as got:
-            load_config(path)
-        where = "/".join(str(p) for p in expected.value.absolute_path)
-        assert str(got.value) == f"{path}: at {where}: {expected.value.message}"
+        part = doc[section] if section else doc
+        part[key] = float(part[key])
+        code, err, out = run_cli(tmp_path, command, doc, "run")
+        assert code == EXIT_CONFIG
+        where = f"{section}/{key}" if section else key
+        assert f"at {where}: {part[key]!r} is not an integer" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "chip-plan"])
+    @pytest.mark.parametrize("section,key,value", [
+        ("sweep", "observe_z_mm", 10 ** 400),
+        ("sweep", "grid_per_mm", [0.0, 10 ** 400]),
+        ("noise", "amplitude_per_mm", 10 ** 400)],
+        ids=["observe_z", "grid-item", "amplitude"])
+    def test_integer_too_large_for_a_float_exits_two(self, tmp_path, command,
+                                                     section, key, value):
+        doc = base_config()
+        doc[section][key] = value
+        code, err, out = run_cli(tmp_path, command, doc, "run")
+        assert code == EXIT_CONFIG
+        assert f"at {section}/{key}: non-finite number" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_seed_of_any_size_loads(self, tmp_path):
+        path = write_config(tmp_path, base_config(seed=10 ** 400))
+        assert load_config(path)["seed"] == 10 ** 400
 
 
 class TestExitCodes:
@@ -149,7 +233,7 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == EXIT_IO
 
     def test_physics_error_is_three(self, tmp_path):
-        # a negative sweep grid passes the JSON schema but is rejected by
+        # a descending sweep grid passes the key table but is rejected by
         # the physics layer
         doc = base_config()
         doc["sweep"]["grid_per_mm"] = [1.0, 0.5]
@@ -278,7 +362,7 @@ class TestSweep:
         assert manifest["config"]["realizations"] == 2
 
     def test_seed_past_64_bits_runs(self, tmp_path):
-        # the CLI schema takes any nonnegative seed; 2**70 is three words
+        # the key table takes any nonnegative seed; 2**70 is three words
         path = write_config(tmp_path, base_config(seed=2**70))
         out = tmp_path / "run"
         assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_OK
@@ -460,30 +544,20 @@ def run_cli(tmp_path, command, doc, name, *extra):
     return code, err.getvalue(), out
 
 
-def leaf_keys(schema, section=None):
-    """(section, key) of every leaf of a config schema; top level is None."""
-    for key, sub in schema["properties"].items():
-        if "properties" in sub:
-            yield from leaf_keys(sub, key)
-        else:
-            yield (section, key)
-
-
 class TestOneReading:
     """simulate, sweep and chip-plan read a document through one table."""
 
     def test_every_schema_key_is_read_or_listed_unread(self):
-        leaves = set(leaf_keys(CONFIG_SCHEMA))
+        keys = set(CONFIG_KEYS)
         unread = set().union(*UNREAD_KEYS.values())
-        assert leaves == set(CONFIG_KEYS)
-        drawn = {(s, k) for s, keys in _SECTIONS.items() for k in keys}
-        assert drawn | {(None, "seed"), (None, "schema_version")} == leaves
-        assert unread <= leaves
+        drawn = {(s, k) for s, section in _SECTIONS.items() for k in section}
+        assert drawn | {(None, "seed"), (None, "schema_version")} == keys
+        assert unread <= keys
         fields = {f.name for f in dataclasses.fields(SweepConfig)}
         fmo_fields = {f.name for f in dataclasses.fields(model.FmoSpec)}
-        for name in CONFIG_KEYS.values():
-            assert (name in (None, "amplitude") or name in fields
-                    or name.removeprefix("fmo.") in fmo_fields), name
+        for row in CONFIG_KEYS.values():
+            assert (row.field in (None, "amplitude") or row.field in fields
+                    or row.field.removeprefix("fmo.") in fmo_fields), row
 
     @pytest.mark.parametrize("where,key,value", [
         ("sweep", "disorder_per_mm", 10.0),
@@ -587,8 +661,9 @@ class TestOneReading:
 
 
 class TestPhysicsRejections:
-    """A schema-valid document that cannot run exits 3 with a message: a
-    series or a trace too large to allocate, or detunings not finite."""
+    """A document the key table accepts that cannot run exits 3 with a
+    message: a series or a trace too large to allocate, or detunings not
+    finite."""
 
     @pytest.mark.parametrize("sweep", [
         {"grid_per_mm": [0.5], "realizations": 1, "observe_z_mm": 1e300},
@@ -638,34 +713,42 @@ class TestPhysicsRejections:
         assert "samples" in err
 
 
+def _integer(lo, hi):
+    # an integral float is not a JSON integer
+    return st.integers(lo, hi) | st.integers(lo, hi).map(float)
+
+
 def _number(lo, hi):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    # an integer too large for a float is a non-finite number
+    return (st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+            | st.integers(2 ** 1024, 2 ** 1100).map(
+                lambda n: n if lo >= 0 else -n))
 
 
-# Documents drawn over CONFIG_SCHEMA's keys, with values of the schema's
-# types, in and out of its ranges.  The bounds on the magnitudes (sink
-# length, amplitudes, disorder, lengths, couplings, realizations) only keep
-# each run short; they hide no failure.
+# Documents drawn over CONFIG_KEYS, with values of each key's type, in and
+# out of its bounds.  The bounds on the magnitudes (sink length,
+# amplitudes, disorder, lengths, couplings, realizations) only keep each
+# run short; they hide no failure.
 _SECTIONS = {
     "system": {
         "coupling_scale": _number(-1.0, 2.0),
         "site_energy_scale": _number(-1.0, 1.0),
         "unit_conversion": _number(-1.0, 1.0),
         "include_weak_couplings": st.booleans(),
-        "sink_length": st.integers(0, 30),
+        "sink_length": _integer(0, 30),
         "sink_coupling_per_mm": _number(0.0, 100.0),
         "with_vibration": st.booleans(),
     },
     "noise": {
         "kind": st.sampled_from(noise.NOISE_KINDS),
         "amplitude_per_mm": _number(-1.0, 100.0),
-        "segments": st.integers(0, 40),
+        "segments": _integer(0, 40),
         "total_length_mm": _number(0.0, 20.0),
         "filter_time_scale": _number(0.0, 100.0),
     },
     "sweep": {
         "grid_per_mm": st.lists(_number(-1.0, 100.0), max_size=3),
-        "realizations": st.integers(0, 2),
+        "realizations": _integer(0, 2),
         "disorder_per_mm": _number(-1.0, 100.0),
         "observe_z_mm": _number(0.0, 20.0),
         "coupling_correction": st.booleans(),
@@ -674,12 +757,12 @@ _SECTIONS = {
 
 documents = st.fixed_dictionaries(
     {"schema_version": st.just(1)},
-    optional={"seed": st.integers(0, 2 ** 64),
+    optional={"seed": _integer(0, 2 ** 64),
               **{name: st.fixed_dictionaries({}, optional=keys)
                  for name, keys in _SECTIONS.items()}})
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(doc=documents)
 def test_drawn_documents_exit_with_a_documented_code(doc):
     with tempfile.TemporaryDirectory() as tmp:
@@ -694,15 +777,22 @@ def test_drawn_documents_exit_with_a_documented_code(doc):
             assert "Traceback" not in err.getvalue()
 
 
-def test_runtime_imports_no_scipy():
+def test_runtime_imports_no_scipy(tmp_path):
+    # a sweep run end to end loads neither scipy nor jsonschema
+    doc = {"schema_version": 1, "system": {"sink_length": 10},
+           "noise": {"kind": "colored", "segments": 2, "total_length_mm": 2},
+           "sweep": {"grid_per_mm": [0.0, 0.5], "realizations": 1}}
+    argv = ["sweep", "--config", write_config(tmp_path, doc),
+            "--out", str(tmp_path / "run")]
     src = str(Path(fmosim.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, fmosim.cli, fmosim.experiments; "
+    code = ("import sys; from fmosim.cli import main; "
+            f"assert main({argv!r}) == 0; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if m.split('.')[0] in ('scipy', 'jsonschema')))")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines()[-1] == "[]"
