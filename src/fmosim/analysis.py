@@ -323,6 +323,8 @@ def read_pixel_matrix(path) -> np.ndarray:
                 row = [float(tok) for tok in line.split()]
             except ValueError as exc:
                 raise PhysicsError(f"line {lineno}: non-numeric pixel value") from exc
+            if not np.isfinite(row).all():
+                raise PhysicsError(f"line {lineno}: non-finite pixel value")
             if width is None:
                 width = len(row)
             elif len(row) != width:

@@ -165,7 +165,10 @@ def load_config(path) -> dict:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
         _check(doc)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides a syntax error: bytes that are not UTF-8, an integer past
+        # Python's int-string digit limit, or nesting deeper than the parser
+        # recurses
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -383,20 +386,24 @@ def _parse_floats(text: str, n: int, flag: str):
     if len(parts) != n:
         raise ConfigError(f"{flag} expects {n} comma-separated numbers")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"{flag}: non-numeric value") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{flag}: non-finite value")
+    return values
 
 
 def cmd_analyze_image(args) -> int:
     cx, cy, rx, ry = _parse_floats(args.ellipse, 4, "--ellipse")
     x, y, w, h = _parse_floats(args.rect, 4, "--rect")
+    [background] = _parse_floats(args.background, 1, "--background")
     pixels = analysis.read_pixel_matrix(args.image)
     fmo_mask = analysis.EllipseMask(cx, cy, rx, ry)
     sink_mask = analysis.RectMask(x, y, w, h)
     eta = analysis.efficiency_from_intensity_image(
-        pixels, fmo_mask, sink_mask, background=args.background)
-    net = pixels - args.background
+        pixels, fmo_mask, sink_mask, background=background)
+    net = pixels - background
     s_fmo = float(net[fmo_mask.select(pixels.shape)].sum())
     s_sink = float(net[sink_mask.select(pixels.shape)].sum())
     print(f"network sum: {s_fmo:.12g}")
@@ -460,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image", help="whitespace-separated ASCII pixel matrix")
     p.add_argument("--ellipse", required=True, metavar="CX,CY,RX,RY")
     p.add_argument("--rect", required=True, metavar="X,Y,W,H")
-    p.add_argument("--background", type=float, default=0.0)
+    p.add_argument("--background", default="0")
     p.set_defaults(func=cmd_analyze_image)
 
     p = sub.add_parser("chip-plan", help="export fabrication plan CSV")

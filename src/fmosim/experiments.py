@@ -159,14 +159,6 @@ def noise_config(cfg: SweepConfig, amplitude: float,
         filter_time_scale=cfg.filter_time_scale)
 
 
-def _noise_configs(cfg: SweepConfig, grid_indices):
-    """Noise configs of every realization at the given grid points, grid
-    point by grid point."""
-    seeds = iter(_noise_seeds(cfg.seed, grid_indices, cfg.realizations))
-    return [noise_config(cfg, cfg.grid[gi], next(seeds))
-            for gi in grid_indices for _ in range(cfg.realizations)]
-
-
 def _diagonals(cfg: SweepConfig, base: Hamiltonian, columns) -> np.ndarray:
     """(dim, len(columns)) diagonals of the (grid index, realization)
     columns: the base diagonal plus each column's static disorder, drawn
@@ -181,7 +173,9 @@ def _detunings(cfg: SweepConfig, base: Hamiltonian) -> np.ndarray:
     """Detunings of all the study's realizations, grid point by grid point,
     on the network sites of ``base``."""
     return noise_mod.generate_batch(
-        _noise_configs(cfg, range(len(cfg.grid))), n_sites=len(base.fmo_indices))
+        noise_config(cfg, 0.0, 0), np.repeat(cfg.grid, cfg.realizations),
+        _noise_seeds(cfg.seed, range(len(cfg.grid)), cfg.realizations),
+        n_sites=len(base.fmo_indices))
 
 
 def _evolve_study(cfg: SweepConfig, base: Hamiltonian, steps_per_segment: int,
@@ -229,8 +223,11 @@ def reorganization_curve(cfg: SweepConfig):
     points = np.zeros((len(cfg.grid), 2))
     live = [gi for gi, amplitude in enumerate(cfg.grid) if amplitude != 0.0]
     if live:
-        rows = noise_mod.generate_batch(_noise_configs(cfg, live)).reshape(
-            len(live), -1, cfg.segments)
+        rows = noise_mod.generate_batch(
+            noise_config(cfg, 0.0, 0),
+            np.repeat(np.asarray(cfg.grid)[live], cfg.realizations),
+            _noise_seeds(cfg.seed, live, cfg.realizations)).reshape(
+                len(live), -1, cfg.segments)
         spectra = analysis.psd_periodogram(rows, cfg.segments / cfg.observe_z)
         points[live, 0] = analysis.variance(rows).mean(axis=1)
         points[live, 1] = analysis.reorganization_energy(spectra).mean(axis=1)
@@ -287,8 +284,8 @@ def noise_distribution_comparison(cfg: SweepConfig):
         sub = replace(cfg, noise_kind=kind)
         results[kind] = sweep_dephasing(sub)
         profiles = noise_mod.generate_batch(
-            [noise_config(sub, 1.0, seed)
-             for seed in _noise_seeds(sub.seed, [0], cfg.realizations)])
+            noise_config(sub, 0.0, 0), np.ones(cfg.realizations),
+            _noise_seeds(sub.seed, [0], cfg.realizations))
         profile_means[kind] = float(profiles.mean())
     return results, profile_means
 

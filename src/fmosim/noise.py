@@ -4,17 +4,18 @@ Each realization holds one detuning sequence per site, one value per
 segment, in mm^-1.  Five distribution families are supported; the
 "colored" family filters Gaussian white noise through the rational
 response 1/(10 s + 1) + 1/(100 s^2 + 10 s + 1) and therefore carries
-memory across segments, unlike the white families.
+memory across segments, unlike the white families.  Every kind but
+uniform_white is divided by its peak on each site.
 
 Every (seed, site) pair draws from its own stream,
 ``default_rng([seed, site])``, so a realization does not depend on which
 others are generated with it; the streams of a whole batch are seeded in
 one pass (``_seeding.streams``), bit for bit as ``default_rng`` seeds
-them one at a time.  :func:`generate_batch`
-draws all the realizations of a study at once; the colored filter is plain
-numpy (bilinear discretization, then a third-order recurrence applied to
-the whole batch elementwise), so each row is bit-for-bit the same as when
-its config is generated alone with :func:`generate`.
+them one at a time.  :func:`generate_batch` draws all the realizations of
+a study at once, one recipe with an amplitude and a seed each; the colored
+filter is plain numpy (bilinear discretization, then a third-order
+recurrence applied to the whole batch elementwise), so each row is
+bit-for-bit the same as when it is generated alone with :func:`generate`.
 """
 
 from __future__ import annotations
@@ -54,10 +55,8 @@ class NoiseConfig:
     ``amplitude`` is the detuning amplitude in mm^-1, ``segments`` the
     sequence length and ``total_length`` the evolution length in mm, so
     the sampling frequency is ``segments / total_length``.  ``seed`` is a
-    nonnegative integer of any size.
-
-    ``normalization`` defaults to "none" for uniform_white (whose samples
-    already live on [0, amplitude]) and "by_max" for the other kinds.
+    nonnegative integer of any size.  A uniform_white sequence lives on
+    [0, amplitude]; every other kind peaks at ``amplitude`` on each site.
 
     The colored filter is discretized with the bilinear (Tustin) map at
     rate ``sampling_frequency * filter_time_scale``; the default factor 0.2
@@ -73,7 +72,6 @@ class NoiseConfig:
     segments: int = 20
     total_length: float = 20.0
     seed: int = 0
-    normalization: str = ""
     filter_time_scale: float = 0.2
 
     def __post_init__(self):
@@ -91,11 +89,6 @@ class NoiseConfig:
             raise PhysicsError("total length must be positive")
         if self.filter_time_scale <= 0:
             raise PhysicsError("filter_time_scale must be positive")
-        if not self.normalization:
-            default = "none" if self.kind == "uniform_white" else "by_max"
-            object.__setattr__(self, "normalization", default)
-        if self.normalization not in ("by_max", "none"):
-            raise PhysicsError("normalization must be 'by_max' or 'none'")
 
     @property
     def sampling_frequency(self) -> float:
@@ -210,61 +203,50 @@ def _draw(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
     return np.abs(numer / denom)
 
 
-#: Configs drawn and filtered together at most, which bounds the memory a
-#: large batch takes (128 seven-site colored configs draw 3.7 MB of white
-#: noise).
+#: Realizations drawn and filtered together at most, which bounds the
+#: memory a large batch takes (128 seven-site colored realizations draw
+#: 3.7 MB of white noise).
 _BATCH_CHUNK = 128
 
 
-def _scaled_profiles(configs, kind: str, rate, n_sites: int,
-                     segments: int) -> np.ndarray:
-    """(len(configs), n_sites, segments) sequences of configs that are all
-    of ``kind`` and, if colored, filtered at ``rate``."""
-    # the entropy of stream (seed, site): the seed's words, then the site's
-    # one word
-    rows = [words + [site]
-            for words in (_seeding.entropy_words(c.seed) for c in configs)
-            for site in range(n_sites)]
-    draws = np.array([_draw(kind, rng, segments)
-                      for rng in _seeding.streams(rows)])
-    if kind == "colored":
-        draws = np.abs(_colored_filter(draws, rate))
-    profiles = draws.reshape(len(configs), n_sites, segments)
-    by_max = np.array([c.normalization == "by_max" for c in configs])
-    peak = profiles.max(axis=2, keepdims=True)
-    # dividing by 1 leaves a profile exactly as it is
-    profiles = profiles / np.where(by_max[:, None, None] & (peak > 0), peak, 1.0)
-    return np.array([c.amplitude for c in configs])[:, None, None] * profiles
+def generate_batch(config: NoiseConfig, amplitudes, seeds,
+                   n_sites: int = 7) -> np.ndarray:
+    """Sequences of R realizations of one recipe, shape (R, n_sites,
+    config.segments), realization r at ``amplitudes[r]`` from ``seeds[r]``.
 
-
-def generate_batch(configs, n_sites: int = 7) -> np.ndarray:
-    """Sequences of many realizations at once, shape (R, n_sites, segments).
-
-    Row r is bit-for-bit ``generate(configs[r], n_sites).sequences``.  The
-    configs must share the segment count; a zero-amplitude config gives
-    zeros and draws nothing.
+    Row r is bit-for-bit ``generate(replace(config, amplitude=amplitudes[r],
+    seed=seeds[r]), n_sites).sequences``.  A zero amplitude gives zeros and
+    draws nothing.
     """
-    configs = list(configs)
+    seeds = [_seeding.check_seed(seed) for seed in seeds]
+    amplitudes = np.asarray(amplitudes, dtype=float)
     if n_sites < 1:
         raise PhysicsError("n_sites must be >= 1")
-    if not configs:
-        raise PhysicsError("a batch needs at least one config")
-    segments = configs[0].segments
-    if any(c.segments != segments for c in configs):
-        raise PhysicsError("the configs of a batch must share the segment count")
-    out = np.zeros((len(configs), n_sites, segments))
-    # rows drawn the same way: one kind and, for colored, one filter rate
-    groups: dict = {}
-    for r, c in enumerate(configs):
-        if c.amplitude != 0.0:
-            rate = (c.sampling_frequency * c.filter_time_scale
-                    if c.kind == "colored" else None)
-            groups.setdefault((c.kind, rate), []).append(r)
-    for (kind, rate), rows in groups.items():
-        for start in range(0, len(rows), _BATCH_CHUNK):
-            chunk = rows[start:start + _BATCH_CHUNK]
-            out[chunk] = _scaled_profiles([configs[r] for r in chunk], kind,
-                                          rate, n_sites, segments)
+    if not seeds:
+        raise PhysicsError("a batch needs at least one realization")
+    if len(amplitudes) != len(seeds):
+        raise PhysicsError("a batch needs one seed per amplitude")
+    if not (np.isfinite(amplitudes) & (amplitudes >= 0)).all():
+        raise PhysicsError("amplitude must be finite and nonnegative")
+    kind, segments = config.kind, config.segments
+    out = np.zeros((len(seeds), n_sites, segments))
+    live = np.flatnonzero(amplitudes)
+    for start in range(0, len(live), _BATCH_CHUNK):
+        chunk = live[start:start + _BATCH_CHUNK]
+        # the entropy of stream (seed, site): the seed's words, then the
+        # site's one word
+        rows = [_seeding.entropy_words(seeds[r]) + [site]
+                for r in chunk for site in range(n_sites)]
+        draws = np.array([_draw(kind, rng, segments)
+                          for rng in _seeding.streams(rows)])
+        if kind == "colored":
+            draws = np.abs(_colored_filter(
+                draws, config.sampling_frequency * config.filter_time_scale))
+        profiles = draws.reshape(len(chunk), n_sites, segments)
+        if kind != "uniform_white":
+            peak = profiles.max(axis=2, keepdims=True)
+            profiles = profiles / np.where(peak > 0, peak, 1.0)
+        out[chunk] = amplitudes[chunk, None, None] * profiles
     if not np.isfinite(out).all():
         # a colored filter at a rate far from 1 has no finite coefficients
         raise PhysicsError("the detuning sequences are not finite; bring "
@@ -277,7 +259,8 @@ def generate(config: NoiseConfig, n_sites: int = 7) -> NoiseRealization:
 
     At amplitude 0 every sequence is zero and nothing is drawn.
     """
-    return NoiseRealization(generate_batch([config], n_sites)[0], config)
+    batch = generate_batch(config, [config.amplitude], [config.seed], n_sites)
+    return NoiseRealization(batch[0], config)
 
 
 def resample_amplitude(nr: NoiseRealization, new_amplitude: float) -> NoiseRealization:
@@ -344,6 +327,5 @@ def read_noise_csv(path_or_file, config: NoiseConfig | None = None) -> NoiseReal
             amplitude=amplitude if amplitude > 0 else 0.0,
             segments=n,
             total_length=float(n),
-            normalization="none",
         )
     return NoiseRealization(seqs, config)

@@ -449,6 +449,13 @@ class TestImageIngestion:
         with pytest.raises(PhysicsError, match="line 2"):
             read_pixel_matrix(path)
 
+    @pytest.mark.parametrize("pixel", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_pixel_rejected(self, tmp_path, pixel):
+        path = tmp_path / "img.txt"
+        path.write_text(f"1 2 3\n4 {pixel} 6\n")
+        with pytest.raises(PhysicsError, match="line 2: non-finite"):
+            read_pixel_matrix(path)
+
     def test_matrix_file_round_trip(self, tmp_path):
         img = self.build_image()
         path = tmp_path / "img.txt"

@@ -217,6 +217,26 @@ class TestConfigLoading:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "chip-plan"])
+    @pytest.mark.parametrize("text,message", [
+        (b'{"schema_version": 1, "seed": ' + b"1" * 5000 + b"}",
+         "invalid JSON: Exceeds the limit"),
+        (b'{"schema_version": 1, "seed": 0, "note": "\xff"}',
+         "invalid JSON: 'utf-8' codec"),
+        (b'{"schema_version": 1, "sweep": ' + b"[" * 200_000
+         + b"]" * 200_000 + b"}", "invalid JSON: maximum recursion")],
+        ids=["5000-digit-seed", "byte-0xff", "nested-200000-deep"])
+    def test_unreadable_document_exits_two(self, tmp_path, capsys, command,
+                                           text, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(path),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: {message}")
+        assert not out.exists()
+
     def test_seed_of_any_size_loads(self, tmp_path):
         path = write_config(tmp_path, base_config(seed=10 ** 400))
         assert load_config(path)["seed"] == 10 ** 400
@@ -231,6 +251,15 @@ class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == EXIT_IO
+
+    def test_negative_grid_value_is_three(self, tmp_path, capsys):
+        doc = base_config()
+        doc["sweep"]["grid_per_mm"] = [-0.5, 0.5]
+        path = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", path,
+                     "--out", str(tmp_path / "run")]) == EXIT_PHYSICS
+        assert "amplitude must be finite and nonnegative" in (
+            capsys.readouterr().err)
 
     def test_physics_error_is_three(self, tmp_path):
         # a descending sweep grid passes the key table but is rejected by
@@ -516,6 +545,26 @@ class TestAnalyzeImage:
         path.write_text("1 2 3\n4 5\n")
         assert main(["analyze-image", str(path), "--ellipse", "1,1,1,1",
                      "--rect", "2,2,1,1"]) == EXIT_PHYSICS
+
+    @pytest.mark.parametrize("flags", [
+        ["--background", "nan"], ["--background=-inf"],
+        ["--background", "inf"], ["--ellipse", "nan,0,1,1"],
+        ["--ellipse", "10,20,5,inf"], ["--rect", "40,10,-inf,10"]],
+        ids=" ".join)
+    def test_non_finite_flag_exits_two(self, tmp_path, capsys, flags):
+        argv = ["analyze-image", self.write_image(tmp_path),
+                "--ellipse", "10,20,5,5", "--rect", "40,10,10,10", *flags]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"{flags[0].split('=')[0]}: non-finite value" in captured.err
+        assert "efficiency" not in captured.out
+
+    def test_non_finite_pixel_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "img.txt"
+        path.write_text("1 2 3\n4 nan 6\n")
+        assert main(["analyze-image", str(path), "--ellipse", "1,1,1,1",
+                     "--rect", "2,0,1,1"]) == EXIT_PHYSICS
+        assert "line 2: non-finite pixel value" in capsys.readouterr().err
 
 
 class TestChipPlan:

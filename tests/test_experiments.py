@@ -347,9 +347,9 @@ class TestSeeding:
         calls = []
         real = noise.generate_batch
 
-        def spy(configs, n_sites=7):
-            calls.append(len(configs))
-            return real(configs, n_sites)
+        def spy(config, amplitudes, seeds, n_sites=7):
+            calls.append(len(seeds))
+            return real(config, amplitudes, seeds, n_sites)
 
         monkeypatch.setattr(noise, "generate_batch", spy)
         after = vibrational_comparison(cfg)

@@ -293,8 +293,7 @@ class TestChipPlan:
                         source_site=6, drain_site=3)
         det = NoiseRealization(np.zeros((2, 4)),
                                NoiseConfig(kind="uniform_white", amplitude=0.0,
-                                           segments=4, total_length=4.0,
-                                           normalization="none"))
+                                           segments=4, total_length=4.0))
         rows = export_chip_plan(h, det)
         spacing = [r for r in rows if r.record_type == "spacing"]
         speed = [r for r in rows if r.record_type == "speed"]

@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,11 +51,6 @@ class TestConfig:
         assert cfg.sampling_frequency == pytest.approx(1.0)
         cfg = NoiseConfig(segments=50, total_length=100.0)
         assert cfg.sampling_frequency == pytest.approx(0.5)
-
-    def test_default_normalization_by_kind(self):
-        assert NoiseConfig(kind="uniform_white").normalization == "none"
-        for kind in ("colored", "normal_abs", "exponential", "cauchy"):
-            assert NoiseConfig(kind=kind).normalization == "by_max"
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(PhysicsError):
@@ -148,9 +144,10 @@ class TestGenerate:
         np.testing.assert_allclose(got, y / y.max(), rtol=1e-12)
 
     def test_exponential_mean_matches_rate_two(self):
-        cfg = NoiseConfig(kind="exponential", amplitude=1.0, segments=100_000,
-                          total_length=100_000.0, seed=1, normalization="none")
-        seqs = generate(cfg, n_sites=1).sequences[0]
+        # the raw draws: dividing by the peak takes the rate out of every
+        # generated sequence
+        seqs = noise_mod._draw("exponential", np.random.default_rng([1, 0]),
+                               100_000)
         assert seqs.mean() == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(len(seqs)))
 
     def test_cross_site_independence(self):
@@ -205,54 +202,67 @@ class TestColoredFilter:
                                        atol=1e-10)
 
 
-def mixed_configs():
-    """Every kind at several amplitudes (zero included), seeds, filter
-    time scales and both normalizations, all with 12 segments."""
-    configs = []
-    for i, kind in enumerate(NOISE_KINDS):
-        for amplitude in (0.0, 0.3, 2.5):
-            for seed in (i, 100 + i):
-                configs.append(NoiseConfig(
-                    kind=kind, amplitude=amplitude, segments=12,
-                    total_length=7.0 + seed % 3, seed=seed,
-                    filter_time_scale=(0.2, 1.5)[seed % 2]))
-        configs.append(NoiseConfig(kind=kind, amplitude=0.8, segments=12,
-                                   seed=i, normalization="none"))
-    return configs
+#: Amplitudes (zeros included) and seeds of one to three 32-bit words of
+#: a batch.
+BATCH_AMPLITUDES = (0.0, 0.3, 2.5, 0.0, 0.8, 1.0, 0.3)
+BATCH_SEEDS = (0, 7, 2**32 + 5, 2**64 + 1, 2**70, 3, 2**70 - 1)
 
 
 class TestGenerateBatch:
     def test_rows_equal_single_generation_bitwise(self):
-        configs = mixed_configs()
-        batch = generate_batch(configs, n_sites=4)
-        assert batch.shape == (len(configs), 4, 12)
-        for row, cfg in zip(batch, configs):
-            assert row.tobytes() == generate(cfg, n_sites=4).sequences.tobytes()
+        for kind in NOISE_KINDS:
+            for time_scale in (0.2, 1.5):
+                # the recipe's own amplitude and seed are not read
+                config = NoiseConfig(kind=kind, amplitude=9.0, segments=12,
+                                     total_length=7.0, seed=99,
+                                     filter_time_scale=time_scale)
+                batch = generate_batch(config, BATCH_AMPLITUDES, BATCH_SEEDS,
+                                       n_sites=4)
+                assert batch.shape == (len(BATCH_SEEDS), 4, 12)
+                for row, amplitude, seed in zip(batch, BATCH_AMPLITUDES,
+                                                BATCH_SEEDS):
+                    one = generate(replace(config, amplitude=amplitude,
+                                           seed=seed), n_sites=4)
+                    assert row.tobytes() == one.sequences.tobytes()
+                    assert (amplitude == 0.0) == (not row.any())
 
     def test_rows_independent_of_batch_order_and_chunks(self):
-        # more configs than one chunk, so a config's row is computed in a
-        # different chunk, next to different rows, in the two batches
-        configs = [NoiseConfig(kind="colored", amplitude=0.5, segments=9,
-                               seed=s) for s in range(noise_mod._BATCH_CHUNK + 5)]
-        forward = generate_batch(configs, n_sites=2)
-        backward = generate_batch(configs[::-1], n_sites=2)[::-1]
+        # more realizations than one chunk, and zeros among them, so a
+        # realization's row is computed in a different chunk, next to
+        # different rows, in the two batches
+        config = NoiseConfig(kind="colored", segments=9)
+        seeds = list(range(noise_mod._BATCH_CHUNK + 40))
+        amplitudes = np.array([0.0 if s % 5 == 0 else 0.5 for s in seeds])
+        forward = generate_batch(config, amplitudes, seeds, n_sites=2)
+        backward = generate_batch(config, amplitudes[::-1], seeds[::-1],
+                                  n_sites=2)[::-1]
         assert forward.tobytes() == backward.tobytes()
 
     def test_rejections(self):
-        with pytest.raises(PhysicsError):
-            generate_batch([], n_sites=3)
-        with pytest.raises(PhysicsError):
-            generate_batch([NoiseConfig()], n_sites=0)
-        with pytest.raises(PhysicsError, match="segment count"):
-            generate_batch([NoiseConfig(segments=10), NoiseConfig(segments=11)])
+        for amplitudes, seeds, n_sites, message in [
+                ([0.5], [0], 0, "n_sites"),
+                ([], [], 7, "at least one"),
+                ([0.5, 0.5], [0], 7, "one seed per amplitude"),
+                ([0.5], [0, 1], 7, "one seed per amplitude"),
+                ([0.5, math.nan], [0, 1], 7, "finite"),
+                ([math.inf], [0], 7, "finite"),
+                ([0.5, -0.1], [0, 1], 7, "nonnegative"),
+                ([0.5, 0.0], [0, -1], 7, "seed"),     # at a zero amplitude
+                ([0.5], [1.5], 7, "seed"),
+                ([0.5], [True], 7, "seed"),
+                ([0.0], [None], 7, "seed")]:
+            with pytest.raises(PhysicsError, match=message):
+                generate_batch(NoiseConfig(), amplitudes, seeds,
+                               n_sites=n_sites)
 
     @pytest.mark.parametrize("time_scale", [5e-324, 1e300])
     def test_non_finite_filter_rejected(self, time_scale):
         # the bilinear coefficients overflow at these rates
         with np.errstate(all="ignore"), pytest.raises(PhysicsError,
                                                       match="not finite"):
-            generate_batch([NoiseConfig(kind="colored",
-                                        filter_time_scale=time_scale)])
+            generate_batch(NoiseConfig(kind="colored",
+                                       filter_time_scale=time_scale),
+                           [0.5], [0])
 
 
 class TestResample:
