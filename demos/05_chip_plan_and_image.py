@@ -13,9 +13,6 @@ region and report the fraction delivered to the sink.
 Run:  python3 demos/05_chip_plan_and_image.py
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
 from fmosim.analysis import (EllipseMask, RectMask,

@@ -124,10 +124,7 @@ def psd_periodogram(seq, f_s: float, nfft: int = 128) -> SpectrumEstimate:
     spec = np.fft.rfft(xc, n=nfft)
     # Two-sided density |X|^2 / (n f_s); folding doubles interior bins.
     dens = (np.abs(spec) ** 2) / (n * f_s)
-    if nfft % 2 == 0:
-        dens[..., 1:-1] *= 2.0
-    else:
-        dens[..., 1:] *= 2.0
+    dens[..., 1:-1] *= 2.0
     freqs = np.fft.rfftfreq(nfft, d=1.0 / f_s)
     return SpectrumEstimate(freqs, dens, f_s, nfft)
 
@@ -184,35 +181,20 @@ def _index_at(tr: EvolutionTrace, z: float) -> int:
     return int(round(j))
 
 
-def transport_efficiency(tr: EvolutionTrace, mode: str = "intensity",
-                         z: float | None = None,
-                         site_energies: tuple | None = None) -> float:
-    """Fraction of intensity that has reached the sink chain at z.
-
-    ``intensity`` mode returns sum_sink p / sum_all p.  The
-    ``energy_weighted`` mode multiplies by eps_drain/eps_source using
-    caller-supplied absolute site energies (eps_source, eps_drain).
-    """
+def transport_efficiency(tr: EvolutionTrace, z: float | None = None) -> float:
+    """Fraction of intensity that has reached the sink chain at z (by
+    default the end of the trace): sum_sink p / sum_all p."""
     sink = tr.sink_indices
     if not sink:
         raise PhysicsError("trace has no sink waveguides")
     j = len(tr.positions) - 1 if z is None else _index_at(tr, z)
     p = np.abs(tr.amplitudes[j]) ** 2
-    eta = float(p[list(sink)].sum() / p.sum())
-    if mode == "intensity":
-        return eta
-    if mode == "energy_weighted":
-        if site_energies is None:
-            raise PhysicsError("energy_weighted mode needs (source, drain) energies")
-        eps_source, eps_drain = site_energies
-        if eps_source == 0:
-            raise PhysicsError("source energy must be nonzero")
-        return eta * eps_drain / eps_source
-    raise PhysicsError(f"unknown efficiency mode {mode!r}")
+    return float(p[list(sink)].sum() / p.sum())
 
 
-def transfer_time(tr: EvolutionTrace, total_length: float | None = None) -> float:
-    """Mean arrival distance of the intensity that reaches the sink by T.
+def transfer_time(tr: EvolutionTrace) -> float:
+    """Mean arrival distance of the intensity that reaches the sink by the
+    end of the trace, T.
 
     tau = -(dt/eta_N) * sum_{j=1}^{N-1} P_sink(j dt) + (T - dt/2), where
     eta_N is the sink fraction at T and dt the trace sampling step.
@@ -220,12 +202,12 @@ def transfer_time(tr: EvolutionTrace, total_length: float | None = None) -> floa
     sink = list(tr.sink_indices)
     if not sink:
         raise PhysicsError("trace has no sink waveguides")
-    t_total = tr.positions[-1] if total_length is None else total_length
-    n = _index_at(tr, t_total)
+    t_total = tr.positions[-1]
+    n = len(tr.positions) - 1
     if n < 1:
         raise PhysicsError("trace too short for a transfer time")
     dt = tr.fine_step
-    p_sink = (np.abs(tr.amplitudes[: n + 1, sink]) ** 2).sum(axis=1)
+    p_sink = (np.abs(tr.amplitudes[:, sink]) ** 2).sum(axis=1)
     norm = (np.abs(tr.amplitudes[n]) ** 2).sum()
     eta_n = p_sink[n] / norm
     if eta_n <= 0:
@@ -233,34 +215,30 @@ def transfer_time(tr: EvolutionTrace, total_length: float | None = None) -> floa
     return float(-(dt / eta_n) * p_sink[1:n].sum() + (t_total - dt / 2.0))
 
 
-def ipr(h, site_subset=None) -> float:
-    """Inverse participation ratio of the eigenstates on a site block.
+def ipr(h) -> float:
+    """Inverse participation ratio of the eigenstates on the network block.
 
-    The Hamiltonian is restricted to the subset's principal submatrix
-    (the 7-site network block by default) and IPR = 1 / sum |<i|E_a>|^4,
-    from the weights of :func:`eigen_site_distribution`.
+    IPR = 1 / sum |<i|E_a>|^4, from the weights of
+    :func:`eigen_site_distribution` on the same block.
     """
-    _, weights = eigen_site_distribution(h, site_subset)
+    _, weights = eigen_site_distribution(h)
     return float(1.0 / np.sum(weights ** 2))
 
 
-def eigen_site_distribution(h, site_subset=None):
+def eigen_site_distribution(h):
     """Eigenvalues (ascending) and the |<i|E_a>|^2 weight matrix.
 
-    Returns (eigenvalues, weights) where weights[i, a] is site i's
-    probability in eigenstate a; every row sums to 1 by completeness.
+    A :class:`~fmosim.model.Hamiltonian` is restricted to its network
+    block (the seven FMO sites); a bare matrix is taken whole.  Returns
+    (eigenvalues, weights) where weights[i, a] is site i's probability in
+    eigenstate a; every row sums to 1 by completeness.
     """
     from .model import Hamiltonian
     if isinstance(h, Hamiltonian):
-        matrix = h.matrix
-        if site_subset is None:
-            site_subset = h.fmo_indices
+        idx = h.fmo_indices
+        block = h.matrix[np.ix_(idx, idx)]
     else:
-        matrix = np.asarray(h)
-        if site_subset is None:
-            site_subset = range(matrix.shape[0])
-    idx = list(site_subset)
-    block = matrix[np.ix_(idx, idx)]
+        block = np.asarray(h)
     if np.abs(block - block.conj().T).max() > 1e-10:
         raise PhysicsError("Hamiltonian block is not Hermitian")
     w, v = np.linalg.eigh(block)
@@ -315,22 +293,26 @@ def read_pixel_matrix(path) -> np.ndarray:
     """Parse a whitespace-separated ASCII matrix, one row per line."""
     rows = []
     width = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = [float(tok) for tok in line.split()]
-            except ValueError as exc:
-                raise PhysicsError(f"line {lineno}: non-numeric pixel value") from exc
-            if not np.isfinite(row).all():
-                raise PhysicsError(f"line {lineno}: non-finite pixel value")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise PhysicsError(
-                    f"line {lineno}: ragged row ({len(row)} values, expected {width})")
-            rows.append(row)
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise PhysicsError(f"{path}: not UTF-8 text") from exc
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise PhysicsError(f"line {lineno}: non-numeric pixel value") from exc
+        if not np.isfinite(row).all():
+            raise PhysicsError(f"line {lineno}: non-finite pixel value")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise PhysicsError(
+                f"line {lineno}: ragged row ({len(row)} values, expected {width})")
+        rows.append(row)
     if not rows:
         raise PhysicsError("empty pixel matrix")
     return np.asarray(rows)

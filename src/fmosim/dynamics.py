@@ -18,8 +18,12 @@ drain-to-sink link is folded.  A step holds at most TERMS_HELD terms of a
 realization, as a ring summed each time it fills, in one buffer of at most
 TERM_BUFFER_BYTES (for windows of up to 65,534 rows), so a wider batch
 runs as column chunks.  No call goes through BLAS, whose blocked sums may
-depend on the batch width, so a column's result does not depend on which
-other columns share its batch.
+depend on the batch width, so on a given spectral interval a column's
+result does not depend on which other columns share its batch.  The
+default interval spans the whole batch, so a column run alone gets its
+own interval and agrees with its batch column to rounding (a few 1e-15),
+not bit for bit; the tests pin the bitwise equality through
+``propagate(interval=)``.
 
 The sink chain only has to look irreversible over the chip, so the light
 never reaches its far end.  :func:`propagate` evolves only the light cone:
@@ -435,8 +439,9 @@ def _chebyshev_step(x, coeff, block, weights, terms, bands, cos_t, sin_t):
     recurrence.  The held terms are summed with their weights when the
     buffer fills and after the last term; a buffer shorter than the series
     is a ring of even length, so a slot's parity is its term's.  Every
-    call is an elementwise loop over the columns, so a column's result
-    does not depend on the others (no BLAS, which may reorder sums).
+    call is an elementwise loop over the columns, so on the given
+    ``coeff`` and ``weights`` a column's result does not depend on the
+    others (no BLAS, which may reorder sums).
     """
     rows, cols = x.shape
     terms = terms[:, :rows + 2, :cols]
@@ -504,8 +509,10 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     buffer of at most TERM_BUFFER_BYTES (see :func:`_buffer_shape`); a
     wider batch runs as column chunks in lockstep, which gives the same
     bits because the columns do not depend on each other.  Without BLAS, a
-    column's result does not depend on which other columns share its
-    batch.
+    column's result on a given ``interval`` does not depend on which other
+    columns share its batch; the default interval spans the batch, so a
+    column run alone agrees with its batch column only to rounding (a few
+    1e-15) unless both runs pass the same ``interval``.
 
     Only the light cone of the sink chain is evolved: in segment k, rows
     ``[:n0 + L_k]``, where n0 counts the non-sink rows, and every row past

@@ -137,8 +137,7 @@ def network_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
 
 def _base_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
     return attach_sink(network_hamiltonian(cfg), cfg.sink_length,
-                       drain_coupling=cfg.sink_coupling,
-                       internal_coupling=cfg.sink_coupling)
+                       cfg.sink_coupling)
 
 
 def _noise_seeds(master: int, grid_indices, realizations: int) -> list:

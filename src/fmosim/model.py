@@ -30,9 +30,11 @@ __all__ = [
     "WEAK_COUPLING_CUTOFF_CM",
     "CM_PER_MM",
     "DEFAULT_SINK_COUPLING",
+    "COUPLING_AMPLITUDE",
+    "COUPLING_DECAY",
+    "DELTA_BETA_PER_SPEED",
     "FmoSpec",
     "Hamiltonian",
-    "CouplingCalibration",
     "ChipPlanRow",
     "build_fmo_hamiltonian",
     "attach_sink",
@@ -80,6 +82,14 @@ HERMITICITY_TOL = 1e-12
 #: measurably helps transport on a 20 mm chip (see attach_sink).
 DEFAULT_SINK_COUPLING = 0.2
 
+#: Fabrication calibration of the chip: the evanescent coupling decays with
+#: waveguide spacing as C(d) = COUPLING_AMPLITUDE * exp(-COUPLING_DECAY * d)
+#: (C in cm^-1, d in um), and a writing-speed offset (mm/s) detunes the
+#: propagation constant by DELTA_BETA_PER_SPEED mm^-1 per mm/s.
+COUPLING_AMPLITUDE = 47.19
+COUPLING_DECAY = 0.2243
+DELTA_BETA_PER_SPEED = 0.02
+
 
 @dataclass(frozen=True)
 class FmoSpec:
@@ -112,26 +122,6 @@ class FmoSpec:
             raise PhysicsError("raw site energies must be strictly positive")
         if not 0 < self.coupling_scale <= 1:
             raise PhysicsError(f"coupling_scale must be in (0, 1], got {self.coupling_scale}")
-
-
-@dataclass(frozen=True)
-class CouplingCalibration:
-    """Fabrication calibration constants.
-
-    ``amplitude_a``/``decay_b`` parametrise the exponential decay of the
-    evanescent coupling with waveguide spacing, C(d) = a * exp(-b d)
-    (C in cm^-1, d in um).  ``delta_beta_slope`` is the linear map from
-    writing-speed detuning (mm/s) to propagation-constant detuning (mm^-1).
-    """
-
-    amplitude_a: float = 47.19
-    decay_b: float = 0.2243
-    delta_beta_slope: float = 0.02
-
-    def __post_init__(self):
-        for name in ("amplitude_a", "decay_b", "delta_beta_slope"):
-            if getattr(self, name) <= 0:
-                raise PhysicsError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -215,17 +205,14 @@ def build_fmo_hamiltonian(spec: FmoSpec = FmoSpec()) -> Hamiltonian:
     return Hamiltonian(matrix=matrix, roles=roles)
 
 
-def attach_sink(
-    h: Hamiltonian,
-    sink_length: int,
-    drain_coupling: float = DEFAULT_SINK_COUPLING,
-    internal_coupling: float = DEFAULT_SINK_COUPLING,
-) -> Hamiltonian:
+def attach_sink(h: Hamiltonian, sink_length: int,
+                coupling: float = DEFAULT_SINK_COUPLING) -> Hamiltonian:
     """Append a nearest-neighbour chain of absorbing waveguides.
 
     The chain hangs off the drain site; every sink waveguide gets the
-    drain site's diagonal energy, so the chain is resonant with it.  The
-    default coupling of 0.2 mm^-1 makes the chain a slow, effectively
+    drain site's diagonal energy, so the chain is resonant with it.
+    ``coupling`` is both the drain-to-chain link and every bond within the
+    chain.  The default of 0.2 mm^-1 makes the chain a slow, effectively
     irreversible drain on the 20 mm chip, which is what lets moderate
     dephasing visibly assist transport; fabricated-chip values are not
     published, so this default is a documented modelling choice.
@@ -234,8 +221,8 @@ def attach_sink(
         raise PhysicsError("sink already attached")
     if sink_length < 1:
         raise PhysicsError("sink_length must be >= 1")
-    if drain_coupling <= 0 or internal_coupling <= 0:
-        raise PhysicsError("sink couplings must be positive")
+    if coupling <= 0:
+        raise PhysicsError("sink coupling must be positive")
     n = h.dim
     m = np.zeros((n + sink_length, n + sink_length))
     m[:n, :n] = h.matrix
@@ -243,9 +230,9 @@ def attach_sink(
     m[np.arange(n, n + sink_length), np.arange(n, n + sink_length)] = h.matrix[
         drain, drain
     ]
-    m[drain, n] = m[n, drain] = drain_coupling
+    m[drain, n] = m[n, drain] = coupling
     for k in range(n, n + sink_length - 1):
-        m[k, k + 1] = m[k + 1, k] = internal_coupling
+        m[k, k + 1] = m[k + 1, k] = coupling
     roles = h.roles + tuple(f"sink_{k + 1}" for k in range(sink_length))
     return Hamiltonian(m, roles, h.source_site, h.drain_site)
 
@@ -274,30 +261,30 @@ def lowest_eigengap(h: Hamiltonian) -> float:
     return float(ev[1] - ev[0])
 
 
-def coupling_for_spacing(d: float, cal: CouplingCalibration = CouplingCalibration()) -> float:
+def coupling_for_spacing(d: float) -> float:
     """Evanescent coupling (cm^-1) at centre-to-centre spacing d (um)."""
     if d < 0:
         raise PhysicsError("spacing must be nonnegative")
-    return cal.amplitude_a * np.exp(-cal.decay_b * d)
+    return COUPLING_AMPLITUDE * np.exp(-COUPLING_DECAY * d)
 
 
-def spacing_for_coupling(c: float, cal: CouplingCalibration = CouplingCalibration()) -> float:
+def spacing_for_coupling(c: float) -> float:
     """Spacing (um) realising coupling c (cm^-1); exact inverse of the fit."""
-    if c <= 0 or c > cal.amplitude_a:
+    if c <= 0 or c > COUPLING_AMPLITUDE:
         raise PhysicsError(
-            f"coupling must be in (0, {cal.amplitude_a}] cm^-1 for inversion, got {c}"
+            f"coupling must be in (0, {COUPLING_AMPLITUDE}] cm^-1 for inversion, got {c}"
         )
-    return float(np.log(cal.amplitude_a / c) / cal.decay_b)
+    return float(np.log(COUPLING_AMPLITUDE / c) / COUPLING_DECAY)
 
 
-def delta_beta_for_speed(dv: float, cal: CouplingCalibration = CouplingCalibration()) -> float:
+def delta_beta_for_speed(dv: float) -> float:
     """Propagation-constant detuning (mm^-1) for a writing-speed offset (mm/s)."""
     if dv < 0:
         raise PhysicsError("speed detuning must be nonnegative")
-    return cal.delta_beta_slope * dv
+    return DELTA_BETA_PER_SPEED * dv
 
 
-def speed_for_delta_beta(db: float, cal: CouplingCalibration = CouplingCalibration()) -> float:
+def speed_for_delta_beta(db: float) -> float:
     """Writing-speed offset (mm/s) producing detuning db (mm^-1).
 
     Higher writing speed lowers the propagation constant; the exported
@@ -305,7 +292,7 @@ def speed_for_delta_beta(db: float, cal: CouplingCalibration = CouplingCalibrati
     """
     if db < 0:
         raise PhysicsError("detuning must be nonnegative")
-    return db / cal.delta_beta_slope
+    return db / DELTA_BETA_PER_SPEED
 
 
 def effective_coupling(c0: float, db):
@@ -371,7 +358,7 @@ class ChipPlanRow:
     unit: str
 
 
-def export_chip_plan(h: Hamiltonian, noise=None, cal: CouplingCalibration = CouplingCalibration()):
+def export_chip_plan(h: Hamiltonian, noise=None):
     """Translate a Hamiltonian plus a noise realization into a chip plan.
 
     Spacing rows: one per coupled pair, spacing in um from the inverse of
@@ -388,19 +375,19 @@ def export_chip_plan(h: Hamiltonian, noise=None, cal: CouplingCalibration = Coup
             if c_mm == 0:
                 continue
             c_cm = c_mm / CM_PER_MM
-            if c_cm > cal.amplitude_a:
+            if c_cm > COUPLING_AMPLITUDE:
                 raise PhysicsError(
                     f"coupling for pair ({i + 1}, {j + 1}) exceeds the fit amplitude "
-                    f"({c_cm:.4g} > {cal.amplitude_a} cm^-1)"
+                    f"({c_cm:.4g} > {COUPLING_AMPLITUDE} cm^-1)"
                 )
             rows.append(
-                ChipPlanRow("spacing", i + 1, j + 1, -1, spacing_for_coupling(c_cm, cal), "um")
+                ChipPlanRow("spacing", i + 1, j + 1, -1, spacing_for_coupling(c_cm), "um")
             )
     if noise is not None:
         for site, seq in enumerate(noise.sequences, start=1):
             for seg, db in enumerate(seq):
                 rows.append(
-                    ChipPlanRow("speed", site, -1, seg, speed_for_delta_beta(float(db), cal), "mm/s")
+                    ChipPlanRow("speed", site, -1, seg, speed_for_delta_beta(float(db)), "mm/s")
                 )
     rows.sort(key=lambda r: (r.record_type, r.site_a, r.site_b, r.segment_index))
     return rows
@@ -438,21 +425,27 @@ def read_chip_plan(path_or_file):
     f = open(path_or_file, newline="", encoding="utf-8") if own else path_or_file
     try:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise PhysicsError("line 1: empty chip plan, no header")
         if header != _PLAN_HEADER:
             raise PhysicsError(f"unexpected chip-plan header: {header}")
         rows = []
         for rec in reader:
-            rows.append(
-                ChipPlanRow(
-                    rec[0],
-                    int(rec[1]),
-                    int(rec[2]) if rec[2] else -1,
-                    int(rec[3]) if rec[3] else -1,
-                    float(rec[4]),
-                    rec[5],
+            try:
+                rows.append(
+                    ChipPlanRow(
+                        rec[0],
+                        int(rec[1]),
+                        int(rec[2]) if rec[2] else -1,
+                        int(rec[3]) if rec[3] else -1,
+                        float(rec[4]),
+                        rec[5],
+                    )
                 )
-            )
+            except (IndexError, ValueError) as exc:
+                raise PhysicsError(
+                    f"line {reader.line_num}: malformed chip-plan row {rec}") from exc
         return rows
     finally:
         if own:

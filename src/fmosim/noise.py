@@ -293,22 +293,28 @@ def write_noise_csv(nr: NoiseRealization, path_or_file) -> None:
             f.close()
 
 
-def read_noise_csv(path_or_file, config: NoiseConfig | None = None) -> NoiseRealization:
+def read_noise_csv(path_or_file) -> NoiseRealization:
     """Read sequences written by :func:`write_noise_csv`.
 
-    A replayed schedule keeps whatever config it is given (used only as
-    metadata); by default a config echoing the file's shape is built.
+    The realization's config echoes the file's shape: a uniform_white
+    recipe with one segment per mm, at the largest absolute value read.
     """
     own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
     f = open(path_or_file, newline="", encoding="utf-8") if own else path_or_file
     try:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise PhysicsError("line 1: empty noise file, no header")
         if header != _NOISE_HEADER:
             raise PhysicsError(f"unexpected noise header: {header}")
         data: dict = {}
         for rec in reader:
-            data.setdefault(int(rec[0]), {})[int(rec[1])] = float(rec[2])
+            try:
+                data.setdefault(int(rec[0]), {})[int(rec[1])] = float(rec[2])
+            except (IndexError, ValueError) as exc:
+                raise PhysicsError(
+                    f"line {reader.line_num}: malformed noise row {rec}") from exc
     finally:
         if own:
             f.close()
@@ -321,11 +327,10 @@ def read_noise_csv(path_or_file, config: NoiseConfig | None = None) -> NoiseReal
         for seg, value in data[site].items():
             seqs[row, seg] = value
     amplitude = float(np.abs(seqs).max())
-    if config is None:
-        config = NoiseConfig(
-            kind="uniform_white",
-            amplitude=amplitude if amplitude > 0 else 0.0,
-            segments=n,
-            total_length=float(n),
-        )
+    config = NoiseConfig(
+        kind="uniform_white",
+        amplitude=amplitude if amplitude > 0 else 0.0,
+        segments=n,
+        total_length=float(n),
+    )
     return NoiseRealization(seqs, config)

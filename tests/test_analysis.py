@@ -267,13 +267,6 @@ class TestTransportEfficiency:
             eta = transport_efficiency(tr, z=z)
             assert 0.0 <= eta <= 1.0
 
-    def test_energy_weighted_mode(self):
-        tr = make_trace(0.3, seed=2)
-        eta = transport_efficiency(tr)
-        weighted = transport_efficiency(tr, mode="energy_weighted",
-                                        site_energies=(2.0, 1.0))
-        assert weighted == pytest.approx(eta * 0.5)
-
     def test_no_sink_rejected(self):
         h = build_fmo_hamiltonian(FmoSpec())
         tr = evolve(h, np.zeros((7, 20)), 1.0, fine_step=1.0)
@@ -454,6 +447,12 @@ class TestImageIngestion:
         path = tmp_path / "img.txt"
         path.write_text(f"1 2 3\n4 {pixel} 6\n")
         with pytest.raises(PhysicsError, match="line 2: non-finite"):
+            read_pixel_matrix(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "img.txt"
+        path.write_bytes(b"1 2\n3 \xff\n")
+        with pytest.raises(PhysicsError, match="img.txt: not UTF-8 text"):
             read_pixel_matrix(path)
 
     def test_matrix_file_round_trip(self, tmp_path):

@@ -566,6 +566,13 @@ class TestAnalyzeImage:
                      "--rect", "2,0,1,1"]) == EXIT_PHYSICS
         assert "line 2: non-finite pixel value" in capsys.readouterr().err
 
+    def test_non_utf8_image_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "img.txt"
+        path.write_bytes(b"1 2\n3 \xff\n")
+        assert main(["analyze-image", str(path), "--ellipse", "1,1,1,1",
+                     "--rect", "2,0,1,1"]) == EXIT_PHYSICS
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
 
 class TestChipPlan:
     def test_seven_waveguide_plan(self, tmp_path, capsys):
@@ -636,7 +643,7 @@ class TestOneReading:
         assert code == EXIT_OK
         h = model.attach_vibrational_mode(
             model.build_fmo_hamiltonian(model.FmoSpec(coupling_scale=0.2)))
-        h = model.attach_sink(h, 10, drain_coupling=0.3, internal_coupling=0.3)
+        h = model.attach_sink(h, 10, coupling=0.3)
         det = noise.generate(noise.NoiseConfig(
             kind="colored", amplitude=0.7, segments=10, total_length=10,
             seed=8, filter_time_scale=0.5), n_sites=7)

@@ -14,7 +14,6 @@ from fmosim.model import (
     CM_PER_MM,
     DEFAULT_SINK_COUPLING,
     RAW_SITE_HAMILTONIAN_CM,
-    CouplingCalibration,
     FmoSpec,
     Hamiltonian,
     apply_static_disorder,
@@ -121,9 +120,10 @@ class TestAttachSink:
         assert np.abs(h.matrix - h.matrix.conj().T).max() < 1e-12
 
     def test_drain_coupled_to_first_sink(self):
-        h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 5,
-                        drain_coupling=0.37)
-        assert h.matrix[h.drain_index, h.sink_indices[0]] == pytest.approx(0.37)
+        h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 5, coupling=0.37)
+        first, second = h.sink_indices[:2]
+        assert h.matrix[h.drain_index, first] == pytest.approx(0.37)
+        assert h.matrix[first, second] == pytest.approx(0.37)
 
     def test_default_coupling_documented_value(self):
         assert DEFAULT_SINK_COUPLING == 0.2
@@ -335,6 +335,20 @@ class TestChipPlan:
         buf.seek(0)
         back = read_chip_plan(buf)
         assert back == rows
+
+    @pytest.mark.parametrize("text,match", [
+        ("", "line 1: empty chip plan"),
+        ("record_type,site_a,site_b,segment_index,value,unit\nspacing,1\n",
+         "line 2: malformed chip-plan row"),
+        ("record_type,site_a,site_b,segment_index,value,unit\n"
+         "spacing,1,2,,5.6,um\nspacing,one,2,,5.6,um\n",
+         "line 3: malformed chip-plan row"),
+        ("record_type,site_a,site_b,segment_index,value,unit\n"
+         "spacing,1,2,,wide,um\n", "line 2: malformed chip-plan row")],
+        ids=["empty", "short_row", "non_integer_site", "non_numeric_value"])
+    def test_malformed_plan_names_line(self, text, match):
+        with pytest.raises(PhysicsError, match=match):
+            read_chip_plan(io.StringIO(text))
 
     def test_max_speed_for_unit_amplitude(self):
         h = build_fmo_hamiltonian(FmoSpec(include_weak_couplings=False))

@@ -315,3 +315,16 @@ class TestCsvRoundTrip:
     def test_empty_rejected(self):
         with pytest.raises(PhysicsError):
             read_noise_csv(io.StringIO("site,segment_index,delta_beta\n"))
+
+    @pytest.mark.parametrize("text,match", [
+        ("", "line 1: empty noise file"),
+        ("site,segment_index,delta_beta\n1,0,0.5\n1,1\n",
+         "line 3: malformed noise row"),
+        ("site,segment_index,delta_beta\n1,zero,0.5\n",
+         "line 2: malformed noise row"),
+        ("site,segment_index,delta_beta\n1,0,big\n",
+         "line 2: malformed noise row")],
+        ids=["empty", "short_row", "non_integer_segment", "non_numeric_value"])
+    def test_malformed_file_names_line(self, text, match):
+        with pytest.raises(PhysicsError, match=match):
+            read_noise_csv(io.StringIO(text))
