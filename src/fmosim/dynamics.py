@@ -10,20 +10,21 @@ exp(-i H dz) as a Chebyshev series (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
 3967 (1984)) on a spectral interval enclosing every segment's spectrum,
 truncated where the Bessel coefficients fall below 1e-16; a step agrees
 with the exact propagator to about 1e-14.  The matrix-vector product
-follows the array's structure: a banded einsum applies the diagonals and
-the nearest-neighbour sink chain to terms padded with a zero ghost row at
-either end, and a second einsum applies the dense block over the network
-sites, the optional vibration mode and the first sink, into which the
-drain-to-sink link is folded.  A step holds at most TERMS_HELD terms of a
-realization, as a ring summed each time it fills, in one buffer of at most
-TERM_BUFFER_BYTES (for windows of up to 65,534 rows), so a wider batch
-runs as column chunks.  No call goes through BLAS, whose blocked sums may
-depend on the batch width, so on a given spectral interval a column's
-result does not depend on which other columns share its batch.  The
-default interval spans the whole batch, so a column run alone gets its
-own interval and agrees with its batch column to rounding (a few 1e-15),
-not bit for bit; the tests pin the bitwise equality through
-``propagate(interval=)``.
+follows the array's structure, in three numpy calls a term: an einsum
+writes the head rows (the network sites, the optional vibration mode and
+the first sink) from a dense per-column operand of their couplings,
+diagonals, drain-to-sink link and first chain bond; a banded einsum writes
+the chain rows past them, on terms padded with a zero ghost row at either
+end; the third call is the recurrence.  A step holds at most TERMS_HELD
+terms of a realization, as a ring summed each time it fills, in one buffer
+of at most TERM_BUFFER_BYTES (for windows of up to 65,534 rows), so a
+wider batch runs as column chunks.  No call goes through BLAS, whose
+blocked sums may depend on the batch width, so on a given spectral
+interval a column's result does not depend on which other columns share
+its batch.  The default interval spans the whole batch, so a column run
+alone gets its own interval and agrees with its batch column to rounding
+(a few 1e-15), not bit for bit; the tests pin the bitwise equality
+through ``propagate(interval=)``.
 
 The sink chain only has to look irreversible over the chip, so the light
 never reaches its far end.  :func:`propagate` evolves only the light cone:
@@ -56,6 +57,12 @@ import numpy as np
 
 from .errors import PhysicsError
 from .model import HERMITICITY_TOL, Hamiltonian, effective_coupling
+
+# np.einsum without ``optimize`` calls this behind a ~2 us Python wrapper
+if int(np.__version__.split(".")[0]) >= 2:
+    from numpy._core.multiarray import c_einsum
+else:
+    from numpy.core.multiarray import c_einsum
 
 __all__ = ["EvolutionTrace", "segment_propagator", "spectral_interval",
            "propagate", "evolve", "site_probabilities", "write_trace_csv"]
@@ -194,24 +201,18 @@ def _batch(h: Hamiltonian, detunings, diagonals):
     return det, diag
 
 
-def _block(st: _Structure, det_k, coupling_correction: bool):
-    """Block (nb, nb, C) of one segment, or (nb, nb, 1) shared by all.
-
-    ``det_k`` is the segment's (sites, C) detuning.  Without the coupling
-    correction every column shares the base block.
-    """
-    block = st.block[:, :, None]
-    if coupling_correction:
-        block = np.repeat(block, det_k.shape[1], axis=2)
-        for a in range(len(st.sites) - 1):
-            i, j = st.sites[a], st.sites[a + 1]
-            c0 = st.block[i, j]
-            if c0 == 0.0:
-                continue
-            ceff = np.sign(c0) * effective_coupling(
-                abs(c0), 0.5 * (det_k[a] + det_k[a + 1]))
-            block[i, j] = block[j, i] = ceff
-    return block
+def _corrected_pairs(st: _Structure, det) -> list:
+    """(a, c0, c) of every nonzero nearest-neighbour network coupling c0,
+    between sites[a] and sites[a + 1]: c is its (R, segments) coupling
+    under the correction, sign(c0) sqrt((d/2)^2 + c0^2), with d the pair's
+    mean detuning in each segment."""
+    pairs = []
+    for a in range(len(st.sites) - 1):
+        c0 = st.block[st.sites[a], st.sites[a + 1]]
+        if c0 != 0.0:
+            pairs.append((a, c0, np.sign(c0) * effective_coupling(
+                abs(c0), 0.5 * (det[:, a] + det[:, a + 1]))))
+    return pairs
 
 
 def spectral_interval(h: Hamiltonian, detunings, diagonals=None,
@@ -262,14 +263,10 @@ def _interval(h: Hamiltonian, st: _Structure, det, diag,
     radius[:nb] += np.abs(st.block).sum(axis=1)[:nb]
     # row sums of |change| the coupling correction makes on the network
     grow = np.zeros(net.shape)
-    if coupling_correction:
-        for a in range(len(sites) - 1):
-            c0 = abs(st.block[sites[a], sites[a + 1]])
-            if c0 == 0.0:
-                continue
-            dc = effective_coupling(c0, 0.5 * (det[:, a] + det[:, a + 1])) - c0
-            grow[a] += dc
-            grow[a + 1] += dc
+    for a, c0, c in _corrected_pairs(st, det) if coupling_correction else ():
+        dc = np.abs(c) - abs(c0)
+        grow[a] += dc
+        grow[a + 1] += dc
     inf = math.inf
     net_r = radius[sites][:, None, None] + grow
     lo_g = min((static - radius[rest, None]).min(initial=inf),
@@ -342,9 +339,8 @@ def _chebyshev_weights(rho: float) -> np.ndarray:
 
 
 def _check_norm(x: np.ndarray) -> None:
-    sq = x * x
-    norms = sq[:, 0::2].sum(axis=0) + sq[:, 1::2].sum(axis=0)
-    drift = float(np.abs(1.0 - norms).max())
+    sq = c_einsum("ij,ij->j", x, x)
+    drift = float(np.abs(1.0 - (sq[0::2] + sq[1::2])).max())
     if not drift <= NORM_TOL:
         raise PhysicsError(
             f"norm drift {drift:.3g} exceeds {NORM_TOL:g} (the series "
@@ -427,46 +423,52 @@ def _term_buffer(n_terms: int, rows: int, cols: int):
     return terms, bands
 
 
-def _chebyshev_step(x, coeff, block, weights, terms, bands, cos_t, sin_t):
+def _slots(terms, bands, rows: int, nb: int, cols: int) -> tuple:
+    """The held terms of a ``rows`` window on the first ``cols`` columns,
+    (K, rows, C), and per slot of the ring the views the term loop reads
+    and writes: the term, its nb + 1 leading rows, its first nb rows, its
+    chain rows past them, and the band view of those chain rows."""
+    t = terms[:, :, :cols]
+    return (t[:, 1:rows + 1], list(t[:, 1:rows + 1]), list(t[:, 1:nb + 2]),
+            list(t[:, 1:nb + 1]), list(t[:, nb + 1:rows + 1]),
+            list(bands[:, :, nb:rows, :cols]))
+
+
+def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
     """exp(-i H dt) x on the (rows, C) real columns ``x``.
 
-    2 A, with A = (H - center) / half, is ``coeff``, the (3, rows, C)
-    lower chain bond, diagonal and upper chain bond of every row, plus
-    ``block``, the (nb, nb) or per-column (nb, nb, C) couplings among the
-    first nb rows.
-    Term k is written into slot k % len(terms) of the buffer by four numpy
-    calls: the banded product, the block product and its sum, and the
-    recurrence.  The held terms are summed with their weights when the
-    buffer fills and after the last term; a buffer shorter than the series
-    is a ring of even length, so a slot's parity is its term's.  Every
-    call is an elementwise loop over the columns, so on the given
-    ``coeff`` and ``weights`` a column's result does not depend on the
+    2 A, with A = (H - center) / half, is split by rows: on the first nb
+    rows it is ``head``, the per-column (nb, nb + 1, C) couplings among the
+    first nb + 1 rows, diagonal included; past them it is ``chain``, the
+    (3, rows - nb, C) lower chain bond, diagonal and upper chain bond of
+    every row.  Term k is written into slot k % K of the ring ``slots``
+    (see :func:`_slots`) by three numpy calls: the head einsum, the banded
+    chain einsum and the recurrence.  The held terms are summed with their
+    weights when the ring fills and after the last term; a ring shorter
+    than the series has even length, so a slot's parity is its term's.
+    Every call is an elementwise loop over the columns, so on the given
+    operands and ``weights`` a column's result does not depend on the
     others (no BLAS, which may reorder sums).
     """
-    rows, cols = x.shape
-    terms = terms[:, :rows + 2, :cols]
-    bands = bands[:, :, :rows, :cols]
-    held, n_terms, nb = len(terms), len(weights), block.shape[0]
-    pattern = "ij,jr->ir" if block.ndim == 2 else "ijr,jr->ir"
+    held_terms, term, head_in, head_out, chain_out, chain_in = slots
+    held, n_terms = len(term), len(weights)
     even = odd = None
     for k in range(n_terms):
-        t = terms[k % held]
+        s = k % held
         if k == 0:
-            t[1:-1] = x
+            np.copyto(term[0], x)
         else:
-            np.einsum("krc,krc->rc", coeff, bands[(k - 1) % held],
-                      out=t[1:-1])
-            t[1:nb + 1] += np.einsum(pattern, block,
-                                     terms[(k - 1) % held, 1:nb + 1])
+            p = (k - 1) % held
+            c_einsum("ijr,jr->ir", head, head_in[p], out=head_out[s])
+            c_einsum("krc,krc->rc", chain, chain_in[p], out=chain_out[s])
             if k == 1:
-                t *= 0.5  # T_1 = A x; T_k = 2 A T_{k-1} - T_{k-2} after it
+                term[1] *= 0.5  # T_1 = A x; then T_k = 2 A T_k-1 - T_k-2
             else:
-                t -= terms[(k - 2) % held]
-        if k % held == held - 1 or k == n_terms - 1:
-            first = k - k % held
-            w, ts = weights[first:k + 1], terms[:k + 1 - first, 1:-1]
-            e = np.einsum("k,krc->rc", w[0::2], ts[0::2])
-            o = np.einsum("k,krc->rc", w[1::2], ts[1::2])
+                term[s] -= term[(k - 2) % held]
+        if s == held - 1 or k == n_terms - 1:
+            w, ts = weights[k - s:k + 1], held_terms[:s + 1]
+            e = c_einsum("k,krc->rc", w[0::2], ts[0::2])
+            o = c_einsum("k,krc->rc", w[1::2], ts[1::2])
             even, odd = (e, o) if even is None else (even + e, odd + o)
     # (cos - i sin) (even - i odd), written out on the real/imaginary columns
     re = even[:, 0::2] + odd[:, 1::2]
@@ -499,11 +501,12 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     :func:`spectral_interval`.  Raises PhysicsError if any column's norm
     drifts by more than NORM_TOL.
 
-    Each Chebyshev term costs four numpy calls (see
-    :func:`_chebyshev_step`): a banded einsum for the chain bonds and the
-    diagonals, on terms padded with a zero ghost row at either end of the
-    window, an einsum with the network block, into which the drain-to-sink
-    link is folded, plus its sum, and the recurrence.  A series longer
+    Each Chebyshev term costs three numpy calls (see
+    :func:`_chebyshev_step`): an einsum over the head rows with a dense
+    per-column operand that holds the network block, the drain-to-sink
+    link, the head diagonals and the first chain bond; a banded einsum
+    over the chain rows past them, on terms padded with a zero ghost row at
+    either end of the window; and the recurrence.  A series longer
     than TERMS_HELD runs through a ring of that many terms, summed with
     its weights each time it fills.  The held terms of a step share one
     buffer of at most TERM_BUFFER_BYTES (see :func:`_buffer_shape`); a
@@ -566,18 +569,33 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     cos_t, sin_t = math.cos(center * dt), math.sin(center * dt)
     scale = 2.0 / half if half > 0 else 0.0
 
-    # The term buffer, its band view, the chain bonds and the scaled
-    # diagonals are built once for the largest window, and a segment uses
-    # their leading rows.  Column chunks of at most `width` realizations
-    # share the buffer and the bands.  The windows never shrink, so no row
-    # past a segment's window has been written yet: the ghost row below it
-    # is still zero, which cuts the chain bond there.
+    # 2 (H - center) / half, split by rows (see _chebyshev_step) and built
+    # once for the largest window and the whole batch: a segment sets the
+    # network diagonals (and corrected couplings) of `head` and uses the
+    # leading rows.  The windows never shrink, so no row past a segment's
+    # window has been written yet: the ghost row below it is still zero,
+    # which cuts the chain bond there.  Column chunks of at most `width`
+    # realizations share the term buffer.
+    nb = len(st.block)
+    bond = np.append(st.chain, 0.0)[:, None] * scale
+    head = np.zeros((nb, nb + 1, 2 * n_real))
+    head[:, :nb] = st.block[:, :, None] * scale
+    head[range(nb), range(nb)] = np.repeat((diag[:nb] - center) * scale, 2,
+                                           axis=1)
+    head[n0:nb, nb] = bond[0]                    # the first chain bond
+    m = max(rows - nb, 0)
+    chain = np.zeros((3, m, 2 * n_real))
+    chain[0], chain[2] = bond[:m], bond[1:m + 1]
+    chain[1] = np.repeat((diag[nb:rows] - center) * scale, 2, axis=1)
+    net = np.repeat((diag[sites, :, None] + det.transpose(1, 0, 2) - center)
+                    * scale, 2, axis=1)                   # (sites, 2R, S)
+    pairs = _corrected_pairs(st, det) if coupling_correction else []
+    pairs = [(sites[a], sites[a + 1], np.repeat(c * scale, 2, axis=0))
+             for a, _, c in pairs]
     held, width = _buffer_shape(len(weights), rows, n_real)
     terms, bands = _term_buffer(held, rows, 2 * width)
-    coeff = np.zeros((3, rows, 2 * width))
-    coeff[0, n0 + 1:] = coeff[2, n0:rows - 1] = \
-        st.chain[:max(rows - n0 - 1, 0), None] * scale
-    scaled = np.repeat((diag[:rows] - center) * scale, 2, axis=1)
+    chunks = [slice(a, min(a + 2 * width, 2 * n_real))
+              for a in range(0, 2 * n_real, 2 * width)]
 
     def padded(x):
         out = np.zeros((h.dim, x.shape[1]))
@@ -590,21 +608,18 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     x[h.source_index, 0::2] = 1.0
     yield padded(x)
     for k, r in enumerate(windows):
-        det_k = det[:, :, k].T
-        scaled[sites] = np.repeat((diag[sites] + det_k - center) * scale, 2,
-                                  axis=1)
-        nb = min(len(st.block), r)
-        block = _block(st, det_k, coupling_correction)[:nb, :nb] * scale
-        block = (block[:, :, 0] if block.shape[2] == 1
-                 else np.repeat(block, 2, axis=2))
+        head[sites, sites] = net[:, :, k]
+        for i, j, c in pairs:
+            head[i, j] = head[j, i] = c[:, k]
+        n = min(nb, r)
+        slots = {w: _slots(terms, bands, r, n, w)
+                 for w in {cols.stop - cols.start for cols in chunks}}
+        ops = [(cols, head[:n, :n + 1, cols], chain[:, :r - n, cols],
+                slots[cols.stop - cols.start]) for cols in chunks]
         for _ in range(steps_per_segment):
-            for a in range(0, 2 * n_real, 2 * width):
-                cols = slice(a, min(a + 2 * width, 2 * n_real))
-                c = coeff[:, :r, :cols.stop - a]
-                c[1] = scaled[:r, cols]
-                blk = block if block.ndim == 2 else block[:, :, cols]
-                x[:r, cols] = _chebyshev_step(x[:r, cols], c, blk, weights,
-                                              terms, bands, cos_t, sin_t)
+            for cols, hd, ch, sl in ops:
+                x[:r, cols] = _chebyshev_step(x[:r, cols], hd, ch, sl,
+                                              weights, cos_t, sin_t)
             _check_norm(x[:r])
             yield padded(x)
 

@@ -447,6 +447,9 @@ def read_chip_plan(path_or_file):
                 raise PhysicsError(
                     f"line {reader.line_num}: malformed chip-plan row {rec}") from exc
         return rows
+    except UnicodeDecodeError as exc:
+        name = getattr(f, "name", f)
+        raise PhysicsError(f"{name}: not UTF-8 text") from exc
     finally:
         if own:
             f.close()

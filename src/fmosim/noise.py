@@ -311,10 +311,18 @@ def read_noise_csv(path_or_file) -> NoiseRealization:
         data: dict = {}
         for rec in reader:
             try:
-                data.setdefault(int(rec[0]), {})[int(rec[1])] = float(rec[2])
+                site, seg, value = int(rec[0]), int(rec[1]), float(rec[2])
             except (IndexError, ValueError) as exc:
                 raise PhysicsError(
                     f"line {reader.line_num}: malformed noise row {rec}") from exc
+            if seg < 0:
+                raise PhysicsError(
+                    f"line {reader.line_num}: negative segment index in noise "
+                    f"row {rec}")
+            data.setdefault(site, {})[seg] = value
+    except UnicodeDecodeError as exc:
+        name = getattr(f, "name", f)
+        raise PhysicsError(f"{name}: not UTF-8 text") from exc
     finally:
         if own:
             f.close()

@@ -235,8 +235,12 @@ class TestCouplingCorrection:
         """The kernel's network block of segment ``k`` and its detuning."""
         ph = default_chip(0.5, seed=1)
         st = dynamics._structure(ph["h"])
-        block = dynamics._block(st, ph["detunings"][:, k:k + 1], correction)
-        return block[:, :, 0], ph["detunings"][:, k]
+        block = st.block.copy()
+        pairs = dynamics._corrected_pairs(st, ph["detunings"][None])
+        for a, _, c in pairs if correction else ():
+            i, j = st.sites[a], st.sites[a + 1]
+            block[i, j] = block[j, i] = c[0, k]
+        return block, ph["detunings"][:, k]
 
     def test_correction_changes_offdiagonals_only_slightly(self):
         b0, _ = self.kernel_block(0, False)
@@ -677,6 +681,69 @@ class TestPropagate:
         m[0, 1], m[1, 0] = 0.1j, -0.1j
         with pytest.raises(PhysicsError, match="real"):
             Hamiltonian(m, h.roles)
+
+    # (h, correction) of the split product's edge cases: a window with no
+    # chain row (a one-waveguide sink), the vibration mode in the head rows
+    # (nb = 9) and the per-column couplings of the coupling correction
+    SPLIT_CASES = {"no_chain_row": (False, 1, False),
+                   "vibration": (True, 20, False),
+                   "correction": (False, 20, True)}
+
+    @pytest.mark.parametrize("case", list(SPLIT_CASES))
+    def test_split_product_edge_cases(self, case, monkeypatch):
+        vibration, sink, correction = self.SPLIT_CASES[case]
+        h, det, diag = batch_inputs(vibration, sink=sink)
+        nb = len(dynamics._structure(h).block)
+        rows = window_rows(h, det.shape[2])
+        if case == "no_chain_row":
+            assert rows == [nb] * len(rows)
+        if case == "vibration":
+            assert nb == 9
+        shapes = spy_term_buffers(monkeypatch)
+        whole = run_states(h, det, diag, correction)
+        (n_terms, n_rows, _), = shapes
+        # room for two realizations: chunks of 2, 2 and 1
+        monkeypatch.setattr(dynamics, "TERM_BUFFER_BYTES",
+                            2 * n_terms * (n_rows + 2) * 2 * 8 + 8)
+        chunked = run_states(h, det, diag, correction)
+        assert shapes[1] == (n_terms, n_rows, 2 * 2)
+        for a, b in zip(chunked, whole):
+            np.testing.assert_array_equal(a, b)
+        for c in range(det.shape[0]):
+            hd = Hamiltonian(h.matrix - np.diag(h.matrix.diagonal())
+                             + np.diag(diag[:, c]), h.roles)
+            psi = np.zeros(h.dim, complex)
+            psi[h.source_index] = 1.0
+            expected = [psi]
+            for k in range(det.shape[2]):
+                u = segment_propagator(
+                    segment_matrix(hd, det[c, :, k], correction), 0.5)
+                for _ in range(2):
+                    psi = u @ psi
+                    expected.append(psi)
+            got = np.array([s[:, c] for s in whole])
+            assert np.abs(got - np.array(expected)).max() < 1e-12
+
+    def test_c_einsum_is_numpy_einsum(self):
+        # every subscript the kernel calls, on the strided views it passes:
+        # a column chunk of the band view, the head rows, the held terms
+        rng = np.random.default_rng(0)
+        terms, bands = dynamics._term_buffer(4, 12, 10)
+        terms[:, 1:-1] = rng.standard_normal((4, 12, 10))
+        chain = rng.standard_normal((3, 12, 10))
+        head = rng.standard_normal((5, 6, 10))
+        w = rng.standard_normal(4)
+        cases = [("krc,krc->rc", chain[:, 3:, :7], bands[1, :, 3:, :7]),
+                 ("ijr,jr->ir", head[:, :, :7], terms[1, 1:7, :7]),
+                 ("k,krc->rc", w[0::2], terms[0::2, 1:-1, :7]),
+                 ("ij,ij->j", terms[2, 1:-1], terms[2, 1:-1])]
+        for subscripts, *operands in cases:
+            expected = np.einsum(subscripts, *operands)
+            got, out = np.empty_like(expected), np.empty_like(expected)
+            dynamics.c_einsum(subscripts, *operands, out=got)
+            np.einsum(subscripts, *operands, out=out)
+            np.testing.assert_array_equal(got, out)
+            np.testing.assert_array_equal(got, expected)
 
     def test_bessel_coefficients_match_scipy(self):
         from scipy.special import jv

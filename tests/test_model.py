@@ -350,6 +350,13 @@ class TestChipPlan:
         with pytest.raises(PhysicsError, match=match):
             read_chip_plan(io.StringIO(text))
 
+    def test_non_utf8_plan_rejected(self, tmp_path):
+        path = tmp_path / "plan.csv"
+        path.write_bytes(b"record_type,site_a,site_b,segment_index,value,unit\n"
+                         b"spacing,1,2,,5.6,\xff\n")
+        with pytest.raises(PhysicsError, match="plan.csv: not UTF-8 text"):
+            read_chip_plan(path)
+
     def test_max_speed_for_unit_amplitude(self):
         h = build_fmo_hamiltonian(FmoSpec(include_weak_couplings=False))
         det = generate(NoiseConfig(kind="uniform_white", amplitude=1.0, seed=0))

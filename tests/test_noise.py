@@ -328,3 +328,16 @@ class TestCsvRoundTrip:
     def test_malformed_file_names_line(self, text, match):
         with pytest.raises(PhysicsError, match=match):
             read_noise_csv(io.StringIO(text))
+
+    def test_negative_segment_index_rejected(self):
+        text = ("site,segment_index,delta_beta\n"
+                "1,0,0.5\n1,1,0.25\n1,-1,0.75\n")
+        with pytest.raises(PhysicsError,
+                           match="line 4: negative segment index"):
+            read_noise_csv(io.StringIO(text))
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "noise.csv"
+        path.write_bytes(b"site,segment_index,delta_beta\n1,0,\xff\n")
+        with pytest.raises(PhysicsError, match="noise.csv: not UTF-8 text"):
+            read_noise_csv(path)
