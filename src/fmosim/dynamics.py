@@ -7,24 +7,13 @@ sink and the optional vibration waveguide stay undetuned.
 :func:`propagate` evolves a whole batch of realizations at once, one
 column of the state array per realization.  Within a segment it applies
 exp(-i H dz) as a Chebyshev series (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-3967 (1984)) on a spectral interval enclosing every segment's spectrum,
-truncated where the Bessel coefficients fall below 1e-16; a step agrees
-with the exact propagator to about 1e-14.  The matrix-vector product
-follows the array's structure, in three numpy calls a term: an einsum
-writes the head rows (the network sites, the optional vibration mode and
-the first sink) from a dense per-column operand of their couplings,
-diagonals, drain-to-sink link and first chain bond; a banded einsum writes
-the chain rows past them, on terms padded with a zero ghost row at either
-end; the third call is the recurrence.  A step holds at most TERMS_HELD
-terms of a realization, as a ring summed each time it fills, in one buffer
-of at most TERM_BUFFER_BYTES (for windows of up to 65,534 rows), so a
-wider batch runs as column chunks.  No call goes through BLAS, whose
-blocked sums may depend on the batch width, so on a given spectral
-interval a column's result does not depend on which other columns share
-its batch.  The default interval spans the whole batch, so a column run
-alone gets its own interval and agrees with its batch column to rounding
-(a few 1e-15), not bit for bit; the tests pin the bitwise equality
-through ``propagate(interval=)``.
+3967 (1984)) on each column's own spectral interval, truncated where the
+Bessel coefficients fall below 1e-16; a step agrees with the exact
+propagator to about 1e-14.  Each term costs three numpy calls that follow
+the array's structure (:func:`_chebyshev_step`), none through BLAS, whose
+blocked sums may depend on the batch width.  A column's interval, series
+and weights come from its own inputs, and its weights are exact zeros
+past its own series, so its result is the same bits in any batch.
 
 The sink chain only has to look irreversible over the chip, so the light
 never reaches its far end.  :func:`propagate` evolves only the light cone:
@@ -36,13 +25,13 @@ The window grows from segment to segment; on the default chip (20
 segments of 1 mm, chain coupling 0.2 mm^-1) the depths run 13, 15, 17,
 ... 33, 34 of the 100 sink waveguides.  The rows past the window are exact
 zeros in the yielded states.  The depths depend only on the chain
-couplings and the segment ends, never on the detunings or diagonals.  The
-spectral interval is the intersection of a Weyl bound (the base window's
-extreme eigenvalues moved by each column's diagonal offsets) and the
-Gershgorin discs of the window rows.
+couplings and the segment ends, never on the detunings or diagonals.  A
+column's spectral interval is the intersection of a Weyl bound (the base
+window's extreme eigenvalues moved by the column's diagonal offsets) and
+the Gershgorin discs of its window rows.
 
 :func:`evolve` is :func:`propagate` on one column, recorded into an
-:class:`EvolutionTrace`; the excitation traces run through it.
+:class:`EvolutionTrace`.
 :func:`segment_propagator` builds the exact propagator from a Hermitian
 eigendecomposition; the tests check the kernel against it.
 """
@@ -52,6 +41,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,8 +54,8 @@ if int(np.__version__.split(".")[0]) >= 2:
 else:
     from numpy.core.multiarray import c_einsum
 
-__all__ = ["EvolutionTrace", "segment_propagator", "spectral_interval",
-           "propagate", "evolve", "site_probabilities", "write_trace_csv"]
+__all__ = ["EvolutionTrace", "segment_propagator", "propagate", "evolve",
+           "site_probabilities", "write_trace_csv"]
 
 #: Default fine sampling step in mm: 20 samples per 1 mm segment resolves
 #: the fastest beating frequency present on the chip (~1.344 mm^-1).
@@ -151,7 +141,7 @@ class _Structure:
     link: float            # drain-to-first-sink coupling, also in the block
     n0: int                # number of non-sink indices
     sites: np.ndarray      # network-site indices, all below n0
-    chain_radius: np.ndarray  # (dim,) Gershgorin radius along the chain
+    radius: np.ndarray     # (dim,) Gershgorin radius of every row
 
 
 def _structure(h: Hamiltonian) -> _Structure:
@@ -180,16 +170,17 @@ def _structure(h: Hamiltonian) -> _Structure:
         raise PhysicsError(
             "propagation needs a network block plus a nearest-neighbour sink "
             "chain linked to the drain site only")
-    return _Structure(block, chain, link, n0, h.fmo_indices,
-                      np.abs(outer).sum(axis=1))
+    radius = np.abs(outer).sum(axis=1)
+    radius[:nb] += np.abs(block).sum(axis=1)
+    return _Structure(block, chain, link, n0, h.fmo_indices, radius)
 
 
 def _batch(h: Hamiltonian, detunings, diagonals):
     """Validated (R, sites, segments) detunings and (dim, R) diagonals."""
     det = np.asarray(detunings, dtype=float)
-    if det.ndim != 3 or det.shape[0] < 1 or det.shape[1] != len(h.fmo_indices):
-        raise PhysicsError(
-            "detunings must have shape (realizations, network sites, segments)")
+    if det.ndim != 3 or 0 in det.shape or det.shape[1] != len(h.fmo_indices):
+        raise PhysicsError("detunings must have shape (realizations, network "
+                           "sites, segments), none of them empty")
     if diagonals is None:
         diag = np.repeat(h.matrix.diagonal()[:, None], det.shape[0], axis=1)
     else:
@@ -215,126 +206,113 @@ def _corrected_pairs(st: _Structure, det) -> list:
     return pairs
 
 
-def spectral_interval(h: Hamiltonian, detunings, diagonals=None,
-                      coupling_correction: bool = False) -> tuple:
-    """(lo, hi) enclosing the spectrum of every segment of every column.
-
-    The bound (see :func:`_interval`) is taken over the whole matrix, so it
-    encloses every light-cone window too and depends on the whole batch;
-    pass it to :func:`propagate` to run a subset of the columns on the same
-    interval.  :func:`propagate`'s default is the same bound over the rows
-    it evolves, which is never wider.
-    """
-    st = _structure(h)
-    det, diag = _batch(h, detunings, diagonals)
-    return _interval(h, st, det, diag, coupling_correction, h.dim)
+@lru_cache(maxsize=4)
+def _window_spectrum(window: bytes, rows: int) -> tuple:
+    """Least and largest eigenvalue, moved outward by their rounding, of the
+    ``rows`` x ``rows`` symmetric matrix whose float64 bytes are ``window``;
+    cached, since every study builds the same base Hamiltonian anew."""
+    lam = np.linalg.eigvalsh(np.frombuffer(window).reshape(rows, rows))
+    slack = rows * np.finfo(float).eps * float(np.abs(lam).max())
+    return float(lam[0]) - slack, float(lam[-1]) + slack
 
 
 def _interval(h: Hamiltonian, st: _Structure, det, diag,
               coupling_correction: bool, rows: int) -> tuple:
-    """(lo, hi) enclosing the spectra of the leading ``rows`` x ``rows``
-    windows of every segment matrix of every column.
+    """(lo, hi), each of shape (R,): column r's interval encloses the
+    spectra of the leading ``rows`` x ``rows`` windows of every segment
+    matrix of column r.
 
-    It is the intersection of two enclosures, each taken in one pass over
-    all the segments and columns:
+    It is the intersection of two enclosures, each reduced over the rows
+    and segments of a column, never over columns:
 
     - Weyl: a window is the base Hamiltonian's window, plus a diagonal
       offset (the detunings and the disorder), plus the change the coupling
       correction makes.  So its eigenvalues lie within the base window's
-      extreme eigenvalues (one ``eigvalsh``, widened by its rounding),
-      moved by the column's least and largest diagonal offset and widened
-      by the infinity norm of the change.
+      extreme eigenvalues (:func:`_window_spectrum`), moved by the least
+      and largest eigenvalue of the offset plus the change, which by
+      Gershgorin lie within each row's offset widened by the row's sum of
+      |change|.
     - Gershgorin: the union of the discs of the window rows.
 
-    By Cauchy interlacing the interval also encloses every smaller window.
-    It is never wider than the Gershgorin union alone, which Weyl beats
-    unless the offsets spread far wider than the coupling (strong disorder
-    on a few columns).  The ``eigvalsh`` sees the base window only, never a
-    column.  (inf, -inf) when there is no segment.
+    By Cauchy interlacing it also encloses every smaller window.  Weyl beats
+    the Gershgorin union unless the offsets spread far wider than the
+    coupling (strong disorder).  A min or a max is exact in any order, so
+    a network row's extremes are taken over the segments first.
     """
     sites = st.sites
-    rest = np.ones(rows, bool)
-    rest[sites] = False
-    base = h.matrix.diagonal()[:rows]
-    static = diag[:rows][rest]                            # (rows - sites, R)
-    net = diag[sites][:, :, None] + det.transpose(1, 0, 2)  # (sites, R, S)
-    radius = st.chain_radius[:rows].copy()
-    nb = min(len(st.block), rows)
-    radius[:nb] += np.abs(st.block).sum(axis=1)[:nb]
-    # row sums of |change| the coupling correction makes on the network
-    grow = np.zeros(net.shape)
+    # each window row's least and largest diagonal over the segments, a
+    # network row's moved outward by its row sum of |change| the coupling
+    # correction makes in each segment: (rows, R)
+    net = diag[sites] + np.ascontiguousarray(det.transpose(2, 1, 0))
+    grow = np.zeros(net.shape)                            # (S, sites, R)
     for a, c0, c in _corrected_pairs(st, det) if coupling_correction else ():
-        dc = np.abs(c) - abs(c0)
-        grow[a] += dc
-        grow[a + 1] += dc
-    inf = math.inf
-    net_r = radius[sites][:, None, None] + grow
-    lo_g = min((static - radius[rest, None]).min(initial=inf),
-               (net - net_r).min(initial=inf))
-    hi_g = max((static + radius[rest, None]).max(initial=-inf),
-               (net + net_r).max(initial=-inf))
-
-    lam = np.linalg.eigvalsh(h.matrix[:rows, :rows])
-    slack = rows * np.finfo(float).eps * float(np.abs(lam).max())
-    off = static - base[rest, None]
-    off_net = net - base[sites, None, None]
-    change = grow.max(axis=0, initial=0.0)                # (R, S)
-    lo_off = np.minimum(off_net.min(axis=0, initial=inf),
-                        off.min(axis=0, initial=inf)[:, None]) - change
-    hi_off = np.maximum(off_net.max(axis=0, initial=-inf),
-                        off.max(axis=0, initial=-inf)[:, None]) + change
-    lo_w = float(lam[0]) - slack + lo_off.min(initial=inf)
-    hi_w = float(lam[-1]) + slack + hi_off.max(initial=-inf)
-    return max(lo_g, lo_w), min(hi_g, hi_w)
+        dc = (np.abs(c) - abs(c0)).T
+        grow[:, a] += dc
+        grow[:, a + 1] += dc
+    low, high = diag[:rows].copy(), diag[:rows].copy()
+    low[sites] = (net - grow).min(axis=0, initial=math.inf)
+    high[sites] = (net + grow).max(axis=0, initial=-math.inf)
+    base, radius = h.matrix.diagonal()[:rows, None], st.radius[:rows, None]
+    lam_lo, lam_hi = _window_spectrum(h.matrix[:rows, :rows].tobytes(), rows)
+    lo_g, hi_g = (low - radius).min(axis=0), (high + radius).max(axis=0)
+    lo_w = lam_lo + (low - base).min(axis=0)
+    hi_w = lam_hi + (high - base).max(axis=0)
+    return np.maximum(lo_g, lo_w), np.minimum(hi_g, hi_w)
 
 
-def _bessel_j(x: float, n: int) -> np.ndarray:
-    """J_0(x) .. J_{n-1}(x) for x >= 0 by Miller's backward recurrence.
+def _bessel_columns(x: np.ndarray) -> np.ndarray:
+    """(M + 1, R) table of J_k(x_r), k = 0 .. M, for x_r >= 0, with M the
+    largest start order m_r.
 
-    J_{k-1} = (2k/x) J_k - J_{k+1} is run downward from an order far above
-    both n and x, where J is negligible, rescaling to avoid overflow, and
-    the result is normalized by J_0 + 2 (J_2 + J_4 + ...) = 1.
+    Column r runs the backward ratio recurrence r_k = J_k / J_{k-1} =
+    x / (2k - x r_{k+1}) from r = 0 past its own start order
+    m_r = int(x_r + 10 x_r^(1/3)) + 16, where J is far below SERIES_TOL,
+    and zeros past m_r; J_k / J_0 is the running product of the ratios,
+    normalized by J_0 + 2 (J_2 + J_4 + ...) = 1.  Sorted by start order,
+    the live columns of a step are a prefix, and every product and sum
+    runs in order along k, so a column depends on its own x_r only.
     """
-    out = np.zeros(n)
-    if x < 1e-30:  # J_1(x) ~ x/2 is far below any resolvable coefficient
-        out[0] = 1.0
-        return out
-    m = max(n, int(x))
-    top = m + int(math.sqrt(160.0 * m)) + 16
-    top += top % 2
-    above, here, total = 0.0, 1e-300, 0.0   # J_{k+1}, J_k, even-order sum
-    for k in range(top, 0, -1):
-        above, here = here, 2.0 * k / x * here - above
-        if abs(here) > 1e250:
-            above, here, total = above * 1e-250, here * 1e-250, total * 1e-250
-            out *= 1e-250
-        if k - 1 < n:
-            out[k - 1] = here
-        if k > 1 and (k - 1) % 2 == 0:
-            total += 2.0 * here
-    return out / (total + here)
+    top = (x + 10.0 * np.cbrt(x)).astype(int) + 16
+    order = np.argsort(-top, kind="stable")
+    xs, m = x[order], int(top[order[0]])
+    live = np.searchsorted(-top[order], -np.arange(m + 1), side="right")
+    ratio = np.zeros((m + 2, len(x)))
+    for k in range(m, 0, -1):
+        n = live[k]
+        xn = xs[:n]
+        ratio[k, :n] = xn / (2.0 * k - xn * ratio[k + 1, :n])
+    ratio[0] = 1.0
+    p = np.cumprod(ratio[:-1], axis=0)                    # J_k / J_0
+    total = 2.0 * np.cumsum(p[2::2], axis=0)[-1] + 1.0
+    j = np.empty_like(p)
+    j[:, order] = p / total
+    return j
 
 
-def _chebyshev_weights(rho: float) -> np.ndarray:
-    """Weights w_k of exp(-i rho t) on t in [-1, 1].
+def _chebyshev_weights(rho) -> np.ndarray:
+    """(K, R) weights w_k of exp(-i rho_r t) on t in [-1, 1], for each of
+    the R values ``rho`` (a scalar is one).
 
     exp(-i rho t) = sum_{k even} w_k T_k(t) - i sum_{k odd} w_k T_k(t),
     with w_k = (2 - [k = 0]) (-1)^(k // 2) J_k(rho), truncated at the first
-    order past rho whose coefficient is below SERIES_TOL.
+    order past rho whose coefficient is below SERIES_TOL, which comes
+    before the Bessel table's start order for every rho within the budget
+    (2 |J_m(rho)| < 6.1e-17 up to rho = 6,700).  K is the longest series; a
+    column's weights past its own are exact zeros.
     """
-    if not 1.5 * rho + 40 <= MAX_SERIES_TERMS:
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    over = rho[~(1.5 * rho + 40 <= MAX_SERIES_TERMS)]
+    if over.size:
         raise PhysicsError(
-            f"the Chebyshev series for rho={rho:g} (spectral half-width "
+            f"the Chebyshev series for rho={over[0]:g} (spectral half-width "
             f"times step) may need more than {MAX_SERIES_TERMS} terms")
-    n = int(1.5 * rho) + 40
-    j = _bessel_j(rho, n)
-    k = np.arange(n)
-    small = np.nonzero((k > rho) & (2.0 * np.abs(j) < SERIES_TOL))[0]
-    if not small.size:
-        raise PhysicsError(f"Chebyshev series for rho={rho:g} did not converge")
-    w = 2.0 * j[:small[0]]
+    j = _bessel_columns(rho)
+    k = np.arange(len(j))[:, None]
+    n = ((k > rho) & (np.abs(j) < 0.5 * SERIES_TOL)).argmax(axis=0)
+    k = k[:n.max()]
+    w = j[:len(k)] * np.where(k % 4 < 2, 2.0, -2.0)
     w[0] = j[0]
-    w[(k[:small[0]] // 2) % 2 == 1] *= -1.0
+    w[k >= n] = 0.0
     return w
 
 
@@ -437,18 +415,20 @@ def _slots(terms, bands, rows: int, nb: int, cols: int) -> tuple:
 def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
     """exp(-i H dt) x on the (rows, C) real columns ``x``.
 
-    2 A, with A = (H - center) / half, is split by rows: on the first nb
-    rows it is ``head``, the per-column (nb, nb + 1, C) couplings among the
-    first nb + 1 rows, diagonal included; past them it is ``chain``, the
-    (3, rows - nb, C) lower chain bond, diagonal and upper chain bond of
-    every row.  Term k is written into slot k % K of the ring ``slots``
-    (see :func:`_slots`) by three numpy calls: the head einsum, the banded
-    chain einsum and the recurrence.  The held terms are summed with their
-    weights when the ring fills and after the last term; a ring shorter
-    than the series has even length, so a slot's parity is its term's.
-    Every call is an elementwise loop over the columns, so on the given
-    operands and ``weights`` a column's result does not depend on the
-    others (no BLAS, which may reorder sums).
+    2 A, with A = (H - center) / half for each column's own center and
+    half-width, is split by rows: on the first nb rows it is ``head``, the
+    per-column (nb, nb + 1, C) couplings among the first nb + 1 rows,
+    diagonal included; past them it is ``chain``, the (3, rows - nb, C)
+    lower chain bond, diagonal and upper chain bond of every row.  Term k
+    is written into slot k % K of the ring ``slots`` (see :func:`_slots`)
+    by three numpy calls: the head einsum, the banded chain einsum and the
+    recurrence.  The held terms are summed with the (terms, C) ``weights``
+    when the ring fills and after the last term; a ring shorter than the
+    series has even length, so a slot's parity is its term's.  ``cos_t``
+    and ``sin_t`` are each realization's phase.  Every call is an
+    elementwise loop over the columns that sums in term order, so a column
+    depends on its own operands and weights alone, and its zero weights
+    add exact zeros.
     """
     held_terms, term, head_in, head_out, chain_out, chain_in = slots
     held, n_terms = len(term), len(weights)
@@ -467,8 +447,8 @@ def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
                 term[s] -= term[(k - 2) % held]
         if s == held - 1 or k == n_terms - 1:
             w, ts = weights[k - s:k + 1], held_terms[:s + 1]
-            e = c_einsum("k,krc->rc", w[0::2], ts[0::2])
-            o = c_einsum("k,krc->rc", w[1::2], ts[1::2])
+            e = c_einsum("kc,krc->rc", w[0::2], ts[0::2])
+            o = c_einsum("kc,krc->rc", w[1::2], ts[1::2])
             even, odd = (e, o) if even is None else (even + e, odd + o)
     # (cos - i sin) (even - i odd), written out on the real/imaginary columns
     re = even[:, 0::2] + odd[:, 1::2]
@@ -481,7 +461,7 @@ def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
 
 def propagate(h: Hamiltonian, detunings, segment_length: float,
               steps_per_segment: int = 1, diagonals=None,
-              coupling_correction: bool = False, interval=None):
+              coupling_correction: bool = False):
     """Evolve a batch of realizations; yield the states at every step.
 
     ``detunings`` has shape (R, network sites, segments): column r of the
@@ -496,26 +476,14 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     Every column starts with a unit excitation at the source site.  The
     generator yields a fresh (dim, R) complex array: the initial state,
     then the state after each of ``steps_per_segment`` equal steps per
-    segment.  ``interval`` defaults to the spectral interval of the batch
-    over the largest window (:func:`_interval`), which is never wider than
-    :func:`spectral_interval`.  Raises PhysicsError if any column's norm
-    drifts by more than NORM_TOL.
+    segment.  Raises PhysicsError if any column's norm drifts by more than
+    NORM_TOL.
 
-    Each Chebyshev term costs three numpy calls (see
-    :func:`_chebyshev_step`): an einsum over the head rows with a dense
-    per-column operand that holds the network block, the drain-to-sink
-    link, the head diagonals and the first chain bond; a banded einsum
-    over the chain rows past them, on terms padded with a zero ghost row at
-    either end of the window; and the recurrence.  A series longer
-    than TERMS_HELD runs through a ring of that many terms, summed with
-    its weights each time it fills.  The held terms of a step share one
-    buffer of at most TERM_BUFFER_BYTES (see :func:`_buffer_shape`); a
-    wider batch runs as column chunks in lockstep, which gives the same
-    bits because the columns do not depend on each other.  Without BLAS, a
-    column's result on a given ``interval`` does not depend on which other
-    columns share its batch; the default interval spans the batch, so a
-    column run alone agrees with its batch column only to rounding (a few
-    1e-15) unless both runs pass the same ``interval``.
+    The held terms of a step share one buffer of at most
+    TERM_BUFFER_BYTES (see :func:`_buffer_shape`); a wider batch runs as
+    column chunks, each through the longest series of its own columns.  A
+    column's interval, weights and operands come from its own inputs, so
+    its result is the same bits in any batch and any chunk.
 
     Only the light cone of the sink chain is evolved: in segment k, rows
     ``[:n0 + L_k]``, where n0 counts the non-sink rows, and every row past
@@ -558,44 +526,53 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     n0, n_real, sites = st.n0, det.shape[0], st.sites
     windows = _windows(st, h.dim, segment_length, det.shape[2])
     rows = max(windows, default=n0)
-    if interval is None:
-        interval = _interval(h, st, det, diag, coupling_correction, rows)
-    lo, hi = (float(v) for v in interval)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise PhysicsError(f"invalid spectral interval ({lo:g}, {hi:g})")
+    lo, hi = _interval(h, st, det, diag, coupling_correction, rows)
+    bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)))
+    if bad.size:
+        raise PhysicsError(f"invalid spectral interval ({lo[bad[0]]:g}, "
+                           f"{hi[bad[0]]:g}) of realization {bad[0]}")
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     dt = segment_length / steps_per_segment
-    weights = _chebyshev_weights(half * dt)
-    cos_t, sin_t = math.cos(center * dt), math.sin(center * dt)
-    scale = 2.0 / half if half > 0 else 0.0
+    weights = np.repeat(_chebyshev_weights(half * dt), 2, axis=1)
+    # each column's own series: its weights past the last nonzero are zeros
+    length = len(weights) - (weights[::-1, 0::2] != 0).argmax(axis=0)
+    # libm per realization: the same bits at any batch width
+    cos_t, sin_t = (np.array([f(a) for a in (center * dt).tolist()])
+                    for f in (math.cos, math.sin))
+    scale = 2.0 / np.where(half > 0, half, math.inf)      # 0 if half is 0
+    scale2 = np.repeat(scale, 2)
 
-    # 2 (H - center) / half, split by rows (see _chebyshev_step) and built
-    # once for the largest window and the whole batch: a segment sets the
-    # network diagonals (and corrected couplings) of `head` and uses the
-    # leading rows.  The windows never shrink, so no row past a segment's
-    # window has been written yet: the ghost row below it is still zero,
-    # which cuts the chain bond there.  Column chunks of at most `width`
-    # realizations share the term buffer.
+    # 2 (H - center) / half per column, split by rows (see _chebyshev_step)
+    # and built once for the largest window and the whole batch: a segment
+    # sets the network diagonals (and corrected couplings) of `head` and
+    # uses the leading rows.  The windows never shrink, so no row past a
+    # segment's window has been written yet: the ghost row below it is
+    # still zero, which cuts the chain bond there.
     nb = len(st.block)
-    bond = np.append(st.chain, 0.0)[:, None] * scale
+    m = max(rows - nb, 0)
+    bond = np.append(st.chain, 0.0)[:m + 1, None] * scale2
     head = np.zeros((nb, nb + 1, 2 * n_real))
-    head[:, :nb] = st.block[:, :, None] * scale
+    head[:, :nb] = st.block[:, :, None] * scale2
     head[range(nb), range(nb)] = np.repeat((diag[:nb] - center) * scale, 2,
                                            axis=1)
     head[n0:nb, nb] = bond[0]                    # the first chain bond
-    m = max(rows - nb, 0)
     chain = np.zeros((3, m, 2 * n_real))
     chain[0], chain[2] = bond[:m], bond[1:m + 1]
     chain[1] = np.repeat((diag[nb:rows] - center) * scale, 2, axis=1)
-    net = np.repeat((diag[sites, :, None] + det.transpose(1, 0, 2) - center)
-                    * scale, 2, axis=1)                   # (sites, 2R, S)
+    net = np.repeat((diag[sites, :, None] + det.transpose(1, 0, 2)
+                     - center[:, None]) * scale[:, None], 2,
+                    axis=1)                               # (sites, 2R, S)
     pairs = _corrected_pairs(st, det) if coupling_correction else []
-    pairs = [(sites[a], sites[a + 1], np.repeat(c * scale, 2, axis=0))
+    pairs = [(sites[a], sites[a + 1], np.repeat(c * scale[:, None], 2, axis=0))
              for a, _, c in pairs]
     held, width = _buffer_shape(len(weights), rows, n_real)
     terms, bands = _term_buffer(held, rows, 2 * width)
-    chunks = [slice(a, min(a + 2 * width, 2 * n_real))
-              for a in range(0, 2 * n_real, 2 * width)]
+    # column chunks of at most `width` realizations share the term buffer,
+    # each running through the longest series of its own columns
+    chunks = [(slice(2 * a, 2 * b), weights[:length[a:b].max(), 2 * a:2 * b],
+               cos_t[a:b], sin_t[a:b])
+              for a, b in ((a, min(a + width, n_real))
+                           for a in range(0, n_real, width))]
 
     def padded(x):
         out = np.zeros((h.dim, x.shape[1]))
@@ -613,13 +590,13 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
             head[i, j] = head[j, i] = c[:, k]
         n = min(nb, r)
         slots = {w: _slots(terms, bands, r, n, w)
-                 for w in {cols.stop - cols.start for cols in chunks}}
+                 for w in {cols.stop - cols.start for cols, *_ in chunks}}
         ops = [(cols, head[:n, :n + 1, cols], chain[:, :r - n, cols],
-                slots[cols.stop - cols.start]) for cols in chunks]
+                slots[cols.stop - cols.start], w, c, s)
+               for cols, w, c, s in chunks]
         for _ in range(steps_per_segment):
-            for cols, hd, ch, sl in ops:
-                x[:r, cols] = _chebyshev_step(x[:r, cols], hd, ch, sl,
-                                              weights, cos_t, sin_t)
+            for cols, hd, ch, sl, w, c, s in ops:
+                x[:r, cols] = _chebyshev_step(x[:r, cols], hd, ch, sl, w, c, s)
             _check_norm(x[:r])
             yield padded(x)
 
@@ -647,10 +624,9 @@ def evolve(h: Hamiltonian, detunings, segment_length: float,
             f"more than {MAX_TRACE_SAMPLES} samples")
     if abs(per_seg - round(per_seg)) > 1e-9:
         raise PhysicsError("fine step must divide the segment length")
-    if diagonal is not None:
-        diagonal = np.asarray(diagonal, dtype=float).reshape(-1, 1)
     states = propagate(h, det[None], segment_length, int(round(per_seg)),
-                       diagonals=diagonal,
+                       diagonals=None if diagonal is None
+                       else np.reshape(diagonal, (-1, 1)),
                        coupling_correction=coupling_correction)
     amps = np.array([psi[:, 0] for psi in states])
     positions = np.arange(len(amps)) * fine_step

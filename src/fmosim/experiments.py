@@ -321,14 +321,32 @@ def excitation_trace_study(cfg: SweepConfig,
     """Renormalized seven-site probability tables and most-probable-site
     traces for a disorder family (no detuning) and a detuning family (no
     disorder).  Returns {(label, value): (positions, probs, argmax)}.
+
+    Every member is a column of one dynamics.propagate call, bit for bit
+    its :func:`single_trace` at the study's first noise seed.
     """
-    fine = cfg.observe_z / cfg.segments / 4.0
+    seg = cfg.observe_z / cfg.segments
+    if not 4 * cfg.segments < dynamics.MAX_TRACE_SAMPLES:
+        raise PhysicsError(f"a trace of {cfg.observe_z:g} mm would hold more "
+                           f"than {dynamics.MAX_TRACE_SAMPLES} samples")
     [seed] = _noise_seeds(cfg.seed, [0], 1)
+    members = ([("disorder", float(g), float(g), 0.0) for g in disorders]
+               + [("detuning", float(a), 0.0, float(a)) for a in amplitudes])
+    base = _base_hamiltonian(cfg)
+    det = noise_mod.generate_batch(
+        noise_config(cfg, 0.0, 0), [a for *_, a in members],
+        [seed] * len(members), n_sites=len(base.fmo_indices))
+    diagonals = np.concatenate(
+        [_diagonals(replace(cfg, disorder=gamma), base, [(0, 0)])
+         for _, _, gamma, _ in members], axis=1)
+    amps = np.array(list(dynamics.propagate(
+        base, det, seg, 4, diagonals=diagonals,
+        coupling_correction=cfg.coupling_correction)))  # (samples, dim, R)
     out = {}
-    for label, value, gamma, amplitude in (
-            [("disorder", float(g), float(g), 0.0) for g in disorders]
-            + [("detuning", float(a), 0.0, float(a)) for a in amplitudes]):
-        tr, _ = single_trace(replace(cfg, disorder=gamma), amplitude, seed, fine)
+    for c, (label, value, _, _) in enumerate(members):
+        tr = dynamics.EvolutionTrace(
+            np.arange(len(amps)) * (seg / 4.0), amps[:, :, c], base.roles,
+            base.source_site, base.drain_site, seg / 4.0)
         probs = dynamics.site_probabilities(tr, tr.fmo_indices, renormalize=True)
         out[(label, value)] = (tr.positions, probs,
                                analysis.most_probable_site(tr))

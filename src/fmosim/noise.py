@@ -139,6 +139,7 @@ def _filter_coefficients(rate: float):
     with np.errstate(all="ignore"):
         b, a = z_domain(FILTER_NUM), z_domain(FILTER_DEN)
         b, a = b / a[0], a / a[0]
+    b = np.pad(b, (0, len(a) - len(b)))   # Polynomial trims underflowed zeros
     return tuple(float(v) for v in b), tuple(float(v) for v in a)
 
 

@@ -15,7 +15,6 @@ from fmosim.dynamics import (
     propagate,
     segment_propagator,
     site_probabilities,
-    spectral_interval,
     write_trace_csv,
 )
 from fmosim.errors import PhysicsError
@@ -319,10 +318,9 @@ def batch_inputs(vibration=False, columns=5, sink=20, seed=11, segments=6):
     return h, det, diag
 
 
-def run_states(h, det, diag, correction, interval=None, steps=2):
+def run_states(h, det, diag, correction, steps=2):
     return [psi.copy() for psi in propagate(
-        h, det, 1.0, steps, diagonals=diag, coupling_correction=correction,
-        interval=interval)]
+        h, det, 1.0, steps, diagonals=diag, coupling_correction=correction)]
 
 
 def spy_term_buffers(monkeypatch):
@@ -406,11 +404,9 @@ class TestPropagate:
     def test_column_alone_is_bitwise_equal_to_batch_column(
             self, correction, vibration, sink, segments):
         h, det, diag = batch_inputs(vibration, sink=sink, segments=segments)
-        interval = spectral_interval(h, det, diag, correction)
-        batch = run_states(h, det, diag, correction, interval)
+        batch = run_states(h, det, diag, correction)
         for c in range(det.shape[0]):
-            alone = run_states(h, det[c:c + 1], diag[:, c:c + 1], correction,
-                               interval)
+            alone = run_states(h, det[c:c + 1], diag[:, c:c + 1], correction)
             for a, b in zip(alone, batch):
                 np.testing.assert_array_equal(a[:, 0], b[:, c])
 
@@ -418,11 +414,9 @@ class TestPropagate:
     def test_batch_width_does_not_change_a_column(self, correction):
         # widths on either side of the einsum loops' vector tails
         h, det, diag = growing_window_inputs(33)
-        interval = spectral_interval(h, det, diag, correction)
-        full = run_states(h, det, diag, correction, interval)
+        full = run_states(h, det, diag, correction)
         for width in (1, 2, 3, 5, 8, 17):
-            part = run_states(h, det[-width:], diag[:, -width:], correction,
-                              interval)
+            part = run_states(h, det[-width:], diag[:, -width:], correction)
             for a, b in zip(part, full):
                 np.testing.assert_array_equal(a, b[:, -width:])
 
@@ -446,9 +440,8 @@ class TestPropagate:
     def test_series_longer_than_the_buffer_runs_in_a_ring(self, correction,
                                                           monkeypatch):
         h, det, diag = growing_window_inputs(3)
-        interval = spectral_interval(h, det, diag, correction)
         shapes = spy_term_buffers(monkeypatch)
-        whole = run_states(h, det, diag, correction, interval)
+        whole = run_states(h, det, diag, correction)
         (n_terms, rows, _), = shapes
         assert n_terms % 6  # the last sum over six held takes a partial ring
         for held in (4, 6):
@@ -456,10 +449,9 @@ class TestPropagate:
             # held + 1 of its terms: the ring keeps an even count
             monkeypatch.setattr(dynamics, "TERM_BUFFER_BYTES",
                                 (held + 1) * (rows + 2) * 2 * 8 + 8)
-            ring = run_states(h, det, diag, correction, interval)
+            ring = run_states(h, det, diag, correction)
             assert shapes[-1] == (held, rows, 2)
-            alone = run_states(h, det[1:2], diag[:, 1:2], correction,
-                               interval)
+            alone = run_states(h, det[1:2], diag[:, 1:2], correction)
             for a, b, c in zip(ring, whole, alone):
                 assert np.abs(a - b).max() < 1e-14
                 np.testing.assert_array_equal(c[:, 0], a[:, 1])
@@ -467,10 +459,33 @@ class TestPropagate:
         monkeypatch.undo()
         monkeypatch.setattr(dynamics, "TERMS_HELD", 6)
         shapes = spy_term_buffers(monkeypatch)
-        ring = run_states(h, det, diag, correction, interval)
+        ring = run_states(h, det, diag, correction)
         assert shapes == [(6, rows, 2 * 3)]
         for a, b in zip(ring, whole):
             assert np.abs(a - b).max() < 1e-14
+
+    @pytest.mark.parametrize("correction", [False, True])
+    @pytest.mark.parametrize("pad", [3, 60])
+    def test_trailing_zero_weights_leave_a_column_unchanged(
+            self, pad, correction, monkeypatch):
+        # zero weights past a column's own series, and the longer ring they
+        # bring, add exact zeros to its sums: 3 more terms keep one sum, 60
+        # more run past TERMS_HELD into a ring summed each time it fills
+        h, det, diag = growing_window_inputs(1)
+        shapes = spy_term_buffers(monkeypatch)
+        own = run_states(h, det, diag, correction)
+        weights = dynamics._chebyshev_weights
+
+        def padded(rho):
+            w = weights(rho)
+            return np.pad(w, [(0, pad)] + [(0, 0)] * (w.ndim - 1))
+
+        monkeypatch.setattr(dynamics, "_chebyshev_weights", padded)
+        longer = run_states(h, det, diag, correction)
+        (n_own, *_), (n_longer, *_) = shapes
+        assert n_longer == min(n_own + pad, dynamics.TERMS_HELD)
+        for a, b in zip(longer, own):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("n_terms", [1, 3, 40, 149, 10_000])
     @pytest.mark.parametrize("rows", [8, 54, 5823, 70_000])
@@ -553,13 +568,15 @@ class TestPropagate:
 
     def test_interval_encloses_every_segment_spectrum(self):
         h, det, diag = batch_inputs()
-        lo, hi = spectral_interval(h, det, diag, coupling_correction=True)
+        lo, hi = dynamics._interval(h, dynamics._structure(h), det, diag,
+                                    True, h.dim)
+        assert lo.shape == hi.shape == (det.shape[0],)
         for c in range(det.shape[0]):
             hd = Hamiltonian(h.matrix - np.diag(h.matrix.diagonal())
                              + np.diag(diag[:, c]), h.roles)
             for k in range(det.shape[2]):
                 w = np.linalg.eigvalsh(segment_matrix(hd, det[c, :, k], True))
-                assert lo <= w[0] and w[-1] <= hi
+                assert lo[c] <= w[0] and w[-1] <= hi[c]
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
            kind=st.sampled_from(NOISE_KINDS),
@@ -591,8 +608,9 @@ class TestPropagate:
             for k in range(segments):
                 m = segment_matrix(hd, det[c, :, k], correction)
                 w = np.linalg.eigvalsh(m[:rows[k], :rows[k]])
-                assert lo <= w[0] and w[-1] <= hi
-        assert_within_gershgorin_union(lo, hi, h, det, diag, correction)
+                assert lo[c] <= w[0] and w[-1] <= hi[c]
+            assert_within_gershgorin_union(lo[c], hi[c], h, det[c:c + 1],
+                                           diag[:, c:c + 1], correction)
 
     def test_strong_disorder_keeps_the_gershgorin_bound(self):
         # a single trace at disorder 100: its diagonal offsets spread far
@@ -602,8 +620,9 @@ class TestPropagate:
         det = generate(NoiseConfig(amplitude=1.0, segments=20,
                                    total_length=20.0, seed=7)).sequences
         rows = window_rows(h, 20)[-1]
-        lo, hi = dynamics._interval(h, dynamics._structure(h), det[None],
-                                    diag[:, None], False, rows)
+        (lo,), (hi,) = dynamics._interval(h, dynamics._structure(h),
+                                          det[None], diag[:, None], False,
+                                          rows)
         lam = np.linalg.eigvalsh(h.matrix[:rows, :rows])
         base = h.matrix.diagonal()
         offsets = np.concatenate([diag[:rows] - base[:rows],
@@ -655,20 +674,38 @@ class TestPropagate:
         for psi in states:
             np.testing.assert_array_equal(psi, states[0])
 
-    def test_too_narrow_interval_diverges_and_raises(self):
+    def test_too_narrow_interval_diverges_and_raises(self, monkeypatch):
         h, det, diag = batch_inputs()
+        n = det.shape[0]
+        monkeypatch.setattr(dynamics, "_interval",
+                            lambda *_: (np.zeros(n), np.full(n, 0.1)))
         with pytest.raises(PhysicsError, match="norm drift"):
-            run_states(h, det, diag, False, interval=(0.0, 0.1))
+            run_states(h, det, diag, False)
+
+    @pytest.mark.parametrize("vibration", [False, True])
+    def test_empty_batch_rejected(self, vibration):
+        h = build_fmo_hamiltonian(FmoSpec())
+        h = attach_sink(attach_vibrational_mode(h) if vibration else h, 10)
+        for shape in ((0, 7, 3), (1, 7, 0)):
+            with pytest.raises(PhysicsError, match="none of them empty"):
+                list(propagate(h, np.zeros(shape), 1.0))
 
     def test_nan_detuning_rejected(self):
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 10)
         with pytest.raises(PhysicsError, match="finite"):
             evolve(h, np.full((7, 20), np.nan), 1.0, fine_step=1.0)
 
-    def test_non_finite_interval_rejected(self):
+    def test_non_finite_interval_rejected(self, monkeypatch):
+        # one column's interval is infinite, undefined or empty
         h, det, diag = batch_inputs()
-        with pytest.raises(PhysicsError, match="interval"):
-            run_states(h, det, diag, False, interval=(0.0, np.inf))
+        for bad in (np.inf, np.nan, -1.0):
+            hi = np.full(det.shape[0], 9.0)
+            hi[3] = bad
+            monkeypatch.setattr(dynamics, "_interval",
+                                lambda *_, hi=hi: (np.zeros(len(hi)), hi))
+            with pytest.raises(PhysicsError,
+                               match="interval .* of realization 3"):
+                run_states(h, det, diag, False)
 
     def test_unstructured_hamiltonian_rejected(self):
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 10)
@@ -732,10 +769,10 @@ class TestPropagate:
         terms[:, 1:-1] = rng.standard_normal((4, 12, 10))
         chain = rng.standard_normal((3, 12, 10))
         head = rng.standard_normal((5, 6, 10))
-        w = rng.standard_normal(4)
+        w = rng.standard_normal((4, 10))
         cases = [("krc,krc->rc", chain[:, 3:, :7], bands[1, :, 3:, :7]),
                  ("ijr,jr->ir", head[:, :, :7], terms[1, 1:7, :7]),
-                 ("k,krc->rc", w[0::2], terms[0::2, 1:-1, :7]),
+                 ("kc,krc->rc", w[0::2, :7], terms[0::2, 1:-1, :7]),
                  ("ij,ij->j", terms[2, 1:-1], terms[2, 1:-1])]
         for subscripts, *operands in cases:
             expected = np.einsum(subscripts, *operands)
@@ -747,7 +784,21 @@ class TestPropagate:
 
     def test_bessel_coefficients_match_scipy(self):
         from scipy.special import jv
-        for x in (1e-6, 0.3, 3.5, 12.5, 60.0, 150.0):
-            n = int(1.5 * x) + 40
-            np.testing.assert_allclose(dynamics._bessel_j(x, n),
-                                       jv(np.arange(n), x), rtol=0, atol=1e-14)
+        x = np.array([0.0, 1e-6, 0.3, 2.404825557695773, 3.5, 12.5, 60.0,
+                      150.0])
+        j = dynamics._bessel_columns(x)
+        np.testing.assert_allclose(j, jv(np.arange(len(j))[:, None], x),
+                                   rtol=0, atol=1e-14)
+
+    def test_bessel_columns_do_not_depend_on_each_other(self):
+        x = np.random.default_rng(3).uniform(0.0, 40.0, 17)
+        j = dynamics._bessel_columns(x)
+        for c in range(len(x)):
+            alone = dynamics._bessel_columns(x[c:c + 1])[:, 0]
+            np.testing.assert_array_equal(alone, j[:len(alone), c])
+            assert not j[len(alone):, c].any()
+        w = dynamics._chebyshev_weights(x)
+        for c in range(len(x)):
+            alone = dynamics._chebyshev_weights(x[c])[:, 0]
+            np.testing.assert_array_equal(alone, w[:len(alone), c])
+            assert not w[len(alone):, c].any()

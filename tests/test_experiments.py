@@ -2,11 +2,13 @@
 and structural invariants on small, fast configurations."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fmosim.analysis import transport_efficiency
+from fmosim import dynamics, experiments
+from fmosim.analysis import most_probable_site, transport_efficiency
 from fmosim.errors import PhysicsError
 from fmosim.experiments import (
     DEFAULT_GRID,
@@ -255,6 +257,38 @@ class TestExcitationTraceStudy:
         np.testing.assert_array_equal(out[("disorder", 0.0)][1],
                                       out2[("disorder", 0.0)][1])
 
+    def test_trace_over_budget_rejected(self):
+        cfg = small_cfg(realizations=1, segments=25_000)
+        with pytest.raises(PhysicsError, match="samples"):
+            excitation_trace_study(cfg, disorders=(0.0,), amplitudes=(0.5,))
+
+    @pytest.mark.parametrize("kw", [{}, dict(coupling_correction=True,
+                                             with_vibration=True)])
+    def test_each_member_is_its_single_trace_in_one_kernel_call(
+            self, kw, monkeypatch):
+        cfg = small_cfg(realizations=1, noise_kind="colored", **kw)
+        calls = []
+        propagate = dynamics.propagate
+
+        def spy(*args, **kwargs):
+            calls.append(args[1].shape)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "propagate", spy)
+        out = excitation_trace_study(cfg)
+        assert calls == [(10, 7, cfg.segments)]
+        [seed] = _noise_seeds(cfg.seed, [0], 1)
+        fine = cfg.observe_z / cfg.segments / 4.0
+        for (label, value), (z, probs, mps) in out.items():
+            gamma, amplitude = (value, 0.0) if label == "disorder" else \
+                (0.0, value)
+            tr, _ = single_trace(replace(cfg, disorder=gamma),
+                                 amplitude, seed, fine)
+            np.testing.assert_array_equal(z, tr.positions)
+            np.testing.assert_array_equal(probs, dynamics.site_probabilities(
+                tr, tr.fmo_indices, renormalize=True))
+            np.testing.assert_array_equal(mps, most_probable_site(tr))
+
 
 # systems with disorder, the coupling correction, the vibration mode and
 # colored noise, whose first grid point is not zero
@@ -271,7 +305,13 @@ class TestSingleTrace:
     def test_trace_is_its_sweep_column(self, kw):
         cfg = small_cfg(grid=(0.7, 1.5), noise_kind="colored", **kw)
         [seed] = _noise_seeds(cfg.seed, [0], 1)
-        tr, _ = single_trace(cfg, cfg.grid[0], seed)
+        # one sample a segment: the sweep's one step a segment
+        tr, _ = single_trace(cfg, cfg.grid[0], seed,
+                             cfg.observe_z / cfg.segments)
+        base = experiments._base_hamiltonian(cfg)
+        *_, psi = experiments._evolve_study(
+            cfg, base, 1, experiments._detunings(cfg, base))
+        np.testing.assert_array_equal(tr.amplitudes[-1], psi[:, 0])
         eta = transport_efficiency(tr)
         assert abs(eta - sweep_dephasing(cfg).values[0, 0]) < 1e-12
 

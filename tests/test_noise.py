@@ -264,6 +264,28 @@ class TestGenerateBatch:
                                        filter_time_scale=time_scale),
                            [0.5], [0])
 
+    def test_underflowed_numerator_is_rejected_as_not_finite(self,
+                                                             monkeypatch):
+        # a one-term numerator underflows to a shorter z-polynomial at rate
+        # 1e300; the filter must still reach the finiteness check
+        def clear():
+            noise_mod._filter_coefficients.cache_clear()
+            noise_mod._burn_in_map.cache_clear()
+
+        clear()
+        monkeypatch.setattr(noise_mod, "FILTER_NUM", (1.0,))
+        try:
+            b, a = noise_mod._filter_coefficients(1e300)
+            assert len(b) == len(a)
+            with np.errstate(all="ignore"), pytest.raises(
+                    PhysicsError, match="not finite"):
+                generate_batch(NoiseConfig(kind="colored",
+                                           filter_time_scale=1e300),
+                               [0.5], [0])
+        finally:
+            monkeypatch.undo()
+            clear()
+
 
 class TestResample:
     def test_identity_scale(self):

@@ -91,6 +91,17 @@ def test_entropy_words_reject_what_numpy_rejects(entropy, error):
         np.random.default_rng(entropy)
 
 
+@pytest.mark.parametrize("entropy", [0, 7, 2**64 + 1, (2**70, 3, 99, 1, 5)])
+def test_single_row_is_the_batched_row(entropy):
+    # one row takes numpy's own seeding; in a batch it takes the pass
+    row = entropy_words(entropy)
+    assert len(row) > _seeding.POOL_SIZE or not isinstance(entropy, tuple)
+    [alone] = [rng.bit_generator.state for rng in streams([row])]
+    batched = [rng.bit_generator.state for rng in streams([row, [1]])][0]
+    assert alone == batched
+    assert alone == np.random.default_rng(entropy).bit_generator.state
+
+
 def test_interleaved_calls_share_no_state():
     # each call builds its own generator, so two batches drawn in turns
     # give what each gives alone
