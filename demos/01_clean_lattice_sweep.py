@@ -30,7 +30,7 @@ def main():
 
     for kind in ("uniform_white", "colored"):
         cfg = SweepConfig(noise_kind=kind, realizations=args.realizations,
-                          seed=args.seed, threads=0)
+                          seed=args.seed)
         res = sweep_dephasing(cfg)
         print(f"\n=== {kind} detuning, {args.realizations} realizations, "
               "107 waveguides, z = 20 mm ===")

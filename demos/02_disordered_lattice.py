@@ -31,8 +31,7 @@ def main():
              (100.0, tuple(np.geomspace(3.0, 90.0, 11).round(6))))
     for gamma, grid in cases:
         cfg = SweepConfig(grid=grid, disorder=gamma, sink_length=80,
-                          realizations=args.realizations, seed=args.seed,
-                          threads=0)
+                          realizations=args.realizations, seed=args.seed)
         res = sweep_dephasing(cfg)
         print(f"\n=== disorder strength {gamma:g} /mm (87 waveguides) ===")
         for g, m in zip(res.grid, res.means):

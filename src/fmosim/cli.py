@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, analysis, dynamics, experiments, model
+from . import __version__, _csv, analysis, dynamics, experiments, model
 from . import noise as noise_mod
 from .errors import ConfigError, PhysicsError
 
@@ -251,12 +251,9 @@ def cmd_sweep(args) -> int:
 
 
 def _write_table(path, header, rows):
-    import csv
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([f"{v:.15g}" if isinstance(v, float) else v for v in row])
+    _csv.write_table(path, header,
+                     ([f"{v:.15g}" if isinstance(v, float) else v for v in row]
+                      for row in rows))
 
 
 def cmd_reproduce(args) -> int:
@@ -319,11 +316,13 @@ def cmd_reproduce(args) -> int:
         print(f"max |difference|: {diff:.6f}")
     elif fig in ("figS6", "figS7"):
         cfg = replace(base, realizations=1)
-        studies = experiments.excitation_trace_study(cfg)
-        family = "disorder" if fig == "figS6" else "detuning"
+        if fig == "figS6":
+            family = "disorder"
+            studies = experiments.excitation_trace_study(cfg, amplitudes=())
+        else:
+            family = "detuning"
+            studies = experiments.excitation_trace_study(cfg, disorders=())
         for (label, value), (z, probs, mps) in studies.items():
-            if label != family:
-                continue
             rows = []
             for j, zj in enumerate(z):
                 rows.append((float(zj), *[float(p) for p in probs[j]],

@@ -38,13 +38,13 @@ eigendecomposition; the tests check the kernel against it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import _csv
 from .errors import PhysicsError
 from .model import HERMITICITY_TOL, Hamiltonian, effective_coupling
 
@@ -661,11 +661,9 @@ def write_trace_csv(tr: EvolutionTrace, path, stride: int = 1) -> None:
     """Write (z, site_index, re, im, probability) rows, optionally strided."""
     if stride < 1:
         raise PhysicsError("stride must be >= 1")
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["z_mm", "site_index", "re", "im", "probability"])
-        for j in range(0, len(tr.positions), stride):
-            z = tr.positions[j]
-            for i, a in enumerate(tr.amplitudes[j]):
-                w.writerow([f"{z:.17g}", i, f"{a.real:.17g}", f"{a.imag:.17g}",
-                            f"{abs(a) ** 2:.17g}"])
+    _csv.write_table(
+        path, ["z_mm", "site_index", "re", "im", "probability"],
+        ([z, i, f"{a.real:.17g}", f"{a.imag:.17g}", f"{abs(a) ** 2:.17g}"]
+         for z, amps in zip([f"{z:.17g}" for z in tr.positions[::stride]],
+                            tr.amplitudes[::stride])
+         for i, a in enumerate(amps)))

@@ -11,7 +11,6 @@ one batch (dynamics.propagate), whose columns do not depend on each other.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -19,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import _seeding, analysis, dynamics, noise as noise_mod
+from . import _csv, _seeding, analysis, dynamics, noise as noise_mod
 from .errors import PhysicsError
 from .model import (DEFAULT_SINK_COUPLING, FmoSpec, Hamiltonian, attach_sink,
                     attach_vibrational_mode, build_fmo_hamiltonian,
@@ -355,17 +354,13 @@ def excitation_trace_study(cfg: SweepConfig,
 
 def write_sweep_csv(result: SweepResult, raw_path, summary_path) -> None:
     """Emit raw per-realization values and summary statistics as CSV."""
-    with open(raw_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["grid_value", "realization", "efficiency"])
-        for gi, g in enumerate(result.grid):
-            for r, v in enumerate(result.values[gi]):
-                w.writerow([f"{g:.15g}", r, f"{v:.15g}"])
-    with open(summary_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["grid_value", "mean", "std"])
-        for g, m, s in zip(result.grid, result.means, result.stds):
-            w.writerow([f"{g:.15g}", f"{m:.15g}", f"{s:.15g}"])
+    _csv.write_table(raw_path, ["grid_value", "realization", "efficiency"],
+                     ([f"{g:.15g}", r, f"{v:.15g}"]
+                      for gi, g in enumerate(result.grid)
+                      for r, v in enumerate(result.values[gi])))
+    _csv.write_table(summary_path, ["grid_value", "mean", "std"],
+                     ([f"{g:.15g}", f"{m:.15g}", f"{s:.15g}"]
+                      for g, m, s in zip(result.grid, result.means, result.stds)))
 
 
 def write_manifest(cfg: SweepConfig, path) -> None:

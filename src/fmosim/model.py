@@ -16,13 +16,11 @@ raises the gap to 0.594 mm^-1.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _seeding
+from . import _csv, _seeding
 from .errors import PhysicsError
 
 __all__ = [
@@ -398,58 +396,24 @@ _PLAN_HEADER = ["record_type", "site_a", "site_b", "segment_index", "value", "un
 
 def write_chip_plan(rows, path_or_file) -> None:
     """Write plan rows as UTF-8 CSV with a header row."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    f = open(path_or_file, "w", newline="", encoding="utf-8") if own else path_or_file
-    try:
-        w = csv.writer(f)
-        w.writerow(_PLAN_HEADER)
-        for r in rows:
-            w.writerow(
-                [
-                    r.record_type,
-                    r.site_a,
-                    "" if r.site_b < 0 else r.site_b,
-                    "" if r.segment_index < 0 else r.segment_index,
-                    f"{r.value:.17g}",
-                    r.unit,
-                ]
-            )
-    finally:
-        if own:
-            f.close()
+    _csv.write_table(path_or_file, _PLAN_HEADER,
+                     ([r.record_type, r.site_a,
+                       "" if r.site_b < 0 else r.site_b,
+                       "" if r.segment_index < 0 else r.segment_index,
+                       f"{r.value:.17g}", r.unit] for r in rows))
 
 
 def read_chip_plan(path_or_file):
     """Read plan rows from CSV written by :func:`write_chip_plan`."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    f = open(path_or_file, newline="", encoding="utf-8") if own else path_or_file
-    try:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise PhysicsError("line 1: empty chip plan, no header")
-        if header != _PLAN_HEADER:
-            raise PhysicsError(f"unexpected chip-plan header: {header}")
-        rows = []
-        for rec in reader:
-            try:
-                rows.append(
-                    ChipPlanRow(
-                        rec[0],
-                        int(rec[1]),
-                        int(rec[2]) if rec[2] else -1,
-                        int(rec[3]) if rec[3] else -1,
-                        float(rec[4]),
-                        rec[5],
-                    )
-                )
-            except (IndexError, ValueError) as exc:
-                raise PhysicsError(
-                    f"line {reader.line_num}: malformed chip-plan row {rec}") from exc
-        return rows
-    except UnicodeDecodeError as exc:
-        name = getattr(f, "name", f)
-        raise PhysicsError(f"{name}: not UTF-8 text") from exc
-    finally:
-        if own:
-            f.close()
+    rows = []
+    for line, rec in _csv.read_table(path_or_file, _PLAN_HEADER, "chip-plan",
+                                     "chip plan"):
+        try:
+            rows.append(ChipPlanRow(rec[0], int(rec[1]),
+                                    int(rec[2]) if rec[2] else -1,
+                                    int(rec[3]) if rec[3] else -1,
+                                    float(rec[4]), rec[5]))
+        except (IndexError, ValueError) as exc:
+            raise PhysicsError(
+                f"line {line}: malformed chip-plan row {rec}") from exc
+    return rows

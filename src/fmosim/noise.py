@@ -20,14 +20,13 @@ bit-for-bit the same as when it is generated alone with :func:`generate`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from . import _seeding
+from . import _csv, _seeding
 from .errors import PhysicsError
 
 __all__ = ["NoiseConfig", "NoiseRealization", "generate", "generate_batch",
@@ -281,17 +280,10 @@ _NOISE_HEADER = ["site", "segment_index", "delta_beta"]
 
 def write_noise_csv(nr: NoiseRealization, path_or_file) -> None:
     """Write sequences as CSV rows (site, segment_index, delta_beta)."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    f = open(path_or_file, "w", newline="", encoding="utf-8") if own else path_or_file
-    try:
-        w = csv.writer(f)
-        w.writerow(_NOISE_HEADER)
-        for site in range(nr.n_sites):
-            for seg, value in enumerate(nr.sequences[site]):
-                w.writerow([site + 1, seg, f"{value:.17g}"])
-    finally:
-        if own:
-            f.close()
+    _csv.write_table(path_or_file, _NOISE_HEADER,
+                     ([site + 1, seg, f"{value:.17g}"]
+                      for site in range(nr.n_sites)
+                      for seg, value in enumerate(nr.sequences[site])))
 
 
 def read_noise_csv(path_or_file) -> NoiseRealization:
@@ -299,34 +291,24 @@ def read_noise_csv(path_or_file) -> NoiseRealization:
 
     The realization's config echoes the file's shape: a uniform_white
     recipe with one segment per mm, at the largest absolute value read.
+    A ``(site, segment_index)`` pair may appear once.
     """
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    f = open(path_or_file, newline="", encoding="utf-8") if own else path_or_file
-    try:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise PhysicsError("line 1: empty noise file, no header")
-        if header != _NOISE_HEADER:
-            raise PhysicsError(f"unexpected noise header: {header}")
-        data: dict = {}
-        for rec in reader:
-            try:
-                site, seg, value = int(rec[0]), int(rec[1]), float(rec[2])
-            except (IndexError, ValueError) as exc:
-                raise PhysicsError(
-                    f"line {reader.line_num}: malformed noise row {rec}") from exc
-            if seg < 0:
-                raise PhysicsError(
-                    f"line {reader.line_num}: negative segment index in noise "
-                    f"row {rec}")
-            data.setdefault(site, {})[seg] = value
-    except UnicodeDecodeError as exc:
-        name = getattr(f, "name", f)
-        raise PhysicsError(f"{name}: not UTF-8 text") from exc
-    finally:
-        if own:
-            f.close()
+    data: dict = {}
+    for line, rec in _csv.read_table(path_or_file, _NOISE_HEADER, "noise",
+                                     "noise file"):
+        try:
+            site, seg, value = int(rec[0]), int(rec[1]), float(rec[2])
+        except (IndexError, ValueError) as exc:
+            raise PhysicsError(f"line {line}: malformed noise row {rec}") from exc
+        if seg < 0:
+            raise PhysicsError(
+                f"line {line}: negative segment index in noise row {rec}")
+        segs = data.setdefault(site, {})
+        if seg in segs:
+            raise PhysicsError(
+                f"line {line}: repeated site {site} segment {seg} in noise "
+                f"row {rec}")
+        segs[seg] = value
     if not data:
         raise PhysicsError("noise file contains no rows")
     sites = sorted(data)

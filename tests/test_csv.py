@@ -1,0 +1,87 @@
+"""Golden bytes of every CSV table fmosim writes, on tiny hand-built inputs.
+
+Each writer's output is pinned byte for byte: the header row, the ``\\r\\n``
+line ends, the precision (``.15g`` for sweep and reproduce tables, ``.17g``
+for trace, noise and chip-plan files) and the blank fields of the plan.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+
+from fmosim import dynamics, experiments, model, noise
+from fmosim.cli import main
+
+
+def test_sweep_tables(tmp_path):
+    res = experiments.SweepResult(
+        grid=[0.0, 0.1], means=[1 / 3, 0.5], stds=[0.0, 2 / 3],
+        values=[[1 / 3, 1 / 3], [1e-20, 1.0]], config_hash="x", seed=0)
+    experiments.write_sweep_csv(res, tmp_path / "raw.csv",
+                                tmp_path / "summary.csv")
+    assert (tmp_path / "raw.csv").read_bytes() == (
+        b"grid_value,realization,efficiency\r\n"
+        b"0,0,0.333333333333333\r\n"
+        b"0,1,0.333333333333333\r\n"
+        b"0.1,0,1e-20\r\n"
+        b"0.1,1,1\r\n")
+    assert (tmp_path / "summary.csv").read_bytes() == (
+        b"grid_value,mean,std\r\n"
+        b"0,0.333333333333333,0\r\n"
+        b"0.1,0.5,0.666666666666667\r\n")
+
+
+def test_trace_table(tmp_path):
+    tr = dynamics.EvolutionTrace(
+        [0.0, 0.1], [[1.0, 0.0], [np.sqrt(0.5), 0.25 + 1j / 3]],
+        ("fmo_site1", "sink1"), 1, 1, 0.1)
+    dynamics.write_trace_csv(tr, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (
+        b"z_mm,site_index,re,im,probability\r\n"
+        b"0,0,1,0,1\r\n"
+        b"0,1,0,0,0\r\n"
+        b"0.10000000000000001,0,0.70710678118654757,0,0.50000000000000011\r\n"
+        b"0.10000000000000001,1,0.25,0.33333333333333331,"
+        b"0.17361111111111108\r\n")
+
+
+def test_noise_table(tmp_path):
+    nr = noise.NoiseRealization([[0.1, -1 / 3], [0.0, 2.5]],
+                                noise.NoiseConfig())
+    noise.write_noise_csv(nr, tmp_path / "noise.csv")
+    assert (tmp_path / "noise.csv").read_bytes() == (
+        b"site,segment_index,delta_beta\r\n"
+        b"1,0,0.10000000000000001\r\n"
+        b"1,1,-0.33333333333333331\r\n"
+        b"2,0,0\r\n"
+        b"2,1,2.5\r\n")
+
+
+def test_chip_plan_table(tmp_path):
+    rows = [model.ChipPlanRow("spacing", 1, 2, -1, 0.1, "um"),
+            model.ChipPlanRow("speed", 3, -1, 0, -1 / 3, "mm/s")]
+    model.write_chip_plan(rows, tmp_path / "plan.csv")
+    assert (tmp_path / "plan.csv").read_bytes() == (
+        b"record_type,site_a,site_b,segment_index,value,unit\r\n"
+        b"spacing,1,2,,0.10000000000000001,um\r\n"
+        b"speed,3,,0,-0.33333333333333331,mm/s\r\n")
+
+
+def test_reproduce_tables(tmp_path, monkeypatch):
+    sweep = experiments.SweepResult(
+        grid=[0.0, 0.1], means=[1 / 3, 0.5], stds=[0.0, 2 / 3],
+        values=[[1 / 3], [0.5]], config_hash="x", seed=0)
+    monkeypatch.setattr(
+        experiments, "noise_distribution_comparison",
+        lambda cfg: ({"colored": sweep}, {"colored": 1 / 3}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["reproduce", "figS16", "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "figS16_distributions.csv").read_bytes() == (
+        b"kind,amplitude,mean,std\r\n"
+        b"colored,0,0.333333333333333,0\r\n"
+        b"colored,0.1,0.5,0.666666666666667\r\n")
+    assert (tmp_path / "figS16_profile_means.csv").read_bytes() == (
+        b"kind,normalized_mean\r\n"
+        b"colored,0.333333333333333\r\n")

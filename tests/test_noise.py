@@ -358,6 +358,13 @@ class TestCsvRoundTrip:
                            match="line 4: negative segment index"):
             read_noise_csv(io.StringIO(text))
 
+    def test_repeated_site_segment_rejected(self):
+        text = ("site,segment_index,delta_beta\n"
+                "1,0,0.5\n1,1,0.25\n1,0,0.75\n")
+        with pytest.raises(PhysicsError,
+                           match="line 4: repeated site 1 segment 0"):
+            read_noise_csv(io.StringIO(text))
+
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "noise.csv"
         path.write_bytes(b"site,segment_index,delta_beta\n1,0,\xff\n")
