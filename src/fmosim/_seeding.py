@@ -10,9 +10,19 @@ for all the rows at once in numpy ``uint32`` arithmetic, which wraps modulo
 2^32 as numpy's C code does, and the PCG64 seeding steps run in Python
 integers; the results are the same bits (numpy's ``bit_generator.pyx`` and
 ``pcg64.h``).
+
+Short streams of uniform doubles skip the Generator altogether
+(:func:`random_rows`): PCG64 is a 128-bit LCG, so its k-th state is an
+affine map of the seeded one (Brown, Trans. Am. Nucl. Soc. 71, 202
+(1994)), and every draw of every row comes out of one pass of ``uint64``
+arithmetic followed by the XSL-RR output (O'Neill, HMC-CS-2014-0905).
+Every constant is a ``np.uint64``, so the arithmetic is the same under
+numpy 1's value-based casting and numpy 2's rules.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +39,8 @@ XSHIFT = np.uint32(16)
 #: PCG64's 128-bit LCG multiplier.
 PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
 MASK128 = (1 << 128) - 1
+MASK64 = (1 << 64) - 1
+U32_MASK, U32_SHIFT = np.uint64(MASK32), np.uint64(32)
 
 
 def check_seed(seed) -> int:
@@ -135,11 +147,85 @@ def streams(rows):
         return
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
+    # one state document for every row: the setter copies what it reads
+    doc = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
+           "has_uint32": 0, "uinteger": 0}
     for s_hi, s_lo, i_hi, i_lo in seed_words(rows, 4).tolist():
         # pcg_setseq_128_srandom_r: state 0, one step, add the seed, one step
         inc = ((i_hi << 65) | (i_lo << 1) | 1) & MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * PCG_MULT + inc) & MASK128
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
+        doc["state"]["inc"] = inc
+        doc["state"]["state"] = ((inc + (s_hi << 64 | s_lo)) * PCG_MULT
+                                 + inc) & MASK128
+        bit_generator.state = doc
         yield rng
+
+
+@lru_cache(maxsize=16)
+def _jumps(n: int) -> np.ndarray:
+    """(4, n) uint64: the high and low 64-bit halves of M^(j+2) and of
+    G_(j+2) = M^0 + ... + M^(j+1), for j < n, where M is PCG_MULT.
+
+    From x = inc + seed, seeding takes one LCG step and each draw one
+    more, so draw j reads the state M^(j+2) x + G_(j+2) inc mod 2^128.
+    """
+    table, m, g = [], PCG_MULT * PCG_MULT & MASK128, PCG_MULT + 1
+    for _ in range(n):
+        table.append((m >> 64, m & MASK64, g >> 64, g & MASK64))
+        m, g = m * PCG_MULT & MASK128, (g * PCG_MULT + 1) & MASK128
+    out = np.array(table, dtype=np.uint64).T.copy()
+    out.setflags(write=False)
+    return out
+
+
+def _mul128(a_hi, a_lo, x_hi, x_lo):
+    """(high, low) 64-bit halves of a x mod 2^128, from those of a and x.
+
+    ``uint64`` products wrap modulo 2^64, which gives the low half and the
+    cross terms; the carry of a_lo x_lo into the high half is summed from
+    its 32-bit limbs, whose products cannot overflow.
+    """
+    u0, u1 = a_lo & U32_MASK, a_lo >> U32_SHIFT
+    v0, v1 = x_lo & U32_MASK, x_lo >> U32_SHIFT
+    mid = u1 * v0 + ((u0 * v0) >> U32_SHIFT)
+    low_mid = u0 * v1 + (mid & U32_MASK)
+    hi = u1 * v1 + (mid >> U32_SHIFT) + (low_mid >> U32_SHIFT)
+    return hi + a_lo * x_hi + a_hi * x_lo, a_lo * x_lo
+
+
+#: Draws times rows that :func:`random_rows` works on at once.  Its
+#: arithmetic holds about nine uint64 arrays of that size, so a block
+#: bounds the memory it takes beyond its output to about 5 MB.
+DRAW_BLOCK = 1 << 16
+
+
+def random_rows(rows, n: int) -> np.ndarray:
+    """(len(rows), n) float64: row i is bit for bit
+    ``numpy.random.default_rng(rows[i]).random(n)``, for rows of uint32
+    words as :func:`streams` takes them.
+
+    The PCG64 seeding and all n LCG steps of every row run as a few
+    ``uint64`` array operations over (rows, draws) (see :func:`_jumps`),
+    a block of draws at a time; each state then gives numpy's XSL-RR
+    output and its double, ``(x >> 11) * 2**-53``.
+    """
+    s_hi, s_lo, i_hi, i_lo = seed_words(rows, 4).T[:, :, None]
+    one = np.uint64(1)
+    inc_hi = (i_hi << one) | (i_lo >> np.uint64(63))
+    inc_lo = (i_lo << one) | one
+    x_lo = inc_lo + s_lo
+    x_hi = inc_hi + s_hi + (x_lo < s_lo)
+    jumps = _jumps(n)
+    out = np.empty((len(rows), n))
+    block = max(1, DRAW_BLOCK // len(rows))
+    for start in range(0, n, block):
+        m_hi, m_lo, g_hi, g_lo = jumps[:, start:start + block]
+        hi, lo = _mul128(m_hi, m_lo, x_hi, x_lo)
+        step_hi, step_lo = _mul128(g_hi, g_lo, inc_hi, inc_lo)
+        lo = lo + step_lo
+        hi = hi + step_hi + (lo < step_lo)
+        # XSL-RR: the xor of the halves, rotated right by the top 6 bits
+        rot = hi >> np.uint64(58)
+        bits = hi ^ lo
+        bits = (bits >> rot) | (bits << ((np.uint64(64) - rot) & np.uint64(63)))
+        out[:, start:start + block] = (bits >> np.uint64(11)) * 2.0 ** -53
+    return out

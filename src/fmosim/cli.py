@@ -22,6 +22,7 @@ series or trace over the ``dynamics.MAX_*`` budgets), 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -475,10 +476,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: it holds no state between calls, since
+    each parse fills a new namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -99,8 +100,15 @@ class SweepConfig:
         return d
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.canonical_dict(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return self._canonical[1]
+
+    @cached_property
+    def _canonical(self) -> tuple:
+        """(:meth:`canonical_dict`, its hash), built once per config, which
+        is frozen; the dict is read, never changed."""
+        d = self.canonical_dict()
+        blob = json.dumps(d, sort_keys=True)
+        return d, hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -366,8 +374,9 @@ def write_sweep_csv(result: SweepResult, raw_path, summary_path) -> None:
 def write_manifest(cfg: SweepConfig, path) -> None:
     """Emit a JSON run manifest: config echo, seed, code version."""
     from . import __version__
-    doc = {"config": cfg.canonical_dict(), "seed": cfg.seed,
-           "config_hash": cfg.config_hash(), "version": __version__}
+    config, config_hash = cfg._canonical
+    doc = {"config": config, "seed": cfg.seed, "config_hash": config_hash,
+           "version": __version__}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -16,6 +16,7 @@ raises the gap to 0.594 mm^-1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -317,8 +318,11 @@ def static_disorder_shifts(n: int, gamma: float, rng_seeds) -> np.ndarray:
     This is the one definition of the disorder stream: row i is drawn in
     site order from ``default_rng(rng_seeds[i])`` (each seed a nonnegative
     int or a sequence of them), the streams of all the rows seeded in one
-    pass; none are drawn (all are zero) at ``gamma == 0``.
+    pass; none are drawn (all are zero) at ``gamma == 0``.  A ``gamma``
+    that is negative or not finite is rejected.
     """
+    if not math.isfinite(gamma):
+        raise PhysicsError("disorder strength must be finite")
     if gamma < 0:
         raise PhysicsError("disorder strength must be nonnegative")
     if gamma == 0:

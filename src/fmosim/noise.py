@@ -11,11 +11,13 @@ Every (seed, site) pair draws from its own stream,
 ``default_rng([seed, site])``, so a realization does not depend on which
 others are generated with it; the streams of a whole batch are seeded in
 one pass (``_seeding.streams``), bit for bit as ``default_rng`` seeds
-them one at a time.  :func:`generate_batch` draws all the realizations of
-a study at once, one recipe with an amplitude and a seed each; the colored
-filter is plain numpy (bilinear discretization, then a third-order
-recurrence applied to the whole batch elementwise), so each row is
-bit-for-bit the same as when it is generated alone with :func:`generate`.
+them one at a time, and uniform_white rows are drawn in one vectorized
+PCG64 pass (``_seeding.random_rows``), bit for bit ``default_rng``'s.
+:func:`generate_batch` draws all the realizations of a study at once, one
+recipe with an amplitude and a seed each; the colored filter is plain
+numpy (bilinear discretization, then a third-order recurrence applied to
+the whole batch elementwise), so each row is bit-for-bit the same as when
+it is generated alone with :func:`generate`.
 """
 
 from __future__ import annotations
@@ -171,7 +173,9 @@ def _colored_filter(white: np.ndarray, rate: float) -> np.ndarray:
     """
     b, a = _filter_coefficients(rate)
     burn = white[:, :FILTER_BURN_IN]
-    s0, s1, s2 = ((burn * m).sum(axis=1) for m in _burn_in_map(rate))
+    weighted = np.empty_like(burn)    # one temporary for the three folds
+    s0, s1, s2 = (np.multiply(burn, m, out=weighted).sum(axis=1)
+                  for m in _burn_in_map(rate))
     x = np.ascontiguousarray(white[:, FILTER_BURN_IN:].T)
     y = np.empty_like(x)
     for n, xn in enumerate(x):
@@ -182,25 +186,26 @@ def _colored_filter(white: np.ndarray, rate: float) -> np.ndarray:
     return y.T
 
 
-def _draw(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
-    """One site's raw samples; for "colored", the white input of the
-    filter, burn-in included."""
-    if kind == "uniform_white":
-        return rng.random(n)     # the bits of rng.uniform(0.0, 1.0, n)
+def _draw(kind: str, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` with one site's raw samples of a kind other than
+    uniform_white (whose rows :func:`_seeding.random_rows` draws all at
+    once); for "colored", the white input of the filter, burn-in included.
+    """
     if kind == "colored":
-        return rng.standard_normal(n + FILTER_BURN_IN)
-    if kind == "normal_abs":
-        return np.abs(rng.standard_normal(n))
-    if kind == "exponential":
-        return rng.exponential(1.0 / EXPONENTIAL_RATE, n)
-    # cauchy: |quotient of two independent standard normals|
-    numer = rng.standard_normal(n)
-    denom = rng.standard_normal(n)
-    zero = denom == 0.0
-    while np.any(zero):  # probability-zero guard; redraw the exact zeros
-        denom[zero] = rng.standard_normal(int(zero.sum()))
+        rng.standard_normal(out=out)
+    elif kind == "normal_abs":
+        np.abs(rng.standard_normal(out=out), out=out)
+    elif kind == "exponential":
+        out[:] = rng.exponential(1.0 / EXPONENTIAL_RATE, len(out))
+    else:
+        # cauchy: |quotient of two independent standard normals|
+        numer = rng.standard_normal(len(out))
+        denom = rng.standard_normal(len(out))
         zero = denom == 0.0
-    return np.abs(numer / denom)
+        while np.any(zero):  # probability-zero guard; redraw the exact zeros
+            denom[zero] = rng.standard_normal(int(zero.sum()))
+            zero = denom == 0.0
+        np.abs(numer / denom, out=out)
 
 
 #: Realizations drawn and filtered together at most, which bounds the
@@ -229,16 +234,23 @@ def generate_batch(config: NoiseConfig, amplitudes, seeds,
     if not (np.isfinite(amplitudes) & (amplitudes >= 0)).all():
         raise PhysicsError("amplitude must be finite and nonnegative")
     kind, segments = config.kind, config.segments
+    width = segments + FILTER_BURN_IN if kind == "colored" else segments
     out = np.zeros((len(seeds), n_sites, segments))
     live = np.flatnonzero(amplitudes)
     for start in range(0, len(live), _BATCH_CHUNK):
         chunk = live[start:start + _BATCH_CHUNK]
         # the entropy of stream (seed, site): the seed's words, then the
         # site's one word
-        rows = [_seeding.entropy_words(seeds[r]) + [site]
-                for r in chunk for site in range(n_sites)]
-        draws = np.array([_draw(kind, rng, segments)
-                          for rng in _seeding.streams(rows)])
+        rows = [words + [site]
+                for words in (_seeding.entropy_words(seeds[r]) for r in chunk)
+                for site in range(n_sites)]
+        if kind == "uniform_white":
+            # the bits of rng.uniform(0.0, 1.0, segments) on each stream
+            draws = _seeding.random_rows(rows, segments)
+        else:
+            draws = np.empty((len(rows), width))
+            for row, rng in zip(draws, _seeding.streams(rows)):
+                _draw(kind, rng, row)
         if kind == "colored":
             draws = np.abs(_colored_filter(
                 draws, config.sampling_frequency * config.filter_time_scale))
@@ -291,7 +303,9 @@ def read_noise_csv(path_or_file) -> NoiseRealization:
 
     The realization's config echoes the file's shape: a uniform_white
     recipe with one segment per mm, at the largest absolute value read.
-    A ``(site, segment_index)`` pair may appear once.
+    The file must hold each ``(site, segment_index)`` pair exactly once,
+    for every site 1..n and every segment 0..m-1; a file with a gap is
+    rejected, naming the first missing site or segment.
     """
     data: dict = {}
     for line, rec in _csv.read_table(path_or_file, _NOISE_HEADER, "noise",
@@ -303,6 +317,8 @@ def read_noise_csv(path_or_file) -> NoiseRealization:
         if seg < 0:
             raise PhysicsError(
                 f"line {line}: negative segment index in noise row {rec}")
+        if site < 1:
+            raise PhysicsError(f"line {line}: site below 1 in noise row {rec}")
         segs = data.setdefault(site, {})
         if seg in segs:
             raise PhysicsError(
@@ -311,12 +327,17 @@ def read_noise_csv(path_or_file) -> NoiseRealization:
         segs[seg] = value
     if not data:
         raise PhysicsError("noise file contains no rows")
-    sites = sorted(data)
+    n_sites = max(data)
     n = max(max(segs) for segs in data.values()) + 1
-    seqs = np.zeros((len(sites), n))
-    for row, site in enumerate(sites):
-        for seg, value in data[site].items():
-            seqs[row, seg] = value
+    seqs = np.empty((n_sites, n))
+    for site in range(1, n_sites + 1):
+        if site not in data:
+            raise PhysicsError(f"noise file has no row for site {site}")
+        for seg in range(n):
+            if seg not in data[site]:
+                raise PhysicsError(
+                    f"noise file has no row for site {site} segment {seg}")
+            seqs[site - 1, seg] = data[site][seg]
     amplitude = float(np.abs(seqs).max())
     config = NoiseConfig(
         kind="uniform_white",

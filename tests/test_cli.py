@@ -852,3 +852,37 @@ def test_runtime_imports_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_runs_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once a process, so one run must leave nothing
+    # behind for the next: the flags of the first sweep (a seed, a thread
+    # count) must not reach the second, which sets none
+    doc = base_config()
+    doc["noise"]["kind"] = "colored"
+    doc["sweep"]["disorder_per_mm"] = 3.0
+    path = write_config(tmp_path, doc)
+    src = str(Path(fmosim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    runs = [("sweep", "--seed", "5", "--threads", "2"),
+            ("simulate", "--stride", "2"), ("sweep",)]
+    for k, (command, *flags) in enumerate(runs):
+        argv = [command, "--config", path, *flags, "--out"]
+        here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
+        assert main(argv + [str(here)]) == EXIT_OK
+        printed = capsys.readouterr()
+        done = subprocess.run(
+            [sys.executable, "-m", "fmosim.cli", *argv, str(fresh)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert (done.stdout, done.stderr) == (printed.out, printed.err)
+        names = sorted(p.name for p in here.iterdir())
+        assert names == sorted(p.name for p in fresh.iterdir())
+        for name in names:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{fmosim.__version__}\n"

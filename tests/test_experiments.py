@@ -362,6 +362,10 @@ def _numpy_words(rows, n_words):
                      for row in rows])
 
 
+def _numpy_random_rows(rows, n):
+    return np.array([np.random.default_rng(row).random(n) for row in rows])
+
+
 class TestSeeding:
     # seeds of one, two, three and three words; the disorder rows then
     # have 4 to 6 words, past SeedSequence's pool of 4
@@ -369,16 +373,21 @@ class TestSeeding:
     def test_study_is_the_one_numpy_seeds_row_by_row(self, seed,
                                                      monkeypatch):
         from fmosim import _seeding
-        cfg = small_cfg(seed=seed, noise_kind="colored", disorder=3.0,
-                        grid=(0.0, 0.6, 1.4))
-        batched = sweep_dephasing(cfg)
-        points, _ = reorganization_curve(cfg)
+        # colored noise draws from the streams, uniform_white through the
+        # vectorized pass
+        cfgs = [small_cfg(seed=seed, noise_kind=kind, disorder=3.0,
+                          grid=(0.0, 0.6, 1.4))
+                for kind in ("colored", "uniform_white")]
+        batched = [sweep_dephasing(cfg) for cfg in cfgs]
+        points = [reorganization_curve(cfg)[0] for cfg in cfgs]
         monkeypatch.setattr(_seeding, "streams", _numpy_streams)
         monkeypatch.setattr(_seeding, "seed_words", _numpy_words)
-        oracle = sweep_dephasing(cfg)
-        oracle_points, _ = reorganization_curve(cfg)
-        assert batched.values.tobytes() == oracle.values.tobytes()
-        assert points.tobytes() == oracle_points.tobytes()
+        monkeypatch.setattr(_seeding, "random_rows", _numpy_random_rows)
+        for cfg, result, curve in zip(cfgs, batched, points):
+            oracle = sweep_dephasing(cfg)
+            oracle_points, _ = reorganization_curve(cfg)
+            assert result.values.tobytes() == oracle.values.tobytes()
+            assert curve.tobytes() == oracle_points.tobytes()
 
     def test_vibrational_comparison_draws_the_noise_once(self, monkeypatch):
         from fmosim import noise

@@ -285,6 +285,18 @@ class TestStaticDisorder:
         with pytest.raises(PhysicsError):
             static_disorder_shifts(7, -1.0, [0])
 
+    # 1e309 parses as inf; each used to leak numpy's OverflowError
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, float("1e309")],
+                             ids=["nan", "inf", "1e309"])
+    def test_non_finite_gamma_rejected(self, gamma):
+        h = build_fmo_hamiltonian()
+        with pytest.raises(PhysicsError,
+                           match="disorder strength must be finite"):
+            static_disorder_shifts(7, gamma, [0])
+        with pytest.raises(PhysicsError,
+                           match="disorder strength must be finite"):
+            apply_static_disorder(h, gamma, 0)
+
 
 class TestChipPlan:
     def test_two_site_plan(self):

@@ -112,6 +112,7 @@ class TestGenerate:
             raise AssertionError("a zero-amplitude realization drew noise")
 
         monkeypatch.setattr(noise_mod._seeding, "streams", no_draw)
+        monkeypatch.setattr(noise_mod._seeding, "random_rows", no_draw)
         cfg = NoiseConfig(kind=kind, amplitude=0.0, segments=13, seed=9)
         got = generate(cfg, n_sites=5)
         explicit = NoiseRealization(np.zeros((5, 13)), cfg)
@@ -146,8 +147,8 @@ class TestGenerate:
     def test_exponential_mean_matches_rate_two(self):
         # the raw draws: dividing by the peak takes the rate out of every
         # generated sequence
-        seqs = noise_mod._draw("exponential", np.random.default_rng([1, 0]),
-                               100_000)
+        seqs = np.empty(100_000)
+        noise_mod._draw("exponential", np.random.default_rng([1, 0]), seqs)
         assert seqs.mean() == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(len(seqs)))
 
     def test_cross_site_independence(self):
@@ -363,6 +364,20 @@ class TestCsvRoundTrip:
                 "1,0,0.5\n1,1,0.25\n1,0,0.75\n")
         with pytest.raises(PhysicsError,
                            match="line 4: repeated site 1 segment 0"):
+            read_noise_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("rows,match", [
+        ("1,0,0.5\n1,2,0.25\n3,0,0.75\n", "no row for site 1 segment 1$"),
+        ("1,0,0.5\n1,1,0.25\n3,0,0.75\n3,1,0.5\n", "no row for site 2$"),
+        ("2,0,0.5\n2,1,0.25\n", "no row for site 1$"),
+        ("1,0,0.5\n1,1,0.25\n2,1,0.75\n", "no row for site 2 segment 0$"),
+        ("1,0,0.5\n0,0,0.25\n", "line 3: site below 1")],
+        ids=["segment_gap", "site_gap", "no_site_one", "no_segment_zero",
+             "site_zero"])
+    def test_gap_rejected(self, rows, match):
+        # a gap used to be read back as zeros, with the sites renumbered
+        text = "site,segment_index,delta_beta\n" + rows
+        with pytest.raises(PhysicsError, match=match):
             read_noise_csv(io.StringIO(text))
 
     def test_non_utf8_file_rejected(self, tmp_path):

@@ -28,8 +28,44 @@ def test_site_streams_are_default_rng(pairs, kind):
     for (seed, site), rng in zip(pairs, streams(rows)):
         ref = np.random.default_rng([seed, site])
         assert rng.bit_generator.state == ref.bit_generator.state
-        np.testing.assert_array_equal(noise._draw(kind, rng, 20),
-                                      noise._draw(kind, ref, 20))
+        np.testing.assert_array_equal(_drawn(kind, rng), _drawn(kind, ref))
+
+
+def _drawn(kind, rng, n=20):
+    # what noise.generate_batch takes from one stream: uniform_white rows
+    # are the Generator's doubles, the other kinds go through noise._draw
+    if kind == "uniform_white":
+        return rng.random(n)
+    out = np.empty(n)
+    noise._draw(kind, rng, out)
+    return out
+
+
+# rows of 1 to 11 words, past the pool of 4, from seeds up to 2**70
+ROWS = st.lists(MASTER, min_size=1, max_size=4).map(
+    lambda seeds: entropy_words(seeds)[:11])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(ROWS, min_size=1, max_size=8),
+       n=st.sampled_from([1, 2, 20, 88, 521]))
+@example(rows=[[0], [2**32 - 1] * 11, entropy_words([2**70 - 1, 2**64])],
+         n=521)
+def test_random_rows_are_default_rng_doubles(rows, n):
+    got = _seeding.random_rows(rows, n)
+    want = np.array([np.random.default_rng(row).random(n) for row in rows])
+    assert got.shape == (len(rows), n) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 12, 60])
+def test_random_rows_in_blocks_of_draws(block, monkeypatch):
+    # 3 rows at most `block` elements a block: 1 draw a block (the floor),
+    # 2, 4 and all 20 draws, the last block of 20 ragged for 7 and 12
+    rows = [[0], entropy_words(2**70 - 1), [5, 6, 7, 8, 9]]
+    want = np.array([np.random.default_rng(row).random(20) for row in rows])
+    monkeypatch.setattr(_seeding, "DRAW_BLOCK", block)
+    assert _seeding.random_rows(rows, 20).tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
