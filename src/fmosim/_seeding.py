@@ -2,22 +2,23 @@
 them one at a time.
 
 Every stream a study draws from is ``numpy.random.default_rng(entropy)``
-for some row of nonnegative integers (:func:`streams`), or words of
+for some row of nonnegative integers, or words of
 ``numpy.random.SeedSequence(entropy).generate_state`` (:func:`seed_words`).
 Built one row at a time, each costs a ``SeedSequence`` and a ``PCG64``.
 Here the ``SeedSequence`` hashing (entropy pool and ``generate_state``) runs
 for all the rows at once in numpy ``uint32`` arithmetic, which wraps modulo
-2^32 as numpy's C code does, and the PCG64 seeding steps run in Python
-integers; the results are the same bits (numpy's ``bit_generator.pyx`` and
-``pcg64.h``).
+2^32 as numpy's C code does; the results are the same bits (numpy's
+``bit_generator.pyx`` and ``pcg64.h``).
 
-Short streams of uniform doubles skip the Generator altogether
-(:func:`random_rows`): PCG64 is a 128-bit LCG, so its k-th state is an
-affine map of the seeded one (Brown, Trans. Am. Nucl. Soc. 71, 202
-(1994)), and every draw of every row comes out of one pass of ``uint64``
-arithmetic followed by the XSL-RR output (O'Neill, HMC-CS-2014-0905).
-Every constant is a ``np.uint64``, so the arithmetic is the same under
-numpy 1's value-based casting and numpy 2's rules.
+Every uniform double, of white noise and of static disorder alike, skips
+the Generator (:func:`random_rows`): PCG64 is a 128-bit LCG, so its k-th
+state is an affine map of the seeded one (Brown, Trans. Am. Nucl. Soc. 71,
+202 (1994)), and every draw of every row comes out of one pass of
+``uint64`` arithmetic followed by the XSL-RR output (O'Neill,
+HMC-CS-2014-0905).  Every constant is a ``np.uint64``, so the arithmetic is
+the same under numpy 1's value-based casting and numpy 2's rules.  The
+ziggurat draws (normal, exponential, Cauchy) re-seed one Generator row by
+row (:func:`streams`).
 """
 
 from __future__ import annotations
@@ -135,16 +136,11 @@ def seed_words(rows, n_words: int) -> np.ndarray:
 
 def streams(rows):
     """For each row of uint32 words, ``numpy.random.default_rng(row)`` in
-    the state it starts in.
-
-    A single row yields ``default_rng(row)`` itself, which numpy seeds
-    faster than the batched pass.  Otherwise one Generator is built per
-    call and re-seeded for each row, so the same object is yielded every
-    time: draw from it before taking the next row.
+    the state it starts in, for the ziggurat draws (uniform doubles come
+    from :func:`random_rows`).  One Generator is built per call and
+    re-seeded for each row, so the same object is yielded every time:
+    draw from it before taking the next row.
     """
-    if len(rows) == 1:
-        yield np.random.default_rng(rows[0])
-        return
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     # one state document for every row: the setter copies what it reads
@@ -201,7 +197,7 @@ DRAW_BLOCK = 1 << 16
 def random_rows(rows, n: int) -> np.ndarray:
     """(len(rows), n) float64: row i is bit for bit
     ``numpy.random.default_rng(rows[i]).random(n)``, for rows of uint32
-    words as :func:`streams` takes them.
+    words (:func:`entropy_words`).
 
     The PCG64 seeding and all n LCG steps of every row run as a few
     ``uint64`` array operations over (rows, draws) (see :func:`_jumps`),
@@ -216,7 +212,7 @@ def random_rows(rows, n: int) -> np.ndarray:
     x_hi = inc_hi + s_hi + (x_lo < s_lo)
     jumps = _jumps(n)
     out = np.empty((len(rows), n))
-    block = max(1, DRAW_BLOCK // len(rows))
+    block = max(1, DRAW_BLOCK // max(len(rows), 1))
     for start in range(0, n, block):
         m_hi, m_lo, g_hi, g_lo = jumps[:, start:start + block]
         hi, lo = _mul128(m_hi, m_lo, x_hi, x_lo)

@@ -216,11 +216,11 @@ def _window_spectrum(window: bytes, rows: int) -> tuple:
     return float(lam[0]) - slack, float(lam[-1]) + slack
 
 
-def _interval(h: Hamiltonian, st: _Structure, det, diag,
-              coupling_correction: bool, rows: int) -> tuple:
+def _interval(h: Hamiltonian, st: _Structure, det, diag, pairs,
+              rows: int) -> tuple:
     """(lo, hi), each of shape (R,): column r's interval encloses the
     spectra of the leading ``rows`` x ``rows`` windows of every segment
-    matrix of column r.
+    matrix of column r; ``pairs`` are :func:`_corrected_pairs`, or none.
 
     It is the intersection of two enclosures, each reduced over the rows
     and segments of a column, never over columns:
@@ -245,7 +245,7 @@ def _interval(h: Hamiltonian, st: _Structure, det, diag,
     # correction makes in each segment: (rows, R)
     net = diag[sites] + np.ascontiguousarray(det.transpose(2, 1, 0))
     grow = np.zeros(net.shape)                            # (S, sites, R)
-    for a, c0, c in _corrected_pairs(st, det) if coupling_correction else ():
+    for a, c0, c in pairs:
         dc = (np.abs(c) - abs(c0)).T
         grow[:, a] += dc
         grow[:, a + 1] += dc
@@ -526,7 +526,8 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     n0, n_real, sites = st.n0, det.shape[0], st.sites
     windows = _windows(st, h.dim, segment_length, det.shape[2])
     rows = max(windows, default=n0)
-    lo, hi = _interval(h, st, det, diag, coupling_correction, rows)
+    pairs = _corrected_pairs(st, det) if coupling_correction else []
+    lo, hi = _interval(h, st, det, diag, pairs, rows)
     bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)))
     if bad.size:
         raise PhysicsError(f"invalid spectral interval ({lo[bad[0]]:g}, "
@@ -562,7 +563,6 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     net = np.repeat((diag[sites, :, None] + det.transpose(1, 0, 2)
                      - center[:, None]) * scale[:, None], 2,
                     axis=1)                               # (sites, 2R, S)
-    pairs = _corrected_pairs(st, det) if coupling_correction else []
     pairs = [(sites[a], sites[a + 1], np.repeat(c * scale[:, None], 2, axis=0))
              for a, _, c in pairs]
     held, width = _buffer_shape(len(weights), rows, n_real)

@@ -268,12 +268,16 @@ def coupling_for_spacing(d: float) -> float:
 
 
 def spacing_for_coupling(c: float) -> float:
-    """Spacing (um) realising coupling c (cm^-1); exact inverse of the fit."""
+    """Spacing (um) realising coupling c (cm^-1); exact inverse of the fit.
+    A c below about 2.6e-307 overflows it and is rejected."""
     if c <= 0 or c > COUPLING_AMPLITUDE:
         raise PhysicsError(
             f"coupling must be in (0, {COUPLING_AMPLITUDE}] cm^-1 for inversion, got {c}"
         )
-    return float(np.log(COUPLING_AMPLITUDE / c) / COUPLING_DECAY)
+    ratio = COUPLING_AMPLITUDE / float(c)
+    if not math.isfinite(ratio):
+        raise PhysicsError(f"coupling {c} cm^-1 is too small for a finite spacing")
+    return float(np.log(ratio) / COUPLING_DECAY)
 
 
 def delta_beta_for_speed(dv: float) -> float:
@@ -315,11 +319,12 @@ def static_disorder_shifts(n: int, gamma: float, rng_seeds) -> np.ndarray:
     """(len(rng_seeds), n) one-sided uniform site-energy shifts U(0, gamma),
     one row per seed.
 
-    This is the one definition of the disorder stream: row i is drawn in
-    site order from ``default_rng(rng_seeds[i])`` (each seed a nonnegative
-    int or a sequence of them), the streams of all the rows seeded in one
-    pass; none are drawn (all are zero) at ``gamma == 0``.  A ``gamma``
-    that is negative or not finite is rejected.
+    This is the one definition of the disorder stream: row i is bit for
+    bit ``default_rng(rng_seeds[i]).uniform(0.0, gamma, n)`` (each seed a
+    nonnegative int or a sequence of them), gamma times the doubles of one
+    :func:`_seeding.random_rows` pass over all the rows; none are drawn
+    (all are zero) at ``gamma == 0``.  A ``gamma`` that is negative or not
+    finite is rejected.
     """
     if not math.isfinite(gamma):
         raise PhysicsError("disorder strength must be finite")
@@ -327,9 +332,8 @@ def static_disorder_shifts(n: int, gamma: float, rng_seeds) -> np.ndarray:
         raise PhysicsError("disorder strength must be nonnegative")
     if gamma == 0:
         return np.zeros((len(rng_seeds), n))
-    rows = [_seeding.entropy_words(seed) for seed in rng_seeds]
-    return np.array([rng.uniform(0.0, gamma, size=n)
-                     for rng in _seeding.streams(rows)])
+    return gamma * _seeding.random_rows(
+        [_seeding.entropy_words(seed) for seed in rng_seeds], n)
 
 
 def apply_static_disorder(h: Hamiltonian, gamma: float, rng_seed) -> Hamiltonian:

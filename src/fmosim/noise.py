@@ -9,10 +9,9 @@ uniform_white is divided by its peak on each site.
 
 Every (seed, site) pair draws from its own stream,
 ``default_rng([seed, site])``, so a realization does not depend on which
-others are generated with it; the streams of a whole batch are seeded in
-one pass (``_seeding.streams``), bit for bit as ``default_rng`` seeds
-them one at a time, and uniform_white rows are drawn in one vectorized
-PCG64 pass (``_seeding.random_rows``), bit for bit ``default_rng``'s.
+others are generated with it; the streams of a whole batch are seeded
+in one pass, and uniform_white rows drawn in one vectorized PCG64 pass,
+bit for bit as ``default_rng`` draws them one at a time (``_seeding``).
 :func:`generate_batch` draws all the realizations of a study at once, one
 recipe with an amplitude and a seed each; the colored filter is plain
 numpy (bilinear discretization, then a third-order recurrence applied to

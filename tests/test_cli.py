@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -587,6 +588,18 @@ class TestChipPlan:
         assert len(spacing_rows) == 7
         printed = capsys.readouterr().out
         assert "max speed detuning" in printed
+
+    def test_subnormal_coupling_exits_three(self, tmp_path):
+        # the spacing of a coupling below about 2.6e-307 overflows to inf
+        doc = base_config()
+        doc["system"]["coupling_scale"] = 1e-320
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err, out = run_cli(tmp_path, "chip-plan", doc, "plan")
+        assert code == EXIT_PHYSICS
+        assert "cm^-1 is too small for a finite spacing" in err
+        assert "Warning" not in err
+        assert not (out / "chip_plan.csv").exists()
 
 
 def run_cli(tmp_path, command, doc, name, *extra):

@@ -568,8 +568,10 @@ class TestPropagate:
 
     def test_interval_encloses_every_segment_spectrum(self):
         h, det, diag = batch_inputs()
-        lo, hi = dynamics._interval(h, dynamics._structure(h), det, diag,
-                                    True, h.dim)
+        struct = dynamics._structure(h)
+        lo, hi = dynamics._interval(h, struct, det, diag,
+                                    dynamics._corrected_pairs(struct, det),
+                                    h.dim)
         assert lo.shape == hi.shape == (det.shape[0],)
         for c in range(det.shape[0]):
             hd = Hamiltonian(h.matrix - np.diag(h.matrix.diagonal())
@@ -602,8 +604,9 @@ class TestPropagate:
                       for r in range(columns)]
         diag = np.stack([hd.matrix.diagonal() for hd in disordered], axis=1)
         rows = window_rows(h, segments)
-        lo, hi = dynamics._interval(h, dynamics._structure(h), det, diag,
-                                    correction, rows[-1])
+        struct = dynamics._structure(h)
+        pairs = dynamics._corrected_pairs(struct, det) if correction else []
+        lo, hi = dynamics._interval(h, struct, det, diag, pairs, rows[-1])
         for c, hd in enumerate(disordered):
             for k in range(segments):
                 m = segment_matrix(hd, det[c, :, k], correction)
@@ -621,7 +624,7 @@ class TestPropagate:
                                    total_length=20.0, seed=7)).sequences
         rows = window_rows(h, 20)[-1]
         (lo,), (hi,) = dynamics._interval(h, dynamics._structure(h),
-                                          det[None], diag[:, None], False,
+                                          det[None], diag[:, None], [],
                                           rows)
         lam = np.linalg.eigvalsh(h.matrix[:rows, :rows])
         base = h.matrix.diagonal()

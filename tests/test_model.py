@@ -202,6 +202,15 @@ class TestCalibrationMaps:
         with pytest.raises(PhysicsError):
             spacing_for_coupling(47.2)
 
+    @pytest.mark.parametrize("c", [1e-320, np.float64(2e-308), 5e-324])
+    def test_coupling_without_a_finite_spacing_rejected(self, c):
+        # 47.19 / c overflows below about 2.6e-307: no finite spacing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PhysicsError, match=f"coupling {c} cm"):
+                spacing_for_coupling(c)
+        assert math.isfinite(spacing_for_coupling(3e-307))
+
     def test_speed_map(self):
         assert delta_beta_for_speed(0.0) == 0.0
         assert delta_beta_for_speed(30.0) == pytest.approx(0.6)
@@ -254,14 +263,11 @@ class TestStaticDisorder:
             np.testing.assert_array_equal(hd.matrix[off], h.matrix[off])
 
     def test_mean_shift_statistics(self):
-        h = build_fmo_hamiltonian(FmoSpec())
         gamma = 4.0
         n_draws = 15000  # 7 sites each -> ~1e5 samples
-        shifts = []
-        for seed in range(n_draws):
-            hd = apply_static_disorder(h, gamma, [7, seed])
-            shifts.append(np.diag(hd.matrix - h.matrix))
-        shifts = np.concatenate(shifts)
+        # the rows apply_static_disorder(h, gamma, [7, seed]) adds
+        shifts = static_disorder_shifts(
+            7, gamma, [[7, seed] for seed in range(n_draws)]).ravel()
         sigma = gamma / math.sqrt(12.0)
         assert abs(shifts.mean() - gamma / 2) < 3 * sigma / math.sqrt(len(shifts))
 
@@ -280,6 +286,10 @@ class TestStaticDisorder:
             np.testing.assert_array_equal(got.matrix.diagonal(), expected)
             off = ~np.eye(h.dim, dtype=bool)
             np.testing.assert_array_equal(got.matrix[off], h.matrix[off])
+
+    @pytest.mark.parametrize("gamma", [0.0, 3.0])
+    def test_no_seeds_give_no_rows(self, gamma):
+        assert static_disorder_shifts(7, gamma, []).shape == (0, 7)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(PhysicsError):

@@ -100,6 +100,36 @@ def test_disorder_streams_are_default_rng(masters, cell, gamma):
 
 
 @settings(max_examples=60, deadline=None)
+@given(masters=st.lists(MASTER, min_size=1, max_size=6),
+       cell=st.tuples(st.integers(0, 20), st.integers(0, 99)),
+       gamma=st.floats(1e-3, 7.3e5), n=st.sampled_from([1, 7, 87, 107, 521]))
+@example(masters=[2**70 - 1], cell=(0, 0), gamma=7.3e5, n=521)
+def test_disorder_rows_are_default_rng_uniform_bits(masters, cell, gamma, n):
+    # rows of 4 to 6 entropy words, as the studies seed them
+    seeds = [(m, *cell, 1) for m in masters]
+    got = model.static_disorder_shifts(n, gamma, seeds)
+    want = np.array([np.random.default_rng(list(s)).uniform(0.0, gamma, n)
+                     for s in seeds])
+    assert got.shape == (len(seeds), n) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+def test_disorder_builds_no_generator(monkeypatch):
+    h = model.attach_sink(model.build_fmo_hamiltonian(model.FmoSpec()), 10)
+    want = np.random.default_rng([5, 2, 1]).uniform(0.0, 3.0, h.dim)
+
+    def no_generator(*_):
+        raise AssertionError("a Generator was built")
+
+    monkeypatch.setattr(_seeding, "streams", no_generator)
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    got = model.apply_static_disorder(h, 3.0, [5, 2, 1]).matrix.diagonal()
+    assert got.tobytes() == (h.matrix.diagonal() + want).tobytes()
+    rows = model.static_disorder_shifts(h.dim, 3.0, [[5, 2, 1], (7, 0, 0, 1)])
+    assert rows[0].tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
 @given(rows=st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=1,
                               max_size=11), min_size=1, max_size=6),
        n_words=st.integers(1, 9))
@@ -129,7 +159,7 @@ def test_entropy_words_reject_what_numpy_rejects(entropy, error):
 
 @pytest.mark.parametrize("entropy", [0, 7, 2**64 + 1, (2**70, 3, 99, 1, 5)])
 def test_single_row_is_the_batched_row(entropy):
-    # one row takes numpy's own seeding; in a batch it takes the pass
+    # one row is seeded as any row of a batch, and is numpy's own stream
     row = entropy_words(entropy)
     assert len(row) > _seeding.POOL_SIZE or not isinstance(entropy, tuple)
     [alone] = [rng.bit_generator.state for rng in streams([row])]
