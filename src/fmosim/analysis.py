@@ -31,8 +31,6 @@ class SpectrumEstimate:
 
     frequencies: np.ndarray   # mm^-1 (ordinary frequency grid)
     density: np.ndarray       # power per unit frequency
-    sampling_frequency: float
-    nfft: int
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
@@ -126,7 +124,7 @@ def psd_periodogram(seq, f_s: float, nfft: int = 128) -> SpectrumEstimate:
     dens = (np.abs(spec) ** 2) / (n * f_s)
     dens[..., 1:-1] *= 2.0
     freqs = np.fft.rfftfreq(nfft, d=1.0 / f_s)
-    return SpectrumEstimate(freqs, dens, f_s, nfft)
+    return SpectrumEstimate(freqs, dens)
 
 
 def reorganization_energy(spec: SpectrumEstimate):

@@ -161,10 +161,22 @@ def _check(doc) -> None:
                 raise ConfigError(f"at {where}: {exc}") from None
 
 
+def _object(pairs) -> dict:
+    """A JSON object that gives no key twice (``json.load`` would keep
+    the last value)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(
+                f"key {json.dumps(key)} is given twice in one object")
+        doc[key] = value
+    return doc
+
+
 def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+            doc = json.load(f, object_pairs_hook=_object)
         _check(doc)
     except (ValueError, RecursionError) as exc:
         # besides a syntax error: bytes that are not UTF-8, an integer past

@@ -92,30 +92,26 @@ TERM_BUFFER_BYTES = 4 << 20
 
 @dataclass(frozen=True)
 class EvolutionTrace:
-    """Amplitude samples psi(z_j) on a uniform grid of step ``fine_step``."""
+    """Amplitude samples psi(z_j) at z_j = j * ``fine_step``, with the
+    indices of the network sites and of the sink waveguides, as
+    :class:`~fmosim.model.Hamiltonian` gives them."""
 
-    positions: np.ndarray
     amplitudes: np.ndarray  # (n_samples, dim) complex
-    roles: tuple
-    source_site: int
-    drain_site: int
     fine_step: float
+    fmo_indices: tuple
+    sink_indices: tuple
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
         amp = np.asarray(self.amplitudes, dtype=complex)
-        pos.setflags(write=False)
         amp.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "amplitudes", amp)
+        for name in ("fmo_indices", "sink_indices"):
+            object.__setattr__(self, name,
+                               tuple(int(i) for i in getattr(self, name)))
 
     @property
-    def fmo_indices(self):
-        return tuple(i for i, r in enumerate(self.roles) if r.startswith("fmo_site"))
-
-    @property
-    def sink_indices(self):
-        return tuple(i for i, r in enumerate(self.roles) if r.startswith("sink"))
+    def positions(self) -> np.ndarray:
+        return np.arange(len(self.amplitudes)) * self.fine_step
 
 
 def segment_propagator(h_eff: np.ndarray, dz: float) -> np.ndarray:
@@ -629,9 +625,7 @@ def evolve(h: Hamiltonian, detunings, segment_length: float,
                        else np.reshape(diagonal, (-1, 1)),
                        coupling_correction=coupling_correction)
     amps = np.array([psi[:, 0] for psi in states])
-    positions = np.arange(len(amps)) * fine_step
-    return EvolutionTrace(positions, amps, h.roles, h.source_site,
-                          h.drain_site, fine_step)
+    return EvolutionTrace(amps, fine_step, h.fmo_indices, h.sink_indices)
 
 
 def site_probabilities(tr: EvolutionTrace, subset=None, renormalize: bool = False) -> np.ndarray:

@@ -119,8 +119,6 @@ class SweepResult:
     means: np.ndarray
     stds: np.ndarray
     values: np.ndarray          # (len(grid), realizations)
-    config_hash: str
-    seed: int
 
     def __post_init__(self):
         for name in ("grid", "means", "stds", "values"):
@@ -206,8 +204,7 @@ def _make_result(cfg: SweepConfig, values: np.ndarray) -> SweepResult:
     # the spread is taken about each row's first value, which is exact
     # (zero) when all the realizations agree, as at amplitude 0
     stds = (values - values[:, :1]).std(axis=1)
-    return SweepResult(np.asarray(cfg.grid), values.mean(axis=1), stds,
-                       values, cfg.config_hash(), cfg.seed)
+    return SweepResult(np.asarray(cfg.grid), values.mean(axis=1), stds, values)
 
 
 def sweep_dephasing(cfg: SweepConfig) -> SweepResult:
@@ -226,17 +223,15 @@ def reorganization_curve(cfg: SweepConfig):
     their variance and periodogram-based reorganization energy averaged
     over sites and realizations.  Returns (points array, LinearFitResult).
     """
-    points = np.zeros((len(cfg.grid), 2))
-    live = [gi for gi, amplitude in enumerate(cfg.grid) if amplitude != 0.0]
-    if live:
-        rows = noise_mod.generate_batch(
-            noise_config(cfg, 0.0, 0),
-            np.repeat(np.asarray(cfg.grid)[live], cfg.realizations),
-            _noise_seeds(cfg.seed, live, cfg.realizations)).reshape(
-                len(live), -1, cfg.segments)
-        spectra = analysis.psd_periodogram(rows, cfg.segments / cfg.observe_z)
-        points[live, 0] = analysis.variance(rows).mean(axis=1)
-        points[live, 1] = analysis.reorganization_energy(spectra).mean(axis=1)
+    # a zero amplitude draws nothing: its rows, variance and energy are zeros
+    rows = noise_mod.generate_batch(
+        noise_config(cfg, 0.0, 0), np.repeat(cfg.grid, cfg.realizations),
+        _noise_seeds(cfg.seed, range(len(cfg.grid)), cfg.realizations)
+    ).reshape(len(cfg.grid), -1, cfg.segments)
+    spectra = analysis.psd_periodogram(rows, cfg.segments / cfg.observe_z)
+    points = np.stack([analysis.variance(rows).mean(axis=1),
+                       analysis.reorganization_energy(spectra).mean(axis=1)],
+                      axis=1)
     fit = analysis.fit_reorganization_law(points)
     return points, fit
 
@@ -351,9 +346,8 @@ def excitation_trace_study(cfg: SweepConfig,
         coupling_correction=cfg.coupling_correction)))  # (samples, dim, R)
     out = {}
     for c, (label, value, _, _) in enumerate(members):
-        tr = dynamics.EvolutionTrace(
-            np.arange(len(amps)) * (seg / 4.0), amps[:, :, c], base.roles,
-            base.source_site, base.drain_site, seg / 4.0)
+        tr = dynamics.EvolutionTrace(amps[:, :, c], seg / 4.0,
+                                     base.fmo_indices, base.sink_indices)
         probs = dynamics.site_probabilities(tr, tr.fmo_indices, renormalize=True)
         out[(label, value)] = (tr.positions, probs,
                                analysis.most_probable_site(tr))

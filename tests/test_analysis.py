@@ -191,7 +191,7 @@ class TestPeriodogram:
 
 class TestReorganizationEnergy:
     def test_zero_spectrum(self):
-        est = SpectrumEstimate(np.array([0.0, 1.0, 2.0]), np.zeros(3), 1.0, 4)
+        est = SpectrumEstimate(np.array([0.0, 1.0, 2.0]), np.zeros(3))
         assert reorganization_energy(est) == 0.0
 
     def test_single_bin_analytic(self):
@@ -201,7 +201,7 @@ class TestReorganizationEnergy:
         df = dw / (2 * np.pi)
         freqs = np.array([0.0, 1.0 / (2 * np.pi)])
         dens = np.array([0.0, np.pi * 2 * np.pi])  # per unit ordinary freq
-        est = SpectrumEstimate(freqs, dens, 1.0, 4)
+        est = SpectrumEstimate(freqs, dens)
         assert reorganization_energy(est) == pytest.approx(1.0, abs=1e-12)
 
     def test_scales_quadratically_with_amplitude(self):
@@ -257,8 +257,8 @@ class TestTransportEfficiency:
         tr = make_trace(sink=10, fine_step=1.0)
         amps = np.zeros_like(tr.amplitudes)
         amps[:, tr.sink_indices[0]] = 1.0
-        full = EvolutionTrace(tr.positions, amps, tr.roles, tr.source_site,
-                              tr.drain_site, tr.fine_step)
+        full = EvolutionTrace(amps, tr.fine_step, tr.fmo_indices,
+                              tr.sink_indices)
         assert transport_efficiency(full) == pytest.approx(1.0)
 
     def test_bounds(self):
@@ -278,12 +278,10 @@ class TestTransferTime:
     def test_frozen_sink_state_boundary_value(self):
         # All intensity already in the sink and static: the weighted
         # arrival average collapses to dt/2 by direct substitution.
-        positions = np.arange(11) * 1.0
-        roles = tuple(f"fmo_site_{i}" for i in range(1, 8)) + ("sink_1",)
         amps = np.zeros((11, 8), complex)
         amps[:, 7] = 1.0
         amps[:, 5] = 0.0
-        tr = EvolutionTrace(positions, amps, roles, 6, 3, 1.0)
+        tr = EvolutionTrace(amps, 1.0, range(7), (7,))
         # oracle: tau = -(dt/1)*sum_{j=1}^{N-1} 1 + (T - dt/2) = dt/2
         assert transfer_time(tr) == pytest.approx(0.5, abs=1e-12)
 
@@ -298,11 +296,9 @@ class TestTransferTime:
         assert abs(transfer_time(coarse) - transfer_time(fine)) < 0.5
 
     def test_zero_efficiency_rejected(self):
-        positions = np.arange(3) * 1.0
-        roles = tuple(f"fmo_site_{i}" for i in range(1, 8)) + ("sink_1",)
         amps = np.zeros((3, 8), complex)
         amps[:, 5] = 1.0
-        tr = EvolutionTrace(positions, amps, roles, 6, 3, 1.0)
+        tr = EvolutionTrace(amps, 1.0, range(7), (7,))
         with pytest.raises(PhysicsError):
             transfer_time(tr)
 
@@ -396,10 +392,8 @@ class TestMostProbableSite:
         assert np.all(most_probable_site(tr) == 6)
 
     def test_tie_breaks_to_lowest_site(self):
-        positions = np.array([0.0])
-        roles = tuple(f"fmo_site_{i}" for i in range(1, 8))
         amps = np.full((1, 7), 1 / math.sqrt(7), complex)
-        tr = EvolutionTrace(positions, amps, roles, 6, 3, 1.0)
+        tr = EvolutionTrace(amps, 1.0, range(7), ())
         assert most_probable_site(tr)[0] == 1
 
 

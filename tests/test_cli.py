@@ -129,6 +129,23 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="non-finite"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "chip-plan"])
+    @pytest.mark.parametrize("key,text", [
+        ("seed", '"seed": 1, "seed": 4, "sweep": {"realizations": 2}'),
+        ("realizations", '"seed": 1, "sweep": {"realizations": 2, '
+                         '"realizations": 3}')], ids=["top-level", "section"])
+    def test_repeated_key_exits_two(self, tmp_path, capsys, command, key,
+                                    text):
+        # json.load alone keeps the last value of a repeated key
+        path = tmp_path / "cfg.json"
+        path.write_text('{"schema_version": 1, "system": {"sink_length": 10}, '
+                        '"noise": {"segments": 4, "total_length_mm": 4.0}, '
+                        + text + "}")
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert f'key "{key}" is given twice' in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_bad_noise_kind_rejected(self, tmp_path):
         doc = base_config()
         doc["noise"]["kind"] = "pink"

@@ -17,7 +17,7 @@ from fmosim.cli import main
 def test_sweep_tables(tmp_path):
     res = experiments.SweepResult(
         grid=[0.0, 0.1], means=[1 / 3, 0.5], stds=[0.0, 2 / 3],
-        values=[[1 / 3, 1 / 3], [1e-20, 1.0]], config_hash="x", seed=0)
+        values=[[1 / 3, 1 / 3], [1e-20, 1.0]])
     experiments.write_sweep_csv(res, tmp_path / "raw.csv",
                                 tmp_path / "summary.csv")
     assert (tmp_path / "raw.csv").read_bytes() == (
@@ -34,8 +34,7 @@ def test_sweep_tables(tmp_path):
 
 def test_trace_table(tmp_path):
     tr = dynamics.EvolutionTrace(
-        [0.0, 0.1], [[1.0, 0.0], [np.sqrt(0.5), 0.25 + 1j / 3]],
-        ("fmo_site1", "sink1"), 1, 1, 0.1)
+        [[1.0, 0.0], [np.sqrt(0.5), 0.25 + 1j / 3]], 0.1, (0,), (1,))
     dynamics.write_trace_csv(tr, tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == (
         b"z_mm,site_index,re,im,probability\r\n"
@@ -71,7 +70,7 @@ def test_chip_plan_table(tmp_path):
 def test_reproduce_tables(tmp_path, monkeypatch):
     sweep = experiments.SweepResult(
         grid=[0.0, 0.1], means=[1 / 3, 0.5], stds=[0.0, 2 / 3],
-        values=[[1 / 3], [0.5]], config_hash="x", seed=0)
+        values=[[1 / 3], [0.5]])
     monkeypatch.setattr(
         experiments, "noise_distribution_comparison",
         lambda cfg: ({"colored": sweep}, {"colored": 1 / 3}))

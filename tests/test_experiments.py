@@ -2,12 +2,12 @@
 and structural invariants on small, fast configurations."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from fmosim import dynamics, experiments
+from fmosim import analysis, dynamics, experiments
 from fmosim.analysis import most_probable_site, transport_efficiency
 from fmosim.errors import PhysicsError
 from fmosim.experiments import (
@@ -137,8 +137,15 @@ class TestSweepDephasing:
     def test_argmax_property(self):
         res = SweepResult(np.array([0.0, 0.5, 1.0]),
                           np.array([0.1, 0.9, 0.3]), np.zeros(3),
-                          np.zeros((3, 1)), "x", 0)
+                          np.zeros((3, 1)))
         assert res.argmax_value == 0.5
+
+    def test_computes_no_config_hash(self, monkeypatch):
+        def config_hash(cfg):
+            raise AssertionError("a sweep hashed its config")
+
+        monkeypatch.setattr(SweepConfig, "config_hash", config_hash)
+        sweep_dephasing(small_cfg())
 
     def test_seed_changes_values(self):
         a = sweep_dephasing(small_cfg(seed=1))
@@ -314,6 +321,29 @@ class TestSingleTrace:
         np.testing.assert_array_equal(tr.amplitudes[-1], psi[:, 0])
         eta = transport_efficiency(tr)
         assert abs(eta - sweep_dephasing(cfg).values[0, 0]) < 1e-12
+
+
+@pytest.mark.parametrize("record,names", [
+    (SweepResult, ["grid", "means", "stds", "values"]),
+    (dynamics.EvolutionTrace,
+     ["amplitudes", "fine_step", "fmo_indices", "sink_indices"]),
+    (analysis.SpectrumEstimate, ["frequencies", "density"]),
+], ids=["SweepResult", "EvolutionTrace", "SpectrumEstimate"])
+def test_records_hold_only_fields_their_readers_use(record, names):
+    assert [f.name for f in fields(record)] == names
+
+
+def test_traces_carry_the_hamiltonians_indices():
+    # the vibration mode sits between the network sites and the sink
+    cfg = small_cfg(with_vibration=True)
+    h = experiments._base_hamiltonian(cfg)
+    assert h.roles[7] == "vibration"
+    tr, _ = single_trace(cfg, 0.5, 1)
+    evolved = dynamics.evolve(h, np.zeros((7, cfg.segments)),
+                              cfg.observe_z / cfg.segments)
+    for t in (tr, evolved):
+        assert t.fmo_indices == tuple(h.fmo_indices)
+        assert t.sink_indices == tuple(h.sink_indices)
 
 
 class TestOutputs:
