@@ -24,6 +24,7 @@ row (:func:`streams`).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -134,26 +135,36 @@ def seed_words(rows, n_words: int) -> np.ndarray:
     return (state[0::2] | (state[1::2] << np.uint64(32))).T
 
 
+#: Rows that :func:`streams` seeds in one pass at most.  While a row is
+#: seeded, its entropy words, its seed words and their Python ints take
+#: about 0.7 kB, so a pass holds about 0.35 MB however many rows follow.
+SEED_BLOCK = 512
+
+
 def streams(rows):
     """For each row of uint32 words, ``numpy.random.default_rng(row)`` in
     the state it starts in, for the ziggurat draws (uniform doubles come
     from :func:`random_rows`).  One Generator is built per call and
     re-seeded for each row, so the same object is yielded every time:
-    draw from it before taking the next row.
+    draw from it before taking the next row.  ``rows`` may be any
+    iterable; it is read and seeded ``SEED_BLOCK`` rows at a time.
     """
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     # one state document for every row: the setter copies what it reads
     doc = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
            "has_uint32": 0, "uinteger": 0}
-    for s_hi, s_lo, i_hi, i_lo in seed_words(rows, 4).tolist():
-        # pcg_setseq_128_srandom_r: state 0, one step, add the seed, one step
-        inc = ((i_hi << 65) | (i_lo << 1) | 1) & MASK128
-        doc["state"]["inc"] = inc
-        doc["state"]["state"] = ((inc + (s_hi << 64 | s_lo)) * PCG_MULT
-                                 + inc) & MASK128
-        bit_generator.state = doc
-        yield rng
+    rows = iter(rows)
+    while block := list(islice(rows, SEED_BLOCK)):
+        for s_hi, s_lo, i_hi, i_lo in seed_words(block, 4).tolist():
+            # pcg_setseq_128_srandom_r: state 0, one step, add the seed,
+            # one step
+            inc = ((i_hi << 65) | (i_lo << 1) | 1) & MASK128
+            doc["state"]["inc"] = inc
+            doc["state"]["state"] = ((inc + (s_hi << 64 | s_lo)) * PCG_MULT
+                                     + inc) & MASK128
+            bit_generator.state = doc
+            yield rng
 
 
 @lru_cache(maxsize=16)

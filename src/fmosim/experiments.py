@@ -59,7 +59,7 @@ class SweepConfig:
     segments: int = 20
     with_vibration: bool = False
     coupling_correction: bool = False
-    filter_time_scale: float = 0.2
+    filter_time_scale: float = noise_mod.NoiseConfig.filter_time_scale
     threads: int = 1
 
     def __post_init__(self):
@@ -228,10 +228,13 @@ def reorganization_curve(cfg: SweepConfig):
         noise_config(cfg, 0.0, 0), np.repeat(cfg.grid, cfg.realizations),
         _noise_seeds(cfg.seed, range(len(cfg.grid)), cfg.realizations)
     ).reshape(len(cfg.grid), -1, cfg.segments)
-    spectra = analysis.psd_periodogram(rows, cfg.segments / cfg.observe_z)
-    points = np.stack([analysis.variance(rows).mean(axis=1),
-                       analysis.reorganization_energy(spectra).mean(axis=1)],
-                      axis=1)
+    f_s = cfg.segments / cfg.observe_z
+    # one grid point's spectra at a time, never the whole grid's
+    points = np.array([
+        (analysis.variance(seqs).mean(),
+         analysis.reorganization_energy(
+             analysis.psd_periodogram(seqs, f_s)).mean())
+        for seqs in rows])
     fit = analysis.fit_reorganization_law(points)
     return points, fit
 
@@ -341,9 +344,12 @@ def excitation_trace_study(cfg: SweepConfig,
     diagonals = np.concatenate(
         [_diagonals(replace(cfg, disorder=gamma), base, [(0, 0)])
          for _, _, gamma, _ in members], axis=1)
-    amps = np.array(list(dynamics.propagate(
-        base, det, seg, 4, diagonals=diagonals,
-        coupling_correction=cfg.coupling_correction)))  # (samples, dim, R)
+    amps = np.empty((4 * cfg.segments + 1, base.dim, len(members)),
+                    dtype=complex)
+    for k, psi in enumerate(dynamics.propagate(
+            base, det, seg, 4, diagonals=diagonals,
+            coupling_correction=cfg.coupling_correction)):
+        amps[k] = psi
     out = {}
     for c, (label, value, _, _) in enumerate(members):
         tr = dynamics.EvolutionTrace(amps[:, :, c], seg / 4.0,

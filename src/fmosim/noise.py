@@ -9,14 +9,17 @@ uniform_white is divided by its peak on each site.
 
 Every (seed, site) pair draws from its own stream,
 ``default_rng([seed, site])``, so a realization does not depend on which
-others are generated with it; the streams of a whole batch are seeded
-in one pass, and uniform_white rows drawn in one vectorized PCG64 pass,
-bit for bit as ``default_rng`` draws them one at a time (``_seeding``).
-:func:`generate_batch` draws all the realizations of a study at once, one
-recipe with an amplitude and a seed each; the colored filter is plain
-numpy (bilinear discretization, then a third-order recurrence applied to
-the whole batch elementwise), so each row is bit-for-bit the same as when
-it is generated alone with :func:`generate`.
+others are generated with it; the streams of a batch are seeded in
+passes of many rows, and uniform_white rows drawn in one vectorized PCG64
+pass, bit for bit as ``default_rng`` draws them one at a time
+(``_seeding``).  :func:`generate_batch` draws all the realizations of a
+study at once, one recipe with an amplitude and a seed each.  The colored
+filter is plain numpy (bilinear discretization): a block of streams at a
+time draws its normals and folds their burn-in into the filter state,
+then a third-order recurrence runs over the whole batch's kept samples
+elementwise, so each row is bit-for-bit the same as when it is generated
+alone with :func:`generate`, and the working set grows with the kept
+samples only.
 """
 
 from __future__ import annotations
@@ -161,28 +164,74 @@ def _burn_in_map(rate: float) -> np.ndarray:
     return out
 
 
+def _burn_in_state(burn: np.ndarray, rate: float) -> np.ndarray:
+    """The (3, rows) filter state after the burn-in inputs ``burn`` (rows,
+    FILTER_BURN_IN), from rest, through :func:`_burn_in_map`.
+
+    Per-row sums only (no BLAS), so a row's state does not depend on the
+    other rows.
+    """
+    weighted = np.empty_like(burn)    # one temporary for the three folds
+    return np.array([np.multiply(burn, m, out=weighted).sum(axis=1)
+                     for m in _burn_in_map(rate)])
+
+
+def _run_filter(state: np.ndarray, x: np.ndarray, rate: float) -> None:
+    """Run the samples ``x`` (samples, rows) through the filter's
+    transposed-direct-form recurrence from ``state`` (3, rows), writing
+    each output over its input.  Elementwise over the rows."""
+    b, a = _filter_coefficients(rate)
+    s0, s1, s2 = state
+    for xn in x:
+        yn = s0 + b[0] * xn
+        s0 = (s1 + b[1] * xn) - a[1] * yn
+        s1 = (s2 + b[2] * xn) - a[2] * yn
+        s2 = b[3] * xn - a[3] * yn
+        xn[...] = yn
+
+
 def _colored_filter(white: np.ndarray, rate: float) -> np.ndarray:
     """The colored filter's output on each row of ``white``, burn-in dropped.
 
     Equal, up to rounding, to ``scipy.signal.lfilter(b, a, white,
-    axis=1)[:, FILTER_BURN_IN:]``.  The state after the burn-in comes from
-    :func:`_burn_in_map`; the kept samples then run through the recurrence.
-    Only elementwise operations and per-row sums are used (no BLAS), so a
-    row's result does not depend on the other rows of the batch.
+    axis=1)[:, FILTER_BURN_IN:]``: the burn-in folded into the state
+    (:func:`_burn_in_state`), then the kept samples run through the
+    recurrence (:func:`_run_filter`).
     """
-    b, a = _filter_coefficients(rate)
-    burn = white[:, :FILTER_BURN_IN]
-    weighted = np.empty_like(burn)    # one temporary for the three folds
-    s0, s1, s2 = (np.multiply(burn, m, out=weighted).sum(axis=1)
-                  for m in _burn_in_map(rate))
     x = np.ascontiguousarray(white[:, FILTER_BURN_IN:].T)
-    y = np.empty_like(x)
-    for n, xn in enumerate(x):
-        y[n] = yn = s0 + b[0] * xn
-        s0 = (s1 + b[1] * xn) - a[1] * yn
-        s1 = (s2 + b[2] * xn) - a[2] * yn
-        s2 = b[3] * xn - a[3] * yn
-    return y.T
+    _run_filter(_burn_in_state(white[:, :FILTER_BURN_IN], rate), x, rate)
+    return x.T
+
+
+#: Colored streams drawn and burned in together at most: a block holds
+#: 32 x (FILTER_BURN_IN + segments) normals (133 kB at 20 segments) and
+#: is reused for the whole batch, so only the kept samples grow with it.
+_STREAM_BLOCK = 32
+
+
+def _colored_rows(rows, n_rows: int, segments: int,
+                  rate: float) -> np.ndarray:
+    """(n_rows, segments): the colored filter's output on the normals
+    of each stream, burn-in dropped, bit for bit :func:`_colored_filter`
+    on all the streams' white noise at once.
+
+    The streams are drawn and their burn-in folded a block of
+    ``_STREAM_BLOCK`` at a time; the recurrence then runs once over every
+    row's kept samples.
+    """
+    kept = np.empty((segments, n_rows))
+    state = np.empty((3, n_rows))
+    block = np.empty((min(_STREAM_BLOCK, n_rows), FILTER_BURN_IN + segments))
+    streams = _seeding.streams(rows)
+    for start in range(0, n_rows, len(block)):
+        white = block[:n_rows - start]
+        for row, rng in zip(white, streams):
+            _draw("colored", rng, row)
+        stop = start + len(white)
+        state[:, start:stop] = _burn_in_state(white[:, :FILTER_BURN_IN], rate)
+        kept[:, start:stop] = white[:, FILTER_BURN_IN:].T
+    _run_filter(state, kept, rate)
+    return kept.T
 
 
 def _draw(kind: str, rng: np.random.Generator, out: np.ndarray) -> None:
@@ -207,12 +256,6 @@ def _draw(kind: str, rng: np.random.Generator, out: np.ndarray) -> None:
         np.abs(numer / denom, out=out)
 
 
-#: Realizations drawn and filtered together at most, which bounds the
-#: memory a large batch takes (128 seven-site colored realizations draw
-#: 3.7 MB of white noise).
-_BATCH_CHUNK = 128
-
-
 def generate_batch(config: NoiseConfig, amplitudes, seeds,
                    n_sites: int = 7) -> np.ndarray:
     """Sequences of R realizations of one recipe, shape (R, n_sites,
@@ -233,35 +276,38 @@ def generate_batch(config: NoiseConfig, amplitudes, seeds,
     if not (np.isfinite(amplitudes) & (amplitudes >= 0)).all():
         raise PhysicsError("amplitude must be finite and nonnegative")
     kind, segments = config.kind, config.segments
-    width = segments + FILTER_BURN_IN if kind == "colored" else segments
-    out = np.zeros((len(seeds), n_sites, segments))
     live = np.flatnonzero(amplitudes)
-    for start in range(0, len(live), _BATCH_CHUNK):
-        chunk = live[start:start + _BATCH_CHUNK]
-        # the entropy of stream (seed, site): the seed's words, then the
-        # site's one word
-        rows = [words + [site]
-                for words in (_seeding.entropy_words(seeds[r]) for r in chunk)
-                for site in range(n_sites)]
-        if kind == "uniform_white":
-            # the bits of rng.uniform(0.0, 1.0, segments) on each stream
-            draws = _seeding.random_rows(rows, segments)
-        else:
-            draws = np.empty((len(rows), width))
-            for row, rng in zip(draws, _seeding.streams(rows)):
-                _draw(kind, rng, row)
-        if kind == "colored":
-            draws = np.abs(_colored_filter(
-                draws, config.sampling_frequency * config.filter_time_scale))
-        profiles = draws.reshape(len(chunk), n_sites, segments)
-        if kind != "uniform_white":
-            peak = profiles.max(axis=2, keepdims=True)
-            profiles = profiles / np.where(peak > 0, peak, 1.0)
-        out[chunk] = amplitudes[chunk, None, None] * profiles
-    if not np.isfinite(out).all():
+    if not live.size:
+        return np.zeros((len(seeds), n_sites, segments))
+    # the entropy of stream (seed, site): the seed's words, then the site's
+    # one word, built as the streams are seeded
+    rows = (words + [site]
+            for words in (_seeding.entropy_words(seeds[r]) for r in live)
+            for site in range(n_sites))
+    if kind == "uniform_white":
+        # the bits of rng.uniform(0.0, 1.0, segments) on each stream
+        draws = _seeding.random_rows(list(rows), segments)
+    elif kind == "colored":
+        draws = _colored_rows(
+            rows, len(live) * n_sites, segments,
+            config.sampling_frequency * config.filter_time_scale)
+        np.abs(draws, out=draws)
+    else:
+        draws = np.empty((len(live) * n_sites, segments))
+        for row, rng in zip(draws, _seeding.streams(rows)):
+            _draw(kind, rng, row)
+    # elementwise and per row from here on, in place
+    profiles = draws.reshape(len(live), n_sites, segments)
+    if kind != "uniform_white":
+        peak = profiles.max(axis=2, keepdims=True)
+        profiles /= np.where(peak > 0, peak, 1.0)
+    profiles *= amplitudes[live, None, None]
+    if not np.isfinite(profiles).all():
         # a colored filter at a rate far from 1 has no finite coefficients
         raise PhysicsError("the detuning sequences are not finite; bring "
                            "filter_time_scale * sampling frequency closer to 1")
+    out = np.zeros((len(seeds), n_sites, segments))
+    out[live] = profiles
     return out
 
 

@@ -176,6 +176,40 @@ class TestReorganizationCurve:
         assert pts[2, 1] == pytest.approx(4 * pts[1, 1], rel=0.2)
 
 
+    def test_equals_the_stacked_spectra_bitwise(self):
+        # the whole grid's spectra in one (grid, rows, bins) stack, as the
+        # curve was computed before it took them one grid point at a time
+        from fmosim import noise
+        from fmosim.experiments import noise_config
+        cfg = small_cfg(grid=(0.0, 0.3, 0.7, 1.2), realizations=5,
+                        noise_kind="colored")
+        rows = noise.generate_batch(
+            noise_config(cfg, 0.0, 0), np.repeat(cfg.grid, cfg.realizations),
+            _noise_seeds(cfg.seed, range(len(cfg.grid)), cfg.realizations)
+        ).reshape(len(cfg.grid), -1, cfg.segments)
+        spectra = analysis.psd_periodogram(rows, cfg.segments / cfg.observe_z)
+        stacked = np.stack(
+            [analysis.variance(rows).mean(axis=1),
+             analysis.reorganization_energy(spectra).mean(axis=1)], axis=1)
+        pts, fit = reorganization_curve(cfg)
+        assert pts.tobytes() == stacked.tobytes()
+        assert fit == analysis.fit_reorganization_law(stacked)
+
+    def test_working_set_is_one_grid_point(self):
+        # fig3b's size: 10 grid points of 100 colored realizations.  The
+        # whole grid's complex spectra alone would take 7.3 MB.
+        import tracemalloc
+        cfg = SweepConfig(noise_kind="colored", realizations=100,
+                          grid=tuple(round(0.1 * k, 10) for k in range(1, 11)))
+        reorganization_curve(replace(cfg, realizations=1))   # fill the caches
+        tracemalloc.start()
+        try:
+            reorganization_curve(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_matches_per_sequence_oracle(self):
         # the loop the batched study replaced: one noise realization and
         # one periodogram per sequence

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -228,16 +229,49 @@ class TestGenerateBatch:
                     assert (amplitude == 0.0) == (not row.any())
 
     def test_rows_independent_of_batch_order_and_chunks(self):
-        # more realizations than one chunk, and zeros among them, so a
-        # realization's row is computed in a different chunk, next to
-        # different rows, in the two batches
+        # more realizations than one block of streams, and zeros among
+        # them, so a realization's row is computed in a different block,
+        # next to different rows, in the two batches
         config = NoiseConfig(kind="colored", segments=9)
-        seeds = list(range(noise_mod._BATCH_CHUNK + 40))
+        seeds = list(range(noise_mod._STREAM_BLOCK + 40))
         amplitudes = np.array([0.0 if s % 5 == 0 else 0.5 for s in seeds])
         forward = generate_batch(config, amplitudes, seeds, n_sites=2)
         backward = generate_batch(config, amplitudes[::-1], seeds[::-1],
                                   n_sites=2)[::-1]
         assert forward.tobytes() == backward.tobytes()
+
+    def test_colored_rows_span_blocks_of_streams(self):
+        # 11 live seven-site realizations are 77 streams: two full blocks
+        # of streams and a partial third, with zero rows between them
+        block = noise_mod._STREAM_BLOCK
+        amplitudes = [0.0 if r in (2, 9) else 0.25 * (r + 1) for r in range(13)]
+        seeds = [1000 + 37 * r for r in range(13)]
+        streams = 7 * sum(a > 0 for a in amplitudes)
+        assert streams > 2 * block and streams % block
+        config = NoiseConfig(kind="colored", segments=15, total_length=12.0)
+        batch = generate_batch(config, amplitudes, seeds)
+        for row, amplitude, seed in zip(batch, amplitudes, seeds):
+            one = generate(replace(config, amplitude=amplitude, seed=seed))
+            assert row.tobytes() == one.sequences.tobytes()
+            assert (amplitude == 0.0) == (not row.any())
+
+    @pytest.mark.parametrize("realizations, bound_mb", [(44, 1.0),
+                                                        (1000, 3.0)])
+    def test_colored_working_set_is_bounded(self, realizations, bound_mb):
+        # the output, the kept samples and one block of streams: not the
+        # burn-in of every stream at once (1.3 MB of normals at 44 x 7,
+        # 29 MB at 1000 x 7)
+        config = NoiseConfig(kind="colored")
+        amplitudes = np.full(realizations, 0.5)
+        seeds = [2**63 + r for r in range(realizations)]
+        generate_batch(config, amplitudes[:1], seeds[:1])   # fill the caches
+        tracemalloc.start()
+        try:
+            generate_batch(config, amplitudes, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6
 
     def test_rejections(self):
         for amplitudes, seeds, n_sites, message in [

@@ -168,6 +168,16 @@ def test_single_row_is_the_batched_row(entropy):
     assert alone == np.random.default_rng(entropy).bit_generator.state
 
 
+def test_streams_seed_an_iterable_in_blocks(monkeypatch):
+    # a generator of rows, read and seeded a few rows at a time, the last
+    # block partial
+    monkeypatch.setattr(_seeding, "SEED_BLOCK", 4)
+    rows = [entropy_words(2**40 + r) + [r % 7] for r in range(11)]
+    got = [rng.bit_generator.state for rng in streams(iter(rows))]
+    assert got == [np.random.default_rng(row).bit_generator.state
+                   for row in rows]
+
+
 def test_interleaved_calls_share_no_state():
     # each call builds its own generator, so two batches drawn in turns
     # give what each gives alone
