@@ -13,7 +13,7 @@ for all the rows at once in numpy ``uint32`` arithmetic, which wraps modulo
 Every uniform double, of white noise and of static disorder alike, skips
 the Generator (:func:`random_rows`): PCG64 is a 128-bit LCG, so its k-th
 state is an affine map of the seeded one (Brown, Trans. Am. Nucl. Soc. 71,
-202 (1994)), and every draw of every row comes out of one pass of
+202 (1994)), and every draw of a block of rows comes out of one pass of
 ``uint64`` arithmetic followed by the XSL-RR output (O'Neill,
 HMC-CS-2014-0905).  Every constant is a ``np.uint64``, so the arithmetic is
 the same under numpy 1's value-based casting and numpy 2's rules.  The
@@ -135,9 +135,10 @@ def seed_words(rows, n_words: int) -> np.ndarray:
     return (state[0::2] | (state[1::2] << np.uint64(32))).T
 
 
-#: Rows that :func:`streams` seeds in one pass at most.  While a row is
-#: seeded, its entropy words, its seed words and their Python ints take
-#: about 0.7 kB, so a pass holds about 0.35 MB however many rows follow.
+#: Rows that :func:`streams` and :func:`random_rows` seed in one pass at
+#: most.  While a row is seeded, its entropy words, its seed words and
+#: their Python ints take about 0.7 kB, so a pass holds about 0.35 MB
+#: however many rows follow.
 SEED_BLOCK = 512
 
 
@@ -206,9 +207,21 @@ DRAW_BLOCK = 1 << 16
 
 
 def random_rows(rows, n: int) -> np.ndarray:
-    """(len(rows), n) float64: row i is bit for bit
-    ``numpy.random.default_rng(rows[i]).random(n)``, for rows of uint32
-    words (:func:`entropy_words`).
+    """(rows, n) float64: row i is bit for bit
+    ``numpy.random.default_rng(row_i).random(n)``, for rows of uint32
+    words (:func:`entropy_words`).  ``rows`` may be any iterable; it is
+    read and drawn ``SEED_BLOCK`` rows at a time (:func:`_doubles`).
+    """
+    rows = iter(rows)
+    blocks = [_doubles(list(islice(rows, SEED_BLOCK)), n)]
+    while block := list(islice(rows, SEED_BLOCK)):
+        blocks.append(_doubles(block, n))
+    # one pass, the common case, is returned as it is, not copied
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _doubles(rows, n: int) -> np.ndarray:
+    """:func:`random_rows` on a list of rows.
 
     The PCG64 seeding and all n LCG steps of every row run as a few
     ``uint64`` array operations over (rows, draws) (see :func:`_jumps`),

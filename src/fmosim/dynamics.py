@@ -80,13 +80,14 @@ LIGHT_CONE_TOL = 1e-16
 
 #: Most Chebyshev terms of a realization one step holds at once; a longer
 #: series runs through them as a ring, summed with its weights each time it
-#: fills.  The benchmark's sweeps and fig4e (at most 42 terms) sum once.
+#: fills.  The clean sweep's 20 terms sum once; the colored CLI sweep's 40
+#: and fig4e's 42 sum twice, for two more einsums and two adds a step.
 #: Even, so that a term's slot in the ring has the term's parity.
-TERMS_HELD = 48
+TERMS_HELD = 24
 
 #: Most bytes the held terms of one step may take.  A batch that would need
 #: more runs as column chunks in lockstep.  The benchmark's sweeps fit in
-#: one chunk (0.9 MB on sweep_clean, 1.7 MB on sweep_disorder_cli).
+#: one chunk (0.58 MiB on sweep_clean, 0.69 MiB on sweep_disorder_cli).
 TERM_BUFFER_BYTES = 4 << 20
 
 

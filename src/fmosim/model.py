@@ -333,7 +333,7 @@ def static_disorder_shifts(n: int, gamma: float, rng_seeds) -> np.ndarray:
     if gamma == 0:
         return np.zeros((len(rng_seeds), n))
     return gamma * _seeding.random_rows(
-        [_seeding.entropy_words(seed) for seed in rng_seeds], n)
+        (_seeding.entropy_words(seed) for seed in rng_seeds), n)
 
 
 def apply_static_disorder(h: Hamiltonian, gamma: float, rng_seed) -> Hamiltonian:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -123,26 +123,34 @@ def _filter_coefficients(rate: float):
 
     The bilinear map s = 2 rate (z - 1)/(z + 1), built as scipy.signal's
     ``bilinear`` builds it: each s^q becomes (z - 1)^q (z + 1)^(N - q), with
-    the factor 2 rate split evenly between the two polynomials.
+    the factor 2 rate split evenly between the two polynomials.  scipy
+    builds them with numpy's ``Polynomial``; here the same operations run
+    in the same order on plain arrays: (z + 1) / sqrt(2 rate) and
+    (z - 1) sqrt(2 rate), each raised to its power by repeated
+    convolution; each term scaled by its coefficient, then convolved; the
+    terms summed in q order; both sums divided by a[0].  So the
+    coefficients are ``Polynomial``'s bits, without loading
+    ``numpy.polynomial``.
 
     At a rate far from 1 the coefficients overflow to inf or nan without
     a warning; :func:`generate_batch` rejects the sequences they give.
     """
     fac = math.sqrt(2.0 * rate)
-    zp1 = np.polynomial.Polynomial((1.0, 1.0)) / fac
-    zm1 = np.polynomial.Polynomial((-1.0, 1.0)) * fac
+    zp1 = np.array((1.0, 1.0)) / fac
+    zm1 = np.array((-1.0, 1.0)) * fac
     order = len(FILTER_DEN) - 1
+
+    def power(p, k):
+        return reduce(np.convolve, [p] * k, np.ones(1))
 
     def z_domain(coeffs):
         # coefficients in descending powers, as FILTER_NUM and FILTER_DEN
-        s_poly = sum(c * zp1 ** (order - q) * zm1 ** q
-                     for q, c in enumerate(np.asarray(coeffs)[::-1]))
-        return s_poly.coef[::-1]
+        return sum(np.convolve(c * power(zp1, order - q), power(zm1, q))
+                   for q, c in enumerate(coeffs[::-1]))[::-1]
 
     with np.errstate(all="ignore"):
         b, a = z_domain(FILTER_NUM), z_domain(FILTER_DEN)
         b, a = b / a[0], a / a[0]
-    b = np.pad(b, (0, len(a) - len(b)))   # Polynomial trims underflowed zeros
     return tuple(float(v) for v in b), tuple(float(v) for v in a)
 
 
@@ -286,7 +294,7 @@ def generate_batch(config: NoiseConfig, amplitudes, seeds,
             for site in range(n_sites))
     if kind == "uniform_white":
         # the bits of rng.uniform(0.0, 1.0, segments) on each stream
-        draws = _seeding.random_rows(list(rows), segments)
+        draws = _seeding.random_rows(rows, segments)
     elif kind == "colored":
         draws = _colored_rows(
             rows, len(live) * n_sites, segments,

@@ -20,8 +20,8 @@ from fmosim.dynamics import (
 from fmosim.errors import PhysicsError
 from fmosim.model import (FmoSpec, Hamiltonian, apply_static_disorder,
                           attach_sink, attach_vibrational_mode,
-                          build_fmo_hamiltonian)
-from fmosim.noise import NOISE_KINDS, NoiseConfig, generate
+                          build_fmo_hamiltonian, static_disorder_shifts)
+from fmosim.noise import NOISE_KINDS, NoiseConfig, generate, generate_batch
 
 
 def expm_taylor(a, order=30):
@@ -503,6 +503,34 @@ class TestPropagate:
             if min(n_terms, dynamics.TERMS_HELD) * term <= budget:
                 assert held == min(n_terms, dynamics.TERMS_HELD)
                 assert width == min(n_real, budget // (held * term))
+
+    def test_buffer_shape_at_the_benchmark_sweeps(self):
+        # 41 window rows and 44 realizations: the clean sweep's 20-term
+        # series is held whole, the colored CLI sweep's 40 terms run
+        # through a ring of 24
+        assert dynamics._buffer_shape(20, 41, 44) == (20, 44)
+        assert dynamics._buffer_shape(40, 41, 44) == (24, 44)
+
+    def test_colored_series_in_a_ring_matches_holding_every_term(
+            self, monkeypatch):
+        # the colored CLI sweep's shape: colored noise up to 12 mm^-1,
+        # disorder 10 and 80 sink waveguides take 40 terms a step
+        h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 80)
+        amplitudes = np.repeat(np.geomspace(0.3, 12.0, 4), 2)
+        seeds = list(range(len(amplitudes)))
+        det = generate_batch(NoiseConfig(kind="colored", segments=20,
+                                         total_length=20.0),
+                             amplitudes, seeds)
+        diag = (h.matrix.diagonal()[:, None]
+                + static_disorder_shifts(h.dim, 10.0, seeds).T)
+        shapes = spy_term_buffers(monkeypatch)
+        states = {}
+        for held in (48, 24):
+            monkeypatch.setattr(dynamics, "TERMS_HELD", held)
+            states[held] = run_states(h, det, diag, False, steps=1)
+        assert [n_terms for n_terms, *_ in shapes] == [40, 24]
+        for a, b in zip(states[24], states[48]):
+            assert np.abs(a - b).max() < 1e-14
 
     @pytest.mark.parametrize("c,step,segments,max_depth", [
         (0.2, 1.0, 20, 100),    # the default chip: 2 c T = 8

@@ -2,6 +2,9 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import bilinear, lfilter
 
+import fmosim
 import fmosim.noise as noise_mod
 from fmosim.errors import PhysicsError
 from fmosim.noise import (
@@ -178,6 +182,53 @@ class TestColoredFilter:
         np.testing.assert_allclose(b, b_ref, rtol=1e-14, atol=0)
         np.testing.assert_allclose(a, a_ref, rtol=1e-14, atol=0)
 
+    def test_coefficients_are_the_polynomial_construction_bitwise(self):
+        # numpy's Polynomial as the oracle, at every rate up to where
+        # 2 rate itself overflows: the coefficients overflow to inf and nan
+        # far from rate 1, and must overflow the same way
+        from numpy.polynomial import Polynomial
+
+        def oracle(rate):
+            fac = math.sqrt(2.0 * rate)
+            zp1 = Polynomial((1.0, 1.0)) / fac
+            zm1 = Polynomial((-1.0, 1.0)) * fac
+
+            def z_domain(coeffs):
+                return sum(c * zp1 ** (3 - q) * zm1 ** q
+                           for q, c in enumerate(np.asarray(coeffs)[::-1])
+                           ).coef[::-1]
+
+            b, a = z_domain(FILTER_NUM), z_domain(FILTER_DEN)
+            return np.concatenate([b / a[0], a / a[0]])
+
+        rates = np.concatenate([np.geomspace(1e-4, 1e4, 801),
+                                np.geomspace(5e-324, 8e307, 401)])
+        finite = 0
+        with np.errstate(all="ignore"):
+            for rate in rates.tolist():
+                got = np.concatenate(noise_mod._filter_coefficients(rate))
+                assert got.tobytes() == oracle(rate).tobytes(), rate
+                finite += np.isfinite(got).all()
+        assert 801 < finite < len(rates)
+
+    def test_colored_noise_loads_no_polynomial_module(self):
+        # the coefficients are plain convolutions; whatever `import numpy`
+        # loads itself (numpy 1 loads numpy.polynomial eagerly) aside
+        src = os.path.dirname(os.path.dirname(fmosim.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, numpy; before = set(sys.modules); "
+                "from fmosim import noise; "
+                "noise.generate_batch(noise.NoiseConfig(kind='colored'), "
+                "[0.5, 1.0], [0, 1]); "
+                "print(sorted(m for m in set(sys.modules) - before "
+                "if m.startswith('numpy.polynomial')))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
     @pytest.mark.parametrize("time_scale", TIME_SCALES)
     def test_batched_filter_matches_lfilter(self, time_scale):
         white = np.random.default_rng(17).standard_normal(
@@ -272,6 +323,26 @@ class TestGenerateBatch:
         finally:
             tracemalloc.stop()
         assert peak < bound_mb * 1e6
+
+    def test_uniform_working_set_is_bounded(self):
+        # the rows are seeded SEED_BLOCK at a time: no list of every row's
+        # entropy words, no seed words of every row (7.6 MB at 1000 x 7
+        # when they were)
+        config = NoiseConfig()
+        amplitudes = np.ones(1000)
+        seeds = [2**63 + r for r in range(1000)]
+        generate_batch(config, amplitudes[:1], seeds[:1])   # fill the caches
+        tracemalloc.start()
+        try:
+            batch = generate_batch(config, amplitudes, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+        for row, seed in zip(batch, seeds):
+            want = [np.random.default_rng([seed, site]).random(20)
+                    for site in range(7)]
+            assert row.tobytes() == np.array(want).tobytes()
 
     def test_rejections(self):
         for amplitudes, seeds, n_sites, message in [
