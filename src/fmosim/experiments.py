@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -100,15 +99,13 @@ class SweepConfig:
         return d
 
     def config_hash(self) -> str:
-        return self._canonical[1]
+        return _digest(self.canonical_dict())
 
-    @cached_property
-    def _canonical(self) -> tuple:
-        """(:meth:`canonical_dict`, its hash), built once per config, which
-        is frozen; the dict is read, never changed."""
-        d = self.canonical_dict()
-        blob = json.dumps(d, sort_keys=True)
-        return d, hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+def _digest(canonical: dict) -> str:
+    """The config hash of a :meth:`SweepConfig.canonical_dict`."""
+    blob = json.dumps(canonical, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -163,36 +160,35 @@ def noise_config(cfg: SweepConfig, amplitude: float,
         filter_time_scale=cfg.filter_time_scale)
 
 
-def _diagonals(cfg: SweepConfig, base: Hamiltonian, columns) -> np.ndarray:
-    """(dim, len(columns)) diagonals of the (grid index, realization)
-    columns: the base diagonal plus each column's static disorder, drawn
-    from ``[seed, grid index, realization, 1]``, which shifts every
-    waveguide."""
-    shifts = static_disorder_shifts(
-        base.dim, cfg.disorder, [(cfg.seed, gi, r, 1) for gi, r in columns])
-    return base.matrix.diagonal()[:, None] + shifts.T
+def _columns(cfg: SweepConfig, base: Hamiltonian, amplitudes, seeds,
+             disorders, cells) -> tuple:
+    """(detunings, diagonals) of a batch of kernel columns on ``base``, the
+    inputs of one dynamics.propagate call.
 
-
-def _detunings(cfg: SweepConfig, base: Hamiltonian) -> np.ndarray:
-    """Detunings of all the study's realizations, grid point by grid point,
-    on the network sites of ``base``."""
-    return noise_mod.generate_batch(
-        noise_config(cfg, 0.0, 0), np.repeat(cfg.grid, cfg.realizations),
-        _noise_seeds(cfg.seed, range(len(cfg.grid)), cfg.realizations),
+    Column c is driven by detunings at ``amplitudes[c]``, drawn from
+    ``seeds[c]`` on the network sites, and by static disorder of strength
+    ``disorders`` (one, or one per column), drawn from ``[seed, grid
+    index, realization, 1]`` for the (grid index, realization) pair
+    ``cells[c]``, which shifts every waveguide.  The whole batch takes one
+    noise draw and one disorder draw.
+    """
+    detunings = noise_mod.generate_batch(
+        noise_config(cfg, 0.0, 0), amplitudes, seeds,
         n_sites=len(base.fmo_indices))
+    shifts = static_disorder_shifts(
+        base.dim, disorders, [(cfg.seed, gi, r, 1) for gi, r in cells])
+    return detunings, base.matrix.diagonal()[:, None] + shifts.T
 
 
-def _evolve_study(cfg: SweepConfig, base: Hamiltonian, steps_per_segment: int,
-                  detunings: np.ndarray):
-    """States of all the study's realizations, grid point by grid point,
-    one column each, at every step (see dynamics.propagate), driven by
-    ``detunings`` (see :func:`_detunings`)."""
-    diagonals = _diagonals(cfg, base, [(gi, r) for gi in range(len(cfg.grid))
-                                       for r in range(cfg.realizations)])
-    return dynamics.propagate(
-        base, detunings, cfg.observe_z / cfg.segments,
-        steps_per_segment, diagonals=diagonals,
-        coupling_correction=cfg.coupling_correction)
+def _study_columns(cfg: SweepConfig, base: Hamiltonian) -> tuple:
+    """:func:`_columns` of all the study's realizations, grid point by grid
+    point."""
+    return _columns(
+        cfg, base, np.repeat(cfg.grid, cfg.realizations),
+        _noise_seeds(cfg.seed, range(len(cfg.grid)), cfg.realizations),
+        cfg.disorder,
+        [(gi, r) for gi in range(len(cfg.grid))
+         for r in range(cfg.realizations)])
 
 
 def _sink_fraction(psi: np.ndarray, sink: np.ndarray) -> np.ndarray:
@@ -210,7 +206,10 @@ def _make_result(cfg: SweepConfig, values: np.ndarray) -> SweepResult:
 def sweep_dephasing(cfg: SweepConfig) -> SweepResult:
     """Mean transport efficiency at z per detuning amplitude on the grid."""
     base = _base_hamiltonian(cfg)
-    for psi in _evolve_study(cfg, base, 1, _detunings(cfg, base)):
+    detunings, diagonals = _study_columns(cfg, base)
+    for psi in dynamics.propagate(
+            base, detunings, cfg.observe_z / cfg.segments,
+            diagonals=diagonals, coupling_correction=cfg.coupling_correction):
         pass
     values = _sink_fraction(psi, base.sink_indices)
     return _make_result(cfg, values.reshape(len(cfg.grid), cfg.realizations))
@@ -244,22 +243,28 @@ def vibrational_comparison(cfg: SweepConfig):
 
     Returns (positions, mean_with, mean_without), each averaged over the
     realizations at every amplitude on the grid; shapes are
-    (n_samples,), (len(grid), n_samples), (len(grid), n_samples).  Both
-    curves are driven by the same detunings, drawn once.
+    (n_samples,), (len(grid), n_samples), (len(grid), n_samples).
+
+    Each realization is one disordered chip with and without its mode:
+    both curves share the detunings and the static disorder, drawn once
+    on the with-mode chip, and the without-mode chip is the with-mode
+    chip minus its mode waveguide (its diagonals lose the mode's row).
     """
     steps = 4
-    fine = cfg.observe_z / cfg.segments / steps
-    bases = [_base_hamiltonian(replace(cfg, with_vibration=with_vibration))
-             for with_vibration in (True, False)]
-    detunings = _detunings(cfg, bases[0])
+    seg = cfg.observe_z / cfg.segments
+    with_mode = _base_hamiltonian(replace(cfg, with_vibration=True))
+    without = _base_hamiltonian(replace(cfg, with_vibration=False))
+    detunings, diagonals = _study_columns(cfg, with_mode)
+    kept = np.r_[with_mode.fmo_indices, with_mode.sink_indices]
     curves = []
-    for base in bases:
-        sink = base.sink_indices
-        eta = np.array([_sink_fraction(psi, sink)
-                        for psi in _evolve_study(cfg, base, steps, detunings)])
+    for base, diag in ((with_mode, diagonals), (without, diagonals[kept])):
+        eta = np.array([_sink_fraction(psi, base.sink_indices)
+                        for psi in dynamics.propagate(
+                            base, detunings, seg, steps, diagonals=diag,
+                            coupling_correction=cfg.coupling_correction)])
         eta = eta.reshape(len(eta), len(cfg.grid), cfg.realizations)
         curves.append(eta.mean(axis=2).T)
-    positions = np.arange(curves[0].shape[1]) * fine
+    positions = np.arange(curves[0].shape[1]) * (seg / steps)
     return positions, curves[0], curves[1]
 
 
@@ -311,13 +316,13 @@ def single_trace(cfg: SweepConfig, amplitude: float, seed: int,
         # from adding a sample per segment
         fine_step = seg / max(
             1, math.ceil(seg / dynamics.DEFAULT_FINE_STEP - 1e-9))
+    config = noise_config(cfg, amplitude, seed)
     base = _base_hamiltonian(cfg)
-    det = noise_mod.generate(noise_config(cfg, amplitude, seed),
-                             n_sites=len(base.fmo_indices))
-    tr = dynamics.evolve(base, det.sequences, seg, fine_step,
-                         diagonal=_diagonals(cfg, base, [(0, 0)])[:, 0],
+    [det], diagonals = _columns(cfg, base, [amplitude], [seed],
+                                cfg.disorder, [(0, 0)])
+    tr = dynamics.evolve(base, det, seg, fine_step, diagonal=diagonals[:, 0],
                          coupling_correction=cfg.coupling_correction)
-    return tr, det
+    return tr, noise_mod.NoiseRealization(det, config)
 
 
 def excitation_trace_study(cfg: SweepConfig,
@@ -338,12 +343,9 @@ def excitation_trace_study(cfg: SweepConfig,
     members = ([("disorder", float(g), float(g), 0.0) for g in disorders]
                + [("detuning", float(a), 0.0, float(a)) for a in amplitudes])
     base = _base_hamiltonian(cfg)
-    det = noise_mod.generate_batch(
-        noise_config(cfg, 0.0, 0), [a for *_, a in members],
-        [seed] * len(members), n_sites=len(base.fmo_indices))
-    diagonals = np.concatenate(
-        [_diagonals(replace(cfg, disorder=gamma), base, [(0, 0)])
-         for _, _, gamma, _ in members], axis=1)
+    det, diagonals = _columns(
+        cfg, base, [a for *_, a in members], [seed] * len(members),
+        [gamma for _, _, gamma, _ in members], [(0, 0)] * len(members))
     amps = np.empty((4 * cfg.segments + 1, base.dim, len(members)),
                     dtype=complex)
     for k, psi in enumerate(dynamics.propagate(
@@ -374,8 +376,8 @@ def write_sweep_csv(result: SweepResult, raw_path, summary_path) -> None:
 def write_manifest(cfg: SweepConfig, path) -> None:
     """Emit a JSON run manifest: config echo, seed, code version."""
     from . import __version__
-    config, config_hash = cfg._canonical
-    doc = {"config": config, "seed": cfg.seed, "config_hash": config_hash,
+    config = cfg.canonical_dict()
+    doc = {"config": config, "seed": cfg.seed, "config_hash": _digest(config),
            "version": __version__}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)

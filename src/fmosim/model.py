@@ -315,24 +315,27 @@ def delta_c(c0: float, db: float) -> float:
     return effective_coupling(c0, db) - c0
 
 
-def static_disorder_shifts(n: int, gamma: float, rng_seeds) -> np.ndarray:
+def static_disorder_shifts(n: int, gamma, rng_seeds) -> np.ndarray:
     """(len(rng_seeds), n) one-sided uniform site-energy shifts U(0, gamma),
-    one row per seed.
+    one row per seed; ``gamma`` is one strength or one per seed.
 
     This is the one definition of the disorder stream: row i is bit for
-    bit ``default_rng(rng_seeds[i]).uniform(0.0, gamma, n)`` (each seed a
-    nonnegative int or a sequence of them), gamma times the doubles of one
-    :func:`_seeding.random_rows` pass over all the rows; none are drawn
-    (all are zero) at ``gamma == 0``.  A ``gamma`` that is negative or not
-    finite is rejected.
+    bit ``default_rng(rng_seeds[i]).uniform(0.0, gamma_i, n)`` (each seed a
+    nonnegative int or a sequence of them), gamma_i times the doubles of
+    one :func:`_seeding.random_rows` pass over all the rows; none are
+    drawn (all are zero) when every strength is 0.  A strength that is
+    negative or not finite is rejected.
     """
-    if not math.isfinite(gamma):
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape not in ((), (len(rng_seeds),)):
+        raise PhysicsError("disorder strength must be one value or one per seed")
+    if not np.isfinite(gamma).all():
         raise PhysicsError("disorder strength must be finite")
-    if gamma < 0:
+    if (gamma < 0).any():
         raise PhysicsError("disorder strength must be nonnegative")
-    if gamma == 0:
+    if not gamma.any():
         return np.zeros((len(rng_seeds), n))
-    return gamma * _seeding.random_rows(
+    return gamma[..., None] * _seeding.random_rows(
         (_seeding.entropy_words(seed) for seed in rng_seeds), n)
 
 

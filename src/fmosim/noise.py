@@ -198,19 +198,6 @@ def _run_filter(state: np.ndarray, x: np.ndarray, rate: float) -> None:
         xn[...] = yn
 
 
-def _colored_filter(white: np.ndarray, rate: float) -> np.ndarray:
-    """The colored filter's output on each row of ``white``, burn-in dropped.
-
-    Equal, up to rounding, to ``scipy.signal.lfilter(b, a, white,
-    axis=1)[:, FILTER_BURN_IN:]``: the burn-in folded into the state
-    (:func:`_burn_in_state`), then the kept samples run through the
-    recurrence (:func:`_run_filter`).
-    """
-    x = np.ascontiguousarray(white[:, FILTER_BURN_IN:].T)
-    _run_filter(_burn_in_state(white[:, :FILTER_BURN_IN], rate), x, rate)
-    return x.T
-
-
 #: Colored streams drawn and burned in together at most: a block holds
 #: 32 x (FILTER_BURN_IN + segments) normals (133 kB at 20 segments) and
 #: is reused for the whole batch, so only the kept samples grow with it.
@@ -220,12 +207,13 @@ _STREAM_BLOCK = 32
 def _colored_rows(rows, n_rows: int, segments: int,
                   rate: float) -> np.ndarray:
     """(n_rows, segments): the colored filter's output on the normals
-    of each stream, burn-in dropped, bit for bit :func:`_colored_filter`
-    on all the streams' white noise at once.
+    of each stream, burn-in dropped; up to rounding, ``scipy.signal.lfilter
+    (b, a, white)[FILTER_BURN_IN:]`` on each stream's white noise.
 
-    The streams are drawn and their burn-in folded a block of
-    ``_STREAM_BLOCK`` at a time; the recurrence then runs once over every
-    row's kept samples.
+    The streams are drawn a block of ``_STREAM_BLOCK`` at a time, and each
+    block's burn-in is folded into the filter state
+    (:func:`_burn_in_state`); the recurrence (:func:`_run_filter`) then
+    runs once over every row's kept samples.
     """
     kept = np.empty((segments, n_rows))
     state = np.empty((3, n_rows))

@@ -242,6 +242,27 @@ class TestVibrationalComparison:
         pos2, with_v2, _ = vibrational_comparison(cfg)
         np.testing.assert_array_equal(with_v, with_v2)
 
+    def test_without_mode_is_the_same_disordered_chip_minus_its_mode(
+            self, monkeypatch):
+        cfg = small_cfg(grid=(0.0, 0.6), realizations=2, disorder=3.0)
+        calls = []
+        propagate = dynamics.propagate
+
+        def spy(h, detunings, *args, diagonals=None, **kwargs):
+            calls.append((h, detunings, diagonals))
+            return propagate(h, detunings, *args, diagonals=diagonals,
+                             **kwargs)
+
+        monkeypatch.setattr(dynamics, "propagate", spy)
+        vibrational_comparison(cfg)
+        (with_h, with_det, with_diag), (h, det, diag) = calls
+        mode = with_h.roles.index("vibration")
+        assert h.roles == with_h.roles[:mode] + with_h.roles[mode + 1:]
+        assert det.tobytes() == with_det.tobytes()
+        # disorder reaches the sink: its rows differ within every column
+        assert np.ptp(with_diag[with_h.sink_indices], axis=0).all()
+        assert diag.tobytes() == np.delete(with_diag, mode, axis=0).tobytes()
+
     def test_curves_bounded(self):
         cfg = small_cfg(grid=(0.3,), realizations=2)
         _, with_v, without_v = vibrational_comparison(cfg)
@@ -303,6 +324,19 @@ class TestExcitationTraceStudy:
         with pytest.raises(PhysicsError, match="samples"):
             excitation_trace_study(cfg, disorders=(0.0,), amplitudes=(0.5,))
 
+    def test_figS6_draws_its_disorder_in_one_call(self, monkeypatch):
+        cfg = small_cfg(realizations=1)
+        calls = []
+        shifts = experiments.static_disorder_shifts
+
+        def spy(n, gamma, rng_seeds):
+            calls.append((np.asarray(gamma).tolist(), list(rng_seeds)))
+            return shifts(n, gamma, rng_seeds)
+
+        monkeypatch.setattr(experiments, "static_disorder_shifts", spy)
+        excitation_trace_study(cfg, amplitudes=())
+        assert calls == [([0.0, 3.0, 6.0, 10.0], [(cfg.seed, 0, 0, 1)] * 4)]
+
     @pytest.mark.parametrize("kw", [{}, dict(coupling_correction=True,
                                              with_vibration=True)])
     def test_each_member_is_its_single_trace_in_one_kernel_call(
@@ -350,8 +384,10 @@ class TestSingleTrace:
         tr, _ = single_trace(cfg, cfg.grid[0], seed,
                              cfg.observe_z / cfg.segments)
         base = experiments._base_hamiltonian(cfg)
-        *_, psi = experiments._evolve_study(
-            cfg, base, 1, experiments._detunings(cfg, base))
+        detunings, diagonals = experiments._study_columns(cfg, base)
+        *_, psi = dynamics.propagate(
+            base, detunings, cfg.observe_z / cfg.segments,
+            diagonals=diagonals, coupling_correction=cfg.coupling_correction)
         np.testing.assert_array_equal(tr.amplitudes[-1], psi[:, 0])
         eta = transport_efficiency(tr)
         assert abs(eta - sweep_dephasing(cfg).values[0, 0]) < 1e-12

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmosim import _seeding
 from fmosim.errors import PhysicsError
 from fmosim.model import (
     CM_PER_MM,
@@ -294,6 +295,39 @@ class TestStaticDisorder:
     def test_negative_gamma_rejected(self):
         with pytest.raises(PhysicsError):
             static_disorder_shifts(7, -1.0, [0])
+
+    def test_per_seed_strengths_are_each_rows_stream_bitwise(self):
+        seeds = [[5, 0, 0, 1], 17, [5, 0, 0, 1], 2**70]
+        gammas = [3.0, 0.0, 10.0, 0.25]
+        got = static_disorder_shifts(9, gammas, seeds)
+        for row, gamma, seed in zip(got, gammas, seeds):
+            want = np.random.default_rng(seed).uniform(0.0, gamma, 9)
+            assert row.tobytes() == want.tobytes()
+
+    def test_all_zero_strengths_draw_nothing(self, monkeypatch):
+        def no_draw(rows, n):
+            raise AssertionError("drew disorder at zero strength")
+
+        monkeypatch.setattr(_seeding, "random_rows", no_draw)
+        got = static_disorder_shifts(7, [0.0, 0.0, 0.0], [1, 2, 3])
+        assert got.shape == (3, 7) and not got.any()
+
+    @pytest.mark.parametrize("gammas", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0],
+                                        [[1.0, 2.0, 3.0]]],
+                             ids=["short", "long", "2-d"])
+    def test_strengths_not_one_per_seed_rejected(self, gammas):
+        with pytest.raises(PhysicsError, match="one per seed"):
+            static_disorder_shifts(7, gammas, [0, 1, 2])
+
+    @pytest.mark.parametrize("bad, match", [
+        (-1.0, "nonnegative"), (math.nan, "finite"), (math.inf, "finite")],
+        ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_bad_strength_in_any_row_rejected(self, bad, match, row):
+        gammas = [1.0, 0.0, 3.0]
+        gammas[row] = bad
+        with pytest.raises(PhysicsError, match=match):
+            static_disorder_shifts(7, gammas, [0, 1, 2])
 
     # 1e309 parses as inf; each used to leak numpy's OverflowError
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, float("1e309")],

@@ -231,14 +231,22 @@ class TestColoredFilter:
 
     @pytest.mark.parametrize("time_scale", TIME_SCALES)
     def test_batched_filter_matches_lfilter(self, time_scale):
-        white = np.random.default_rng(17).standard_normal(
-            (40, FILTER_BURN_IN + 60))
+        # 6 seven-site realizations are 42 streams, more than one block of
+        # streams, so the burn-in is folded in two blocks
+        seeds = [5, 6, 7, 8, 9, 10]
+        assert 7 * len(seeds) > noise_mod._STREAM_BLOCK
+        cfg = NoiseConfig(kind="colored", segments=30, total_length=30.0,
+                          filter_time_scale=time_scale)
+        got = generate_batch(cfg, np.ones(len(seeds)), seeds)
         b, a = bilinear(list(FILTER_NUM), list(FILTER_DEN), fs=time_scale)
-        ref = lfilter(b, a, white, axis=1)[:, FILTER_BURN_IN:]
-        got = noise_mod._colored_filter(white, time_scale)
-        # relative to each row's peak, the scale of a by_max profile
-        peak = np.abs(ref).max(axis=1, keepdims=True)
-        assert np.all(np.abs(got - ref) <= 1e-10 * peak)
+        for rows, seed in zip(got, seeds):
+            for site, row in enumerate(rows):
+                white = np.random.default_rng([seed, site]).standard_normal(
+                    30 + FILTER_BURN_IN)
+                y = np.abs(lfilter(b, a, white)[FILTER_BURN_IN:])
+                # relative to the row's peak, which the profile divides by
+                np.testing.assert_allclose(row, y / y.max(), rtol=0,
+                                           atol=1e-10)
 
     @pytest.mark.parametrize("time_scale", TIME_SCALES)
     def test_generate_matches_lfilter_oracle(self, time_scale):
