@@ -358,8 +358,10 @@ def cmd_reproduce(args) -> int:
             print(f"gamma={gamma:g}: argmax {res.argmax_value:.12g}")
     elif fig == "figS9":
         h7 = experiments.network_hamiltonian(base)
-        for gamma in (0.0, 1.0, 5.0, 10.0, 50.0, 100.0):
-            h = model.apply_static_disorder(h7, gamma, [seed, int(gamma)])
+        gammas = (0.0, 1.0, 5.0, 10.0, 50.0, 100.0)
+        shifts = model.static_disorder_shifts(h7.dim, gammas, [[seed, int(g)] for g in gammas])
+        for gamma, row in zip(gammas, shifts):
+            h = replace(h7, matrix=h7.matrix + np.diag(row))
             w, dist = analysis.eigen_site_distribution(h)
             rows = [(float(w[a]), *[float(dist[i, a]) for i in range(7)])
                     for a in range(7)]

@@ -133,12 +133,20 @@ class Hamiltonian:
     Roles are strings: ``"fmo_site_1"`` .. ``"fmo_site_7"``, ``"sink_1"``
     .. ``"sink_k"``, ``"vibration"``.  ``source_site`` and ``drain_site``
     are site numbers (1-based, defaults 6 and 3).
+
+    The roles are mapped to indices once, on construction: ``fmo_indices``
+    and ``sink_indices`` are read-only int arrays, in role order, and
+    ``source_index`` and ``drain_index`` are ints.
     """
 
     matrix: np.ndarray
     roles: tuple
     source_site: int = 6
     drain_site: int = 3
+    fmo_indices: np.ndarray = field(init=False, repr=False, compare=False)
+    sink_indices: np.ndarray = field(init=False, repr=False, compare=False)
+    source_index: int = field(init=False, repr=False, compare=False)
+    drain_index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -156,32 +164,19 @@ class Hamiltonian:
             raise PhysicsError(f"drain site {self.drain_site} not present")
         if f"fmo_site_{self.source_site}" not in self.roles:
             raise PhysicsError(f"source site {self.source_site} not present")
+        fmo = np.array([i for i, r in enumerate(self.roles) if r.startswith("fmo_site_")])
+        sinks = np.array([i for i, r in enumerate(self.roles) if r.startswith("sink_")],
+                         dtype=int)
+        fmo.setflags(write=False)
+        sinks.setflags(write=False)
+        object.__setattr__(self, "fmo_indices", fmo)
+        object.__setattr__(self, "sink_indices", sinks)
+        object.__setattr__(self, "source_index", self.roles.index(f"fmo_site_{self.source_site}"))
+        object.__setattr__(self, "drain_index", self.roles.index(f"fmo_site_{self.drain_site}"))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def fmo_indices(self) -> np.ndarray:
-        return np.array([i for i, r in enumerate(self.roles) if r.startswith("fmo_site_")])
-
-    @property
-    def sink_indices(self) -> np.ndarray:
-        return np.array(
-            [i for i, r in enumerate(self.roles) if r.startswith("sink_")], dtype=int
-        )
-
-    def site_index(self, site: int) -> int:
-        """Array index of FMO site ``site`` (1-based)."""
-        return self.roles.index(f"fmo_site_{site}")
-
-    @property
-    def source_index(self) -> int:
-        return self.site_index(self.source_site)
-
-    @property
-    def drain_index(self) -> int:
-        return self.site_index(self.drain_site)
 
 
 def build_fmo_hamiltonian(spec: FmoSpec = FmoSpec()) -> Hamiltonian:

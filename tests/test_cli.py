@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import fmosim
 
-from fmosim import dynamics, model, noise
+from fmosim import analysis, dynamics, model, noise
 from fmosim.cli import (
     CONFIG_KEYS,
     EXIT_CONFIG,
@@ -502,6 +502,32 @@ class TestReproduce:
         files = sorted(p.name for p in out.iterdir())
         assert "figS9_gamma0.csv" in files
         assert "figS9_gamma100.csv" in files
+
+    def test_figS9_draws_its_disorder_once(self, tmp_path, monkeypatch):
+        calls = []
+        draw = model.static_disorder_shifts
+
+        def spy(n, gamma, seeds):
+            calls.append(len(seeds))
+            return draw(n, gamma, seeds)
+
+        monkeypatch.setattr(model, "static_disorder_shifts", spy)
+        assert main(["reproduce", "figS9", "--seed", "4",
+                     "--out", str(tmp_path / "s9")]) == EXIT_OK
+        assert calls == [6]
+
+    def test_figS9_rows_are_each_strengths_own_disorder(self, tmp_path):
+        out = tmp_path / "s9"
+        assert main(["reproduce", "figS9", "--seed", "4", "--out", str(out)]) == EXIT_OK
+        h7 = model.build_fmo_hamiltonian()
+        for gamma in (0.0, 1.0, 5.0, 10.0, 50.0, 100.0):
+            h = model.apply_static_disorder(h7, gamma, [4, int(gamma)])
+            w, dist = analysis.eigen_site_distribution(h)
+            expected = "".join(
+                ",".join(f"{v:.15g}" for v in (w[a], *dist[:, a])) + "\r\n"
+                for a in range(7))
+            text = (out / f"figS9_gamma{gamma:g}.csv").read_bytes().decode()
+            assert text.split("\r\n", 1)[1] == expected
 
     def test_fig3b_with_small_ensemble(self, tmp_path, capsys):
         out = tmp_path / "f3b"

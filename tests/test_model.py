@@ -3,6 +3,7 @@
 import io
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,6 +160,50 @@ class TestVibrationalMode:
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 3)
         with pytest.raises(PhysicsError):
             attach_vibrational_mode(h)
+
+
+class TestRoleIndices:
+    def test_repeated_reads_are_one_object(self):
+        h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 5)
+        assert h.fmo_indices is h.fmo_indices
+        assert h.sink_indices is h.sink_indices
+
+    def test_index_arrays_are_read_only(self):
+        h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 5)
+        for idx in (h.fmo_indices, h.sink_indices):
+            assert not idx.flags.writeable
+            with pytest.raises(ValueError):
+                idx[0] = 1
+
+    @pytest.mark.parametrize("build, sinks", [
+        (lambda h7: attach_sink(h7, 4), range(7, 11)),
+        (lambda h7: attach_sink(attach_vibrational_mode(h7), 3), range(8, 11)),
+        (lambda h7: attach_vibrational_mode(h7), ()),
+        (lambda h7: replace(h7, roles=h7.roles[::-1]), ()),
+    ])
+    def test_each_hamiltonian_carries_its_own_indices(self, build, sinks):
+        h7 = build_fmo_hamiltonian(FmoSpec())
+        h = build(h7)
+        assert h.fmo_indices.dtype == h.sink_indices.dtype == int
+        np.testing.assert_array_equal(h.fmo_indices, range(7))
+        np.testing.assert_array_equal(h.sink_indices, list(sinks))
+        assert h.source_index == h.roles.index("fmo_site_6")
+        assert h.drain_index == h.roles.index("fmo_site_3")
+        assert (h7.source_index, h7.drain_index) == (5, 2)
+        assert len(h7.sink_indices) == 0
+
+    def test_replaced_sites_move_their_indices(self):
+        h = replace(build_fmo_hamiltonian(FmoSpec()), source_site=1, drain_site=7)
+        assert (h.source_index, h.drain_index) == (0, 6)
+
+    @pytest.mark.parametrize("sites, message", [
+        ({"drain_site": 8}, "drain site 8 not present"),
+        ({"source_site": 9}, "source site 9 not present"),
+    ])
+    def test_missing_site_rejected(self, sites, message):
+        h7 = build_fmo_hamiltonian(FmoSpec())
+        with pytest.raises(PhysicsError, match=f"^{message}$"):
+            Hamiltonian(h7.matrix, h7.roles, **sites)
 
 
 class TestEigengap:
