@@ -46,7 +46,7 @@ import numpy as np
 
 from . import _csv
 from .errors import PhysicsError
-from .model import HERMITICITY_TOL, Hamiltonian, effective_coupling
+from .model import HERMITICITY_TOL, Hamiltonian
 
 # np.einsum without ``optimize`` calls this behind a ~2 us Python wrapper
 if int(np.__version__.split(".")[0]) >= 2:
@@ -137,7 +137,6 @@ class _Structure:
     chain: np.ndarray      # (n_sinks - 1,) couplings along the sink chain
     link: float            # drain-to-first-sink coupling, also in the block
     n0: int                # number of non-sink indices
-    sites: np.ndarray      # network-site indices, all below n0
     radius: np.ndarray     # (dim,) Gershgorin radius of every row
 
 
@@ -169,11 +168,11 @@ def _structure(h: Hamiltonian) -> _Structure:
             "chain linked to the drain site only")
     radius = np.abs(outer).sum(axis=1)
     radius[:nb] += np.abs(block).sum(axis=1)
-    return _Structure(block, chain, link, n0, h.fmo_indices, radius)
+    return _Structure(block, chain, link, n0, radius)
 
 
-def _batch(h: Hamiltonian, detunings, diagonals):
-    """Validated (R, sites, segments) detunings and (dim, R) diagonals."""
+def _batch(h: Hamiltonian, n0: int, detunings, diagonals, couplings):
+    """Validated detunings, diagonals and couplings (see propagate)."""
     det = np.asarray(detunings, dtype=float)
     if det.ndim != 3 or 0 in det.shape or det.shape[1] != len(h.fmo_indices):
         raise PhysicsError("detunings must have shape (realizations, network "
@@ -186,21 +185,18 @@ def _batch(h: Hamiltonian, detunings, diagonals):
             raise PhysicsError("diagonals must have shape (dim, realizations)")
     if not (np.isfinite(det).all() and np.isfinite(diag).all()):
         raise PhysicsError("detunings and diagonals must be finite")
-    return det, diag
-
-
-def _corrected_pairs(st: _Structure, det) -> list:
-    """(a, c0, c) of every nonzero nearest-neighbour network coupling c0,
-    between sites[a] and sites[a + 1]: c is its (R, segments) coupling
-    under the correction, sign(c0) sqrt((d/2)^2 + c0^2), with d the pair's
-    mean detuning in each segment."""
-    pairs = []
-    for a in range(len(st.sites) - 1):
-        c0 = st.block[st.sites[a], st.sites[a + 1]]
-        if c0 != 0.0:
-            pairs.append((a, c0, np.sign(c0) * effective_coupling(
-                abs(c0), 0.5 * (det[:, a] + det[:, a + 1]))))
-    return pairs
+    over = {}
+    for key, c in (couplings or {}).items():
+        ij, c = np.asarray(key), np.asarray(c, dtype=float)
+        if not (ij.shape == (2,) and ij.dtype.kind in "iu" and ij[0] != ij[1]
+                and ((0 <= ij) & (ij < n0)).all()
+                and tuple(ij[::-1].tolist()) not in over
+                and c.shape == det.shape[::2] and np.isfinite(c).all()):
+            raise PhysicsError(
+                f"coupling {key!r} must join two distinct rows below {n0}, "
+                "once, by a finite (realizations, segments) array")
+        over[tuple(ij.tolist())] = c
+    return det, diag, over
 
 
 @lru_cache(maxsize=4)
@@ -213,47 +209,50 @@ def _window_spectrum(window: bytes, rows: int) -> tuple:
     return float(lam[0]) - slack, float(lam[-1]) + slack
 
 
-def _interval(h: Hamiltonian, st: _Structure, det, diag, pairs,
+def _interval(h: Hamiltonian, st: _Structure, det, diag, couplings,
               rows: int) -> tuple:
     """(lo, hi), each of shape (R,): column r's interval encloses the
     spectra of the leading ``rows`` x ``rows`` windows of every segment
-    matrix of column r; ``pairs`` are :func:`_corrected_pairs`, or none.
+    matrix of column r, its couplings overridden by ``couplings``.
 
     It is the intersection of two enclosures, each reduced over the rows
     and segments of a column, never over columns:
 
     - Weyl: a window is the base Hamiltonian's window, plus a diagonal
       offset (the detunings and the disorder), plus the change the coupling
-      correction makes.  So its eigenvalues lie within the base window's
+      overrides make.  So its eigenvalues lie within the base window's
       extreme eigenvalues (:func:`_window_spectrum`), moved by the least
       and largest eigenvalue of the offset plus the change, which by
       Gershgorin lie within each row's offset widened by the row's sum of
-      |change|.
-    - Gershgorin: the union of the discs of the window rows.
+      |c - c0| over its overrides.
+    - Gershgorin: the union of the discs of the window rows, each radius
+      moved by its row's sum of |c| - |c0|.
 
     By Cauchy interlacing it also encloses every smaller window.  Weyl beats
     the Gershgorin union unless the offsets spread far wider than the
     coupling (strong disorder).  A min or a max is exact in any order, so
-    a network row's extremes are taken over the segments first.
+    a non-sink row's extremes are taken over the segments first.
     """
-    sites = st.sites
-    # each window row's least and largest diagonal over the segments, a
-    # network row's moved outward by its row sum of |change| the coupling
-    # correction makes in each segment: (rows, R)
-    net = diag[sites] + np.ascontiguousarray(det.transpose(2, 1, 0))
-    grow = np.zeros(net.shape)                            # (S, sites, R)
-    for a, c0, c in pairs:
-        dc = (np.abs(c) - abs(c0)).T
-        grow[:, a] += dc
-        grow[:, a + 1] += dc
-    low, high = diag[:rows].copy(), diag[:rows].copy()
-    low[sites] = (net - grow).min(axis=0, initial=math.inf)
-    high[sites] = (net + grow).max(axis=0, initial=-math.inf)
+    n0 = st.n0
+    net = np.repeat(diag[None, :n0], det.shape[2], axis=0)   # (S, n0, R)
+    net[:, h.fmo_indices] += det.transpose(2, 1, 0)
+    # per row, the sums over its overrides of |c - c0| (Weyl) and of
+    # |c| - |c0| (Gershgorin): (2, S, n0, R)
+    grow = np.zeros((2,) + net.shape)
+    for (i, j), c in couplings.items():
+        c0 = st.block[i, j]
+        dc = np.array([np.abs(c - c0), np.abs(c) - abs(c0)]).transpose(0, 2, 1)
+        grow[:, :, i] += dc
+        grow[:, :, j] += dc
+    low = np.stack([diag[:rows]] * 2)                     # (2, rows, R)
+    high = low.copy()
+    low[:, :n0] = (net - grow).min(axis=1)
+    high[:, :n0] = (net + grow).max(axis=1)
     base, radius = h.matrix.diagonal()[:rows, None], st.radius[:rows, None]
     lam_lo, lam_hi = _window_spectrum(h.matrix[:rows, :rows].tobytes(), rows)
-    lo_g, hi_g = (low - radius).min(axis=0), (high + radius).max(axis=0)
-    lo_w = lam_lo + (low - base).min(axis=0)
-    hi_w = lam_hi + (high - base).max(axis=0)
+    lo_g, hi_g = (low[1] - radius).min(axis=0), (high[1] + radius).max(axis=0)
+    lo_w = lam_lo + (low[0] - base).min(axis=0)
+    hi_w = lam_hi + (high[0] - base).max(axis=0)
     return np.maximum(lo_g, lo_w), np.minimum(hi_g, hi_w)
 
 
@@ -264,26 +263,18 @@ def _bessel_columns(x: np.ndarray) -> np.ndarray:
     Column r runs the backward ratio recurrence r_k = J_k / J_{k-1} =
     x / (2k - x r_{k+1}) from r = 0 past its own start order
     m_r = int(x_r + 10 x_r^(1/3)) + 16, where J is far below SERIES_TOL,
-    and zeros past m_r; J_k / J_0 is the running product of the ratios,
-    normalized by J_0 + 2 (J_2 + J_4 + ...) = 1.  Sorted by start order,
-    the live columns of a step are a prefix, and every product and sum
-    runs in order along k, so a column depends on its own x_r only.
+    and keeps zeros past m_r; J_k / J_0 is the running product of the
+    ratios, normalized by J_0 + 2 (J_2 + J_4 + ...) = 1.  Every product and
+    sum runs in order along k, so a column depends on its own x_r only.
     """
     top = (x + 10.0 * np.cbrt(x)).astype(int) + 16
-    order = np.argsort(-top, kind="stable")
-    xs, m = x[order], int(top[order[0]])
-    live = np.searchsorted(-top[order], -np.arange(m + 1), side="right")
-    ratio = np.zeros((m + 2, len(x)))
-    for k in range(m, 0, -1):
-        n = live[k]
-        xn = xs[:n]
-        ratio[k, :n] = xn / (2.0 * k - xn * ratio[k + 1, :n])
+    ratio = np.zeros((int(top.max()) + 2, len(x)))
+    for k in range(len(ratio) - 2, 0, -1):
+        np.copyto(ratio[k], x / (2.0 * k - x * ratio[k + 1]), where=k <= top)
     ratio[0] = 1.0
     p = np.cumprod(ratio[:-1], axis=0)                    # J_k / J_0
     total = 2.0 * np.cumsum(p[2::2], axis=0)[-1] + 1.0
-    j = np.empty_like(p)
-    j[:, order] = p / total
-    return j
+    return p / total
 
 
 def _chebyshev_weights(rho) -> np.ndarray:
@@ -457,18 +448,16 @@ def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
 
 
 def propagate(h: Hamiltonian, detunings, segment_length: float,
-              steps_per_segment: int = 1, diagonals=None,
-              coupling_correction: bool = False):
+              steps_per_segment: int = 1, diagonals=None, couplings=None):
     """Evolve a batch of realizations; yield the states at every step.
 
     ``detunings`` has shape (R, network sites, segments): column r of the
     batch adds ``detunings[r, :, k]`` to the network diagonals during
     segment k.  ``diagonals`` (dim, R) replaces the diagonal of ``h`` per
-    column (static disorder); by default every column keeps it.  With
-    ``coupling_correction`` each nearest-neighbour network coupling C0 is
-    replaced per column and segment by sign(C0) sqrt((d/2)^2 + C0^2),
-    where d is the pair's mean detuning; by default only the diagonals are
-    detuned.
+    column (static disorder); by default every column keeps it.
+    ``couplings`` maps a pair (i, j) of distinct non-sink rows, named once,
+    to an (R, segments) array that replaces their coupling per column and
+    segment; by default every column keeps the couplings of ``h``.
 
     Every column starts with a unit excitation at the source site.  The
     generator yields a fresh (dim, R) complex array: the initial state,
@@ -493,7 +482,7 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
 
     - Let N be the chain-depth operator: 0 on the network rows and the
       vibration mode, m on the m-th sink waveguide.  The network block
-      (the coupling correction included) and every diagonal (detunings and
+      (the coupling overrides included) and every diagonal (detunings and
       disorder included) commute with N.  So e^{mu N} H e^{-mu N} - H =
       (e^mu - 1) V+ + (e^-mu - 1) V-, where V+ is the part of H that raises
       the depth (the drain link and the chain bonds, ||V+|| <= c) and
@@ -515,16 +504,15 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     only, so a column run alone and in a batch share the windows.
     """
     st = _structure(h)
-    det, diag = _batch(h, detunings, diagonals)
+    det, diag, couplings = _batch(h, st.n0, detunings, diagonals, couplings)
     if not (math.isfinite(segment_length) and segment_length > 0):
         raise PhysicsError("segment length must be positive and finite")
     if steps_per_segment < 1:
         raise PhysicsError("steps_per_segment must be >= 1")
-    n0, n_real, sites = st.n0, det.shape[0], st.sites
+    n0, n_real, sites = st.n0, det.shape[0], h.fmo_indices
     windows = _windows(st, h.dim, segment_length, det.shape[2])
     rows = max(windows, default=n0)
-    pairs = _corrected_pairs(st, det) if coupling_correction else []
-    lo, hi = _interval(h, st, det, diag, pairs, rows)
+    lo, hi = _interval(h, st, det, diag, couplings, rows)
     bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)))
     if bad.size:
         raise PhysicsError(f"invalid spectral interval ({lo[bad[0]]:g}, "
@@ -542,7 +530,7 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
 
     # 2 (H - center) / half per column, split by rows (see _chebyshev_step)
     # and built once for the largest window and the whole batch: a segment
-    # sets the network diagonals (and corrected couplings) of `head` and
+    # sets the network diagonals (and overridden couplings) of `head` and
     # uses the leading rows.  The windows never shrink, so no row past a
     # segment's window has been written yet: the ghost row below it is
     # still zero, which cuts the chain bond there.
@@ -560,8 +548,8 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     net = np.repeat((diag[sites, :, None] + det.transpose(1, 0, 2)
                      - center[:, None]) * scale[:, None], 2,
                     axis=1)                               # (sites, 2R, S)
-    pairs = [(sites[a], sites[a + 1], np.repeat(c * scale[:, None], 2, axis=0))
-             for a, _, c in pairs]
+    pairs = [(i, j, np.repeat(c * scale[:, None], 2, axis=0))
+             for (i, j), c in couplings.items()]
     held, width = _buffer_shape(len(weights), rows, n_real)
     terms, bands = _term_buffer(held, rows, 2 * width)
     # column chunks of at most `width` realizations share the term buffer,
@@ -600,14 +588,14 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
 
 def evolve(h: Hamiltonian, detunings, segment_length: float,
            fine_step: float = DEFAULT_FINE_STEP, diagonal=None,
-           coupling_correction: bool = False) -> EvolutionTrace:
+           couplings=None) -> EvolutionTrace:
     """:func:`propagate` on one column, recorded into an EvolutionTrace.
 
-    ``detunings`` has shape (network sites, segments) and ``diagonal``
-    (dim,) replaces the diagonal of ``h``; both, and
-    ``coupling_correction``, are read as by :func:`propagate`.  Amplitudes
-    are recorded every ``fine_step`` mm; the step must divide the segment
-    length so segment boundaries land on the grid.
+    ``detunings`` has shape (network sites, segments), ``diagonal`` (dim,)
+    replaces the diagonal of ``h`` and ``couplings`` maps a pair of rows
+    to a (segments,) array; all three are read as by :func:`propagate`.
+    Amplitudes are recorded every ``fine_step`` mm; the step must divide
+    the segment length so segment boundaries land on the grid.
     """
     det = np.asarray(detunings, dtype=float)
     if det.ndim != 2 or len(det) != len(h.fmo_indices):
@@ -624,7 +612,8 @@ def evolve(h: Hamiltonian, detunings, segment_length: float,
     states = propagate(h, det[None], segment_length, int(round(per_seg)),
                        diagonals=None if diagonal is None
                        else np.reshape(diagonal, (-1, 1)),
-                       coupling_correction=coupling_correction)
+                       couplings={k: np.asarray(c)[None]
+                                  for k, c in (couplings or {}).items()})
     amps = np.array([psi[:, 0] for psi in states])
     return EvolutionTrace(amps, fine_step, h.fmo_indices, h.sink_indices)
 

@@ -22,7 +22,7 @@ from . import _csv, _seeding, analysis, dynamics, noise as noise_mod
 from .errors import PhysicsError
 from .model import (DEFAULT_SINK_COUPLING, FmoSpec, Hamiltonian, attach_sink,
                     attach_vibrational_mode, build_fmo_hamiltonian,
-                    static_disorder_shifts)
+                    effective_coupling, static_disorder_shifts)
 # not called here: bench/tracing.py wraps it here by name (ROADMAP item 2)
 from .model import apply_static_disorder  # noqa: F401
 
@@ -162,22 +162,31 @@ def noise_config(cfg: SweepConfig, amplitude: float,
 
 def _columns(cfg: SweepConfig, base: Hamiltonian, amplitudes, seeds,
              disorders, cells) -> tuple:
-    """(detunings, diagonals) of a batch of kernel columns on ``base``, the
-    inputs of one dynamics.propagate call.
+    """(detunings, diagonals, couplings) of a batch of kernel columns on
+    ``base``, the inputs of one dynamics.propagate call.
 
     Column c is driven by detunings at ``amplitudes[c]``, drawn from
     ``seeds[c]`` on the network sites, and by static disorder of strength
     ``disorders`` (one, or one per column), drawn from ``[seed, grid
     index, realization, 1]`` for the (grid index, realization) pair
     ``cells[c]``, which shifts every waveguide.  The whole batch takes one
-    noise draw and one disorder draw.
+    noise draw and one disorder draw.  With ``cfg.coupling_correction``,
+    each nonzero coupling c0 of consecutive network sites becomes, per
+    column and segment, sign(c0) sqrt((d/2)^2 + c0^2), d their mean
+    detuning; otherwise ``couplings`` is empty.
     """
     detunings = noise_mod.generate_batch(
         noise_config(cfg, 0.0, 0), amplitudes, seeds,
         n_sites=len(base.fmo_indices))
     shifts = static_disorder_shifts(
         base.dim, disorders, [(cfg.seed, gi, r, 1) for gi, r in cells])
-    return detunings, base.matrix.diagonal()[:, None] + shifts.T
+    sites = base.fmo_indices if cfg.coupling_correction else []
+    couplings = {
+        (i, j): np.sign(c0) * effective_coupling(
+            abs(c0), 0.5 * (detunings[:, a] + detunings[:, a + 1]))
+        for a, (i, j) in enumerate(zip(sites[:-1], sites[1:]))
+        if (c0 := base.matrix[i, j]) != 0.0}
+    return detunings, base.matrix.diagonal()[:, None] + shifts.T, couplings
 
 
 def _study_columns(cfg: SweepConfig, base: Hamiltonian) -> tuple:
@@ -206,10 +215,10 @@ def _make_result(cfg: SweepConfig, values: np.ndarray) -> SweepResult:
 def sweep_dephasing(cfg: SweepConfig) -> SweepResult:
     """Mean transport efficiency at z per detuning amplitude on the grid."""
     base = _base_hamiltonian(cfg)
-    detunings, diagonals = _study_columns(cfg, base)
+    detunings, diagonals, couplings = _study_columns(cfg, base)
     for psi in dynamics.propagate(
             base, detunings, cfg.observe_z / cfg.segments,
-            diagonals=diagonals, coupling_correction=cfg.coupling_correction):
+            diagonals=diagonals, couplings=couplings):
         pass
     values = _sink_fraction(psi, base.sink_indices)
     return _make_result(cfg, values.reshape(len(cfg.grid), cfg.realizations))
@@ -245,27 +254,29 @@ def vibrational_comparison(cfg: SweepConfig):
     realizations at every amplitude on the grid; shapes are
     (n_samples,), (len(grid), n_samples), (len(grid), n_samples).
 
-    Each realization is one disordered chip with and without its mode:
-    both curves share the detunings and the static disorder, drawn once
-    on the with-mode chip, and the without-mode chip is the with-mode
-    chip minus its mode waveguide (its diagonals lose the mode's row).
+    Each realization is one disordered chip with and without its mode,
+    two columns of one batch on the with-mode chip: both share the
+    detunings and the static disorder, drawn once, and the without-mode
+    column sets the mode's seven couplings to 0, which leaves the mode
+    waveguide dark.
     """
     steps = 4
     seg = cfg.observe_z / cfg.segments
-    with_mode = _base_hamiltonian(replace(cfg, with_vibration=True))
-    without = _base_hamiltonian(replace(cfg, with_vibration=False))
-    detunings, diagonals = _study_columns(cfg, with_mode)
-    kept = np.r_[with_mode.fmo_indices, with_mode.sink_indices]
-    curves = []
-    for base, diag in ((with_mode, diagonals), (without, diagonals[kept])):
-        eta = np.array([_sink_fraction(psi, base.sink_indices)
-                        for psi in dynamics.propagate(
-                            base, detunings, seg, steps, diagonals=diag,
-                            coupling_correction=cfg.coupling_correction)])
-        eta = eta.reshape(len(eta), len(cfg.grid), cfg.realizations)
-        curves.append(eta.mean(axis=2).T)
-    positions = np.arange(curves[0].shape[1]) * (seg / steps)
-    return positions, curves[0], curves[1]
+    base = _base_hamiltonian(replace(cfg, with_vibration=True))
+    detunings, diagonals, couplings = _study_columns(cfg, base)
+    n, mode = len(detunings), base.roles.index("vibration")
+    # columns n .. 2n - 1 repeat columns 0 .. n - 1 with the mode's couplings 0
+    couplings = {k: np.concatenate([c, c]) for k, c in couplings.items()}
+    couplings.update({(s, mode): np.kron([[base.matrix[s, mode]], [0.0]],
+                                         np.ones((n, cfg.segments)))
+                      for s in base.fmo_indices})
+    eta = np.array([_sink_fraction(psi, base.sink_indices)
+                    for psi in dynamics.propagate(
+                        base, np.concatenate([detunings, detunings]), seg,
+                        steps, diagonals=np.hstack([diagonals, diagonals]),
+                        couplings=couplings)])
+    curves = eta.reshape(len(eta), 2, len(cfg.grid), -1).mean(axis=3)
+    return np.arange(len(eta)) * (seg / steps), curves[:, 0].T, curves[:, 1].T
 
 
 def segment_count_study(cfg: SweepConfig, segment_counts=(10, 20, 40, 60, 80)):
@@ -318,10 +329,10 @@ def single_trace(cfg: SweepConfig, amplitude: float, seed: int,
             1, math.ceil(seg / dynamics.DEFAULT_FINE_STEP - 1e-9))
     config = noise_config(cfg, amplitude, seed)
     base = _base_hamiltonian(cfg)
-    [det], diagonals = _columns(cfg, base, [amplitude], [seed],
-                                cfg.disorder, [(0, 0)])
+    [det], diagonals, couplings = _columns(cfg, base, [amplitude], [seed],
+                                           cfg.disorder, [(0, 0)])
     tr = dynamics.evolve(base, det, seg, fine_step, diagonal=diagonals[:, 0],
-                         coupling_correction=cfg.coupling_correction)
+                         couplings={k: c for k, [c] in couplings.items()})
     return tr, noise_mod.NoiseRealization(det, config)
 
 
@@ -343,14 +354,13 @@ def excitation_trace_study(cfg: SweepConfig,
     members = ([("disorder", float(g), float(g), 0.0) for g in disorders]
                + [("detuning", float(a), 0.0, float(a)) for a in amplitudes])
     base = _base_hamiltonian(cfg)
-    det, diagonals = _columns(
+    det, diagonals, couplings = _columns(
         cfg, base, [a for *_, a in members], [seed] * len(members),
         [gamma for _, _, gamma, _ in members], [(0, 0)] * len(members))
     amps = np.empty((4 * cfg.segments + 1, base.dim, len(members)),
                     dtype=complex)
     for k, psi in enumerate(dynamics.propagate(
-            base, det, seg, 4, diagonals=diagonals,
-            coupling_correction=cfg.coupling_correction)):
+            base, det, seg, 4, diagonals=diagonals, couplings=couplings)):
         amps[k] = psi
     out = {}
     for c, (label, value, _, _) in enumerate(members):

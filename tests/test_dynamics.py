@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmosim import dynamics
+from fmosim import dynamics, experiments
 from fmosim.dynamics import (
     EvolutionTrace,
     evolve,
@@ -18,6 +18,7 @@ from fmosim.dynamics import (
     write_trace_csv,
 )
 from fmosim.errors import PhysicsError
+from fmosim.experiments import SweepConfig
 from fmosim.model import (FmoSpec, Hamiltonian, apply_static_disorder,
                           attach_sink, attach_vibrational_mode,
                           build_fmo_hamiltonian, static_disorder_shifts)
@@ -51,7 +52,18 @@ def default_chip(amplitude=0.5, seed=0, segments=20, sink=100,
                                    segments=segments, total_length=20.0,
                                    seed=seed)).sequences
     return dict(h=h, detunings=det, segment_length=20.0 / segments,
-                coupling_correction=correction)
+                couplings={k: c[0] for k, c in
+                           corrected_couplings(h, det[None], correction)
+                           .items()})
+
+
+def corrected_pair(h, det_k, a):
+    """The coupling between network sites a and a + 1 under the coupling
+    correction: sign(c0) sqrt((d/2)^2 + c0^2), where c0 is the base
+    coupling and d the pair's mean detuning ``det_k[a]``, ``det_k[a + 1]``."""
+    c0 = h.matrix[h.fmo_indices[a], h.fmo_indices[a + 1]]
+    d = 0.5 * (det_k[a] + det_k[a + 1])
+    return math.copysign(math.hypot(0.5 * d, c0), c0)
 
 
 def segment_matrix(h, det_k, correction=False):
@@ -59,9 +71,8 @@ def segment_matrix(h, det_k, correction=False):
 
     ``det_k`` is the segment's detuning of each network site, added to the
     network diagonals.  With ``correction`` every nonzero nearest-neighbour
-    network coupling c0 becomes sign(c0) sqrt((d/2)^2 + c0^2), where d is
-    the pair's mean detuning.  Built entry by entry from the dense matrix,
-    with nothing taken from the kernel.
+    network coupling becomes its :func:`corrected_pair`.  Built entry by
+    entry from the dense matrix, with nothing taken from the kernel.
     """
     m = np.array(h.matrix)
     idx = h.fmo_indices
@@ -69,11 +80,21 @@ def segment_matrix(h, det_k, correction=False):
     if correction:
         for a in range(len(idx) - 1):
             i, j = idx[a], idx[a + 1]
-            c0 = h.matrix[i, j]
-            if c0 != 0.0:
-                d = 0.5 * (det_k[a] + det_k[a + 1])
-                m[i, j] = m[j, i] = math.copysign(math.hypot(0.5 * d, c0), c0)
+            if h.matrix[i, j] != 0.0:
+                m[i, j] = m[j, i] = corrected_pair(h, det_k, a)
     return m
+
+
+def corrected_couplings(h, det, correction=True):
+    """The ``couplings`` of :func:`propagate` that set every (R, sites,
+    segments) ``det`` column's network couplings to :func:`segment_matrix`'s
+    with ``correction``; none without it."""
+    idx = h.fmo_indices
+    return {(idx[a], idx[a + 1]): np.array(
+                [[corrected_pair(h, det[r, :, k], a)
+                  for k in range(det.shape[2])] for r in range(len(det))])
+            for a in range(len(idx) - 1)
+            if correction and h.matrix[idx[a], idx[a + 1]] != 0.0}
 
 
 class TestSegmentPropagator:
@@ -231,15 +252,17 @@ class TestEvolve:
 class TestCouplingCorrection:
     @staticmethod
     def kernel_block(k, correction):
-        """The kernel's network block of segment ``k`` and its detuning."""
+        """The kernel's network block of segment ``k`` and its detuning,
+        with the couplings a study builds for :func:`propagate`."""
         ph = default_chip(0.5, seed=1)
-        st = dynamics._structure(ph["h"])
-        block = st.block.copy()
-        pairs = dynamics._corrected_pairs(st, ph["detunings"][None])
-        for a, _, c in pairs if correction else ():
-            i, j = st.sites[a], st.sites[a + 1]
-            block[i, j] = block[j, i] = c[0, k]
-        return block, ph["detunings"][:, k]
+        cfg = SweepConfig(coupling_correction=correction)
+        [det], _, couplings = experiments._columns(
+            cfg, ph["h"], [0.5], [1], 0.0, [(0, 0)])
+        np.testing.assert_array_equal(det, ph["detunings"])
+        block = dynamics._structure(ph["h"]).block.copy()
+        for (i, j), [c] in couplings.items():
+            block[i, j] = block[j, i] = c[k]
+        return block, det[:, k]
 
     def test_correction_changes_offdiagonals_only_slightly(self):
         b0, _ = self.kernel_block(0, False)
@@ -320,7 +343,14 @@ def batch_inputs(vibration=False, columns=5, sink=20, seed=11, segments=6):
 
 def run_states(h, det, diag, correction, steps=2):
     return [psi.copy() for psi in propagate(
-        h, det, 1.0, steps, diagonals=diag, coupling_correction=correction)]
+        h, det, 1.0, steps, diagonals=diag,
+        couplings=corrected_couplings(h, det, correction))]
+
+
+def zeroed_mode(h, det):
+    """``couplings`` that set the vibration mode's to 0 in every column."""
+    mode = h.roles.index("vibration")
+    return {(s, mode): np.zeros(det.shape[::2]) for s in h.fmo_indices}
 
 
 def spy_term_buffers(monkeypatch):
@@ -363,16 +393,20 @@ def window_rows(h, segments):
     return dynamics._windows(dynamics._structure(h), h.dim, 1.0, segments)
 
 
-def assert_within_gershgorin_union(lo, hi, h, det, diag, correction):
+def assert_within_gershgorin_union(lo, hi, h, det, diag, correction,
+                                   couplings=None):
     """(lo, hi) lies within the union of the Gershgorin discs of every
-    whole segment matrix of every column, up to the rounding of the disc
-    radii, which are summed in another order here."""
+    whole segment matrix of every column, with ``couplings`` as
+    :func:`propagate` reads them, up to the rounding of the disc radii,
+    which are summed in another order here."""
     g_lo, g_hi = math.inf, -math.inf
     for c in range(det.shape[0]):
         hd = Hamiltonian(h.matrix - np.diag(h.matrix.diagonal())
                          + np.diag(diag[:, c]), h.roles)
         for k in range(det.shape[2]):
             m = segment_matrix(hd, det[c, :, k], correction)
+            for (i, j), v in (couplings or {}).items():
+                m[i, j] = m[j, i] = v[c, k]
             d = m.diagonal()
             r = np.abs(m - np.diag(d)).sum(axis=1)
             g_lo, g_hi = min(g_lo, (d - r).min()), max(g_hi, (d + r).max())
@@ -582,7 +616,7 @@ class TestPropagate:
         assert rows[0] < rows[-1] < h.dim
         got = [s[:, 0] for s in propagate(
             h, det[None], 1.0, diagonals=hd.matrix.diagonal()[:, None],
-            coupling_correction=True)]
+            couplings=corrected_couplings(h, det[None]))]
         psi = np.zeros(h.dim, complex)
         psi[h.source_index] = 1.0
         for k, state in enumerate(got):
@@ -595,18 +629,77 @@ class TestPropagate:
                     segment_matrix(hd, det[:, k], True), 1.0) @ psi
 
     def test_interval_encloses_every_segment_spectrum(self):
+        # the corrected couplings, and those plus the vibration mode's
+        # couplings set to 0, which empties the mode row's Gershgorin disc
+        for vibration in (False, True):
+            h, det, diag = batch_inputs(vibration)
+            couplings = corrected_couplings(h, det)
+            if vibration:
+                couplings.update(zeroed_mode(h, det))
+            struct = dynamics._structure(h)
+            lo, hi = dynamics._interval(h, struct, det, diag, couplings,
+                                        h.dim)
+            assert lo.shape == hi.shape == (det.shape[0],)
+            for c in range(det.shape[0]):
+                hd = Hamiltonian(h.matrix - np.diag(h.matrix.diagonal())
+                                 + np.diag(diag[:, c]), h.roles)
+                for k in range(det.shape[2]):
+                    m = segment_matrix(hd, det[c, :, k])
+                    for (i, j), v in couplings.items():
+                        m[i, j] = m[j, i] = v[c, k]
+                    w = np.linalg.eigvalsh(m)
+                    assert lo[c] <= w[0] and w[-1] <= hi[c]
+                assert_within_gershgorin_union(
+                    lo[c], hi[c], h, det[c:c + 1], diag[:, c:c + 1], False,
+                    {key: v[c:c + 1] for key, v in couplings.items()})
+
+    @pytest.mark.parametrize("correction", [False, True])
+    def test_zeroed_mode_couplings_are_the_chip_without_the_mode(
+            self, correction):
+        h, det, diag = batch_inputs(vibration=True)
+        h7 = batch_inputs()[0]
+        mode = h.roles.index("vibration")
+        couplings = corrected_couplings(h, det, correction)
+        couplings.update(zeroed_mode(h, det))
+        dark = [psi.copy() for psi in propagate(
+            h, det, 1.0, 2, diagonals=diag, couplings=couplings)]
+        without = run_states(h7, det, np.delete(diag, mode, axis=0),
+                             correction)
+        assert np.ptp(diag[h.sink_indices], axis=0).all()   # disorder 3
+        assert len(dark) == len(without)
+        for a, b in zip(dark, without):
+            assert not a[mode].any()
+            assert np.abs(np.delete(a, mode, axis=0) - b).max() < 1e-13
+
+    # (couplings, with a value a float filling (R, segments) or a shape
+    # filled with 0.1) that propagate rejects on batch_inputs' chip, whose
+    # non-sink rows are 0 .. 6
+    BAD_COUPLINGS = {
+        "same_row": {(2, 2): 0.1},
+        "first_sink": {(2, 7): 0.1},
+        "past_the_block": {(0, 30): 0.1},
+        "negative_row": {(-1, 2): 0.1},
+        "not_a_pair": {(0, 1, 2): 0.1},
+        "float_rows": {(0.0, 1.0): 0.1},
+        "named_twice": {(0, 1): 0.1, (1, 0): 0.1},
+        "one_segment_short": {(0, 1): (5, 5)},
+        "one_column": {(0, 1): (6,)},
+        "nan": {(0, 1): np.nan},
+        "inf": {(0, 1): -np.inf},
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_COUPLINGS))
+    def test_invalid_couplings_rejected(self, case):
         h, det, diag = batch_inputs()
-        struct = dynamics._structure(h)
-        lo, hi = dynamics._interval(h, struct, det, diag,
-                                    dynamics._corrected_pairs(struct, det),
-                                    h.dim)
-        assert lo.shape == hi.shape == (det.shape[0],)
-        for c in range(det.shape[0]):
-            hd = Hamiltonian(h.matrix - np.diag(h.matrix.diagonal())
-                             + np.diag(diag[:, c]), h.roles)
-            for k in range(det.shape[2]):
-                w = np.linalg.eigvalsh(segment_matrix(hd, det[c, :, k], True))
-                assert lo[c] <= w[0] and w[-1] <= hi[c]
+        shape = det.shape[::2]
+        couplings = {k: np.full(v if isinstance(v, tuple) else shape,
+                                0.1 if isinstance(v, tuple) else v)
+                     for k, v in self.BAD_COUPLINGS[case].items()}
+        with pytest.raises(PhysicsError, match="coupling"):
+            list(propagate(h, det, 1.0, diagonals=diag, couplings=couplings))
+        # a valid override runs
+        list(propagate(h, det, 1.0, diagonals=diag,
+                       couplings={(0, 1): np.full(shape, 0.1)}))
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
            kind=st.sampled_from(NOISE_KINDS),
@@ -633,8 +726,9 @@ class TestPropagate:
         diag = np.stack([hd.matrix.diagonal() for hd in disordered], axis=1)
         rows = window_rows(h, segments)
         struct = dynamics._structure(h)
-        pairs = dynamics._corrected_pairs(struct, det) if correction else []
-        lo, hi = dynamics._interval(h, struct, det, diag, pairs, rows[-1])
+        lo, hi = dynamics._interval(h, struct, det, diag,
+                                    corrected_couplings(h, det, correction),
+                                    rows[-1])
         for c, hd in enumerate(disordered):
             for k in range(segments):
                 m = segment_matrix(hd, det[c, :, k], correction)
@@ -652,7 +746,7 @@ class TestPropagate:
                                    total_length=20.0, seed=7)).sequences
         rows = window_rows(h, 20)[-1]
         (lo,), (hi,) = dynamics._interval(h, dynamics._structure(h),
-                                          det[None], diag[:, None], [],
+                                          det[None], diag[:, None], {},
                                           rows)
         lam = np.linalg.eigvalsh(h.matrix[:rows, :rows])
         base = h.matrix.diagonal()
@@ -695,7 +789,7 @@ class TestPropagate:
         got = [s[:, 0] for s in propagate(
             h, det[None], 1.0, steps,
             diagonals=hd.matrix.diagonal()[:, None],
-            coupling_correction=correction)]
+            couplings=corrected_couplings(h, det[None], correction))]
         assert np.abs(np.array(got) - np.array(expected)).max() < 1e-12
 
     def test_zero_hamiltonian_leaves_batch_exactly_constant(self):

@@ -233,6 +233,21 @@ class TestReorganizationCurve:
             assert pts[gi, 1] == pytest.approx(np.mean(energy), rel=1e-13)
 
 
+def spy_propagate(monkeypatch):
+    """(h, detunings, diagonals, couplings) of every dynamics.propagate
+    call."""
+    calls = []
+    propagate = dynamics.propagate
+
+    def spy(h, detunings, *args, diagonals=None, couplings=None, **kwargs):
+        calls.append((h, np.asarray(detunings), diagonals, couplings))
+        return propagate(h, detunings, *args, diagonals=diagonals,
+                         couplings=couplings, **kwargs)
+
+    monkeypatch.setattr(dynamics, "propagate", spy)
+    return calls
+
+
 class TestVibrationalComparison:
     def test_shapes_and_determinism(self):
         cfg = small_cfg(grid=(0.0, 0.5), realizations=2)
@@ -245,23 +260,45 @@ class TestVibrationalComparison:
     def test_without_mode_is_the_same_disordered_chip_minus_its_mode(
             self, monkeypatch):
         cfg = small_cfg(grid=(0.0, 0.6), realizations=2, disorder=3.0)
-        calls = []
-        propagate = dynamics.propagate
-
-        def spy(h, detunings, *args, diagonals=None, **kwargs):
-            calls.append((h, detunings, diagonals))
-            return propagate(h, detunings, *args, diagonals=diagonals,
-                             **kwargs)
-
-        monkeypatch.setattr(dynamics, "propagate", spy)
+        calls = spy_propagate(monkeypatch)
         vibrational_comparison(cfg)
-        (with_h, with_det, with_diag), (h, det, diag) = calls
-        mode = with_h.roles.index("vibration")
-        assert h.roles == with_h.roles[:mode] + with_h.roles[mode + 1:]
-        assert det.tobytes() == with_det.tobytes()
+        [(h, det, diag, couplings)] = calls
+        n = len(cfg.grid) * cfg.realizations
+        mode = h.roles.index("vibration")
+        assert det.shape[0] == diag.shape[1] == 2 * n
+        assert det[n:].tobytes() == det[:n].tobytes()
+        assert diag[:, n:].tobytes() == diag[:, :n].tobytes()
         # disorder reaches the sink: its rows differ within every column
-        assert np.ptp(with_diag[with_h.sink_indices], axis=0).all()
-        assert diag.tobytes() == np.delete(with_diag, mode, axis=0).tobytes()
+        assert np.ptp(diag[h.sink_indices], axis=0).all()
+        assert sorted(couplings) == [(s, mode) for s in h.fmo_indices]
+        gap = h.matrix[0, mode]
+        assert gap > 0
+        for c in couplings.values():
+            assert c.shape == (2 * n, cfg.segments)
+            assert (c[:n] == gap).all() and not c[n:].any()
+
+    @pytest.mark.parametrize("correction", [False, True])
+    def test_one_batch_of_both_halves_on_the_with_mode_chip(
+            self, correction, monkeypatch):
+        cfg = small_cfg(grid=(0.0, 0.6), realizations=2, disorder=3.0,
+                        coupling_correction=correction)
+        calls = spy_propagate(monkeypatch)
+        z, with_mode, _ = vibrational_comparison(cfg)
+        [(h, det, _, _)] = calls
+        assert det.shape[0] == 2 * len(cfg.grid) * cfg.realizations
+        # the with-mode half is bitwise the batch of the with-mode chip alone
+        base = experiments._base_hamiltonian(replace(cfg, with_vibration=True))
+        assert h.roles == base.roles
+        assert h.matrix.tobytes() == base.matrix.tobytes()
+        detunings, diagonals, couplings = experiments._study_columns(cfg, base)
+        seg = cfg.observe_z / cfg.segments
+        eta = np.array([experiments._sink_fraction(psi, base.sink_indices)
+                        for psi in dynamics.propagate(
+                            base, detunings, seg, 4, diagonals=diagonals,
+                            couplings=couplings)])
+        alone = eta.reshape(len(eta), len(cfg.grid), -1).mean(axis=2).T
+        assert with_mode.tobytes() == alone.tobytes()
+        np.testing.assert_array_equal(z, np.arange(len(eta)) * seg / 4)
 
     def test_curves_bounded(self):
         cfg = small_cfg(grid=(0.3,), realizations=2)
@@ -384,10 +421,10 @@ class TestSingleTrace:
         tr, _ = single_trace(cfg, cfg.grid[0], seed,
                              cfg.observe_z / cfg.segments)
         base = experiments._base_hamiltonian(cfg)
-        detunings, diagonals = experiments._study_columns(cfg, base)
+        detunings, diagonals, couplings = experiments._study_columns(cfg, base)
         *_, psi = dynamics.propagate(
             base, detunings, cfg.observe_z / cfg.segments,
-            diagonals=diagonals, coupling_correction=cfg.coupling_correction)
+            diagonals=diagonals, couplings=couplings)
         np.testing.assert_array_equal(tr.amplitudes[-1], psi[:, 0])
         eta = transport_efficiency(tr)
         assert abs(eta - sweep_dephasing(cfg).values[0, 0]) < 1e-12
