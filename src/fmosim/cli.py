@@ -232,7 +232,7 @@ def _study(doc: dict, args):
     if args.seed is not None:
         kwargs["seed"] = args.seed
     return experiments.SweepConfig(fmo=model.FmoSpec(**fmo),
-                                   threads=args.threads, **kwargs), amplitude
+                                   **kwargs), amplitude
 
 
 def _outdir(args) -> str:
@@ -279,7 +279,7 @@ def cmd_reproduce(args) -> int:
               file=sys.stderr)
     out = _outdir(args)
     seed = args.seed if args.seed is not None else 0
-    base = experiments.SweepConfig(seed=seed, threads=args.threads)
+    base = experiments.SweepConfig(seed=seed)
 
     def with_r(cfg, default_r):
         r = default_r if args.realizations is None else args.realizations
@@ -346,7 +346,7 @@ def cmd_reproduce(args) -> int:
                 rows)
         print(f"wrote {family} excitation traces")
     elif fig == "figS8":
-        for gamma, grid in ((0.0, tuple(round(0.1 * k, 10) for k in range(11))),
+        for gamma, grid in ((0.0, experiments.DEFAULT_GRID),
                             (10.0, tuple(np.geomspace(0.3, 12.0, 11).round(6))),
                             (100.0, tuple(np.geomspace(3.0, 90.0, 11).round(6)))):
             cfg = with_r(replace(base, disorder=gamma, grid=grid,

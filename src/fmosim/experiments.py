@@ -20,9 +20,10 @@ import numpy as np
 
 from . import _csv, _seeding, analysis, dynamics, noise as noise_mod
 from .errors import PhysicsError
-from .model import (DEFAULT_SINK_COUPLING, FmoSpec, Hamiltonian, attach_sink,
-                    attach_vibrational_mode, build_fmo_hamiltonian,
-                    effective_coupling, static_disorder_shifts)
+from .model import (DEFAULT_SINK_COUPLING, RAW_SITE_HAMILTONIAN_CM, FmoSpec,
+                    Hamiltonian, attach_sink, attach_vibrational_mode,
+                    build_fmo_hamiltonian, effective_coupling,
+                    static_disorder_shifts)
 # not called here: bench/tracing.py wraps it here by name (ROADMAP item 2)
 from .model import apply_static_disorder  # noqa: F401
 
@@ -41,9 +42,8 @@ class SweepConfig:
 
     ``sink_coupling`` (mm^-1) is both the drain-to-chain and the
     within-chain coupling of the sink.  ``seed`` is a nonnegative integer
-    of any size.  ``threads`` is accepted for compatibility only: a study
-    runs as one batch, so the value changes neither how it executes nor
-    its results.
+    of any size.  ``threads`` is read by nothing: only the benchmark's
+    keyword sets it, and a study runs as one batch.
     """
 
     grid: tuple = DEFAULT_GRID
@@ -93,9 +93,9 @@ class SweepConfig:
         # existed keep their hashes
         if self.sink_coupling == DEFAULT_SINK_COUPLING:
             d.pop("sink_coupling")
-        fd = asdict(self.fmo)
-        fd["raw_hamiltonian"] = np.asarray(fd["raw_hamiltonian"]).tolist()
-        d["fmo"] = fd
+        # the fixed raw matrix stays in the record, so config hashes and
+        # manifests keep their bytes
+        d["fmo"]["raw_hamiltonian"] = RAW_SITE_HAMILTONIAN_CM.tolist()
         return d
 
     def config_hash(self) -> str:
@@ -231,7 +231,8 @@ def reorganization_curve(cfg: SweepConfig):
     their variance and periodogram-based reorganization energy averaged
     over sites and realizations.  Returns (points array, LinearFitResult).
     """
-    # a zero amplitude draws nothing: its rows, variance and energy are zeros
+    # every row is drawn and scaled, so a zero amplitude gives zeros: its
+    # variance and energy are exactly 0
     rows = noise_mod.generate_batch(
         noise_config(cfg, 0.0, 0), np.repeat(cfg.grid, cfg.realizations),
         _noise_seeds(cfg.seed, range(len(cfg.grid)), cfg.realizations)

@@ -92,7 +92,8 @@ DELTA_BETA_PER_SPEED = 0.02
 
 @dataclass(frozen=True)
 class FmoSpec:
-    """Recipe for the seven-site on-chip Hamiltonian.
+    """Recipe for the seven-site on-chip Hamiltonian, built from
+    ``RAW_SITE_HAMILTONIAN_CM``.
 
     ``site_energy_scale`` multiplies the min-subtracted raw site energies
     (in cm^-1) before the cm^-1 -> mm^-1 conversion.  The default 0.014
@@ -100,25 +101,12 @@ class FmoSpec:
     convention (see module docstring).
     """
 
-    raw_hamiltonian: np.ndarray = field(
-        default_factory=lambda: RAW_SITE_HAMILTONIAN_CM.copy()
-    )
     coupling_scale: float = 0.14
     unit_conversion: float = CM_PER_MM
     site_energy_scale: float = 0.014
     include_weak_couplings: bool = True
 
     def __post_init__(self):
-        raw = np.asarray(self.raw_hamiltonian, dtype=float)
-        object.__setattr__(self, "raw_hamiltonian", raw)
-        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-            raise PhysicsError(f"raw Hamiltonian must be square, got {raw.shape}")
-        asym = np.argwhere(~np.isclose(raw, raw.T, rtol=0, atol=1e-9))
-        if asym.size:
-            i, j = asym[0]
-            raise PhysicsError(f"raw Hamiltonian not symmetric at ({i}, {j})")
-        if np.any(np.diag(raw) <= 0):
-            raise PhysicsError("raw site energies must be strictly positive")
         if not 0 < self.coupling_scale <= 1:
             raise PhysicsError(f"coupling_scale must be in (0, 1], got {self.coupling_scale}")
 
@@ -187,7 +175,7 @@ def build_fmo_hamiltonian(spec: FmoSpec = FmoSpec()) -> Hamiltonian:
     ``include_weak_couplings``.  Diagonal: (raw energy - min raw energy)
     * site_energy_scale * unit_conversion, so the lowest site sits at 0.
     """
-    raw = spec.raw_hamiltonian
+    raw = RAW_SITE_HAMILTONIAN_CM
     n = raw.shape[0]
     off = raw.copy()
     np.fill_diagonal(off, 0.0)

@@ -258,8 +258,8 @@ def generate_batch(config: NoiseConfig, amplitudes, seeds,
     config.segments), realization r at ``amplitudes[r]`` from ``seeds[r]``.
 
     Row r is bit-for-bit ``generate(replace(config, amplitude=amplitudes[r],
-    seed=seeds[r]), n_sites).sequences``.  A zero amplitude gives zeros and
-    draws nothing.
+    seed=seeds[r]), n_sites).sequences``.  Every row is drawn and scaled,
+    so a zero amplitude gives zeros.
     """
     seeds = [_seeding.check_seed(seed) for seed in seeds]
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -272,45 +272,40 @@ def generate_batch(config: NoiseConfig, amplitudes, seeds,
     if not (np.isfinite(amplitudes) & (amplitudes >= 0)).all():
         raise PhysicsError("amplitude must be finite and nonnegative")
     kind, segments = config.kind, config.segments
-    live = np.flatnonzero(amplitudes)
-    if not live.size:
-        return np.zeros((len(seeds), n_sites, segments))
     # the entropy of stream (seed, site): the seed's words, then the site's
     # one word, built as the streams are seeded
     rows = (words + [site]
-            for words in (_seeding.entropy_words(seeds[r]) for r in live)
+            for words in map(_seeding.entropy_words, seeds)
             for site in range(n_sites))
     if kind == "uniform_white":
         # the bits of rng.uniform(0.0, 1.0, segments) on each stream
         draws = _seeding.random_rows(rows, segments)
     elif kind == "colored":
         draws = _colored_rows(
-            rows, len(live) * n_sites, segments,
+            rows, len(seeds) * n_sites, segments,
             config.sampling_frequency * config.filter_time_scale)
         np.abs(draws, out=draws)
     else:
-        draws = np.empty((len(live) * n_sites, segments))
+        draws = np.empty((len(seeds) * n_sites, segments))
         for row, rng in zip(draws, _seeding.streams(rows)):
             _draw(kind, rng, row)
     # elementwise and per row from here on, in place
-    profiles = draws.reshape(len(live), n_sites, segments)
+    profiles = draws.reshape(len(seeds), n_sites, segments)
     if kind != "uniform_white":
         peak = profiles.max(axis=2, keepdims=True)
         profiles /= np.where(peak > 0, peak, 1.0)
-    profiles *= amplitudes[live, None, None]
+    profiles *= amplitudes[:, None, None]
     if not np.isfinite(profiles).all():
         # a colored filter at a rate far from 1 has no finite coefficients
         raise PhysicsError("the detuning sequences are not finite; bring "
                            "filter_time_scale * sampling frequency closer to 1")
-    out = np.zeros((len(seeds), n_sites, segments))
-    out[live] = profiles
-    return out
+    return profiles
 
 
 def generate(config: NoiseConfig, n_sites: int = 7) -> NoiseRealization:
     """Draw one seed-deterministic realization for ``n_sites`` sites.
 
-    At amplitude 0 every sequence is zero and nothing is drawn.
+    Every sequence is drawn and scaled, so at amplitude 0 it is zero.
     """
     batch = generate_batch(config, [config.amplitude], [config.seed], n_sites)
     return NoiseRealization(batch[0], config)

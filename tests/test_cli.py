@@ -797,6 +797,17 @@ class TestPhysicsRejections:
         assert "not finite" in err
         assert not out.exists()
 
+    def test_non_finite_colored_filter_exits_three_at_zero_amplitude(
+            self, tmp_path):
+        doc = base_config()
+        doc["noise"].update(kind="colored", filter_time_scale=1e300,
+                            amplitude_per_mm=0.0)
+        with np.errstate(all="ignore"):
+            code, err, out = run_cli(tmp_path, "simulate", doc, "run")
+        assert code == EXIT_PHYSICS
+        assert "not finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("time_scale", [1e300, 5e-324])
     def test_non_finite_colored_filter_prints_no_warning(self, tmp_path,
                                                          time_scale):

@@ -25,6 +25,7 @@ from fmosim.experiments import (
     write_manifest,
     write_sweep_csv,
 )
+from fmosim.model import FmoSpec
 
 
 def small_cfg(**kw):
@@ -69,6 +70,14 @@ class TestSweepConfig:
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
         assert len(a.config_hash()) == 16
+
+    def test_configs_are_values(self):
+        # no field holds an array, so configs compare and hash
+        assert SweepConfig() == SweepConfig()
+        assert small_cfg() != small_cfg(seed=8)
+        assert hash(SweepConfig()) == hash(SweepConfig())
+        assert hash(FmoSpec()) == hash(FmoSpec())
+        assert len({small_cfg(), small_cfg(), SweepConfig()}) == 2
 
     def test_canonical_dict_json_serializable(self):
         json.dumps(small_cfg().canonical_dict(), sort_keys=True)

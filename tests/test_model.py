@@ -15,7 +15,6 @@ from fmosim.errors import PhysicsError
 from fmosim.model import (
     CM_PER_MM,
     DEFAULT_SINK_COUPLING,
-    RAW_SITE_HAMILTONIAN_CM,
     FmoSpec,
     Hamiltonian,
     apply_static_disorder,
@@ -87,11 +86,10 @@ class TestBuildFmoHamiltonian:
                  if h.matrix[i, j] != 0}
         assert pairs == {(0, 1), (1, 2), (2, 3), (3, 4), (3, 6), (4, 5), (5, 6)}
 
-    def test_asymmetric_matrix_rejected_with_indices(self):
-        raw = RAW_SITE_HAMILTONIAN_CM.copy()
-        raw[0, 1] = 1.0
-        with pytest.raises(PhysicsError, match=r"\(0, 1\)"):
-            FmoSpec(raw_hamiltonian=raw)
+    @pytest.mark.parametrize("s", [0.0, -0.1, 1.0 + 1e-12, np.inf, np.nan])
+    def test_coupling_scale_outside_unit_interval_rejected(self, s):
+        with pytest.raises(PhysicsError, match="coupling_scale"):
+            FmoSpec(coupling_scale=s)
 
     @given(st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=20, deadline=None)

@@ -111,13 +111,7 @@ class TestGenerate:
         assert np.all(generate(cfg).sequences == 0.0)
 
     @pytest.mark.parametrize("kind", NOISE_KINDS)
-    def test_zero_amplitude_matches_explicit_zeros_without_drawing(
-            self, kind, monkeypatch):
-        def no_draw(*_args):
-            raise AssertionError("a zero-amplitude realization drew noise")
-
-        monkeypatch.setattr(noise_mod._seeding, "streams", no_draw)
-        monkeypatch.setattr(noise_mod._seeding, "random_rows", no_draw)
+    def test_zero_amplitude_matches_explicit_zeros(self, kind):
         cfg = NoiseConfig(kind=kind, amplitude=0.0, segments=13, seed=9)
         got = generate(cfg, n_sites=5)
         explicit = NoiseRealization(np.zeros((5, 13)), cfg)
@@ -300,12 +294,12 @@ class TestGenerateBatch:
         assert forward.tobytes() == backward.tobytes()
 
     def test_colored_rows_span_blocks_of_streams(self):
-        # 11 live seven-site realizations are 77 streams: two full blocks
-        # of streams and a partial third, with zero rows between them
+        # every row is drawn, zero rows too: 13 seven-site realizations
+        # are 91 streams, two full blocks of streams and a partial third
         block = noise_mod._STREAM_BLOCK
         amplitudes = [0.0 if r in (2, 9) else 0.25 * (r + 1) for r in range(13)]
         seeds = [1000 + 37 * r for r in range(13)]
-        streams = 7 * sum(a > 0 for a in amplitudes)
+        streams = 7 * len(amplitudes)
         assert streams > 2 * block and streams % block
         config = NoiseConfig(kind="colored", segments=15, total_length=12.0)
         batch = generate_batch(config, amplitudes, seeds)
@@ -377,6 +371,15 @@ class TestGenerateBatch:
             generate_batch(NoiseConfig(kind="colored",
                                        filter_time_scale=time_scale),
                            [0.5], [0])
+
+    @pytest.mark.parametrize("time_scale", [5e-324, 1e300])
+    def test_non_finite_filter_rejected_at_zero_amplitude(self, time_scale):
+        # every row is drawn and scaled, so a recipe with no finite filter
+        # is rejected whatever its amplitude
+        with np.errstate(all="ignore"), pytest.raises(PhysicsError,
+                                                      match="not finite"):
+            generate(NoiseConfig(kind="colored", amplitude=0.0,
+                                 filter_time_scale=time_scale))
 
     def test_underflowed_numerator_is_rejected_as_not_finite(self,
                                                              monkeypatch):
