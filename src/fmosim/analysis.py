@@ -179,15 +179,29 @@ def _index_at(tr: EvolutionTrace, z: float) -> int:
     return int(round(j))
 
 
+def _sink_fraction(psi: np.ndarray, sink) -> np.ndarray:
+    """Sink fraction sum_sink p / sum_all p of every column of the (dim, R)
+    states ``psi``, p = re^2 + im^2, each sum running row by row.
+
+    numpy sums a wider array row by row but a lone column pairwise, so a
+    lone column takes the running sum: a column's fraction is the same
+    bits in any batch.
+    """
+    p = psi.real ** 2 + psi.imag ** 2
+    if p.shape[1] == 1:
+        return np.cumsum(p[sink], axis=0)[-1] / np.cumsum(p, axis=0)[-1]
+    return p[sink].sum(axis=0) / p.sum(axis=0)
+
+
 def transport_efficiency(tr: EvolutionTrace, z: float | None = None) -> float:
     """Fraction of intensity that has reached the sink chain at z (by
-    default the end of the trace): sum_sink p / sum_all p."""
+    default the end of the trace), as a sweep takes it of its column:
+    sum_sink p / sum_all p, bit for bit."""
     sink = tr.sink_indices
     if not sink:
         raise PhysicsError("trace has no sink waveguides")
     j = len(tr.positions) - 1 if z is None else _index_at(tr, z)
-    p = np.abs(tr.amplitudes[j]) ** 2
-    return float(p[list(sink)].sum() / p.sum())
+    return float(_sink_fraction(tr.amplitudes[j][:, None], list(sink))[0])
 
 
 def transfer_time(tr: EvolutionTrace) -> float:
@@ -206,8 +220,7 @@ def transfer_time(tr: EvolutionTrace) -> float:
         raise PhysicsError("trace too short for a transfer time")
     dt = tr.fine_step
     p_sink = (np.abs(tr.amplitudes[:, sink]) ** 2).sum(axis=1)
-    norm = (np.abs(tr.amplitudes[n]) ** 2).sum()
-    eta_n = p_sink[n] / norm
+    eta_n = transport_efficiency(tr)
     if eta_n <= 0:
         raise PhysicsError("zero terminal efficiency: transfer time undefined")
     return float(-(dt / eta_n) * p_sink[1:n].sum() + (t_total - dt / 2.0))

@@ -328,13 +328,12 @@ def cmd_reproduce(args) -> int:
         diff = float(np.abs(res_plain.means - res_corr.means).max())
         print(f"max |difference|: {diff:.6f}")
     elif fig in ("figS6", "figS7"):
-        cfg = replace(base, realizations=1)
         if fig == "figS6":
             family = "disorder"
-            studies = experiments.excitation_trace_study(cfg, amplitudes=())
+            studies = experiments.excitation_trace_study(base, amplitudes=())
         else:
             family = "detuning"
-            studies = experiments.excitation_trace_study(cfg, disorders=())
+            studies = experiments.excitation_trace_study(base, disorders=())
         for (label, value), (z, probs, mps) in studies.items():
             rows = []
             for j, zj in enumerate(z):

@@ -30,8 +30,9 @@ column's spectral interval is the intersection of a Weyl bound (the base
 window's extreme eigenvalues moved by the column's diagonal offsets) and
 the Gershgorin discs of its window rows.
 
-:func:`evolve` is :func:`propagate` on one column, recorded into an
-:class:`EvolutionTrace`.
+:func:`traces` is :func:`propagate` recorded into one
+:class:`EvolutionTrace` per column, and :func:`evolve` is :func:`traces` on
+one column.
 :func:`segment_propagator` builds the exact propagator from a Hermitian
 eigendecomposition; the tests check the kernel against it.
 """
@@ -54,8 +55,8 @@ if int(np.__version__.split(".")[0]) >= 2:
 else:
     from numpy.core.multiarray import c_einsum
 
-__all__ = ["EvolutionTrace", "segment_propagator", "propagate", "evolve",
-           "site_probabilities", "write_trace_csv"]
+__all__ = ["EvolutionTrace", "segment_propagator", "propagate", "traces",
+           "evolve", "site_probabilities", "write_trace_csv"]
 
 #: Default fine sampling step in mm: 20 samples per 1 mm segment resolves
 #: the fastest beating frequency present on the chip (~1.344 mm^-1).
@@ -586,36 +587,61 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
             yield padded(x)
 
 
+def traces(h: Hamiltonian, detunings, segment_length: float,
+           fine_step: float | None = None, diagonals=None,
+           couplings=None) -> list:
+    """:func:`propagate` on a batch, recorded as one EvolutionTrace per
+    column; every argument but ``fine_step`` is read as there.
+
+    Amplitudes are recorded every ``fine_step`` mm, which must divide the
+    segment length so segment boundaries land on the grid.  By default it
+    is the largest step of at most DEFAULT_FINE_STEP that divides the
+    segment length (0.05 mm on 1 mm segments).  A trace holds fewer than
+    MAX_TRACE_SAMPLES samples.  The batch runs as one propagate call, and
+    each trace views its column of one (samples, dim, R) array.
+    """
+    det = np.asarray(detunings, dtype=float)
+    if not math.isfinite(segment_length):
+        raise PhysicsError("segment length must be positive and finite")
+    if fine_step is None:
+        # the tolerance keeps a quotient that rounds just above an integer
+        # from adding a sample per segment
+        fine_step = segment_length / max(
+            1, math.ceil(segment_length / DEFAULT_FINE_STEP - 1e-9))
+    if not 0 < fine_step <= segment_length + 1e-15:
+        raise PhysicsError("fine step must lie in (0, segment_length]")
+    per_seg = segment_length / fine_step
+    if not det.shape[-1] * per_seg < MAX_TRACE_SAMPLES:
+        raise PhysicsError(
+            f"a trace of {det.shape[-1] * segment_length:g} mm would hold "
+            f"more than {MAX_TRACE_SAMPLES} samples")
+    if abs(per_seg - round(per_seg)) > 1e-9:
+        raise PhysicsError("fine step must divide the segment length")
+    steps = int(round(per_seg))
+    amps = np.empty((det.shape[-1] * steps + 1, h.dim, len(det)), complex)
+    for k, psi in enumerate(propagate(h, det, segment_length, steps,
+                                      diagonals, couplings)):
+        amps[k] = psi
+    return [EvolutionTrace(amps[:, :, c], fine_step, h.fmo_indices,
+                           h.sink_indices) for c in range(len(det))]
+
+
 def evolve(h: Hamiltonian, detunings, segment_length: float,
-           fine_step: float = DEFAULT_FINE_STEP, diagonal=None,
+           fine_step: float | None = None, diagonal=None,
            couplings=None) -> EvolutionTrace:
-    """:func:`propagate` on one column, recorded into an EvolutionTrace.
+    """:func:`traces` on one column.
 
     ``detunings`` has shape (network sites, segments), ``diagonal`` (dim,)
     replaces the diagonal of ``h`` and ``couplings`` maps a pair of rows
-    to a (segments,) array; all three are read as by :func:`propagate`.
-    Amplitudes are recorded every ``fine_step`` mm; the step must divide
-    the segment length so segment boundaries land on the grid.
+    to a (segments,) array; ``fine_step`` is read as by :func:`traces`.
     """
     det = np.asarray(detunings, dtype=float)
     if det.ndim != 2 or len(det) != len(h.fmo_indices):
         raise PhysicsError("detunings must have shape (network sites, segments)")
-    if fine_step <= 0 or fine_step > segment_length + 1e-15:
-        raise PhysicsError("fine step must lie in (0, segment_length]")
-    per_seg = segment_length / fine_step
-    if not det.shape[1] * per_seg < MAX_TRACE_SAMPLES:
-        raise PhysicsError(
-            f"a trace of {det.shape[1] * segment_length:g} mm would hold "
-            f"more than {MAX_TRACE_SAMPLES} samples")
-    if abs(per_seg - round(per_seg)) > 1e-9:
-        raise PhysicsError("fine step must divide the segment length")
-    states = propagate(h, det[None], segment_length, int(round(per_seg)),
-                       diagonals=None if diagonal is None
-                       else np.reshape(diagonal, (-1, 1)),
-                       couplings={k: np.asarray(c)[None]
-                                  for k, c in (couplings or {}).items()})
-    amps = np.array([psi[:, 0] for psi in states])
-    return EvolutionTrace(amps, fine_step, h.fmo_indices, h.sink_indices)
+    [tr] = traces(h, det[None], segment_length, fine_step,
+                  None if diagonal is None else np.reshape(diagonal, (-1, 1)),
+                  {k: np.asarray(c)[None] for k, c in (couplings or {}).items()})
+    return tr
 
 
 def site_probabilities(tr: EvolutionTrace, subset=None, renormalize: bool = False) -> np.ndarray:

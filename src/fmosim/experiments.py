@@ -200,11 +200,6 @@ def _study_columns(cfg: SweepConfig, base: Hamiltonian) -> tuple:
          for r in range(cfg.realizations)])
 
 
-def _sink_fraction(psi: np.ndarray, sink: np.ndarray) -> np.ndarray:
-    p = psi.real ** 2 + psi.imag ** 2
-    return p[sink].sum(axis=0) / p.sum(axis=0)
-
-
 def _make_result(cfg: SweepConfig, values: np.ndarray) -> SweepResult:
     # the spread is taken about each row's first value, which is exact
     # (zero) when all the realizations agree, as at amplitude 0
@@ -220,7 +215,7 @@ def sweep_dephasing(cfg: SweepConfig) -> SweepResult:
             base, detunings, cfg.observe_z / cfg.segments,
             diagonals=diagonals, couplings=couplings):
         pass
-    values = _sink_fraction(psi, base.sink_indices)
+    values = analysis._sink_fraction(psi, base.sink_indices)
     return _make_result(cfg, values.reshape(len(cfg.grid), cfg.realizations))
 
 
@@ -271,7 +266,7 @@ def vibrational_comparison(cfg: SweepConfig):
     couplings.update({(s, mode): np.kron([[base.matrix[s, mode]], [0.0]],
                                          np.ones((n, cfg.segments)))
                       for s in base.fmo_indices})
-    eta = np.array([_sink_fraction(psi, base.sink_indices)
+    eta = np.array([analysis._sink_fraction(psi, base.sink_indices)
                     for psi in dynamics.propagate(
                         base, np.concatenate([detunings, detunings]), seg,
                         steps, diagonals=np.hstack([diagonals, diagonals]),
@@ -311,30 +306,34 @@ def noise_distribution_comparison(cfg: SweepConfig):
     return results, profile_means
 
 
+def _traces(cfg: SweepConfig, amplitudes, seeds, disorders,
+            fine_step) -> tuple:
+    """(traces, detunings) of the kernel columns :func:`_columns` builds
+    from ``amplitudes``, ``seeds`` and ``disorders``, each with the static
+    disorder draw of the sweep's first column, recorded every
+    ``fine_step`` mm by one dynamics.traces call."""
+    base = _base_hamiltonian(cfg)
+    det, diagonals, couplings = _columns(cfg, base, amplitudes, seeds,
+                                         disorders, [(0, 0)] * len(seeds))
+    return dynamics.traces(base, det, cfg.observe_z / cfg.segments,
+                           fine_step, diagonals, couplings), det
+
+
 def single_trace(cfg: SweepConfig, amplitude: float, seed: int,
                  fine_step: float | None = None):
     """(EvolutionTrace, NoiseRealization) of one realization at
     ``amplitude``, its detunings drawn from ``seed`` as given.  It is
     built as a sweep builds each column, with the static disorder of the
-    sweep's first column; at ``cfg.grid[0]`` and that column's noise seed
-    it ends at the sweep's first value.
+    sweep's first column.  At ``cfg.grid[0]``, that column's noise seed
+    and one sample a segment, its last state and its efficiency are the
+    sweep's first column's, bit for bit.
 
-    ``fine_step`` defaults to the largest step of at most
-    dynamics.DEFAULT_FINE_STEP that divides the segment length (exactly
-    0.05 mm on 1 mm segments)."""
-    seg = cfg.observe_z / cfg.segments
-    if fine_step is None:
-        # the tolerance keeps a quotient that rounds just above an integer
-        # from adding a sample per segment
-        fine_step = seg / max(
-            1, math.ceil(seg / dynamics.DEFAULT_FINE_STEP - 1e-9))
-    config = noise_config(cfg, amplitude, seed)
-    base = _base_hamiltonian(cfg)
-    [det], diagonals, couplings = _columns(cfg, base, [amplitude], [seed],
-                                           cfg.disorder, [(0, 0)])
-    tr = dynamics.evolve(base, det, seg, fine_step, diagonal=diagonals[:, 0],
-                         couplings={k: c for k, [c] in couplings.items()})
-    return tr, noise_mod.NoiseRealization(det, config)
+    ``fine_step`` is read as by dynamics.traces (by default the largest
+    step of at most dynamics.DEFAULT_FINE_STEP that divides the segment).
+    """
+    [tr], [det] = _traces(cfg, [amplitude], [seed], cfg.disorder, fine_step)
+    return tr, noise_mod.NoiseRealization(det, noise_config(cfg, amplitude,
+                                                            seed))
 
 
 def excitation_trace_study(cfg: SweepConfig,
@@ -342,35 +341,24 @@ def excitation_trace_study(cfg: SweepConfig,
                            amplitudes=(0.1, 0.3, 0.5, 0.7, 1.0, 80.0)):
     """Renormalized seven-site probability tables and most-probable-site
     traces for a disorder family (no detuning) and a detuning family (no
-    disorder).  Returns {(label, value): (positions, probs, argmax)}.
+    disorder), sampled four times a segment.  Returns {(label, value):
+    (positions, probs, argmax)}.
 
-    Every member is a column of one dynamics.propagate call, bit for bit
-    its :func:`single_trace` at the study's first noise seed.
+    Every member is a trace of one dynamics.traces call, bit for bit its
+    :func:`single_trace` at the study's first noise seed.  A study reads
+    one realization of each member, whatever ``cfg.realizations`` says.
     """
-    seg = cfg.observe_z / cfg.segments
-    if not 4 * cfg.segments < dynamics.MAX_TRACE_SAMPLES:
-        raise PhysicsError(f"a trace of {cfg.observe_z:g} mm would hold more "
-                           f"than {dynamics.MAX_TRACE_SAMPLES} samples")
     [seed] = _noise_seeds(cfg.seed, [0], 1)
     members = ([("disorder", float(g), float(g), 0.0) for g in disorders]
                + [("detuning", float(a), 0.0, float(a)) for a in amplitudes])
-    base = _base_hamiltonian(cfg)
-    det, diagonals, couplings = _columns(
-        cfg, base, [a for *_, a in members], [seed] * len(members),
-        [gamma for _, _, gamma, _ in members], [(0, 0)] * len(members))
-    amps = np.empty((4 * cfg.segments + 1, base.dim, len(members)),
-                    dtype=complex)
-    for k, psi in enumerate(dynamics.propagate(
-            base, det, seg, 4, diagonals=diagonals, couplings=couplings)):
-        amps[k] = psi
-    out = {}
-    for c, (label, value, _, _) in enumerate(members):
-        tr = dynamics.EvolutionTrace(amps[:, :, c], seg / 4.0,
-                                     base.fmo_indices, base.sink_indices)
-        probs = dynamics.site_probabilities(tr, tr.fmo_indices, renormalize=True)
-        out[(label, value)] = (tr.positions, probs,
-                               analysis.most_probable_site(tr))
-    return out
+    traces, _ = _traces(cfg, [a for *_, a in members], [seed] * len(members),
+                        [gamma for _, _, gamma, _ in members],
+                        cfg.observe_z / cfg.segments / 4.0)
+    return {(label, value): (tr.positions,
+                             dynamics.site_probabilities(tr, tr.fmo_indices,
+                                                         renormalize=True),
+                             analysis.most_probable_site(tr))
+            for (label, value, _, _), tr in zip(members, traces)}
 
 
 def write_sweep_csv(result: SweepResult, raw_path, summary_path) -> None:

@@ -206,8 +206,8 @@ _STREAM_BLOCK = 32
 
 def _colored_rows(rows, n_rows: int, segments: int,
                   rate: float) -> np.ndarray:
-    """(n_rows, segments): the colored filter's output on the normals
-    of each stream, burn-in dropped; up to rounding, ``scipy.signal.lfilter
+    """(n_rows, segments), in C order: the colored filter's output on the
+    normals of each stream, burn-in dropped; up to rounding, ``scipy.signal.lfilter
     (b, a, white)[FILTER_BURN_IN:]`` on each stream's white noise.
 
     The streams are drawn a block of ``_STREAM_BLOCK`` at a time, and each
@@ -215,7 +215,7 @@ def _colored_rows(rows, n_rows: int, segments: int,
     (:func:`_burn_in_state`); the recurrence (:func:`_run_filter`) then
     runs once over every row's kept samples.
     """
-    kept = np.empty((segments, n_rows))
+    kept = np.empty((n_rows, segments))
     state = np.empty((3, n_rows))
     block = np.empty((min(_STREAM_BLOCK, n_rows), FILTER_BURN_IN + segments))
     streams = _seeding.streams(rows)
@@ -225,9 +225,9 @@ def _colored_rows(rows, n_rows: int, segments: int,
             _draw("colored", rng, row)
         stop = start + len(white)
         state[:, start:stop] = _burn_in_state(white[:, :FILTER_BURN_IN], rate)
-        kept[:, start:stop] = white[:, FILTER_BURN_IN:].T
-    _run_filter(state, kept, rate)
-    return kept.T
+        kept[start:stop] = white[:, FILTER_BURN_IN:]
+    _run_filter(state, kept.T, rate)
+    return kept
 
 
 def _draw(kind: str, rng: np.random.Generator, out: np.ndarray) -> None:
@@ -259,7 +259,9 @@ def generate_batch(config: NoiseConfig, amplitudes, seeds,
 
     Row r is bit-for-bit ``generate(replace(config, amplitude=amplitudes[r],
     seed=seeds[r]), n_sites).sequences``.  Every row is drawn and scaled,
-    so a zero amplitude gives zeros.
+    so a zero amplitude gives zeros.  The batch is C-contiguous for every
+    kind: numpy's reductions round by memory layout, so a study's bits
+    must not depend on it.
     """
     seeds = [_seeding.check_seed(seed) for seed in seeds]
     amplitudes = np.asarray(amplitudes, dtype=float)

@@ -238,6 +238,17 @@ class TestEvolve:
         with pytest.raises(PhysicsError, match=r"\(network sites, segments\)"):
             evolve(h, np.zeros(shape), 1.0)
 
+    def test_default_step_divides_the_segment(self):
+        # 20/3 mm segments: the largest step of at most 0.05 mm that
+        # divides one is a 134th of it
+        h = default_chip(0.0, sink=10)["h"]
+        tr = evolve(h, np.zeros((7, 3)), 20.0 / 3)
+        assert len(tr.positions) == 3 * 134 + 1
+        assert tr.fine_step == 20.0 / 3 / 134
+        assert tr.positions[-1] == pytest.approx(20.0)
+        assert evolve(h, np.zeros((7, 20)), 1.0).fine_step == \
+            dynamics.DEFAULT_FINE_STEP
+
     def test_final_position_is_total_length(self):
         tr = evolve(**default_chip(0.2, seed=9), fine_step=0.5)
         assert tr.positions[-1] == pytest.approx(20.0)
@@ -247,6 +258,35 @@ class TestEvolve:
     def test_norm_conserved_any_seed(self, seed):
         tr = evolve(**default_chip(1.0, seed=seed, sink=20), fine_step=1.0)
         assert abs(np.linalg.norm(tr.amplitudes[-1]) - 1.0) < 1e-9
+
+
+class TestTraces:
+    def test_batch_is_its_evolve_columns_in_one_propagate_call(
+            self, monkeypatch):
+        chips = [default_chip(a, seed=s, sink=20, correction=True)
+                 for a, s in ((0.0, 0), (0.5, 1), (2.0, 2))]
+        h = chips[0]["h"]
+        det = np.array([c["detunings"] for c in chips])
+        diagonals = h.matrix.diagonal()[:, None] + static_disorder_shifts(
+            h.dim, 3.0, [(1, 0, r, 1) for r in range(len(chips))]).T
+        couplings = {k: np.array([c["couplings"][k] for c in chips])
+                     for k in chips[0]["couplings"]}
+        calls = []
+        propagate = dynamics.propagate
+
+        def spy(*args, **kwargs):
+            calls.append(args[1].shape)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "propagate", spy)
+        batch = dynamics.traces(h, det, 1.0, 0.5, diagonals, couplings)
+        assert calls == [det.shape]
+        for r, tr in enumerate(batch):
+            alone = evolve(h, det[r], 1.0, 0.5, diagonals[:, r],
+                           {k: c[r] for k, c in couplings.items()})
+            assert tr.amplitudes.tobytes() == alone.amplitudes.tobytes()
+            assert (tr.fine_step, tr.fmo_indices, tr.sink_indices) == \
+                (alone.fine_step, alone.fmo_indices, alone.sink_indices)
 
 
 class TestCouplingCorrection:

@@ -281,6 +281,14 @@ class TestGenerateBatch:
                     assert row.tobytes() == one.sequences.tobytes()
                     assert (amplitude == 0.0) == (not row.any())
 
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_batch_is_c_contiguous(self, kind):
+        # numpy's reductions round by memory layout, so the studies that
+        # reduce a batch need the same layout for every kind
+        batch = generate_batch(NoiseConfig(kind=kind), BATCH_AMPLITUDES,
+                               BATCH_SEEDS)
+        assert batch.flags.c_contiguous
+
     def test_rows_independent_of_batch_order_and_chunks(self):
         # more realizations than one block of streams, and zeros among
         # them, so a realization's row is computed in a different block,
