@@ -183,13 +183,14 @@ def _sink_fraction(psi: np.ndarray, sink) -> np.ndarray:
     """Sink fraction sum_sink p / sum_all p of every column of the (dim, R)
     states ``psi``, p = re^2 + im^2, each sum running row by row.
 
-    numpy sums a wider array row by row but a lone column pairwise, so a
-    lone column takes the running sum: a column's fraction is the same
-    bits in any batch.
+    numpy sums a wider C-ordered array row by row, but a lone column or a
+    Fortran-ordered array pairwise, so a lone column takes the running sum
+    and a wider array is summed in C order: the same bits in any batch.
     """
     p = psi.real ** 2 + psi.imag ** 2
     if p.shape[1] == 1:
         return np.cumsum(p[sink], axis=0)[-1] / np.cumsum(p, axis=0)[-1]
+    p = np.ascontiguousarray(p)
     return p[sink].sum(axis=0) / p.sum(axis=0)
 
 

@@ -402,7 +402,7 @@ def _slots(terms, bands, rows: int, nb: int, cols: int) -> tuple:
 
 
 def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
-    """exp(-i H dt) x on the (rows, C) real columns ``x``.
+    """Overwrite the (rows, C) real columns ``x`` with exp(-i H dt) x.
 
     2 A, with A = (H - center) / half for each column's own center and
     half-width, is split by rows: on the first nb rows it is ``head``, the
@@ -439,13 +439,11 @@ def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
             e = c_einsum("kc,krc->rc", w[0::2], ts[0::2])
             o = c_einsum("kc,krc->rc", w[1::2], ts[1::2])
             even, odd = (e, o) if even is None else (even + e, odd + o)
-    # (cos - i sin) (even - i odd), written out on the real/imaginary columns
+    # x = (cos - i sin) (even - i odd); term 0 already holds x's copy
     re = even[:, 0::2] + odd[:, 1::2]
     im = even[:, 1::2] - odd[:, 0::2]
-    out = np.empty_like(x)
-    out[:, 0::2] = cos_t * re + sin_t * im
-    out[:, 1::2] = cos_t * im - sin_t * re
-    return out
+    x[:, 0::2] = cos_t * re + sin_t * im
+    x[:, 1::2] = cos_t * im - sin_t * re
 
 
 def propagate(h: Hamiltonian, detunings, segment_length: float,
@@ -460,11 +458,12 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     to an (R, segments) array that replaces their coupling per column and
     segment; by default every column keeps the couplings of ``h``.
 
-    Every column starts with a unit excitation at the source site.  The
-    generator yields a fresh (dim, R) complex array: the initial state,
-    then the state after each of ``steps_per_segment`` equal steps per
-    segment.  Raises PhysicsError if any column's norm drifts by more than
-    NORM_TOL.
+    Every column starts with a unit excitation at the source site.  One
+    (dim, 2R) real state serves the whole call, and each step overwrites it
+    in place.  The generator yields a copy of it as a (dim, R) complex
+    array: the initial state, then the state after each of
+    ``steps_per_segment`` equal steps per segment.  Raises PhysicsError if
+    any column's norm drifts by more than NORM_TOL.
 
     The held terms of a step share one buffer of at most
     TERM_BUFFER_BYTES (see :func:`_buffer_shape`); a wider batch runs as
@@ -560,16 +559,14 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
               for a, b in ((a, min(a + width, n_real))
                            for a in range(0, n_real, width))]
 
-    def padded(x):
-        out = np.zeros((h.dim, x.shape[1]))
-        out[:rows] = x
-        return out.view(complex)
-
     # The state is real: column 2r holds Re psi_r and column 2r + 1 Im psi_r,
-    # which the real operator 2 (H - center) / half acts on alike.
-    x = np.zeros((rows, 2 * n_real))
+    # which the real operator 2 (H - center) / half acts on alike.  The
+    # steps write in place on its leading `rows` only, so the rows past
+    # them stay exact zeros.
+    state = np.zeros((h.dim, 2 * n_real))
+    x = state[:rows]
     x[h.source_index, 0::2] = 1.0
-    yield padded(x)
+    yield state.copy().view(complex)
     for k, r in enumerate(windows):
         head[sites, sites] = net[:, :, k]
         for i, j, c in pairs:
@@ -582,9 +579,9 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
                for cols, w, c, s in chunks]
         for _ in range(steps_per_segment):
             for cols, hd, ch, sl, w, c, s in ops:
-                x[:r, cols] = _chebyshev_step(x[:r, cols], hd, ch, sl, w, c, s)
+                _chebyshev_step(x[:r, cols], hd, ch, sl, w, c, s)
             _check_norm(x[:r])
-            yield padded(x)
+            yield state.copy().view(complex)
 
 
 def traces(h: Hamiltonian, detunings, segment_length: float,

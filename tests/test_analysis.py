@@ -274,6 +274,25 @@ class TestTransportEfficiency:
             transport_efficiency(tr)
 
 
+class TestSinkFraction:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("width", [1, 2, 3, 44])
+    def test_each_column_is_a_left_to_right_sum(self, width, order):
+        rng = np.random.default_rng(width)
+        psi = np.asarray(rng.normal(size=(107, width))
+                         + 1j * rng.normal(size=(107, width)), order=order)
+        sink = list(range(7, 107))
+        got = analysis._sink_fraction(psi, sink)
+        for c in range(width):
+            p = [z.real * z.real + z.imag * z.imag for z in psi[:, c].tolist()]
+            num = den = 0.0
+            for i, v in enumerate(p):
+                den += v
+                if i in sink:
+                    num += v
+            assert got[c] == num / den
+
+
 class TestTransferTime:
     def test_frozen_sink_state_boundary_value(self):
         # All intensity already in the sink and static: the weighted

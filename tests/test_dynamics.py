@@ -668,6 +668,17 @@ class TestPropagate:
                 psi = segment_propagator(
                     segment_matrix(hd, det[:, k], True), 1.0) @ psi
 
+    def test_yields_are_fresh_arrays(self):
+        # the steps overwrite one state in place; no yield may see it move
+        h, det, diag = growing_window_inputs(3)
+        gen = propagate(h, det, 1.0, 2, diagonals=diag)
+        early = [next(gen), next(gen)]
+        kept = [s.tobytes() for s in early]
+        states = early + list(gen)
+        assert [s.tobytes() for s in early] == kept
+        for k, a in enumerate(states):
+            assert not any(np.shares_memory(a, b) for b in states[k + 1:])
+
     def test_interval_encloses_every_segment_spectrum(self):
         # the corrected couplings, and those plus the vibration mode's
         # couplings set to 0, which empties the mode row's Gershgorin disc
