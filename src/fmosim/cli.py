@@ -13,10 +13,11 @@ bound; an unknown key is rejected with its path), into an
 ``noise.kind`` means ``uniform_white``).  A key the subcommand does not read
 (:data:`UNREAD_KEYS`) gets one ``note:`` line on stderr; the run goes on.
 So does ``reproduce --realizations`` for the figures that do not read it
-(:data:`UNREAD_REALIZATIONS`).
+(None in :data:`FIGURES`, which gives each figure's default).
 
 Exit codes: 0 success, 2 configuration error, 3 physics rejection (also a
-series or trace over the ``dynamics.MAX_*`` budgets), 4 I/O error.
+series or trace over the ``dynamics.MAX_*`` budgets, or a chip whose dense
+matrix cannot be allocated), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -44,8 +45,13 @@ EXIT_IO = 4
 
 SCHEMA_VERSION = 1
 
-FIGURE_IDS = ("fig3b", "fig3c", "fig4e", "figS3", "figS5", "figS6", "figS7",
-              "figS8", "figS9", "figS15", "figS16")
+#: Each preset figure of ``reproduce`` -> its default ``--realizations``.
+#: None marks the figures of one trace per setting (figS6, figS7) or of no
+#: ensemble at all (figS9): ``--realizations`` gets a note and changes nothing.
+FIGURES = {"fig3b": 100, "fig3c": 100, "fig4e": 100, "figS3": 30, "figS5": 100,
+           "figS6": None, "figS7": None, "figS8": 100, "figS9": None,
+           "figS15": 100, "figS16": 100}
+FIGURE_IDS = tuple(FIGURES)
 
 
 def _int_at_least(low: int):
@@ -201,11 +207,6 @@ UNREAD_KEYS = {
 }
 
 
-#: Figures of one trace per setting (figS6, figS7) or of no ensemble at
-#: all (figS9): ``reproduce --realizations`` gets a note and changes nothing.
-UNREAD_REALIZATIONS = ("figS6", "figS7", "figS9")
-
-
 def _study(doc: dict, args):
     """(SweepConfig, single-trace amplitude) of a validated document, as
     the subcommand ``args.command`` reads it; ``--seed`` overrides the
@@ -263,68 +264,66 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _write_table(path, header, rows):
-    _csv.write_table(path, header,
-                     ([f"{v:.15g}" if isinstance(v, float) else v for v in row]
-                      for row in rows))
-
-
 def cmd_reproduce(args) -> int:
     fig = args.figure_id
-    if fig not in FIGURE_IDS:
+    if fig not in FIGURES:
         raise ConfigError(
             f"unknown figure id {fig!r}; valid ids: {', '.join(FIGURE_IDS)}")
-    if args.realizations is not None and fig in UNREAD_REALIZATIONS:
+    realizations = FIGURES[fig]
+    if realizations is None and args.realizations is not None:
         print(f"note: reproduce {fig} does not read --realizations; ignored",
               file=sys.stderr)
     out = _outdir(args)
     seed = args.seed if args.seed is not None else 0
     base = experiments.SweepConfig(seed=seed)
+    if realizations is not None:
+        base = replace(base, realizations=args.realizations or realizations)
 
-    def with_r(cfg, default_r):
-        r = default_r if args.realizations is None else args.realizations
-        return replace(cfg, realizations=r)
+    def path(name):
+        return os.path.join(out, f"{fig}_{name}.csv")
+
+    def table(name, header, rows):
+        _csv.write_table(path(name), header, (
+            [f"{v:.15g}" if isinstance(v, (float, np.floating)) else v
+             for v in row] for row in rows))
+
+    def sweep(cfg, prefix, label):
+        res = experiments.sweep_dephasing(cfg)
+        experiments.write_sweep_csv(res, path(f"{prefix}raw"),
+                                    path(f"{prefix}summary"))
+        print(f"{label}{res.argmax_value:.12g}")
+
+    def curves(results):
+        """(key, amplitude, mean, std) rows of a {key: SweepResult} study."""
+        return [(key, g, m, s) for key, res in results.items()
+                for g, m, s in zip(res.grid, res.means, res.stds)]
 
     if fig == "fig3b":
-        cfg = with_r(replace(base, noise_kind="colored",
-                             grid=tuple(round(0.1 * k, 10) for k in range(1, 11))), 100)
-        points, fit = experiments.reorganization_curve(cfg)
-        _write_table(os.path.join(out, f"{fig}_points.csv"),
-                     ["variance", "reorganization_energy"],
-                     [tuple(map(float, p)) for p in points])
-        _write_table(os.path.join(out, f"{fig}_fit.csv"),
-                     ["slope", "intercept", "r_squared"],
-                     [(fit.slope, fit.intercept, fit.r_squared)])
+        points, fit = experiments.reorganization_curve(replace(
+            base, noise_kind="colored",
+            grid=tuple(round(0.1 * k, 10) for k in range(1, 11))))
+        table("points", ["variance", "reorganization_energy"], points)
+        table("fit", ["slope", "intercept", "r_squared"],
+              [(fit.slope, fit.intercept, fit.r_squared)])
         print(f"linear fit R^2: {fit.r_squared:.6f}")
     elif fig in ("fig3c", "figS5"):
         grid = (0.5,) if fig == "fig3c" else (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-        cfg = with_r(replace(base, grid=grid), 100)
-        z, with_mode, without = experiments.vibrational_comparison(cfg)
-        rows = []
-        for gi, g in enumerate(cfg.grid):
-            for j, zj in enumerate(z):
-                rows.append((float(g), float(zj), float(with_mode[gi, j]),
-                             float(without[gi, j])))
-        _write_table(os.path.join(out, f"{fig}_traces.csv"),
-                     ["amplitude", "z_mm", "eta_with_mode", "eta_without_mode"],
-                     rows)
-        print(f"wrote vibrational comparison for {len(cfg.grid)} amplitudes")
+        z, with_mode, without = experiments.vibrational_comparison(
+            replace(base, grid=grid))
+        table("traces",
+              ["amplitude", "z_mm", "eta_with_mode", "eta_without_mode"],
+              [(g, zj, a, b) for g, row_a, row_b in zip(grid, with_mode, without)
+               for zj, a, b in zip(z, row_a, row_b)])
+        print(f"wrote vibrational comparison for {len(grid)} amplitudes")
     elif fig == "fig4e":
-        cfg = with_r(replace(base, noise_kind="colored"), 100)
-        res = experiments.sweep_dephasing(cfg)
-        experiments.write_sweep_csv(res, os.path.join(out, f"{fig}_raw.csv"),
-                                    os.path.join(out, f"{fig}_summary.csv"))
-        print(f"argmax grid value: {res.argmax_value:.12g}")
+        sweep(replace(base, noise_kind="colored"), "", "argmax grid value: ")
     elif fig == "figS3":
-        cfg = with_r(base, 30)
-        res_plain = experiments.sweep_dephasing(cfg)
+        res_plain = experiments.sweep_dephasing(base)
         res_corr = experiments.sweep_dephasing(
-            replace(cfg, coupling_correction=True))
-        rows = [(float(g), float(a), float(b))
-                for g, a, b in zip(cfg.grid, res_plain.means, res_corr.means)]
-        _write_table(os.path.join(out, f"{fig}_comparison.csv"),
-                     ["amplitude", "eta_diagonal_only", "eta_with_correction"],
-                     rows)
+            replace(base, coupling_correction=True))
+        table("comparison",
+              ["amplitude", "eta_diagonal_only", "eta_with_correction"],
+              zip(base.grid, res_plain.means, res_corr.means))
         diff = float(np.abs(res_plain.means - res_corr.means).max())
         print(f"max |difference|: {diff:.6f}")
     elif fig in ("figS6", "figS7"):
@@ -335,61 +334,37 @@ def cmd_reproduce(args) -> int:
             family = "detuning"
             studies = experiments.excitation_trace_study(base, disorders=())
         for (label, value), (z, probs, mps) in studies.items():
-            rows = []
-            for j, zj in enumerate(z):
-                rows.append((float(zj), *[float(p) for p in probs[j]],
-                             int(mps[j])))
-            _write_table(
-                os.path.join(out, f"{fig}_{label}_{value:g}.csv"),
-                ["z_mm"] + [f"p_site{i}" for i in range(1, 8)] + ["most_probable"],
-                rows)
+            table(f"{label}_{value:g}",
+                  ["z_mm"] + [f"p_site{i}" for i in range(1, 8)] + ["most_probable"],
+                  [(zj, *p, m) for zj, p, m in zip(z, probs, mps)])
         print(f"wrote {family} excitation traces")
     elif fig == "figS8":
         for gamma, grid in ((0.0, experiments.DEFAULT_GRID),
                             (10.0, tuple(np.geomspace(0.3, 12.0, 11).round(6))),
                             (100.0, tuple(np.geomspace(3.0, 90.0, 11).round(6)))):
-            cfg = with_r(replace(base, disorder=gamma, grid=grid,
-                                 sink_length=80), 100)
-            res = experiments.sweep_dephasing(cfg)
-            tag = f"{fig}_gamma{gamma:g}"
-            experiments.write_sweep_csv(res, os.path.join(out, f"{tag}_raw.csv"),
-                                        os.path.join(out, f"{tag}_summary.csv"))
-            print(f"gamma={gamma:g}: argmax {res.argmax_value:.12g}")
+            sweep(replace(base, disorder=gamma, grid=grid, sink_length=80),
+                  f"gamma{gamma:g}_", f"gamma={gamma:g}: argmax ")
     elif fig == "figS9":
         h7 = experiments.network_hamiltonian(base)
         gammas = (0.0, 1.0, 5.0, 10.0, 50.0, 100.0)
         shifts = model.static_disorder_shifts(h7.dim, gammas, [[seed, int(g)] for g in gammas])
         for gamma, row in zip(gammas, shifts):
-            h = replace(h7, matrix=h7.matrix + np.diag(row))
-            w, dist = analysis.eigen_site_distribution(h)
-            rows = [(float(w[a]), *[float(dist[i, a]) for i in range(7)])
-                    for a in range(7)]
-            _write_table(os.path.join(out, f"{fig}_gamma{gamma:g}.csv"),
-                         ["eigenvalue"] + [f"w_site{i}" for i in range(1, 8)],
-                         rows)
+            w, dist = analysis.eigen_site_distribution(
+                replace(h7, matrix=h7.matrix + np.diag(row)))
+            table(f"gamma{gamma:g}",
+                  ["eigenvalue"] + [f"w_site{i}" for i in range(1, 8)],
+                  [(wa, *col) for wa, col in zip(w, dist.T)])
         print("wrote eigen-level site distributions")
     elif fig == "figS15":
-        cfg = with_r(base, 100)
-        res = experiments.segment_count_study(cfg)
-        rows = []
-        for n_seg, sweep in res.items():
-            for g, m, s in zip(sweep.grid, sweep.means, sweep.stds):
-                rows.append((int(n_seg), float(g), float(m), float(s)))
-        _write_table(os.path.join(out, f"{fig}_segments.csv"),
-                     ["segments", "amplitude", "mean", "std"], rows)
+        table("segments", ["segments", "amplitude", "mean", "std"],
+              curves(experiments.segment_count_study(base)))
         print("wrote segment study")
     elif fig == "figS16":
-        cfg = with_r(base, 100)
-        results, profile_means = experiments.noise_distribution_comparison(cfg)
-        rows = []
-        for kind, sweep in results.items():
-            for g, m, s in zip(sweep.grid, sweep.means, sweep.stds):
-                rows.append((kind, float(g), float(m), float(s)))
-        _write_table(os.path.join(out, f"{fig}_distributions.csv"),
-                     ["kind", "amplitude", "mean", "std"], rows)
-        _write_table(os.path.join(out, f"{fig}_profile_means.csv"),
-                     ["kind", "normalized_mean"],
-                     [(k, float(v)) for k, v in profile_means.items()])
+        results, profile_means = experiments.noise_distribution_comparison(base)
+        table("distributions", ["kind", "amplitude", "mean", "std"],
+              curves(results))
+        table("profile_means", ["kind", "normalized_mean"],
+              profile_means.items())
         print("wrote noise-distribution comparison")
     return EXIT_OK
 

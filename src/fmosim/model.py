@@ -206,15 +206,19 @@ def attach_sink(h: Hamiltonian, sink_length: int,
     if coupling <= 0:
         raise PhysicsError("sink coupling must be positive")
     n = h.dim
-    m = np.zeros((n + sink_length, n + sink_length))
+    try:
+        m = np.zeros((n + sink_length, n + sink_length))
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's size limit
+        raise PhysicsError(
+            f"sink_length {sink_length}: the chip's dense {n + sink_length} x "
+            f"{n + sink_length} matrix cannot be allocated") from exc
     m[:n, :n] = h.matrix
     drain = h.drain_index
-    m[np.arange(n, n + sink_length), np.arange(n, n + sink_length)] = h.matrix[
-        drain, drain
-    ]
-    m[drain, n] = m[n, drain] = coupling
-    for k in range(n, n + sink_length - 1):
-        m[k, k + 1] = m[k + 1, k] = coupling
+    chain = np.arange(n, n + sink_length)
+    m[chain, chain] = h.matrix[drain, drain]
+    # the drain-to-chain link, then every bond within the chain
+    bonds = np.concatenate(([drain], chain))
+    m[bonds[:-1], bonds[1:]] = m[bonds[1:], bonds[:-1]] = coupling
     roles = h.roles + tuple(f"sink_{k + 1}" for k in range(sink_length))
     return Hamiltonian(m, roles, h.source_site, h.drain_site)
 

@@ -835,6 +835,19 @@ class TestPhysicsRejections:
         assert code == EXIT_PHYSICS
         assert "samples" in err
 
+    # only sizes no machine can allocate: a 6.94 EiB matrix, and one past
+    # numpy's size limit
+    @pytest.mark.parametrize("length", [10 ** 9, 10 ** 10])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_unallocatable_sink_exits_three(self, tmp_path, command, length):
+        doc = {"schema_version": 1, "system": {"sink_length": length}}
+        code, err, out = run_cli(tmp_path, command, doc, "run")
+        assert code == EXIT_PHYSICS
+        assert err.splitlines() == [
+            f"rejected: sink_length {length}: the chip's dense {length + 7} x "
+            f"{length + 7} matrix cannot be allocated"]
+        assert not out.exists()
+
 
 def _integer(lo, hi):
     # an integral float is not a JSON integer

@@ -84,3 +84,53 @@ def test_reproduce_tables(tmp_path, monkeypatch):
     assert (tmp_path / "figS16_profile_means.csv").read_bytes() == (
         b"kind,normalized_mean\r\n"
         b"colored,0.333333333333333\r\n")
+
+
+def test_reproduce_segment_table(tmp_path, monkeypatch):
+    sweep = experiments.SweepResult(
+        grid=[0.0, 0.1], means=[1 / 3, 0.5], stds=[0.0, 2 / 3],
+        values=[[1 / 3], [0.5]])
+    monkeypatch.setattr(experiments, "segment_count_study",
+                        lambda cfg: {10: sweep, 80: sweep})
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["reproduce", "figS15", "--out", str(tmp_path)])
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["figS15_segments.csv"]
+    assert (tmp_path / "figS15_segments.csv").read_bytes() == (
+        b"segments,amplitude,mean,std\r\n"
+        b"10,0,0.333333333333333,0\r\n"
+        b"10,0.1,0.5,0.666666666666667\r\n"
+        b"80,0,0.333333333333333,0\r\n"
+        b"80,0.1,0.5,0.666666666666667\r\n")
+
+
+SWEEP_RAW = (b"grid_value,realization,efficiency\r\n"
+             b"0,0,0.333333333333333\r\n"
+             b"0,1,0.333333333333333\r\n"
+             b"0.1,0,1e-20\r\n"
+             b"0.1,1,1\r\n")
+SWEEP_SUMMARY = (b"grid_value,mean,std\r\n"
+                 b"0,0.333333333333333,0\r\n"
+                 b"0.1,0.5,0.666666666666667\r\n")
+
+
+def test_reproduce_sweep_tables(tmp_path, monkeypatch):
+    res = experiments.SweepResult(
+        grid=[0.0, 0.1], means=[1 / 3, 0.5], stds=[0.0, 2 / 3],
+        values=[[1 / 3, 1 / 3], [1e-20, 1.0]])
+    monkeypatch.setattr(experiments, "sweep_dephasing", lambda cfg: res)
+    expected = {"fig4e": (["fig4e"], "argmax grid value: 0.1\n"),
+                "figS8": (["figS8_gamma0", "figS8_gamma10", "figS8_gamma100"],
+                          "gamma=0: argmax 0.1\ngamma=10: argmax 0.1\n"
+                          "gamma=100: argmax 0.1\n")}
+    for fig, (tags, printed) in expected.items():
+        out, stdout = tmp_path / fig, io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["reproduce", fig, "--out", str(out)])
+        assert code == 0
+        assert stdout.getvalue() == printed
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{tag}_{part}.csv" for tag in tags for part in ("raw", "summary"))
+        for tag in tags:
+            assert (out / f"{tag}_raw.csv").read_bytes() == SWEEP_RAW
+            assert (out / f"{tag}_summary.csv").read_bytes() == SWEEP_SUMMARY

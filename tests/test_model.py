@@ -133,6 +133,33 @@ class TestAttachSink:
         with pytest.raises(PhysicsError):
             attach_sink(h, 5)
 
+    @pytest.mark.parametrize("length", [1, 2, 5, 100])
+    @pytest.mark.parametrize("vibration", [False, True])
+    def test_matches_hand_built_chain(self, length, vibration):
+        h = build_fmo_hamiltonian(FmoSpec())
+        if vibration:
+            h = attach_vibrational_mode(h)
+        n, drain = h.dim, h.drain_index
+        expected = np.zeros((n + length, n + length))
+        expected[:n, :n] = h.matrix
+        for k in range(n, n + length):
+            expected[k, k] = h.matrix[drain, drain]
+        previous = drain
+        for k in range(n, n + length):
+            expected[previous, k] = expected[k, previous] = 0.37
+            previous = k
+        got = attach_sink(h, length, coupling=0.37)
+        assert got.matrix.tobytes() == expected.tobytes()
+        assert got.roles == h.roles + tuple(
+            f"sink_{k}" for k in range(1, length + 1))
+
+    # only sizes no machine can allocate: 6.94 EiB, and past numpy's limit
+    @pytest.mark.parametrize("length", [10 ** 9, 10 ** 10])
+    def test_matrix_too_large_to_allocate_rejected(self, length):
+        with pytest.raises(PhysicsError,
+                           match=f"sink_length {length}: .* cannot be allocated"):
+            attach_sink(build_fmo_hamiltonian(FmoSpec()), length)
+
 
 class TestVibrationalMode:
     def test_auto_coupling_equals_eigengap(self):
