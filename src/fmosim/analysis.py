@@ -248,7 +248,7 @@ def eigen_site_distribution(h):
     from .model import Hamiltonian
     if isinstance(h, Hamiltonian):
         idx = h.fmo_indices
-        block = h.matrix[np.ix_(idx, idx)]
+        block = h.block[np.ix_(idx, idx)]
     else:
         block = np.asarray(h)
     if np.abs(block - block.conj().T).max() > 1e-10:

@@ -16,8 +16,9 @@ So does ``reproduce --realizations`` for the figures that do not read it
 (None in :data:`FIGURES`, which gives each figure's default).
 
 Exit codes: 0 success, 2 configuration error, 3 physics rejection (also a
-series or trace over the ``dynamics.MAX_*`` budgets, or a chip whose dense
-matrix cannot be allocated), 4 I/O error.
+series or trace over the ``dynamics.MAX_*`` budgets, a sink chain over
+``model.MAX_SINK_LENGTH``, or a study whose arrays the host refuses to
+allocate), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -350,7 +351,7 @@ def cmd_reproduce(args) -> int:
         shifts = model.static_disorder_shifts(h7.dim, gammas, [[seed, int(g)] for g in gammas])
         for gamma, row in zip(gammas, shifts):
             w, dist = analysis.eigen_site_distribution(
-                replace(h7, matrix=h7.matrix + np.diag(row)))
+                replace(h7, block=h7.block + np.diag(row)))
             table(f"gamma{gamma:g}",
                   ["eigenvalue"] + [f"w_site{i}" for i in range(1, 8)],
                   [(wa, *col) for wa, col in zip(w, dist.T)])
@@ -480,6 +481,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except PhysicsError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
+        return EXIT_PHYSICS
+    except MemoryError as exc:
+        print(f"rejected: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
         return EXIT_PHYSICS
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

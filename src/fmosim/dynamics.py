@@ -25,7 +25,8 @@ The window grows from segment to segment; on the default chip (20
 segments of 1 mm, chain coupling 0.2 mm^-1) the depths run 13, 15, 17,
 ... 33, 34 of the 100 sink waveguides.  The rows past the window are exact
 zeros in the yielded states.  The depths depend only on the chain
-couplings and the segment ends, never on the detunings or diagonals.  A
+coupling and the segment ends, never on the detunings or diagonals, so a
+longer chain changes no byte, and no dense chip matrix is built.  A
 column's spectral interval is the intersection of a Weyl bound (the base
 window's extreme eigenvalues moved by the column's diagonal offsets) and
 the Gershgorin discs of its window rows.
@@ -129,57 +130,23 @@ def segment_propagator(h_eff: np.ndarray, dz: float) -> np.ndarray:
     return np.einsum("ik,jk->ij", v * np.exp(-1j * w * dz), v.conj())
 
 
-@dataclass(frozen=True)
-class _Structure:
-    """A Hamiltonian split into the parts the structured product uses."""
-
-    block: np.ndarray      # (nb, nb) couplings among the non-sink indices
-                           # and, when there is a sink, the first sink
-    chain: np.ndarray      # (n_sinks - 1,) couplings along the sink chain
-    link: float            # drain-to-first-sink coupling, also in the block
-    n0: int                # number of non-sink indices
-    radius: np.ndarray     # (dim,) Gershgorin radius of every row
+def _head_block(h: Hamiltonian) -> np.ndarray:
+    """(nb, nb) couplings, diagonal zeroed, among the non-sink rows and,
+    when there is a sink, the first sink waveguide."""
+    hb = np.array(h.window(min(len(h.block) + 1, h.dim)))
+    np.fill_diagonal(hb, 0.0)
+    return hb
 
 
-def _structure(h: Hamiltonian) -> _Structure:
-    m = h.matrix
-    dim = h.dim
-    sinks = h.sink_indices
-    n0 = dim - len(sinks)
-    if not np.array_equal(sinks, np.arange(n0, dim)):
-        raise PhysicsError("the sink waveguides must be the last indices")
-    nb = min(n0 + 1, dim)
-    block = np.zeros((nb, nb))
-    block[:n0, :n0] = m[:n0, :n0]
-    np.fill_diagonal(block, 0.0)
-    drain = h.drain_index
-    link = float(m[drain, n0]) if len(sinks) else 0.0
-    if len(sinks):
-        block[drain, n0] = block[n0, drain] = link
-    chain = np.diag(m, 1)[n0:].copy()
-    outer = np.zeros_like(m)
-    i = np.arange(n0, dim - 1)
-    outer[i, i + 1] = outer[i + 1, i] = chain
-    rebuilt = outer.copy()
-    rebuilt[:nb, :nb] += block
-    np.fill_diagonal(rebuilt, np.diag(m))
-    if not np.array_equal(rebuilt, m):
-        raise PhysicsError(
-            "propagation needs a network block plus a nearest-neighbour sink "
-            "chain linked to the drain site only")
-    radius = np.abs(outer).sum(axis=1)
-    radius[:nb] += np.abs(block).sum(axis=1)
-    return _Structure(block, chain, link, n0, radius)
-
-
-def _batch(h: Hamiltonian, n0: int, detunings, diagonals, couplings):
+def _batch(h: Hamiltonian, detunings, diagonals, couplings):
     """Validated detunings, diagonals and couplings (see propagate)."""
+    n0 = len(h.block)
     det = np.asarray(detunings, dtype=float)
     if det.ndim != 3 or 0 in det.shape or det.shape[1] != len(h.fmo_indices):
         raise PhysicsError("detunings must have shape (realizations, network "
                            "sites, segments), none of them empty")
     if diagonals is None:
-        diag = np.repeat(h.matrix.diagonal()[:, None], det.shape[0], axis=1)
+        diag = np.repeat(h.diagonal[:, None], det.shape[0], axis=1)
     else:
         diag = np.asarray(diagonals, dtype=float)
         if diag.shape != (h.dim, det.shape[0]):
@@ -210,8 +177,7 @@ def _window_spectrum(window: bytes, rows: int) -> tuple:
     return float(lam[0]) - slack, float(lam[-1]) + slack
 
 
-def _interval(h: Hamiltonian, st: _Structure, det, diag, couplings,
-              rows: int) -> tuple:
+def _interval(h: Hamiltonian, det, diag, couplings, rows: int) -> tuple:
     """(lo, hi), each of shape (R,): column r's interval encloses the
     spectra of the leading ``rows`` x ``rows`` windows of every segment
     matrix of column r, its couplings overridden by ``couplings``.
@@ -219,7 +185,8 @@ def _interval(h: Hamiltonian, st: _Structure, det, diag, couplings,
     It is the intersection of two enclosures, each reduced over the rows
     and segments of a column, never over columns:
 
-    - Weyl: a window is the base Hamiltonian's window, plus a diagonal
+    - Weyl: a window is the base chip's window (built from its block and
+      chain by :meth:`~fmosim.model.Hamiltonian.window`), plus a diagonal
       offset (the detunings and the disorder), plus the change the coupling
       overrides make.  So its eigenvalues lie within the base window's
       extreme eigenvalues (:func:`_window_spectrum`), moved by the least
@@ -234,14 +201,14 @@ def _interval(h: Hamiltonian, st: _Structure, det, diag, couplings,
     coupling (strong disorder).  A min or a max is exact in any order, so
     a non-sink row's extremes are taken over the segments first.
     """
-    n0 = st.n0
+    n0 = len(h.block)
     net = np.repeat(diag[None, :n0], det.shape[2], axis=0)   # (S, n0, R)
     net[:, h.fmo_indices] += det.transpose(2, 1, 0)
     # per row, the sums over its overrides of |c - c0| (Weyl) and of
     # |c| - |c0| (Gershgorin): (2, S, n0, R)
     grow = np.zeros((2,) + net.shape)
     for (i, j), c in couplings.items():
-        c0 = st.block[i, j]
+        c0 = h.block[i, j]
         dc = np.array([np.abs(c - c0), np.abs(c) - abs(c0)]).transpose(0, 2, 1)
         grow[:, :, i] += dc
         grow[:, :, j] += dc
@@ -249,8 +216,14 @@ def _interval(h: Hamiltonian, st: _Structure, det, diag, couplings,
     high = low.copy()
     low[:, :n0] = (net - grow).min(axis=1)
     high[:, :n0] = (net + grow).max(axis=1)
-    base, radius = h.matrix.diagonal()[:rows, None], st.radius[:rows, None]
-    lam_lo, lam_hi = _window_spectrum(h.matrix[:rows, :rows].tobytes(), rows)
+    # a chain row's bonds within the chain first, then the head rows' sums
+    depth, hb = np.arange(rows - n0), _head_block(h)
+    radius = np.zeros(rows)
+    radius[n0:] = abs(h.sink_coupling) * (
+        1.0 * (depth > 0) + (depth < len(h.sink_indices) - 1))
+    radius[:len(hb)] += np.abs(hb).sum(axis=1)
+    base, radius = h.diagonal[:rows, None], radius[:, None]
+    lam_lo, lam_hi = _window_spectrum(h.window(rows).tobytes(), rows)
     lo_g, hi_g = (low[1] - radius).min(axis=0), (high[1] + radius).max(axis=0)
     lo_w = lam_lo + (low[0] - base).min(axis=0)
     hi_w = lam_hi + (high[0] - base).max(axis=0)
@@ -348,14 +321,12 @@ def _light_cone_depths(coupling: float, ends, max_depth: int) -> list:
     return depths
 
 
-def _windows(st: _Structure, dim: int, segment_length: float,
-             segments: int) -> list:
+def _windows(h: Hamiltonian, segment_length: float, segments: int) -> list:
     """Rows evolved in each segment: the non-sink rows and the segment's
     light-cone depth of the chain (see :func:`propagate`)."""
-    coupling = max(abs(st.link), float(np.abs(st.chain).max(initial=0.0)))
     ends = [segment_length * (k + 1) for k in range(segments)]
-    return [st.n0 + d for d in _light_cone_depths(coupling, ends,
-                                                  dim - st.n0)]
+    return [len(h.block) + d for d in _light_cone_depths(
+        abs(h.sink_coupling), ends, len(h.sink_indices))]
 
 
 def _buffer_shape(n_terms: int, rows: int, n_real: int) -> tuple:
@@ -473,8 +444,8 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
 
     Only the light cone of the sink chain is evolved: in segment k, rows
     ``[:n0 + L_k]``, where n0 counts the non-sink rows, and every row past
-    them holds an exact zero.  With c the largest absolute coupling on the
-    drain link and along the chain, t_k the end of segment k and T the
+    them holds an exact zero.  With c the chain's absolute coupling (the
+    drain link and every bond), t_k the end of segment k and T the
     propagation length, L_k is the smallest depth with
     c T E(L_k, t_k) <= LIGHT_CONE_TOL, capped at the chain length, where
     E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L), in closed form
@@ -503,16 +474,15 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     spectra of all of them.  The depths depend on c and the segment ends
     only, so a column run alone and in a batch share the windows.
     """
-    st = _structure(h)
-    det, diag, couplings = _batch(h, st.n0, detunings, diagonals, couplings)
+    det, diag, couplings = _batch(h, detunings, diagonals, couplings)
     if not (math.isfinite(segment_length) and segment_length > 0):
         raise PhysicsError("segment length must be positive and finite")
     if steps_per_segment < 1:
         raise PhysicsError("steps_per_segment must be >= 1")
-    n0, n_real, sites = st.n0, det.shape[0], h.fmo_indices
-    windows = _windows(st, h.dim, segment_length, det.shape[2])
+    n0, n_real, sites = len(h.block), det.shape[0], h.fmo_indices
+    windows = _windows(h, segment_length, det.shape[2])
     rows = max(windows, default=n0)
-    lo, hi = _interval(h, st, det, diag, couplings, rows)
+    lo, hi = _interval(h, det, diag, couplings, rows)
     bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)))
     if bad.size:
         raise PhysicsError(f"invalid spectral interval ({lo[bad[0]]:g}, "
@@ -534,11 +504,14 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     # uses the leading rows.  The windows never shrink, so no row past a
     # segment's window has been written yet: the ghost row below it is
     # still zero, which cuts the chain bond there.
-    nb = len(st.block)
+    hb = _head_block(h)
+    nb = len(hb)
     m = max(rows - nb, 0)
-    bond = np.append(st.chain, 0.0)[:m + 1, None] * scale2
+    # the chain bond below each chain row of the window, 0 past the chain
+    bond = np.where(np.arange(m + 1) < len(h.sink_indices) - 1,
+                    h.sink_coupling, 0.0)[:, None] * scale2
     head = np.zeros((nb, nb + 1, 2 * n_real))
-    head[:, :nb] = st.block[:, :, None] * scale2
+    head[:, :nb] = hb[:, :, None] * scale2
     head[range(nb), range(nb)] = np.repeat((diag[:nb] - center) * scale, 2,
                                            axis=1)
     head[n0:nb, nb] = bond[0]                    # the first chain bond

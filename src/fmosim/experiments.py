@@ -185,8 +185,8 @@ def _columns(cfg: SweepConfig, base: Hamiltonian, amplitudes, seeds,
         (i, j): np.sign(c0) * effective_coupling(
             abs(c0), 0.5 * (detunings[:, a] + detunings[:, a + 1]))
         for a, (i, j) in enumerate(zip(sites[:-1], sites[1:]))
-        if (c0 := base.matrix[i, j]) != 0.0}
-    return detunings, base.matrix.diagonal()[:, None] + shifts.T, couplings
+        if (c0 := base.block[i, j]) != 0.0}
+    return detunings, base.diagonal[:, None] + shifts.T, couplings
 
 
 def _study_columns(cfg: SweepConfig, base: Hamiltonian) -> tuple:
@@ -263,7 +263,7 @@ def vibrational_comparison(cfg: SweepConfig):
     n, mode = len(detunings), base.roles.index("vibration")
     # columns n .. 2n - 1 repeat columns 0 .. n - 1 with the mode's couplings 0
     couplings = {k: np.concatenate([c, c]) for k, c in couplings.items()}
-    couplings.update({(s, mode): np.kron([[base.matrix[s, mode]], [0.0]],
+    couplings.update({(s, mode): np.kron([[base.block[s, mode]], [0.0]],
                                          np.ones((n, cfg.segments)))
                       for s in base.fmo_indices})
     eta = np.array([analysis._sink_fraction(psi, base.sink_indices)

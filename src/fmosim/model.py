@@ -2,8 +2,10 @@
 
 The seven pigment sites are mapped onto a waveguide array: coupling
 coefficients become evanescent couplings set by waveguide spacing, site
-energies become propagation-constant offsets.  All Hamiltonians are dense
-real symmetric matrices in mm^-1, stored as float64.
+energies become propagation-constant offsets.  A Hamiltonian (mm^-1,
+float64) is a dense real symmetric block of the network sites and the
+optional vibration mode, plus an optional sink chain held as its on-site
+energies and one coupling.
 
 Calibration note: the default site-energy convention scales the raw
 site-energy offsets (cm^-1) by 0.014 and keeps the full coupling matrix.
@@ -29,6 +31,7 @@ __all__ = [
     "WEAK_COUPLING_CUTOFF_CM",
     "CM_PER_MM",
     "DEFAULT_SINK_COUPLING",
+    "MAX_SINK_LENGTH",
     "COUPLING_AMPLITUDE",
     "COUPLING_DECAY",
     "DELTA_BETA_PER_SPEED",
@@ -81,6 +84,12 @@ HERMITICITY_TOL = 1e-12
 #: measurably helps transport on a 20 mm chip (see attach_sink).
 DEFAULT_SINK_COUPLING = 0.2
 
+#: Most sink waveguides a chain may hold (16 bytes each).  The kernel evolves
+#: only the chain's light cone, about 2 c T deep for chain coupling c over a
+#: chip of length T: 34 on the default chip, 100,635 at c = 10 mm^-1 over
+#: the longest trace (5,000 mm), so a longer chain would change no output.
+MAX_SINK_LENGTH = 10 ** 6
+
 #: Fabrication calibration of the chip: the evanescent coupling decays with
 #: waveguide spacing as C(d) = COUPLING_AMPLITUDE * exp(-COUPLING_DECAY * d)
 #: (C in cm^-1, d in um), and a writing-speed offset (mm/s) detunes the
@@ -113,38 +122,44 @@ class FmoSpec:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Dense real symmetric matrix (mm^-1) with labelled index roles.
-
-    The matrix is stored as float64; complex input is accepted only when
-    every imaginary part is zero.
-
-    Roles are strings: ``"fmo_site_1"`` .. ``"fmo_site_7"``, ``"sink_1"``
-    .. ``"sink_k"``, ``"vibration"``.  ``source_site`` and ``drain_site``
-    are site numbers (1-based, defaults 6 and 3).
-
-    The roles are mapped to indices once, on construction: ``fmo_indices``
-    and ``sink_indices`` are read-only int arrays, in role order, and
-    ``source_index`` and ``drain_index`` are ints.
+    """A chip (mm^-1): a real symmetric float64 ``block`` of the non-sink
+    waveguides, whose ``roles`` are ``"fmo_site_1"`` .. ``"fmo_site_7"`` and
+    ``"vibration"`` (complex input only with zero imaginary parts), then a
+    sink chain: the (L,) ``sink_energies`` and ``sink_coupling``, the
+    drain-to-chain link and every bond.  The dense :attr:`matrix` is built
+    on request.  ``source_site`` and ``drain_site`` are site numbers
+    (1-based, defaults 6 and 3), mapped to the ints ``source_index`` and
+    ``drain_index`` on construction, as are the roles to the read-only int
+    arrays ``fmo_indices`` and ``sink_indices``.
     """
 
-    matrix: np.ndarray
+    block: np.ndarray
     roles: tuple
     source_site: int = 6
     drain_site: int = 3
+    sink_energies: np.ndarray = ()
+    sink_coupling: float = 0.0
     fmo_indices: np.ndarray = field(init=False, repr=False, compare=False)
     sink_indices: np.ndarray = field(init=False, repr=False, compare=False)
     source_index: int = field(init=False, repr=False, compare=False)
     drain_index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
+        m = np.asarray(self.block)
         if np.iscomplexobj(m) and np.any(m.imag != 0.0):
             raise PhysicsError("the matrix must be real symmetric")
         m = np.array(m.real, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        sink = np.array(self.sink_energies, dtype=float)
+        n0 = len(self.roles)
+        fmo = np.array([i for i, r in enumerate(self.roles)
+                        if r.startswith("fmo_site_")])
+        sinks = np.arange(n0, n0 + len(sink))
+        for name, value in (("block", m), ("sink_energies", sink),
+                            ("fmo_indices", fmo), ("sink_indices", sinks)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "roles", tuple(self.roles))
-        if m.shape != (len(self.roles), len(self.roles)):
+        if m.shape != (n0, n0) or sink.ndim != 1:
             raise PhysicsError("role labels must match matrix dimension")
         if np.max(np.abs(m - m.T)) > HERMITICITY_TOL:
             raise PhysicsError("matrix is not symmetric within tolerance")
@@ -152,19 +167,35 @@ class Hamiltonian:
             raise PhysicsError(f"drain site {self.drain_site} not present")
         if f"fmo_site_{self.source_site}" not in self.roles:
             raise PhysicsError(f"source site {self.source_site} not present")
-        fmo = np.array([i for i, r in enumerate(self.roles) if r.startswith("fmo_site_")])
-        sinks = np.array([i for i, r in enumerate(self.roles) if r.startswith("sink_")],
-                         dtype=int)
-        fmo.setflags(write=False)
-        sinks.setflags(write=False)
-        object.__setattr__(self, "fmo_indices", fmo)
-        object.__setattr__(self, "sink_indices", sinks)
         object.__setattr__(self, "source_index", self.roles.index(f"fmo_site_{self.source_site}"))
         object.__setattr__(self, "drain_index", self.roles.index(f"fmo_site_{self.drain_site}"))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.block) + len(self.sink_energies)
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """(dim,) on-site energies: the block's, then the chain's."""
+        return np.concatenate([self.block.diagonal(), self.sink_energies])
+
+    def window(self, rows: int) -> np.ndarray:
+        """The leading ``rows`` x ``rows`` of :attr:`matrix`, read-only, for
+        ``rows`` from the block's size to :attr:`dim`."""
+        n0 = len(self.block)
+        m = np.zeros((rows, rows))
+        m[:n0, :n0] = self.block
+        chain = np.arange(n0, rows)
+        m[chain, chain] = self.sink_energies[:rows - n0]
+        bonds = np.concatenate(([self.drain_index], chain))
+        m[bonds[:-1], bonds[1:]] = m[bonds[1:], bonds[:-1]] = self.sink_coupling
+        m.setflags(write=False)
+        return m
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (dim, dim) matrix, built on request for small chips."""
+        return self.window(self.dim)
 
 
 def build_fmo_hamiltonian(spec: FmoSpec = FmoSpec()) -> Hamiltonian:
@@ -184,7 +215,7 @@ def build_fmo_hamiltonian(spec: FmoSpec = FmoSpec()) -> Hamiltonian:
     diag = (np.diag(raw) - np.diag(raw).min()) * spec.site_energy_scale
     matrix = (off * spec.coupling_scale + np.diag(diag)) * spec.unit_conversion
     roles = tuple(f"fmo_site_{i + 1}" for i in range(n))
-    return Hamiltonian(matrix=matrix, roles=roles)
+    return Hamiltonian(block=matrix, roles=roles)
 
 
 def attach_sink(h: Hamiltonian, sink_length: int,
@@ -197,30 +228,21 @@ def attach_sink(h: Hamiltonian, sink_length: int,
     chain.  The default of 0.2 mm^-1 makes the chain a slow, effectively
     irreversible drain on the 20 mm chip, which is what lets moderate
     dephasing visibly assist transport; fabricated-chip values are not
-    published, so this default is a documented modelling choice.
+    published, so this default is a documented modelling choice.  The
+    chain costs O(sink_length), and past MAX_SINK_LENGTH it is rejected.
     """
     if len(h.sink_indices):
         raise PhysicsError("sink already attached")
     if sink_length < 1:
         raise PhysicsError("sink_length must be >= 1")
+    if sink_length > MAX_SINK_LENGTH:
+        raise PhysicsError(f"sink_length {sink_length}: more than "
+                           f"MAX_SINK_LENGTH ({MAX_SINK_LENGTH}) sink waveguides")
     if coupling <= 0:
         raise PhysicsError("sink coupling must be positive")
-    n = h.dim
-    try:
-        m = np.zeros((n + sink_length, n + sink_length))
-    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's size limit
-        raise PhysicsError(
-            f"sink_length {sink_length}: the chip's dense {n + sink_length} x "
-            f"{n + sink_length} matrix cannot be allocated") from exc
-    m[:n, :n] = h.matrix
-    drain = h.drain_index
-    chain = np.arange(n, n + sink_length)
-    m[chain, chain] = h.matrix[drain, drain]
-    # the drain-to-chain link, then every bond within the chain
-    bonds = np.concatenate(([drain], chain))
-    m[bonds[:-1], bonds[1:]] = m[bonds[1:], bonds[:-1]] = coupling
-    roles = h.roles + tuple(f"sink_{k + 1}" for k in range(sink_length))
-    return Hamiltonian(m, roles, h.source_site, h.drain_site)
+    drain = h.block[h.drain_index, h.drain_index]
+    return replace(h, sink_energies=np.full(sink_length, drain),
+                   sink_coupling=coupling)
 
 
 def attach_vibrational_mode(h7: Hamiltonian, coupling="auto") -> Hamiltonian:
@@ -233,10 +255,8 @@ def attach_vibrational_mode(h7: Hamiltonian, coupling="auto") -> Hamiltonian:
     if h7.dim != 7 or len(h7.fmo_indices) != 7:
         raise PhysicsError(f"expected a bare 7-site Hamiltonian, got dim {h7.dim}")
     c = lowest_eigengap(h7) if coupling == "auto" else float(coupling)
-    m = np.zeros((8, 8))
-    m[:7, :7] = h7.matrix
-    m[7, :7] = c
-    m[:7, 7] = c
+    m = np.pad(h7.block, (0, 1))
+    m[7, :7] = m[:7, 7] = c
     roles = h7.roles + ("vibration",)
     return Hamiltonian(m, roles, h7.source_site, h7.drain_site)
 
@@ -337,9 +357,9 @@ def apply_static_disorder(h: Hamiltonian, gamma: float, rng_seed) -> Hamiltonian
     shifts = static_disorder_shifts(h.dim, gamma, [rng_seed])[0]
     if gamma == 0:
         return h
-    m = h.matrix.copy()
-    np.fill_diagonal(m, m.diagonal() + shifts)
-    return Hamiltonian(m, h.roles, h.source_site, h.drain_site)
+    n0 = len(h.block)
+    return replace(h, block=h.block + np.diag(shifts[:n0]),
+                   sink_energies=h.sink_energies + shifts[n0:])
 
 
 @dataclass(frozen=True)
@@ -362,23 +382,24 @@ def export_chip_plan(h: Hamiltonian, noise=None):
     segment, writing-speed detuning in mm/s.  Rows are ordered by record
     type, then indices, so the output is deterministic.
     """
-    m = h.matrix
-    n = h.dim
+    n0, chain = len(h.block), h.sink_indices.tolist()
+    pairs = [(i, j, h.block[i, j]) for i in range(n0) for j in range(i + 1, n0)]
+    # the drain-to-chain link and the chain bonds, checked in index order
+    pairs += zip([h.drain_index] + chain[:-1], chain, [h.sink_coupling] * len(chain))
     rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            c_mm = abs(m[i, j])
-            if c_mm == 0:
-                continue
-            c_cm = c_mm / CM_PER_MM
-            if c_cm > COUPLING_AMPLITUDE:
-                raise PhysicsError(
-                    f"coupling for pair ({i + 1}, {j + 1}) exceeds the fit amplitude "
-                    f"({c_cm:.4g} > {COUPLING_AMPLITUDE} cm^-1)"
-                )
-            rows.append(
-                ChipPlanRow("spacing", i + 1, j + 1, -1, spacing_for_coupling(c_cm), "um")
+    for i, j, c in sorted(pairs):
+        c_mm = abs(c)
+        if c_mm == 0:
+            continue
+        c_cm = c_mm / CM_PER_MM
+        if c_cm > COUPLING_AMPLITUDE:
+            raise PhysicsError(
+                f"coupling for pair ({i + 1}, {j + 1}) exceeds the fit amplitude "
+                f"({c_cm:.4g} > {COUPLING_AMPLITUDE} cm^-1)"
             )
+        rows.append(
+            ChipPlanRow("spacing", i + 1, j + 1, -1, spacing_for_coupling(c_cm), "um")
+        )
     if noise is not None:
         for site, seq in enumerate(noise.sequences, start=1):
             for seg, db in enumerate(seq):

@@ -835,8 +835,8 @@ class TestPhysicsRejections:
         assert code == EXIT_PHYSICS
         assert "samples" in err
 
-    # only sizes no machine can allocate: a 6.94 EiB matrix, and one past
-    # numpy's size limit
+    # lengths past model.MAX_SINK_LENGTH: a 6.94 EiB matrix as a dense
+    # chip, and one past numpy's size limit
     @pytest.mark.parametrize("length", [10 ** 9, 10 ** 10])
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_unallocatable_sink_exits_three(self, tmp_path, command, length):
@@ -844,8 +844,22 @@ class TestPhysicsRejections:
         code, err, out = run_cli(tmp_path, command, doc, "run")
         assert code == EXIT_PHYSICS
         assert err.splitlines() == [
-            f"rejected: sink_length {length}: the chip's dense {length + 7} x "
-            f"{length + 7} matrix cannot be allocated"]
+            f"rejected: sink_length {length}: more than MAX_SINK_LENGTH "
+            f"({model.MAX_SINK_LENGTH}) sink waveguides"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_memory_refused_exits_three(self, tmp_path, monkeypatch, command):
+        # a study whose arrays the host refuses: the refusal is simulated,
+        # never provoked by a real allocation
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+        monkeypatch.setattr(dynamics, "propagate", refuse)
+        doc = {"schema_version": 1, "system": {"sink_length": 10}}
+        code, err, out = run_cli(tmp_path, command, doc, "run")
+        assert code == EXIT_PHYSICS
+        assert err.splitlines() == [
+            "rejected: out of memory: Unable to allocate 7.45 GiB"]
         assert not out.exists()
 
 

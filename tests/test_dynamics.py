@@ -1,6 +1,7 @@
 """Tests for piecewise-constant evolution and the segment propagator."""
 
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -55,6 +56,13 @@ def default_chip(amplitude=0.5, seed=0, segments=20, sink=100,
                 couplings={k: c[0] for k, c in
                            corrected_couplings(h, det[None], correction)
                            .items()})
+
+
+def with_diagonal(h, diagonal):
+    """``h`` with its (dim,) on-site energies replaced by ``diagonal``."""
+    n0 = len(h.block)
+    return replace(h, block=h.block - np.diag(h.block.diagonal())
+                   + np.diag(diagonal[:n0]), sink_energies=diagonal[n0:])
 
 
 def corrected_pair(h, det_k, a):
@@ -197,8 +205,7 @@ class TestEvolve:
         ph = default_chip(0.5, seed=2)
         tr = evolve(**ph, fine_step=1.0)
         h = ph["h"]
-        shifted = Hamiltonian(h.matrix + 3.7 * np.eye(h.dim), h.roles,
-                              h.source_site, h.drain_site)
+        shifted = with_diagonal(h, h.diagonal + 3.7)
         tr2 = evolve(**{**ph, "h": shifted}, fine_step=1.0)
         assert np.abs(np.abs(tr.amplitudes) ** 2
                       - np.abs(tr2.amplitudes) ** 2).max() < 1e-10
@@ -299,7 +306,7 @@ class TestCouplingCorrection:
         [det], _, couplings = experiments._columns(
             cfg, ph["h"], [0.5], [1], 0.0, [(0, 0)])
         np.testing.assert_array_equal(det, ph["detunings"])
-        block = dynamics._structure(ph["h"]).block.copy()
+        block = dynamics._head_block(ph["h"])
         for (i, j), [c] in couplings.items():
             block[i, j] = block[j, i] = c[k]
         return block, det[:, k]
@@ -430,7 +437,7 @@ def cone_bound_exact(c, t, length, depth, digits=50):
 
 def window_rows(h, segments):
     """Rows of the window of each of ``segments`` 1 mm segments."""
-    return dynamics._windows(dynamics._structure(h), h.dim, 1.0, segments)
+    return dynamics._windows(h, 1.0, segments)
 
 
 def assert_within_gershgorin_union(lo, hi, h, det, diag, correction,
@@ -441,8 +448,7 @@ def assert_within_gershgorin_union(lo, hi, h, det, diag, correction,
     which are summed in another order here."""
     g_lo, g_hi = math.inf, -math.inf
     for c in range(det.shape[0]):
-        hd = Hamiltonian(h.matrix - np.diag(h.matrix.diagonal())
-                         + np.diag(diag[:, c]), h.roles)
+        hd = with_diagonal(h, diag[:, c])
         for k in range(det.shape[2]):
             m = segment_matrix(hd, det[c, :, k], correction)
             for (i, j), v in (couplings or {}).items():
@@ -687,13 +693,10 @@ class TestPropagate:
             couplings = corrected_couplings(h, det)
             if vibration:
                 couplings.update(zeroed_mode(h, det))
-            struct = dynamics._structure(h)
-            lo, hi = dynamics._interval(h, struct, det, diag, couplings,
-                                        h.dim)
+            lo, hi = dynamics._interval(h, det, diag, couplings, h.dim)
             assert lo.shape == hi.shape == (det.shape[0],)
             for c in range(det.shape[0]):
-                hd = Hamiltonian(h.matrix - np.diag(h.matrix.diagonal())
-                                 + np.diag(diag[:, c]), h.roles)
+                hd = with_diagonal(h, diag[:, c])
                 for k in range(det.shape[2]):
                     m = segment_matrix(hd, det[c, :, k])
                     for (i, j), v in couplings.items():
@@ -776,8 +779,7 @@ class TestPropagate:
                       for r in range(columns)]
         diag = np.stack([hd.matrix.diagonal() for hd in disordered], axis=1)
         rows = window_rows(h, segments)
-        struct = dynamics._structure(h)
-        lo, hi = dynamics._interval(h, struct, det, diag,
+        lo, hi = dynamics._interval(h, det, diag,
                                     corrected_couplings(h, det, correction),
                                     rows[-1])
         for c, hd in enumerate(disordered):
@@ -796,8 +798,7 @@ class TestPropagate:
         det = generate(NoiseConfig(amplitude=1.0, segments=20,
                                    total_length=20.0, seed=7)).sequences
         rows = window_rows(h, 20)[-1]
-        (lo,), (hi,) = dynamics._interval(h, dynamics._structure(h),
-                                          det[None], diag[:, None], {},
+        (lo,), (hi,) = dynamics._interval(h, det[None], diag[:, None], {},
                                           rows)
         lam = np.linalg.eigvalsh(h.matrix[:rows, :rows])
         base = h.matrix.diagonal()
@@ -883,18 +884,6 @@ class TestPropagate:
                                match="interval .* of realization 3"):
                 run_states(h, det, diag, False)
 
-    def test_unstructured_hamiltonian_rejected(self):
-        h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 10)
-        m = h.matrix.copy()
-        m[0, 9] = m[9, 0] = 0.1   # a sink waveguide coupled to site 1
-        bad = Hamiltonian(m, h.roles)
-        with pytest.raises(PhysicsError, match="sink chain"):
-            list(propagate(bad, np.zeros((1, 7, 2)), 1.0))
-        m = h.matrix.astype(complex)
-        m[0, 1], m[1, 0] = 0.1j, -0.1j
-        with pytest.raises(PhysicsError, match="real"):
-            Hamiltonian(m, h.roles)
-
     # (h, correction) of the split product's edge cases: a window with no
     # chain row (a one-waveguide sink), the vibration mode in the head rows
     # (nb = 9) and the per-column couplings of the coupling correction
@@ -906,7 +895,7 @@ class TestPropagate:
     def test_split_product_edge_cases(self, case, monkeypatch):
         vibration, sink, correction = self.SPLIT_CASES[case]
         h, det, diag = batch_inputs(vibration, sink=sink)
-        nb = len(dynamics._structure(h).block)
+        nb = len(dynamics._head_block(h))
         rows = window_rows(h, det.shape[2])
         if case == "no_chain_row":
             assert rows == [nb] * len(rows)
@@ -923,8 +912,7 @@ class TestPropagate:
         for a, b in zip(chunked, whole):
             np.testing.assert_array_equal(a, b)
         for c in range(det.shape[0]):
-            hd = Hamiltonian(h.matrix - np.diag(h.matrix.diagonal())
-                             + np.diag(diag[:, c]), h.roles)
+            hd = with_diagonal(h, diag[:, c])
             psi = np.zeros(h.dim, complex)
             psi[h.source_index] = 1.0
             expected = [psi]

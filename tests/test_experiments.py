@@ -139,6 +139,19 @@ class TestSweepDephasing:
             batch = sweep_dephasing(cfg).values
             assert lone[:, 0].tobytes() == batch[:, 0].tobytes()
 
+    def test_chain_past_the_light_cone_changes_no_byte(self):
+        # the default 20 mm chip evolves 34 sink waveguides at most; a
+        # dense chip of 100,000 would have taken 80 GB
+        cfg = small_cfg(grid=(0.0, 0.5), realizations=2, sink_length=100)
+        short = sweep_dephasing(cfg).values
+        long = sweep_dephasing(replace(cfg, sink_length=100_000)).values
+        assert long.tobytes() == short.tobytes()
+        disordered = [sweep_dephasing(replace(cfg, disorder=3.0,
+                                              sink_length=n)).values
+                      for n in (40, 100, 400)]
+        for values in disordered[1:]:
+            assert values.tobytes() == disordered[0].tobytes()
+
     def test_zero_amplitude_column_has_zero_std(self):
         res = sweep_dephasing(small_cfg())
         assert res.stds[0] == 0.0

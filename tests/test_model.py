@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from fmosim.errors import PhysicsError
 from fmosim.model import (
     CM_PER_MM,
     DEFAULT_SINK_COUPLING,
+    MAX_SINK_LENGTH,
     FmoSpec,
     Hamiltonian,
     apply_static_disorder,
@@ -150,15 +152,34 @@ class TestAttachSink:
             previous = k
         got = attach_sink(h, length, coupling=0.37)
         assert got.matrix.tobytes() == expected.tobytes()
-        assert got.roles == h.roles + tuple(
-            f"sink_{k}" for k in range(1, length + 1))
+        assert not got.matrix.flags.writeable
+        for rows in range(n, n + length + 1):
+            assert got.window(rows).tobytes() == expected[:rows, :rows].tobytes()
+        # the chain's waveguides carry no role; they are the last indices
+        assert got.roles == h.roles
+        np.testing.assert_array_equal(got.sink_indices, range(n, n + length))
 
-    # only sizes no machine can allocate: 6.94 EiB, and past numpy's limit
+    # lengths past the budget: 6.94 EiB as a dense chip, and one past
+    # numpy's size limit
     @pytest.mark.parametrize("length", [10 ** 9, 10 ** 10])
     def test_matrix_too_large_to_allocate_rejected(self, length):
         with pytest.raises(PhysicsError,
-                           match=f"sink_length {length}: .* cannot be allocated"):
+                           match=f"sink_length {length}: more than MAX_SINK_LENGTH"):
             attach_sink(build_fmo_hamiltonian(FmoSpec()), length)
+
+    def test_chain_at_the_budget_is_linear_in_its_length(self):
+        # a dense chip of 10**6 sink waveguides would take 8 TB; the chain
+        # takes its energies and its indices, 16 MB
+        tracemalloc.start()
+        try:
+            h = attach_sink(build_fmo_hamiltonian(), MAX_SINK_LENGTH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert MAX_SINK_LENGTH == 10 ** 6 and h.dim == 7 + 10 ** 6
+        assert peak < 64 << 20
+        with pytest.raises(PhysicsError, match="MAX_SINK_LENGTH"):
+            attach_sink(build_fmo_hamiltonian(), MAX_SINK_LENGTH + 1)
 
 
 class TestVibrationalMode:
