@@ -16,9 +16,8 @@ So does ``reproduce --realizations`` for the figures that do not read it
 (None in :data:`FIGURES`, which gives each figure's default).
 
 Exit codes: 0 success, 2 configuration error, 3 physics rejection (also a
-series or trace over the ``dynamics.MAX_*`` budgets, a sink chain over
-``model.MAX_SINK_LENGTH``, or a study whose arrays the host refuses to
-allocate), 4 I/O error.
+series or trace over the ``dynamics.MAX_*`` budgets, or a study whose
+arrays the host refuses to allocate), 4 I/O error.
 """
 
 from __future__ import annotations

@@ -23,10 +23,11 @@ LIGHT_CONE_TOL over the whole propagation, from a Combes-Thomas bound at
 the segment's end (Combes & Thomas, Commun. Math. Phys. 34, 251 (1973)).
 The window grows from segment to segment; on the default chip (20
 segments of 1 mm, chain coupling 0.2 mm^-1) the depths run 13, 15, 17,
-... 33, 34 of the 100 sink waveguides.  The rows past the window are exact
-zeros in the yielded states.  The depths depend only on the chain
-coupling and the segment ends, never on the detunings or diagonals, so a
-longer chain changes no byte, and no dense chip matrix is built.  A
+... 33, 34.  The rows past the window are exact zeros in the yielded
+states.  The depths depend only on the chain coupling and the segment
+ends, never on the detunings or diagonals, so a longer chain changes no
+byte, and no dense chip matrix is built; the studies build their chips
+with only the waveguides the last window reaches.  A
 column's spectral interval is the intersection of a Weyl bound (the base
 window's extreme eigenvalues moved by the column's diagonal offsets) and
 the Gershgorin discs of its window rows.
@@ -300,15 +301,21 @@ def _cone_log_weight(depth: int, a: float) -> float:
     return math.sqrt(depth * depth - a * a) - depth * math.acosh(depth / a)
 
 
-def _light_cone_depths(coupling: float, ends, max_depth: int) -> list:
-    """Chain depth L_k of the window of each segment, from its end t_k.
+def _light_cone_depths(coupling: float, segment_length: float, segments: int,
+                       max_depth: int) -> list:
+    """Chain depth L_k of the window of each of ``segments`` segments of
+    ``segment_length``, from its end t_k = segment_length * (k + 1).
 
     L_k is the smallest depth with c T E(L_k, t_k) <= LIGHT_CONE_TOL, where
     c is ``coupling`` and T the last end (the whole propagation), capped at
     ``max_depth`` (the whole chain).  E grows with t, so the depths never
-    decrease.
+    decrease.  Every depth is 0 if the chain is uncoupled, or if the
+    segment length is not positive and finite, which :func:`propagate`
+    rejects.  :func:`propagate` and the studies' chip builder
+    (``experiments._base_hamiltonian``) both take the depths from here.
     """
-    if coupling == 0.0 or not len(ends):
+    ends = [segment_length * (k + 1) for k in range(segments)]
+    if coupling == 0.0 or not ends or not 0 < segment_length < math.inf:
         return [0] * len(ends)
     budget = (math.log(LIGHT_CONE_TOL) - math.log(coupling)
               - math.log(ends[-1]))
@@ -324,9 +331,8 @@ def _light_cone_depths(coupling: float, ends, max_depth: int) -> list:
 def _windows(h: Hamiltonian, segment_length: float, segments: int) -> list:
     """Rows evolved in each segment: the non-sink rows and the segment's
     light-cone depth of the chain (see :func:`propagate`)."""
-    ends = [segment_length * (k + 1) for k in range(segments)]
     return [len(h.block) + d for d in _light_cone_depths(
-        abs(h.sink_coupling), ends, len(h.sink_indices))]
+        abs(h.sink_coupling), segment_length, segments, len(h.sink_indices))]
 
 
 def _buffer_shape(n_terms: int, rows: int, n_real: int) -> tuple:

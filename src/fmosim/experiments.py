@@ -7,6 +7,13 @@ Every study is deterministic given its master seed.  The per-realization
 seeds are derived from (master seed, grid index, realization index), and
 all the realizations of a study are evolved together as the columns of
 one batch (dynamics.propagate), whose columns do not depend on each other.
+
+A study's chip holds only the sink waveguides that the kernel's light cone
+reaches over the study's segments (:func:`_base_hamiltonian`): 34 on the
+default 20 mm chip, whatever ``sink_length`` says past that.  So its state,
+diagonals, disorder draw, sink fractions and traces span the network and
+those 34 waveguides, and a longer chain changes no byte and costs nothing
+more.
 """
 
 from __future__ import annotations
@@ -20,8 +27,9 @@ import numpy as np
 
 from . import _csv, _seeding, analysis, dynamics, noise as noise_mod
 from .errors import PhysicsError
-from .model import (DEFAULT_SINK_COUPLING, RAW_SITE_HAMILTONIAN_CM, FmoSpec,
-                    Hamiltonian, attach_sink, attach_vibrational_mode,
+from .model import (DEFAULT_SINK_COUPLING, MAX_SINK_LENGTH,
+                    RAW_SITE_HAMILTONIAN_CM, FmoSpec, Hamiltonian,
+                    attach_sink, attach_vibrational_mode,
                     build_fmo_hamiltonian, effective_coupling,
                     static_disorder_shifts)
 # not called here: bench/tracing.py wraps it here by name (ROADMAP item 2)
@@ -138,8 +146,18 @@ def network_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
 
 
 def _base_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
-    return attach_sink(network_hamiltonian(cfg), cfg.sink_length,
-                       cfg.sink_coupling)
+    """The study's chip: :func:`network_hamiltonian` and as many sink
+    waveguides as the deepest window dynamics.propagate evolves over the
+    study's segments, at least one and at most ``cfg.sink_length``.  A
+    light cone deeper than MAX_SINK_LENGTH is rejected."""
+    depths = dynamics._light_cone_depths(
+        cfg.sink_coupling, cfg.observe_z / max(cfg.segments, 1), cfg.segments,
+        min(cfg.sink_length, MAX_SINK_LENGTH + 1))
+    length = min(cfg.sink_length, max([1, *depths]))
+    if length > MAX_SINK_LENGTH:
+        raise PhysicsError(f"the sink chain's light cone is deeper than "
+                           f"MAX_SINK_LENGTH ({MAX_SINK_LENGTH}) waveguides")
+    return attach_sink(network_hamiltonian(cfg), length, cfg.sink_coupling)
 
 
 def _noise_seeds(master: int, grid_indices, realizations: int) -> list:

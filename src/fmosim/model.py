@@ -88,6 +88,8 @@ DEFAULT_SINK_COUPLING = 0.2
 #: only the chain's light cone, about 2 c T deep for chain coupling c over a
 #: chip of length T: 34 on the default chip, 100,635 at c = 10 mm^-1 over
 #: the longest trace (5,000 mm), so a longer chain would change no output.
+#: The studies attach only the light cone, so this guards direct callers of
+#: attach_sink, and studies whose light cone is deeper than 10**6.
 MAX_SINK_LENGTH = 10 ** 6
 
 #: Fabrication calibration of the chip: the evanescent coupling decays with

@@ -622,7 +622,7 @@ class TestPropagate:
     def test_light_cone_depths_are_the_smallest_within_tolerance(
             self, c, step, segments, max_depth):
         ends = [step * (k + 1) for k in range(segments)]
-        depths = dynamics._light_cone_depths(c, ends, max_depth)
+        depths = dynamics._light_cone_depths(c, step, segments, max_depth)
         tol = Decimal(dynamics.LIGHT_CONE_TOL)
         assert len(depths) == segments
         assert all(a <= b for a, b in zip(depths, depths[1:]))
@@ -635,14 +635,17 @@ class TestPropagate:
 
     def test_light_cone_depth_is_the_smallest_within_tolerance(self):
         # the default chip: c = 0.2 mm^-1 over 20 segments of 1 mm
-        depths = dynamics._light_cone_depths(
-            0.2, [k + 1.0 for k in range(20)], 100)
+        depths = dynamics._light_cone_depths(0.2, 1.0, 20, 100)
         assert depths[:3] == [13, 15, 17] and depths[-2:] == [33, 34]
         assert sum(depths) / 20 == pytest.approx(25.05)
         # a chain shorter than the light cone stops at its end
-        short = dynamics._light_cone_depths(
-            0.2, [k + 1.0 for k in range(20)], 25)
+        short = dynamics._light_cone_depths(0.2, 1.0, 20, 25)
         assert short == [min(d, 25) for d in depths]
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_light_cone_depths_without_a_finite_length_are_zero(self, step):
+        # propagate rejects such a segment length with its own message
+        assert dynamics._light_cone_depths(0.2, step, 3, 100) == [0, 0, 0]
 
     def test_short_chain_keeps_every_row(self):
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 20)

@@ -19,15 +19,15 @@ import pytest
 from fmosim import experiments
 from fmosim.experiments import DEFAULT_GRID, SweepConfig, sweep_dephasing
 
-#: Sink waveguides kept: the light cone of the 20 mm chip reaches 34.
-SINK_CUT = 40
-
 
 def exact_mean_efficiency(amplitude: float, nodes_per_site: int = 2) -> float:
     """The ensemble-mean sink fraction of the default clean chip at the
-    end of the chip, under uniform white noise of ``amplitude``."""
-    cfg = SweepConfig(sink_length=SINK_CUT)
+    end of the chip, under uniform white noise of ``amplitude``, on the
+    chip the sweep builds: the network and the 34 sink waveguides the
+    light cone reaches."""
+    cfg = SweepConfig()
     h = experiments._base_hamiltonian(cfg)
+    assert h.dim == 41
     sites, dim = h.fmo_indices, h.dim
     x, w = np.polynomial.legendre.leggauss(nodes_per_site)
     rule = np.array(list(itertools.product(range(nodes_per_site),
@@ -56,8 +56,7 @@ def exact_curve():
 
 
 def test_noiseless_chip_is_the_sweep_value(exact_curve):
-    # the sweep keeps the default 100-waveguide sink: the cut changes
-    # nothing inside the light cone
+    # the sweep runs on the same 41-row chip
     [[value]] = sweep_dephasing(SweepConfig(grid=(0.0,),
                                             realizations=1)).values
     assert abs(exact_curve[0.0] - value) < 1e-12

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from fmosim import analysis, dynamics, experiments
+from fmosim import analysis, dynamics, experiments, model
 from fmosim.analysis import most_probable_site, transport_efficiency
 from fmosim.errors import PhysicsError
 from fmosim.experiments import (
@@ -151,6 +151,35 @@ class TestSweepDephasing:
                       for n in (40, 100, 400)]
         for values in disordered[1:]:
             assert values.tobytes() == disordered[0].tobytes()
+
+    def test_study_at_the_longest_chain_holds_the_light_cone_only(self):
+        # every array of a study spans the 41 rows the light cone reaches,
+        # whatever the chain's length: at 10**6 sink waveguides one (dim,
+        # 2R) state alone would take 64 MB
+        import tracemalloc
+        cfg = small_cfg(grid=(0.0, 0.5), realizations=2, disorder=3.0,
+                        sink_length=100)
+        longest = replace(cfg, sink_length=model.MAX_SINK_LENGTH)
+        short = sweep_dephasing(cfg).values
+        tracemalloc.start()
+        try:
+            long = sweep_dephasing(longest).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert long.tobytes() == short.tobytes()
+        assert peak < 4e6
+        (tr, _), (tr100, _) = (single_trace(c, 0.5, 1)
+                               for c in (longest, cfg))
+        assert tr.amplitudes.shape[1] == 41
+        assert tr.amplitudes.tobytes() == tr100.amplitudes.tobytes()
+
+    def test_light_cone_past_the_longest_chain_rejected(self):
+        # 2 c T = 4e6 at chain coupling 1e5 mm^-1 over the 20 mm chip
+        cfg = small_cfg(sink_coupling=1e5, sink_length=10 ** 9)
+        with pytest.raises(PhysicsError, match="light cone is deeper than "
+                           f"MAX_SINK_LENGTH \\({model.MAX_SINK_LENGTH}\\)"):
+            sweep_dephasing(cfg)
 
     def test_zero_amplitude_column_has_zero_std(self):
         res = sweep_dephasing(small_cfg())
