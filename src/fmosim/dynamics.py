@@ -29,7 +29,7 @@ ends, never on the detunings or diagonals, so a longer chain changes no
 byte, and no dense chip matrix is built; the studies build their chips
 with only the waveguides the last window reaches.  A
 column's spectral interval is the intersection of a Weyl bound (the base
-window's extreme eigenvalues moved by the column's diagonal offsets) and
+chip's spectral bound moved by the column's diagonal offsets) and
 the Gershgorin discs of its window rows.
 
 :func:`traces` is :func:`propagate` recorded into one
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -134,8 +133,10 @@ def segment_propagator(h_eff: np.ndarray, dz: float) -> np.ndarray:
 def _head_block(h: Hamiltonian) -> np.ndarray:
     """(nb, nb) couplings, diagonal zeroed, among the non-sink rows and,
     when there is a sink, the first sink waveguide."""
-    hb = np.array(h.window(min(len(h.block) + 1, h.dim)))
-    np.fill_diagonal(hb, 0.0)
+    n0 = len(h.block)
+    hb = np.zeros((min(h.dim, n0 + 1),) * 2)
+    hb[:n0, :n0] = h.block - np.diag(np.diag(h.block))
+    hb[n0:, h.drain_index] = hb[h.drain_index, n0:] = h.sink_coupling
     return hb
 
 
@@ -168,39 +169,46 @@ def _batch(h: Hamiltonian, detunings, diagonals, couplings):
     return det, diag, over
 
 
-@lru_cache(maxsize=4)
-def _window_spectrum(window: bytes, rows: int) -> tuple:
-    """Least and largest eigenvalue, moved outward by their rounding, of the
-    ``rows`` x ``rows`` symmetric matrix whose float64 bytes are ``window``;
-    cached, since every study builds the same base Hamiltonian anew."""
-    lam = np.linalg.eigvalsh(np.frombuffer(window).reshape(rows, rows))
-    slack = rows * np.finfo(float).eps * float(np.abs(lam).max())
-    return float(lam[0]) - slack, float(lam[-1]) + slack
+def _chip_spectrum(h: Hamiltonian) -> tuple:
+    """(lo, hi) about the spectrum of the chip and of each leading window,
+    moved outward by their rounding: lo = min(min e - 2c, lambda_min(B -
+    c P)) and hi = max(max e + 2c, lambda_max(B + c P)), for the block B,
+    P = e_d e_d^T at the drain, the chain's energies e and its |coupling| c.
+    Proof for hi (lo mirrors it): an eigenvalue lambda > max e + 2c, past
+    the chain's band, is a lambda_j(B + s P) with s = c^2 g(lambda), g the
+    chain's end continued fraction g_m = 1 / (lambda - e_m - c^2 g_m+1),
+    0 past its end; as lambda - e_m >= 2c, 0 <= g_m+1 <= 1/c gives 0 < g_m
+    <= 1/c, so 0 < s <= c, and lambda_j grows with s.  This holds for any
+    chain energies and length: every window and disordered chip."""
+    d, e, c = h.drain_index, h.sink_energies, abs(h.sink_coupling)
+    m = np.array([h.block] * 2)
+    m[:, d, d] += (-c, c)
+    lam = np.linalg.eigvalsh(m)
+    lo = min(float(lam[0, 0]), e.min(initial=math.inf) - 2 * c)
+    hi = max(float(lam[1, -1]), e.max(initial=-math.inf) + 2 * c)
+    slack = (len(m[0]) + 1) * np.finfo(float).eps * max(abs(lo), abs(hi))
+    return lo - slack, hi + slack
 
 
 def _interval(h: Hamiltonian, det, diag, couplings, rows: int) -> tuple:
     """(lo, hi), each of shape (R,): column r's interval encloses the
-    spectra of the leading ``rows`` x ``rows`` windows of every segment
-    matrix of column r, its couplings overridden by ``couplings``.
+    spectra of the leading windows, of ``rows`` rows or fewer, of every
+    segment matrix of column r, its couplings overridden by ``couplings``.
 
     It is the intersection of two enclosures, each reduced over the rows
     and segments of a column, never over columns:
 
-    - Weyl: a window is the base chip's window (built from its block and
-      chain by :meth:`~fmosim.model.Hamiltonian.window`), plus a diagonal
-      offset (the detunings and the disorder), plus the change the coupling
-      overrides make.  So its eigenvalues lie within the base window's
-      extreme eigenvalues (:func:`_window_spectrum`), moved by the least
-      and largest eigenvalue of the offset plus the change, which by
-      Gershgorin lie within each row's offset widened by the row's sum of
-      |c - c0| over its overrides.
+    - Weyl: a window is the base chip's window plus a diagonal offset
+      (detunings, disorder) and the coupling overrides' change; so its
+      eigenvalues lie in :func:`_chip_spectrum` moved by the extremes of
+      the offset plus the change, which by Gershgorin lie within each
+      row's offset widened by its sum of |c - c0| over its overrides.
     - Gershgorin: the union of the discs of the window rows, each radius
-      moved by its row's sum of |c| - |c0|.
+      moved by its row's sum of |c| - |c0| (a smaller window's are no wider).
 
-    By Cauchy interlacing it also encloses every smaller window.  Weyl beats
-    the Gershgorin union unless the offsets spread far wider than the
-    coupling (strong disorder).  A min or a max is exact in any order, so
-    a non-sink row's extremes are taken over the segments first.
+    Weyl beats the Gershgorin union unless the offsets spread far wider
+    than the coupling (strong disorder).  A min or a max is exact in any
+    order, so a non-sink row's extremes are taken over the segments first.
     """
     n0 = len(h.block)
     net = np.repeat(diag[None, :n0], det.shape[2], axis=0)   # (S, n0, R)
@@ -219,12 +227,11 @@ def _interval(h: Hamiltonian, det, diag, couplings, rows: int) -> tuple:
     high[:, :n0] = (net + grow).max(axis=1)
     # a chain row's bonds within the chain first, then the head rows' sums
     depth, hb = np.arange(rows - n0), _head_block(h)
-    radius = np.zeros(rows)
-    radius[n0:] = abs(h.sink_coupling) * (
+    radius = np.zeros((rows, 1))
+    radius[n0:, 0] = abs(h.sink_coupling) * (
         1.0 * (depth > 0) + (depth < len(h.sink_indices) - 1))
-    radius[:len(hb)] += np.abs(hb).sum(axis=1)
-    base, radius = h.diagonal[:rows, None], radius[:, None]
-    lam_lo, lam_hi = _window_spectrum(h.window(rows).tobytes(), rows)
+    radius[:len(hb), 0] += np.abs(hb).sum(axis=1)
+    (lam_lo, lam_hi), base = _chip_spectrum(h), h.diagonal[:rows, None]
     lo_g, hi_g = (low[1] - radius).min(axis=0), (high[1] + radius).max(axis=0)
     lo_w = lam_lo + (low[0] - base).min(axis=0)
     hi_w = lam_hi + (high[0] - base).max(axis=0)
@@ -474,11 +481,10 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
       total cut error by c sum_k Delta_k E(L_k, t_k) <= LIGHT_CONE_TOL,
       since E grows with t and the segment lengths Delta_k sum to T.
 
-    E grows with t, so the windows never shrink: a smaller window is a
-    leading principal submatrix of a larger one, and by Cauchy interlacing
-    the interval of the largest window (:func:`_interval`) encloses the
-    spectra of all of them.  The depths depend on c and the segment ends
-    only, so a column run alone and in a batch share the windows.
+    E grows with t, so the windows never shrink, and the interval of the
+    largest window (:func:`_interval`) encloses the spectra of all of them.
+    The depths depend on c and the segment ends only, so a column run alone
+    and in a batch share the windows.
     """
     det, diag, couplings = _batch(h, detunings, diagonals, couplings)
     if not (math.isfinite(segment_length) and segment_length > 0):

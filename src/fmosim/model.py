@@ -132,7 +132,7 @@ class Hamiltonian:
     on request.  ``source_site`` and ``drain_site`` are site numbers
     (1-based, defaults 6 and 3), mapped to the ints ``source_index`` and
     ``drain_index`` on construction, as are the roles to the read-only int
-    arrays ``fmo_indices`` and ``sink_indices``.
+    arrays ``fmo_indices`` and ``sink_indices``.  Every entry is finite.
     """
 
     block: np.ndarray
@@ -163,6 +163,8 @@ class Hamiltonian:
         object.__setattr__(self, "roles", tuple(self.roles))
         if m.shape != (n0, n0) or sink.ndim != 1:
             raise PhysicsError("role labels must match matrix dimension")
+        if not all(np.isfinite(v).all() for v in (m, sink, self.sink_coupling)):
+            raise PhysicsError("chip energies and couplings must be finite")
         if np.max(np.abs(m - m.T)) > HERMITICITY_TOL:
             raise PhysicsError("matrix is not symmetric within tolerance")
         if f"fmo_site_{self.drain_site}" not in self.roles:
@@ -181,23 +183,15 @@ class Hamiltonian:
         """(dim,) on-site energies: the block's, then the chain's."""
         return np.concatenate([self.block.diagonal(), self.sink_energies])
 
-    def window(self, rows: int) -> np.ndarray:
-        """The leading ``rows`` x ``rows`` of :attr:`matrix`, read-only, for
-        ``rows`` from the block's size to :attr:`dim`."""
-        n0 = len(self.block)
-        m = np.zeros((rows, rows))
-        m[:n0, :n0] = self.block
-        chain = np.arange(n0, rows)
-        m[chain, chain] = self.sink_energies[:rows - n0]
-        bonds = np.concatenate(([self.drain_index], chain))
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (dim, dim) matrix, read-only, built on each read."""
+        m = np.pad(self.block, (0, len(self.sink_energies)))
+        m[self.sink_indices, self.sink_indices] = self.sink_energies
+        bonds = np.concatenate(([self.drain_index], self.sink_indices))
         m[bonds[:-1], bonds[1:]] = m[bonds[1:], bonds[:-1]] = self.sink_coupling
         m.setflags(write=False)
         return m
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense (dim, dim) matrix, built on request for small chips."""
-        return self.window(self.dim)
 
 
 def build_fmo_hamiltonian(spec: FmoSpec = FmoSpec()) -> Hamiltonian:

@@ -688,11 +688,60 @@ class TestPropagate:
         for k, a in enumerate(states):
             assert not any(np.shares_memory(a, b) for b in states[k + 1:])
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), n0=st.integers(1, 8),
+           length=st.sampled_from([0, 1, 2, 7, 60]),
+           coupling=st.sampled_from([0.0, 0.2, -0.2, -3.0, 25.0])
+           | st.floats(-10.0, 10.0),
+           disordered=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_chip_spectrum_encloses_every_chip_and_window(
+            self, seed, n0, length, coupling, disordered):
+        # any block, drain and chain energies, and a coupling of either
+        # sign, 0 included; a chainless chip may carry a coupling too
+        rng = np.random.default_rng(seed)
+        a = rng.normal(0.0, 2.0, (n0, n0))
+        drain = int(rng.integers(1, n0 + 1))
+        energies = np.full(length, a[drain - 1, drain - 1])
+        if disordered:
+            energies += rng.uniform(-3.0, 3.0, length)
+        h = Hamiltonian(a + a.T, tuple(f"fmo_site_{i + 1}" for i in range(n0)),
+                        source_site=1, drain_site=drain,
+                        sink_energies=energies, sink_coupling=coupling)
+        lo, hi = dynamics._chip_spectrum(h)
+        for rows in range(n0, h.dim + 1):
+            w = np.linalg.eigvalsh(h.matrix[:rows, :rows])
+            assert lo <= w[0] and w[-1] <= hi
+
+    def test_chip_spectrum_without_a_chain_is_the_blocks(self):
+        for h in (build_fmo_hamiltonian(FmoSpec()),
+                  attach_vibrational_mode(build_fmo_hamiltonian(FmoSpec()))):
+            w = np.linalg.eigvalsh(h.block)
+            lo, hi = dynamics._chip_spectrum(h)
+            assert 0 <= w[0] - lo < 1e-14 and 0 <= hi - w[-1] < 1e-14
+
+    @pytest.mark.parametrize("vibration", [False, True])
+    def test_chip_spectrum_is_tight_on_the_default_chips(self, vibration):
+        # 0.019 below and 0.0057 above the exact extremes on the plain
+        # chip, 0.015 and 0.0074 with the mode: a wider bound would
+        # lengthen the series of the widest columns
+        h = build_fmo_hamiltonian(FmoSpec())
+        if vibration:
+            h = attach_vibrational_mode(h)
+        h = attach_sink(h, 34)
+        lo, hi = dynamics._chip_spectrum(h)
+        w = np.linalg.eigvalsh(h.matrix)
+        assert 0 < w[0] - lo < 0.02 and 0 < hi - w[-1] < 0.02
+
     def test_interval_encloses_every_segment_spectrum(self):
         # the corrected couplings, and those plus the vibration mode's
-        # couplings set to 0, which empties the mode row's Gershgorin disc
-        for vibration in (False, True):
+        # couplings set to 0, which empties the mode row's Gershgorin disc;
+        # then a disordered base chip, whose chain is not uniform
+        for vibration, disordered in ((False, False), (True, False),
+                                      (False, True)):
             h, det, diag = batch_inputs(vibration)
+            if disordered:
+                h = apply_static_disorder(h, 3.0, [11, 99])
+                assert np.ptp(h.sink_energies) > 0
             couplings = corrected_couplings(h, det)
             if vibration:
                 couplings.update(zeroed_mode(h, det))

@@ -181,6 +181,23 @@ class TestSweepDephasing:
                            f"MAX_SINK_LENGTH \\({model.MAX_SINK_LENGTH}\\)"):
             sweep_dephasing(cfg)
 
+    def test_deep_light_cone_builds_no_dense_window(self):
+        # chain coupling 50 mm^-1 over the 20 mm chip: a 2,171-row light
+        # cone, whose dense window alone would take 38 MB; nothing of the
+        # study may stay referenced after it returns
+        import tracemalloc
+        cfg = small_cfg(grid=(0.5,), realizations=1, sink_coupling=50.0,
+                        sink_length=10 ** 9)
+        sweep_dephasing(replace(cfg, sink_coupling=0.2))   # fill the caches
+        tracemalloc.start()
+        try:
+            sweep_dephasing(cfg)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert kept < 2e5
+
     def test_zero_amplitude_column_has_zero_std(self):
         res = sweep_dephasing(small_cfg())
         assert res.stds[0] == 0.0
