@@ -335,13 +335,6 @@ def _light_cone_depths(coupling: float, segment_length: float, segments: int,
     return depths
 
 
-def _windows(h: Hamiltonian, segment_length: float, segments: int) -> list:
-    """Rows evolved in each segment: the non-sink rows and the segment's
-    light-cone depth of the chain (see :func:`propagate`)."""
-    return [len(h.block) + d for d in _light_cone_depths(
-        abs(h.sink_coupling), segment_length, segments, len(h.sink_indices))]
-
-
 def _buffer_shape(n_terms: int, rows: int, n_real: int) -> tuple:
     """(terms held, realizations) of the term buffer of one step.
 
@@ -492,7 +485,8 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     if steps_per_segment < 1:
         raise PhysicsError("steps_per_segment must be >= 1")
     n0, n_real, sites = len(h.block), det.shape[0], h.fmo_indices
-    windows = _windows(h, segment_length, det.shape[2])
+    windows = [n0 + d for d in _light_cone_depths(abs(h.sink_coupling),
+               segment_length, det.shape[2], len(h.sink_indices))]
     rows = max(windows, default=n0)
     lo, hi = _interval(h, det, diag, couplings, rows)
     bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)))

@@ -128,11 +128,12 @@ class Hamiltonian:
     waveguides, whose ``roles`` are ``"fmo_site_1"`` .. ``"fmo_site_7"`` and
     ``"vibration"`` (complex input only with zero imaginary parts), then a
     sink chain: the (L,) ``sink_energies`` and ``sink_coupling``, the
-    drain-to-chain link and every bond.  The dense :attr:`matrix` is built
-    on request.  ``source_site`` and ``drain_site`` are site numbers
-    (1-based, defaults 6 and 3), mapped to the ints ``source_index`` and
-    ``drain_index`` on construction, as are the roles to the read-only int
-    arrays ``fmo_indices`` and ``sink_indices``.  Every entry is finite.
+    drain-to-chain link and every bond, 0 without a chain.  The dense
+    :attr:`matrix` is built on request.  ``source_site`` and ``drain_site``
+    are site numbers (1-based, defaults 6 and 3), mapped to the ints
+    ``source_index`` and ``drain_index`` on construction, as are the roles
+    to the read-only int arrays ``fmo_indices`` and ``sink_indices``.  Every
+    entry is finite.
     """
 
     block: np.ndarray
@@ -165,6 +166,9 @@ class Hamiltonian:
             raise PhysicsError("role labels must match matrix dimension")
         if not all(np.isfinite(v).all() for v in (m, sink, self.sink_coupling)):
             raise PhysicsError("chip energies and couplings must be finite")
+        if self.sink_coupling != 0 and not len(sink):
+            raise PhysicsError("a nonzero sink_coupling needs sink_energies "
+                               "(at least one sink waveguide)")
         if np.max(np.abs(m - m.T)) > HERMITICITY_TOL:
             raise PhysicsError("matrix is not symmetric within tolerance")
         if f"fmo_site_{self.drain_site}" not in self.roles:

@@ -474,3 +474,94 @@ class TestImageIngestion:
         np.savetxt(path, img)
         back = read_pixel_matrix(path)
         np.testing.assert_allclose(back, img)
+
+
+def _text_file(path, text):
+    """``path`` holding ``text``."""
+    path.write_text(text)
+    return path
+
+
+#: Input that each public estimator, record or reader rejects, with a
+#: fragment of its message; each callable takes a scratch directory.
+REJECTIONS = {
+    "spectrum-grid-length": (
+        lambda d: SpectrumEstimate([0.0, 1.0], [1.0]), "differ in length"),
+    "spectrum-grid-order": (
+        lambda d: SpectrumEstimate([0.0, 2.0, 1.0], [1.0, 1.0, 1.0]),
+        "nonnegative and ascending"),
+    "spectrum-negative-density": (
+        lambda d: SpectrumEstimate([0.0, 1.0], [1.0, -1e-9]),
+        "density must be nonnegative"),
+    "fit-r-squared": (
+        lambda d: analysis.LinearFitResult(1.0, 0.0, 1.5), "r_squared"),
+    "ccf-shape": (
+        lambda d: sample_ccf([1.0, 2.0, 3.0], [1.0, 2.0], 0), "equal length"),
+    "ccf-lag": (
+        lambda d: sample_ccf([1.0, 2.0, 4.0], [3.0, 1.0, 2.0], 3),
+        "0 <= lag < n"),
+    "ccf-constant": (
+        lambda d: sample_ccf([1.0, 1.0, 1.0], [1.0, 2.0, 4.0], 0),
+        "constant series"),
+    "periodogram-sampling-frequency": (
+        lambda d: psd_periodogram([1.0, 2.0, 4.0], 0.0),
+        "sampling frequency must be positive"),
+    "reorganization-empty-spectrum": (
+        lambda d: reorganization_energy(SpectrumEstimate([], [])),
+        "empty spectrum"),
+    "variance-empty": (lambda d: variance([]), "no variance"),
+    "efficiency-off-grid": (
+        lambda d: transport_efficiency(make_trace(sink=2, fine_step=1.0),
+                                       z=0.5),
+        "z=0.5 mm is not on the trace grid"),
+    "transfer-time-no-sink": (
+        lambda d: transfer_time(EvolutionTrace(np.ones((3, 7)), 0.5,
+                                               range(7), ())),
+        "no sink waveguides"),
+    "transfer-time-one-sample": (
+        lambda d: transfer_time(EvolutionTrace(np.ones((1, 8)), 0.5,
+                                               range(7), (7,))),
+        "too short"),
+    "eigen-non-hermitian": (
+        lambda d: eigen_site_distribution(np.array([[0.0, 1.0], [0.0, 0.0]])),
+        "not Hermitian"),
+    "most-probable-few-sites": (
+        lambda d: most_probable_site(EvolutionTrace(np.ones((2, 4)), 0.5,
+                                                    range(3), (3,))),
+        "seven network sites"),
+    "ellipse-extent": (
+        lambda d: EllipseMask(1.0, 1.0, 0.0, 1.0).select((3, 3)),
+        "semi-axes must be positive"),
+    "rect-extent": (
+        lambda d: RectMask(0.0, 0.0, 1.0, -1.0).select((3, 3)),
+        "extent must be positive"),
+    "pixels-non-numeric": (
+        lambda d: read_pixel_matrix(_text_file(d / "img.txt", "1 2\n3 x\n")),
+        "line 2: non-numeric pixel value"),
+    "pixels-empty": (
+        lambda d: read_pixel_matrix(_text_file(d / "img.txt", "\n \n")),
+        "empty pixel matrix"),
+    "image-not-2d": (
+        lambda d: efficiency_from_intensity_image(
+            np.ones(9), EllipseMask(1, 1, 1, 1), RectMask(0, 0, 1, 1)),
+        "two-dimensional"),
+    "image-mask-outside": (
+        lambda d: efficiency_from_intensity_image(
+            np.ones((4, 4)), EllipseMask(1, 1, 1, 1), RectMask(9, 9, 2, 2)),
+        "mask lies outside the image"),
+}
+
+
+@pytest.mark.parametrize("call, fragment", REJECTIONS.values(),
+                         ids=REJECTIONS.keys())
+def test_rejects_with_a_message(tmp_path, call, fragment):
+    with pytest.raises(PhysicsError) as err:
+        call(tmp_path)
+    assert fragment in str(err.value)
+
+
+def test_one_bin_spectrum_has_zero_reorganization_energy():
+    # a lone bin is the zero frequency, which the sum leaves out
+    assert reorganization_energy(SpectrumEstimate([0.0], [2.0])) == 0.0
+    stack = reorganization_energy(SpectrumEstimate([0.0], [[2.0], [3.0]]))
+    assert stack.shape == (2,) and not stack.any()

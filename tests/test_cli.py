@@ -633,6 +633,23 @@ class TestAnalyzeImage:
         assert f"{path}: not UTF-8 text" in capsys.readouterr().err
 
 
+#: analyze-image flags that exit 2, with a fragment of the message.
+ANALYZE_IMAGE_REJECTIONS = {
+    "ellipse-non-numeric": (["--ellipse", "1,1,1,x"],
+                            "--ellipse: non-numeric value"),
+}
+
+
+@pytest.mark.parametrize("flags, fragment", ANALYZE_IMAGE_REJECTIONS.values(),
+                         ids=ANALYZE_IMAGE_REJECTIONS.keys())
+def test_analyze_image_flag_exits_two(tmp_path, capsys, flags, fragment):
+    path = tmp_path / "img.txt"
+    path.write_text("1 2 3\n4 5 6\n")
+    assert main(["analyze-image", str(path), "--ellipse", "1,1,1,1",
+                 "--rect", "2,0,1,1", *flags]) == EXIT_CONFIG
+    assert fragment in capsys.readouterr().err
+
+
 class TestChipPlan:
     def test_seven_waveguide_plan(self, tmp_path, capsys):
         doc = base_config()

@@ -437,7 +437,8 @@ def cone_bound_exact(c, t, length, depth, digits=50):
 
 def window_rows(h, segments):
     """Rows of the window of each of ``segments`` 1 mm segments."""
-    return dynamics._windows(h, 1.0, segments)
+    return [len(h.block) + d for d in dynamics._light_cone_depths(
+        abs(h.sink_coupling), 1.0, segments, len(h.sink_indices))]
 
 
 def assert_within_gershgorin_union(lo, hi, h, det, diag, correction,
@@ -689,15 +690,17 @@ class TestPropagate:
             assert not any(np.shares_memory(a, b) for b in states[k + 1:])
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n0=st.integers(1, 8),
-           length=st.sampled_from([0, 1, 2, 7, 60]),
-           coupling=st.sampled_from([0.0, 0.2, -0.2, -3.0, 25.0])
-           | st.floats(-10.0, 10.0),
+           chain=st.tuples(st.sampled_from([1, 2, 7, 60]),
+                           st.sampled_from([0.0, 0.2, -0.2, -3.0, 25.0])
+                           | st.floats(-10.0, 10.0))
+           | st.just((0, 0.0)),
            disordered=st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_chip_spectrum_encloses_every_chip_and_window(
-            self, seed, n0, length, coupling, disordered):
+            self, seed, n0, chain, disordered):
         # any block, drain and chain energies, and a coupling of either
-        # sign, 0 included; a chainless chip may carry a coupling too
+        # sign, 0 included; a chip without a chain has coupling 0
+        length, coupling = chain
         rng = np.random.default_rng(seed)
         a = rng.normal(0.0, 2.0, (n0, n0))
         drain = int(rng.integers(1, n0 + 1))
@@ -1018,3 +1021,40 @@ class TestPropagate:
             alone = dynamics._chebyshev_weights(x[c])[:, 0]
             np.testing.assert_array_equal(alone, w[:len(alone), c])
             assert not w[len(alone):, c].any()
+
+
+_CHIP = attach_sink(build_fmo_hamiltonian(FmoSpec()), 3)
+_DET = np.zeros((1, 7, 2))
+
+#: Input that the propagators, the trace recorder and the trace writer
+#: reject, with a fragment of their messages; each callable takes a
+#: scratch directory.
+REJECTIONS = {
+    "propagator-not-square": (
+        lambda d: segment_propagator(np.zeros((2, 3)), 1.0), "must be square"),
+    "propagate-diagonals-shape": (
+        lambda d: next(propagate(_CHIP, _DET, 1.0,
+                                 diagonals=np.zeros((_CHIP.dim, 2)))),
+        "diagonals must have shape (dim, realizations)"),
+    "propagate-segment-length": (
+        lambda d: next(propagate(_CHIP, _DET, 0.0)),
+        "segment length must be positive and finite"),
+    "propagate-steps": (
+        lambda d: next(propagate(_CHIP, _DET, 1.0, steps_per_segment=0)),
+        "steps_per_segment must be >= 1"),
+    "traces-segment-length": (
+        lambda d: dynamics.traces(_CHIP, _DET, math.nan),
+        "segment length must be positive and finite"),
+    "trace-csv-stride": (
+        lambda d: write_trace_csv(evolve(_CHIP, _DET[0], 1.0, 1.0),
+                                  d / "trace.csv", stride=0),
+        "stride must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("call, fragment", REJECTIONS.values(),
+                         ids=REJECTIONS.keys())
+def test_rejects_with_a_message(tmp_path, call, fragment):
+    with pytest.raises(PhysicsError) as err:
+        call(tmp_path)
+    assert fragment in str(err.value)

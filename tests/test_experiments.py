@@ -620,3 +620,21 @@ class TestSeeding:
         assert calls == [len(cfg.grid) * cfg.realizations]
         for a, b in zip(before, after):
             assert a.tobytes() == b.tobytes()
+
+
+#: Input that the study records reject, with a fragment of their messages.
+REJECTIONS = {
+    "observe-z": (lambda: small_cfg(observe_z=0.0),
+                  "observation length must be positive"),
+    "negative-stds": (
+        lambda: SweepResult([0.0], [0.5], [-0.1], [[0.5]]),
+        "standard deviations must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("call, fragment", REJECTIONS.values(),
+                         ids=REJECTIONS.keys())
+def test_rejects_with_a_message(call, fragment):
+    with pytest.raises(PhysicsError) as err:
+        call()
+    assert fragment in str(err.value)

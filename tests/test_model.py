@@ -138,6 +138,23 @@ class TestAttachSink:
         with pytest.raises(PhysicsError, match="must be finite"):
             attach_sink(build_fmo_hamiltonian(FmoSpec()), 20, coupling)
 
+    @pytest.mark.parametrize("coupling", [0.5, -0.2, 1e-300])
+    def test_coupling_without_a_chain_rejected(self, coupling):
+        # matrix, the kernel and the chip plan would each read another chip
+        h7 = build_fmo_hamiltonian(FmoSpec())
+        with pytest.raises(PhysicsError) as err:
+            Hamiltonian(h7.block, h7.roles, sink_coupling=coupling)
+        assert "sink_coupling" in str(err.value)
+        assert "sink_energies" in str(err.value)
+
+    def test_chain_at_coupling_zero_builds(self):
+        h7 = build_fmo_hamiltonian(FmoSpec())
+        bare = Hamiltonian(h7.block, h7.roles, sink_coupling=0.0)
+        assert bare.matrix.tobytes() == h7.matrix.tobytes()
+        h = Hamiltonian(h7.block, h7.roles, sink_energies=np.zeros(3))
+        assert h.dim == 10 and not h.matrix[7:, :].any()
+        assert attach_sink(h7, 20, 0.2).dim == 27
+
     def test_double_attach_rejected(self):
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 5)
         with pytest.raises(PhysicsError):
@@ -535,3 +552,38 @@ class TestChipPlan:
         max_speed = max(r.value for r in rows if r.record_type == "speed")
         assert max_speed <= 50.0 + 1e-9
         assert max_speed > 40.0  # uniform draws approach the amplitude
+
+
+_H7 = build_fmo_hamiltonian(FmoSpec())
+
+#: Input that each constructor and calibration map rejects, with a
+#: fragment of its message.
+REJECTIONS = {
+    "roles-dimension": (
+        lambda: Hamiltonian(np.eye(2), ("fmo_site_1",), 1, 1),
+        "role labels must match"),
+    "asymmetric-block": (
+        lambda: Hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                            ("fmo_site_1", "fmo_site_2"), 1, 2),
+        "not symmetric"),
+    "sink-length": (lambda: attach_sink(_H7, 0), "sink_length must be >= 1"),
+    "sink-coupling": (
+        lambda: attach_sink(_H7, 3, 0.0), "sink coupling must be positive"),
+    "spacing": (
+        lambda: coupling_for_spacing(-1.0), "spacing must be nonnegative"),
+    "speed": (
+        lambda: delta_beta_for_speed(-0.5), "speed detuning must be nonnegative"),
+    "detuning": (
+        lambda: speed_for_delta_beta(-0.5), "detuning must be nonnegative"),
+    "effective-coupling": (
+        lambda: effective_coupling(0.0, 1.0), "base coupling must be positive"),
+    "delta-c": (lambda: delta_c(-1.0, 1.0), "base coupling must be positive"),
+}
+
+
+@pytest.mark.parametrize("call, fragment", REJECTIONS.values(),
+                         ids=REJECTIONS.keys())
+def test_rejects_with_a_message(call, fragment):
+    with pytest.raises(PhysicsError) as err:
+        call()
+    assert fragment in str(err.value)

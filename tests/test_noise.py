@@ -446,6 +446,30 @@ class TestResample:
                                    nr.sequences * (new_amp / 0.5), rtol=1e-12)
 
 
+class _QueuedNormals:
+    """A stand-in generator whose standard normals come from a queue."""
+
+    def __init__(self, draws):
+        self.draws, self.sizes = list(draws), []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        out, self.draws = self.draws[:size], self.draws[size:]
+        return np.array(out)
+
+
+def test_cauchy_redraws_zero_denominators():
+    # numerators 1..4, then denominators with exact zeros at 0 and 2; the
+    # first redraw of those two is (0, 0.5), so one is drawn once more
+    rng = _QueuedNormals([1.0, 2.0, 3.0, 4.0, 0.0, 2.0, 0.0, -4.0,
+                          0.0, 0.5, -1.0])
+    out = np.empty(4)
+    noise_mod._draw("cauchy", rng, out)
+    assert rng.sizes == [4, 4, 2, 1] and not rng.draws
+    assert np.isfinite(out).all()
+    np.testing.assert_array_equal(out, [1.0, 1.0, 6.0, 1.0])
+
+
 class TestCsvRoundTrip:
     def test_round_trip(self):
         nr = generate(NoiseConfig(kind="colored", amplitude=0.5, seed=13))
@@ -509,3 +533,26 @@ class TestCsvRoundTrip:
         path.write_bytes(b"site,segment_index,delta_beta\n1,0,\xff\n")
         with pytest.raises(PhysicsError, match="noise.csv: not UTF-8 text"):
             read_noise_csv(path)
+
+
+_REALIZATION = generate(NoiseConfig(amplitude=0.5, segments=4,
+                                    total_length=4.0))
+
+#: Input that the recipe and the rescaling reject, with a fragment of
+#: their messages.
+REJECTIONS = {
+    "filter-time-scale": (
+        lambda: NoiseConfig(kind="colored", filter_time_scale=0.0),
+        "filter_time_scale must be positive"),
+    "resample-negative": (
+        lambda: resample_amplitude(_REALIZATION, -1.0),
+        "amplitude must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("call, fragment", REJECTIONS.values(),
+                         ids=REJECTIONS.keys())
+def test_rejects_with_a_message(call, fragment):
+    with pytest.raises(PhysicsError) as err:
+        call()
+    assert fragment in str(err.value)
