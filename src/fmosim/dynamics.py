@@ -205,6 +205,8 @@ def _interval(h: Hamiltonian, det, diag, couplings, rows: int) -> tuple:
       row's offset widened by its sum of |c - c0| over its overrides.
     - Gershgorin: the union of the discs of the window rows, each radius
       moved by its row's sum of |c| - |c0| (a smaller window's are no wider).
+      The head rows' sums are taken inside the window: a window of the
+      non-sink rows alone (every depth 0) reads none of the first sink's.
 
     Weyl beats the Gershgorin union unless the offsets spread far wider
     than the coupling (strong disorder).  A min or a max is exact in any
@@ -230,7 +232,8 @@ def _interval(h: Hamiltonian, det, diag, couplings, rows: int) -> tuple:
     radius = np.zeros((rows, 1))
     radius[n0:, 0] = abs(h.sink_coupling) * (
         1.0 * (depth > 0) + (depth < len(h.sink_indices) - 1))
-    radius[:len(hb), 0] += np.abs(hb).sum(axis=1)
+    k = min(rows, len(hb))   # a window that stops short of the chain
+    radius[:k, 0] += np.abs(hb).sum(axis=1)[:k]
     (lam_lo, lam_hi), base = _chip_spectrum(h), h.diagonal[:rows, None]
     lo_g, hi_g = (low[1] - radius).min(axis=0), (high[1] + radius).max(axis=0)
     lo_w = lam_lo + (low[0] - base).min(axis=0)

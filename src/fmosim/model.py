@@ -291,7 +291,11 @@ def delta_beta_for_speed(dv: float) -> float:
     """Propagation-constant detuning (mm^-1) for a writing-speed offset (mm/s)."""
     if dv < 0:
         raise PhysicsError("speed detuning must be nonnegative")
-    return DELTA_BETA_PER_SPEED * dv
+    db = DELTA_BETA_PER_SPEED * dv
+    if not math.isfinite(db):
+        raise PhysicsError(f"speed detuning {dv:g} mm/s gives no finite "
+                           "detuning")
+    return db
 
 
 def speed_for_delta_beta(db: float) -> float:
@@ -302,7 +306,11 @@ def speed_for_delta_beta(db: float) -> float:
     """
     if db < 0:
         raise PhysicsError("detuning must be nonnegative")
-    return db / DELTA_BETA_PER_SPEED
+    dv = db / DELTA_BETA_PER_SPEED
+    if not math.isfinite(dv):
+        raise PhysicsError(f"detuning {db:g} mm^-1 gives no finite writing "
+                           "speed")
+    return dv
 
 
 def effective_coupling(c0: float, db):

@@ -14,12 +14,12 @@ passes of many rows, and uniform_white rows drawn in one vectorized PCG64
 pass, bit for bit as ``default_rng`` draws them one at a time
 (``_seeding``).  :func:`generate_batch` draws all the realizations of a
 study at once, one recipe with an amplitude and a seed each.  The colored
-filter is plain numpy (bilinear discretization): a block of streams at a
-time draws its normals and folds their burn-in into the filter state,
-then a third-order recurrence runs over the whole batch's kept samples
-elementwise, so each row is bit-for-bit the same as when it is generated
-alone with :func:`generate`, and the working set grows with the kept
-samples only.
+filter is plain numpy (bilinear discretization): the streams are folded
+one at a time, each drawing its normals and folding its own burn-in into
+its filter state, then a third-order recurrence runs over the whole
+batch's kept samples elementwise, so each row is bit-for-bit the same as
+when it is generated alone with :func:`generate`, and the working set
+grows with the kept samples only.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import _csv, _seeding
+from .dynamics import c_einsum
 from .errors import PhysicsError
 
 __all__ = ["NoiseConfig", "NoiseRealization", "generate", "generate_batch",
@@ -172,18 +173,6 @@ def _burn_in_map(rate: float) -> np.ndarray:
     return out
 
 
-def _burn_in_state(burn: np.ndarray, rate: float) -> np.ndarray:
-    """The (3, rows) filter state after the burn-in inputs ``burn`` (rows,
-    FILTER_BURN_IN), from rest, through :func:`_burn_in_map`.
-
-    Per-row sums only (no BLAS), so a row's state does not depend on the
-    other rows.
-    """
-    weighted = np.empty_like(burn)    # one temporary for the three folds
-    return np.array([np.multiply(burn, m, out=weighted).sum(axis=1)
-                     for m in _burn_in_map(rate)])
-
-
 def _run_filter(state: np.ndarray, x: np.ndarray, rate: float) -> None:
     """Run the samples ``x`` (samples, rows) through the filter's
     transposed-direct-form recurrence from ``state`` (3, rows), writing
@@ -198,35 +187,26 @@ def _run_filter(state: np.ndarray, x: np.ndarray, rate: float) -> None:
         xn[...] = yn
 
 
-#: Colored streams drawn and burned in together at most: a block holds
-#: 32 x (FILTER_BURN_IN + segments) normals (133 kB at 20 segments) and
-#: is reused for the whole batch, so only the kept samples grow with it.
-_STREAM_BLOCK = 32
-
-
 def _colored_rows(rows, n_rows: int, segments: int,
                   rate: float) -> np.ndarray:
     """(n_rows, segments), in C order: the colored filter's output on the
     normals of each stream, burn-in dropped; up to rounding, ``scipy.signal.lfilter
     (b, a, white)[FILTER_BURN_IN:]`` on each stream's white noise.
 
-    The streams are drawn a block of ``_STREAM_BLOCK`` at a time, and each
-    block's burn-in is folded into the filter state
-    (:func:`_burn_in_state`); the recurrence (:func:`_run_filter`) then
-    runs once over every row's kept samples.
+    The streams are drawn one at a time into one reused vector, and each
+    stream's burn-in is folded into its own filter state by one einsum
+    through :func:`_burn_in_map`, a call on that row alone; the recurrence
+    (:func:`_run_filter`) then runs once over every row's kept samples.
     """
     kept = np.empty((n_rows, segments))
-    state = np.empty((3, n_rows))
-    block = np.empty((min(_STREAM_BLOCK, n_rows), FILTER_BURN_IN + segments))
-    streams = _seeding.streams(rows)
-    for start in range(0, n_rows, len(block)):
-        white = block[:n_rows - start]
-        for row, rng in zip(white, streams):
-            _draw("colored", rng, row)
-        stop = start + len(white)
-        state[:, start:stop] = _burn_in_state(white[:, :FILTER_BURN_IN], rate)
-        kept[start:stop] = white[:, FILTER_BURN_IN:]
-    _run_filter(state, kept.T, rate)
+    state = np.empty((n_rows, 3))
+    white = np.empty(FILTER_BURN_IN + segments)
+    fold = _burn_in_map(rate)
+    for row, s, rng in zip(kept, state, _seeding.streams(rows)):
+        _draw("colored", rng, white)
+        c_einsum("kj,j->k", fold, white[:FILTER_BURN_IN], out=s)
+        row[:] = white[FILTER_BURN_IN:]
+    _run_filter(state.T, kept.T, rate)
     return kept
 
 

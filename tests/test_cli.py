@@ -328,6 +328,20 @@ class TestExitCodes:
             runs[n] = (out / table).read_bytes()
         assert runs[length] == runs[100]
 
+    # a light cone that never reaches the sink chain: every window depth
+    # is 0, so the kernel evolves the network rows alone
+    @pytest.mark.parametrize("section,values", [
+        ("system", {"sink_coupling_per_mm": 1e-20}),
+        ("noise", {"segments": 1, "total_length_mm": 1e-300}),
+        ("sweep", {"observe_z_mm": 1e-320})],
+        ids=["coupling-1e-20", "length-1e-300", "observe-z-1e-320"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_light_cone_short_of_the_chain_runs(self, tmp_path, command,
+                                                section, values):
+        doc = {"schema_version": 1, section: values}
+        code, err, _ = run_cli(tmp_path, command, doc, "run")
+        assert code == EXIT_OK and err == ""
+
 
 class TestSimulate:
     def test_outputs_and_summary(self, tmp_path, capsys):
@@ -663,6 +677,13 @@ class TestChipPlan:
         assert len(spacing_rows) == 7
         printed = capsys.readouterr().out
         assert "max speed detuning" in printed
+
+    def test_infinite_writing_speed_exits_three(self, tmp_path):
+        doc = {"schema_version": 1, "noise": {"amplitude_per_mm": 1e307}}
+        code, err, out = run_cli(tmp_path, "chip-plan", doc, "plan")
+        assert code == EXIT_PHYSICS
+        assert "gives no finite writing speed" in err
+        assert not (out / "chip_plan.csv").exists()
 
     def test_subnormal_coupling_exits_three(self, tmp_path):
         # the spacing of a coupling below about 2.6e-307 overflows to inf

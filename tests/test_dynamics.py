@@ -656,6 +656,25 @@ class TestPropagate:
         *_, last = propagate(h, det, 1.0)
         assert last[-1, 0] != 0.0
 
+    @pytest.mark.parametrize("chip, segment_length", [
+        (lambda h7: replace(attach_sink(h7, 3), sink_coupling=0.0), 1.0),
+        (lambda h7: attach_sink(h7, 3, 1e-30), 1.0),
+        (lambda h7: attach_sink(attach_vibrational_mode(h7), 1), 1e-300),
+    ], ids=["coupling-0", "coupling-1e-30", "vibration-length-1e-300"])
+    def test_light_cone_that_never_reaches_the_chain(self, chip,
+                                                     segment_length):
+        # every depth is 0: the window holds the non-sink rows alone
+        h = chip(build_fmo_hamiltonian(FmoSpec()))
+        det = generate_batch(NoiseConfig(segments=4), [0.5, 1.0], [1, 2])
+        assert dynamics._light_cone_depths(
+            abs(h.sink_coupling), segment_length, 4,
+            len(h.sink_indices)) == [0] * 4
+        states = list(propagate(h, det, segment_length))
+        assert len(states) == 5
+        for psi in states:
+            assert np.abs((np.abs(psi) ** 2).sum(axis=0) - 1.0).max() < 1e-12
+            assert not psi[h.sink_indices].any()
+
     def test_rows_past_the_light_cone_are_zero_and_the_cut_is_exact(self):
         h = attach_sink(attach_vibrational_mode(build_fmo_hamiltonian()), 100)
         hd = apply_static_disorder(h, 10.0, [4, 1])

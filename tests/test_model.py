@@ -575,6 +575,12 @@ REJECTIONS = {
         lambda: delta_beta_for_speed(-0.5), "speed detuning must be nonnegative"),
     "detuning": (
         lambda: speed_for_delta_beta(-0.5), "detuning must be nonnegative"),
+    "speed-not-finite": (
+        lambda: delta_beta_for_speed(math.inf), "gives no finite detuning"),
+    "detuning-nan": (
+        lambda: speed_for_delta_beta(math.nan), "gives no finite writing speed"),
+    "speed-overflow": (
+        lambda: speed_for_delta_beta(1e307), "gives no finite writing speed"),
     "effective-coupling": (
         lambda: effective_coupling(0.0, 1.0), "base coupling must be positive"),
     "delta-c": (lambda: delta_c(-1.0, 1.0), "base coupling must be positive"),

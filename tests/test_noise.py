@@ -225,10 +225,8 @@ class TestColoredFilter:
 
     @pytest.mark.parametrize("time_scale", TIME_SCALES)
     def test_batched_filter_matches_lfilter(self, time_scale):
-        # 6 seven-site realizations are 42 streams, more than one block of
-        # streams, so the burn-in is folded in two blocks
+        # 6 seven-site realizations are 42 streams, each folded on its own
         seeds = [5, 6, 7, 8, 9, 10]
-        assert 7 * len(seeds) > noise_mod._STREAM_BLOCK
         cfg = NoiseConfig(kind="colored", segments=30, total_length=30.0,
                           filter_time_scale=time_scale)
         got = generate_batch(cfg, np.ones(len(seeds)), seeds)
@@ -290,11 +288,10 @@ class TestGenerateBatch:
         assert batch.flags.c_contiguous
 
     def test_rows_independent_of_batch_order_and_chunks(self):
-        # more realizations than one block of streams, and zeros among
-        # them, so a realization's row is computed in a different block,
-        # next to different rows, in the two batches
+        # zeros among the realizations, so a realization's row is computed
+        # at a different place, next to different rows, in the two batches
         config = NoiseConfig(kind="colored", segments=9)
-        seeds = list(range(noise_mod._STREAM_BLOCK + 40))
+        seeds = list(range(72))
         amplitudes = np.array([0.0 if s % 5 == 0 else 0.5 for s in seeds])
         forward = generate_batch(config, amplitudes, seeds, n_sites=2)
         backward = generate_batch(config, amplitudes[::-1], seeds[::-1],
@@ -303,12 +300,9 @@ class TestGenerateBatch:
 
     def test_colored_rows_span_blocks_of_streams(self):
         # every row is drawn, zero rows too: 13 seven-site realizations
-        # are 91 streams, two full blocks of streams and a partial third
-        block = noise_mod._STREAM_BLOCK
+        # are 91 streams
         amplitudes = [0.0 if r in (2, 9) else 0.25 * (r + 1) for r in range(13)]
         seeds = [1000 + 37 * r for r in range(13)]
-        streams = 7 * len(amplitudes)
-        assert streams > 2 * block and streams % block
         config = NoiseConfig(kind="colored", segments=15, total_length=12.0)
         batch = generate_batch(config, amplitudes, seeds)
         for row, amplitude, seed in zip(batch, amplitudes, seeds):
@@ -319,9 +313,9 @@ class TestGenerateBatch:
     @pytest.mark.parametrize("realizations, bound_mb", [(44, 1.0),
                                                         (1000, 3.0)])
     def test_colored_working_set_is_bounded(self, realizations, bound_mb):
-        # the output, the kept samples and one block of streams: not the
-        # burn-in of every stream at once (1.3 MB of normals at 44 x 7,
-        # 29 MB at 1000 x 7)
+        # the output, the kept samples, the filter state and one stream's
+        # normals: not the burn-in of every stream at once (1.3 MB of
+        # normals at 44 x 7, 29 MB at 1000 x 7)
         config = NoiseConfig(kind="colored")
         amplitudes = np.full(realizations, 0.5)
         seeds = [2**63 + r for r in range(realizations)]
