@@ -339,9 +339,7 @@ def cmd_reproduce(args) -> int:
                   [(zj, *p, m) for zj, p, m in zip(z, probs, mps)])
         print(f"wrote {family} excitation traces")
     elif fig == "figS8":
-        for gamma, grid in ((0.0, experiments.DEFAULT_GRID),
-                            (10.0, tuple(np.geomspace(0.3, 12.0, 11).round(6))),
-                            (100.0, tuple(np.geomspace(3.0, 90.0, 11).round(6)))):
+        for gamma, grid in experiments.FIGS8_GRIDS.items():
             sweep(replace(base, disorder=gamma, grid=grid, sink_length=80),
                   f"gamma{gamma:g}_", f"gamma={gamma:g}: argmax ")
     elif fig == "figS9":

@@ -7,9 +7,14 @@ sink and the optional vibration waveguide stay undetuned.
 :func:`propagate` evolves a whole batch of realizations at once, one
 column of the state array per realization.  Within a segment it applies
 exp(-i H dz) as a Chebyshev series (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-3967 (1984)) on each column's own spectral interval, truncated where the
-Bessel coefficients fall below 1e-16; a step agrees with the exact
-propagator to about 1e-14.  Each term costs three numpy calls that follow
+3967 (1984)) on each column's own spectral interval.  One budget bounds
+what truncating the series costs: over a whole call of N steps, every
+step drops Bessel weights summing below TRUNCATION_BUDGET / N, so the
+truncation moves each column's state by at most TRUNCATION_BUDGET (2e-11)
+in norm, rounding aside.  The per-step cut never goes below
+STEP_CUT_FLOOR (1e-16), so a call of more than TRUNCATION_BUDGET /
+STEP_CUT_FLOOR (200,000) steps may drop up to N * 1e-16 in all (see
+:func:`_step_cut`).  Each term costs three numpy calls that follow
 the array's structure (:func:`_chebyshev_step`), none through BLAS, whose
 blocked sums may depend on the batch width.  A column's interval, series
 and weights come from its own inputs, and its weights are exact zeros
@@ -63,11 +68,17 @@ __all__ = ["EvolutionTrace", "segment_propagator", "propagate", "traces",
 #: the fastest beating frequency present on the chip (~1.344 mm^-1).
 DEFAULT_FINE_STEP = 0.05
 
-#: Chebyshev terms whose coefficient falls below this are dropped.
-SERIES_TOL = 1e-16
+#: Largest norm by which truncating the Chebyshev series may move a state
+#: over a whole propagate call (see :func:`_step_cut`).  The studies' means
+#: have standard errors of 1e-3 to 1e-2; at 20 steps a step drops 1e-12.
+TRUNCATION_BUDGET = 2e-11
+
+#: Least weight a step's series may drop: the Bessel table meets no smaller
+#: cut (see :func:`_chebyshev_weights`).
+STEP_CUT_FLOOR = 1e-16
 
 #: Most Chebyshev terms one step may take; the count grows linearly with
-#: the spectral half-width times the step (149 terms for figS8's widest
+#: the spectral half-width times the step (138 terms for figS8's widest
 #: study: amplitude 90 and disorder 100 mm^-1 over 1 mm segments).
 MAX_SERIES_TERMS = 10_000
 
@@ -82,14 +93,14 @@ LIGHT_CONE_TOL = 1e-16
 
 #: Most Chebyshev terms of a realization one step holds at once; a longer
 #: series runs through them as a ring, summed with its weights each time it
-#: fills.  The clean sweep's 20 terms sum once; the colored CLI sweep's 40
-#: and fig4e's 42 sum twice, for two more einsums and two adds a step.
+#: fills.  The clean sweep's and fig4e's 17 terms sum once; the colored CLI
+#: sweep's 34 to 36 sum twice, for two more einsums and two adds a step.
 #: Even, so that a term's slot in the ring has the term's parity.
 TERMS_HELD = 24
 
 #: Most bytes the held terms of one step may take.  A batch that would need
 #: more runs as column chunks in lockstep.  The benchmark's sweeps fit in
-#: one chunk (0.58 MiB on sweep_clean, 0.69 MiB on sweep_disorder_cli).
+#: one chunk (0.49 MiB on sweep_clean, 0.69 MiB on sweep_disorder_cli).
 TERM_BUFFER_BYTES = 4 << 20
 
 
@@ -247,10 +258,11 @@ def _bessel_columns(x: np.ndarray) -> np.ndarray:
 
     Column r runs the backward ratio recurrence r_k = J_k / J_{k-1} =
     x / (2k - x r_{k+1}) from r = 0 past its own start order
-    m_r = int(x_r + 10 x_r^(1/3)) + 16, where J is far below SERIES_TOL,
-    and keeps zeros past m_r; J_k / J_0 is the running product of the
-    ratios, normalized by J_0 + 2 (J_2 + J_4 + ...) = 1.  Every product and
-    sum runs in order along k, so a column depends on its own x_r only.
+    m_r = int(x_r + 10 x_r^(1/3)) + 16, where 2 |J| is below
+    STEP_CUT_FLOOR, and keeps zeros past m_r; J_k / J_0 is the running
+    product of the ratios, normalized by J_0 + 2 (J_2 + J_4 + ...) = 1.
+    Every product and sum runs in order along k, so a column depends on
+    its own x_r only.
     """
     top = (x + 10.0 * np.cbrt(x)).astype(int) + 16
     ratio = np.zeros((int(top.max()) + 2, len(x)))
@@ -262,16 +274,36 @@ def _bessel_columns(x: np.ndarray) -> np.ndarray:
     return p / total
 
 
-def _chebyshev_weights(rho) -> np.ndarray:
+def _step_cut(steps: int) -> float:
+    """The weight each step of a ``steps``-step propagation may drop from
+    its series: TRUNCATION_BUDGET / steps, and at least STEP_CUT_FLOOR.
+
+    On a column's interval the spectrum of A = (H - center) / half lies in
+    [-1, 1], so ||T_k(A)|| <= 1 and a step that drops weights summing to at
+    most c is within c of the exact propagator.  N such steps compose to
+    within (1 + c)^N - 1 <= e^{Nc} - 1 of the exact product: above the
+    floor, e^B - 1, which is the budget B to a relative 1e-11.
+    """
+    return max(STEP_CUT_FLOOR, TRUNCATION_BUDGET / steps)
+
+
+def _chebyshev_weights(rho, cut: float) -> np.ndarray:
     """(K, R) weights w_k of exp(-i rho_r t) on t in [-1, 1], for each of
     the R values ``rho`` (a scalar is one).
 
     exp(-i rho t) = sum_{k even} w_k T_k(t) - i sum_{k odd} w_k T_k(t),
     with w_k = (2 - [k = 0]) (-1)^(k // 2) J_k(rho), truncated at the first
-    order past rho whose coefficient is below SERIES_TOL, which comes
-    before the Bessel table's start order for every rho within the budget
-    (2 |J_m(rho)| < 6.1e-17 up to rho = 6,700).  K is the longest series; a
-    column's weights past its own are exact zeros.
+    order n past rho whose dropped weights 2 (|J_n| + |J_n+1| + ...) sum
+    below ``cut``.  Past 1.5 rho the Bessel ratio J_k+1 / J_k < rho /
+    (2k + 2 - rho) is below 1/2, so the sum is under twice the first
+    dropped weight there.  Only for rho above about 70 does a cut of at
+    least STEP_CUT_FLOOR fall nearer rho, where the ratio nears 1 and the
+    sum, which the test reads, can be several times that weight.  For any
+    cut of at least STEP_CUT_FLOOR, n comes at or before the Bessel
+    table's start order m for every rho within MAX_SERIES_TERMS, where the
+    table's dropped sum is 2 |J_m(rho)| < 6.1e-17 (up to rho = 6,700); a
+    smaller cut could find no order, and argmax would return 0.  K is the
+    longest series; a column's weights past its own are exact zeros.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     over = rho[~(1.5 * rho + 40 <= MAX_SERIES_TERMS)]
@@ -281,7 +313,9 @@ def _chebyshev_weights(rho) -> np.ndarray:
             f"times step) may need more than {MAX_SERIES_TERMS} terms")
     j = _bessel_columns(rho)
     k = np.arange(len(j))[:, None]
-    n = ((k > rho) & (np.abs(j) < 0.5 * SERIES_TOL)).argmax(axis=0)
+    # summed from the far end, a column's zeros past its own table first
+    dropped = 2.0 * np.cumsum(np.abs(j[::-1]), axis=0)[::-1]
+    n = ((k > rho) & (dropped < cut)).argmax(axis=0)
     k = k[:n.max()]
     w = j[:len(k)] * np.where(k % 4 < 2, 2.0, -2.0)
     w[0] = j[0]
@@ -442,7 +476,10 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     (dim, 2R) real state serves the whole call, and each step overwrites it
     in place.  The generator yields a copy of it as a (dim, R) complex
     array: the initial state, then the state after each of
-    ``steps_per_segment`` equal steps per segment.  Raises PhysicsError if
+    ``steps_per_segment`` equal steps per segment.  Every step drops
+    Chebyshev weights summing below :func:`_step_cut` of the call's step
+    count, segments times ``steps_per_segment``, so truncation moves each
+    yielded state by at most TRUNCATION_BUDGET.  Raises PhysicsError if
     any column's norm drifts by more than NORM_TOL.
 
     The held terms of a step share one buffer of at most
@@ -498,7 +535,8 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
                            f"{hi[bad[0]]:g}) of realization {bad[0]}")
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     dt = segment_length / steps_per_segment
-    weights = np.repeat(_chebyshev_weights(half * dt), 2, axis=1)
+    cut = _step_cut(det.shape[2] * steps_per_segment)
+    weights = np.repeat(_chebyshev_weights(half * dt, cut), 2, axis=1)
     # each column's own series: its weights past the last nonzero are zeros
     length = len(weights) - (weights[::-1, 0::2] != 0).argmax(axis=0)
     # libm per realization: the same bits at any batch width

@@ -43,6 +43,12 @@ __all__ = ["SweepConfig", "SweepResult", "sweep_dephasing",
 
 DEFAULT_GRID = tuple(round(0.1 * k, 10) for k in range(11))
 
+#: figS8's amplitude grid at each static disorder (mm^-1): geometric over
+#: the span that holds the disordered chip's optimum.
+FIGS8_GRIDS = {0.0: DEFAULT_GRID,
+               10.0: tuple(np.geomspace(0.3, 12.0, 11).round(6)),
+               100.0: tuple(np.geomspace(3.0, 90.0, 11).round(6))}
+
 
 @dataclass(frozen=True)
 class SweepConfig:

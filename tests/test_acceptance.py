@@ -15,6 +15,7 @@ import pytest
 from fmosim import analysis, dynamics, model, noise as noise_mod
 from fmosim.cli import main as cli_main
 from fmosim.experiments import (
+    FIGS8_GRIDS,
     SweepConfig,
     reorganization_curve,
     segment_count_study,
@@ -72,8 +73,8 @@ def test_a02_disorder_shifted_peaks():
     t0 = time.time()
     failures = []
     details = []
-    cases = ((10.0, tuple(np.geomspace(0.3, 12.0, 11).round(6)), 1.5, 3.5),
-             (100.0, tuple(np.geomspace(3.0, 90.0, 11).round(6)), 15.0, 35.0))
+    cases = ((10.0, FIGS8_GRIDS[10.0], 1.5, 3.5),
+             (100.0, FIGS8_GRIDS[100.0], 15.0, 35.0))
     for gamma, grid, lo, hi in cases:
         res = cached_sweep(disorder=gamma, grid=grid, sink_length=80)
         arg = res.argmax_value

@@ -150,13 +150,13 @@ class TestBudgets:
     def test_series_budget_sits_far_above_the_studies(self):
         # figS8's widest study (amplitude 90, disorder 100, 1 mm segments)
         # has a spectral half-width times step of about 97
-        assert len(dynamics._chebyshev_weights(97.0)) * 50 < \
-            dynamics.MAX_SERIES_TERMS
+        assert len(dynamics._chebyshev_weights(
+            97.0, dynamics.STEP_CUT_FLOOR)) * 50 < dynamics.MAX_SERIES_TERMS
 
     @pytest.mark.parametrize("rho", [7000.0, 1e300, np.inf, np.nan])
     def test_series_over_budget_rejected(self, rho):
         with pytest.raises(PhysicsError, match="Chebyshev series"):
-            dynamics._chebyshev_weights(rho)
+            dynamics._chebyshev_weights(rho, dynamics.STEP_CUT_FLOOR)
 
     def test_trace_over_budget_rejected(self):
         with pytest.raises(PhysicsError, match="samples"):
@@ -413,6 +413,15 @@ def spy_term_buffers(monkeypatch):
     return shapes
 
 
+def budgets(bound, floor_bound):
+    """(TRUNCATION_BUDGET, bound) pairs for a test to run its body under:
+    the default budget with ``bound``, then a budget of 0, which clamps
+    every step's cut to STEP_CUT_FLOOR (1e-16, the cut the kernel took
+    before the budget), with ``floor_bound``.  The test sets each through
+    its monkeypatch fixture, which restores the budget however it ends."""
+    return [(dynamics.TRUNCATION_BUDGET, bound), (0.0, floor_bound)]
+
+
 def cone_bound_exact(c, t, length, depth, digits=50):
     """c T E(depth, t) in ``digits``-digit decimals, T = ``length``, with
     E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L) found by a
@@ -524,8 +533,10 @@ class TestPropagate:
         shapes = spy_term_buffers(monkeypatch)
         whole = run_states(h, det, diag, correction)
         (n_terms, rows, _), = shapes
-        assert n_terms % 6  # the last sum over six held takes a partial ring
-        for held in (4, 6):
+        # the smallest even ring from six up that the series runs past and
+        # ends partway through, so that the last sum takes a partial ring
+        size = next(k for k in range(6, n_terms, 2) if n_terms % k)
+        for held in (4, size):
             # a budget below one realization's series, with room for
             # held + 1 of its terms: the ring keeps an even count
             monkeypatch.setattr(dynamics, "TERM_BUFFER_BYTES",
@@ -538,10 +549,10 @@ class TestPropagate:
                 np.testing.assert_array_equal(c[:, 0], a[:, 1])
         # a ring shared by the whole batch
         monkeypatch.undo()
-        monkeypatch.setattr(dynamics, "TERMS_HELD", 6)
+        monkeypatch.setattr(dynamics, "TERMS_HELD", size)
         shapes = spy_term_buffers(monkeypatch)
         ring = run_states(h, det, diag, correction)
-        assert shapes == [(6, rows, 2 * 3)]
+        assert shapes == [(size, rows, 2 * 3)]
         for a, b in zip(ring, whole):
             assert np.abs(a - b).max() < 1e-14
 
@@ -557,8 +568,8 @@ class TestPropagate:
         own = run_states(h, det, diag, correction)
         weights = dynamics._chebyshev_weights
 
-        def padded(rho):
-            w = weights(rho)
+        def padded(rho, cut):
+            w = weights(rho, cut)
             return np.pad(w, [(0, pad)] + [(0, 0)] * (w.ndim - 1))
 
         monkeypatch.setattr(dynamics, "_chebyshev_weights", padded)
@@ -586,16 +597,17 @@ class TestPropagate:
                 assert width == min(n_real, budget // (held * term))
 
     def test_buffer_shape_at_the_benchmark_sweeps(self):
-        # 41 window rows and 44 realizations: the clean sweep's 20-term
-        # series is held whole, the colored CLI sweep's 40 terms run
+        # 41 window rows and 44 realizations: the clean sweep's 17-term
+        # series is held whole, the colored CLI sweep's 34 to 36 terms run
         # through a ring of 24
-        assert dynamics._buffer_shape(20, 41, 44) == (20, 44)
-        assert dynamics._buffer_shape(40, 41, 44) == (24, 44)
+        assert dynamics._buffer_shape(17, 41, 44) == (17, 44)
+        assert dynamics._buffer_shape(36, 41, 44) == (24, 44)
 
     def test_colored_series_in_a_ring_matches_holding_every_term(
             self, monkeypatch):
         # the colored CLI sweep's shape: colored noise up to 12 mm^-1,
-        # disorder 10 and 80 sink waveguides take 40 terms a step
+        # disorder 10 and 80 sink waveguides take more than TERMS_HELD
+        # terms a step, under either budget
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 80)
         amplitudes = np.repeat(np.geomspace(0.3, 12.0, 4), 2)
         seeds = list(range(len(amplitudes)))
@@ -604,14 +616,20 @@ class TestPropagate:
                              amplitudes, seeds)
         diag = (h.matrix.diagonal()[:, None]
                 + static_disorder_shifts(h.dim, 10.0, seeds).T)
-        shapes = spy_term_buffers(monkeypatch)
-        states = {}
-        for held in (48, 24):
-            monkeypatch.setattr(dynamics, "TERMS_HELD", held)
-            states[held] = run_states(h, det, diag, False, steps=1)
-        assert [n_terms for n_terms, *_ in shapes] == [40, 24]
-        for a, b in zip(states[24], states[48]):
-            assert np.abs(a - b).max() < 1e-14
+        held = dynamics.TERMS_HELD
+        # both runs share the series, and differ only in how its sums group
+        for budget, bound in budgets(1e-14, 1e-14):
+            monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
+            shapes = spy_term_buffers(monkeypatch)
+            ring = run_states(h, det, diag, False, steps=1)
+            monkeypatch.setattr(dynamics, "TERMS_HELD",
+                                dynamics.MAX_SERIES_TERMS)
+            every = run_states(h, det, diag, False, steps=1)
+            monkeypatch.undo()
+            (n_ring, *_), (n_terms, *_) = shapes
+            assert n_ring == held < n_terms
+            for a, b in zip(ring, every):
+                assert np.abs(a - b).max() < bound
 
     @pytest.mark.parametrize("c,step,segments,max_depth", [
         (0.2, 1.0, 20, 100),    # the default chip: 2 c T = 8
@@ -662,20 +680,27 @@ class TestPropagate:
         (lambda h7: attach_sink(attach_vibrational_mode(h7), 1), 1e-300),
     ], ids=["coupling-0", "coupling-1e-30", "vibration-length-1e-300"])
     def test_light_cone_that_never_reaches_the_chain(self, chip,
-                                                     segment_length):
+                                                     segment_length,
+                                                     monkeypatch):
         # every depth is 0: the window holds the non-sink rows alone
         h = chip(build_fmo_hamiltonian(FmoSpec()))
         det = generate_batch(NoiseConfig(segments=4), [0.5, 1.0], [1, 2])
         assert dynamics._light_cone_depths(
             abs(h.sink_coupling), segment_length, 4,
             len(h.sink_indices)) == [0] * 4
-        states = list(propagate(h, det, segment_length))
-        assert len(states) == 5
-        for psi in states:
-            assert np.abs((np.abs(psi) ** 2).sum(axis=0) - 1.0).max() < 1e-12
-            assert not psi[h.sink_indices].any()
+        # a norm within the budget of 1 squares to within (1 + B)^2 - 1
+        budget = dynamics.TRUNCATION_BUDGET
+        for budget, bound in budgets((1.0 + budget) ** 2 - 1.0, 1e-12):
+            monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
+            states = list(propagate(h, det, segment_length))
+            assert len(states) == 5
+            for psi in states:
+                assert np.abs((np.abs(psi) ** 2).sum(axis=0)
+                              - 1.0).max() < bound
+                assert not psi[h.sink_indices].any()
 
-    def test_rows_past_the_light_cone_are_zero_and_the_cut_is_exact(self):
+    def test_rows_past_the_light_cone_are_zero_and_the_cut_is_exact(
+            self, monkeypatch):
         h = attach_sink(attach_vibrational_mode(build_fmo_hamiltonian()), 100)
         hd = apply_static_disorder(h, 10.0, [4, 1])
         det = generate(NoiseConfig(kind="colored", amplitude=1.0,
@@ -683,19 +708,23 @@ class TestPropagate:
                                    seed=4)).sequences
         rows = window_rows(h, 20)
         assert rows[0] < rows[-1] < h.dim
-        got = [s[:, 0] for s in propagate(
-            h, det[None], 1.0, diagonals=hd.matrix.diagonal()[:, None],
-            couplings=corrected_couplings(h, det[None]))]
         psi = np.zeros(h.dim, complex)
         psi[h.source_index] = 1.0
-        for k, state in enumerate(got):
-            assert np.abs(state - psi).max() < 1e-12
-            if k:   # the state at the end of segment k - 1
-                assert not state[rows[k - 1]:].any()
-                assert state[rows[k - 1] - 1] != 0.0
-            if k < det.shape[1]:
-                psi = segment_propagator(
-                    segment_matrix(hd, det[:, k], True), 1.0) @ psi
+        expected = [psi]
+        for k in range(det.shape[1]):
+            expected.append(segment_propagator(
+                segment_matrix(hd, det[:, k], True), 1.0) @ expected[-1])
+        for budget, bound in budgets(
+                dynamics.TRUNCATION_BUDGET + dynamics.LIGHT_CONE_TOL, 1e-12):
+            monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
+            got = [s[:, 0] for s in propagate(
+                h, det[None], 1.0, diagonals=hd.matrix.diagonal()[:, None],
+                couplings=corrected_couplings(h, det[None]))]
+            for k, (state, psi) in enumerate(zip(got, expected)):
+                assert np.abs(state - psi).max() < bound
+                if k:   # the state at the end of segment k - 1
+                    assert not state[rows[k - 1]:].any()
+                    assert state[rows[k - 1] - 1] != 0.0
 
     def test_yields_are_fresh_arrays(self):
         # the steps overwrite one state in place; no yield may see it move
@@ -783,21 +812,24 @@ class TestPropagate:
 
     @pytest.mark.parametrize("correction", [False, True])
     def test_zeroed_mode_couplings_are_the_chip_without_the_mode(
-            self, correction):
+            self, correction, monkeypatch):
         h, det, diag = batch_inputs(vibration=True)
         h7 = batch_inputs()[0]
         mode = h.roles.index("vibration")
         couplings = corrected_couplings(h, det, correction)
         couplings.update(zeroed_mode(h, det))
-        dark = [psi.copy() for psi in propagate(
-            h, det, 1.0, 2, diagonals=diag, couplings=couplings)]
-        without = run_states(h7, det, np.delete(diag, mode, axis=0),
-                             correction)
         assert np.ptp(diag[h.sink_indices], axis=0).all()   # disorder 3
-        assert len(dark) == len(without)
-        for a, b in zip(dark, without):
-            assert not a[mode].any()
-            assert np.abs(np.delete(a, mode, axis=0) - b).max() < 1e-13
+        # two chips, two series, each within the budget of the same states
+        for budget, bound in budgets(2 * dynamics.TRUNCATION_BUDGET, 1e-13):
+            monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
+            dark = [psi.copy() for psi in propagate(
+                h, det, 1.0, 2, diagonals=diag, couplings=couplings)]
+            without = run_states(h7, det, np.delete(diag, mode, axis=0),
+                                 correction)
+            assert len(dark) == len(without)
+            for a, b in zip(dark, without):
+                assert not a[mode].any()
+                assert np.abs(np.delete(a, mode, axis=0) - b).max() < bound
 
     # (couplings, with a value a float filling (R, segments) or a shape
     # filled with 0.1) that propagate rejects on batch_inputs' chip, whose
@@ -912,11 +944,95 @@ class TestPropagate:
             for _ in range(steps):
                 psi = u @ psi
                 expected.append(psi)
-        got = [s[:, 0] for s in propagate(
-            h, det[None], 1.0, steps,
-            diagonals=hd.matrix.diagonal()[:, None],
-            couplings=corrected_couplings(h, det[None], correction))]
-        assert np.abs(np.array(got) - np.array(expected)).max() < 1e-12
+        # hypothesis shares one monkeypatch fixture across its examples
+        with pytest.MonkeyPatch.context() as patch:
+            for budget, bound in budgets(dynamics.TRUNCATION_BUDGET, 1e-12):
+                patch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
+                got = [s[:, 0] for s in propagate(
+                    h, det[None], 1.0, steps,
+                    diagonals=hd.matrix.diagonal()[:, None],
+                    couplings=corrected_couplings(h, det[None], correction))]
+                assert np.abs(np.array(got)
+                              - np.array(expected)).max() < bound
+
+    # SweepConfig fields of the benchmark's gated sweeps, 20 segments each,
+    # and of the vibration mode and the coupling correction on them.  The
+    # first two mirror the sweep_clean and sweep_disorder_cli studies of
+    # bench/studies.py (its FIGS8_GAMMA10_GRID is figS8's grid at disorder
+    # 10), and a change to those studies belongs here too.
+    GATED = {"sweep_clean": dict(sink_length=100),
+             "sweep_disorder_cli": dict(noise_kind="colored", disorder=10.0,
+                                        sink_length=80,
+                                        grid=experiments.FIGS8_GRIDS[10.0]),
+             "vibration": dict(with_vibration=True),
+             "correction": dict(noise_kind="colored", disorder=10.0,
+                                coupling_correction=True)}
+
+    @pytest.mark.parametrize("shape", list(GATED))
+    def test_gated_shapes_stay_within_the_truncation_budget(self, shape):
+        # the least and the greatest amplitude of the grid, two
+        # realizations each
+        cfg = SweepConfig(realizations=2, **self.GATED[shape])
+        cfg = replace(cfg, grid=(cfg.grid[0], cfg.grid[-1]))
+        base = experiments._base_hamiltonian(cfg)
+        det, diag, couplings = experiments._study_columns(cfg, base)
+        dz = cfg.observe_z / cfg.segments
+        states = list(propagate(base, det, dz, diagonals=diag,
+                                couplings=couplings))
+        assert len(states) == 21
+        for psi in states:
+            assert np.abs(np.linalg.norm(psi, axis=0) - 1.0).max() <= \
+                dynamics.TRUNCATION_BUDGET
+        for c in range(len(det)):
+            hd = with_diagonal(base, diag[:, c])
+            psi = states[0][:, c]
+            for k in range(cfg.segments):
+                m = segment_matrix(hd, det[c, :, k])
+                for (i, j), v in couplings.items():
+                    m[i, j] = m[j, i] = v[c, k]
+                psi = segment_propagator(m, dz) @ psi
+            assert np.linalg.norm(states[-1][:, c] - psi) <= \
+                dynamics.TRUNCATION_BUDGET + dynamics.LIGHT_CONE_TOL
+
+    def test_a_cut_below_the_floor_clamps_and_stops_inside_the_table(self):
+        budget, floor = dynamics.TRUNCATION_BUDGET, dynamics.STEP_CUT_FLOOR
+        assert 5e-13 <= dynamics._step_cut(20) == budget / 20 <= 1e-12
+        steps = math.ceil(budget / floor) + 1
+        assert budget / steps < floor == dynamics._step_cut(steps)
+        # every rho whose series MAX_SERIES_TERMS admits
+        rho = np.concatenate([np.linspace(0.0, 30.0, 61),
+                              np.geomspace(30.0, 6640.0, 40)])
+        j = dynamics._bessel_columns(rho)
+        w = dynamics._chebyshev_weights(rho, floor)
+        n = len(w) - (w[::-1] != 0).argmax(axis=0)
+        starts = (rho + 10.0 * np.cbrt(rho)).astype(int) + 16
+        for r in range(len(rho)):
+            assert rho[r] < n[r] <= starts[r]
+            assert 2.0 * np.abs(j[n[r]:, r]).sum() < floor
+
+    def test_gated_studies_take_the_budgets_series(self, monkeypatch):
+        # every pool seed of the benchmark's gated sweeps takes 17 terms a
+        # step on sweep_clean and at most 36 on sweep_disorder_cli (20 and
+        # 38 to 41 at the 1e-16 cut the kernel took before the budget)
+        calls = []
+        weights = dynamics._chebyshev_weights
+
+        def spy(rho, cut):
+            w = weights(rho, cut)
+            calls.append((len(w), cut))
+            return w
+
+        monkeypatch.setattr(dynamics, "_chebyshev_weights", spy)
+        lengths = {}
+        for shape in ("sweep_clean", "sweep_disorder_cli"):
+            cfg = SweepConfig(realizations=4, **self.GATED[shape])
+            calls.clear()
+            for seed in range(64):
+                experiments.sweep_dephasing(replace(cfg, seed=seed))
+            lengths[shape] = {n for n, _ in calls}
+            assert {cut for _, cut in calls} == {dynamics._step_cut(20)}
+        assert lengths["sweep_clean"] == {17}
+        assert max(lengths["sweep_disorder_cli"]) <= 36
 
     def test_zero_hamiltonian_leaves_batch_exactly_constant(self):
         h = Hamiltonian(np.zeros((7, 7)), tuple(f"fmo_site_{i}" for i in range(1, 8)))
@@ -975,6 +1091,20 @@ class TestPropagate:
             assert rows == [nb] * len(rows)
         if case == "vibration":
             assert nb == 9
+        expected = np.zeros((2 * det.shape[2] + 1,) + diag.shape, complex)
+        expected[0, h.source_index] = 1.0
+        for c in range(det.shape[0]):
+            hd = with_diagonal(h, diag[:, c])
+            for k in range(det.shape[2]):
+                u = segment_propagator(
+                    segment_matrix(hd, det[c, :, k], correction), 0.5)
+                for s in (2 * k + 1, 2 * k + 2):
+                    expected[s, :, c] = u @ expected[s - 1, :, c]
+        for budget, bound in budgets(dynamics.TRUNCATION_BUDGET, 1e-12):
+            monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
+            got = run_states(h, det, diag, correction)
+            assert np.abs(np.array(got) - expected).max() < bound
+        monkeypatch.undo()
         shapes = spy_term_buffers(monkeypatch)
         whole = run_states(h, det, diag, correction)
         (n_terms, n_rows, _), = shapes
@@ -985,19 +1115,6 @@ class TestPropagate:
         assert shapes[1] == (n_terms, n_rows, 2 * 2)
         for a, b in zip(chunked, whole):
             np.testing.assert_array_equal(a, b)
-        for c in range(det.shape[0]):
-            hd = with_diagonal(h, diag[:, c])
-            psi = np.zeros(h.dim, complex)
-            psi[h.source_index] = 1.0
-            expected = [psi]
-            for k in range(det.shape[2]):
-                u = segment_propagator(
-                    segment_matrix(hd, det[c, :, k], correction), 0.5)
-                for _ in range(2):
-                    psi = u @ psi
-                    expected.append(psi)
-            got = np.array([s[:, c] for s in whole])
-            assert np.abs(got - np.array(expected)).max() < 1e-12
 
     def test_c_einsum_is_numpy_einsum(self):
         # every subscript the kernel calls, on the strided views it passes:
@@ -1035,9 +1152,10 @@ class TestPropagate:
             alone = dynamics._bessel_columns(x[c:c + 1])[:, 0]
             np.testing.assert_array_equal(alone, j[:len(alone), c])
             assert not j[len(alone):, c].any()
-        w = dynamics._chebyshev_weights(x)
+        cut = dynamics._step_cut(20)
+        w = dynamics._chebyshev_weights(x, cut)
         for c in range(len(x)):
-            alone = dynamics._chebyshev_weights(x[c])[:, 0]
+            alone = dynamics._chebyshev_weights(x[c], cut)[:, 0]
             np.testing.assert_array_equal(alone, w[:len(alone), c])
             assert not w[len(alone):, c].any()
 
