@@ -15,9 +15,7 @@ Run:  python3 demos/02_disordered_lattice.py [--realizations N]
 
 import argparse
 
-import numpy as np
-
-from fmosim.experiments import SweepConfig, sweep_dephasing
+from fmosim.experiments import FIGS8_GRIDS, SweepConfig, sweep_dephasing
 
 
 def main():
@@ -26,10 +24,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    cases = ((0.0, tuple(round(0.1 * k, 10) for k in range(11))),
-             (10.0, tuple(np.geomspace(0.3, 12.0, 11).round(6))),
-             (100.0, tuple(np.geomspace(3.0, 90.0, 11).round(6))))
-    for gamma, grid in cases:
+    for gamma, grid in FIGS8_GRIDS.items():
         cfg = SweepConfig(grid=grid, disorder=gamma, sink_length=80,
                           realizations=args.realizations, seed=args.seed)
         res = sweep_dephasing(cfg)

@@ -13,7 +13,7 @@ Run:  python3 demos/04_vibrational_mode.py [--realizations N]
 
 import argparse
 
-from fmosim.experiments import SweepConfig, vibrational_comparison
+from fmosim.experiments import FIGS5_GRID, SweepConfig, vibrational_comparison
 
 
 def main():
@@ -21,7 +21,7 @@ def main():
     ap.add_argument("--realizations", type=int, default=20)
     args = ap.parse_args()
 
-    cfg = SweepConfig(grid=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
+    cfg = SweepConfig(grid=FIGS5_GRID,
                       realizations=args.realizations, noise_kind="colored")
     pos, with_v, without_v = vibrational_comparison(cfg)
     diff = with_v - without_v

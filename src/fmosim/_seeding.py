@@ -206,46 +206,37 @@ def _mul128(a_hi, a_lo, x_hi, x_lo):
 DRAW_BLOCK = 1 << 16
 
 
-def random_rows(rows, n: int) -> np.ndarray:
-    """(rows, n) float64: row i is bit for bit
-    ``numpy.random.default_rng(row_i).random(n)``, for rows of uint32
-    words (:func:`entropy_words`).  ``rows`` may be any iterable; it is
-    read and drawn ``SEED_BLOCK`` rows at a time (:func:`_doubles`).
+def random_rows(rows, out: np.ndarray) -> None:
+    """Fill the (R, n) float64 ``out``: row i is bit for bit
+    ``numpy.random.default_rng(row_i).random(n)``, for the R rows of uint32
+    words (:func:`entropy_words`) that ``rows`` yields.  ``rows`` may be
+    any iterable; it is read ``SEED_BLOCK`` rows at a time, and each block
+    is drawn straight into its rows of ``out``.
+
+    The PCG64 seeding and all n LCG steps of every row of a block run as a
+    few ``uint64`` array operations over (rows, draws) (see
+    :func:`_jumps`), a block of draws at a time; each state then gives
+    numpy's XSL-RR output and its double, ``(x >> 11) * 2**-53``.
     """
-    rows = iter(rows)
-    blocks = [_doubles(list(islice(rows, SEED_BLOCK)), n)]
-    while block := list(islice(rows, SEED_BLOCK)):
-        blocks.append(_doubles(block, n))
-    # one pass, the common case, is returned as it is, not copied
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
-def _doubles(rows, n: int) -> np.ndarray:
-    """:func:`random_rows` on a list of rows.
-
-    The PCG64 seeding and all n LCG steps of every row run as a few
-    ``uint64`` array operations over (rows, draws) (see :func:`_jumps`),
-    a block of draws at a time; each state then gives numpy's XSL-RR
-    output and its double, ``(x >> 11) * 2**-53``.
-    """
-    s_hi, s_lo, i_hi, i_lo = seed_words(rows, 4).T[:, :, None]
-    one = np.uint64(1)
-    inc_hi = (i_hi << one) | (i_lo >> np.uint64(63))
-    inc_lo = (i_lo << one) | one
-    x_lo = inc_lo + s_lo
-    x_hi = inc_hi + s_hi + (x_lo < s_lo)
-    jumps = _jumps(n)
-    out = np.empty((len(rows), n))
-    block = max(1, DRAW_BLOCK // max(len(rows), 1))
-    for start in range(0, n, block):
-        m_hi, m_lo, g_hi, g_lo = jumps[:, start:start + block]
-        hi, lo = _mul128(m_hi, m_lo, x_hi, x_lo)
-        step_hi, step_lo = _mul128(g_hi, g_lo, inc_hi, inc_lo)
-        lo = lo + step_lo
-        hi = hi + step_hi + (lo < step_lo)
-        # XSL-RR: the xor of the halves, rotated right by the top 6 bits
-        rot = hi >> np.uint64(58)
-        bits = hi ^ lo
-        bits = (bits >> rot) | (bits << ((np.uint64(64) - rot) & np.uint64(63)))
-        out[:, start:start + block] = (bits >> np.uint64(11)) * 2.0 ** -53
-    return out
+    rows, n = iter(rows), out.shape[1]
+    jumps, one = _jumps(n), np.uint64(1)
+    for first in range(0, len(out), SEED_BLOCK):
+        block = out[first:first + SEED_BLOCK]
+        s_hi, s_lo, i_hi, i_lo = seed_words(list(islice(rows, len(block))),
+                                            4).T[:, :, None]
+        inc_hi = (i_hi << one) | (i_lo >> np.uint64(63))
+        inc_lo = (i_lo << one) | one
+        x_lo = inc_lo + s_lo
+        x_hi = inc_hi + s_hi + (x_lo < s_lo)
+        draws = max(1, DRAW_BLOCK // len(block))
+        for start in range(0, n, draws):
+            m_hi, m_lo, g_hi, g_lo = jumps[:, start:start + draws]
+            hi, lo = _mul128(m_hi, m_lo, x_hi, x_lo)
+            step_hi, step_lo = _mul128(g_hi, g_lo, inc_hi, inc_lo)
+            lo = lo + step_lo
+            hi = hi + step_hi + (lo < step_lo)
+            # XSL-RR: the xor of the halves, rotated right by the top 6 bits
+            rot = hi >> np.uint64(58)
+            bits = hi ^ lo
+            bits = (bits >> rot) | (bits << ((np.uint64(64) - rot) & np.uint64(63)))
+            block[:, start:start + draws] = (bits >> np.uint64(11)) * 2.0 ** -53

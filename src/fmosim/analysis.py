@@ -116,8 +116,8 @@ def psd_periodogram(seq, f_s: float, nfft: int = 128) -> SpectrumEstimate:
         raise PhysicsError("sequence longer than nfft")
     if nfft & (nfft - 1):
         raise PhysicsError("nfft must be a power of two")
-    if f_s <= 0:
-        raise PhysicsError("sampling frequency must be positive")
+    if not (np.isfinite(f_s) and f_s > 0):
+        raise PhysicsError("sampling frequency must be positive and finite")
     xc = x - x.mean(axis=-1, keepdims=True)
     spec = np.fft.rfft(xc, n=nfft)
     # Two-sided density |X|^2 / (n f_s); folding doubles interior bins.

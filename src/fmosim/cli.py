@@ -300,14 +300,13 @@ def cmd_reproduce(args) -> int:
 
     if fig == "fig3b":
         points, fit = experiments.reorganization_curve(replace(
-            base, noise_kind="colored",
-            grid=tuple(round(0.1 * k, 10) for k in range(1, 11))))
+            base, noise_kind="colored", grid=experiments.FIG3B_GRID))
         table("points", ["variance", "reorganization_energy"], points)
         table("fit", ["slope", "intercept", "r_squared"],
               [(fit.slope, fit.intercept, fit.r_squared)])
         print(f"linear fit R^2: {fit.r_squared:.6f}")
     elif fig in ("fig3c", "figS5"):
-        grid = (0.5,) if fig == "fig3c" else (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+        grid = (0.5,) if fig == "fig3c" else experiments.FIGS5_GRID
         z, with_mode, without = experiments.vibrational_comparison(
             replace(base, grid=grid))
         table("traces",

@@ -43,6 +43,11 @@ __all__ = ["SweepConfig", "SweepResult", "sweep_dephasing",
 
 DEFAULT_GRID = tuple(round(0.1 * k, 10) for k in range(11))
 
+#: The amplitude grids (mm^-1) of fig3b, the default grid without 0, and
+#: of figS5.
+FIG3B_GRID = DEFAULT_GRID[1:]
+FIGS5_GRID = DEFAULT_GRID[::2]
+
 #: figS8's amplitude grid at each static disorder (mm^-1): geometric over
 #: the span that holds the disordered chip's optimum.
 FIGS8_GRIDS = {0.0: DEFAULT_GRID,
@@ -124,20 +129,26 @@ def _digest(canonical: dict) -> str:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-grid-point observable statistics plus raw realization values."""
+    """Raw realization values per grid point, and their statistics."""
 
     grid: np.ndarray
-    means: np.ndarray
-    stds: np.ndarray
     values: np.ndarray          # (len(grid), realizations)
 
     def __post_init__(self):
-        for name in ("grid", "means", "stds", "values"):
+        for name in ("grid", "values"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if np.any(self.stds < 0):
-            raise PhysicsError("standard deviations must be nonnegative")
+
+    @property
+    def means(self) -> np.ndarray:
+        return self.values.mean(axis=1)
+
+    @property
+    def stds(self) -> np.ndarray:
+        # the spread is taken about each row's first value, which is exact
+        # (zero) when all the realizations agree, as at amplitude 0
+        return (self.values - self.values[:, :1]).std(axis=1)
 
     @property
     def argmax_value(self) -> float:
@@ -224,13 +235,6 @@ def _study_columns(cfg: SweepConfig, base: Hamiltonian) -> tuple:
          for r in range(cfg.realizations)])
 
 
-def _make_result(cfg: SweepConfig, values: np.ndarray) -> SweepResult:
-    # the spread is taken about each row's first value, which is exact
-    # (zero) when all the realizations agree, as at amplitude 0
-    stds = (values - values[:, :1]).std(axis=1)
-    return SweepResult(np.asarray(cfg.grid), values.mean(axis=1), stds, values)
-
-
 def sweep_dephasing(cfg: SweepConfig) -> SweepResult:
     """Mean transport efficiency at z per detuning amplitude on the grid."""
     base = _base_hamiltonian(cfg)
@@ -240,7 +244,8 @@ def sweep_dephasing(cfg: SweepConfig) -> SweepResult:
             diagonals=diagonals, couplings=couplings):
         pass
     values = analysis._sink_fraction(psi, base.sink_indices)
-    return _make_result(cfg, values.reshape(len(cfg.grid), cfg.realizations))
+    return SweepResult(cfg.grid,
+                       values.reshape(len(cfg.grid), cfg.realizations))
 
 
 def reorganization_curve(cfg: SweepConfig):

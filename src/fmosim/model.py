@@ -348,10 +348,12 @@ def static_disorder_shifts(n: int, gamma, rng_seeds) -> np.ndarray:
         raise PhysicsError("disorder strength must be finite")
     if (gamma < 0).any():
         raise PhysicsError("disorder strength must be nonnegative")
-    if not gamma.any():
-        return np.zeros((len(rng_seeds), n))
-    return gamma[..., None] * _seeding.random_rows(
-        (_seeding.entropy_words(seed) for seed in rng_seeds), n)
+    shifts = np.zeros((len(rng_seeds), n))
+    if gamma.any():
+        _seeding.random_rows(
+            (_seeding.entropy_words(seed) for seed in rng_seeds), shifts)
+        shifts *= gamma[..., None]
+    return shifts
 
 
 def apply_static_disorder(h: Hamiltonian, gamma: float, rng_seed) -> Hamiltonian:

@@ -187,27 +187,25 @@ def _run_filter(state: np.ndarray, x: np.ndarray, rate: float) -> None:
         xn[...] = yn
 
 
-def _colored_rows(rows, n_rows: int, segments: int,
-                  rate: float) -> np.ndarray:
-    """(n_rows, segments), in C order: the colored filter's output on the
-    normals of each stream, burn-in dropped; up to rounding, ``scipy.signal.lfilter
-    (b, a, white)[FILTER_BURN_IN:]`` on each stream's white noise.
+def _colored_rows(rows, out: np.ndarray, rate: float) -> None:
+    """Fill the C-ordered (streams, segments) ``out`` with the colored
+    filter's output on the normals of each stream, burn-in dropped; up to
+    rounding, ``scipy.signal.lfilter(b, a, white)[FILTER_BURN_IN:]`` on
+    each stream's white noise.
 
     The streams are drawn one at a time into one reused vector, and each
     stream's burn-in is folded into its own filter state by one einsum
     through :func:`_burn_in_map`, a call on that row alone; the recurrence
     (:func:`_run_filter`) then runs once over every row's kept samples.
     """
-    kept = np.empty((n_rows, segments))
-    state = np.empty((n_rows, 3))
-    white = np.empty(FILTER_BURN_IN + segments)
+    state = np.empty((len(out), 3))
+    white = np.empty(FILTER_BURN_IN + out.shape[1])
     fold = _burn_in_map(rate)
-    for row, s, rng in zip(kept, state, _seeding.streams(rows)):
+    for row, s, rng in zip(out, state, _seeding.streams(rows)):
         _draw("colored", rng, white)
         c_einsum("kj,j->k", fold, white[:FILTER_BURN_IN], out=s)
         row[:] = white[FILTER_BURN_IN:]
-    _run_filter(state.T, kept.T, rate)
-    return kept
+    _run_filter(state.T, out.T, rate)
 
 
 def _draw(kind: str, rng: np.random.Generator, out: np.ndarray) -> None:
@@ -259,16 +257,16 @@ def generate_batch(config: NoiseConfig, amplitudes, seeds,
     rows = (words + [site]
             for words in map(_seeding.entropy_words, seeds)
             for site in range(n_sites))
+    # every kind writes its draws straight into the batch
+    draws = np.empty((len(seeds) * n_sites, segments))
     if kind == "uniform_white":
         # the bits of rng.uniform(0.0, 1.0, segments) on each stream
-        draws = _seeding.random_rows(rows, segments)
+        _seeding.random_rows(rows, draws)
     elif kind == "colored":
-        draws = _colored_rows(
-            rows, len(seeds) * n_sites, segments,
-            config.sampling_frequency * config.filter_time_scale)
+        _colored_rows(rows, draws,
+                      config.sampling_frequency * config.filter_time_scale)
         np.abs(draws, out=draws)
     else:
-        draws = np.empty((len(seeds) * n_sites, segments))
         for row, rng in zip(draws, _seeding.streams(rows)):
             _draw(kind, rng, row)
     # elementwise and per row from here on, in place

@@ -15,6 +15,7 @@ import pytest
 from fmosim import analysis, dynamics, model, noise as noise_mod
 from fmosim.cli import main as cli_main
 from fmosim.experiments import (
+    FIGS5_GRID,
     FIGS8_GRIDS,
     SweepConfig,
     reorganization_curve,
@@ -216,7 +217,7 @@ def test_a06_calibrated_eigengap():
 def test_a07_vibrational_assistance():
     t0 = time.time()
     failures = []
-    cfg = SweepConfig(grid=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0), realizations=100,
+    cfg = SweepConfig(grid=FIGS5_GRID, realizations=100,
                       noise_kind="colored")
     pos, with_v, without_v = vibrational_comparison(cfg)
     diff = with_v - without_v

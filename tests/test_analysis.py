@@ -506,6 +506,12 @@ REJECTIONS = {
     "periodogram-sampling-frequency": (
         lambda d: psd_periodogram([1.0, 2.0, 4.0], 0.0),
         "sampling frequency must be positive"),
+    "periodogram-nan-sampling-frequency": (
+        lambda d: psd_periodogram([1.0, 2.0, 4.0], math.nan),
+        "sampling frequency must be positive and finite"),
+    "periodogram-infinite-sampling-frequency": (
+        lambda d: psd_periodogram([1.0, 2.0, 4.0], math.inf),
+        "sampling frequency must be positive and finite"),
     "reorganization-empty-spectrum": (
         lambda d: reorganization_energy(SpectrumEstimate([], [])),
         "empty spectrum"),

@@ -14,22 +14,28 @@ from fmosim import dynamics, experiments, model, noise
 from fmosim.cli import main
 
 
+SWEEP_RAW = (b"grid_value,realization,efficiency\r\n"
+             b"0,0,0.333333333333333\r\n"
+             b"0,1,0.333333333333333\r\n"
+             b"0.1,0,-0.166666666666667\r\n"
+             b"0.1,1,1.16666666666667\r\n")
+SWEEP_SUMMARY = (b"grid_value,mean,std\r\n"
+                 b"0,0.333333333333333,0\r\n"
+                 b"0.1,0.5,0.666666666666667\r\n")
+
+
+def fake_sweep():
+    """A two-point sweep of two realizations each, whose means are 1/3 and
+    0.5 and whose stds are 0 and 2/3."""
+    return experiments.SweepResult(grid=[0.0, 0.1],
+                                   values=[[1 / 3, 1 / 3], [-1 / 6, 7 / 6]])
+
+
 def test_sweep_tables(tmp_path):
-    res = experiments.SweepResult(
-        grid=[0.0, 0.1], means=[1 / 3, 0.5], stds=[0.0, 2 / 3],
-        values=[[1 / 3, 1 / 3], [1e-20, 1.0]])
-    experiments.write_sweep_csv(res, tmp_path / "raw.csv",
+    experiments.write_sweep_csv(fake_sweep(), tmp_path / "raw.csv",
                                 tmp_path / "summary.csv")
-    assert (tmp_path / "raw.csv").read_bytes() == (
-        b"grid_value,realization,efficiency\r\n"
-        b"0,0,0.333333333333333\r\n"
-        b"0,1,0.333333333333333\r\n"
-        b"0.1,0,1e-20\r\n"
-        b"0.1,1,1\r\n")
-    assert (tmp_path / "summary.csv").read_bytes() == (
-        b"grid_value,mean,std\r\n"
-        b"0,0.333333333333333,0\r\n"
-        b"0.1,0.5,0.666666666666667\r\n")
+    assert (tmp_path / "raw.csv").read_bytes() == SWEEP_RAW
+    assert (tmp_path / "summary.csv").read_bytes() == SWEEP_SUMMARY
 
 
 def test_trace_table(tmp_path):
@@ -68,9 +74,7 @@ def test_chip_plan_table(tmp_path):
 
 
 def test_reproduce_tables(tmp_path, monkeypatch):
-    sweep = experiments.SweepResult(
-        grid=[0.0, 0.1], means=[1 / 3, 0.5], stds=[0.0, 2 / 3],
-        values=[[1 / 3], [0.5]])
+    sweep = fake_sweep()
     monkeypatch.setattr(
         experiments, "noise_distribution_comparison",
         lambda cfg: ({"colored": sweep}, {"colored": 1 / 3}))
@@ -87,9 +91,7 @@ def test_reproduce_tables(tmp_path, monkeypatch):
 
 
 def test_reproduce_segment_table(tmp_path, monkeypatch):
-    sweep = experiments.SweepResult(
-        grid=[0.0, 0.1], means=[1 / 3, 0.5], stds=[0.0, 2 / 3],
-        values=[[1 / 3], [0.5]])
+    sweep = fake_sweep()
     monkeypatch.setattr(experiments, "segment_count_study",
                         lambda cfg: {10: sweep, 80: sweep})
     with contextlib.redirect_stdout(io.StringIO()):
@@ -104,20 +106,8 @@ def test_reproduce_segment_table(tmp_path, monkeypatch):
         b"80,0.1,0.5,0.666666666666667\r\n")
 
 
-SWEEP_RAW = (b"grid_value,realization,efficiency\r\n"
-             b"0,0,0.333333333333333\r\n"
-             b"0,1,0.333333333333333\r\n"
-             b"0.1,0,1e-20\r\n"
-             b"0.1,1,1\r\n")
-SWEEP_SUMMARY = (b"grid_value,mean,std\r\n"
-                 b"0,0.333333333333333,0\r\n"
-                 b"0.1,0.5,0.666666666666667\r\n")
-
-
 def test_reproduce_sweep_tables(tmp_path, monkeypatch):
-    res = experiments.SweepResult(
-        grid=[0.0, 0.1], means=[1 / 3, 0.5], stds=[0.0, 2 / 3],
-        values=[[1 / 3, 1 / 3], [1e-20, 1.0]])
+    res = fake_sweep()
     monkeypatch.setattr(experiments, "sweep_dephasing", lambda cfg: res)
     expected = {"fig4e": (["fig4e"], "argmax grid value: 0.1\n"),
                 "figS8": (["figS8_gamma0", "figS8_gamma10", "figS8_gamma100"],

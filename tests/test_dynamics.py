@@ -994,6 +994,47 @@ class TestPropagate:
             assert np.linalg.norm(states[-1][:, c] - psi) <= \
                 dynamics.TRUNCATION_BUDGET + dynamics.LIGHT_CONE_TOL
 
+    def test_strong_disorder_runs_column_chunks_through_the_ring(
+            self, monkeypatch):
+        # figS8 at disorder 100, with the fewest realizations whose batch
+        # does not fit one chunk: its series is longer than TERMS_HELD, so
+        # every chunk runs through the ring of held terms
+        cfg = SweepConfig(realizations=24, disorder=100.0, sink_length=80,
+                          grid=experiments.FIGS8_GRIDS[100.0])
+        base = experiments._base_hamiltonian(cfg)
+        det, diag, _ = experiments._study_columns(cfg, base)
+        dz = cfg.observe_z / cfg.segments
+        shapes = spy_term_buffers(monkeypatch)
+        lengths = []
+        weights = dynamics._chebyshev_weights
+
+        def spy(rho, cut):
+            w = weights(rho, cut)
+            lengths.append(len(w))
+            return w
+
+        monkeypatch.setattr(dynamics, "_chebyshev_weights", spy)
+        states = list(propagate(base, det, dz, diagonals=diag))
+        (held, _, cols), = shapes
+        width = cols // 2
+        assert held == dynamics.TERMS_HELD < lengths[0]
+        assert len(det) - len(cfg.grid) <= width < len(det)
+        for psi in states:
+            assert np.abs(np.linalg.norm(psi, axis=0) - 1.0).max() <= \
+                dynamics.TRUNCATION_BUDGET
+        # the first and last column of each chunk
+        for c in (0, width - 1, width, len(det) - 1):
+            alone = list(propagate(base, det[c:c + 1], dz,
+                                   diagonals=diag[:, c:c + 1]))
+            np.testing.assert_array_equal(alone[-1][:, 0], states[-1][:, c])
+            hd = with_diagonal(base, diag[:, c])
+            psi = states[0][:, c]
+            for k in range(cfg.segments):
+                psi = segment_propagator(segment_matrix(hd, det[c, :, k]),
+                                         dz) @ psi
+            assert np.linalg.norm(states[-1][:, c] - psi) <= \
+                dynamics.TRUNCATION_BUDGET + dynamics.LIGHT_CONE_TOL
+
     def test_a_cut_below_the_floor_clamps_and_stops_inside_the_table(self):
         budget, floor = dynamics.TRUNCATION_BUDGET, dynamics.STEP_CUT_FLOOR
         assert 5e-13 <= dynamics._step_cut(20) == budget / 20 <= 1e-12

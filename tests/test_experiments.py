@@ -215,8 +215,7 @@ class TestSweepDephasing:
 
     def test_argmax_property(self):
         res = SweepResult(np.array([0.0, 0.5, 1.0]),
-                          np.array([0.1, 0.9, 0.3]), np.zeros(3),
-                          np.zeros((3, 1)))
+                          np.array([[0.1], [0.9], [0.3]]))
         assert res.argmax_value == 0.5
 
     def test_computes_no_config_hash(self, monkeypatch):
@@ -279,7 +278,7 @@ class TestReorganizationCurve:
         # whole grid's complex spectra alone would take 7.3 MB.
         import tracemalloc
         cfg = SweepConfig(noise_kind="colored", realizations=100,
-                          grid=tuple(round(0.1 * k, 10) for k in range(1, 11)))
+                          grid=experiments.FIG3B_GRID)
         reorganization_curve(replace(cfg, realizations=1))   # fill the caches
         tracemalloc.start()
         try:
@@ -509,7 +508,7 @@ class TestSingleTrace:
 
 
 @pytest.mark.parametrize("record,names", [
-    (SweepResult, ["grid", "means", "stds", "values"]),
+    (SweepResult, ["grid", "values"]),
     (dynamics.EvolutionTrace,
      ["amplitudes", "fine_step", "fmo_indices", "sink_indices"]),
     (analysis.SpectrumEstimate, ["frequencies", "density"]),
@@ -577,8 +576,9 @@ def _numpy_words(rows, n_words):
                      for row in rows])
 
 
-def _numpy_random_rows(rows, n):
-    return np.array([np.random.default_rng(row).random(n) for row in rows])
+def _numpy_random_rows(rows, out):
+    for row, words in zip(out, rows):
+        row[:] = np.random.default_rng(words).random(len(row))
 
 
 class TestSeeding:
@@ -626,9 +626,11 @@ class TestSeeding:
 REJECTIONS = {
     "observe-z": (lambda: small_cfg(observe_z=0.0),
                   "observation length must be positive"),
-    "negative-stds": (
-        lambda: SweepResult([0.0], [0.5], [-0.1], [[0.5]]),
-        "standard deviations must be nonnegative"),
+    # 20 segments over 1e-320 mm sample at a rate that overflows to inf
+    "reorganization-infinite-sampling-frequency": (
+        lambda: reorganization_curve(SweepConfig(
+            observe_z=1e-320, realizations=2, grid=(0.1, 0.2, 0.3))),
+        "sampling frequency must be positive and finite"),
 }
 
 

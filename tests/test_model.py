@@ -437,7 +437,7 @@ class TestStaticDisorder:
             assert row.tobytes() == want.tobytes()
 
     def test_all_zero_strengths_draw_nothing(self, monkeypatch):
-        def no_draw(rows, n):
+        def no_draw(rows, out):
             raise AssertionError("drew disorder at zero strength")
 
         monkeypatch.setattr(_seeding, "random_rows", no_draw)

@@ -348,6 +348,24 @@ class TestGenerateBatch:
                     for site in range(7)]
             assert row.tobytes() == np.array(want).tobytes()
 
+    def test_uniform_batch_grows_by_its_output_only(self):
+        # 7,700 and 15,400 rows, many SEED_BLOCKs each: every block is drawn
+        # into the batch, so doubling the batch adds its bytes to the peak
+        # and no second copy of them
+        config = NoiseConfig()
+        generate_batch(config, [1.0], [0])   # fill the caches
+        peaks, sizes = [], []
+        for realizations in (1100, 2200):
+            amplitudes, seeds = np.ones(realizations), list(range(realizations))
+            tracemalloc.start()
+            try:
+                batch = generate_batch(config, amplitudes, seeds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(batch.nbytes)
+        assert peaks[1] - peaks[0] < 1.5 * (sizes[1] - sizes[0])
+
     def test_rejections(self):
         for amplitudes, seeds, n_sites, message in [
                 ([0.5], [0], 0, "n_sites"),

@@ -52,9 +52,9 @@ ROWS = st.lists(MASTER, min_size=1, max_size=4).map(
 @example(rows=[[0], [2**32 - 1] * 11, entropy_words([2**70 - 1, 2**64])],
          n=521)
 def test_random_rows_are_default_rng_doubles(rows, n):
-    got = _seeding.random_rows(rows, n)
+    got = np.empty((len(rows), n))
+    _seeding.random_rows(rows, got)
     want = np.array([np.random.default_rng(row).random(n) for row in rows])
-    assert got.shape == (len(rows), n) and got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
 
 
@@ -65,7 +65,22 @@ def test_random_rows_in_blocks_of_draws(block, monkeypatch):
     rows = [[0], entropy_words(2**70 - 1), [5, 6, 7, 8, 9]]
     want = np.array([np.random.default_rng(row).random(20) for row in rows])
     monkeypatch.setattr(_seeding, "DRAW_BLOCK", block)
-    assert _seeding.random_rows(rows, 20).tobytes() == want.tobytes()
+    got = np.empty((3, 20))
+    _seeding.random_rows(rows, got)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_rows", [4, 5, 11])
+def test_random_rows_fill_their_rows_in_blocks_of_rows(n_rows, monkeypatch):
+    # a generator of rows, read and drawn 4 rows at a time straight into
+    # the caller's array: one whole block, a block and one row, and the
+    # last of three blocks partial
+    monkeypatch.setattr(_seeding, "SEED_BLOCK", 4)
+    rows = [entropy_words(2**40 + r) + [r % 7] for r in range(n_rows)]
+    want = np.array([np.random.default_rng(row).random(9) for row in rows])
+    out = np.full((n_rows, 9), np.nan)
+    _seeding.random_rows(iter(rows), out)
+    assert out.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
