@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicsError
-from .dynamics import EvolutionTrace, site_probabilities
+from .dynamics import EvolutionTrace, _sink_fraction, site_probabilities
 
 __all__ = ["SpectrumEstimate", "LinearFitResult", "sample_acf", "sample_ccf",
            "psd_periodogram", "reorganization_energy", "variance",
@@ -179,25 +179,10 @@ def _index_at(tr: EvolutionTrace, z: float) -> int:
     return int(round(j))
 
 
-def _sink_fraction(psi: np.ndarray, sink) -> np.ndarray:
-    """Sink fraction sum_sink p / sum_all p of every column of the (dim, R)
-    states ``psi``, p = re^2 + im^2, each sum running row by row.
-
-    numpy sums a wider C-ordered array row by row, but a lone column or a
-    Fortran-ordered array pairwise, so a lone column takes the running sum
-    and a wider array is summed in C order: the same bits in any batch.
-    """
-    p = psi.real ** 2 + psi.imag ** 2
-    if p.shape[1] == 1:
-        return np.cumsum(p[sink], axis=0)[-1] / np.cumsum(p, axis=0)[-1]
-    p = np.ascontiguousarray(p)
-    return p[sink].sum(axis=0) / p.sum(axis=0)
-
-
 def transport_efficiency(tr: EvolutionTrace, z: float | None = None) -> float:
     """Fraction of intensity that has reached the sink chain at z (by
-    default the end of the trace), as a sweep takes it of its column:
-    sum_sink p / sum_all p, bit for bit."""
+    default the end of the trace): sum_sink p / sum_all p, by the function
+    dynamics.sink_fractions applies to each column."""
     sink = tr.sink_indices
     if not sink:
         raise PhysicsError("trace has no sink waveguides")

@@ -4,8 +4,8 @@ The array Hamiltonian is held fixed within each writing segment; per-site
 detunings shift the seven network diagonals segment by segment while the
 sink and the optional vibration waveguide stay undetuned.
 
-:func:`propagate` evolves a whole batch of realizations at once, one
-column of the state array per realization.  Within a segment it applies
+The kernel evolves a whole batch of realizations at once, one column of
+the state array per realization.  Within a segment it applies
 exp(-i H dz) as a Chebyshev series (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
 3967 (1984)) on each column's own spectral interval.  One budget bounds
 what truncating the series costs: over a whole call of N steps, every
@@ -21,21 +21,24 @@ and weights come from its own inputs, and its weights are exact zeros
 past its own series, so its result is the same bits in any batch.
 
 The sink chain only has to look irreversible over the chip, so the light
-never reaches its far end.  :func:`propagate` evolves only the light cone:
-in each segment, the network rows and the first L_k chain waveguides,
-where L_k is the smallest depth whose cut moves the state by at most
-LIGHT_CONE_TOL over the whole propagation, from a Combes-Thomas bound at
-the segment's end (Combes & Thomas, Commun. Math. Phys. 34, 251 (1973)).
-The window grows from segment to segment; on the default chip (20
-segments of 1 mm, chain coupling 0.2 mm^-1) the depths run 13, 15, 17,
-... 33, 34.  The rows past the window are exact zeros in the yielded
-states.  The depths depend only on the chain coupling and the segment
-ends, never on the detunings or diagonals, so a longer chain changes no
-byte, and no dense chip matrix is built; the studies build their chips
-with only the waveguides the last window reaches.  A
-column's spectral interval is the intersection of a Weyl bound (the base
-chip's spectral bound moved by the column's diagonal offsets) and
-the Gershgorin discs of its window rows.
+never reaches its far end.  The kernel evolves only a light cone: in each
+segment, the network rows and the first L_k chain waveguides, with L_k
+from a Combes-Thomas bound (Combes & Thomas, Commun. Math. Phys. 34, 251
+(1973)).  Each readout has its own cone (:func:`_light_cone_depths`).
+:func:`propagate` yields the states, and its state cone moves them by at
+most LIGHT_CONE_TOL: 13, 15, 17, ... 33, 34 waveguides on the default chip
+(20 segments of 1 mm, chain coupling 0.2 mm^-1), with exact zeros past
+the window.  :func:`sink_fractions` yields only the sink fractions, which
+light cut off at depth L reaches only after a return trip to the network,
+so its return-trip cone is about half as deep (12, 14, ... 18), and
+:func:`final_sink_fractions` is its last yield alone.  Whatever reads
+amplitudes reads :func:`propagate`; the sweeps read the sink fractions.
+The depths depend only on the chain coupling and the segment ends, never
+on the detunings or diagonals, so a longer chain changes no byte, and no
+dense chip matrix is built; the studies build their chips with only the
+waveguides the state cone reaches.  A column's spectral interval is the
+intersection of a Weyl bound (the base chip's spectral bound moved by the
+column's diagonal offsets) and the Gershgorin discs of its window rows.
 
 :func:`traces` is :func:`propagate` recorded into one
 :class:`EvolutionTrace` per column, and :func:`evolve` is :func:`traces` on
@@ -61,8 +64,9 @@ if int(np.__version__.split(".")[0]) >= 2:
 else:
     from numpy.core.multiarray import c_einsum
 
-__all__ = ["EvolutionTrace", "segment_propagator", "propagate", "traces",
-           "evolve", "site_probabilities", "write_trace_csv"]
+__all__ = ["EvolutionTrace", "segment_propagator", "propagate",
+           "sink_fractions", "final_sink_fractions", "traces", "evolve",
+           "site_probabilities", "write_trace_csv"]
 
 #: Default fine sampling step in mm: 20 samples per 1 mm segment resolves
 #: the fastest beating frequency present on the chip (~1.344 mm^-1).
@@ -225,19 +229,22 @@ def _interval(h: Hamiltonian, det, diag, couplings, rows: int) -> tuple:
     """
     n0 = len(h.block)
     net = np.repeat(diag[None, :n0], det.shape[2], axis=0)   # (S, n0, R)
-    net[:, h.fmo_indices] += det.transpose(2, 1, 0)
-    # per row, the sums over its overrides of |c - c0| (Weyl) and of
-    # |c| - |c0| (Gershgorin): (2, S, n0, R)
-    grow = np.zeros((2,) + net.shape)
+    for a, i in enumerate(h.fmo_indices):   # in place, site by site
+        net[:, i] += det[:, a].T
+    low = np.stack([diag[:rows]] * 2)                     # (2, rows, R)
+    high = low.copy()
+    low[:, :n0], high[:, :n0] = net.min(axis=0), net.max(axis=0)
+    # per overridden row, the sums over its overrides of |c - c0| (Weyl)
+    # and of |c| - |c0| (Gershgorin): (2, S, R)
+    grow = {}
     for (i, j), c in couplings.items():
         c0 = h.block[i, j]
         dc = np.array([np.abs(c - c0), np.abs(c) - abs(c0)]).transpose(0, 2, 1)
-        grow[:, :, i] += dc
-        grow[:, :, j] += dc
-    low = np.stack([diag[:rows]] * 2)                     # (2, rows, R)
-    high = low.copy()
-    low[:, :n0] = (net - grow).min(axis=1)
-    high[:, :n0] = (net + grow).max(axis=1)
+        for row in (i, j):
+            grow[row] = grow.get(row, 0.0) + dc
+    for row, g in grow.items():
+        low[:, row] = (net[:, row] - g).min(axis=1)
+        high[:, row] = (net[:, row] + g).max(axis=1)
     # a chain row's bonds within the chain first, then the head rows' sums
     depth, hb = np.arange(rows - n0), _head_block(h)
     radius = np.zeros((rows, 1))
@@ -332,6 +339,32 @@ def _check_norm(x: np.ndarray) -> None:
             "diverges on a spectral interval that is too narrow)")
 
 
+def _sink_fraction(psi: np.ndarray, sink) -> np.ndarray:
+    """Sink fraction sum_sink p / sum_all p of every column of the (dim, R)
+    states ``psi``, p = re^2 + im^2, each sum running row by row.
+
+    numpy sums a wider C-ordered array row by row, but a lone column or a
+    Fortran-ordered array pairwise, so a lone column takes the running sum
+    and a wider array is summed in C order: the same bits in any batch.
+    """
+    p = psi.real ** 2 + psi.imag ** 2
+    if p.shape[1] == 1:
+        return np.cumsum(p[sink], axis=0)[-1] / np.cumsum(p, axis=0)[-1]
+    p = np.ascontiguousarray(p)
+    return p[sink].sum(axis=0) / p.sum(axis=0)
+
+
+def _cone_sink_fraction(h: Hamiltonian, x: np.ndarray) -> np.ndarray:
+    """The (R,) sink fractions of the real state ``x`` that
+    :func:`_evolve` yields for ``h``: its rows past the non-sink ones are
+    the chain rows of the window.  Raises PhysicsError if the chip has no
+    sink waveguide.
+    """
+    if not len(h.sink_indices):
+        raise PhysicsError("the chip has no sink waveguides")
+    return _sink_fraction(x.view(complex), slice(len(h.block), None))
+
+
 def _cone_log_weight(depth: int, a: float) -> float:
     """log E(depth, t), a = 2 c t: the Combes-Thomas bound on the weight at
     chain depth ``depth`` and beyond (see :func:`propagate`).
@@ -346,16 +379,21 @@ def _cone_log_weight(depth: int, a: float) -> float:
 
 
 def _light_cone_depths(coupling: float, segment_length: float, segments: int,
-                       max_depth: int) -> list:
+                       max_depth: int, return_trip: bool = False) -> list:
     """Chain depth L_k of the window of each of ``segments`` segments of
-    ``segment_length``, from its end t_k = segment_length * (k + 1).
+    ``segment_length``, from its start t_k-1 = segment_length * k and its
+    end t_k = segment_length * (k + 1).
 
-    L_k is the smallest depth with c T E(L_k, t_k) <= LIGHT_CONE_TOL, where
-    c is ``coupling`` and T the last end (the whole propagation), capped at
-    ``max_depth`` (the whole chain).  E grows with t, so the depths never
-    decrease.  Every depth is 0 if the chain is uncoupled, or if the
+    L_k is the smallest depth, no smaller than L_k-1, with
+    c T E(L_k, t_k) F_k <= LIGHT_CONE_TOL, capped at ``max_depth`` (the
+    whole chain), where c is ``coupling``, T the last end (the whole
+    propagation) and F_k the return factor: 1 for the state cone that
+    :func:`propagate` evolves, and E(L_k, T - t_k-1) with ``return_trip``,
+    the cone of :func:`sink_fractions`, which is never deeper.  For the
+    state cone E grows with t, so its depths are the smallest at each
+    segment alone.  Every depth is 0 if the chain is uncoupled, or if the
     segment length is not positive and finite, which :func:`propagate`
-    rejects.  :func:`propagate` and the studies' chip builder
+    rejects.  The kernel and the studies' chip builder
     (``experiments._base_hamiltonian``) both take the depths from here.
     """
     ends = [segment_length * (k + 1) for k in range(segments)]
@@ -364,9 +402,13 @@ def _light_cone_depths(coupling: float, segment_length: float, segments: int,
     budget = (math.log(LIGHT_CONE_TOL) - math.log(coupling)
               - math.log(ends[-1]))
     depths, depth = [], 0
-    for t in ends:
+    for k, t in enumerate(ends):
         a = 2.0 * coupling * t
-        while depth < max_depth and _cone_log_weight(depth, a) > budget:
+        back = 2.0 * coupling * (ends[-1] - segment_length * k)
+        while depth < max_depth and (
+                _cone_log_weight(depth, a)
+                + (_cone_log_weight(depth, back) if return_trip else 0.0)
+                > budget):
             depth += 1
         depths.append(depth)
     return depths
@@ -460,64 +502,17 @@ def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
     x[:, 1::2] = cos_t * im - sin_t * re
 
 
-def propagate(h: Hamiltonian, detunings, segment_length: float,
-              steps_per_segment: int = 1, diagonals=None, couplings=None):
-    """Evolve a batch of realizations; yield the states at every step.
-
-    ``detunings`` has shape (R, network sites, segments): column r of the
-    batch adds ``detunings[r, :, k]`` to the network diagonals during
-    segment k.  ``diagonals`` (dim, R) replaces the diagonal of ``h`` per
-    column (static disorder); by default every column keeps it.
-    ``couplings`` maps a pair (i, j) of distinct non-sink rows, named once,
-    to an (R, segments) array that replaces their coupling per column and
-    segment; by default every column keeps the couplings of ``h``.
-
-    Every column starts with a unit excitation at the source site.  One
-    (dim, 2R) real state serves the whole call, and each step overwrites it
-    in place.  The generator yields a copy of it as a (dim, R) complex
-    array: the initial state, then the state after each of
-    ``steps_per_segment`` equal steps per segment.  Every step drops
-    Chebyshev weights summing below :func:`_step_cut` of the call's step
-    count, segments times ``steps_per_segment``, so truncation moves each
-    yielded state by at most TRUNCATION_BUDGET.  Raises PhysicsError if
-    any column's norm drifts by more than NORM_TOL.
-
-    The held terms of a step share one buffer of at most
-    TERM_BUFFER_BYTES (see :func:`_buffer_shape`); a wider batch runs as
-    column chunks, each through the longest series of its own columns.  A
-    column's interval, weights and operands come from its own inputs, so
-    its result is the same bits in any batch and any chunk.
-
-    Only the light cone of the sink chain is evolved: in segment k, rows
-    ``[:n0 + L_k]``, where n0 counts the non-sink rows, and every row past
-    them holds an exact zero.  With c the chain's absolute coupling (the
-    drain link and every bond), t_k the end of segment k and T the
-    propagation length, L_k is the smallest depth with
-    c T E(L_k, t_k) <= LIGHT_CONE_TOL, capped at the chain length, where
-    E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L), in closed form
-    at cosh mu = L / 2ct (see :func:`_cone_log_weight`).  The proof:
-
-    - Let N be the chain-depth operator: 0 on the network rows and the
-      vibration mode, m on the m-th sink waveguide.  The network block
-      (the coupling overrides included) and every diagonal (detunings and
-      disorder included) commute with N.  So e^{mu N} H e^{-mu N} - H =
-      (e^mu - 1) V+ + (e^-mu - 1) V-, where V+ is the part of H that raises
-      the depth (the drain link and the chain bonds, ||V+|| <= c) and
-      V- = V+^T.  Its anti-Hermitian part is sinh mu (V+ - V-), of norm at
-      most 2 c sinh mu.  The source is at depth 0, so
-      ||e^{mu N} psi(t)|| <= e^{2 c t sinh mu} (Combes & Thomas, Commun.
-      Math. Phys. 34, 251 (1973)), and the weight at depth L and beyond is
-      at most e^{-mu L} times that, for every mu >= 0: at most E(L, t).
-    - Cutting the bond below depth L_k during segment k changes the
-      generator by that bond alone, which acts on the weight at depth L_k
-      and beyond with norm at most c.  Duhamel's formula then bounds the
-      total cut error by c sum_k Delta_k E(L_k, t_k) <= LIGHT_CONE_TOL,
-      since E grows with t and the segment lengths Delta_k sum to T.
-
-    E grows with t, so the windows never shrink, and the interval of the
-    largest window (:func:`_interval`) encloses the spectra of all of them.
-    The depths depend on c and the segment ends only, so a column run alone
-    and in a batch share the windows.
+def _evolve(h: Hamiltonian, detunings, segment_length: float,
+            steps_per_segment: int, diagonals, couplings, return_trip: bool):
+    """The kernel of :func:`propagate` and :func:`sink_fractions`, whose
+    arguments it reads as :func:`propagate` does.  It yields the live
+    real state, column 2r the real and 2r + 1 the imaginary part of
+    realization r, before the first step and after each step; the next
+    step overwrites it in place.  The state holds the chip's leading rows,
+    the largest window and at least one sink waveguide if the chip has a
+    chain; the rows past it would be zeros.  The windows are the state
+    cone, or with ``return_trip`` the return-trip cone (see
+    :func:`_light_cone_depths`).
     """
     det, diag, couplings = _batch(h, detunings, diagonals, couplings)
     if not (math.isfinite(segment_length) and segment_length > 0):
@@ -525,8 +520,9 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     if steps_per_segment < 1:
         raise PhysicsError("steps_per_segment must be >= 1")
     n0, n_real, sites = len(h.block), det.shape[0], h.fmo_indices
-    windows = [n0 + d for d in _light_cone_depths(abs(h.sink_coupling),
-               segment_length, det.shape[2], len(h.sink_indices))]
+    windows = [n0 + d for d in _light_cone_depths(
+        abs(h.sink_coupling), segment_length, det.shape[2],
+        len(h.sink_indices), return_trip)]
     rows = max(windows, default=n0)
     lo, hi = _interval(h, det, diag, couplings, rows)
     bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)))
@@ -580,28 +576,158 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
                            for a in range(0, n_real, width))]
 
     # The state is real: column 2r holds Re psi_r and column 2r + 1 Im psi_r,
-    # which the real operator 2 (H - center) / half acts on alike.  The
-    # steps write in place on its leading `rows` only, so the rows past
-    # them stay exact zeros.
-    state = np.zeros((h.dim, 2 * n_real))
-    x = state[:rows]
+    # which the real operator 2 (H - center) / half acts on alike.  It
+    # holds the largest window, and the first sink waveguide where no
+    # window reaches it, so a chip's state always has a sink row; each
+    # step writes in place on its window, and the rows past it stay zeros.
+    x = np.zeros((max(rows, min(h.dim, n0 + 1)), 2 * n_real))
     x[h.source_index, 0::2] = 1.0
-    yield state.copy().view(complex)
+    yield x
     for k, r in enumerate(windows):
         head[sites, sites] = net[:, :, k]
         for i, j, c in pairs:
             head[i, j] = head[j, i] = c[:, k]
-        n = min(nb, r)
-        slots = {w: _slots(terms, bands, r, n, w)
-                 for w in {cols.stop - cols.start for cols, *_ in chunks}}
-        ops = [(cols, head[:n, :n + 1, cols], chain[:, :r - n, cols],
-                slots[cols.stop - cols.start], w, c, s)
-               for cols, w, c, s in chunks]
+        if not k or r != windows[k - 1]:
+            # one plan per window, as the windows plateau: its views of
+            # `head` see every later segment's writes above
+            n = min(nb, r)
+            slots = {w: _slots(terms, bands, r, n, w)
+                     for w in {cols.stop - cols.start for cols, *_ in chunks}}
+            ops = [(cols, head[:n, :n + 1, cols], chain[:, :r - n, cols],
+                    slots[cols.stop - cols.start], w, c, s)
+                   for cols, w, c, s in chunks]
         for _ in range(steps_per_segment):
             for cols, hd, ch, sl, w, c, s in ops:
                 _chebyshev_step(x[:r, cols], hd, ch, sl, w, c, s)
             _check_norm(x[:r])
-            yield state.copy().view(complex)
+            yield x
+
+
+def propagate(h: Hamiltonian, detunings, segment_length: float,
+              steps_per_segment: int = 1, diagonals=None, couplings=None):
+    """Evolve a batch of realizations; yield the states at every step.
+
+    ``detunings`` has shape (R, network sites, segments): column r of the
+    batch adds ``detunings[r, :, k]`` to the network diagonals during
+    segment k.  ``diagonals`` (dim, R) replaces the diagonal of ``h`` per
+    column (static disorder); by default every column keeps it.
+    ``couplings`` maps a pair (i, j) of distinct non-sink rows, named once,
+    to an (R, segments) array that replaces their coupling per column and
+    segment; by default every column keeps the couplings of ``h``.
+
+    Every column starts with a unit excitation at the source site.  One
+    real state of the leading rows serves the whole call, and each step
+    overwrites it in place.  The generator yields a fresh (dim, R) complex
+    copy of it: the initial state, then the state after each of
+    ``steps_per_segment`` equal steps per segment.  Every step drops
+    Chebyshev weights summing below :func:`_step_cut` of the call's step
+    count, segments times ``steps_per_segment``, so truncation moves each
+    yielded state by at most TRUNCATION_BUDGET.  Raises PhysicsError if
+    any column's norm drifts by more than NORM_TOL.
+
+    The held terms of a step share one buffer of at most
+    TERM_BUFFER_BYTES (see :func:`_buffer_shape`); a wider batch runs as
+    column chunks, each through the longest series of its own columns.  A
+    column's interval, weights and operands come from its own inputs, so
+    its result is the same bits in any batch and any chunk.
+
+    Only the light cone of the sink chain is evolved: in segment k, rows
+    ``[:n0 + L_k]``, where n0 counts the non-sink rows, and every row past
+    them holds an exact zero.  With c the chain's absolute coupling (the
+    drain link and every bond), t_k the end of segment k and T the
+    propagation length, L_k is the smallest depth with
+    c T E(L_k, t_k) <= LIGHT_CONE_TOL, capped at the chain length, where
+    E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L), in closed form
+    at cosh mu = L / 2ct (see :func:`_cone_log_weight`).  The proof:
+
+    - Let N be the chain-depth operator: 0 on the network rows and the
+      vibration mode, m on the m-th sink waveguide.  The network block
+      (the coupling overrides included) and every diagonal (detunings and
+      disorder included) commute with N.  So e^{mu N} H e^{-mu N} - H =
+      (e^mu - 1) V+ + (e^-mu - 1) V-, where V+ is the part of H that raises
+      the depth (the drain link and the chain bonds, ||V+|| <= c) and
+      V- = V+^T.  Its anti-Hermitian part is sinh mu (V+ - V-), of norm at
+      most 2 c sinh mu.  The source is at depth 0, so
+      ||e^{mu N} psi(t)|| <= e^{2 c t sinh mu} (Combes & Thomas, Commun.
+      Math. Phys. 34, 251 (1973)), and the weight at depth L and beyond is
+      at most e^{-mu L} times that, for every mu >= 0: at most E(L, t).
+    - Cutting the bond below depth L_k during segment k changes the
+      generator by that bond alone, which acts on the weight at depth L_k
+      and beyond with norm at most c.  Duhamel's formula then bounds the
+      total cut error by c sum_k Delta_k E(L_k, t_k) <= LIGHT_CONE_TOL,
+      since E grows with t and the segment lengths Delta_k sum to T.
+
+    E grows with t, so the windows never shrink, and the interval of the
+    largest window (:func:`_interval`) encloses the spectra of all of them.
+    The depths depend on c and the segment ends only, so a column run alone
+    and in a batch share the windows.
+    """
+    for x in _evolve(h, detunings, segment_length, steps_per_segment,
+                     diagonals, couplings, False):
+        psi = np.zeros((h.dim, x.shape[1] // 2), complex)
+        psi.view(float)[:len(x)] = x
+        yield psi
+
+
+def sink_fractions(h: Hamiltonian, detunings, segment_length: float,
+                   steps_per_segment: int = 1, diagonals=None,
+                   couplings=None):
+    """Yield the (R,) sink fractions of a batch at every step.
+
+    Every argument is read as by :func:`propagate`, and the fractions are
+    yielded where it yields its states: before the first step, then after
+    each step.  A fraction is sum_sink p / sum_all p of its column
+    (:func:`_sink_fraction`), the same bits in any batch.  The kernel is
+    :func:`propagate`'s, norm check included, but it evolves the narrower
+    return-trip cone, so the chain rows it holds are no longer the state:
+    only the fractions are handed back.
+
+    With c, N, E, t_k and T as in :func:`propagate` (and t_-1 = 0), L_k is
+    the smallest depth, no smaller than L_k-1 and capped at the chain
+    length, with c T E(L_k, t_k) E(L_k, T - t_k-1) <= LIGHT_CONE_TOL; on
+    the default chip the depths run 12, 14, 15, 16, 16, 17, 17, 17, then
+    18 for the last 12 segments, against 13, 15, ... 33, 34 for the state.
+    The proof:
+
+    - Let P_0 project on depth 0 (the network rows and the vibration
+      mode) and V be the bond cut during segment k, between depths L_k and
+      L_k + 1.  Duhamel's formula writes P_0 (psi(T) - psi_cut(T)) as
+      -i times the integral over s of P_0 U_cut(T, s) V psi(s), where psi
+      is the uncut evolution and U_cut the cut one.
+    - Out to depth L_k (Combes-Thomas with e^{mu N}, as in
+      :func:`propagate`): V psi(s) lies at depth L_k and beyond, with
+      ||V psi(s)|| <= c E(L_k, s).
+    - Back to depth 0 (Combes-Thomas with e^{-mu N}): P_0 = P_0 e^{-mu N},
+      ||e^{-mu N} U_cut(T, s) e^{mu N}|| <= e^{2 c (T - s) sinh mu}, since
+      the cut generator raises the depth by a part of norm at most c too,
+      and e^{-mu N} damps what lies at depth L_k and beyond by e^{-mu L_k}.
+      So ||P_0 U_cut(T, s) V psi(s)|| <= E(L_k, T - s) ||V psi(s)||.
+    - E grows with t, so the depth-0 error at T is at most
+      c sum_k Delta_k E(L_k, t_k) E(L_k, T - t_k-1) <= LIGHT_CONE_TOL.  A
+      sink fraction is 1 minus the depth-0 share of the norm, and both
+      states are unit vectors, so it moves by at most 2 LIGHT_CONE_TOL,
+      truncation aside.  At a sample t <= T the same sum holds with t for
+      T, and E(L, t - s) <= E(L, T - s), so every yield is within it.
+
+    Raises PhysicsError if the chip has no sink waveguide.
+    """
+    for x in _evolve(h, detunings, segment_length, steps_per_segment,
+                     diagonals, couplings, True):
+        yield _cone_sink_fraction(h, x)
+
+
+def final_sink_fractions(h: Hamiltonian, detunings, segment_length: float,
+                         diagonals=None, couplings=None) -> np.ndarray:
+    """The (R,) sink fractions at the end of a batch's propagation, one
+    step a segment: bit for bit the last yield of :func:`sink_fractions`,
+    whose arguments it reads, without computing the fractions of the
+    steps before it, which a sweep never reads.
+
+    Raises PhysicsError if the chip has no sink waveguide.
+    """
+    *_, x = _evolve(h, detunings, segment_length, 1, diagonals, couplings,
+                    True)
+    return _cone_sink_fraction(h, x)
 
 
 def traces(h: Hamiltonian, detunings, segment_length: float,

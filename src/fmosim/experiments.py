@@ -6,14 +6,21 @@ traces.
 Every study is deterministic given its master seed.  The per-realization
 seeds are derived from (master seed, grid index, realization index), and
 all the realizations of a study are evolved together as the columns of
-one batch (dynamics.propagate), whose columns do not depend on each other.
+one kernel batch, whose columns do not depend on each other.  A study
+that reads efficiencies reads them off the return-trip cone: the
+dephasing sweeps from dynamics.final_sink_fractions, the vibrational
+comparison from dynamics.sink_fractions.  A study that reads amplitudes
+(the traces) reads them from dynamics.traces.  The excitation-trace
+study reads only the network rows, so a return-trip cone would serve it
+too, but it reads their amplitudes, which that readout does not hand
+back; it stays on dynamics.traces.
 
-A study's chip holds only the sink waveguides that the kernel's light cone
-reaches over the study's segments (:func:`_base_hamiltonian`): 34 on the
-default 20 mm chip, whatever ``sink_length`` says past that.  So its state,
-diagonals, disorder draw, sink fractions and traces span the network and
-those 34 waveguides, and a longer chain changes no byte and costs nothing
-more.
+A study's chip holds only the sink waveguides that the kernel's state
+cone reaches over the study's segments (:func:`_base_hamiltonian`): 34 on
+the default 20 mm chip, whatever ``sink_length`` says past that.  So its
+diagonals, disorder draw and traces span the network and those 34
+waveguides, of which a sweep evolves 18, and a longer chain changes no
+byte and costs nothing more.
 """
 
 from __future__ import annotations
@@ -165,8 +172,10 @@ def network_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
 def _base_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
     """The study's chip: :func:`network_hamiltonian` and as many sink
     waveguides as the deepest window dynamics.propagate evolves over the
-    study's segments, at least one and at most ``cfg.sink_length``.  A
-    light cone deeper than MAX_SINK_LENGTH is rejected."""
+    study's segments (the state cone, which holds the return-trip cone of
+    dynamics.sink_fractions), at least one and at most
+    ``cfg.sink_length``.  A light cone deeper than MAX_SINK_LENGTH is
+    rejected."""
     depths = dynamics._light_cone_depths(
         cfg.sink_coupling, cfg.observe_z / max(cfg.segments, 1), cfg.segments,
         min(cfg.sink_length, MAX_SINK_LENGTH + 1))
@@ -198,7 +207,8 @@ def noise_config(cfg: SweepConfig, amplitude: float,
 def _columns(cfg: SweepConfig, base: Hamiltonian, amplitudes, seeds,
              disorders, cells) -> tuple:
     """(detunings, diagonals, couplings) of a batch of kernel columns on
-    ``base``, the inputs of one dynamics.propagate call.
+    ``base``, the inputs of one kernel call (dynamics.final_sink_fractions,
+    dynamics.sink_fractions or dynamics.traces).
 
     Column c is driven by detunings at ``amplitudes[c]``, drawn from
     ``seeds[c]`` on the network sites, and by static disorder of strength
@@ -239,11 +249,9 @@ def sweep_dephasing(cfg: SweepConfig) -> SweepResult:
     """Mean transport efficiency at z per detuning amplitude on the grid."""
     base = _base_hamiltonian(cfg)
     detunings, diagonals, couplings = _study_columns(cfg, base)
-    for psi in dynamics.propagate(
-            base, detunings, cfg.observe_z / cfg.segments,
-            diagonals=diagonals, couplings=couplings):
-        pass
-    values = analysis._sink_fraction(psi, base.sink_indices)
+    values = dynamics.final_sink_fractions(
+        base, detunings, cfg.observe_z / cfg.segments, diagonals=diagonals,
+        couplings=couplings)
     return SweepResult(cfg.grid,
                        values.reshape(len(cfg.grid), cfg.realizations))
 
@@ -295,11 +303,9 @@ def vibrational_comparison(cfg: SweepConfig):
     couplings.update({(s, mode): np.kron([[base.block[s, mode]], [0.0]],
                                          np.ones((n, cfg.segments)))
                       for s in base.fmo_indices})
-    eta = np.array([analysis._sink_fraction(psi, base.sink_indices)
-                    for psi in dynamics.propagate(
-                        base, np.concatenate([detunings, detunings]), seg,
-                        steps, diagonals=np.hstack([diagonals, diagonals]),
-                        couplings=couplings)])
+    eta = np.array(list(dynamics.sink_fractions(
+        base, np.concatenate([detunings, detunings]), seg, steps,
+        diagonals=np.hstack([diagonals, diagonals]), couplings=couplings)))
     curves = eta.reshape(len(eta), 2, len(cfg.grid), -1).mean(axis=3)
     return np.arange(len(eta)) * (seg / steps), curves[:, 0].T, curves[:, 1].T
 
@@ -354,8 +360,12 @@ def single_trace(cfg: SweepConfig, amplitude: float, seed: int,
     ``amplitude``, its detunings drawn from ``seed`` as given.  It is
     built as a sweep builds each column, with the static disorder of the
     sweep's first column.  At ``cfg.grid[0]``, that column's noise seed
-    and one sample a segment, its last state and its efficiency are the
-    sweep's first column's, bit for bit.
+    and one sample a segment, its last state is, bit for bit, the state
+    dynamics.propagate gives that column.  Its efficiency is, to first
+    order, within 8 TRUNCATION_BUDGET + 4 LIGHT_CONE_TOL of the sweep's
+    first value, which the sweep reads off the narrower return-trip cone
+    (dynamics.final_sink_fractions): each is within 4 TRUNCATION_BUDGET + 2
+    LIGHT_CONE_TOL of the uncut chip's.
 
     ``fine_step`` is read as by dynamics.traces (by default the largest
     step of at most dynamics.DEFAULT_FINE_STEP that divides the segment).
@@ -374,8 +384,11 @@ def excitation_trace_study(cfg: SweepConfig,
     (positions, probs, argmax)}.
 
     Every member is a trace of one dynamics.traces call, bit for bit its
-    :func:`single_trace` at the study's first noise seed.  A study reads
-    one realization of each member, whatever ``cfg.realizations`` says.
+    :func:`single_trace` at the study's first noise seed.  It reads the
+    network rows' amplitudes, so it runs on the state cone of
+    dynamics.traces, not on the return-trip cone of the sink fractions.
+    A study reads one realization of each member, whatever
+    ``cfg.realizations`` says.
     """
     [seed] = _noise_seeds(cfg.seed, [0], 1)
     members = ([("disorder", float(g), float(g), 0.0) for g in disorders]

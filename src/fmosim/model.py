@@ -361,7 +361,7 @@ def apply_static_disorder(h: Hamiltonian, gamma: float, rng_seed) -> Hamiltonian
 
     Every waveguide of ``h`` is shifted, sink and vibration included: a
     disordered chip mis-writes every waveguide.  The studies follow the
-    same convention, passing the shifts to dynamics.propagate as its
+    same convention, passing the shifts to the kernel as its
     ``diagonals``.
     """
     shifts = static_disorder_shifts(h.dim, gamma, [rng_seed])[0]

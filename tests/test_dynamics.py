@@ -422,26 +422,42 @@ def budgets(bound, floor_bound):
     return [(dynamics.TRUNCATION_BUDGET, bound), (0.0, floor_bound)]
 
 
-def cone_bound_exact(c, t, length, depth, digits=50):
-    """c T E(depth, t) in ``digits``-digit decimals, T = ``length``, with
+def cone_bound_exact(c, t, length, depth, back=None, digits=50):
+    """c T E(depth, t) in ``digits``-digit decimals, T = ``length``, times
+    the return factor E(depth, ``back``) if ``back`` is given, with
     E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L) found by a
     ternary search over mu (the exponent is convex in mu), not from the
     closed form the kernel uses."""
     with localcontext() as ctx:
         ctx.prec = digits
-        c, t, length = Decimal(c), Decimal(t), Decimal(length)
+        c, length = Decimal(c), Decimal(length)
 
-        def exponent(mu):
-            return c * t * (mu.exp() - (-mu).exp()) - mu * depth
+        def weight(t):
+            def exponent(mu):
+                return c * t * (mu.exp() - (-mu).exp()) - mu * depth
 
-        lo, hi = Decimal(0), Decimal(60)
-        for _ in range(200):
-            a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-            if exponent(a) <= exponent(b):
-                hi = b
-            else:
-                lo = a
-        return c * length * min(exponent(lo), Decimal(0)).exp()
+            lo, hi = Decimal(0), Decimal(60)
+            for _ in range(200):
+                a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+                if exponent(a) <= exponent(b):
+                    hi = b
+                else:
+                    lo = a
+            return min(exponent(lo), Decimal(0)).exp()
+
+        factor = Decimal(1) if back is None else weight(Decimal(back))
+        return c * length * weight(Decimal(t)) * factor
+
+
+def fraction_bound(error, budget):
+    """How far a sink fraction may move from an exact unit state's when
+    the state's depth-0 rows (network and vibration mode) move by at most
+    ``error`` in norm and its norm by at most ``budget``.  With a = ||P_0
+    psi||^2 and b = ||psi||^2, a moves by at most error (2 + error), b by at
+    most budget (2 + budget) and is at least (1 - budget)^2, and the
+    fraction 1 - a / b moves by at most their sum over that least b."""
+    return ((error * (2.0 + error) + budget * (2.0 + budget))
+            / (1.0 - budget) ** 2)
 
 
 def window_rows(h, segments):
@@ -484,6 +500,16 @@ def growing_window_inputs(columns):
 COLUMN_CASES = [(c, v, sink, segments)
                 for sink, segments in ((20, 6), (100, 20))
                 for c in (False, True) for v in (False, True)]
+
+
+# (coupling, segment length, segments, chain length) of light-cone checks
+CONE_CASES = [
+    (0.2, 1.0, 20, 100),    # the default chip: 2 c T = 8
+    (0.2, 1.0, 20, 25),     # a chain shorter than the light cone
+    (0.5, 3.0, 7, 400),
+    (0.05, 0.25, 9, 100),
+    (1e-20, 1.0, 3, 100),   # c T below the tolerance: no sink row
+]
 
 
 class TestPropagate:
@@ -631,13 +657,7 @@ class TestPropagate:
             for a, b in zip(ring, every):
                 assert np.abs(a - b).max() < bound
 
-    @pytest.mark.parametrize("c,step,segments,max_depth", [
-        (0.2, 1.0, 20, 100),    # the default chip: 2 c T = 8
-        (0.2, 1.0, 20, 25),     # a chain shorter than the light cone
-        (0.5, 3.0, 7, 400),
-        (0.05, 0.25, 9, 100),
-        (1e-20, 1.0, 3, 100),   # c T below the tolerance: no sink row
-    ])
+    @pytest.mark.parametrize("c,step,segments,max_depth", CONE_CASES)
     def test_light_cone_depths_are_the_smallest_within_tolerance(
             self, c, step, segments, max_depth):
         ends = [step * (k + 1) for k in range(segments)]
@@ -660,6 +680,149 @@ class TestPropagate:
         # a chain shorter than the light cone stops at its end
         short = dynamics._light_cone_depths(0.2, 1.0, 20, 25)
         assert short == [min(d, 25) for d in depths]
+
+    @pytest.mark.parametrize("c,step,segments,max_depth", CONE_CASES)
+    def test_return_trip_depths_are_the_smallest_within_tolerance(
+            self, c, step, segments, max_depth):
+        # the smallest depth, no smaller than the last, with
+        # c T E(L_k, t_k) E(L_k, T - t_k-1) within the tolerance
+        ends = [step * (k + 1) for k in range(segments)]
+        depths = dynamics._light_cone_depths(c, step, segments, max_depth,
+                                             return_trip=True)
+        tol = Decimal(dynamics.LIGHT_CONE_TOL)
+        assert len(depths) == segments
+        for k, (t, depth) in enumerate(zip(ends, depths)):
+            back = ends[-1] - step * k
+            if depth < max_depth:
+                assert cone_bound_exact(c, t, ends[-1], depth, back) <= tol
+            if depth > ([0] + depths)[k]:
+                assert cone_bound_exact(c, t, ends[-1], depth - 1,
+                                        back) > tol
+
+    def test_return_trip_depths_on_the_default_chip(self, monkeypatch):
+        # c = 0.2 mm^-1 over 20 segments of 1 mm: 480 window rows over the
+        # 20 steps against the state cone's 641, 7 of them network rows
+        depths = dynamics._light_cone_depths(0.2, 1.0, 20, 100,
+                                             return_trip=True)
+        assert depths == [12, 14, 15, 16, 16, 17, 17, 17] + [18] * 12
+        assert sum(depths) + 7 * 20 == 480
+        assert sum(dynamics._light_cone_depths(0.2, 1.0, 20, 100)) \
+            + 7 * 20 == 641
+        # one plan of views per distinct window: 6 here, against 19
+        plans = []
+        slots = dynamics._slots
+
+        def spy(terms, bands, rows, nb, cols):
+            plans.append(rows)
+            return slots(terms, bands, rows, nb, cols)
+
+        monkeypatch.setattr(dynamics, "_slots", spy)
+        kw = default_chip()
+        det = kw.pop("detunings")[None]
+        kw.pop("couplings")
+        list(dynamics.sink_fractions(detunings=det, **kw))
+        assert plans == [7 + d for d in dict.fromkeys(depths)]
+        plans.clear()
+        list(propagate(detunings=det, **kw))
+        assert len(plans) == 19
+
+    @given(c=st.floats(1e-3, 10.0), step=st.floats(1e-2, 5.0),
+           segments=st.integers(1, 40), max_depth=st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_return_trip_cone_never_shrinks_and_stays_in_the_state_cone(
+            self, c, step, segments, max_depth):
+        state = dynamics._light_cone_depths(c, step, segments, max_depth)
+        trip = dynamics._light_cone_depths(c, step, segments, max_depth,
+                                           return_trip=True)
+        assert len(trip) == segments
+        assert all(a <= b for a, b in zip(trip, trip[1:]))
+        assert all(0 <= a <= b for a, b in zip(trip, state))
+
+    @pytest.mark.parametrize("disorder", [0.0, 100.0])
+    def test_sink_fractions_match_segment_propagator_chain(self, disorder,
+                                                           monkeypatch):
+        # a dense chip of 100 sink waveguides, 18 of which the return-trip
+        # cone evolves: every yield within 2 LIGHT_CONE_TOL and the
+        # truncation's share of the uncut chip's sink fraction
+        h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 100)
+        amplitudes = [0.0, 0.5, 3.0]
+        det = generate_batch(NoiseConfig(segments=20, total_length=20.0),
+                             amplitudes, [3, 4, 5])
+        diag = np.stack([apply_static_disorder(h, disorder, [5, r])
+                         .matrix.diagonal() for r in range(len(det))], axis=1)
+        expected = []
+        for r in range(len(det)):
+            hd = with_diagonal(h, diag[:, r])
+            psi = np.zeros(h.dim, complex)
+            psi[h.source_index] = 1.0
+            column = [0.0]
+            for k in range(det.shape[2]):
+                psi = segment_propagator(segment_matrix(hd, det[r, :, k]),
+                                         1.0) @ psi
+                p = np.abs(psi) ** 2
+                column.append(p[h.sink_indices].sum() / p.sum())
+            expected.append(column)
+        expected = np.array(expected).T
+        b, tol = dynamics.TRUNCATION_BUDGET, dynamics.LIGHT_CONE_TOL
+        for budget, bound in budgets(fraction_bound(b + tol, b), 1e-12):
+            monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
+            got = np.array(list(dynamics.sink_fractions(
+                h, det, 1.0, diagonals=diag)))
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= bound
+        assert (expected[-1] > 0.0).all()
+
+    @pytest.mark.parametrize("correction", [False, True])
+    def test_sink_fractions_of_a_column_alone_are_its_batch_column(
+            self, correction):
+        h, det, diag = growing_window_inputs(6)
+        couplings = corrected_couplings(h, det, correction)
+
+        def fractions(cols):
+            return list(dynamics.sink_fractions(
+                h, det[cols], 1.0, 2, diagonals=diag[:, cols],
+                couplings={k: c[cols] for k, c in couplings.items()}))
+
+        batch = fractions(slice(None))
+        assert len(batch) == 13
+        for c in range(len(det)):
+            for a, b in zip(fractions(slice(c, c + 1)), batch):
+                assert a.tobytes() == b[c:c + 1].tobytes()
+
+    @pytest.mark.parametrize("correction", [False, True])
+    def test_final_sink_fractions_are_the_last_yield(self, correction):
+        h, det, diag = growing_window_inputs(6)
+        couplings = corrected_couplings(h, det, correction)
+        for cols in (slice(None), slice(2, 3)):
+            args = (h, det[cols], 1.0)
+            kw = dict(diagonals=diag[:, cols],
+                      couplings={k: c[cols] for k, c in couplings.items()})
+            *_, last = dynamics.sink_fractions(*args, **kw)
+            assert dynamics.final_sink_fractions(*args, **kw).tobytes() \
+                == last.tobytes()
+
+    def test_sink_fractions_need_a_sink(self):
+        h = build_fmo_hamiltonian(FmoSpec())
+        with pytest.raises(PhysicsError, match="no sink"):
+            next(dynamics.sink_fractions(h, np.zeros((1, 7, 2)), 1.0))
+        with pytest.raises(PhysicsError, match="no sink"):
+            dynamics.final_sink_fractions(h, np.zeros((1, 7, 2)), 1.0)
+
+    def test_interval_holds_no_stack_the_size_of_its_inputs(self):
+        # figS15's largest sweep: 1,100 columns over 80 segments, no
+        # coupling override
+        import tracemalloc
+        cfg = SweepConfig(segments=80)
+        base = experiments._base_hamiltonian(cfg)
+        det, diag, couplings = experiments._study_columns(cfg, base)
+        assert det.shape == (1100, 7, 80) and not couplings
+        tracemalloc.start()
+        try:
+            dynamics._interval(base, det, diag, couplings, base.dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (det.nbytes + diag.nbytes)
 
     @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
     def test_light_cone_depths_without_a_finite_length_are_zero(self, step):
@@ -698,6 +861,10 @@ class TestPropagate:
                 assert np.abs((np.abs(psi) ** 2).sum(axis=0)
                               - 1.0).max() < bound
                 assert not psi[h.sink_indices].any()
+        # the fractions are exact zeros, for a lone column too
+        for cols in (slice(0, 1), slice(None)):
+            eta = list(dynamics.sink_fractions(h, det[cols], segment_length))
+            assert len(eta) == 5 and not np.any(eta)
 
     def test_rows_past_the_light_cone_are_zero_and_the_cut_is_exact(
             self, monkeypatch):

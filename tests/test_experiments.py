@@ -311,18 +311,18 @@ class TestReorganizationCurve:
             assert pts[gi, 1] == pytest.approx(np.mean(energy), rel=1e-13)
 
 
-def spy_propagate(monkeypatch):
-    """(h, detunings, diagonals, couplings) of every dynamics.propagate
+def spy_sink_fractions(monkeypatch):
+    """(h, detunings, diagonals, couplings) of every dynamics.sink_fractions
     call."""
     calls = []
-    propagate = dynamics.propagate
+    sink_fractions = dynamics.sink_fractions
 
     def spy(h, detunings, *args, diagonals=None, couplings=None, **kwargs):
         calls.append((h, np.asarray(detunings), diagonals, couplings))
-        return propagate(h, detunings, *args, diagonals=diagonals,
-                         couplings=couplings, **kwargs)
+        return sink_fractions(h, detunings, *args, diagonals=diagonals,
+                              couplings=couplings, **kwargs)
 
-    monkeypatch.setattr(dynamics, "propagate", spy)
+    monkeypatch.setattr(dynamics, "sink_fractions", spy)
     return calls
 
 
@@ -338,7 +338,7 @@ class TestVibrationalComparison:
     def test_without_mode_is_the_same_disordered_chip_minus_its_mode(
             self, monkeypatch):
         cfg = small_cfg(grid=(0.0, 0.6), realizations=2, disorder=3.0)
-        calls = spy_propagate(monkeypatch)
+        calls = spy_sink_fractions(monkeypatch)
         vibrational_comparison(cfg)
         [(h, det, diag, couplings)] = calls
         n = len(cfg.grid) * cfg.realizations
@@ -360,7 +360,7 @@ class TestVibrationalComparison:
             self, correction, monkeypatch):
         cfg = small_cfg(grid=(0.0, 0.6), realizations=2, disorder=3.0,
                         coupling_correction=correction)
-        calls = spy_propagate(monkeypatch)
+        calls = spy_sink_fractions(monkeypatch)
         z, with_mode, _ = vibrational_comparison(cfg)
         [(h, det, _, _)] = calls
         assert det.shape[0] == 2 * len(cfg.grid) * cfg.realizations
@@ -370,10 +370,9 @@ class TestVibrationalComparison:
         assert h.matrix.tobytes() == base.matrix.tobytes()
         detunings, diagonals, couplings = experiments._study_columns(cfg, base)
         seg = cfg.observe_z / cfg.segments
-        eta = np.array([analysis._sink_fraction(psi, base.sink_indices)
-                        for psi in dynamics.propagate(
-                            base, detunings, seg, 4, diagonals=diagonals,
-                            couplings=couplings)])
+        eta = np.array(list(dynamics.sink_fractions(
+            base, detunings, seg, 4, diagonals=diagonals,
+            couplings=couplings)))
         alone = eta.reshape(len(eta), len(cfg.grid), -1).mean(axis=2).T
         assert with_mode.tobytes() == alone.tobytes()
         np.testing.assert_array_equal(z, np.arange(len(eta)) * seg / 4)
@@ -487,6 +486,9 @@ TRACE_CASES = {
     "disorder-vibration": dict(disorder=10.0, with_vibration=True),
     "all": dict(disorder=10.0, coupling_correction=True, with_vibration=True,
                 segments=3),
+    # a chain past both light cones: the sweep evolves 18 sink waveguides
+    # of the trace's 34
+    "long-chain": dict(disorder=3.0, sink_length=100),
 }
 
 
@@ -504,7 +506,17 @@ class TestSingleTrace:
             base, detunings, cfg.observe_z / cfg.segments,
             diagonals=diagonals, couplings=couplings)
         np.testing.assert_array_equal(tr.amplitudes[-1], psi[:, 0])
-        assert transport_efficiency(tr) == sweep_dephasing(cfg).values[0, 0]
+        # the sweep reads its efficiency off the narrower return-trip cone
+        # (dynamics.sink_fractions).  Each efficiency is within
+        # (e (2 + e) + B (2 + B)) / (1 - B)^2 of the uncut chip's, where
+        # the network rows move by at most e = B + LIGHT_CONE_TOL and the
+        # norm by at most B = TRUNCATION_BUDGET (see test_dynamics'
+        # fraction_bound); the two differ by at most twice that
+        e, b = (dynamics.TRUNCATION_BUDGET + dynamics.LIGHT_CONE_TOL,
+                dynamics.TRUNCATION_BUDGET)
+        bound = 2.0 * (e * (2.0 + e) + b * (2.0 + b)) / (1.0 - b) ** 2
+        assert abs(transport_efficiency(tr)
+                   - sweep_dephasing(cfg).values[0, 0]) <= bound
 
 
 @pytest.mark.parametrize("record,names", [
