@@ -40,9 +40,19 @@ waveguides the state cone reaches.  A column's spectral interval is the
 intersection of a Weyl bound (the base chip's spectral bound moved by the
 column's diagonal offsets) and the Gershgorin discs of its window rows.
 
-:func:`traces` is :func:`propagate` recorded into one
-:class:`EvolutionTrace` per column, and :func:`evolve` is :func:`traces` on
-one column.
+Every readout is a plan and a run.  :func:`_plan` checks a call's inputs
+and returns a frozen record (:class:`_Plan`) of all it will do: the
+windows, each column's interval, weights and series length, the operands,
+the column chunks and their term buffer, and the views each term reads
+and writes on each distinct window, built once.  :func:`_run` is the loop:
+each segment writes its diagonals and couplings, steps every chunk,
+checks the norm and yields the live state.  The work counts (terms a step
+and window rows times terms per column) are plan fields, exact on any
+host.  :func:`propagate`, :func:`sink_fractions` and
+:func:`final_sink_fractions` each run a plan and read out what they hand
+back.  :func:`traces` writes each live state straight into one
+:class:`EvolutionTrace` array for the whole batch, and :func:`evolve` is
+:func:`traces` on one column.
 :func:`segment_propagator` builds the exact propagator from a Hermitian
 eigendecomposition; the tests check the kernel against it.
 """
@@ -50,9 +60,11 @@ eigendecomposition; the tests check the kernel against it.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import _csv
 from .errors import PhysicsError
@@ -104,7 +116,8 @@ TERMS_HELD = 24
 
 #: Most bytes the held terms of one step may take.  A batch that would need
 #: more runs as column chunks in lockstep.  The benchmark's sweeps fit in
-#: one chunk (0.49 MiB on sweep_clean, 0.69 MiB on sweep_disorder_cli).
+#: one chunk on their 25-row return-trip window (0.31 MiB on sweep_clean,
+#: 0.44 MiB on sweep_disorder_cli).
 TERM_BUFFER_BYTES = 4 << 20
 
 
@@ -356,7 +369,7 @@ def _sink_fraction(psi: np.ndarray, sink) -> np.ndarray:
 
 def _cone_sink_fraction(h: Hamiltonian, x: np.ndarray) -> np.ndarray:
     """The (R,) sink fractions of the real state ``x`` that
-    :func:`_evolve` yields for ``h``: its rows past the non-sink ones are
+    :func:`_run` yields for ``h``: its rows past the non-sink ones are
     the chain rows of the window.  Raises PhysicsError if the chip has no
     sink waveguide.
     """
@@ -414,49 +427,6 @@ def _light_cone_depths(coupling: float, segment_length: float, segments: int,
     return depths
 
 
-def _buffer_shape(n_terms: int, rows: int, n_real: int) -> tuple:
-    """(terms held, realizations) of the term buffer of one step.
-
-    A realization holds TERMS_HELD terms, or the whole series if shorter,
-    or the largest even count from four up that fits in TERM_BUFFER_BYTES
-    if fewer fit; then as many realizations share the buffer as fit, and
-    at least one.  So the buffer takes at most TERM_BUFFER_BYTES unless
-    four terms of one realization take more (from 65,535 window rows on).
-    The terms held depend on the series and the window only, never on the
-    batch, so a column's sums do not depend on its batch either.
-    """
-    term = (rows + 2) * 2 * 8  # one padded term of one realization
-    held = min(n_terms, TERMS_HELD,
-               max(4, TERM_BUFFER_BYTES // term // 2 * 2))
-    return held, max(1, min(n_real, TERM_BUFFER_BYTES // (held * term)))
-
-
-def _term_buffer(n_terms: int, rows: int, cols: int):
-    """Zeroed (K, rows + 2, C) Chebyshev terms and their band view.
-
-    Each term carries a zero ghost row above and below the window.  The
-    band view is (K, 3, rows, C): band j of row i is padded row i + j, so
-    bands 0, 1 and 2 hold a row's lower neighbour, the row itself and its
-    upper neighbour, and the ghost rows stand in past either end.
-    """
-    terms = np.zeros((n_terms, rows + 2, cols))
-    sk, sp, sc = terms.strides
-    bands = np.lib.stride_tricks.as_strided(
-        terms, (n_terms, 3, rows, cols), (sk, sp, sp, sc), writeable=False)
-    return terms, bands
-
-
-def _slots(terms, bands, rows: int, nb: int, cols: int) -> tuple:
-    """The held terms of a ``rows`` window on the first ``cols`` columns,
-    (K, rows, C), and per slot of the ring the views the term loop reads
-    and writes: the term, its nb + 1 leading rows, its first nb rows, its
-    chain rows past them, and the band view of those chain rows."""
-    t = terms[:, :, :cols]
-    return (t[:, 1:rows + 1], list(t[:, 1:rows + 1]), list(t[:, 1:nb + 2]),
-            list(t[:, 1:nb + 1]), list(t[:, nb + 1:rows + 1]),
-            list(bands[:, :, nb:rows, :cols]))
-
-
 def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
     """Overwrite the (rows, C) real columns ``x`` with exp(-i H dt) x.
 
@@ -465,7 +435,7 @@ def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
     per-column (nb, nb + 1, C) couplings among the first nb + 1 rows,
     diagonal included; past them it is ``chain``, the (3, rows - nb, C)
     lower chain bond, diagonal and upper chain bond of every row.  Term k
-    is written into slot k % K of the ring ``slots`` (see :func:`_slots`)
+    is written into slot k % K of the ring ``slots`` (see :func:`_plan`)
     by three numpy calls: the head einsum, the banded chain einsum and the
     recurrence.  The held terms are summed with the (terms, C) ``weights``
     when the ring fills and after the last term; a ring shorter than the
@@ -502,24 +472,60 @@ def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
     x[:, 1::2] = cos_t * im - sin_t * re
 
 
-def _evolve(h: Hamiltonian, detunings, segment_length: float,
-            steps_per_segment: int, diagonals, couplings, return_trip: bool):
-    """The kernel of :func:`propagate` and :func:`sink_fractions`, whose
-    arguments it reads as :func:`propagate` does.  It yields the live
-    real state, column 2r the real and 2r + 1 the imaginary part of
-    realization r, before the first step and after each step; the next
-    step overwrites it in place.  The state holds the chip's leading rows,
+class _Plan(namedtuple("_Plan", "windows steps lo hi lengths rows_terms "
+                       "weights head chain written net chunks buffer state "
+                       "views")):
+    """What one kernel call will do, as :func:`_plan` builds it; :func:`_run`
+    runs it, once.
+
+    ``windows`` holds the rows of each segment's window and ``steps`` the
+    steps a segment takes.  Per realization r, ``lo[r]`` and ``hi[r]`` bound
+    its spectral interval, and ``weights`` (K, 2R) holds every column's
+    Bessel weights, exact zeros past its own series.  The operands are
+    ``head`` and ``chain`` (see :func:`_chebyshev_step`); segment k writes
+    ``net[k]`` into the entries ``written`` of ``head``: the network
+    diagonals and the overridden couplings.  ``chunks`` holds the realization
+    bounds (a, b) of each column chunk; the chunks share the term buffer
+    ``buffer`` (K, rows + 2, C) in turn, each running through the longest
+    series of its own columns.  ``state`` is the live real state, and
+    ``views`` maps each distinct window to what a step reads and writes on
+    it: the state's window rows, and per chunk the arguments of
+    :func:`_chebyshev_step`.
+
+    The work counts are fields too, the same on any host: on realization r
+    the run spends ``lengths[r]`` terms a step, its chunk's longest series,
+    and ``rows_terms[r]`` window rows times terms over the call.
+    """
+
+
+def _plan(h: Hamiltonian, detunings, segment_length: float,
+          steps_per_segment: int, diagonals, couplings,
+          return_trip: bool) -> _Plan:
+    """Check the arguments of :func:`propagate`, read as there, and plan
+    the kernel call on them (see :class:`_Plan`).  The windows are the
+    state cone, or with ``return_trip`` the return-trip cone (see
+    :func:`_light_cone_depths`).  The state holds the chip's leading rows,
     the largest window and at least one sink waveguide if the chip has a
-    chain; the rows past it would be zeros.  The windows are the state
-    cone, or with ``return_trip`` the return-trip cone (see
-    :func:`_light_cone_depths`).
+    chain; the rows past it would be zeros.
+
+    The term buffer holds TERMS_HELD terms of a realization, or the whole
+    series if shorter, or the largest even count from four up that fits in
+    TERM_BUFFER_BYTES if fewer fit; then as many realizations share it as
+    fit, and at least one.  So it takes at most TERM_BUFFER_BYTES unless
+    four terms of one realization take more (from 65,535 window rows on).
+    The terms held depend on the series and the window only, never on the
+    batch, so a column's sums do not depend on its batch either.  Each
+    term carries a zero ghost row above and below the window; its band
+    view is (K, 3, rows, C), where band j of row i is padded row i + j, so
+    bands 0, 1 and 2 hold a row's lower neighbour, the row itself and its
+    upper neighbour, and the ghost rows stand in past either end.
     """
     det, diag, couplings = _batch(h, detunings, diagonals, couplings)
     if not (math.isfinite(segment_length) and segment_length > 0):
         raise PhysicsError("segment length must be positive and finite")
     if steps_per_segment < 1:
         raise PhysicsError("steps_per_segment must be >= 1")
-    n0, n_real, sites = len(h.block), det.shape[0], h.fmo_indices
+    n0, n_real, sites = len(h.block), det.shape[0], list(h.fmo_indices)
     windows = [n0 + d for d in _light_cone_depths(
         abs(h.sink_coupling), segment_length, det.shape[2],
         len(h.sink_indices), return_trip)]
@@ -531,15 +537,14 @@ def _evolve(h: Hamiltonian, detunings, segment_length: float,
                            f"{hi[bad[0]]:g}) of realization {bad[0]}")
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     dt = segment_length / steps_per_segment
-    cut = _step_cut(det.shape[2] * steps_per_segment)
-    weights = np.repeat(_chebyshev_weights(half * dt, cut), 2, axis=1)
+    weights = np.repeat(_chebyshev_weights(
+        half * dt, _step_cut(det.shape[2] * steps_per_segment)), 2, axis=1)
     # each column's own series: its weights past the last nonzero are zeros
     length = len(weights) - (weights[::-1, 0::2] != 0).argmax(axis=0)
     # libm per realization: the same bits at any batch width
     cos_t, sin_t = (np.array([f(a) for a in (center * dt).tolist()])
                     for f in (math.cos, math.sin))
     scale = 2.0 / np.where(half > 0, half, math.inf)      # 0 if half is 0
-    scale2 = np.repeat(scale, 2)
 
     # 2 (H - center) / half per column, split by rows (see _chebyshev_step)
     # and built once for the largest window and the whole batch: a segment
@@ -548,32 +553,38 @@ def _evolve(h: Hamiltonian, detunings, segment_length: float,
     # segment's window has been written yet: the ghost row below it is
     # still zero, which cuts the chain bond there.
     hb = _head_block(h)
-    nb = len(hb)
-    m = max(rows - nb, 0)
+    nb, m = len(hb), max(rows - len(hb), 0)
     # the chain bond below each chain row of the window, 0 past the chain
     bond = np.where(np.arange(m + 1) < len(h.sink_indices) - 1,
-                    h.sink_coupling, 0.0)[:, None] * scale2
+                    h.sink_coupling, 0.0)[:, None] * np.repeat(scale, 2)
     head = np.zeros((nb, nb + 1, 2 * n_real))
-    head[:, :nb] = hb[:, :, None] * scale2
+    head[:, :nb] = hb[:, :, None] * np.repeat(scale, 2)
     head[range(nb), range(nb)] = np.repeat((diag[:nb] - center) * scale, 2,
                                            axis=1)
     head[n0:nb, nb] = bond[0]                    # the first chain bond
     chain = np.zeros((3, m, 2 * n_real))
     chain[0], chain[2] = bond[:m], bond[1:m + 1]
     chain[1] = np.repeat((diag[nb:rows] - center) * scale, 2, axis=1)
-    net = np.repeat((diag[sites, :, None] + det.transpose(1, 0, 2)
-                     - center[:, None]) * scale[:, None], 2,
-                    axis=1)                               # (sites, 2R, S)
-    pairs = [(i, j, np.repeat(c * scale[:, None], 2, axis=0))
-             for (i, j), c in couplings.items()]
-    held, width = _buffer_shape(len(weights), rows, n_real)
-    terms, bands = _term_buffer(held, rows, 2 * width)
+    # per segment, the (sites + 2 overrides, 2R) entries it writes: the
+    # network diagonals, then each override at (i, j) and at (j, i)
+    i, j = [[pair[k] for pair in couplings] for k in (0, 1)]
+    over = [(c * scale[:, None]).T[:, None] for c in couplings.values()]
+    net = list(np.repeat(np.concatenate(
+        [(diag[sites] + det.transpose(2, 1, 0) - center) * scale] + over * 2,
+        axis=1), 2, axis=2))
+    written = tuple(np.array(sites + ij) for ij in (i + j, j + i))
+
+    term = (rows + 2) * 2 * 8  # one padded term of one realization
+    held = min(len(weights), TERMS_HELD,
+               max(4, TERM_BUFFER_BYTES // term // 2 * 2))
+    width = max(1, min(n_real, TERM_BUFFER_BYTES // (held * term)))
+    buffer = np.zeros((held, rows + 2, 2 * width))
+    bands = as_strided(buffer, (held, 3, rows, 2 * width),
+                       np.take(buffer.strides, [0, 1, 1, 2]), writeable=False)
     # column chunks of at most `width` realizations share the term buffer,
     # each running through the longest series of its own columns
-    chunks = [(slice(2 * a, 2 * b), weights[:length[a:b].max(), 2 * a:2 * b],
-               cos_t[a:b], sin_t[a:b])
-              for a, b in ((a, min(a + width, n_real))
-                           for a in range(0, n_real, width))]
+    chunks = [(a, min(a + width, n_real)) for a in range(0, n_real, width)]
+    run = np.concatenate([[length[a:b].max()] * (b - a) for a, b in chunks])
 
     # The state is real: column 2r holds Re psi_r and column 2r + 1 Im psi_r,
     # which the real operator 2 (H - center) / half acts on alike.  It
@@ -582,25 +593,44 @@ def _evolve(h: Hamiltonian, detunings, segment_length: float,
     # step writes in place on its window, and the rows past it stay zeros.
     x = np.zeros((max(rows, min(h.dim, n0 + 1)), 2 * n_real))
     x[h.source_index, 0::2] = 1.0
-    yield x
-    for k, r in enumerate(windows):
-        head[sites, sites] = net[:, :, k]
-        for i, j, c in pairs:
-            head[i, j] = head[j, i] = c[:, k]
-        if not k or r != windows[k - 1]:
-            # one plan per window, as the windows plateau: its views of
-            # `head` see every later segment's writes above
-            n = min(nb, r)
-            slots = {w: _slots(terms, bands, r, n, w)
-                     for w in {cols.stop - cols.start for cols, *_ in chunks}}
-            ops = [(cols, head[:n, :n + 1, cols], chain[:, :r - n, cols],
-                    slots[cols.stop - cols.start], w, c, s)
-                   for cols, w, c, s in chunks]
-        for _ in range(steps_per_segment):
-            for cols, hd, ch, sl, w, c, s in ops:
-                _chebyshev_step(x[:r, cols], hd, ch, sl, w, c, s)
-            _check_norm(x[:r])
-            yield x
+    # one set of views per distinct window, as the windows plateau: the
+    # views of `head` see every later segment's writes.  Per slot of the
+    # ring: the term, its n + 1 leading rows, its first n rows, its chain
+    # rows past them, and the band view of those chain rows
+    views = {}
+    for r in dict.fromkeys(windows):
+        n, ops = min(nb, r), []
+        for a, b in chunks:
+            cols, t = slice(2 * a, 2 * b), buffer[..., :2 * (b - a)]
+            slots = (t[:, 1:r + 1], list(t[:, 1:r + 1]), list(t[:, 1:n + 2]),
+                     list(t[:, 1:n + 1]), list(t[:, n + 1:r + 1]),
+                     list(bands[:, :, n:r, :2 * (b - a)]))
+            ops.append((x[:r, cols], head[:n, :n + 1, cols],
+                        chain[:, :r - n, cols], slots,
+                        weights[:run[a], cols], cos_t[a:b], sin_t[a:b]))
+        views[r] = (x[:r], ops)
+    return _Plan(windows, steps_per_segment, lo, hi, run,
+                 steps_per_segment * sum(windows) * run, weights, head,
+                 chain, written, net, chunks, buffer, x, views)
+
+
+def _run(plan: _Plan):
+    """Run ``plan``: yield its live real state, column 2r the real and
+    2r + 1 the imaginary part of realization r, before the first step and
+    after each step; the next step overwrites it in place.  Each segment
+    writes its network diagonals and couplings into ``head``, then each
+    of its steps steps every chunk on the segment's window and checks the
+    norm.
+    """
+    yield plan.state
+    for r, values in zip(plan.windows, plan.net):
+        plan.head[plan.written] = values
+        live, ops = plan.views[r]
+        for _ in range(plan.steps):
+            for args in ops:
+                _chebyshev_step(*args)
+            _check_norm(live)
+            yield plan.state
 
 
 def propagate(h: Hamiltonian, detunings, segment_length: float,
@@ -626,7 +656,7 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     any column's norm drifts by more than NORM_TOL.
 
     The held terms of a step share one buffer of at most
-    TERM_BUFFER_BYTES (see :func:`_buffer_shape`); a wider batch runs as
+    TERM_BUFFER_BYTES (see :func:`_plan`); a wider batch runs as
     column chunks, each through the longest series of its own columns.  A
     column's interval, weights and operands come from its own inputs, so
     its result is the same bits in any batch and any chunk.
@@ -662,8 +692,8 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     The depths depend on c and the segment ends only, so a column run alone
     and in a batch share the windows.
     """
-    for x in _evolve(h, detunings, segment_length, steps_per_segment,
-                     diagonals, couplings, False):
+    for x in _run(_plan(h, detunings, segment_length, steps_per_segment,
+                        diagonals, couplings, False)):
         psi = np.zeros((h.dim, x.shape[1] // 2), complex)
         psi.view(float)[:len(x)] = x
         yield psi
@@ -711,8 +741,8 @@ def sink_fractions(h: Hamiltonian, detunings, segment_length: float,
 
     Raises PhysicsError if the chip has no sink waveguide.
     """
-    for x in _evolve(h, detunings, segment_length, steps_per_segment,
-                     diagonals, couplings, True):
+    for x in _run(_plan(h, detunings, segment_length, steps_per_segment,
+                        diagonals, couplings, True)):
         yield _cone_sink_fraction(h, x)
 
 
@@ -725,8 +755,8 @@ def final_sink_fractions(h: Hamiltonian, detunings, segment_length: float,
 
     Raises PhysicsError if the chip has no sink waveguide.
     """
-    *_, x = _evolve(h, detunings, segment_length, 1, diagonals, couplings,
-                    True)
+    *_, x = _run(_plan(h, detunings, segment_length, 1, diagonals,
+                       couplings, True))
     return _cone_sink_fraction(h, x)
 
 
@@ -740,8 +770,9 @@ def traces(h: Hamiltonian, detunings, segment_length: float,
     segment length so segment boundaries land on the grid.  By default it
     is the largest step of at most DEFAULT_FINE_STEP that divides the
     segment length (0.05 mm on 1 mm segments).  A trace holds fewer than
-    MAX_TRACE_SAMPLES samples.  The batch runs as one propagate call, and
-    each trace views its column of one (samples, dim, R) array.
+    MAX_TRACE_SAMPLES samples.  The batch runs as one kernel call on the
+    state cone, whose live state is written straight into one (samples,
+    dim, R) array, and each trace views its column of it.
     """
     det = np.asarray(detunings, dtype=float)
     if not math.isfinite(segment_length):
@@ -761,10 +792,11 @@ def traces(h: Hamiltonian, detunings, segment_length: float,
     if abs(per_seg - round(per_seg)) > 1e-9:
         raise PhysicsError("fine step must divide the segment length")
     steps = int(round(per_seg))
-    amps = np.empty((det.shape[-1] * steps + 1, h.dim, len(det)), complex)
-    for k, psi in enumerate(propagate(h, det, segment_length, steps,
-                                      diagonals, couplings)):
-        amps[k] = psi
+    plan = _plan(h, det, segment_length, steps, diagonals, couplings, False)
+    amps = np.zeros((det.shape[-1] * steps + 1, h.dim, len(det)), complex)
+    # each live state into its sample's leading rows; the rest stay zero
+    for sample, x in zip(amps.view(float)[:, :len(plan.state)], _run(plan)):
+        sample[...] = x
     return [EvolutionTrace(amps[:, :, c], fine_step, h.fmo_indices,
                            h.sink_indices) for c in range(len(det))]
 

@@ -14,12 +14,12 @@ passes of many rows, and uniform_white rows drawn in one vectorized PCG64
 pass, bit for bit as ``default_rng`` draws them one at a time
 (``_seeding``).  :func:`generate_batch` draws all the realizations of a
 study at once, one recipe with an amplitude and a seed each.  The colored
-filter is plain numpy (bilinear discretization): the streams are folded
-one at a time, each drawing its normals and folding its own burn-in into
-its filter state, then a third-order recurrence runs over the whole
-batch's kept samples elementwise, so each row is bit-for-bit the same as
-when it is generated alone with :func:`generate`, and the working set
-grows with the kept samples only.
+filter is plain numpy (bilinear discretization): the streams are drawn a
+realization at a time, one einsum folding the burn-in of each of its
+streams into that stream's filter state, then a third-order recurrence
+runs over the whole batch's kept samples elementwise, so each row is
+bit-for-bit the same as when it is generated alone with
+:func:`generate`, and the working set grows with the kept samples only.
 """
 
 from __future__ import annotations
@@ -188,24 +188,27 @@ def _run_filter(state: np.ndarray, x: np.ndarray, rate: float) -> None:
 
 
 def _colored_rows(rows, out: np.ndarray, rate: float) -> None:
-    """Fill the C-ordered (streams, segments) ``out`` with the colored
-    filter's output on the normals of each stream, burn-in dropped; up to
-    rounding, ``scipy.signal.lfilter(b, a, white)[FILTER_BURN_IN:]`` on
-    each stream's white noise.
+    """Fill the C-ordered (realizations, sites, segments) ``out`` with the
+    colored filter's output on the normals of each stream, burn-in
+    dropped; up to rounding, ``scipy.signal.lfilter(b, a,
+    white)[FILTER_BURN_IN:]`` on each stream's white noise.
 
-    The streams are drawn one at a time into one reused vector, and each
-    stream's burn-in is folded into its own filter state by one einsum
-    through :func:`_burn_in_map`, a call on that row alone; the recurrence
+    A realization's streams are drawn into one reused (sites, burn-in +
+    segments) buffer, their burn-ins folded into their own filter states
+    by one einsum through :func:`_burn_in_map`, which sums each row alone,
+    and their kept samples copied at once; the recurrence
     (:func:`_run_filter`) then runs once over every row's kept samples.
     """
-    state = np.empty((len(out), 3))
-    white = np.empty(FILTER_BURN_IN + out.shape[1])
-    fold = _burn_in_map(rate)
-    for row, s, rng in zip(out, state, _seeding.streams(rows)):
-        _draw("colored", rng, white)
-        c_einsum("kj,j->k", fold, white[:FILTER_BURN_IN], out=s)
-        row[:] = white[FILTER_BURN_IN:]
-    _run_filter(state.T, out.T, rate)
+    state = np.empty(out.shape[:2] + (3,))
+    white = np.empty((out.shape[1], FILTER_BURN_IN + out.shape[2]))
+    fold, streams = _burn_in_map(rate), _seeding.streams(rows)
+    for block, s in zip(out, state):
+        for row, rng in zip(white, streams):
+            _draw("colored", rng, row)
+        c_einsum("kj,rj->rk", fold, white[:, :FILTER_BURN_IN], out=s)
+        block[...] = white[:, FILTER_BURN_IN:]
+    _run_filter(state.reshape(-1, 3).T, out.reshape(-1, out.shape[2]).T,
+                rate)
 
 
 def _draw(kind: str, rng: np.random.Generator, out: np.ndarray) -> None:
@@ -259,18 +262,18 @@ def generate_batch(config: NoiseConfig, amplitudes, seeds,
             for site in range(n_sites))
     # every kind writes its draws straight into the batch
     draws = np.empty((len(seeds) * n_sites, segments))
+    profiles = draws.reshape(len(seeds), n_sites, segments)
     if kind == "uniform_white":
         # the bits of rng.uniform(0.0, 1.0, segments) on each stream
         _seeding.random_rows(rows, draws)
     elif kind == "colored":
-        _colored_rows(rows, draws,
+        _colored_rows(rows, profiles,
                       config.sampling_frequency * config.filter_time_scale)
         np.abs(draws, out=draws)
     else:
         for row, rng in zip(draws, _seeding.streams(rows)):
             _draw(kind, rng, row)
     # elementwise and per row from here on, in place
-    profiles = draws.reshape(len(seeds), n_sites, segments)
     if kind != "uniform_white":
         peak = profiles.max(axis=2, keepdims=True)
         profiles /= np.where(peak > 0, peak, 1.0)

@@ -894,8 +894,8 @@ class TestPhysicsRejections:
         # never provoked by a real allocation
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.45 GiB")
-        # the kernel body behind every readout
-        monkeypatch.setattr(dynamics, "_evolve", refuse)
+        # the kernel's plan, which allocates every array of a readout
+        monkeypatch.setattr(dynamics, "_plan", refuse)
         doc = {"schema_version": 1, "system": {"sink_length": 10}}
         code, err, out = run_cli(tmp_path, command, doc, "run")
         assert code == EXIT_PHYSICS

@@ -268,7 +268,7 @@ class TestEvolve:
 
 
 class TestTraces:
-    def test_batch_is_its_evolve_columns_in_one_propagate_call(
+    def test_batch_is_its_evolve_columns_in_one_kernel_call(
             self, monkeypatch):
         chips = [default_chip(a, seed=s, sink=20, correction=True)
                  for a, s in ((0.0, 0), (0.5, 1), (2.0, 2))]
@@ -279,13 +279,14 @@ class TestTraces:
         couplings = {k: np.array([c["couplings"][k] for c in chips])
                      for k in chips[0]["couplings"]}
         calls = []
-        propagate = dynamics.propagate
+        plan = dynamics._plan
 
         def spy(*args, **kwargs):
             calls.append(args[1].shape)
-            return propagate(*args, **kwargs)
+            return plan(*args, **kwargs)
 
-        monkeypatch.setattr(dynamics, "propagate", spy)
+        # every kernel call plans once
+        monkeypatch.setattr(dynamics, "_plan", spy)
         batch = dynamics.traces(h, det, 1.0, 0.5, diagonals, couplings)
         assert calls == [det.shape]
         for r, tr in enumerate(batch):
@@ -400,17 +401,25 @@ def zeroed_mode(h, det):
     return {(s, mode): np.zeros(det.shape[::2]) for s in h.fmo_indices}
 
 
-def spy_term_buffers(monkeypatch):
-    """The (terms held, rows, columns) of every term buffer propagate makes."""
-    shapes = []
-    term_buffer = dynamics._term_buffer
+def states_plan(h, det, diag, correction, steps=2):
+    """The plan of the kernel call that :func:`run_states` makes."""
+    return dynamics._plan(h, det, 1.0, steps, diag,
+                          corrected_couplings(h, det, correction), False)
 
-    def spy(n_terms, rows, cols):
-        shapes.append((n_terms, rows, cols))
-        return term_buffer(n_terms, rows, cols)
 
-    monkeypatch.setattr(dynamics, "_term_buffer", spy)
-    return shapes
+def buffer_shape(plan):
+    """(terms held, window rows, columns) of a plan's term buffer."""
+    held, padded, cols = plan.buffer.shape
+    return held, padded - 2, cols
+
+
+def study_plan(cfg, return_trip=True):
+    """The plan of a sweep's one kernel call, on the return-trip cone that
+    sweep_dephasing evolves or on the state cone."""
+    base = experiments._base_hamiltonian(cfg)
+    det, diag, couplings = experiments._study_columns(cfg, base)
+    return dynamics._plan(base, det, cfg.observe_z / cfg.segments, 1, diag,
+                          couplings, return_trip)
 
 
 def budgets(bound, floor_bound):
@@ -540,15 +549,17 @@ class TestPropagate:
     def test_column_chunks_are_bitwise_equal_to_one_chunk(self, correction,
                                                           monkeypatch):
         h, det, diag = growing_window_inputs(7)
-        shapes = spy_term_buffers(monkeypatch)
         whole = run_states(h, det, diag, correction)
-        (n_terms, rows, cols), = shapes
+        n_terms, rows, cols = buffer_shape(states_plan(h, det, diag,
+                                                       correction))
         assert cols == 2 * 7
         # room for three realizations: chunks of 3, 3 and 1
         monkeypatch.setattr(dynamics, "TERM_BUFFER_BYTES",
                             3 * n_terms * (rows + 2) * 2 * 8 + 8)
         chunked = run_states(h, det, diag, correction)
-        assert shapes[1] == (n_terms, rows, 2 * 3)
+        plan = states_plan(h, det, diag, correction)
+        assert buffer_shape(plan) == (n_terms, rows, 2 * 3)
+        assert [b - a for a, b in plan.chunks] == [3, 3, 1]
         for a, b in zip(chunked, whole):
             np.testing.assert_array_equal(a, b)
 
@@ -556,9 +567,8 @@ class TestPropagate:
     def test_series_longer_than_the_buffer_runs_in_a_ring(self, correction,
                                                           monkeypatch):
         h, det, diag = growing_window_inputs(3)
-        shapes = spy_term_buffers(monkeypatch)
         whole = run_states(h, det, diag, correction)
-        (n_terms, rows, _), = shapes
+        n_terms, rows, _ = buffer_shape(states_plan(h, det, diag, correction))
         # the smallest even ring from six up that the series runs past and
         # ends partway through, so that the last sum takes a partial ring
         size = next(k for k in range(6, n_terms, 2) if n_terms % k)
@@ -568,7 +578,8 @@ class TestPropagate:
             monkeypatch.setattr(dynamics, "TERM_BUFFER_BYTES",
                                 (held + 1) * (rows + 2) * 2 * 8 + 8)
             ring = run_states(h, det, diag, correction)
-            assert shapes[-1] == (held, rows, 2)
+            assert buffer_shape(states_plan(h, det, diag, correction)) == \
+                (held, rows, 2)
             alone = run_states(h, det[1:2], diag[:, 1:2], correction)
             for a, b, c in zip(ring, whole, alone):
                 assert np.abs(a - b).max() < 1e-14
@@ -576,9 +587,10 @@ class TestPropagate:
         # a ring shared by the whole batch
         monkeypatch.undo()
         monkeypatch.setattr(dynamics, "TERMS_HELD", size)
-        shapes = spy_term_buffers(monkeypatch)
         ring = run_states(h, det, diag, correction)
-        assert shapes == [(size, rows, 2 * 3)]
+        plan = states_plan(h, det, diag, correction)
+        assert buffer_shape(plan) == (size, rows, 2 * 3)
+        assert len(plan.chunks) == 1
         for a, b in zip(ring, whole):
             assert np.abs(a - b).max() < 1e-14
 
@@ -590,8 +602,8 @@ class TestPropagate:
         # bring, add exact zeros to its sums: 3 more terms keep one sum, 60
         # more run past TERMS_HELD into a ring summed each time it fills
         h, det, diag = growing_window_inputs(1)
-        shapes = spy_term_buffers(monkeypatch)
         own = run_states(h, det, diag, correction)
+        n_own = len(states_plan(h, det, diag, correction).buffer)
         weights = dynamics._chebyshev_weights
 
         def padded(rho, cut):
@@ -600,19 +612,36 @@ class TestPropagate:
 
         monkeypatch.setattr(dynamics, "_chebyshev_weights", padded)
         longer = run_states(h, det, diag, correction)
-        (n_own, *_), (n_longer, *_) = shapes
+        n_longer = len(states_plan(h, det, diag, correction).buffer)
         assert n_longer == min(n_own + pad, dynamics.TERMS_HELD)
         for a, b in zip(longer, own):
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("n_terms", [1, 3, 40, 149, 10_000])
     @pytest.mark.parametrize("rows", [8, 54, 5823, 70_000])
-    def test_term_buffer_stays_within_its_budget(self, n_terms, rows):
-        # 5823 rows leave room for an odd count (45) of terms
+    def test_term_buffer_stays_within_its_budget(self, n_terms, rows,
+                                                 monkeypatch):
+        # 5823 rows leave room for an odd count (45) of terms; plans of a
+        # chip whose chain the one segment's light cone spans, so that the
+        # window is the whole chip, with series of n_terms terms
+        monkeypatch.setattr(dynamics, "_chebyshev_weights",
+                            lambda rho, cut: np.broadcast_to(
+                                1.0, (n_terms, len(rho))))
+        h = attach_sink(build_fmo_hamiltonian(FmoSpec()), rows - 7,
+                        coupling=1e5)
         term = (rows + 2) * 2 * 8  # one padded term of one realization
         budget = dynamics.TERM_BUFFER_BYTES
-        for n_real in (1, 7, 1100):
-            held, width = dynamics._buffer_shape(n_terms, rows, n_real)
+        # the widest batch is 1,100 realizations, or one more than the
+        # budget holds single terms of, whichever is fewer: wider than any
+        # chunk the budget allows, without a chip-sized batch of wide rows
+        for n_real in (1, 7, min(1100, budget // term + 1)):
+            plan = dynamics._plan(h, np.zeros((n_real, 7, 1)), 1.0, 1, None,
+                                  None, False)
+            held, padded, cols = plan.buffer.shape
+            width = cols // 2
+            assert padded == rows + 2 and len(plan.weights) == n_terms
+            assert plan.chunks == [(a, min(a + width, n_real))
+                                   for a in range(0, n_real, width)]
             assert 1 <= width <= n_real
             assert held * width * term <= max(budget, 4 * term)
             assert held <= min(n_terms, dynamics.TERMS_HELD)
@@ -623,11 +652,40 @@ class TestPropagate:
                 assert width == min(n_real, budget // (held * term))
 
     def test_buffer_shape_at_the_benchmark_sweeps(self):
-        # 41 window rows and 44 realizations: the clean sweep's 17-term
-        # series is held whole, the colored CLI sweep's 34 to 36 terms run
-        # through a ring of 24
-        assert dynamics._buffer_shape(17, 41, 44) == (17, 44)
-        assert dynamics._buffer_shape(36, 41, 44) == (24, 44)
+        # 41 window rows (the state cone) and 44 realizations: the clean
+        # sweep's 17-term series is held whole, the colored CLI sweep's 34
+        # to 36 terms run through a ring of 24
+        for shape, held in (("sweep_clean", 17), ("sweep_disorder_cli", 24)):
+            cfg = SweepConfig(realizations=4, **self.GATED[shape])
+            plan = study_plan(cfg, return_trip=False)
+            assert plan.buffer.shape == (held, 41 + 2, 2 * 44)
+            assert len(plan.chunks) == 1
+
+    def test_plan_work_counts_of_the_clean_sweep(self):
+        # 17 terms a step and 340 a column; 480 window rows over the 20
+        # steps of the return-trip cone, 641 on the state cone
+        cfg = SweepConfig(realizations=4, **self.GATED["sweep_clean"])
+        for return_trip, rows, rows_terms in ((True, 480, 8160),
+                                              (False, 641, 10_897)):
+            plan = study_plan(cfg, return_trip)
+            assert len(plan.lengths) == 44 and plan.steps == 1
+            assert (plan.lengths == 17).all()
+            assert (plan.steps * len(plan.windows) * plan.lengths
+                    == 340).all()
+            assert sum(plan.windows) == rows
+            assert (plan.rows_terms == rows_terms).all()
+
+    def test_plan_of_figS8_at_the_strongest_disorder(self):
+        # figS8's gamma = 100 sweep at seed 0 (fmosim reproduce figS8):
+        # 1,100 columns on 25 window rows, a 138-term series through a
+        # ring of 24 terms, in column chunks of 404, 404 and 292
+        cfg = SweepConfig(realizations=100, disorder=100.0, sink_length=80,
+                          grid=experiments.FIGS8_GRIDS[100.0])
+        plan = study_plan(cfg)
+        assert len(plan.lengths) == 1100 and max(plan.windows) == 25
+        assert len(plan.weights) == plan.lengths.max() == 138
+        assert plan.buffer.shape == (24, 25 + 2, 2 * 404)
+        assert [b - a for a, b in plan.chunks] == [404, 404, 292]
 
     def test_colored_series_in_a_ring_matches_holding_every_term(
             self, monkeypatch):
@@ -646,13 +704,13 @@ class TestPropagate:
         # both runs share the series, and differ only in how its sums group
         for budget, bound in budgets(1e-14, 1e-14):
             monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
-            shapes = spy_term_buffers(monkeypatch)
             ring = run_states(h, det, diag, False, steps=1)
+            n_ring = len(states_plan(h, det, diag, False, steps=1).buffer)
             monkeypatch.setattr(dynamics, "TERMS_HELD",
                                 dynamics.MAX_SERIES_TERMS)
             every = run_states(h, det, diag, False, steps=1)
+            n_terms = len(states_plan(h, det, diag, False, steps=1).buffer)
             monkeypatch.undo()
-            (n_ring, *_), (n_terms, *_) = shapes
             assert n_ring == held < n_terms
             for a, b in zip(ring, every):
                 assert np.abs(a - b).max() < bound
@@ -699,7 +757,7 @@ class TestPropagate:
                 assert cone_bound_exact(c, t, ends[-1], depth - 1,
                                         back) > tol
 
-    def test_return_trip_depths_on_the_default_chip(self, monkeypatch):
+    def test_return_trip_depths_on_the_default_chip(self):
         # c = 0.2 mm^-1 over 20 segments of 1 mm: 480 window rows over the
         # 20 steps against the state cone's 641, 7 of them network rows
         depths = dynamics._light_cone_depths(0.2, 1.0, 20, 100,
@@ -708,23 +766,15 @@ class TestPropagate:
         assert sum(depths) + 7 * 20 == 480
         assert sum(dynamics._light_cone_depths(0.2, 1.0, 20, 100)) \
             + 7 * 20 == 641
-        # one plan of views per distinct window: 6 here, against 19
-        plans = []
-        slots = dynamics._slots
-
-        def spy(terms, bands, rows, nb, cols):
-            plans.append(rows)
-            return slots(terms, bands, rows, nb, cols)
-
-        monkeypatch.setattr(dynamics, "_slots", spy)
+        # one set of views per distinct window: 6 here, against 19
         kw = default_chip()
-        det = kw.pop("detunings")[None]
-        kw.pop("couplings")
-        list(dynamics.sink_fractions(detunings=det, **kw))
-        assert plans == [7 + d for d in dict.fromkeys(depths)]
-        plans.clear()
-        list(propagate(detunings=det, **kw))
-        assert len(plans) == 19
+        h, det = kw["h"], kw["detunings"][None]
+        trip = dynamics._plan(h, det, kw["segment_length"], 1, None, None,
+                              True)
+        assert list(trip.views) == [7 + d for d in dict.fromkeys(depths)]
+        state = dynamics._plan(h, det, kw["segment_length"], 1, None, None,
+                               False)
+        assert len(state.views) == 19
 
     @given(c=st.floats(1e-3, 10.0), step=st.floats(1e-2, 5.0),
            segments=st.integers(1, 40), max_depth=st.integers(0, 300))
@@ -1161,8 +1211,7 @@ class TestPropagate:
             assert np.linalg.norm(states[-1][:, c] - psi) <= \
                 dynamics.TRUNCATION_BUDGET + dynamics.LIGHT_CONE_TOL
 
-    def test_strong_disorder_runs_column_chunks_through_the_ring(
-            self, monkeypatch):
+    def test_strong_disorder_runs_column_chunks_through_the_ring(self):
         # figS8 at disorder 100, with the fewest realizations whose batch
         # does not fit one chunk: its series is longer than TERMS_HELD, so
         # every chunk runs through the ring of held terms
@@ -1171,20 +1220,11 @@ class TestPropagate:
         base = experiments._base_hamiltonian(cfg)
         det, diag, _ = experiments._study_columns(cfg, base)
         dz = cfg.observe_z / cfg.segments
-        shapes = spy_term_buffers(monkeypatch)
-        lengths = []
-        weights = dynamics._chebyshev_weights
-
-        def spy(rho, cut):
-            w = weights(rho, cut)
-            lengths.append(len(w))
-            return w
-
-        monkeypatch.setattr(dynamics, "_chebyshev_weights", spy)
         states = list(propagate(base, det, dz, diagonals=diag))
-        (held, _, cols), = shapes
+        plan = dynamics._plan(base, det, dz, 1, diag, None, False)
+        held, _, cols = plan.buffer.shape
         width = cols // 2
-        assert held == dynamics.TERMS_HELD < lengths[0]
+        assert held == dynamics.TERMS_HELD < len(plan.weights)
         assert len(det) - len(cfg.grid) <= width < len(det)
         for psi in states:
             assert np.abs(np.linalg.norm(psi, axis=0) - 1.0).max() <= \
@@ -1313,27 +1353,37 @@ class TestPropagate:
             got = run_states(h, det, diag, correction)
             assert np.abs(np.array(got) - expected).max() < bound
         monkeypatch.undo()
-        shapes = spy_term_buffers(monkeypatch)
         whole = run_states(h, det, diag, correction)
-        (n_terms, n_rows, _), = shapes
+        n_terms, n_rows, _ = buffer_shape(states_plan(h, det, diag,
+                                                      correction))
         # room for two realizations: chunks of 2, 2 and 1
         monkeypatch.setattr(dynamics, "TERM_BUFFER_BYTES",
                             2 * n_terms * (n_rows + 2) * 2 * 8 + 8)
         chunked = run_states(h, det, diag, correction)
-        assert shapes[1] == (n_terms, n_rows, 2 * 2)
+        plan = states_plan(h, det, diag, correction)
+        assert buffer_shape(plan) == (n_terms, n_rows, 2 * 2)
+        assert [b - a for a, b in plan.chunks] == [2, 2, 1]
         for a, b in zip(chunked, whole):
             np.testing.assert_array_equal(a, b)
 
     def test_c_einsum_is_numpy_einsum(self):
-        # every subscript the kernel calls, on the strided views it passes:
-        # a column chunk of the band view, the head rows, the held terms
+        # every subscript the kernel calls, on the strided views a plan
+        # passes: a column chunk of the band view, the head rows, the held
+        # terms of its (K, rows + 2, 10) term buffer
         rng = np.random.default_rng(0)
-        terms, bands = dynamics._term_buffer(4, 12, 10)
-        terms[:, 1:-1] = rng.standard_normal((4, 12, 10))
-        chain = rng.standard_normal((3, 12, 10))
+        plan = states_plan(*growing_window_inputs(5), False)
+        terms = plan.buffer
+        k, padded, cols = terms.shape
+        assert k >= 4 and cols == 10
+        terms[:, 1:-1] = rng.standard_normal((k, padded - 2, cols))
+        # the step arguments of the first chunk on the deepest window; its
+        # slots end with each held term's band view of the chain rows
+        _, ops = plan.views[max(plan.windows)]
+        bands = ops[0][3][-1][1]
+        chain = rng.standard_normal(bands.shape)
         head = rng.standard_normal((5, 6, 10))
-        w = rng.standard_normal((4, 10))
-        cases = [("krc,krc->rc", chain[:, 3:, :7], bands[1, :, 3:, :7]),
+        w = rng.standard_normal((k, 10))
+        cases = [("krc,krc->rc", chain[:, 3:, :7], bands[:, 3:, :7]),
                  ("ijr,jr->ir", head[:, :, :7], terms[1, 1:7, :7]),
                  ("kc,krc->rc", w[0::2, :7], terms[0::2, 1:-1, :7]),
                  ("ij,ij->j", terms[2, 1:-1], terms[2, 1:-1])]

@@ -457,13 +457,14 @@ class TestExcitationTraceStudy:
             self, kw, monkeypatch):
         cfg = small_cfg(realizations=1, noise_kind="colored", **kw)
         calls = []
-        propagate = dynamics.propagate
+        plan = dynamics._plan
 
         def spy(*args, **kwargs):
             calls.append(args[1].shape)
-            return propagate(*args, **kwargs)
+            return plan(*args, **kwargs)
 
-        monkeypatch.setattr(dynamics, "propagate", spy)
+        # every kernel call plans once
+        monkeypatch.setattr(dynamics, "_plan", spy)
         out = excitation_trace_study(cfg)
         assert calls == [(10, 7, cfg.segments)]
         [seed] = _noise_seeds(cfg.seed, [0], 1)
