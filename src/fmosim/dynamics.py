@@ -25,20 +25,19 @@ never reaches its far end.  The kernel evolves only a light cone: in each
 segment, the network rows and the first L_k chain waveguides, with L_k
 from a Combes-Thomas bound (Combes & Thomas, Commun. Math. Phys. 34, 251
 (1973)).  Each readout has its own cone (:func:`_light_cone_depths`).
-:func:`propagate` yields the states, and its state cone moves them by at
+:func:`traces` records the states, and its state cone moves them by at
 most LIGHT_CONE_TOL: 13, 15, 17, ... 33, 34 waveguides on the default chip
 (20 segments of 1 mm, chain coupling 0.2 mm^-1), with exact zeros past
 the window.  :func:`sink_fractions` yields only the sink fractions, which
 light cut off at depth L reaches only after a return trip to the network,
 so its return-trip cone is about half as deep (12, 14, ... 18), and
-:func:`final_sink_fractions` is its last yield alone.  Whatever reads
-amplitudes reads :func:`propagate`; the sweeps read the sink fractions.
-The depths depend only on the chain coupling and the segment ends, never
-on the detunings or diagonals, so a longer chain changes no byte, and no
-dense chip matrix is built; the studies build their chips with only the
-waveguides the state cone reaches.  A column's spectral interval is the
-intersection of a Weyl bound (the base chip's spectral bound moved by the
-column's diagonal offsets) and the Gershgorin discs of its window rows.
+:func:`final_sink_fractions` is its last yield alone.  The depths depend
+only on the chain coupling and the segment ends, never on the detunings
+or diagonals, so a longer chain changes no byte, and no dense chip matrix
+is built; a study builds its chip with only the waveguides the cone of
+what it reads reaches.  A column's spectral interval is the intersection
+of a Weyl bound (the base chip's spectral bound moved by the column's
+diagonal offsets) and the Gershgorin discs of its window rows.
 
 Every readout is a plan and a run.  :func:`_plan` checks a call's inputs
 and returns a frozen record (:class:`_Plan`) of all it will do: the
@@ -48,11 +47,10 @@ and writes on each distinct window, built once.  :func:`_run` is the loop:
 each segment writes its diagonals and couplings, steps every chunk,
 checks the norm and yields the live state.  The work counts (terms a step
 and window rows times terms per column) are plan fields, exact on any
-host.  :func:`propagate`, :func:`sink_fractions` and
-:func:`final_sink_fractions` each run a plan and read out what they hand
-back.  :func:`traces` writes each live state straight into one
-:class:`EvolutionTrace` array for the whole batch, and :func:`evolve` is
-:func:`traces` on one column.
+host.  :func:`sink_fractions` and :func:`final_sink_fractions` each run
+a plan and read out the fractions they hand back.  :func:`traces` writes
+each live state straight into one :class:`EvolutionTrace` array for the
+whole batch, and :func:`evolve` is :func:`traces` on one column.
 :func:`segment_propagator` builds the exact propagator from a Hermitian
 eigendecomposition; the tests check the kernel against it.
 """
@@ -76,16 +74,16 @@ if int(np.__version__.split(".")[0]) >= 2:
 else:
     from numpy.core.multiarray import c_einsum
 
-__all__ = ["EvolutionTrace", "segment_propagator", "propagate",
-           "sink_fractions", "final_sink_fractions", "traces", "evolve",
-           "site_probabilities", "write_trace_csv"]
+__all__ = ["EvolutionTrace", "segment_propagator", "sink_fractions",
+           "final_sink_fractions", "traces", "evolve", "site_probabilities",
+           "write_trace_csv"]
 
 #: Default fine sampling step in mm: 20 samples per 1 mm segment resolves
 #: the fastest beating frequency present on the chip (~1.344 mm^-1).
 DEFAULT_FINE_STEP = 0.05
 
 #: Largest norm by which truncating the Chebyshev series may move a state
-#: over a whole propagate call (see :func:`_step_cut`).  The studies' means
+#: over a whole kernel call (see :func:`_step_cut`).  The studies' means
 #: have standard errors of 1e-3 to 1e-2; at 20 steps a step drops 1e-12.
 TRUNCATION_BUDGET = 2e-11
 
@@ -169,7 +167,7 @@ def _head_block(h: Hamiltonian) -> np.ndarray:
 
 
 def _batch(h: Hamiltonian, detunings, diagonals, couplings):
-    """Validated detunings, diagonals and couplings (see propagate)."""
+    """Validated detunings, diagonals and couplings (see traces)."""
     n0 = len(h.block)
     det = np.asarray(detunings, dtype=float)
     if det.ndim != 3 or 0 in det.shape or det.shape[1] != len(h.fmo_indices):
@@ -380,7 +378,7 @@ def _cone_sink_fraction(h: Hamiltonian, x: np.ndarray) -> np.ndarray:
 
 def _cone_log_weight(depth: int, a: float) -> float:
     """log E(depth, t), a = 2 c t: the Combes-Thomas bound on the weight at
-    chain depth ``depth`` and beyond (see :func:`propagate`).
+    chain depth ``depth`` and beyond (see :func:`traces`).
 
     E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L), reached at
     cosh mu = L / 2ct, which gives sqrt(L^2 - a^2) - L arccosh(L / a) for
@@ -401,11 +399,11 @@ def _light_cone_depths(coupling: float, segment_length: float, segments: int,
     c T E(L_k, t_k) F_k <= LIGHT_CONE_TOL, capped at ``max_depth`` (the
     whole chain), where c is ``coupling``, T the last end (the whole
     propagation) and F_k the return factor: 1 for the state cone that
-    :func:`propagate` evolves, and E(L_k, T - t_k-1) with ``return_trip``,
+    :func:`traces` evolves, and E(L_k, T - t_k-1) with ``return_trip``,
     the cone of :func:`sink_fractions`, which is never deeper.  For the
     state cone E grows with t, so its depths are the smallest at each
     segment alone.  Every depth is 0 if the chain is uncoupled, or if the
-    segment length is not positive and finite, which :func:`propagate`
+    segment length is not positive and finite, which the kernel
     rejects.  The kernel and the studies' chip builder
     (``experiments._base_hamiltonian``) both take the depths from here.
     """
@@ -501,7 +499,7 @@ class _Plan(namedtuple("_Plan", "windows steps lo hi lengths rows_terms "
 def _plan(h: Hamiltonian, detunings, segment_length: float,
           steps_per_segment: int, diagonals, couplings,
           return_trip: bool) -> _Plan:
-    """Check the arguments of :func:`propagate`, read as there, and plan
+    """Check the arguments of :func:`traces`, read as there, and plan
     the kernel call on them (see :class:`_Plan`).  The windows are the
     state cone, or with ``return_trip`` the return-trip cone (see
     :func:`_light_cone_depths`).  The state holds the chip's leading rows,
@@ -633,9 +631,11 @@ def _run(plan: _Plan):
             yield plan.state
 
 
-def propagate(h: Hamiltonian, detunings, segment_length: float,
-              steps_per_segment: int = 1, diagonals=None, couplings=None):
-    """Evolve a batch of realizations; yield the states at every step.
+def traces(h: Hamiltonian, detunings, segment_length: float,
+           fine_step: float | None = None, diagonals=None,
+           couplings=None) -> list:
+    """Evolve a batch of realizations, recorded as one EvolutionTrace per
+    column.
 
     ``detunings`` has shape (R, network sites, segments): column r of the
     batch adds ``detunings[r, :, k]`` to the network diagonals during
@@ -645,15 +645,21 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     to an (R, segments) array that replaces their coupling per column and
     segment; by default every column keeps the couplings of ``h``.
 
-    Every column starts with a unit excitation at the source site.  One
-    real state of the leading rows serves the whole call, and each step
-    overwrites it in place.  The generator yields a fresh (dim, R) complex
-    copy of it: the initial state, then the state after each of
-    ``steps_per_segment`` equal steps per segment.  Every step drops
-    Chebyshev weights summing below :func:`_step_cut` of the call's step
-    count, segments times ``steps_per_segment``, so truncation moves each
-    yielded state by at most TRUNCATION_BUDGET.  Raises PhysicsError if
-    any column's norm drifts by more than NORM_TOL.
+    Amplitudes are recorded every ``fine_step`` mm, which must divide the
+    segment length so segment boundaries land on the grid.  By default it
+    is the largest step of at most DEFAULT_FINE_STEP that divides the
+    segment length (0.05 mm on 1 mm segments).  A trace holds fewer than
+    MAX_TRACE_SAMPLES samples.
+
+    Every column starts with a unit excitation at the source site.  The
+    batch runs as one kernel call, one step a sample: one real state of the
+    leading rows serves the whole call, each step overwrites it in place,
+    and each live state is written straight into one (samples, dim, R)
+    array, of which each trace views its column: the initial state, then
+    the state after each step.  Every step drops Chebyshev weights summing
+    below :func:`_step_cut` of the call's step count, so truncation moves
+    each recorded state by at most TRUNCATION_BUDGET.  Raises PhysicsError
+    if any column's norm drifts by more than NORM_TOL.
 
     The held terms of a step share one buffer of at most
     TERM_BUFFER_BYTES (see :func:`_plan`); a wider batch runs as
@@ -692,11 +698,31 @@ def propagate(h: Hamiltonian, detunings, segment_length: float,
     The depths depend on c and the segment ends only, so a column run alone
     and in a batch share the windows.
     """
-    for x in _run(_plan(h, detunings, segment_length, steps_per_segment,
-                        diagonals, couplings, False)):
-        psi = np.zeros((h.dim, x.shape[1] // 2), complex)
-        psi.view(float)[:len(x)] = x
-        yield psi
+    det = np.asarray(detunings, dtype=float)
+    if not 0 < segment_length < math.inf:
+        raise PhysicsError("segment length must be positive and finite")
+    if fine_step is None:
+        # the tolerance keeps a quotient that rounds just above an integer
+        # from adding a sample per segment
+        fine_step = segment_length / max(
+            1, math.ceil(segment_length / DEFAULT_FINE_STEP - 1e-9))
+    if not 0 < fine_step <= segment_length + 1e-15:
+        raise PhysicsError("fine step must lie in (0, segment_length]")
+    per_seg = segment_length / fine_step
+    if not det.shape[-1] * per_seg < MAX_TRACE_SAMPLES:
+        raise PhysicsError(
+            f"a trace of {det.shape[-1] * segment_length:g} mm would hold "
+            f"more than {MAX_TRACE_SAMPLES} samples")
+    if abs(per_seg - round(per_seg)) > 1e-9:
+        raise PhysicsError("fine step must divide the segment length")
+    steps = int(round(per_seg))
+    plan = _plan(h, det, segment_length, steps, diagonals, couplings, False)
+    amps = np.zeros((det.shape[-1] * steps + 1, h.dim, len(det)), complex)
+    # each live state into its sample's leading rows; the rest stay zero
+    for sample, x in zip(amps.view(float)[:, :len(plan.state)], _run(plan)):
+        sample[...] = x
+    return [EvolutionTrace(amps[:, :, c], fine_step, h.fmo_indices,
+                           h.sink_indices) for c in range(len(det))]
 
 
 def sink_fractions(h: Hamiltonian, detunings, segment_length: float,
@@ -704,15 +730,16 @@ def sink_fractions(h: Hamiltonian, detunings, segment_length: float,
                    couplings=None):
     """Yield the (R,) sink fractions of a batch at every step.
 
-    Every argument is read as by :func:`propagate`, and the fractions are
-    yielded where it yields its states: before the first step, then after
-    each step.  A fraction is sum_sink p / sum_all p of its column
-    (:func:`_sink_fraction`), the same bits in any batch.  The kernel is
-    :func:`propagate`'s, norm check included, but it evolves the narrower
-    return-trip cone, so the chain rows it holds are no longer the state:
-    only the fractions are handed back.
+    Every argument is read as by :func:`traces`, which takes a sample step
+    where this takes ``steps_per_segment`` equal steps a segment, and the
+    fractions are yielded where it records its states: before the first
+    step, then after each step.  A fraction is sum_sink p / sum_all p of
+    its column (:func:`_sink_fraction`), the same bits in any batch.  The
+    kernel is :func:`traces`', norm check included, but it evolves the
+    narrower return-trip cone, so the chain rows it holds are no longer the
+    state: only the fractions are handed back.
 
-    With c, N, E, t_k and T as in :func:`propagate` (and t_-1 = 0), L_k is
+    With c, N, E, t_k and T as in :func:`traces` (and t_-1 = 0), L_k is
     the smallest depth, no smaller than L_k-1 and capped at the chain
     length, with c T E(L_k, t_k) E(L_k, T - t_k-1) <= LIGHT_CONE_TOL; on
     the default chip the depths run 12, 14, 15, 16, 16, 17, 17, 17, then
@@ -725,7 +752,7 @@ def sink_fractions(h: Hamiltonian, detunings, segment_length: float,
       -i times the integral over s of P_0 U_cut(T, s) V psi(s), where psi
       is the uncut evolution and U_cut the cut one.
     - Out to depth L_k (Combes-Thomas with e^{mu N}, as in
-      :func:`propagate`): V psi(s) lies at depth L_k and beyond, with
+      :func:`traces`): V psi(s) lies at depth L_k and beyond, with
       ||V psi(s)|| <= c E(L_k, s).
     - Back to depth 0 (Combes-Thomas with e^{-mu N}): P_0 = P_0 e^{-mu N},
       ||e^{-mu N} U_cut(T, s) e^{mu N}|| <= e^{2 c (T - s) sinh mu}, since
@@ -758,47 +785,6 @@ def final_sink_fractions(h: Hamiltonian, detunings, segment_length: float,
     *_, x = _run(_plan(h, detunings, segment_length, 1, diagonals,
                        couplings, True))
     return _cone_sink_fraction(h, x)
-
-
-def traces(h: Hamiltonian, detunings, segment_length: float,
-           fine_step: float | None = None, diagonals=None,
-           couplings=None) -> list:
-    """:func:`propagate` on a batch, recorded as one EvolutionTrace per
-    column; every argument but ``fine_step`` is read as there.
-
-    Amplitudes are recorded every ``fine_step`` mm, which must divide the
-    segment length so segment boundaries land on the grid.  By default it
-    is the largest step of at most DEFAULT_FINE_STEP that divides the
-    segment length (0.05 mm on 1 mm segments).  A trace holds fewer than
-    MAX_TRACE_SAMPLES samples.  The batch runs as one kernel call on the
-    state cone, whose live state is written straight into one (samples,
-    dim, R) array, and each trace views its column of it.
-    """
-    det = np.asarray(detunings, dtype=float)
-    if not math.isfinite(segment_length):
-        raise PhysicsError("segment length must be positive and finite")
-    if fine_step is None:
-        # the tolerance keeps a quotient that rounds just above an integer
-        # from adding a sample per segment
-        fine_step = segment_length / max(
-            1, math.ceil(segment_length / DEFAULT_FINE_STEP - 1e-9))
-    if not 0 < fine_step <= segment_length + 1e-15:
-        raise PhysicsError("fine step must lie in (0, segment_length]")
-    per_seg = segment_length / fine_step
-    if not det.shape[-1] * per_seg < MAX_TRACE_SAMPLES:
-        raise PhysicsError(
-            f"a trace of {det.shape[-1] * segment_length:g} mm would hold "
-            f"more than {MAX_TRACE_SAMPLES} samples")
-    if abs(per_seg - round(per_seg)) > 1e-9:
-        raise PhysicsError("fine step must divide the segment length")
-    steps = int(round(per_seg))
-    plan = _plan(h, det, segment_length, steps, diagonals, couplings, False)
-    amps = np.zeros((det.shape[-1] * steps + 1, h.dim, len(det)), complex)
-    # each live state into its sample's leading rows; the rest stay zero
-    for sample, x in zip(amps.view(float)[:, :len(plan.state)], _run(plan)):
-        sample[...] = x
-    return [EvolutionTrace(amps[:, :, c], fine_step, h.fmo_indices,
-                           h.sink_indices) for c in range(len(det))]
 
 
 def evolve(h: Hamiltonian, detunings, segment_length: float,

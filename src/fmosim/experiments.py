@@ -6,21 +6,16 @@ traces.
 Every study is deterministic given its master seed.  The per-realization
 seeds are derived from (master seed, grid index, realization index), and
 all the realizations of a study are evolved together as the columns of
-one kernel batch, whose columns do not depend on each other.  A study
-that reads efficiencies reads them off the return-trip cone: the
-dephasing sweeps from dynamics.final_sink_fractions, the vibrational
-comparison from dynamics.sink_fractions.  A study that reads amplitudes
-(the traces) reads them from dynamics.traces.  The excitation-trace
-study reads only the network rows, so a return-trip cone would serve it
-too, but it reads their amplitudes, which that readout does not hand
-back; it stays on dynamics.traces.
+one kernel batch, whose columns do not depend on each other.
 
-A study's chip holds only the sink waveguides that the kernel's state
-cone reaches over the study's segments (:func:`_base_hamiltonian`): 34 on
-the default 20 mm chip, whatever ``sink_length`` says past that.  So its
-diagonals, disorder draw and traces span the network and those 34
-waveguides, of which a sweep evolves 18, and a longer chain changes no
-byte and costs nothing more.
+A study's chip is the light cone of what it reads
+(:func:`_base_hamiltonian`), whatever ``sink_length`` says past that, so
+a longer chain changes no byte and costs nothing more.  The dephasing
+sweeps (dynamics.final_sink_fractions), the vibrational comparison
+(dynamics.sink_fractions) and the excitation-trace study read only the
+network rows, so their chips hold the return-trip cone: 18 sink
+waveguides on the default 20 mm chip.  :func:`single_trace` hands back
+the chain rows too, so its chip holds the state cone: 34 waveguides.
 """
 
 from __future__ import annotations
@@ -169,16 +164,17 @@ def network_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
     return attach_vibrational_mode(h) if cfg.with_vibration else h
 
 
-def _base_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
+def _base_hamiltonian(cfg: SweepConfig, return_trip: bool) -> Hamiltonian:
     """The study's chip: :func:`network_hamiltonian` and as many sink
-    waveguides as the deepest window dynamics.propagate evolves over the
-    study's segments (the state cone, which holds the return-trip cone of
-    dynamics.sink_fractions), at least one and at most
-    ``cfg.sink_length``.  A light cone deeper than MAX_SINK_LENGTH is
-    rejected."""
+    waveguides as the deepest window of the study's cone over its
+    segments, at least one and at most ``cfg.sink_length``.  The cone is
+    the return trip of dynamics.sink_fractions with ``return_trip``, for a
+    study that reads the network rows alone, and otherwise the state cone
+    of dynamics.traces (see dynamics._light_cone_depths).  A light cone
+    deeper than MAX_SINK_LENGTH is rejected."""
     depths = dynamics._light_cone_depths(
         cfg.sink_coupling, cfg.observe_z / max(cfg.segments, 1), cfg.segments,
-        min(cfg.sink_length, MAX_SINK_LENGTH + 1))
+        min(cfg.sink_length, MAX_SINK_LENGTH + 1), return_trip)
     length = min(cfg.sink_length, max([1, *depths]))
     if length > MAX_SINK_LENGTH:
         raise PhysicsError(f"the sink chain's light cone is deeper than "
@@ -247,7 +243,7 @@ def _study_columns(cfg: SweepConfig, base: Hamiltonian) -> tuple:
 
 def sweep_dephasing(cfg: SweepConfig) -> SweepResult:
     """Mean transport efficiency at z per detuning amplitude on the grid."""
-    base = _base_hamiltonian(cfg)
+    base = _base_hamiltonian(cfg, True)
     detunings, diagonals, couplings = _study_columns(cfg, base)
     values = dynamics.final_sink_fractions(
         base, detunings, cfg.observe_z / cfg.segments, diagonals=diagonals,
@@ -295,7 +291,7 @@ def vibrational_comparison(cfg: SweepConfig):
     """
     steps = 4
     seg = cfg.observe_z / cfg.segments
-    base = _base_hamiltonian(replace(cfg, with_vibration=True))
+    base = _base_hamiltonian(replace(cfg, with_vibration=True), True)
     detunings, diagonals, couplings = _study_columns(cfg, base)
     n, mode = len(detunings), base.roles.index("vibration")
     # columns n .. 2n - 1 repeat columns 0 .. n - 1 with the mode's couplings 0
@@ -341,13 +337,14 @@ def noise_distribution_comparison(cfg: SweepConfig):
     return results, profile_means
 
 
-def _traces(cfg: SweepConfig, amplitudes, seeds, disorders,
-            fine_step) -> tuple:
+def _traces(cfg: SweepConfig, amplitudes, seeds, disorders, fine_step,
+            return_trip: bool) -> tuple:
     """(traces, detunings) of the kernel columns :func:`_columns` builds
     from ``amplitudes``, ``seeds`` and ``disorders``, each with the static
     disorder draw of the sweep's first column, recorded every
-    ``fine_step`` mm by one dynamics.traces call."""
-    base = _base_hamiltonian(cfg)
+    ``fine_step`` mm by one dynamics.traces call on the chip of the cone
+    that ``return_trip`` names (see :func:`_base_hamiltonian`)."""
+    base = _base_hamiltonian(cfg, return_trip)
     det, diagonals, couplings = _columns(cfg, base, amplitudes, seeds,
                                          disorders, [(0, 0)] * len(seeds))
     return dynamics.traces(base, det, cfg.observe_z / cfg.segments,
@@ -359,18 +356,20 @@ def single_trace(cfg: SweepConfig, amplitude: float, seed: int,
     """(EvolutionTrace, NoiseRealization) of one realization at
     ``amplitude``, its detunings drawn from ``seed`` as given.  It is
     built as a sweep builds each column, with the static disorder of the
-    sweep's first column.  At ``cfg.grid[0]``, that column's noise seed
-    and one sample a segment, its last state is, bit for bit, the state
-    dynamics.propagate gives that column.  Its efficiency is, to first
-    order, within 8 TRUNCATION_BUDGET + 4 LIGHT_CONE_TOL of the sweep's
-    first value, which the sweep reads off the narrower return-trip cone
-    (dynamics.final_sink_fractions): each is within 4 TRUNCATION_BUDGET + 2
-    LIGHT_CONE_TOL of the uncut chip's.
+    sweep's first column, on the chip of the state cone, since a trace
+    hands back the chain rows.  At ``cfg.grid[0]``, that column's noise
+    seed and one sample a segment, it is, bit for bit, the first trace
+    dynamics.traces records of the sweep's columns on that chip.  Its
+    efficiency is, to first order, within 8 TRUNCATION_BUDGET + 4
+    LIGHT_CONE_TOL of the sweep's first value, which the sweep reads off
+    the narrower return-trip cone (dynamics.final_sink_fractions): each is
+    within 4 TRUNCATION_BUDGET + 2 LIGHT_CONE_TOL of the uncut chip's.
 
     ``fine_step`` is read as by dynamics.traces (by default the largest
     step of at most dynamics.DEFAULT_FINE_STEP that divides the segment).
     """
-    [tr], [det] = _traces(cfg, [amplitude], [seed], cfg.disorder, fine_step)
+    [tr], [det] = _traces(cfg, [amplitude], [seed], cfg.disorder, fine_step,
+                          False)
     return tr, noise_mod.NoiseRealization(det, noise_config(cfg, amplitude,
                                                             seed))
 
@@ -383,19 +382,22 @@ def excitation_trace_study(cfg: SweepConfig,
     disorder), sampled four times a segment.  Returns {(label, value):
     (positions, probs, argmax)}.
 
-    Every member is a trace of one dynamics.traces call, bit for bit its
-    :func:`single_trace` at the study's first noise seed.  It reads the
-    network rows' amplitudes, so it runs on the state cone of
-    dynamics.traces, not on the return-trip cone of the sink fractions.
-    A study reads one realization of each member, whatever
-    ``cfg.realizations`` says.
+    Every member is a trace of one dynamics.traces call at the study's
+    first noise seed.  It reads only the network rows' renormalized
+    probabilities, so its chip holds the return-trip cone, which
+    dynamics.traces evolves as its state cone capped at the chain's end,
+    never shallower than the return trip.  So a member's network rows are
+    within TRUNCATION_BUDGET + LIGHT_CONE_TOL of the uncut chip's, as its
+    :func:`single_trace`'s are; where both chips hold the whole chain, the
+    two are the same bits.  A study reads one realization of each member,
+    whatever ``cfg.realizations`` says.
     """
     [seed] = _noise_seeds(cfg.seed, [0], 1)
     members = ([("disorder", float(g), float(g), 0.0) for g in disorders]
                + [("detuning", float(a), 0.0, float(a)) for a in amplitudes])
     traces, _ = _traces(cfg, [a for *_, a in members], [seed] * len(members),
                         [gamma for _, _, gamma, _ in members],
-                        cfg.observe_z / cfg.segments / 4.0)
+                        cfg.observe_z / cfg.segments / 4.0, True)
     return {(label, value): (tr.positions,
                              dynamics.site_probabilities(tr, tr.fmo_indices,
                                                          renormalize=True),

@@ -396,7 +396,8 @@ class TestSimulate:
     def test_segment_shorter_than_the_step_is_one_sample(self, tmp_path,
                                                         length, expected):
         # 20 segments of 5e-14 mm are sampled at their ends; of 5e-324 mm
-        # they underflow to zero length, which is rejected
+        # they underflow to zero length, which is rejected as a segment
+        # length, not as the sample step derived from it
         doc = base_config()
         doc["noise"]["total_length_mm"] = length
         code, err, out = run_cli(tmp_path, "simulate", doc, "run")
@@ -407,7 +408,7 @@ class TestSimulate:
             assert len(z) == 21
             assert z[-1] == pytest.approx(length, rel=1e-12)
         else:
-            assert "fine step" in err
+            assert "segment length must be positive and finite" in err
 
     def test_seed_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, base_config())

@@ -13,7 +13,6 @@ from fmosim import dynamics, experiments
 from fmosim.dynamics import (
     EvolutionTrace,
     evolve,
-    propagate,
     segment_propagator,
     site_probabilities,
     write_trace_csv,
@@ -94,7 +93,7 @@ def segment_matrix(h, det_k, correction=False):
 
 
 def corrected_couplings(h, det, correction=True):
-    """The ``couplings`` of :func:`propagate` that set every (R, sites,
+    """The ``couplings`` of :func:`traces` that set every (R, sites,
     segments) ``det`` column's network couplings to :func:`segment_matrix`'s
     with ``correction``; none without it."""
     idx = h.fmo_indices
@@ -301,7 +300,7 @@ class TestCouplingCorrection:
     @staticmethod
     def kernel_block(k, correction):
         """The kernel's network block of segment ``k`` and its detuning,
-        with the couplings a study builds for :func:`propagate`."""
+        with the couplings a study builds for :func:`traces`."""
         ph = default_chip(0.5, seed=1)
         cfg = SweepConfig(coupling_correction=correction)
         [det], _, couplings = experiments._columns(
@@ -389,10 +388,19 @@ def batch_inputs(vibration=False, columns=5, sink=20, seed=11, segments=6):
     return h, det, diag
 
 
+def kernel_states(h, det, segment_length, steps=1, diagonals=None,
+                  couplings=None):
+    """The (dim, R) states of the batch ``det`` after each of ``steps``
+    steps a segment, the initial state first, as :func:`traces` records
+    them at one sample a step."""
+    batch = dynamics.traces(h, det, segment_length, segment_length / steps,
+                            diagonals, couplings)
+    return list(np.stack([tr.amplitudes for tr in batch], axis=2))
+
+
 def run_states(h, det, diag, correction, steps=2):
-    return [psi.copy() for psi in propagate(
-        h, det, 1.0, steps, diagonals=diag,
-        couplings=corrected_couplings(h, det, correction))]
+    return kernel_states(h, det, 1.0, steps, diag,
+                         corrected_couplings(h, det, correction))
 
 
 def zeroed_mode(h, det):
@@ -414,9 +422,9 @@ def buffer_shape(plan):
 
 
 def study_plan(cfg, return_trip=True):
-    """The plan of a sweep's one kernel call, on the return-trip cone that
-    sweep_dephasing evolves or on the state cone."""
-    base = experiments._base_hamiltonian(cfg)
+    """The plan of a sweep's one kernel call on the chip of its cone: the
+    return-trip cone that sweep_dephasing evolves, or the state cone."""
+    base = experiments._base_hamiltonian(cfg, return_trip)
     det, diag, couplings = experiments._study_columns(cfg, base)
     return dynamics._plan(base, det, cfg.observe_z / cfg.segments, 1, diag,
                           couplings, return_trip)
@@ -479,7 +487,7 @@ def assert_within_gershgorin_union(lo, hi, h, det, diag, correction,
                                    couplings=None):
     """(lo, hi) lies within the union of the Gershgorin discs of every
     whole segment matrix of every column, with ``couplings`` as
-    :func:`propagate` reads them, up to the rounding of the disc radii,
+    :func:`traces` reads them, up to the rounding of the disc radii,
     which are summed in another order here."""
     g_lo, g_hi = math.inf, -math.inf
     for c in range(det.shape[0]):
@@ -863,7 +871,7 @@ class TestPropagate:
         # coupling override
         import tracemalloc
         cfg = SweepConfig(segments=80)
-        base = experiments._base_hamiltonian(cfg)
+        base = experiments._base_hamiltonian(cfg, True)
         det, diag, couplings = experiments._study_columns(cfg, base)
         assert det.shape == (1100, 7, 80) and not couplings
         tracemalloc.start()
@@ -876,7 +884,7 @@ class TestPropagate:
 
     @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
     def test_light_cone_depths_without_a_finite_length_are_zero(self, step):
-        # propagate rejects such a segment length with its own message
+        # the kernel rejects such a segment length with its own message
         assert dynamics._light_cone_depths(0.2, step, 3, 100) == [0, 0, 0]
 
     def test_short_chain_keeps_every_row(self):
@@ -884,7 +892,7 @@ class TestPropagate:
         assert window_rows(h, 20)[-1] == h.dim
         det = generate(NoiseConfig(kind="colored", amplitude=0.5,
                                    seed=3)).sequences[None]
-        *_, last = propagate(h, det, 1.0)
+        *_, last = kernel_states(h, det, 1.0)
         assert last[-1, 0] != 0.0
 
     @pytest.mark.parametrize("chip, segment_length", [
@@ -905,7 +913,7 @@ class TestPropagate:
         budget = dynamics.TRUNCATION_BUDGET
         for budget, bound in budgets((1.0 + budget) ** 2 - 1.0, 1e-12):
             monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
-            states = list(propagate(h, det, segment_length))
+            states = kernel_states(h, det, segment_length)
             assert len(states) == 5
             for psi in states:
                 assert np.abs((np.abs(psi) ** 2).sum(axis=0)
@@ -934,7 +942,7 @@ class TestPropagate:
         for budget, bound in budgets(
                 dynamics.TRUNCATION_BUDGET + dynamics.LIGHT_CONE_TOL, 1e-12):
             monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
-            got = [s[:, 0] for s in propagate(
+            got = [s[:, 0] for s in kernel_states(
                 h, det[None], 1.0, diagonals=hd.matrix.diagonal()[:, None],
                 couplings=corrected_couplings(h, det[None]))]
             for k, (state, psi) in enumerate(zip(got, expected)):
@@ -943,16 +951,23 @@ class TestPropagate:
                     assert not state[rows[k - 1]:].any()
                     assert state[rows[k - 1] - 1] != 0.0
 
-    def test_yields_are_fresh_arrays(self):
-        # the steps overwrite one state in place; no yield may see it move
+    def test_yields_are_fresh_arrays(self, monkeypatch):
+        # the steps overwrite one live state in place; each sample of a
+        # trace keeps the state as it was when it was recorded
         h, det, diag = growing_window_inputs(3)
-        gen = propagate(h, det, 1.0, 2, diagonals=diag)
-        early = [next(gen), next(gen)]
-        kept = [s.tobytes() for s in early]
-        states = early + list(gen)
-        assert [s.tobytes() for s in early] == kept
-        for k, a in enumerate(states):
-            assert not any(np.shares_memory(a, b) for b in states[k + 1:])
+        seen, run = [], dynamics._run
+
+        def spy(plan):
+            for x in run(plan):
+                seen.append(x.copy())
+                yield x
+
+        monkeypatch.setattr(dynamics, "_run", spy)
+        states = kernel_states(h, det, 1.0, 2, diagonals=diag)
+        assert len(states) == len(seen) == 13
+        for psi, x in zip(states, seen):
+            assert psi.view(float)[:len(x)].tobytes() == x.tobytes()
+            assert not psi.view(float)[len(x):].any()
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n0=st.integers(1, 8),
            chain=st.tuples(st.sampled_from([1, 2, 7, 60]),
@@ -1039,8 +1054,7 @@ class TestPropagate:
         # two chips, two series, each within the budget of the same states
         for budget, bound in budgets(2 * dynamics.TRUNCATION_BUDGET, 1e-13):
             monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
-            dark = [psi.copy() for psi in propagate(
-                h, det, 1.0, 2, diagonals=diag, couplings=couplings)]
+            dark = kernel_states(h, det, 1.0, 2, diag, couplings)
             without = run_states(h7, det, np.delete(diag, mode, axis=0),
                                  correction)
             assert len(dark) == len(without)
@@ -1049,7 +1063,7 @@ class TestPropagate:
                 assert np.abs(np.delete(a, mode, axis=0) - b).max() < bound
 
     # (couplings, with a value a float filling (R, segments) or a shape
-    # filled with 0.1) that propagate rejects on batch_inputs' chip, whose
+    # filled with 0.1) that the kernel rejects on batch_inputs' chip, whose
     # non-sink rows are 0 .. 6
     BAD_COUPLINGS = {
         "same_row": {(2, 2): 0.1},
@@ -1073,10 +1087,10 @@ class TestPropagate:
                                 0.1 if isinstance(v, tuple) else v)
                      for k, v in self.BAD_COUPLINGS[case].items()}
         with pytest.raises(PhysicsError, match="coupling"):
-            list(propagate(h, det, 1.0, diagonals=diag, couplings=couplings))
+            kernel_states(h, det, 1.0, diagonals=diag, couplings=couplings)
         # a valid override runs
-        list(propagate(h, det, 1.0, diagonals=diag,
-                       couplings={(0, 1): np.full(shape, 0.1)}))
+        kernel_states(h, det, 1.0, diagonals=diag,
+                      couplings={(0, 1): np.full(shape, 0.1)})
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
            kind=st.sampled_from(NOISE_KINDS),
@@ -1165,7 +1179,7 @@ class TestPropagate:
         with pytest.MonkeyPatch.context() as patch:
             for budget, bound in budgets(dynamics.TRUNCATION_BUDGET, 1e-12):
                 patch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
-                got = [s[:, 0] for s in propagate(
+                got = [s[:, 0] for s in kernel_states(
                     h, det[None], 1.0, steps,
                     diagonals=hd.matrix.diagonal()[:, None],
                     couplings=corrected_couplings(h, det[None], correction))]
@@ -1191,11 +1205,11 @@ class TestPropagate:
         # realizations each
         cfg = SweepConfig(realizations=2, **self.GATED[shape])
         cfg = replace(cfg, grid=(cfg.grid[0], cfg.grid[-1]))
-        base = experiments._base_hamiltonian(cfg)
+        base = experiments._base_hamiltonian(cfg, False)
         det, diag, couplings = experiments._study_columns(cfg, base)
         dz = cfg.observe_z / cfg.segments
-        states = list(propagate(base, det, dz, diagonals=diag,
-                                couplings=couplings))
+        states = kernel_states(base, det, dz, diagonals=diag,
+                               couplings=couplings)
         assert len(states) == 21
         for psi in states:
             assert np.abs(np.linalg.norm(psi, axis=0) - 1.0).max() <= \
@@ -1217,10 +1231,10 @@ class TestPropagate:
         # every chunk runs through the ring of held terms
         cfg = SweepConfig(realizations=24, disorder=100.0, sink_length=80,
                           grid=experiments.FIGS8_GRIDS[100.0])
-        base = experiments._base_hamiltonian(cfg)
+        base = experiments._base_hamiltonian(cfg, False)
         det, diag, _ = experiments._study_columns(cfg, base)
         dz = cfg.observe_z / cfg.segments
-        states = list(propagate(base, det, dz, diagonals=diag))
+        states = kernel_states(base, det, dz, diagonals=diag)
         plan = dynamics._plan(base, det, dz, 1, diag, None, False)
         held, _, cols = plan.buffer.shape
         width = cols // 2
@@ -1231,8 +1245,8 @@ class TestPropagate:
                 dynamics.TRUNCATION_BUDGET
         # the first and last column of each chunk
         for c in (0, width - 1, width, len(det) - 1):
-            alone = list(propagate(base, det[c:c + 1], dz,
-                                   diagonals=diag[:, c:c + 1]))
+            alone = kernel_states(base, det[c:c + 1], dz,
+                                  diagonals=diag[:, c:c + 1])
             np.testing.assert_array_equal(alone[-1][:, 0], states[-1][:, c])
             hd = with_diagonal(base, diag[:, c])
             psi = states[0][:, c]
@@ -1284,7 +1298,7 @@ class TestPropagate:
 
     def test_zero_hamiltonian_leaves_batch_exactly_constant(self):
         h = Hamiltonian(np.zeros((7, 7)), tuple(f"fmo_site_{i}" for i in range(1, 8)))
-        states = [s.copy() for s in propagate(h, np.zeros((3, 7, 4)), 1.0, 3)]
+        states = kernel_states(h, np.zeros((3, 7, 4)), 1.0, 3)
         assert len(states) == 13
         for psi in states:
             np.testing.assert_array_equal(psi, states[0])
@@ -1303,7 +1317,7 @@ class TestPropagate:
         h = attach_sink(attach_vibrational_mode(h) if vibration else h, 10)
         for shape in ((0, 7, 3), (1, 7, 0)):
             with pytest.raises(PhysicsError, match="none of them empty"):
-                list(propagate(h, np.zeros(shape), 1.0))
+                kernel_states(h, np.zeros(shape), 1.0)
 
     def test_nan_detuning_rejected(self):
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 10)
@@ -1427,18 +1441,25 @@ _DET = np.zeros((1, 7, 2))
 REJECTIONS = {
     "propagator-not-square": (
         lambda d: segment_propagator(np.zeros((2, 3)), 1.0), "must be square"),
-    "propagate-diagonals-shape": (
-        lambda d: next(propagate(_CHIP, _DET, 1.0,
-                                 diagonals=np.zeros((_CHIP.dim, 2)))),
+    "traces-diagonals-shape": (
+        lambda d: dynamics.traces(_CHIP, _DET, 1.0,
+                                  diagonals=np.zeros((_CHIP.dim, 2))),
         "diagonals must have shape (dim, realizations)"),
-    "propagate-segment-length": (
-        lambda d: next(propagate(_CHIP, _DET, 0.0)),
+    "sink-fractions-segment-length": (
+        lambda d: next(dynamics.sink_fractions(_CHIP, _DET, 0.0)),
         "segment length must be positive and finite"),
-    "propagate-steps": (
-        lambda d: next(propagate(_CHIP, _DET, 1.0, steps_per_segment=0)),
+    "sink-fractions-steps": (
+        lambda d: next(dynamics.sink_fractions(_CHIP, _DET, 1.0,
+                                               steps_per_segment=0)),
         "steps_per_segment must be >= 1"),
     "traces-segment-length": (
         lambda d: dynamics.traces(_CHIP, _DET, math.nan),
+        "segment length must be positive and finite"),
+    "traces-segment-length-zero": (
+        lambda d: dynamics.traces(_CHIP, _DET, 0.0),
+        "segment length must be positive and finite"),
+    "traces-segment-length-negative": (
+        lambda d: dynamics.traces(_CHIP, _DET, -1.0),
         "segment length must be positive and finite"),
     "trace-csv-stride": (
         lambda d: write_trace_csv(evolve(_CHIP, _DET[0], 1.0, 1.0),

@@ -23,10 +23,11 @@ from fmosim.experiments import DEFAULT_GRID, SweepConfig, sweep_dephasing
 def exact_mean_efficiency(amplitude: float, nodes_per_site: int = 2) -> float:
     """The ensemble-mean sink fraction of the default clean chip at the
     end of the chip, under uniform white noise of ``amplitude``, on the
-    chip the sweep builds: the network and the 34 sink waveguides the
-    light cone reaches."""
+    chip a trace builds: the network and the 34 sink waveguides the state
+    cone reaches.  The sweep evolves the first 18 of them, its return-trip
+    cone, whose sink fractions are within 2 LIGHT_CONE_TOL of this chip's."""
     cfg = SweepConfig()
-    h = experiments._base_hamiltonian(cfg)
+    h = experiments._base_hamiltonian(cfg, False)
     assert h.dim == 41
     sites, dim = h.fmo_indices, h.dim
     x, w = np.polynomial.legendre.leggauss(nodes_per_site)
@@ -56,7 +57,7 @@ def exact_curve():
 
 
 def test_noiseless_chip_is_the_sweep_value(exact_curve):
-    # the sweep runs on the same 41-row chip
+    # the sweep runs on the leading 25 rows of the same 41-row chip
     [[value]] = sweep_dephasing(SweepConfig(grid=(0.0,),
                                             realizations=1)).values
     assert abs(exact_curve[0.0] - value) < 1e-12

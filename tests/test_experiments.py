@@ -365,7 +365,8 @@ class TestVibrationalComparison:
         [(h, det, _, _)] = calls
         assert det.shape[0] == 2 * len(cfg.grid) * cfg.realizations
         # the with-mode half is bitwise the batch of the with-mode chip alone
-        base = experiments._base_hamiltonian(replace(cfg, with_vibration=True))
+        base = experiments._base_hamiltonian(replace(cfg, with_vibration=True),
+                                             True)
         assert h.roles == base.roles
         assert h.matrix.tobytes() == base.matrix.tobytes()
         detunings, diagonals, couplings = experiments._study_columns(cfg, base)
@@ -479,6 +480,36 @@ class TestExcitationTraceStudy:
                 tr, tr.fmo_indices, renormalize=True))
             np.testing.assert_array_equal(mps, most_probable_site(tr))
 
+    def test_each_member_on_a_long_chain_is_its_single_trace_within_bound(
+            self):
+        # past both light cones a member runs on the return-trip cone's
+        # chip and its single trace on the state cone's.  The network rows
+        # a and b of the two are each within e = TRUNCATION_BUDGET +
+        # LIGHT_CONE_TOL of the uncut chip's, so within 2 e of each other.
+        # Renormalizing divides by the network weight w = ||a||^2: the unit
+        # network states a / ||a|| and b / ||b|| differ by at most
+        # 2 (2 e) / sqrt(w), and a renormalized probability, a difference
+        # of squared moduli of unit vectors, by at most twice that:
+        # 8 e / sqrt(w), to first order
+        cfg = small_cfg(realizations=1, noise_kind="colored",
+                        sink_length=100)
+        out = excitation_trace_study(cfg)
+        [seed] = _noise_seeds(cfg.seed, [0], 1)
+        fine = cfg.observe_z / cfg.segments / 4.0
+        e = dynamics.TRUNCATION_BUDGET + dynamics.LIGHT_CONE_TOL
+        for (label, value), (z, probs, _) in out.items():
+            gamma, amplitude = (value, 0.0) if label == "disorder" else \
+                (0.0, value)
+            tr, _ = single_trace(replace(cfg, disorder=gamma),
+                                 amplitude, seed, fine)
+            np.testing.assert_array_equal(z, tr.positions)
+            weight = dynamics.site_probabilities(tr, tr.fmo_indices).sum(
+                axis=1)
+            expected = dynamics.site_probabilities(tr, tr.fmo_indices,
+                                                   renormalize=True)
+            assert (np.abs(probs - expected).max(axis=1)
+                    <= 8.0 * e / np.sqrt(weight)).all()
+
 
 # systems with disorder, the coupling correction, the vibration mode and
 # colored noise, whose first grid point is not zero
@@ -501,12 +532,13 @@ class TestSingleTrace:
         # one sample a segment: the sweep's one step a segment
         tr, _ = single_trace(cfg, cfg.grid[0], seed,
                              cfg.observe_z / cfg.segments)
-        base = experiments._base_hamiltonian(cfg)
+        # the sweep's columns on the trace's chip, the state cone's
+        base = experiments._base_hamiltonian(cfg, False)
         detunings, diagonals, couplings = experiments._study_columns(cfg, base)
-        *_, psi = dynamics.propagate(
+        first, *_ = dynamics.traces(
             base, detunings, cfg.observe_z / cfg.segments,
-            diagonals=diagonals, couplings=couplings)
-        np.testing.assert_array_equal(tr.amplitudes[-1], psi[:, 0])
+            cfg.observe_z / cfg.segments, diagonals, couplings)
+        np.testing.assert_array_equal(tr.amplitudes[-1], first.amplitudes[-1])
         # the sweep reads its efficiency off the narrower return-trip cone
         # (dynamics.sink_fractions).  Each efficiency is within
         # (e (2 + e) + B (2 + B)) / (1 - B)^2 of the uncut chip's, where
@@ -530,10 +562,39 @@ def test_records_hold_only_fields_their_readers_use(record, names):
     assert [f.name for f in fields(record)] == names
 
 
+def test_each_study_builds_the_chip_of_the_cone_it_reads(monkeypatch):
+    # a chain of 100 lies past both light cones of the default 20 mm chip.
+    # The sweeps, the vibrational comparison and the excitation traces read
+    # the network rows alone, so their chips hold the return-trip cone's
+    # 18 sink waveguides; a single trace lists the chain rows, so its chip
+    # holds the state cone's 34
+    cfg = small_cfg(grid=(0.5,), realizations=1, sink_length=100)
+    chips, rows = [], []
+    plan, traces = dynamics._plan, dynamics.traces
+
+    def spy_plan(h, detunings, segment_length, steps, diagonals, *args):
+        chips.append((len(h.block), len(h.sink_indices), len(diagonals)))
+        return plan(h, detunings, segment_length, steps, diagonals, *args)
+
+    def spy_traces(*args, **kwargs):
+        out = traces(*args, **kwargs)
+        rows.append({tr.amplitudes.shape[1] for tr in out})
+        return out
+
+    monkeypatch.setattr(dynamics, "_plan", spy_plan)
+    monkeypatch.setattr(dynamics, "traces", spy_traces)
+    sweep_dephasing(cfg)
+    vibrational_comparison(cfg)
+    assert chips == [(7, 18, 7 + 18), (8, 18, 8 + 18)]
+    excitation_trace_study(cfg, disorders=(3.0,), amplitudes=(0.5,))
+    single_trace(cfg, 0.5, 1)
+    assert rows == [{7 + 18}, {7 + 34}]
+
+
 def test_traces_carry_the_hamiltonians_indices():
     # the vibration mode sits between the network sites and the sink
     cfg = small_cfg(with_vibration=True)
-    h = experiments._base_hamiltonian(cfg)
+    h = experiments._base_hamiltonian(cfg, False)
     assert h.roles[7] == "vibration"
     tr, _ = single_trace(cfg, 0.5, 1)
     evolved = dynamics.evolve(h, np.zeros((7, cfg.segments)),
