@@ -4,7 +4,8 @@ intensity-image readout.
 
 Correlation estimators divide by the full series length n (not n - lag)
 and remove the sample mean, so they match the biased sample definition
-used for characterizing the writing-speed sequences.
+used for characterizing the writing-speed sequences.  Efficiencies sum
+|psi|^2 with the kernel's dynamics._norms.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicsError
-from .dynamics import EvolutionTrace, _sink_fraction, site_probabilities
+from .dynamics import (EvolutionTrace, _norms, _sink_fraction,
+                       site_probabilities)
 
 __all__ = ["SpectrumEstimate", "LinearFitResult", "sample_acf", "sample_ccf",
            "psd_periodogram", "reorganization_energy", "variance",
@@ -179,15 +181,19 @@ def _index_at(tr: EvolutionTrace, z: float) -> int:
     return int(round(j))
 
 
+def _real_samples(tr: EvolutionTrace, j=slice(None)) -> np.ndarray:
+    """The samples ``j`` of ``tr`` as a contiguous real (dim, 2n) state."""
+    return np.ascontiguousarray(tr.amplitudes[j].T).view(float)
+
+
 def transport_efficiency(tr: EvolutionTrace, z: float | None = None) -> float:
     """Fraction of intensity that has reached the sink chain at z (by
-    default the end of the trace): sum_sink p / sum_all p, by the function
-    dynamics.sink_fractions applies to each column."""
-    sink = tr.sink_indices
+    default the end of the trace), as dynamics.sink_fractions reads it."""
+    sink = list(tr.sink_indices)
     if not sink:
         raise PhysicsError("trace has no sink waveguides")
     j = len(tr.positions) - 1 if z is None else _index_at(tr, z)
-    return float(_sink_fraction(tr.amplitudes[j][:, None], list(sink))[0])
+    return float(_sink_fraction(_real_samples(tr, [j]), sink)[0])
 
 
 def transfer_time(tr: EvolutionTrace) -> float:
@@ -205,7 +211,7 @@ def transfer_time(tr: EvolutionTrace) -> float:
     if n < 1:
         raise PhysicsError("trace too short for a transfer time")
     dt = tr.fine_step
-    p_sink = (np.abs(tr.amplitudes[:, sink]) ** 2).sum(axis=1)
+    p_sink = _norms(_real_samples(tr)[sink])
     eta_n = transport_efficiency(tr)
     if eta_n <= 0:
         raise PhysicsError("zero terminal efficiency: transfer time undefined")

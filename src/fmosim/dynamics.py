@@ -48,9 +48,10 @@ each segment writes its diagonals and couplings, steps every chunk,
 checks the norm and yields the live state.  The work counts (terms a step
 and window rows times terms per column) are plan fields, exact on any
 host.  :func:`sink_fractions` and :func:`final_sink_fractions` each run
-a plan and read out the fractions they hand back.  :func:`traces` writes
-each live state straight into one :class:`EvolutionTrace` array for the
-whole batch, and :func:`evolve` is :func:`traces` on one column.
+a plan and read out the fractions they hand back, through the norm
+check's :func:`_norms`.  :func:`traces` writes each live state straight
+into one :class:`EvolutionTrace` array for the whole batch, and
+:func:`evolve` is :func:`traces` on one column.
 :func:`segment_propagator` builds the exact propagator from a Hermitian
 eigendecomposition; the tests check the kernel against it.
 """
@@ -341,39 +342,26 @@ def _chebyshev_weights(rho, cut: float) -> np.ndarray:
     return w
 
 
-def _check_norm(x: np.ndarray) -> None:
+def _norms(x: np.ndarray) -> np.ndarray:
+    """(R,) squared norms of the real (rows, 2R) state ``x``, column 2r
+    Re psi_r and 2r + 1 Im psi_r: every sum of |psi|^2 in the package.
+    einsum sums each column of C-ordered rows row by row, two or more
+    columns at a time, so a norm is the same bits in any batch."""
     sq = c_einsum("ij,ij->j", x, x)
-    drift = float(np.abs(1.0 - (sq[0::2] + sq[1::2])).max())
+    return sq[0::2] + sq[1::2]
+
+
+def _check_norm(x: np.ndarray) -> None:
+    drift = float(np.abs(1.0 - _norms(x)).max())
     if not drift <= NORM_TOL:
         raise PhysicsError(
             f"norm drift {drift:.3g} exceeds {NORM_TOL:g} (the series "
             "diverges on a spectral interval that is too narrow)")
 
 
-def _sink_fraction(psi: np.ndarray, sink) -> np.ndarray:
-    """Sink fraction sum_sink p / sum_all p of every column of the (dim, R)
-    states ``psi``, p = re^2 + im^2, each sum running row by row.
-
-    numpy sums a wider C-ordered array row by row, but a lone column or a
-    Fortran-ordered array pairwise, so a lone column takes the running sum
-    and a wider array is summed in C order: the same bits in any batch.
-    """
-    p = psi.real ** 2 + psi.imag ** 2
-    if p.shape[1] == 1:
-        return np.cumsum(p[sink], axis=0)[-1] / np.cumsum(p, axis=0)[-1]
-    p = np.ascontiguousarray(p)
-    return p[sink].sum(axis=0) / p.sum(axis=0)
-
-
-def _cone_sink_fraction(h: Hamiltonian, x: np.ndarray) -> np.ndarray:
-    """The (R,) sink fractions of the real state ``x`` that
-    :func:`_run` yields for ``h``: its rows past the non-sink ones are
-    the chain rows of the window.  Raises PhysicsError if the chip has no
-    sink waveguide.
-    """
-    if not len(h.sink_indices):
-        raise PhysicsError("the chip has no sink waveguides")
-    return _sink_fraction(x.view(complex), slice(len(h.block), None))
+def _sink_fraction(x: np.ndarray, sink) -> np.ndarray:
+    """(R,) norms of the rows ``sink`` of ``x`` over its norms."""
+    return _norms(x[sink]) / _norms(x)
 
 
 def _cone_log_weight(depth: int, a: float) -> float:
@@ -502,9 +490,9 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
     """Check the arguments of :func:`traces`, read as there, and plan
     the kernel call on them (see :class:`_Plan`).  The windows are the
     state cone, or with ``return_trip`` the return-trip cone (see
-    :func:`_light_cone_depths`).  The state holds the chip's leading rows,
-    the largest window and at least one sink waveguide if the chip has a
-    chain; the rows past it would be zeros.
+    :func:`_light_cone_depths`), which needs a sink.  The state holds the
+    chip's leading rows, the largest window and at least one sink
+    waveguide if the chip has a chain; the rows past it would be zeros.
 
     The term buffer holds TERMS_HELD terms of a realization, or the whole
     series if shorter, or the largest even count from four up that fits in
@@ -523,6 +511,8 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
         raise PhysicsError("segment length must be positive and finite")
     if steps_per_segment < 1:
         raise PhysicsError("steps_per_segment must be >= 1")
+    if return_trip and not len(h.sink_indices):
+        raise PhysicsError("the chip has no sink waveguides")
     n0, n_real, sites = len(h.block), det.shape[0], list(h.fmo_indices)
     windows = [n0 + d for d in _light_cone_depths(
         abs(h.sink_coupling), segment_length, det.shape[2],
@@ -698,7 +688,7 @@ def traces(h: Hamiltonian, detunings, segment_length: float,
     The depths depend on c and the segment ends only, so a column run alone
     and in a batch share the windows.
     """
-    det = np.asarray(detunings, dtype=float)
+    det, diagonals, couplings = _batch(h, detunings, diagonals, couplings)
     if not 0 < segment_length < math.inf:
         raise PhysicsError("segment length must be positive and finite")
     if fine_step is None:
@@ -733,11 +723,11 @@ def sink_fractions(h: Hamiltonian, detunings, segment_length: float,
     Every argument is read as by :func:`traces`, which takes a sample step
     where this takes ``steps_per_segment`` equal steps a segment, and the
     fractions are yielded where it records its states: before the first
-    step, then after each step.  A fraction is sum_sink p / sum_all p of
-    its column (:func:`_sink_fraction`), the same bits in any batch.  The
-    kernel is :func:`traces`', norm check included, but it evolves the
-    narrower return-trip cone, so the chain rows it holds are no longer the
-    state: only the fractions are handed back.
+    step, then after each step.  A fraction is its column's chain rows'
+    norm over its norm (:func:`_sink_fraction`), the same bits in any
+    batch.  The kernel is :func:`traces`', norm check included, but it
+    evolves the narrower return-trip cone, so the chain rows it holds are
+    no longer the state: only the fractions are handed back.
 
     With c, N, E, t_k and T as in :func:`traces` (and t_-1 = 0), L_k is
     the smallest depth, no smaller than L_k-1 and capped at the chain
@@ -770,7 +760,7 @@ def sink_fractions(h: Hamiltonian, detunings, segment_length: float,
     """
     for x in _run(_plan(h, detunings, segment_length, steps_per_segment,
                         diagonals, couplings, True)):
-        yield _cone_sink_fraction(h, x)
+        yield _sink_fraction(x, slice(len(h.block), None))
 
 
 def final_sink_fractions(h: Hamiltonian, detunings, segment_length: float,
@@ -784,7 +774,7 @@ def final_sink_fractions(h: Hamiltonian, detunings, segment_length: float,
     """
     *_, x = _run(_plan(h, detunings, segment_length, 1, diagonals,
                        couplings, True))
-    return _cone_sink_fraction(h, x)
+    return _sink_fraction(x, slice(len(h.block), None))
 
 
 def evolve(h: Hamiltonian, detunings, segment_length: float,

@@ -250,8 +250,8 @@ def generate_batch(config: NoiseConfig, amplitudes, seeds,
         raise PhysicsError("n_sites must be >= 1")
     if not seeds:
         raise PhysicsError("a batch needs at least one realization")
-    if len(amplitudes) != len(seeds):
-        raise PhysicsError("a batch needs one seed per amplitude")
+    if amplitudes.shape != (len(seeds),):
+        raise PhysicsError("amplitudes must be 1-D, one seed per amplitude")
     if not (np.isfinite(amplitudes) & (amplitudes >= 0)).all():
         raise PhysicsError("amplitude must be finite and nonnegative")
     kind, segments = config.kind, config.segments

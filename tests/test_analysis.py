@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmosim import analysis
+from fmosim import analysis, dynamics
 from fmosim.analysis import (
     EllipseMask,
     RectMask,
@@ -278,19 +278,26 @@ class TestSinkFraction:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("width", [1, 2, 3, 44])
     def test_each_column_is_a_left_to_right_sum(self, width, order):
+        # a fraction sums Re^2 down a column's rows, then Im^2, and adds the
+        # two: on the kernel's real state (column 2s Re psi_s, 2s + 1 Im
+        # psi_s) and on a trace's samples stored in either memory order
         rng = np.random.default_rng(width)
-        psi = np.asarray(rng.normal(size=(107, width))
-                         + 1j * rng.normal(size=(107, width)), order=order)
+        psi = np.asarray(rng.normal(size=(width, 107))
+                         + 1j * rng.normal(size=(width, 107)), order=order)
         sink = list(range(7, 107))
-        got = analysis._sink_fraction(psi, sink)
-        for c in range(width):
-            p = [z.real * z.real + z.imag * z.imag for z in psi[:, c].tolist()]
-            num = den = 0.0
-            for i, v in enumerate(p):
-                den += v
-                if i in sink:
-                    num += v
-            assert got[c] == num / den
+        state = np.ascontiguousarray(psi.T).view(float)
+        got = dynamics._sink_fraction(state, sink)
+        tr = EvolutionTrace(psi, 1.0, range(7), sink)
+        for s in range(width):
+            num, den = [0.0, 0.0], [0.0, 0.0]
+            for i, z in enumerate(psi[s].tolist()):
+                for part, v in enumerate((z.real, z.imag)):
+                    den[part] += v * v
+                    if i in sink:
+                        num[part] += v * v
+            expected = (num[0] + num[1]) / (den[0] + den[1])
+            assert got[s] == expected
+            assert transport_efficiency(tr, z=float(s)) == expected
 
 
 class TestTransferTime:

@@ -530,6 +530,11 @@ CONE_CASES = [
 
 
 class TestPropagate:
+    """The kernel: its plans (``dynamics._plan``), its run (``_run``) and
+    the readouts on it (``traces``, ``sink_fractions`` and
+    ``final_sink_fractions``).  The class keeps the name of the readout
+    that once held the kernel, so that its test ids stay stable."""
+
     @pytest.mark.parametrize(
         "correction,vibration,sink,segments", COLUMN_CASES,
         ids=[f"{c}-{v}" + ("-long_chain" if sink == 100 else "")
@@ -1441,6 +1446,9 @@ _DET = np.zeros((1, 7, 2))
 REJECTIONS = {
     "propagator-not-square": (
         lambda d: segment_propagator(np.zeros((2, 3)), 1.0), "must be square"),
+    "traces-detunings-scalar": (
+        lambda d: dynamics.traces(_CHIP, 1.0, 1.0),
+        "detunings must have shape (realizations, network sites, segments)"),
     "traces-diagonals-shape": (
         lambda d: dynamics.traces(_CHIP, _DET, 1.0,
                                   diagonals=np.zeros((_CHIP.dim, 2))),

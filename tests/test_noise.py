@@ -372,6 +372,9 @@ class TestGenerateBatch:
                 ([], [], 7, "at least one"),
                 ([0.5, 0.5], [0], 7, "one seed per amplitude"),
                 ([0.5], [0, 1], 7, "one seed per amplitude"),
+                ([[0.5]], [1], 7, "must be 1-D"),
+                (0.5, [1], 7, "must be 1-D"),
+                ([[0.5, 0.5]], [1, 2], 7, "must be 1-D"),
                 ([0.5, math.nan], [0, 1], 7, "finite"),
                 ([math.inf], [0], 7, "finite"),
                 ([0.5, -0.1], [0, 1], 7, "nonnegative"),
