@@ -45,16 +45,22 @@ MASK64 = (1 << 64) - 1
 U32_MASK, U32_SHIFT = np.uint64(MASK32), np.uint64(32)
 
 
+def check_int(value, name: str, least: int) -> int:
+    """``value`` as an int if it is an integer (a numpy one included, a
+    bool not) of at least ``least``; PhysicsError naming ``name`` if not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise PhysicsError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise PhysicsError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def check_seed(seed) -> int:
     """``seed`` as an int if it is a nonnegative integer; PhysicsError if not.
 
     A negative seed is rejected rather than wrapped into another stream.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise PhysicsError(f"seed must be a nonnegative integer, got {seed!r}")
-    if seed < 0:
-        raise PhysicsError(f"seed must be nonnegative, got {seed}")
-    return int(seed)
+    return check_int(seed, "seed", 0)
 
 
 def entropy_words(entropy) -> list:

@@ -21,37 +21,33 @@ and weights come from its own inputs, and its weights are exact zeros
 past its own series, so its result is the same bits in any batch.
 
 The sink chain only has to look irreversible over the chip, so the light
-never reaches its far end.  The kernel evolves only a light cone: in each
-segment, the network rows and the first L_k chain waveguides, with L_k
-from a Combes-Thomas bound (Combes & Thomas, Commun. Math. Phys. 34, 251
-(1973)).  Each readout has its own cone (:func:`_light_cone_depths`).
-:func:`traces` records the states, and its state cone moves them by at
-most LIGHT_CONE_TOL: 13, 15, 17, ... 33, 34 waveguides on the default chip
-(20 segments of 1 mm, chain coupling 0.2 mm^-1), with exact zeros past
-the window.  :func:`sink_fractions` yields only the sink fractions, which
-light cut off at depth L reaches only after a return trip to the network,
-so its return-trip cone is about half as deep (12, 14, ... 18), and
-:func:`final_sink_fractions` is its last yield alone.  The depths depend
-only on the chain coupling and the segment ends, never on the detunings
-or diagonals, so a longer chain changes no byte, and no dense chip matrix
-is built; a study builds its chip with only the waveguides the cone of
-what it reads reaches.  A column's spectral interval is the intersection
-of a Weyl bound (the base chip's spectral bound moved by the column's
-diagonal offsets) and the Gershgorin discs of its window rows.
+never reaches its far end.  A study builds only the chain waveguides that
+the light cone of what it reads reaches (``experiments._base_hamiltonian``),
+to depths that :func:`_light_cone_depths` takes from a Combes-Thomas bound
+(Combes & Thomas, Commun. Math. Phys. 34, 251 (1973)) and proves: the
+state cone, which moves the states :func:`traces` records by at most
+LIGHT_CONE_TOL, 34 waveguides on the default chip (20 segments of 1 mm,
+chain coupling 0.2 mm^-1), and the return-trip cone, which moves the sink
+fractions by at most 2 LIGHT_CONE_TOL, 18.  The depths depend only on the
+chain coupling and the segment ends, never on the detunings or diagonals,
+so a longer chain changes no byte of a study, and no dense chip matrix is
+built.  The kernel evolves every row of the chip it is given.  A column's
+spectral interval is the intersection of a Weyl bound (the base chip's
+spectral bound moved by the column's diagonal offsets) and the Gershgorin
+discs of its rows.
 
 Every readout is a plan and a run.  :func:`_plan` checks a call's inputs
-and returns a frozen record (:class:`_Plan`) of all it will do: the
-windows, each column's interval, weights and series length, the operands,
-the column chunks and their term buffer, and the views each term reads
-and writes on each distinct window, built once.  :func:`_run` is the loop:
-each segment writes its diagonals and couplings, steps every chunk,
-checks the norm and yields the live state.  The work counts (terms a step
-and window rows times terms per column) are plan fields, exact on any
-host.  :func:`sink_fractions` and :func:`final_sink_fractions` each run
-a plan and read out the fractions they hand back, through the norm
-check's :func:`_norms`.  :func:`traces` writes each live state straight
-into one :class:`EvolutionTrace` array for the whole batch, and
-:func:`evolve` is :func:`traces` on one column.
+and returns a frozen record (:class:`_Plan`) of all it will do: each
+column's interval, weights and series length, the operands, the column
+chunks and their term buffer, and the views each term reads and writes,
+built once.  :func:`_run` is the loop: each segment writes its diagonals
+and couplings, steps every chunk, checks the norm and yields the live
+state.  The work counts (terms a step, and rows times terms per column)
+are plan fields, exact on any host.  :func:`sink_fractions` and
+:func:`final_sink_fractions` each run a plan and read out the fractions
+they hand back, through the norm check's :func:`_norms`.  :func:`traces`
+writes each live state straight into one :class:`EvolutionTrace` array
+for the whole batch, and :func:`evolve` is :func:`traces` on one column.
 :func:`segment_propagator` builds the exact propagator from a Hermitian
 eigendecomposition; the tests check the kernel against it.
 """
@@ -115,8 +111,8 @@ TERMS_HELD = 24
 
 #: Most bytes the held terms of one step may take.  A batch that would need
 #: more runs as column chunks in lockstep.  The benchmark's sweeps fit in
-#: one chunk on their 25-row return-trip window (0.31 MiB on sweep_clean,
-#: 0.44 MiB on sweep_disorder_cli).
+#: one chunk on their 25-row chips (0.31 MiB on sweep_clean, 0.44 MiB on
+#: sweep_disorder_cli).
 TERM_BUFFER_BYTES = 4 << 20
 
 
@@ -197,16 +193,16 @@ def _batch(h: Hamiltonian, detunings, diagonals, couplings):
 
 
 def _chip_spectrum(h: Hamiltonian) -> tuple:
-    """(lo, hi) about the spectrum of the chip and of each leading window,
-    moved outward by their rounding: lo = min(min e - 2c, lambda_min(B -
-    c P)) and hi = max(max e + 2c, lambda_max(B + c P)), for the block B,
+    """(lo, hi) about the spectrum of the chip, moved outward by their
+    rounding: lo = min(min e - 2c, lambda_min(B - c P)) and
+    hi = max(max e + 2c, lambda_max(B + c P)), for the block B,
     P = e_d e_d^T at the drain, the chain's energies e and its |coupling| c.
     Proof for hi (lo mirrors it): an eigenvalue lambda > max e + 2c, past
     the chain's band, is a lambda_j(B + s P) with s = c^2 g(lambda), g the
     chain's end continued fraction g_m = 1 / (lambda - e_m - c^2 g_m+1),
     0 past its end; as lambda - e_m >= 2c, 0 <= g_m+1 <= 1/c gives 0 < g_m
     <= 1/c, so 0 < s <= c, and lambda_j grows with s.  This holds for any
-    chain energies and length: every window and disordered chip."""
+    chain energies and length, so for every disordered chip."""
     d, e, c = h.drain_index, h.sink_energies, abs(h.sink_coupling)
     m = np.array([h.block] * 2)
     m[:, d, d] += (-c, c)
@@ -217,23 +213,21 @@ def _chip_spectrum(h: Hamiltonian) -> tuple:
     return lo - slack, hi + slack
 
 
-def _interval(h: Hamiltonian, det, diag, couplings, rows: int) -> tuple:
+def _interval(h: Hamiltonian, det, diag, couplings) -> tuple:
     """(lo, hi), each of shape (R,): column r's interval encloses the
-    spectra of the leading windows, of ``rows`` rows or fewer, of every
-    segment matrix of column r, its couplings overridden by ``couplings``.
+    spectrum of every segment matrix of column r, its couplings overridden
+    by ``couplings``.
 
     It is the intersection of two enclosures, each reduced over the rows
     and segments of a column, never over columns:
 
-    - Weyl: a window is the base chip's window plus a diagonal offset
+    - Weyl: a segment matrix is the base chip plus a diagonal offset
       (detunings, disorder) and the coupling overrides' change; so its
       eigenvalues lie in :func:`_chip_spectrum` moved by the extremes of
       the offset plus the change, which by Gershgorin lie within each
       row's offset widened by its sum of |c - c0| over its overrides.
-    - Gershgorin: the union of the discs of the window rows, each radius
-      moved by its row's sum of |c| - |c0| (a smaller window's are no wider).
-      The head rows' sums are taken inside the window: a window of the
-      non-sink rows alone (every depth 0) reads none of the first sink's.
+    - Gershgorin: the union of the discs of the rows, each radius moved by
+      its row's sum of |c| - |c0|.
 
     Weyl beats the Gershgorin union unless the offsets spread far wider
     than the coupling (strong disorder).  A min or a max is exact in any
@@ -243,7 +237,7 @@ def _interval(h: Hamiltonian, det, diag, couplings, rows: int) -> tuple:
     net = np.repeat(diag[None, :n0], det.shape[2], axis=0)   # (S, n0, R)
     for a, i in enumerate(h.fmo_indices):   # in place, site by site
         net[:, i] += det[:, a].T
-    low = np.stack([diag[:rows]] * 2)                     # (2, rows, R)
+    low = np.stack([diag] * 2)                            # (2, dim, R)
     high = low.copy()
     low[:, :n0], high[:, :n0] = net.min(axis=0), net.max(axis=0)
     # per overridden row, the sums over its overrides of |c - c0| (Weyl)
@@ -258,13 +252,12 @@ def _interval(h: Hamiltonian, det, diag, couplings, rows: int) -> tuple:
         low[:, row] = (net[:, row] - g).min(axis=1)
         high[:, row] = (net[:, row] + g).max(axis=1)
     # a chain row's bonds within the chain first, then the head rows' sums
-    depth, hb = np.arange(rows - n0), _head_block(h)
-    radius = np.zeros((rows, 1))
+    depth, hb = np.arange(len(h.sink_indices)), _head_block(h)
+    radius = np.zeros((h.dim, 1))
     radius[n0:, 0] = abs(h.sink_coupling) * (
         1.0 * (depth > 0) + (depth < len(h.sink_indices) - 1))
-    k = min(rows, len(hb))   # a window that stops short of the chain
-    radius[:k, 0] += np.abs(hb).sum(axis=1)[:k]
-    (lam_lo, lam_hi), base = _chip_spectrum(h), h.diagonal[:rows, None]
+    radius[:len(hb), 0] += np.abs(hb).sum(axis=1)
+    (lam_lo, lam_hi), base = _chip_spectrum(h), h.diagonal[:, None]
     lo_g, hi_g = (low[1] - radius).min(axis=0), (high[1] + radius).max(axis=0)
     lo_w = lam_lo + (low[0] - base).min(axis=0)
     hi_w = lam_hi + (high[0] - base).max(axis=0)
@@ -364,9 +357,16 @@ def _sink_fraction(x: np.ndarray, sink) -> np.ndarray:
     return _norms(x[sink]) / _norms(x)
 
 
+def _chain_rows(h: Hamiltonian) -> slice:
+    """The rows of the sink chain of ``h``; PhysicsError if it has none."""
+    if not len(h.sink_indices):
+        raise PhysicsError("the chip has no sink waveguides")
+    return slice(len(h.block), None)
+
+
 def _cone_log_weight(depth: int, a: float) -> float:
     """log E(depth, t), a = 2 c t: the Combes-Thomas bound on the weight at
-    chain depth ``depth`` and beyond (see :func:`traces`).
+    chain depth ``depth`` and beyond (see :func:`_light_cone_depths`).
 
     E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L), reached at
     cosh mu = L / 2ct, which gives sqrt(L^2 - a^2) - L arccosh(L / a) for
@@ -379,21 +379,70 @@ def _cone_log_weight(depth: int, a: float) -> float:
 
 def _light_cone_depths(coupling: float, segment_length: float, segments: int,
                        max_depth: int, return_trip: bool = False) -> list:
-    """Chain depth L_k of the window of each of ``segments`` segments of
-    ``segment_length``, from its start t_k-1 = segment_length * k and its
-    end t_k = segment_length * (k + 1).
+    """Chain depth L_k of the light cone in each of ``segments`` segments
+    of ``segment_length``, from its start t_k-1 = segment_length * k to its
+    end t_k = segment_length * (k + 1).  A study's chip holds the chain
+    waveguides to the deepest (``experiments._base_hamiltonian``), and the
+    kernel evolves them all.
 
     L_k is the smallest depth, no smaller than L_k-1, with
     c T E(L_k, t_k) F_k <= LIGHT_CONE_TOL, capped at ``max_depth`` (the
-    whole chain), where c is ``coupling``, T the last end (the whole
-    propagation) and F_k the return factor: 1 for the state cone that
-    :func:`traces` evolves, and E(L_k, T - t_k-1) with ``return_trip``,
-    the cone of :func:`sink_fractions`, which is never deeper.  For the
-    state cone E grows with t, so its depths are the smallest at each
-    segment alone.  Every depth is 0 if the chain is uncoupled, or if the
-    segment length is not positive and finite, which the kernel
-    rejects.  The kernel and the studies' chip builder
-    (``experiments._base_hamiltonian``) both take the depths from here.
+    whole chain), where c is ``coupling``, the chain's absolute coupling
+    (the drain link and every bond), T the last end (the whole
+    propagation), E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L)
+    (:func:`_cone_log_weight`) and F_k the return factor: 1 for the state
+    cone, and E(L_k, T - t_k-1) for the return-trip cone (``return_trip``),
+    which is never deeper.  Every depth is 0 if the chain is uncoupled, or
+    if the segment length is not positive and finite, which the kernel
+    rejects.  E falls as L grows, so each bound below also holds for a
+    chip cut below depth L >= L_k in every segment k: a chip holding the
+    deepest L_k.
+
+    The state cone moves every state :func:`traces` records by at most
+    LIGHT_CONE_TOL; on the default chip its depths run 13, 15, 17, ... 33,
+    34.  The proof:
+
+    - Let N be the chain-depth operator: 0 on the network rows and the
+      vibration mode, m on the m-th sink waveguide.  The network block
+      (the coupling overrides included) and every diagonal (detunings and
+      disorder included) commute with N.  So e^{mu N} H e^{-mu N} - H =
+      (e^mu - 1) V+ + (e^-mu - 1) V-, where V+ is the part of H that raises
+      the depth (the drain link and the chain bonds, ||V+|| <= c) and
+      V- = V+^T.  Its anti-Hermitian part is sinh mu (V+ - V-), of norm at
+      most 2 c sinh mu.  The source is at depth 0, so
+      ||e^{mu N} psi(t)|| <= e^{2 c t sinh mu} (Combes & Thomas, Commun.
+      Math. Phys. 34, 251 (1973)), and the weight at depth L and beyond is
+      at most e^{-mu L} times that, for every mu >= 0: at most E(L, t).
+    - Cutting the bond below depth L_k during segment k changes the
+      generator by that bond alone, which acts on the weight at depth L_k
+      and beyond with norm at most c.  Duhamel's formula then bounds the
+      total cut error by c sum_k Delta_k E(L_k, t_k) <= LIGHT_CONE_TOL,
+      since E grows with t and the segment lengths Delta_k sum to T.
+
+    So for the state cone the depths are the smallest at each segment
+    alone.  The return-trip cone moves every sink fraction that
+    :func:`sink_fractions` yields by at most 2 LIGHT_CONE_TOL, truncation
+    aside; on the default chip its depths run 12, 14, 15, 16, 16, 17, 17,
+    17, then 18 for the last 12 segments.  The proof, with t_-1 = 0:
+
+    - Let P_0 project on depth 0 (the network rows and the vibration
+      mode) and V be the bond cut during segment k, between depths L_k and
+      L_k + 1.  Duhamel's formula writes P_0 (psi(T) - psi_cut(T)) as
+      -i times the integral over s of P_0 U_cut(T, s) V psi(s), where psi
+      is the uncut evolution and U_cut the cut one.
+    - Out to depth L_k (Combes-Thomas with e^{mu N}, as above): V psi(s)
+      lies at depth L_k and beyond, with ||V psi(s)|| <= c E(L_k, s).
+    - Back to depth 0 (Combes-Thomas with e^{-mu N}): P_0 = P_0 e^{-mu N},
+      ||e^{-mu N} U_cut(T, s) e^{mu N}|| <= e^{2 c (T - s) sinh mu}, since
+      the cut generator raises the depth by a part of norm at most c too,
+      and e^{-mu N} damps what lies at depth L_k and beyond by e^{-mu L_k}.
+      So ||P_0 U_cut(T, s) V psi(s)|| <= E(L_k, T - s) ||V psi(s)||.
+    - E grows with t, so the depth-0 error at T is at most
+      c sum_k Delta_k E(L_k, t_k) E(L_k, T - t_k-1) <= LIGHT_CONE_TOL.  A
+      sink fraction is 1 minus the depth-0 share of the norm, and both
+      states are unit vectors, so it moves by at most 2 LIGHT_CONE_TOL.
+      At a sample t <= T the same sum holds with t for T, and
+      E(L, t - s) <= E(L, T - s), so every yield is within it.
     """
     ends = [segment_length * (k + 1) for k in range(segments)]
     if coupling == 0.0 or not ends or not 0 < segment_length < math.inf:
@@ -458,67 +507,53 @@ def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
     x[:, 1::2] = cos_t * im - sin_t * re
 
 
-class _Plan(namedtuple("_Plan", "windows steps lo hi lengths rows_terms "
-                       "weights head chain written net chunks buffer state "
-                       "views")):
+class _Plan(namedtuple("_Plan", "steps lo hi lengths rows_terms weights "
+                       "head chain written net chunks buffer state ops")):
     """What one kernel call will do, as :func:`_plan` builds it; :func:`_run`
     runs it, once.
 
-    ``windows`` holds the rows of each segment's window and ``steps`` the
-    steps a segment takes.  Per realization r, ``lo[r]`` and ``hi[r]`` bound
-    its spectral interval, and ``weights`` (K, 2R) holds every column's
-    Bessel weights, exact zeros past its own series.  The operands are
-    ``head`` and ``chain`` (see :func:`_chebyshev_step`); segment k writes
-    ``net[k]`` into the entries ``written`` of ``head``: the network
-    diagonals and the overridden couplings.  ``chunks`` holds the realization
-    bounds (a, b) of each column chunk; the chunks share the term buffer
-    ``buffer`` (K, rows + 2, C) in turn, each running through the longest
-    series of its own columns.  ``state`` is the live real state, and
-    ``views`` maps each distinct window to what a step reads and writes on
-    it: the state's window rows, and per chunk the arguments of
-    :func:`_chebyshev_step`.
+    ``steps`` is the steps a segment takes.  Per realization r, ``lo[r]``
+    and ``hi[r]`` bound its spectral interval, and ``weights`` (K, 2R) holds
+    every column's Bessel weights, exact zeros past its own series.  The
+    operands are ``head`` and ``chain`` (see :func:`_chebyshev_step`);
+    segment k writes ``net[k]`` into the entries ``written`` of ``head``:
+    the network diagonals and the overridden couplings.  ``chunks`` holds
+    the realization bounds (a, b) of each column chunk; the chunks share the
+    term buffer ``buffer`` (K, dim + 2, C) in turn, each running through the
+    longest series of its own columns.  ``state`` is the live real state,
+    and ``ops`` holds per chunk the arguments of :func:`_chebyshev_step`.
 
     The work counts are fields too, the same on any host: on realization r
     the run spends ``lengths[r]`` terms a step, its chunk's longest series,
-    and ``rows_terms[r]`` window rows times terms over the call.
+    and ``rows_terms[r]`` rows times terms over the call.
     """
 
 
 def _plan(h: Hamiltonian, detunings, segment_length: float,
-          steps_per_segment: int, diagonals, couplings,
-          return_trip: bool) -> _Plan:
+          steps_per_segment: int, diagonals, couplings) -> _Plan:
     """Check the arguments of :func:`traces`, read as there, and plan
-    the kernel call on them (see :class:`_Plan`).  The windows are the
-    state cone, or with ``return_trip`` the return-trip cone (see
-    :func:`_light_cone_depths`), which needs a sink.  The state holds the
-    chip's leading rows, the largest window and at least one sink
-    waveguide if the chip has a chain; the rows past it would be zeros.
+    the kernel call on them (see :class:`_Plan`).
 
     The term buffer holds TERMS_HELD terms of a realization, or the whole
     series if shorter, or the largest even count from four up that fits in
     TERM_BUFFER_BYTES if fewer fit; then as many realizations share it as
     fit, and at least one.  So it takes at most TERM_BUFFER_BYTES unless
-    four terms of one realization take more (from 65,535 window rows on).
-    The terms held depend on the series and the window only, never on the
-    batch, so a column's sums do not depend on its batch either.  Each
-    term carries a zero ghost row above and below the window; its band
-    view is (K, 3, rows, C), where band j of row i is padded row i + j, so
-    bands 0, 1 and 2 hold a row's lower neighbour, the row itself and its
-    upper neighbour, and the ghost rows stand in past either end.
+    four terms of one realization take more (from 65,535 rows on).  The
+    terms held depend on the series and the chip only, never on the batch,
+    so a column's sums do not depend on its batch either.  Each term
+    carries a zero ghost row above and below the chip; its band view is
+    (K, 3, dim, C), where band j of row i is padded row i + j, so bands 0,
+    1 and 2 hold a row's lower neighbour, the row itself and its upper
+    neighbour, and the ghost rows stand in past either end.
     """
     det, diag, couplings = _batch(h, detunings, diagonals, couplings)
     if not (math.isfinite(segment_length) and segment_length > 0):
         raise PhysicsError("segment length must be positive and finite")
     if steps_per_segment < 1:
         raise PhysicsError("steps_per_segment must be >= 1")
-    if return_trip and not len(h.sink_indices):
-        raise PhysicsError("the chip has no sink waveguides")
     n0, n_real, sites = len(h.block), det.shape[0], list(h.fmo_indices)
-    windows = [n0 + d for d in _light_cone_depths(
-        abs(h.sink_coupling), segment_length, det.shape[2],
-        len(h.sink_indices), return_trip)]
-    rows = max(windows, default=n0)
-    lo, hi = _interval(h, det, diag, couplings, rows)
+    rows = h.dim
+    lo, hi = _interval(h, det, diag, couplings)
     bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)))
     if bad.size:
         raise PhysicsError(f"invalid spectral interval ({lo[bad[0]]:g}, "
@@ -535,16 +570,13 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
     scale = 2.0 / np.where(half > 0, half, math.inf)      # 0 if half is 0
 
     # 2 (H - center) / half per column, split by rows (see _chebyshev_step)
-    # and built once for the largest window and the whole batch: a segment
-    # sets the network diagonals (and overridden couplings) of `head` and
-    # uses the leading rows.  The windows never shrink, so no row past a
-    # segment's window has been written yet: the ghost row below it is
-    # still zero, which cuts the chain bond there.
+    # and built once for the whole batch: a segment sets the network
+    # diagonals (and overridden couplings) of `head`
     hb = _head_block(h)
-    nb, m = len(hb), max(rows - len(hb), 0)
-    # the chain bond below each chain row of the window, 0 past the chain
-    bond = np.where(np.arange(m + 1) < len(h.sink_indices) - 1,
-                    h.sink_coupling, 0.0)[:, None] * np.repeat(scale, 2)
+    nb, m = len(hb), rows - len(hb)
+    # the chain bond below each chain row, 0 below the last
+    bond = np.append(np.full(m, h.sink_coupling), 0.0)[:, None] * np.repeat(
+        scale, 2)
     head = np.zeros((nb, nb + 1, 2 * n_real))
     head[:, :nb] = hb[:, :, None] * np.repeat(scale, 2)
     head[range(nb), range(nb)] = np.repeat((diag[:nb] - center) * scale, 2,
@@ -552,7 +584,7 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
     head[n0:nb, nb] = bond[0]                    # the first chain bond
     chain = np.zeros((3, m, 2 * n_real))
     chain[0], chain[2] = bond[:m], bond[1:m + 1]
-    chain[1] = np.repeat((diag[nb:rows] - center) * scale, 2, axis=1)
+    chain[1] = np.repeat((diag[nb:] - center) * scale, 2, axis=1)
     # per segment, the (sites + 2 overrides, 2R) entries it writes: the
     # network diagonals, then each override at (i, j) and at (j, i)
     i, j = [[pair[k] for pair in couplings] for k in (0, 1)]
@@ -575,31 +607,23 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
     run = np.concatenate([[length[a:b].max()] * (b - a) for a, b in chunks])
 
     # The state is real: column 2r holds Re psi_r and column 2r + 1 Im psi_r,
-    # which the real operator 2 (H - center) / half acts on alike.  It
-    # holds the largest window, and the first sink waveguide where no
-    # window reaches it, so a chip's state always has a sink row; each
-    # step writes in place on its window, and the rows past it stay zeros.
-    x = np.zeros((max(rows, min(h.dim, n0 + 1)), 2 * n_real))
+    # which the real operator 2 (H - center) / half acts on alike; each step
+    # writes it in place.  The views of `head` see every segment's writes.
+    # Per chunk and slot of the ring: the term, its nb + 1 leading rows, its
+    # first nb rows, its chain rows past them, and the band view of those
+    x = np.zeros((rows, 2 * n_real))
     x[h.source_index, 0::2] = 1.0
-    # one set of views per distinct window, as the windows plateau: the
-    # views of `head` see every later segment's writes.  Per slot of the
-    # ring: the term, its n + 1 leading rows, its first n rows, its chain
-    # rows past them, and the band view of those chain rows
-    views = {}
-    for r in dict.fromkeys(windows):
-        n, ops = min(nb, r), []
-        for a, b in chunks:
-            cols, t = slice(2 * a, 2 * b), buffer[..., :2 * (b - a)]
-            slots = (t[:, 1:r + 1], list(t[:, 1:r + 1]), list(t[:, 1:n + 2]),
-                     list(t[:, 1:n + 1]), list(t[:, n + 1:r + 1]),
-                     list(bands[:, :, n:r, :2 * (b - a)]))
-            ops.append((x[:r, cols], head[:n, :n + 1, cols],
-                        chain[:, :r - n, cols], slots,
-                        weights[:run[a], cols], cos_t[a:b], sin_t[a:b]))
-        views[r] = (x[:r], ops)
-    return _Plan(windows, steps_per_segment, lo, hi, run,
-                 steps_per_segment * sum(windows) * run, weights, head,
-                 chain, written, net, chunks, buffer, x, views)
+    ops = []
+    for a, b in chunks:
+        cols, t = slice(2 * a, 2 * b), buffer[..., :2 * (b - a)]
+        slots = (t[:, 1:-1], list(t[:, 1:-1]), list(t[:, 1:nb + 2]),
+                 list(t[:, 1:nb + 1]), list(t[:, nb + 1:-1]),
+                 list(bands[:, :, nb:, :2 * (b - a)]))
+        ops.append((x[:, cols], head[..., cols], chain[..., cols], slots,
+                    weights[:run[a], cols], cos_t[a:b], sin_t[a:b]))
+    return _Plan(steps_per_segment, lo, hi, run,
+                 steps_per_segment * det.shape[2] * rows * run, weights,
+                 head, chain, written, net, chunks, buffer, x, ops)
 
 
 def _run(plan: _Plan):
@@ -607,17 +631,15 @@ def _run(plan: _Plan):
     2r + 1 the imaginary part of realization r, before the first step and
     after each step; the next step overwrites it in place.  Each segment
     writes its network diagonals and couplings into ``head``, then each
-    of its steps steps every chunk on the segment's window and checks the
-    norm.
+    of its steps steps every chunk and checks the norm.
     """
     yield plan.state
-    for r, values in zip(plan.windows, plan.net):
+    for values in plan.net:
         plan.head[plan.written] = values
-        live, ops = plan.views[r]
         for _ in range(plan.steps):
-            for args in ops:
+            for args in plan.ops:
                 _chebyshev_step(*args)
-            _check_norm(live)
+            _check_norm(plan.state)
             yield plan.state
 
 
@@ -642,51 +664,21 @@ def traces(h: Hamiltonian, detunings, segment_length: float,
     MAX_TRACE_SAMPLES samples.
 
     Every column starts with a unit excitation at the source site.  The
-    batch runs as one kernel call, one step a sample: one real state of the
-    leading rows serves the whole call, each step overwrites it in place,
-    and each live state is written straight into one (samples, dim, R)
-    array, of which each trace views its column: the initial state, then
-    the state after each step.  Every step drops Chebyshev weights summing
-    below :func:`_step_cut` of the call's step count, so truncation moves
-    each recorded state by at most TRUNCATION_BUDGET.  Raises PhysicsError
-    if any column's norm drifts by more than NORM_TOL.
+    batch runs as one kernel call, one step a sample, on every row of
+    ``h``: one real state serves the whole call, each step overwrites it in
+    place, and each live state is written straight into one
+    (samples, dim, R) array, of which each trace views its column: the
+    initial state, then the state after each step.  Every step drops
+    Chebyshev weights summing below :func:`_step_cut` of the call's step
+    count, so truncation moves each recorded state by at most
+    TRUNCATION_BUDGET.  Raises PhysicsError if any column's norm drifts by
+    more than NORM_TOL.
 
     The held terms of a step share one buffer of at most
     TERM_BUFFER_BYTES (see :func:`_plan`); a wider batch runs as
     column chunks, each through the longest series of its own columns.  A
     column's interval, weights and operands come from its own inputs, so
     its result is the same bits in any batch and any chunk.
-
-    Only the light cone of the sink chain is evolved: in segment k, rows
-    ``[:n0 + L_k]``, where n0 counts the non-sink rows, and every row past
-    them holds an exact zero.  With c the chain's absolute coupling (the
-    drain link and every bond), t_k the end of segment k and T the
-    propagation length, L_k is the smallest depth with
-    c T E(L_k, t_k) <= LIGHT_CONE_TOL, capped at the chain length, where
-    E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L), in closed form
-    at cosh mu = L / 2ct (see :func:`_cone_log_weight`).  The proof:
-
-    - Let N be the chain-depth operator: 0 on the network rows and the
-      vibration mode, m on the m-th sink waveguide.  The network block
-      (the coupling overrides included) and every diagonal (detunings and
-      disorder included) commute with N.  So e^{mu N} H e^{-mu N} - H =
-      (e^mu - 1) V+ + (e^-mu - 1) V-, where V+ is the part of H that raises
-      the depth (the drain link and the chain bonds, ||V+|| <= c) and
-      V- = V+^T.  Its anti-Hermitian part is sinh mu (V+ - V-), of norm at
-      most 2 c sinh mu.  The source is at depth 0, so
-      ||e^{mu N} psi(t)|| <= e^{2 c t sinh mu} (Combes & Thomas, Commun.
-      Math. Phys. 34, 251 (1973)), and the weight at depth L and beyond is
-      at most e^{-mu L} times that, for every mu >= 0: at most E(L, t).
-    - Cutting the bond below depth L_k during segment k changes the
-      generator by that bond alone, which acts on the weight at depth L_k
-      and beyond with norm at most c.  Duhamel's formula then bounds the
-      total cut error by c sum_k Delta_k E(L_k, t_k) <= LIGHT_CONE_TOL,
-      since E grows with t and the segment lengths Delta_k sum to T.
-
-    E grows with t, so the windows never shrink, and the interval of the
-    largest window (:func:`_interval`) encloses the spectra of all of them.
-    The depths depend on c and the segment ends only, so a column run alone
-    and in a batch share the windows.
     """
     det, diagonals, couplings = _batch(h, detunings, diagonals, couplings)
     if not 0 < segment_length < math.inf:
@@ -706,10 +698,9 @@ def traces(h: Hamiltonian, detunings, segment_length: float,
     if abs(per_seg - round(per_seg)) > 1e-9:
         raise PhysicsError("fine step must divide the segment length")
     steps = int(round(per_seg))
-    plan = _plan(h, det, segment_length, steps, diagonals, couplings, False)
-    amps = np.zeros((det.shape[-1] * steps + 1, h.dim, len(det)), complex)
-    # each live state into its sample's leading rows; the rest stay zero
-    for sample, x in zip(amps.view(float)[:, :len(plan.state)], _run(plan)):
+    plan = _plan(h, det, segment_length, steps, diagonals, couplings)
+    amps = np.empty((det.shape[-1] * steps + 1, h.dim, len(det)), complex)
+    for sample, x in zip(amps.view(float), _run(plan)):
         sample[...] = x
     return [EvolutionTrace(amps[:, :, c], fine_step, h.fmo_indices,
                            h.sink_indices) for c in range(len(det))]
@@ -725,42 +716,13 @@ def sink_fractions(h: Hamiltonian, detunings, segment_length: float,
     fractions are yielded where it records its states: before the first
     step, then after each step.  A fraction is its column's chain rows'
     norm over its norm (:func:`_sink_fraction`), the same bits in any
-    batch.  The kernel is :func:`traces`', norm check included, but it
-    evolves the narrower return-trip cone, so the chain rows it holds are
-    no longer the state: only the fractions are handed back.
-
-    With c, N, E, t_k and T as in :func:`traces` (and t_-1 = 0), L_k is
-    the smallest depth, no smaller than L_k-1 and capped at the chain
-    length, with c T E(L_k, t_k) E(L_k, T - t_k-1) <= LIGHT_CONE_TOL; on
-    the default chip the depths run 12, 14, 15, 16, 16, 17, 17, 17, then
-    18 for the last 12 segments, against 13, 15, ... 33, 34 for the state.
-    The proof:
-
-    - Let P_0 project on depth 0 (the network rows and the vibration
-      mode) and V be the bond cut during segment k, between depths L_k and
-      L_k + 1.  Duhamel's formula writes P_0 (psi(T) - psi_cut(T)) as
-      -i times the integral over s of P_0 U_cut(T, s) V psi(s), where psi
-      is the uncut evolution and U_cut the cut one.
-    - Out to depth L_k (Combes-Thomas with e^{mu N}, as in
-      :func:`traces`): V psi(s) lies at depth L_k and beyond, with
-      ||V psi(s)|| <= c E(L_k, s).
-    - Back to depth 0 (Combes-Thomas with e^{-mu N}): P_0 = P_0 e^{-mu N},
-      ||e^{-mu N} U_cut(T, s) e^{mu N}|| <= e^{2 c (T - s) sinh mu}, since
-      the cut generator raises the depth by a part of norm at most c too,
-      and e^{-mu N} damps what lies at depth L_k and beyond by e^{-mu L_k}.
-      So ||P_0 U_cut(T, s) V psi(s)|| <= E(L_k, T - s) ||V psi(s)||.
-    - E grows with t, so the depth-0 error at T is at most
-      c sum_k Delta_k E(L_k, t_k) E(L_k, T - t_k-1) <= LIGHT_CONE_TOL.  A
-      sink fraction is 1 minus the depth-0 share of the norm, and both
-      states are unit vectors, so it moves by at most 2 LIGHT_CONE_TOL,
-      truncation aside.  At a sample t <= T the same sum holds with t for
-      T, and E(L, t - s) <= E(L, T - s), so every yield is within it.
-
-    Raises PhysicsError if the chip has no sink waveguide.
+    batch.  The kernel is :func:`traces`', norm check included.  Raises
+    PhysicsError if the chip has no sink waveguide.
     """
+    chain = _chain_rows(h)
     for x in _run(_plan(h, detunings, segment_length, steps_per_segment,
-                        diagonals, couplings, True)):
-        yield _sink_fraction(x, slice(len(h.block), None))
+                        diagonals, couplings)):
+        yield _sink_fraction(x, chain)
 
 
 def final_sink_fractions(h: Hamiltonian, detunings, segment_length: float,
@@ -772,9 +734,10 @@ def final_sink_fractions(h: Hamiltonian, detunings, segment_length: float,
 
     Raises PhysicsError if the chip has no sink waveguide.
     """
+    chain = _chain_rows(h)
     *_, x = _run(_plan(h, detunings, segment_length, 1, diagonals,
-                       couplings, True))
-    return _sink_fraction(x, slice(len(h.block), None))
+                       couplings))
+    return _sink_fraction(x, chain)
 
 
 def evolve(h: Hamiltonian, detunings, segment_length: float,
@@ -800,16 +763,18 @@ def site_probabilities(tr: EvolutionTrace, subset=None, renormalize: bool = Fals
 
     Returns an array of shape (n_samples, len(subset)).  With
     ``renormalize`` the rows are divided by their subset totals, as used
-    for seven-site excitation traces.
+    for seven-site excitation traces.  A probability is Re^2 + Im^2 and a
+    total is :func:`_norms` of the subset's rows, as every sum of |psi|^2.
     """
     if subset is None:
         subset = range(tr.amplitudes.shape[1])
     subset = list(subset)
     if not subset:
         raise PhysicsError("subset must be nonempty")
-    p = np.abs(tr.amplitudes[:, subset]) ** 2
+    x = np.ascontiguousarray(tr.amplitudes[:, subset].T).view(float)
+    p = (x[:, 0::2] ** 2 + x[:, 1::2] ** 2).T
     if renormalize:
-        totals = p.sum(axis=1)
+        totals = _norms(x)
         bad = np.nonzero(totals == 0)[0]
         if bad.size:
             raise PhysicsError(

@@ -9,11 +9,13 @@ all the realizations of a study are evolved together as the columns of
 one kernel batch, whose columns do not depend on each other.
 
 A study's chip is the light cone of what it reads
-(:func:`_base_hamiltonian`), whatever ``sink_length`` says past that, so
-a longer chain changes no byte and costs nothing more.  The dephasing
-sweeps (dynamics.final_sink_fractions), the vibrational comparison
-(dynamics.sink_fractions) and the excitation-trace study read only the
-network rows, so their chips hold the return-trip cone: 18 sink
+(:func:`_base_hamiltonian`), whatever ``sink_length`` says past that, and
+the kernel evolves every row of it, so a longer chain changes no byte and
+costs nothing more.  This is the one place the light cone is decided
+(its depths and their proofs: dynamics._light_cone_depths).  The
+dephasing sweeps (dynamics.final_sink_fractions), the vibrational
+comparison (dynamics.sink_fractions) and the excitation-trace study read
+only the network rows, so their chips hold the return-trip cone: 18 sink
 waveguides on the default 20 mm chip.  :func:`single_trace` hands back
 the chain rows too, so its chip holds the state cone: 34 waveguides.
 """
@@ -84,8 +86,10 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _seeding.check_seed(self.seed))
-        if self.realizations < 1:
-            raise PhysicsError("realizations must be >= 1")
+        for name in ("realizations", "segments", "sink_length"):
+            object.__setattr__(self, name, _seeding.check_int(
+                getattr(self, name), name, 1))
+        object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         if not self.grid:
             raise PhysicsError("grid must be nonempty")
         if any(b < a for a, b in zip(self.grid, self.grid[1:])):
@@ -104,7 +108,6 @@ class SweepConfig:
             raise PhysicsError("observation length must be positive")
         if self.sink_coupling <= 0:
             raise PhysicsError("sink coupling must be positive")
-        object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
 
     def canonical_dict(self) -> dict:
         d = asdict(self)
@@ -166,14 +169,15 @@ def network_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
 
 def _base_hamiltonian(cfg: SweepConfig, return_trip: bool) -> Hamiltonian:
     """The study's chip: :func:`network_hamiltonian` and as many sink
-    waveguides as the deepest window of the study's cone over its
+    waveguides as the deepest depth of the study's light cone over its
     segments, at least one and at most ``cfg.sink_length``.  The cone is
-    the return trip of dynamics.sink_fractions with ``return_trip``, for a
-    study that reads the network rows alone, and otherwise the state cone
-    of dynamics.traces (see dynamics._light_cone_depths).  A light cone
-    deeper than MAX_SINK_LENGTH is rejected."""
+    the return trip with ``return_trip``, for a study that reads the
+    network rows alone, which it bounds with the sink fractions, and
+    otherwise the state cone, which bounds every row (see
+    dynamics._light_cone_depths).  A light cone deeper than
+    MAX_SINK_LENGTH is rejected."""
     depths = dynamics._light_cone_depths(
-        cfg.sink_coupling, cfg.observe_z / max(cfg.segments, 1), cfg.segments,
+        cfg.sink_coupling, cfg.observe_z / cfg.segments, cfg.segments,
         min(cfg.sink_length, MAX_SINK_LENGTH + 1), return_trip)
     length = min(cfg.sink_length, max([1, *depths]))
     if length > MAX_SINK_LENGTH:
@@ -362,8 +366,9 @@ def single_trace(cfg: SweepConfig, amplitude: float, seed: int,
     dynamics.traces records of the sweep's columns on that chip.  Its
     efficiency is, to first order, within 8 TRUNCATION_BUDGET + 4
     LIGHT_CONE_TOL of the sweep's first value, which the sweep reads off
-    the narrower return-trip cone (dynamics.final_sink_fractions): each is
-    within 4 TRUNCATION_BUDGET + 2 LIGHT_CONE_TOL of the uncut chip's.
+    the return-trip cone's shorter chip (dynamics.final_sink_fractions):
+    each is within 4 TRUNCATION_BUDGET + 2 LIGHT_CONE_TOL of the uncut
+    chip's.
 
     ``fine_step`` is read as by dynamics.traces (by default the largest
     step of at most dynamics.DEFAULT_FINE_STEP that divides the segment).
@@ -384,9 +389,8 @@ def excitation_trace_study(cfg: SweepConfig,
 
     Every member is a trace of one dynamics.traces call at the study's
     first noise seed.  It reads only the network rows' renormalized
-    probabilities, so its chip holds the return-trip cone, which
-    dynamics.traces evolves as its state cone capped at the chain's end,
-    never shallower than the return trip.  So a member's network rows are
+    probabilities, so its chip holds the return-trip cone, within which
+    the network rows hold at every sample.  So a member's network rows are
     within TRUNCATION_BUDGET + LIGHT_CONE_TOL of the uncut chip's, as its
     :func:`single_trace`'s are; where both chips hold the whole chain, the
     two are the same bits.  A study reads one realization of each member,

@@ -84,12 +84,12 @@ HERMITICITY_TOL = 1e-12
 #: measurably helps transport on a 20 mm chip (see attach_sink).
 DEFAULT_SINK_COUPLING = 0.2
 
-#: Most sink waveguides a chain may hold (16 bytes each).  The kernel evolves
+#: Most sink waveguides a chain may hold (16 bytes each).  A study attaches
 #: only the chain's light cone, about 2 c T deep for chain coupling c over a
 #: chip of length T: 34 on the default chip, 100,635 at c = 10 mm^-1 over
 #: the longest trace (5,000 mm), so a longer chain would change no output.
-#: The studies attach only the light cone, so this guards direct callers of
-#: attach_sink, and studies whose light cone is deeper than 10**6.
+#: So this guards direct callers of attach_sink, whose whole chain the
+#: kernel evolves, and studies whose light cone is deeper than 10**6.
 MAX_SINK_LENGTH = 10 ** 6
 
 #: Fabrication calibration of the chip: the evanescent coupling decays with

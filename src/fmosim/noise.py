@@ -80,6 +80,8 @@ class NoiseConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _seeding.check_seed(self.seed))
+        object.__setattr__(self, "segments",
+                           _seeding.check_int(self.segments, "segments", 1))
         if self.kind not in NOISE_KINDS:
             raise PhysicsError(f"unknown noise kind {self.kind!r}; choose from {NOISE_KINDS}")
         for name in ("amplitude", "total_length", "filter_time_scale"):
@@ -87,8 +89,6 @@ class NoiseConfig:
                 raise PhysicsError(f"{name} must be finite")
         if self.amplitude < 0:
             raise PhysicsError("amplitude must be nonnegative")
-        if self.segments < 1:
-            raise PhysicsError("segment count must be >= 1")
         if self.total_length <= 0:
             raise PhysicsError("total length must be positive")
         if self.filter_time_scale <= 0:

@@ -328,8 +328,8 @@ class TestExitCodes:
             runs[n] = (out / table).read_bytes()
         assert runs[length] == runs[100]
 
-    # a light cone that never reaches the sink chain: every window depth
-    # is 0, so the kernel evolves the network rows alone
+    # a light cone that never reaches the sink chain: every depth is 0, so
+    # the study's chip holds one sink waveguide, the fewest a chip has
     @pytest.mark.parametrize("section,values", [
         ("system", {"sink_coupling_per_mm": 1e-20}),
         ("noise", {"segments": 1, "total_length_mm": 1e-300}),

@@ -412,22 +412,22 @@ def zeroed_mode(h, det):
 def states_plan(h, det, diag, correction, steps=2):
     """The plan of the kernel call that :func:`run_states` makes."""
     return dynamics._plan(h, det, 1.0, steps, diag,
-                          corrected_couplings(h, det, correction), False)
+                          corrected_couplings(h, det, correction))
 
 
 def buffer_shape(plan):
-    """(terms held, window rows, columns) of a plan's term buffer."""
+    """(terms held, chip rows, columns) of a plan's term buffer."""
     held, padded, cols = plan.buffer.shape
     return held, padded - 2, cols
 
 
 def study_plan(cfg, return_trip=True):
     """The plan of a sweep's one kernel call on the chip of its cone: the
-    return-trip cone that sweep_dephasing evolves, or the state cone."""
+    return-trip cone that sweep_dephasing builds, or the state cone."""
     base = experiments._base_hamiltonian(cfg, return_trip)
     det, diag, couplings = experiments._study_columns(cfg, base)
     return dynamics._plan(base, det, cfg.observe_z / cfg.segments, 1, diag,
-                          couplings, return_trip)
+                          couplings)
 
 
 def budgets(bound, floor_bound):
@@ -477,12 +477,6 @@ def fraction_bound(error, budget):
             / (1.0 - budget) ** 2)
 
 
-def window_rows(h, segments):
-    """Rows of the window of each of ``segments`` 1 mm segments."""
-    return [len(h.block) + d for d in dynamics._light_cone_depths(
-        abs(h.sink_coupling), 1.0, segments, len(h.sink_indices))]
-
-
 def assert_within_gershgorin_union(lo, hi, h, det, diag, correction,
                                    couplings=None):
     """(lo, hi) lies within the union of the Gershgorin discs of every
@@ -503,17 +497,12 @@ def assert_within_gershgorin_union(lo, hi, h, det, diag, correction,
     assert g_lo - slack <= lo <= hi <= g_hi + slack
 
 
-def growing_window_inputs(columns):
-    """A batch on the long chain over six 1 mm segments, whose window grows
-    from segment to segment and stays narrower than dim."""
-    h, det, diag = batch_inputs(columns=columns, sink=100, segments=6)
-    rows = window_rows(h, 6)
-    assert rows[0] < rows[-1] < h.dim
-    return h, det, diag
+def long_chain_inputs(columns):
+    """A batch on a chain of 100 sink waveguides over six 1 mm segments."""
+    return batch_inputs(columns=columns, sink=100, segments=6)
 
 
-# (correction, vibration, sink, segments); the long chain over 20 mm is
-# wider than its light cone, so the window is narrower than dim
+# (correction, vibration, sink, segments)
 COLUMN_CASES = [(c, v, sink, segments)
                 for sink, segments in ((20, 6), (100, 20))
                 for c in (False, True) for v in (False, True)]
@@ -525,7 +514,7 @@ CONE_CASES = [
     (0.2, 1.0, 20, 25),     # a chain shorter than the light cone
     (0.5, 3.0, 7, 400),
     (0.05, 0.25, 9, 100),
-    (1e-20, 1.0, 3, 100),   # c T below the tolerance: no sink row
+    (1e-20, 1.0, 3, 100),   # c T below the tolerance: every depth 0
 ]
 
 
@@ -551,7 +540,7 @@ class TestPropagate:
     @pytest.mark.parametrize("correction", [False, True])
     def test_batch_width_does_not_change_a_column(self, correction):
         # widths on either side of the einsum loops' vector tails
-        h, det, diag = growing_window_inputs(33)
+        h, det, diag = long_chain_inputs(33)
         full = run_states(h, det, diag, correction)
         for width in (1, 2, 3, 5, 8, 17):
             part = run_states(h, det[-width:], diag[:, -width:], correction)
@@ -561,7 +550,7 @@ class TestPropagate:
     @pytest.mark.parametrize("correction", [False, True])
     def test_column_chunks_are_bitwise_equal_to_one_chunk(self, correction,
                                                           monkeypatch):
-        h, det, diag = growing_window_inputs(7)
+        h, det, diag = long_chain_inputs(7)
         whole = run_states(h, det, diag, correction)
         n_terms, rows, cols = buffer_shape(states_plan(h, det, diag,
                                                        correction))
@@ -579,7 +568,7 @@ class TestPropagate:
     @pytest.mark.parametrize("correction", [False, True])
     def test_series_longer_than_the_buffer_runs_in_a_ring(self, correction,
                                                           monkeypatch):
-        h, det, diag = growing_window_inputs(3)
+        h, det, diag = long_chain_inputs(3)
         whole = run_states(h, det, diag, correction)
         n_terms, rows, _ = buffer_shape(states_plan(h, det, diag, correction))
         # the smallest even ring from six up that the series runs past and
@@ -614,7 +603,7 @@ class TestPropagate:
         # zero weights past a column's own series, and the longer ring they
         # bring, add exact zeros to its sums: 3 more terms keep one sum, 60
         # more run past TERMS_HELD into a ring summed each time it fills
-        h, det, diag = growing_window_inputs(1)
+        h, det, diag = long_chain_inputs(1)
         own = run_states(h, det, diag, correction)
         n_own = len(states_plan(h, det, diag, correction).buffer)
         weights = dynamics._chebyshev_weights
@@ -635,8 +624,7 @@ class TestPropagate:
     def test_term_buffer_stays_within_its_budget(self, n_terms, rows,
                                                  monkeypatch):
         # 5823 rows leave room for an odd count (45) of terms; plans of a
-        # chip whose chain the one segment's light cone spans, so that the
-        # window is the whole chip, with series of n_terms terms
+        # chip of ``rows`` rows, with series of n_terms terms
         monkeypatch.setattr(dynamics, "_chebyshev_weights",
                             lambda rho, cut: np.broadcast_to(
                                 1.0, (n_terms, len(rho))))
@@ -649,7 +637,7 @@ class TestPropagate:
         # chunk the budget allows, without a chip-sized batch of wide rows
         for n_real in (1, 7, min(1100, budget // term + 1)):
             plan = dynamics._plan(h, np.zeros((n_real, 7, 1)), 1.0, 1, None,
-                                  None, False)
+                                  None)
             held, padded, cols = plan.buffer.shape
             width = cols // 2
             assert padded == rows + 2 and len(plan.weights) == n_terms
@@ -665,7 +653,7 @@ class TestPropagate:
                 assert width == min(n_real, budget // (held * term))
 
     def test_buffer_shape_at_the_benchmark_sweeps(self):
-        # 41 window rows (the state cone) and 44 realizations: the clean
+        # 41 rows (the state cone's chip) and 44 realizations: the clean
         # sweep's 17-term series is held whole, the colored CLI sweep's 34
         # to 36 terms run through a ring of 24
         for shape, held in (("sweep_clean", 17), ("sweep_disorder_cli", 24)):
@@ -675,27 +663,26 @@ class TestPropagate:
             assert len(plan.chunks) == 1
 
     def test_plan_work_counts_of_the_clean_sweep(self):
-        # 17 terms a step and 340 a column; 480 window rows over the 20
-        # steps of the return-trip cone, 641 on the state cone
+        # 17 terms a step and 340 a column, on the 25 rows of the
+        # return-trip cone's chip or the 41 of the state cone's
         cfg = SweepConfig(realizations=4, **self.GATED["sweep_clean"])
-        for return_trip, rows, rows_terms in ((True, 480, 8160),
-                                              (False, 641, 10_897)):
+        for return_trip, rows, rows_terms in ((True, 25, 8500),
+                                              (False, 41, 13_940)):
             plan = study_plan(cfg, return_trip)
             assert len(plan.lengths) == 44 and plan.steps == 1
             assert (plan.lengths == 17).all()
-            assert (plan.steps * len(plan.windows) * plan.lengths
-                    == 340).all()
-            assert sum(plan.windows) == rows
+            assert (plan.steps * len(plan.net) * plan.lengths == 340).all()
+            assert len(plan.state) == rows
             assert (plan.rows_terms == rows_terms).all()
 
     def test_plan_of_figS8_at_the_strongest_disorder(self):
         # figS8's gamma = 100 sweep at seed 0 (fmosim reproduce figS8):
-        # 1,100 columns on 25 window rows, a 138-term series through a
+        # 1,100 columns on 25 rows, a 138-term series through a
         # ring of 24 terms, in column chunks of 404, 404 and 292
         cfg = SweepConfig(realizations=100, disorder=100.0, sink_length=80,
                           grid=experiments.FIGS8_GRIDS[100.0])
         plan = study_plan(cfg)
-        assert len(plan.lengths) == 1100 and max(plan.windows) == 25
+        assert len(plan.lengths) == 1100 and len(plan.state) == 25
         assert len(plan.weights) == plan.lengths.max() == 138
         assert plan.buffer.shape == (24, 25 + 2, 2 * 404)
         assert [b - a for a, b in plan.chunks] == [404, 404, 292]
@@ -771,23 +758,12 @@ class TestPropagate:
                                         back) > tol
 
     def test_return_trip_depths_on_the_default_chip(self):
-        # c = 0.2 mm^-1 over 20 segments of 1 mm: 480 window rows over the
-        # 20 steps against the state cone's 641, 7 of them network rows
+        # c = 0.2 mm^-1 over 20 segments of 1 mm: a chip of 18 sink
+        # waveguides against the state cone's 34
         depths = dynamics._light_cone_depths(0.2, 1.0, 20, 100,
                                              return_trip=True)
         assert depths == [12, 14, 15, 16, 16, 17, 17, 17] + [18] * 12
-        assert sum(depths) + 7 * 20 == 480
-        assert sum(dynamics._light_cone_depths(0.2, 1.0, 20, 100)) \
-            + 7 * 20 == 641
-        # one set of views per distinct window: 6 here, against 19
-        kw = default_chip()
-        h, det = kw["h"], kw["detunings"][None]
-        trip = dynamics._plan(h, det, kw["segment_length"], 1, None, None,
-                              True)
-        assert list(trip.views) == [7 + d for d in dict.fromkeys(depths)]
-        state = dynamics._plan(h, det, kw["segment_length"], 1, None, None,
-                               False)
-        assert len(state.views) == 19
+        assert dynamics._light_cone_depths(0.2, 1.0, 20, 100)[-1] == 34
 
     @given(c=st.floats(1e-3, 10.0), step=st.floats(1e-2, 5.0),
            segments=st.integers(1, 40), max_depth=st.integers(0, 300))
@@ -804,9 +780,9 @@ class TestPropagate:
     @pytest.mark.parametrize("disorder", [0.0, 100.0])
     def test_sink_fractions_match_segment_propagator_chain(self, disorder,
                                                            monkeypatch):
-        # a dense chip of 100 sink waveguides, 18 of which the return-trip
-        # cone evolves: every yield within 2 LIGHT_CONE_TOL and the
-        # truncation's share of the uncut chip's sink fraction
+        # a dense chip of 100 sink waveguides, all of which the kernel
+        # evolves: every yield within the truncation's share of the dense
+        # chip's sink fraction
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 100)
         amplitudes = [0.0, 0.5, 3.0]
         det = generate_batch(NoiseConfig(segments=20, total_length=20.0),
@@ -826,8 +802,8 @@ class TestPropagate:
                 column.append(p[h.sink_indices].sum() / p.sum())
             expected.append(column)
         expected = np.array(expected).T
-        b, tol = dynamics.TRUNCATION_BUDGET, dynamics.LIGHT_CONE_TOL
-        for budget, bound in budgets(fraction_bound(b + tol, b), 1e-12):
+        b = dynamics.TRUNCATION_BUDGET
+        for budget, bound in budgets(fraction_bound(b, b), 1e-12):
             monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
             got = np.array(list(dynamics.sink_fractions(
                 h, det, 1.0, diagonals=diag)))
@@ -838,7 +814,7 @@ class TestPropagate:
     @pytest.mark.parametrize("correction", [False, True])
     def test_sink_fractions_of_a_column_alone_are_its_batch_column(
             self, correction):
-        h, det, diag = growing_window_inputs(6)
+        h, det, diag = long_chain_inputs(6)
         couplings = corrected_couplings(h, det, correction)
 
         def fractions(cols):
@@ -854,7 +830,7 @@ class TestPropagate:
 
     @pytest.mark.parametrize("correction", [False, True])
     def test_final_sink_fractions_are_the_last_yield(self, correction):
-        h, det, diag = growing_window_inputs(6)
+        h, det, diag = long_chain_inputs(6)
         couplings = corrected_couplings(h, det, correction)
         for cols in (slice(None), slice(2, 3)):
             args = (h, det[cols], 1.0)
@@ -881,7 +857,7 @@ class TestPropagate:
         assert det.shape == (1100, 7, 80) and not couplings
         tracemalloc.start()
         try:
-            dynamics._interval(base, det, diag, couplings, base.dim)
+            dynamics._interval(base, det, diag, couplings)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -894,7 +870,6 @@ class TestPropagate:
 
     def test_short_chain_keeps_every_row(self):
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 20)
-        assert window_rows(h, 20)[-1] == h.dim
         det = generate(NoiseConfig(kind="colored", amplitude=0.5,
                                    seed=3)).sequences[None]
         *_, last = kernel_states(h, det, 1.0)
@@ -908,58 +883,34 @@ class TestPropagate:
     def test_light_cone_that_never_reaches_the_chain(self, chip,
                                                      segment_length,
                                                      monkeypatch):
-        # every depth is 0: the window holds the non-sink rows alone
+        # every depth is 0: cutting the drain link moves a state by at
+        # most LIGHT_CONE_TOL, so the chain rows, which the kernel evolves,
+        # hold at most that beside the truncation
         h = chip(build_fmo_hamiltonian(FmoSpec()))
         det = generate_batch(NoiseConfig(segments=4), [0.5, 1.0], [1, 2])
         assert dynamics._light_cone_depths(
             abs(h.sink_coupling), segment_length, 4,
             len(h.sink_indices)) == [0] * 4
         # a norm within the budget of 1 squares to within (1 + B)^2 - 1
-        budget = dynamics.TRUNCATION_BUDGET
-        for budget, bound in budgets((1.0 + budget) ** 2 - 1.0, 1e-12):
+        b, tol = dynamics.TRUNCATION_BUDGET, dynamics.LIGHT_CONE_TOL
+        for budget, bound in budgets((1.0 + b) ** 2 - 1.0, 1e-12):
             monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
             states = kernel_states(h, det, segment_length)
             assert len(states) == 5
             for psi in states:
                 assert np.abs((np.abs(psi) ** 2).sum(axis=0)
                               - 1.0).max() < bound
-                assert not psi[h.sink_indices].any()
-        # the fractions are exact zeros, for a lone column too
+                assert np.abs(psi[h.sink_indices]).max() <= b + tol
+        # so are the fractions, for a lone column too
         for cols in (slice(0, 1), slice(None)):
             eta = list(dynamics.sink_fractions(h, det[cols], segment_length))
-            assert len(eta) == 5 and not np.any(eta)
-
-    def test_rows_past_the_light_cone_are_zero_and_the_cut_is_exact(
-            self, monkeypatch):
-        h = attach_sink(attach_vibrational_mode(build_fmo_hamiltonian()), 100)
-        hd = apply_static_disorder(h, 10.0, [4, 1])
-        det = generate(NoiseConfig(kind="colored", amplitude=1.0,
-                                   segments=20, total_length=20.0,
-                                   seed=4)).sequences
-        rows = window_rows(h, 20)
-        assert rows[0] < rows[-1] < h.dim
-        psi = np.zeros(h.dim, complex)
-        psi[h.source_index] = 1.0
-        expected = [psi]
-        for k in range(det.shape[1]):
-            expected.append(segment_propagator(
-                segment_matrix(hd, det[:, k], True), 1.0) @ expected[-1])
-        for budget, bound in budgets(
-                dynamics.TRUNCATION_BUDGET + dynamics.LIGHT_CONE_TOL, 1e-12):
-            monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
-            got = [s[:, 0] for s in kernel_states(
-                h, det[None], 1.0, diagonals=hd.matrix.diagonal()[:, None],
-                couplings=corrected_couplings(h, det[None]))]
-            for k, (state, psi) in enumerate(zip(got, expected)):
-                assert np.abs(state - psi).max() < bound
-                if k:   # the state at the end of segment k - 1
-                    assert not state[rows[k - 1]:].any()
-                    assert state[rows[k - 1] - 1] != 0.0
+            assert len(eta) == 5
+            assert np.max(eta) <= ((b + tol) / (1.0 - b)) ** 2
 
     def test_yields_are_fresh_arrays(self, monkeypatch):
         # the steps overwrite one live state in place; each sample of a
         # trace keeps the state as it was when it was recorded
-        h, det, diag = growing_window_inputs(3)
+        h, det, diag = long_chain_inputs(3)
         seen, run = [], dynamics._run
 
         def spy(plan):
@@ -971,8 +922,7 @@ class TestPropagate:
         states = kernel_states(h, det, 1.0, 2, diagonals=diag)
         assert len(states) == len(seen) == 13
         for psi, x in zip(states, seen):
-            assert psi.view(float)[:len(x)].tobytes() == x.tobytes()
-            assert not psi.view(float)[len(x):].any()
+            assert psi.view(float).tobytes() == x.tobytes()
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n0=st.integers(1, 8),
            chain=st.tuples(st.sampled_from([1, 2, 7, 60]),
@@ -1033,7 +983,7 @@ class TestPropagate:
             couplings = corrected_couplings(h, det)
             if vibration:
                 couplings.update(zeroed_mode(h, det))
-            lo, hi = dynamics._interval(h, det, diag, couplings, h.dim)
+            lo, hi = dynamics._interval(h, det, diag, couplings)
             assert lo.shape == hi.shape == (det.shape[0],)
             for c in range(det.shape[0]):
                 hd = with_diagonal(h, diag[:, c])
@@ -1104,7 +1054,7 @@ class TestPropagate:
            vibration=st.booleans(), correction=st.booleans(),
            columns=st.integers(1, 3), segments=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
-    def test_window_interval_encloses_every_windowed_segment_spectrum(
+    def test_interval_encloses_every_segment_spectrum_of_any_batch(
             self, seed, kind, amplitude, disorder, vibration, correction,
             columns, segments):
         h = build_fmo_hamiltonian(FmoSpec())
@@ -1120,31 +1070,28 @@ class TestPropagate:
         disordered = [apply_static_disorder(h, disorder, [seed, r])
                       for r in range(columns)]
         diag = np.stack([hd.matrix.diagonal() for hd in disordered], axis=1)
-        rows = window_rows(h, segments)
         lo, hi = dynamics._interval(h, det, diag,
-                                    corrected_couplings(h, det, correction),
-                                    rows[-1])
+                                    corrected_couplings(h, det, correction))
         for c, hd in enumerate(disordered):
             for k in range(segments):
-                m = segment_matrix(hd, det[c, :, k], correction)
-                w = np.linalg.eigvalsh(m[:rows[k], :rows[k]])
+                w = np.linalg.eigvalsh(segment_matrix(hd, det[c, :, k],
+                                                      correction))
                 assert lo[c] <= w[0] and w[-1] <= hi[c]
             assert_within_gershgorin_union(lo[c], hi[c], h, det[c:c + 1],
                                            diag[:, c:c + 1], correction)
 
     def test_strong_disorder_keeps_the_gershgorin_bound(self):
-        # a single trace at disorder 100: its diagonal offsets spread far
-        # wider than the coupling, so Weyl's bound alone would be wider
-        h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 100)
+        # a single trace at disorder 100, on the state cone's chip: its
+        # diagonal offsets spread far wider than the coupling, so Weyl's
+        # bound alone would be wider
+        h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 34)
         diag = apply_static_disorder(h, 100.0, [7, 0]).matrix.diagonal()
         det = generate(NoiseConfig(amplitude=1.0, segments=20,
                                    total_length=20.0, seed=7)).sequences
-        rows = window_rows(h, 20)[-1]
-        (lo,), (hi,) = dynamics._interval(h, det[None], diag[:, None], {},
-                                          rows)
-        lam = np.linalg.eigvalsh(h.matrix[:rows, :rows])
+        (lo,), (hi,) = dynamics._interval(h, det[None], diag[:, None], {})
+        lam = np.linalg.eigvalsh(h.matrix)
         base = h.matrix.diagonal()
-        offsets = np.concatenate([diag[:rows] - base[:rows],
+        offsets = np.concatenate([diag - base,
                                   (diag[:7, None] + det - base[:7, None])
                                   .ravel()])
         weyl_width = lam[-1] - lam[0] + offsets.max() - offsets.min()
@@ -1228,7 +1175,7 @@ class TestPropagate:
                     m[i, j] = m[j, i] = v[c, k]
                 psi = segment_propagator(m, dz) @ psi
             assert np.linalg.norm(states[-1][:, c] - psi) <= \
-                dynamics.TRUNCATION_BUDGET + dynamics.LIGHT_CONE_TOL
+                dynamics.TRUNCATION_BUDGET
 
     def test_strong_disorder_runs_column_chunks_through_the_ring(self):
         # figS8 at disorder 100, with the fewest realizations whose batch
@@ -1240,7 +1187,7 @@ class TestPropagate:
         det, diag, _ = experiments._study_columns(cfg, base)
         dz = cfg.observe_z / cfg.segments
         states = kernel_states(base, det, dz, diagonals=diag)
-        plan = dynamics._plan(base, det, dz, 1, diag, None, False)
+        plan = dynamics._plan(base, det, dz, 1, diag, None)
         held, _, cols = plan.buffer.shape
         width = cols // 2
         assert held == dynamics.TERMS_HELD < len(plan.weights)
@@ -1259,7 +1206,7 @@ class TestPropagate:
                 psi = segment_propagator(segment_matrix(hd, det[c, :, k]),
                                          dz) @ psi
             assert np.linalg.norm(states[-1][:, c] - psi) <= \
-                dynamics.TRUNCATION_BUDGET + dynamics.LIGHT_CONE_TOL
+                dynamics.TRUNCATION_BUDGET
 
     def test_a_cut_below_the_floor_clamps_and_stops_inside_the_table(self):
         budget, floor = dynamics.TRUNCATION_BUDGET, dynamics.STEP_CUT_FLOOR
@@ -1341,7 +1288,7 @@ class TestPropagate:
                                match="interval .* of realization 3"):
                 run_states(h, det, diag, False)
 
-    # (h, correction) of the split product's edge cases: a window with no
+    # (h, correction) of the split product's edge cases: a chip with no
     # chain row (a one-waveguide sink), the vibration mode in the head rows
     # (nb = 9) and the per-column couplings of the coupling correction
     SPLIT_CASES = {"no_chain_row": (False, 1, False),
@@ -1353,9 +1300,8 @@ class TestPropagate:
         vibration, sink, correction = self.SPLIT_CASES[case]
         h, det, diag = batch_inputs(vibration, sink=sink)
         nb = len(dynamics._head_block(h))
-        rows = window_rows(h, det.shape[2])
         if case == "no_chain_row":
-            assert rows == [nb] * len(rows)
+            assert nb == h.dim
         if case == "vibration":
             assert nb == 9
         expected = np.zeros((2 * det.shape[2] + 1,) + diag.shape, complex)
@@ -1390,15 +1336,14 @@ class TestPropagate:
         # passes: a column chunk of the band view, the head rows, the held
         # terms of its (K, rows + 2, 10) term buffer
         rng = np.random.default_rng(0)
-        plan = states_plan(*growing_window_inputs(5), False)
+        plan = states_plan(*long_chain_inputs(5), False)
         terms = plan.buffer
         k, padded, cols = terms.shape
         assert k >= 4 and cols == 10
         terms[:, 1:-1] = rng.standard_normal((k, padded - 2, cols))
-        # the step arguments of the first chunk on the deepest window; its
-        # slots end with each held term's band view of the chain rows
-        _, ops = plan.views[max(plan.windows)]
-        bands = ops[0][3][-1][1]
+        # the step arguments of the first chunk; its slots end with each
+        # held term's band view of the chain rows
+        bands = plan.ops[0][3][-1][1]
         chain = rng.standard_normal(bands.shape)
         head = rng.standard_normal((5, 6, 10))
         w = rng.standard_normal((k, 10))

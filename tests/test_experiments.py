@@ -63,6 +63,28 @@ class TestSweepConfig:
         assert type(cfg.seed) is int
         assert cfg.config_hash() == SweepConfig(seed=7).config_hash()
 
+    @pytest.mark.parametrize("name", ["realizations", "segments",
+                                      "sink_length"])
+    def test_numpy_integer_counts_are_ints(self, name, tmp_path):
+        cfg = SweepConfig(**{name: np.int64(4)})
+        assert type(getattr(cfg, name)) is int
+        assert cfg.config_hash() == SweepConfig(**{name: 4}).config_hash()
+        write_manifest(cfg, tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("name", ["realizations", "segments",
+                                      "sink_length"])
+    @pytest.mark.parametrize("value", [4.0, 2.5, True, "4"])
+    def test_counts_not_an_integer_rejected(self, name, value):
+        with pytest.raises(PhysicsError, match=f"{name} must be an integer"):
+            SweepConfig(**{name: value})
+
+    def test_grid_array_is_read_as_its_tuple(self):
+        cfg = SweepConfig(grid=np.array([0.0, 0.5]))
+        assert cfg == SweepConfig(grid=(0.0, 0.5))
+        assert type(cfg.grid) is tuple and type(cfg.grid[0]) is float
+        with pytest.raises(PhysicsError, match="nonempty"):
+            SweepConfig(grid=np.array([]))
+
     def test_hash_stable_and_sensitive(self):
         a = small_cfg()
         b = small_cfg()
@@ -539,8 +561,8 @@ class TestSingleTrace:
             base, detunings, cfg.observe_z / cfg.segments,
             cfg.observe_z / cfg.segments, diagonals, couplings)
         np.testing.assert_array_equal(tr.amplitudes[-1], first.amplitudes[-1])
-        # the sweep reads its efficiency off the narrower return-trip cone
-        # (dynamics.sink_fractions).  Each efficiency is within
+        # the sweep reads its efficiency off the return-trip cone's chip
+        # (dynamics.final_sink_fractions).  Each efficiency is within
         # (e (2 + e) + B (2 + B)) / (1 - B)^2 of the uncut chip's, where
         # the network rows move by at most e = B + LIGHT_CONE_TOL and the
         # norm by at most B = TRUNCATION_BUDGET (see test_dynamics'
@@ -589,6 +611,41 @@ def test_each_study_builds_the_chip_of_the_cone_it_reads(monkeypatch):
     excitation_trace_study(cfg, disorders=(3.0,), amplitudes=(0.5,))
     single_trace(cfg, 0.5, 1)
     assert rows == [{7 + 18}, {7 + 34}]
+
+
+# the columns a chip's light cone is checked on
+CONE_COLUMNS = {"clean": {}, "disordered": dict(disorder=10.0),
+                "colored": dict(noise_kind="colored", disorder=10.0)}
+
+
+@pytest.mark.parametrize("kw", CONE_COLUMNS.values(), ids=CONE_COLUMNS)
+def test_study_chip_is_within_the_cone_bound_of_twice_the_chain(kw):
+    # the kernel evolves every row it is given, so a study's light cone is
+    # the chip it builds.  The same columns on that chip and on one with
+    # twice its chain: with B = TRUNCATION_BUDGET and e = B +
+    # LIGHT_CONE_TOL, each chip's sink fractions are within 2 e + 2 B of
+    # the uncut chip's, to first order, and each state single_trace's chip
+    # records within e; so the two chips agree within twice that
+    b, tol = dynamics.TRUNCATION_BUDGET, dynamics.LIGHT_CONE_TOL
+    cfg = small_cfg(grid=(0.0, 0.5, 3.0), realizations=2, sink_length=100,
+                    **kw)
+    dz = cfg.observe_z / cfg.segments
+    for return_trip in (True, False):
+        chip = experiments._base_hamiltonian(cfg, return_trip)
+        longer = model.attach_sink(experiments.network_hamiltonian(cfg),
+                                   2 * len(chip.sink_indices))
+        det, diag, couplings = experiments._study_columns(cfg, longer)
+        if return_trip:
+            short, long = (dynamics.final_sink_fractions(
+                h, det, dz, diag[:h.dim], couplings) for h in (chip, longer))
+            assert np.abs(short - long).max() <= 8 * b + 4 * tol
+        else:
+            for short, long in zip(*(dynamics.traces(
+                    h, det, dz, None, diag[:h.dim], couplings)
+                    for h in (chip, longer))):
+                assert np.abs(short.amplitudes
+                              - long.amplitudes[:, :chip.dim]).max() \
+                    <= 2 * (b + tol)
 
 
 def test_traces_carry_the_hamiltonians_indices():

@@ -67,6 +67,15 @@ class TestConfig:
         with pytest.raises(PhysicsError):
             NoiseConfig(total_length=0.0)
 
+    def test_numpy_integer_segments_are_an_int(self):
+        cfg = NoiseConfig(segments=np.int64(8))
+        assert type(cfg.segments) is int and cfg == NoiseConfig(segments=8)
+
+    @pytest.mark.parametrize("value", [8.0, 2.5, True, "8"])
+    def test_segments_not_an_integer_rejected(self, value):
+        with pytest.raises(PhysicsError, match="segments must be an integer"):
+            NoiseConfig(segments=value)
+
     @pytest.mark.parametrize("field", ["amplitude", "total_length",
                                        "filter_time_scale"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
