@@ -23,6 +23,8 @@ row (:func:`streams`).
 
 from __future__ import annotations
 
+import math
+import numbers
 from functools import lru_cache
 from itertools import islice
 
@@ -53,6 +55,20 @@ def check_int(value, name: str, least: int) -> int:
     if value < least:
         raise PhysicsError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def check_real(value, name: str) -> float:
+    """``value`` as a float if it is a finite real number (a numpy one
+    included, a bool not); PhysicsError naming ``name`` if not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise PhysicsError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the largest double
+        value = math.inf
+    if not math.isfinite(value):
+        raise PhysicsError(f"{name} must be finite")
+    return value
 
 
 def check_seed(seed) -> int:

@@ -21,20 +21,17 @@ and weights come from its own inputs, and its weights are exact zeros
 past its own series, so its result is the same bits in any batch.
 
 The sink chain only has to look irreversible over the chip, so the light
-never reaches its far end.  A study builds only the chain waveguides that
-the light cone of what it reads reaches (``experiments._base_hamiltonian``),
-to depths that :func:`_light_cone_depths` takes from a Combes-Thomas bound
-(Combes & Thomas, Commun. Math. Phys. 34, 251 (1973)) and proves: the
-state cone, which moves the states :func:`traces` records by at most
-LIGHT_CONE_TOL, 34 waveguides on the default chip (20 segments of 1 mm,
-chain coupling 0.2 mm^-1), and the return-trip cone, which moves the sink
-fractions by at most 2 LIGHT_CONE_TOL, 18.  The depths depend only on the
-chain coupling and the segment ends, never on the detunings or diagonals,
-so a longer chain changes no byte of a study, and no dense chip matrix is
-built.  The kernel evolves every row of the chip it is given.  A column's
-spectral interval is the intersection of a Weyl bound (the base chip's
-spectral bound moved by the column's diagonal offsets) and the Gershgorin
-discs of its rows.
+never reaches its far end.  A study builds only the chain waveguides
+within the light cone of the network rows
+(``experiments._base_hamiltonian``), to the depth that
+:func:`_light_cone_depth` takes from a Combes-Thomas bound and proves: 18
+on the default chip (20 segments of 1 mm, chain coupling 0.2 mm^-1).  The
+depth depends only on the chain coupling and the segment ends, never on
+the detunings or diagonals, so a longer chain changes no byte of a study,
+and no dense chip matrix is built.  The kernel evolves every row of the
+chip it is given.  A column's spectral interval is the intersection of a
+Weyl bound (the base chip's spectral bound moved by the column's diagonal
+offsets) and the Gershgorin discs of its rows.
 
 Every readout is a plan and a run.  :func:`_plan` checks a call's inputs
 and returns a frozen record (:class:`_Plan`) of all it will do: each
@@ -366,7 +363,7 @@ def _chain_rows(h: Hamiltonian) -> slice:
 
 def _cone_log_weight(depth: int, a: float) -> float:
     """log E(depth, t), a = 2 c t: the Combes-Thomas bound on the weight at
-    chain depth ``depth`` and beyond (see :func:`_light_cone_depths`).
+    chain depth ``depth`` and beyond (see :func:`_light_cone_depth`).
 
     E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L), reached at
     cosh mu = L / 2ct, which gives sqrt(L^2 - a^2) - L arccosh(L / a) for
@@ -377,89 +374,70 @@ def _cone_log_weight(depth: int, a: float) -> float:
     return math.sqrt(depth * depth - a * a) - depth * math.acosh(depth / a)
 
 
-def _light_cone_depths(coupling: float, segment_length: float, segments: int,
-                       max_depth: int, return_trip: bool = False) -> list:
-    """Chain depth L_k of the light cone in each of ``segments`` segments
-    of ``segment_length``, from its start t_k-1 = segment_length * k to its
-    end t_k = segment_length * (k + 1).  A study's chip holds the chain
-    waveguides to the deepest (``experiments._base_hamiltonian``), and the
-    kernel evolves them all.
+def _light_cone_depth(coupling: float, segment_length: float, segments: int,
+                      max_depth: int) -> int:
+    """Chain depth L of the light cone of the network rows over
+    ``segments`` segments of ``segment_length``, segment k running from
+    t_k-1 = segment_length * k to t_k = segment_length * (k + 1).
 
-    L_k is the smallest depth, no smaller than L_k-1, with
-    c T E(L_k, t_k) F_k <= LIGHT_CONE_TOL, capped at ``max_depth`` (the
-    whole chain), where c is ``coupling``, the chain's absolute coupling
-    (the drain link and every bond), T the last end (the whole
-    propagation), E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L)
-    (:func:`_cone_log_weight`) and F_k the return factor: 1 for the state
-    cone, and E(L_k, T - t_k-1) for the return-trip cone (``return_trip``),
-    which is never deeper.  Every depth is 0 if the chain is uncoupled, or
-    if the segment length is not positive and finite, which the kernel
-    rejects.  E falls as L grows, so each bound below also holds for a
-    chip cut below depth L >= L_k in every segment k: a chip holding the
-    deepest L_k.
+    L is the smallest depth with c T E(L, t_k) E(L, T - t_k-1) <=
+    LIGHT_CONE_TOL in every segment k, capped at ``max_depth`` (the whole
+    chain), where c is ``coupling``, the chain's absolute coupling (the
+    drain link and every bond), T the last end (the whole propagation) and
+    E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L)
+    (:func:`_cone_log_weight`), which falls as L grows.  It is 0 if the
+    chain is uncoupled, or if the segment length is not positive and
+    finite, which the kernel rejects; on the default chip it is 18.
 
-    The state cone moves every state :func:`traces` records by at most
-    LIGHT_CONE_TOL; on the default chip its depths run 13, 15, 17, ... 33,
-    34.  The proof:
+    Cutting the chain below depth L moves the network rows of every state
+    :func:`traces` records by at most LIGHT_CONE_TOL, and so every sink
+    fraction that :func:`sink_fractions` yields, the chain's total weight,
+    by at most 2 LIGHT_CONE_TOL, truncation aside.  The chain's rows one by
+    one are not bounded.  The proof, with t_-1 = 0:
 
     - Let N be the chain-depth operator: 0 on the network rows and the
-      vibration mode, m on the m-th sink waveguide.  The network block
-      (the coupling overrides included) and every diagonal (detunings and
-      disorder included) commute with N.  So e^{mu N} H e^{-mu N} - H =
-      (e^mu - 1) V+ + (e^-mu - 1) V-, where V+ is the part of H that raises
-      the depth (the drain link and the chain bonds, ||V+|| <= c) and
-      V- = V+^T.  Its anti-Hermitian part is sinh mu (V+ - V-), of norm at
-      most 2 c sinh mu.  The source is at depth 0, so
-      ||e^{mu N} psi(t)|| <= e^{2 c t sinh mu} (Combes & Thomas, Commun.
-      Math. Phys. 34, 251 (1973)), and the weight at depth L and beyond is
-      at most e^{-mu L} times that, for every mu >= 0: at most E(L, t).
-    - Cutting the bond below depth L_k during segment k changes the
-      generator by that bond alone, which acts on the weight at depth L_k
-      and beyond with norm at most c.  Duhamel's formula then bounds the
-      total cut error by c sum_k Delta_k E(L_k, t_k) <= LIGHT_CONE_TOL,
-      since E grows with t and the segment lengths Delta_k sum to T.
-
-    So for the state cone the depths are the smallest at each segment
-    alone.  The return-trip cone moves every sink fraction that
-    :func:`sink_fractions` yields by at most 2 LIGHT_CONE_TOL, truncation
-    aside; on the default chip its depths run 12, 14, 15, 16, 16, 17, 17,
-    17, then 18 for the last 12 segments.  The proof, with t_-1 = 0:
-
-    - Let P_0 project on depth 0 (the network rows and the vibration
-      mode) and V be the bond cut during segment k, between depths L_k and
-      L_k + 1.  Duhamel's formula writes P_0 (psi(T) - psi_cut(T)) as
-      -i times the integral over s of P_0 U_cut(T, s) V psi(s), where psi
-      is the uncut evolution and U_cut the cut one.
-    - Out to depth L_k (Combes-Thomas with e^{mu N}, as above): V psi(s)
-      lies at depth L_k and beyond, with ||V psi(s)|| <= c E(L_k, s).
+      vibration mode, m on the m-th sink waveguide, and P_0 project on
+      depth 0.  The network block (the coupling overrides included) and
+      every diagonal (detunings and disorder included) commute with N.  So
+      e^{mu N} H e^{-mu N} - H = (e^mu - 1) V+ + (e^-mu - 1) V-, where V+
+      is the part of H that raises the depth (the drain link and the chain
+      bonds, ||V+|| <= c) and V- = V+^T.  Its anti-Hermitian part is
+      sinh mu (V+ - V-), of norm at most 2 c sinh mu.  The source is at
+      depth 0, so ||e^{mu N} psi(t)|| <= e^{2 c t sinh mu} (Combes &
+      Thomas, Commun. Math. Phys. 34, 251 (1973)), and the weight at depth
+      L and beyond is at most e^{-mu L} times that, for every mu >= 0: at
+      most E(L, t).
+    - Let V be the cut bond, between depths L and L + 1.  Duhamel's formula
+      writes P_0 (psi(T) - psi_cut(T)) as -i times the integral over s of
+      P_0 U_cut(T, s) V psi(s), where psi is the uncut evolution and U_cut
+      the cut one.  V psi(s) lies at depth L and beyond, with ||V psi(s)||
+      <= c E(L, s).
     - Back to depth 0 (Combes-Thomas with e^{-mu N}): P_0 = P_0 e^{-mu N},
       ||e^{-mu N} U_cut(T, s) e^{mu N}|| <= e^{2 c (T - s) sinh mu}, since
       the cut generator raises the depth by a part of norm at most c too,
-      and e^{-mu N} damps what lies at depth L_k and beyond by e^{-mu L_k}.
-      So ||P_0 U_cut(T, s) V psi(s)|| <= E(L_k, T - s) ||V psi(s)||.
+      and e^{-mu N} damps what lies at depth L and beyond by e^{-mu L}.
+      So ||P_0 U_cut(T, s) V psi(s)|| <= E(L, T - s) ||V psi(s)||.
     - E grows with t, so the depth-0 error at T is at most
-      c sum_k Delta_k E(L_k, t_k) E(L_k, T - t_k-1) <= LIGHT_CONE_TOL.  A
-      sink fraction is 1 minus the depth-0 share of the norm, and both
-      states are unit vectors, so it moves by at most 2 LIGHT_CONE_TOL.
-      At a sample t <= T the same sum holds with t for T, and
-      E(L, t - s) <= E(L, T - s), so every yield is within it.
+      c sum_k Delta_k E(L, t_k) E(L, T - t_k-1) <= LIGHT_CONE_TOL, the
+      segment lengths Delta_k summing to T.  At a sample t <= T the same
+      sum holds with t for T, and E(L, t - s) <= E(L, T - s).  A sink
+      fraction is 1 minus the depth-0 share of the norm, and both states
+      are unit vectors, so it moves by at most 2 LIGHT_CONE_TOL.
     """
     ends = [segment_length * (k + 1) for k in range(segments)]
     if coupling == 0.0 or not ends or not 0 < segment_length < math.inf:
-        return [0] * len(ends)
+        return 0
     budget = (math.log(LIGHT_CONE_TOL) - math.log(coupling)
               - math.log(ends[-1]))
-    depths, depth = [], 0
+    depth = 0
     for k, t in enumerate(ends):
         a = 2.0 * coupling * t
         back = 2.0 * coupling * (ends[-1] - segment_length * k)
-        while depth < max_depth and (
-                _cone_log_weight(depth, a)
-                + (_cone_log_weight(depth, back) if return_trip else 0.0)
-                > budget):
+        while depth < max_depth and (_cone_log_weight(depth, a)
+                                     + _cone_log_weight(depth, back)
+                                     > budget):
             depth += 1
-        depths.append(depth)
-    return depths
+    return depth
 
 
 def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
@@ -784,12 +762,26 @@ def site_probabilities(tr: EvolutionTrace, subset=None, renormalize: bool = Fals
 
 
 def write_trace_csv(tr: EvolutionTrace, path, stride: int = 1) -> None:
-    """Write (z, site_index, re, im, probability) rows, optionally strided."""
+    """Write (z, site_index, re, im, probability) rows, optionally strided:
+    per sample, every waveguide outside the sink chain, then, if there is
+    a chain, one row ``z, sink, , , total`` of its summed weight
+    (:func:`_norms`), which the light cone bounds as it does not bound the
+    chain's rows one by one (:func:`_light_cone_depth`)."""
     if stride < 1:
         raise PhysicsError("stride must be >= 1")
-    _csv.write_table(
-        path, ["z_mm", "site_index", "re", "im", "probability"],
-        ([z, i, f"{a.real:.17g}", f"{a.imag:.17g}", f"{abs(a) ** 2:.17g}"]
-         for z, amps in zip([f"{z:.17g}" for z in tr.positions[::stride]],
-                            tr.amplitudes[::stride])
-         for i, a in enumerate(amps)))
+    amps, sink = tr.amplitudes[::stride], list(tr.sink_indices)
+    rows = [i for i in range(amps.shape[1]) if i not in sink]
+    totals = _norms(np.ascontiguousarray(amps[:, sink].T).view(float))
+
+    def table():
+        for z, net, total in zip(tr.positions[::stride], amps[:, rows],
+                                 totals):
+            z = f"{z:.17g}"
+            for i, a in zip(rows, net):
+                yield [z, i, f"{a.real:.17g}", f"{a.imag:.17g}",
+                       f"{abs(a) ** 2:.17g}"]
+            if sink:
+                yield [z, "sink", "", "", f"{total:.17g}"]
+
+    _csv.write_table(path, ["z_mm", "site_index", "re", "im", "probability"],
+                     table())

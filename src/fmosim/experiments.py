@@ -8,23 +8,20 @@ seeds are derived from (master seed, grid index, realization index), and
 all the realizations of a study are evolved together as the columns of
 one kernel batch, whose columns do not depend on each other.
 
-A study's chip is the light cone of what it reads
+Every study's chip is the light cone of the network rows
 (:func:`_base_hamiltonian`), whatever ``sink_length`` says past that, and
 the kernel evolves every row of it, so a longer chain changes no byte and
-costs nothing more.  This is the one place the light cone is decided
-(its depths and their proofs: dynamics._light_cone_depths).  The
-dephasing sweeps (dynamics.final_sink_fractions), the vibrational
-comparison (dynamics.sink_fractions) and the excitation-trace study read
-only the network rows, so their chips hold the return-trip cone: 18 sink
-waveguides on the default 20 mm chip.  :func:`single_trace` hands back
-the chain rows too, so its chip holds the state cone: 34 waveguides.
+costs nothing more.  This is the one place the light cone is decided (its
+depth and its proof: dynamics._light_cone_depth): 18 sink waveguides on
+the default 20 mm chip.  Every study reads the network rows or the sink
+as one total, as ``trace.csv`` does, and the cone bounds both at every
+sample, though not the chain's rows one by one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -89,7 +86,13 @@ class SweepConfig:
         for name in ("realizations", "segments", "sink_length"):
             object.__setattr__(self, name, _seeding.check_int(
                 getattr(self, name), name, 1))
-        object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
+        try:
+            grid = tuple(self.grid)
+        except TypeError:
+            raise PhysicsError(f"grid must be a sequence of real numbers, "
+                               f"got {self.grid!r}") from None
+        object.__setattr__(self, "grid", tuple(
+            _seeding.check_real(g, "grid") for g in grid))
         if not self.grid:
             raise PhysicsError("grid must be nonempty")
         if any(b < a for a, b in zip(self.grid, self.grid[1:])):
@@ -97,11 +100,8 @@ class SweepConfig:
         for name in ("disorder", "observe_z", "sink_coupling",
                      "filter_time_scale"):
             # 20 and 20.0 are one study, so they must share a hash
-            object.__setattr__(self, name, float(getattr(self, name)))
-            if not math.isfinite(getattr(self, name)):
-                raise PhysicsError(f"{name} must be finite")
-        if not all(math.isfinite(g) for g in self.grid):
-            raise PhysicsError("grid values must be finite")
+            object.__setattr__(self, name, _seeding.check_real(
+                getattr(self, name), name))
         if self.disorder < 0:
             raise PhysicsError("disorder strength must be nonnegative")
         if self.observe_z <= 0:
@@ -167,19 +167,16 @@ def network_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
     return attach_vibrational_mode(h) if cfg.with_vibration else h
 
 
-def _base_hamiltonian(cfg: SweepConfig, return_trip: bool) -> Hamiltonian:
+def _base_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
     """The study's chip: :func:`network_hamiltonian` and as many sink
-    waveguides as the deepest depth of the study's light cone over its
-    segments, at least one and at most ``cfg.sink_length``.  The cone is
-    the return trip with ``return_trip``, for a study that reads the
-    network rows alone, which it bounds with the sink fractions, and
-    otherwise the state cone, which bounds every row (see
-    dynamics._light_cone_depths).  A light cone deeper than
-    MAX_SINK_LENGTH is rejected."""
-    depths = dynamics._light_cone_depths(
+    waveguides as the depth of the light cone over its segments
+    (dynamics._light_cone_depth), at least one and at most
+    ``cfg.sink_length``.  A light cone deeper than MAX_SINK_LENGTH is
+    rejected."""
+    depth = dynamics._light_cone_depth(
         cfg.sink_coupling, cfg.observe_z / cfg.segments, cfg.segments,
-        min(cfg.sink_length, MAX_SINK_LENGTH + 1), return_trip)
-    length = min(cfg.sink_length, max([1, *depths]))
+        min(cfg.sink_length, MAX_SINK_LENGTH + 1))
+    length = min(cfg.sink_length, max(1, depth))
     if length > MAX_SINK_LENGTH:
         raise PhysicsError(f"the sink chain's light cone is deeper than "
                            f"MAX_SINK_LENGTH ({MAX_SINK_LENGTH}) waveguides")
@@ -247,7 +244,7 @@ def _study_columns(cfg: SweepConfig, base: Hamiltonian) -> tuple:
 
 def sweep_dephasing(cfg: SweepConfig) -> SweepResult:
     """Mean transport efficiency at z per detuning amplitude on the grid."""
-    base = _base_hamiltonian(cfg, True)
+    base = _base_hamiltonian(cfg)
     detunings, diagonals, couplings = _study_columns(cfg, base)
     values = dynamics.final_sink_fractions(
         base, detunings, cfg.observe_z / cfg.segments, diagonals=diagonals,
@@ -295,7 +292,7 @@ def vibrational_comparison(cfg: SweepConfig):
     """
     steps = 4
     seg = cfg.observe_z / cfg.segments
-    base = _base_hamiltonian(replace(cfg, with_vibration=True), True)
+    base = _base_hamiltonian(replace(cfg, with_vibration=True))
     detunings, diagonals, couplings = _study_columns(cfg, base)
     n, mode = len(detunings), base.roles.index("vibration")
     # columns n .. 2n - 1 repeat columns 0 .. n - 1 with the mode's couplings 0
@@ -341,14 +338,13 @@ def noise_distribution_comparison(cfg: SweepConfig):
     return results, profile_means
 
 
-def _traces(cfg: SweepConfig, amplitudes, seeds, disorders, fine_step,
-            return_trip: bool) -> tuple:
+def _traces(cfg: SweepConfig, amplitudes, seeds, disorders,
+            fine_step) -> tuple:
     """(traces, detunings) of the kernel columns :func:`_columns` builds
     from ``amplitudes``, ``seeds`` and ``disorders``, each with the static
     disorder draw of the sweep's first column, recorded every
-    ``fine_step`` mm by one dynamics.traces call on the chip of the cone
-    that ``return_trip`` names (see :func:`_base_hamiltonian`)."""
-    base = _base_hamiltonian(cfg, return_trip)
+    ``fine_step`` mm by one dynamics.traces call on the study's chip."""
+    base = _base_hamiltonian(cfg)
     det, diagonals, couplings = _columns(cfg, base, amplitudes, seeds,
                                          disorders, [(0, 0)] * len(seeds))
     return dynamics.traces(base, det, cfg.observe_z / cfg.segments,
@@ -359,22 +355,16 @@ def single_trace(cfg: SweepConfig, amplitude: float, seed: int,
                  fine_step: float | None = None):
     """(EvolutionTrace, NoiseRealization) of one realization at
     ``amplitude``, its detunings drawn from ``seed`` as given.  It is
-    built as a sweep builds each column, with the static disorder of the
-    sweep's first column, on the chip of the state cone, since a trace
-    hands back the chain rows.  At ``cfg.grid[0]``, that column's noise
-    seed and one sample a segment, it is, bit for bit, the first trace
-    dynamics.traces records of the sweep's columns on that chip.  Its
-    efficiency is, to first order, within 8 TRUNCATION_BUDGET + 4
-    LIGHT_CONE_TOL of the sweep's first value, which the sweep reads off
-    the return-trip cone's shorter chip (dynamics.final_sink_fractions):
-    each is within 4 TRUNCATION_BUDGET + 2 LIGHT_CONE_TOL of the uncut
-    chip's.
+    built as a sweep builds each column, on the sweep's chip, with the
+    static disorder of the sweep's first column.  At ``cfg.grid[0]``, that
+    column's noise seed and one sample a segment, it is, bit for bit, the
+    first trace dynamics.traces records of the sweep's columns, and its
+    efficiency is the sweep's first value.
 
     ``fine_step`` is read as by dynamics.traces (by default the largest
     step of at most dynamics.DEFAULT_FINE_STEP that divides the segment).
     """
-    [tr], [det] = _traces(cfg, [amplitude], [seed], cfg.disorder, fine_step,
-                          False)
+    [tr], [det] = _traces(cfg, [amplitude], [seed], cfg.disorder, fine_step)
     return tr, noise_mod.NoiseRealization(det, noise_config(cfg, amplitude,
                                                             seed))
 
@@ -388,20 +378,16 @@ def excitation_trace_study(cfg: SweepConfig,
     (positions, probs, argmax)}.
 
     Every member is a trace of one dynamics.traces call at the study's
-    first noise seed.  It reads only the network rows' renormalized
-    probabilities, so its chip holds the return-trip cone, within which
-    the network rows hold at every sample.  So a member's network rows are
-    within TRUNCATION_BUDGET + LIGHT_CONE_TOL of the uncut chip's, as its
-    :func:`single_trace`'s are; where both chips hold the whole chain, the
-    two are the same bits.  A study reads one realization of each member,
-    whatever ``cfg.realizations`` says.
+    first noise seed, bit for bit its :func:`single_trace`, and reads only
+    the network rows' renormalized probabilities.  A study reads one
+    realization of each member, whatever ``cfg.realizations`` says.
     """
     [seed] = _noise_seeds(cfg.seed, [0], 1)
     members = ([("disorder", float(g), float(g), 0.0) for g in disorders]
                + [("detuning", float(a), 0.0, float(a)) for a in amplitudes])
     traces, _ = _traces(cfg, [a for *_, a in members], [seed] * len(members),
                         [gamma for _, _, gamma, _ in members],
-                        cfg.observe_z / cfg.segments / 4.0, True)
+                        cfg.observe_z / cfg.segments / 4.0)
     return {(label, value): (tr.positions,
                              dynamics.site_probabilities(tr, tr.fmo_indices,
                                                          renormalize=True),

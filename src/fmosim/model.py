@@ -85,9 +85,10 @@ HERMITICITY_TOL = 1e-12
 DEFAULT_SINK_COUPLING = 0.2
 
 #: Most sink waveguides a chain may hold (16 bytes each).  A study attaches
-#: only the chain's light cone, about 2 c T deep for chain coupling c over a
-#: chip of length T: 34 on the default chip, 100,635 at c = 10 mm^-1 over
-#: the longest trace (5,000 mm), so a longer chain would change no output.
+#: only the chain's light cone, at most about 2 c T deep for chain coupling
+#: c over a chip of length T: 18 on the default chip, 100,400 at c = 10
+#: mm^-1 over the longest trace (5,000 mm) in one segment, so a longer
+#: chain would change no output.
 #: So this guards direct callers of attach_sink, whose whole chain the
 #: kernel evolves, and studies whose light cone is deeper than 10**6.
 MAX_SINK_LENGTH = 10 ** 6
@@ -118,6 +119,9 @@ class FmoSpec:
     include_weak_couplings: bool = True
 
     def __post_init__(self):
+        # checked, not stored as floats: an int spelling keeps its hash
+        for name in ("coupling_scale", "unit_conversion", "site_energy_scale"):
+            _seeding.check_real(getattr(self, name), name)
         if not 0 < self.coupling_scale <= 1:
             raise PhysicsError(f"coupling_scale must be in (0, 1], got {self.coupling_scale}")
 

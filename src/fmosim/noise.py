@@ -85,8 +85,8 @@ class NoiseConfig:
         if self.kind not in NOISE_KINDS:
             raise PhysicsError(f"unknown noise kind {self.kind!r}; choose from {NOISE_KINDS}")
         for name in ("amplitude", "total_length", "filter_time_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise PhysicsError(f"{name} must be finite")
+            object.__setattr__(self, name, _seeding.check_real(
+                getattr(self, name), name))
         if self.amplitude < 0:
             raise PhysicsError("amplitude must be nonnegative")
         if self.total_length <= 0:

@@ -2,8 +2,10 @@
 output artifacts, and rerun determinism."""
 
 import contextlib
+import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -314,7 +316,7 @@ class TestExitCodes:
             assert fid in err
 
     # lengths past model.MAX_SINK_LENGTH (a 6.94 EiB matrix as a dense
-    # chip, and one past numpy's size limit): a study builds only the 34
+    # chip, and one past numpy's size limit): a study builds only the 18
     # sink waveguides the light cone of the 20 mm chip reaches
     @pytest.mark.parametrize("length", [10 ** 9, 10 ** 10])
     @pytest.mark.parametrize("command,table", [("simulate", "trace.csv"),
@@ -355,6 +357,32 @@ class TestSimulate:
         assert "efficiency at z=20 mm:" in printed
         eta = float(printed.strip().rsplit(" ", 1)[-1])
         assert 0.0 <= eta <= 1.0
+
+    @pytest.mark.parametrize("vibration", [False, True])
+    def test_sink_rows_end_on_the_printed_efficiency(self, tmp_path, capsys,
+                                                     vibration):
+        # each sample lists the waveguides outside the chain, the mode
+        # included, then the chain's total weight, which over the sample's
+        # total weight is the sink fraction
+        doc = base_config()
+        doc["system"].update(sink_length=100, with_vibration=vibration)
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", path,
+                     "--out", str(out)]) == EXIT_OK
+        eta = float(capsys.readouterr().out.strip().rsplit(" ", 1)[-1])
+        with open(out / "trace.csv", newline="", encoding="utf-8") as f:
+            _, *rows = csv.reader(f)
+        samples = [list(g) for _, g in itertools.groupby(rows, lambda r: r[0])]
+        assert len(samples) == 20 * 20 + 1
+        for sample in samples:
+            assert [r[1] for r in sample] == [
+                *map(str, range(7 + vibration)), "sink"]
+            assert sample[-1][2:4] == ["", ""]
+        fractions = [float(s[-1][4]) / sum(float(r[4]) for r in s)
+                     for s in samples]
+        assert fractions[0] == 0.0
+        assert fractions[-1] == pytest.approx(eta, rel=1e-11)
 
     def test_rerun_byte_identical(self, tmp_path):
         path = write_config(tmp_path, base_config())

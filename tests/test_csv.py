@@ -2,7 +2,8 @@
 
 Each writer's output is pinned byte for byte: the header row, the ``\\r\\n``
 line ends, the precision (``.15g`` for sweep and reproduce tables, ``.17g``
-for trace, noise and chip-plan files) and the blank fields of the plan.
+for trace, noise and chip-plan files) and the blank fields of the plan
+and of the trace's sink rows.
 """
 
 import contextlib
@@ -39,16 +40,18 @@ def test_sweep_tables(tmp_path):
 
 
 def test_trace_table(tmp_path):
+    # one network row, then the two sink rows' summed weight:
+    # 1/16 + 1/9 + 1/4 at the second sample
     tr = dynamics.EvolutionTrace(
-        [[1.0, 0.0], [np.sqrt(0.5), 0.25 + 1j / 3]], 0.1, (0,), (1,))
+        [[1.0, 0.0, 0.0], [np.sqrt(0.5), 0.25 + 1j / 3, -0.5j]], 0.1, (0,),
+        (1, 2))
     dynamics.write_trace_csv(tr, tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == (
         b"z_mm,site_index,re,im,probability\r\n"
         b"0,0,1,0,1\r\n"
-        b"0,1,0,0,0\r\n"
+        b"0,sink,,,0\r\n"
         b"0.10000000000000001,0,0.70710678118654757,0,0.50000000000000011\r\n"
-        b"0.10000000000000001,1,0.25,0.33333333333333331,"
-        b"0.17361111111111108\r\n")
+        b"0.10000000000000001,sink,,,0.4236111111111111\r\n")
 
 
 def test_noise_table(tmp_path):

@@ -365,7 +365,8 @@ class TestTraceExport:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "z_mm,site_index,re,im,probability"
         n_z = (len(tr.positions) + 4) // 5
-        assert len(lines) == 1 + n_z * tr.amplitudes.shape[1]
+        # the seven network rows and one sink row a sample
+        assert len(lines) == 1 + n_z * (7 + 1)
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[4]) == pytest.approx(
@@ -421,10 +422,10 @@ def buffer_shape(plan):
     return held, padded - 2, cols
 
 
-def study_plan(cfg, return_trip=True):
-    """The plan of a sweep's one kernel call on the chip of its cone: the
-    return-trip cone that sweep_dephasing builds, or the state cone."""
-    base = experiments._base_hamiltonian(cfg, return_trip)
+def study_plan(cfg):
+    """The plan of a sweep's one kernel call on the chip sweep_dephasing
+    builds."""
+    base = experiments._base_hamiltonian(cfg)
     det, diag, couplings = experiments._study_columns(cfg, base)
     return dynamics._plan(base, det, cfg.observe_z / cfg.segments, 1, diag,
                           couplings)
@@ -439,12 +440,11 @@ def budgets(bound, floor_bound):
     return [(dynamics.TRUNCATION_BUDGET, bound), (0.0, floor_bound)]
 
 
-def cone_bound_exact(c, t, length, depth, back=None, digits=50):
-    """c T E(depth, t) in ``digits``-digit decimals, T = ``length``, times
-    the return factor E(depth, ``back``) if ``back`` is given, with
-    E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L) found by a
-    ternary search over mu (the exponent is convex in mu), not from the
-    closed form the kernel uses."""
+def cone_bound_exact(c, t, length, depth, back, digits=50):
+    """c T E(depth, t) E(depth, ``back``) in ``digits``-digit decimals,
+    T = ``length``, with E(L, t) = min over mu >= 0 of
+    exp(2 c t sinh mu - mu L) found by a ternary search over mu (the
+    exponent is convex in mu), not from the closed form the kernel uses."""
     with localcontext() as ctx:
         ctx.prec = digits
         c, length = Decimal(c), Decimal(length)
@@ -462,8 +462,7 @@ def cone_bound_exact(c, t, length, depth, back=None, digits=50):
                     lo = a
             return min(exponent(lo), Decimal(0)).exp()
 
-        factor = Decimal(1) if back is None else weight(Decimal(back))
-        return c * length * weight(Decimal(t)) * factor
+        return c * length * weight(Decimal(t)) * weight(Decimal(back))
 
 
 def fraction_bound(error, budget):
@@ -653,27 +652,24 @@ class TestPropagate:
                 assert width == min(n_real, budget // (held * term))
 
     def test_buffer_shape_at_the_benchmark_sweeps(self):
-        # 41 rows (the state cone's chip) and 44 realizations: the clean
+        # 25 rows (the sweeps' chip) and 44 realizations: the clean
         # sweep's 17-term series is held whole, the colored CLI sweep's 34
         # to 36 terms run through a ring of 24
         for shape, held in (("sweep_clean", 17), ("sweep_disorder_cli", 24)):
             cfg = SweepConfig(realizations=4, **self.GATED[shape])
-            plan = study_plan(cfg, return_trip=False)
-            assert plan.buffer.shape == (held, 41 + 2, 2 * 44)
+            plan = study_plan(cfg)
+            assert plan.buffer.shape == (held, 25 + 2, 2 * 44)
             assert len(plan.chunks) == 1
 
     def test_plan_work_counts_of_the_clean_sweep(self):
-        # 17 terms a step and 340 a column, on the 25 rows of the
-        # return-trip cone's chip or the 41 of the state cone's
+        # 17 terms a step and 340 a column, on the sweep's 25 rows
         cfg = SweepConfig(realizations=4, **self.GATED["sweep_clean"])
-        for return_trip, rows, rows_terms in ((True, 25, 8500),
-                                              (False, 41, 13_940)):
-            plan = study_plan(cfg, return_trip)
-            assert len(plan.lengths) == 44 and plan.steps == 1
-            assert (plan.lengths == 17).all()
-            assert (plan.steps * len(plan.net) * plan.lengths == 340).all()
-            assert len(plan.state) == rows
-            assert (plan.rows_terms == rows_terms).all()
+        plan = study_plan(cfg)
+        assert len(plan.lengths) == 44 and plan.steps == 1
+        assert (plan.lengths == 17).all()
+        assert (plan.steps * len(plan.net) * plan.lengths == 340).all()
+        assert len(plan.state) == 25
+        assert (plan.rows_terms == 8500).all()
 
     def test_plan_of_figS8_at_the_strongest_disorder(self):
         # figS8's gamma = 100 sweep at seed 0 (fmosim reproduce figS8):
@@ -718,64 +714,71 @@ class TestPropagate:
     @pytest.mark.parametrize("c,step,segments,max_depth", CONE_CASES)
     def test_light_cone_depths_are_the_smallest_within_tolerance(
             self, c, step, segments, max_depth):
+        # the kernel picks the depth by the closed form of E
+        # (_cone_log_weight); at the depth and one short of it, that form
+        # is every segment's bound c T E(L, t_k) E(L, T - t_k-1) as the
+        # exact minimum over mu finds it
         ends = [step * (k + 1) for k in range(segments)]
-        depths = dynamics._light_cone_depths(c, step, segments, max_depth)
-        tol = Decimal(dynamics.LIGHT_CONE_TOL)
-        assert len(depths) == segments
-        assert all(a <= b for a, b in zip(depths, depths[1:]))
-        assert all(0 <= d <= max_depth for d in depths)
-        for t, depth in zip(ends, depths):
-            if depth < max_depth:
-                assert cone_bound_exact(c, t, ends[-1], depth) <= tol
-            if depth > 0:
-                assert cone_bound_exact(c, t, ends[-1], depth - 1) > tol
-
-    def test_light_cone_depth_is_the_smallest_within_tolerance(self):
-        # the default chip: c = 0.2 mm^-1 over 20 segments of 1 mm
-        depths = dynamics._light_cone_depths(0.2, 1.0, 20, 100)
-        assert depths[:3] == [13, 15, 17] and depths[-2:] == [33, 34]
-        assert sum(depths) / 20 == pytest.approx(25.05)
-        # a chain shorter than the light cone stops at its end
-        short = dynamics._light_cone_depths(0.2, 1.0, 20, 25)
-        assert short == [min(d, 25) for d in depths]
+        depth = dynamics._light_cone_depth(c, step, segments, max_depth)
+        for d in {depth, max(depth - 1, 0)}:
+            for k, t in enumerate(ends):
+                back = ends[-1] - step * k
+                closed = math.exp(math.log(c * ends[-1])
+                                  + dynamics._cone_log_weight(d, 2 * c * t)
+                                  + dynamics._cone_log_weight(d,
+                                                              2 * c * back))
+                exact = cone_bound_exact(c, t, ends[-1], d, back)
+                assert closed == pytest.approx(float(exact), rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("c,step,segments,max_depth", CONE_CASES)
     def test_return_trip_depths_are_the_smallest_within_tolerance(
             self, c, step, segments, max_depth):
-        # the smallest depth, no smaller than the last, with
-        # c T E(L_k, t_k) E(L_k, T - t_k-1) within the tolerance
+        # the smallest depth L with c T E(L, t_k) E(L, T - t_k-1) within
+        # the tolerance in every segment k: L - 1 misses it in one
         ends = [step * (k + 1) for k in range(segments)]
-        depths = dynamics._light_cone_depths(c, step, segments, max_depth,
-                                             return_trip=True)
+        depth = dynamics._light_cone_depth(c, step, segments, max_depth)
         tol = Decimal(dynamics.LIGHT_CONE_TOL)
-        assert len(depths) == segments
-        for k, (t, depth) in enumerate(zip(ends, depths)):
-            back = ends[-1] - step * k
-            if depth < max_depth:
-                assert cone_bound_exact(c, t, ends[-1], depth, back) <= tol
-            if depth > ([0] + depths)[k]:
-                assert cone_bound_exact(c, t, ends[-1], depth - 1,
-                                        back) > tol
+
+        def worst(depth):
+            return max(cone_bound_exact(c, t, ends[-1], depth,
+                                        ends[-1] - step * k)
+                       for k, t in enumerate(ends))
+
+        assert 0 <= depth <= max_depth
+        if depth < max_depth:
+            assert worst(depth) <= tol
+        if depth > 0:
+            assert worst(depth - 1) > tol
+
+    def test_light_cone_depth_is_the_smallest_within_tolerance(self):
+        # the default chip, c = 0.2 mm^-1 over 20 segments of 1 mm: 18 sink
+        # waveguides, and a chain shorter than that stops at its end
+        assert dynamics._light_cone_depth(0.2, 1.0, 20, 100) == 18
+        assert [dynamics._light_cone_depth(0.2, 1.0, 20, m)
+                for m in (0, 17, 18, 19)] == [0, 17, 18, 18]
 
     def test_return_trip_depths_on_the_default_chip(self):
-        # c = 0.2 mm^-1 over 20 segments of 1 mm: a chip of 18 sink
-        # waveguides against the state cone's 34
-        depths = dynamics._light_cone_depths(0.2, 1.0, 20, 100,
-                                             return_trip=True)
-        assert depths == [12, 14, 15, 16, 16, 17, 17, 17] + [18] * 12
-        assert dynamics._light_cone_depths(0.2, 1.0, 20, 100)[-1] == 34
+        # each segment's own smallest depth: the out and back legs swap
+        # between segment k and segment 19 - k, so the depths are
+        # symmetric, and the middle segments, whose legs are both long,
+        # need the chip's 18
+        ends = [float(k + 1) for k in range(20)]
+        tol = Decimal(dynamics.LIGHT_CONE_TOL)
+        own = [12, 14, 15, 16, 16, 17, 17, 17, 18, 18]
+        own += own[::-1]
+        for k, (t, d) in enumerate(zip(ends, own)):
+            assert cone_bound_exact(0.2, t, 20.0, d, 20.0 - k) <= tol
+            assert cone_bound_exact(0.2, t, 20.0, d - 1, 20.0 - k) > tol
+        assert dynamics._light_cone_depth(0.2, 1.0, 20, 100) == max(own)
 
     @given(c=st.floats(1e-3, 10.0), step=st.floats(1e-2, 5.0),
            segments=st.integers(1, 40), max_depth=st.integers(0, 300))
     @settings(max_examples=200, deadline=None)
-    def test_return_trip_cone_never_shrinks_and_stays_in_the_state_cone(
+    def test_light_cone_depth_is_the_uncut_depth_capped_at_the_chain(
             self, c, step, segments, max_depth):
-        state = dynamics._light_cone_depths(c, step, segments, max_depth)
-        trip = dynamics._light_cone_depths(c, step, segments, max_depth,
-                                           return_trip=True)
-        assert len(trip) == segments
-        assert all(a <= b for a, b in zip(trip, trip[1:]))
-        assert all(0 <= a <= b for a, b in zip(trip, state))
+        uncut = dynamics._light_cone_depth(c, step, segments, 10 ** 6)
+        assert dynamics._light_cone_depth(c, step, segments, max_depth) \
+            == min(uncut, max_depth)
 
     @pytest.mark.parametrize("disorder", [0.0, 100.0])
     def test_sink_fractions_match_segment_propagator_chain(self, disorder,
@@ -852,7 +855,7 @@ class TestPropagate:
         # coupling override
         import tracemalloc
         cfg = SweepConfig(segments=80)
-        base = experiments._base_hamiltonian(cfg, True)
+        base = experiments._base_hamiltonian(cfg)
         det, diag, couplings = experiments._study_columns(cfg, base)
         assert det.shape == (1100, 7, 80) and not couplings
         tracemalloc.start()
@@ -866,7 +869,7 @@ class TestPropagate:
     @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
     def test_light_cone_depths_without_a_finite_length_are_zero(self, step):
         # the kernel rejects such a segment length with its own message
-        assert dynamics._light_cone_depths(0.2, step, 3, 100) == [0, 0, 0]
+        assert dynamics._light_cone_depth(0.2, step, 3, 100) == 0
 
     def test_short_chain_keeps_every_row(self):
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 20)
@@ -883,14 +886,15 @@ class TestPropagate:
     def test_light_cone_that_never_reaches_the_chain(self, chip,
                                                      segment_length,
                                                      monkeypatch):
-        # every depth is 0: cutting the drain link moves a state by at
-        # most LIGHT_CONE_TOL, so the chain rows, which the kernel evolves,
-        # hold at most that beside the truncation
+        # the depth is 0, which needs c T <= LIGHT_CONE_TOL: the drain
+        # link, of norm c, moves a state by at most c T over the chip
+        # (Duhamel), so the chain rows, which the kernel evolves, hold at
+        # most LIGHT_CONE_TOL beside the truncation
         h = chip(build_fmo_hamiltonian(FmoSpec()))
         det = generate_batch(NoiseConfig(segments=4), [0.5, 1.0], [1, 2])
-        assert dynamics._light_cone_depths(
+        assert dynamics._light_cone_depth(
             abs(h.sink_coupling), segment_length, 4,
-            len(h.sink_indices)) == [0] * 4
+            len(h.sink_indices)) == 0
         # a norm within the budget of 1 squares to within (1 + B)^2 - 1
         b, tol = dynamics.TRUNCATION_BUDGET, dynamics.LIGHT_CONE_TOL
         for budget, bound in budgets((1.0 + b) ** 2 - 1.0, 1e-12):
@@ -1081,9 +1085,9 @@ class TestPropagate:
                                            diag[:, c:c + 1], correction)
 
     def test_strong_disorder_keeps_the_gershgorin_bound(self):
-        # a single trace at disorder 100, on the state cone's chip: its
-        # diagonal offsets spread far wider than the coupling, so Weyl's
-        # bound alone would be wider
+        # a single column at disorder 100, on a chip of 34 sink
+        # waveguides: its diagonal offsets spread far wider than the
+        # coupling, so Weyl's bound alone would be wider
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 34)
         diag = apply_static_disorder(h, 100.0, [7, 0]).matrix.diagonal()
         det = generate(NoiseConfig(amplitude=1.0, segments=20,
@@ -1157,7 +1161,7 @@ class TestPropagate:
         # realizations each
         cfg = SweepConfig(realizations=2, **self.GATED[shape])
         cfg = replace(cfg, grid=(cfg.grid[0], cfg.grid[-1]))
-        base = experiments._base_hamiltonian(cfg, False)
+        base = experiments._base_hamiltonian(cfg)
         det, diag, couplings = experiments._study_columns(cfg, base)
         dz = cfg.observe_z / cfg.segments
         states = kernel_states(base, det, dz, diagonals=diag,
@@ -1178,12 +1182,13 @@ class TestPropagate:
                 dynamics.TRUNCATION_BUDGET
 
     def test_strong_disorder_runs_column_chunks_through_the_ring(self):
-        # figS8 at disorder 100, with the fewest realizations whose batch
-        # does not fit one chunk: its series is longer than TERMS_HELD, so
-        # every chunk runs through the ring of held terms
+        # figS8 at disorder 100 on a chip of 34 sink waveguides, with the
+        # fewest realizations whose batch does not fit one chunk: its
+        # series is longer than TERMS_HELD, so every chunk runs through the
+        # ring of held terms
         cfg = SweepConfig(realizations=24, disorder=100.0, sink_length=80,
                           grid=experiments.FIGS8_GRIDS[100.0])
-        base = experiments._base_hamiltonian(cfg, False)
+        base = attach_sink(experiments.network_hamiltonian(cfg), 34)
         det, diag, _ = experiments._study_columns(cfg, base)
         dz = cfg.observe_z / cfg.segments
         states = kernel_states(base, det, dz, diagonals=diag)

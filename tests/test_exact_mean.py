@@ -16,18 +16,18 @@ import itertools
 import numpy as np
 import pytest
 
-from fmosim import experiments
+from fmosim import experiments, model
 from fmosim.experiments import DEFAULT_GRID, SweepConfig, sweep_dephasing
 
 
 def exact_mean_efficiency(amplitude: float, nodes_per_site: int = 2) -> float:
     """The ensemble-mean sink fraction of the default clean chip at the
-    end of the chip, under uniform white noise of ``amplitude``, on the
-    chip a trace builds: the network and the 34 sink waveguides the state
-    cone reaches.  The sweep evolves the first 18 of them, its return-trip
-    cone, whose sink fractions are within 2 LIGHT_CONE_TOL of this chip's."""
+    end of the chip, under uniform white noise of ``amplitude``, on a
+    chip of its own: the network and 34 sink waveguides.  The sweep
+    evolves the first 18 of them, its light cone, whose sink fractions are
+    within 2 LIGHT_CONE_TOL of this chip's."""
     cfg = SweepConfig()
-    h = experiments._base_hamiltonian(cfg, False)
+    h = model.attach_sink(experiments.network_hamiltonian(cfg), 34)
     assert h.dim == 41
     sites, dim = h.fmo_indices, h.dim
     x, w = np.polynomial.legendre.leggauss(nodes_per_site)

@@ -162,7 +162,7 @@ class TestSweepDephasing:
             assert lone[:, 0].tobytes() == batch[:, 0].tobytes()
 
     def test_chain_past_the_light_cone_changes_no_byte(self):
-        # the default 20 mm chip evolves 34 sink waveguides at most; a
+        # the default 20 mm chip evolves 18 sink waveguides at most; a
         # dense chip of 100,000 would have taken 80 GB
         cfg = small_cfg(grid=(0.0, 0.5), realizations=2, sink_length=100)
         short = sweep_dephasing(cfg).values
@@ -175,7 +175,7 @@ class TestSweepDephasing:
             assert values.tobytes() == disordered[0].tobytes()
 
     def test_study_at_the_longest_chain_holds_the_light_cone_only(self):
-        # every array of a study spans the 41 rows the light cone reaches,
+        # every array of a study spans the 25 rows the light cone reaches,
         # whatever the chain's length: at 10**6 sink waveguides one (dim,
         # 2R) state alone would take 64 MB
         import tracemalloc
@@ -193,7 +193,7 @@ class TestSweepDephasing:
         assert peak < 4e6
         (tr, _), (tr100, _) = (single_trace(c, 0.5, 1)
                                for c in (longest, cfg))
-        assert tr.amplitudes.shape[1] == 41
+        assert tr.amplitudes.shape[1] == 25
         assert tr.amplitudes.tobytes() == tr100.amplitudes.tobytes()
 
     def test_light_cone_past_the_longest_chain_rejected(self):
@@ -387,8 +387,7 @@ class TestVibrationalComparison:
         [(h, det, _, _)] = calls
         assert det.shape[0] == 2 * len(cfg.grid) * cfg.realizations
         # the with-mode half is bitwise the batch of the with-mode chip alone
-        base = experiments._base_hamiltonian(replace(cfg, with_vibration=True),
-                                             True)
+        base = experiments._base_hamiltonian(replace(cfg, with_vibration=True))
         assert h.roles == base.roles
         assert h.matrix.tobytes() == base.matrix.tobytes()
         detunings, diagonals, couplings = experiments._study_columns(cfg, base)
@@ -474,6 +473,20 @@ class TestExcitationTraceStudy:
         excitation_trace_study(cfg, amplitudes=())
         assert calls == [([0.0, 3.0, 6.0, 10.0], [(cfg.seed, 0, 0, 1)] * 4)]
 
+    @staticmethod
+    def assert_members_are_single_traces(cfg, out):
+        [seed] = _noise_seeds(cfg.seed, [0], 1)
+        fine = cfg.observe_z / cfg.segments / 4.0
+        for (label, value), (z, probs, mps) in out.items():
+            gamma, amplitude = (value, 0.0) if label == "disorder" else \
+                (0.0, value)
+            tr, _ = single_trace(replace(cfg, disorder=gamma),
+                                 amplitude, seed, fine)
+            np.testing.assert_array_equal(z, tr.positions)
+            np.testing.assert_array_equal(probs, dynamics.site_probabilities(
+                tr, tr.fmo_indices, renormalize=True))
+            np.testing.assert_array_equal(mps, most_probable_site(tr))
+
     @pytest.mark.parametrize("kw", [{}, dict(coupling_correction=True,
                                              with_vibration=True)])
     def test_each_member_is_its_single_trace_in_one_kernel_call(
@@ -490,59 +503,29 @@ class TestExcitationTraceStudy:
         monkeypatch.setattr(dynamics, "_plan", spy)
         out = excitation_trace_study(cfg)
         assert calls == [(10, 7, cfg.segments)]
-        [seed] = _noise_seeds(cfg.seed, [0], 1)
-        fine = cfg.observe_z / cfg.segments / 4.0
-        for (label, value), (z, probs, mps) in out.items():
-            gamma, amplitude = (value, 0.0) if label == "disorder" else \
-                (0.0, value)
-            tr, _ = single_trace(replace(cfg, disorder=gamma),
-                                 amplitude, seed, fine)
-            np.testing.assert_array_equal(z, tr.positions)
-            np.testing.assert_array_equal(probs, dynamics.site_probabilities(
-                tr, tr.fmo_indices, renormalize=True))
-            np.testing.assert_array_equal(mps, most_probable_site(tr))
+        self.assert_members_are_single_traces(cfg, out)
 
-    def test_each_member_on_a_long_chain_is_its_single_trace_within_bound(
-            self):
-        # past both light cones a member runs on the return-trip cone's
-        # chip and its single trace on the state cone's.  The network rows
-        # a and b of the two are each within e = TRUNCATION_BUDGET +
-        # LIGHT_CONE_TOL of the uncut chip's, so within 2 e of each other.
-        # Renormalizing divides by the network weight w = ||a||^2: the unit
-        # network states a / ||a|| and b / ||b|| differ by at most
-        # 2 (2 e) / sqrt(w), and a renormalized probability, a difference
-        # of squared moduli of unit vectors, by at most twice that:
-        # 8 e / sqrt(w), to first order
+    def test_each_member_on_a_long_chain_is_its_single_trace(self):
+        # past the light cone a member and its single trace run on the
+        # same chip of 18 sink waveguides, so they agree bit for bit
         cfg = small_cfg(realizations=1, noise_kind="colored",
                         sink_length=100)
-        out = excitation_trace_study(cfg)
-        [seed] = _noise_seeds(cfg.seed, [0], 1)
-        fine = cfg.observe_z / cfg.segments / 4.0
-        e = dynamics.TRUNCATION_BUDGET + dynamics.LIGHT_CONE_TOL
-        for (label, value), (z, probs, _) in out.items():
-            gamma, amplitude = (value, 0.0) if label == "disorder" else \
-                (0.0, value)
-            tr, _ = single_trace(replace(cfg, disorder=gamma),
-                                 amplitude, seed, fine)
-            np.testing.assert_array_equal(z, tr.positions)
-            weight = dynamics.site_probabilities(tr, tr.fmo_indices).sum(
-                axis=1)
-            expected = dynamics.site_probabilities(tr, tr.fmo_indices,
-                                                   renormalize=True)
-            assert (np.abs(probs - expected).max(axis=1)
-                    <= 8.0 * e / np.sqrt(weight)).all()
+        self.assert_members_are_single_traces(cfg,
+                                              excitation_trace_study(cfg))
 
 
-# systems with disorder, the coupling correction, the vibration mode and
-# colored noise, whose first grid point is not zero
+# colored noise, whose first grid point is not zero, on a clean chip and
+# with disorder, the coupling correction and the vibration mode
 TRACE_CASES = {
+    "clean": {},
     "disorder-correction": dict(disorder=3.0, coupling_correction=True),
     "disorder-vibration": dict(disorder=10.0, with_vibration=True),
     "all": dict(disorder=10.0, coupling_correction=True, with_vibration=True,
                 segments=3),
-    # a chain past both light cones: the sweep evolves 18 sink waveguides
-    # of the trace's 34
+    # chains past the light cone: the trace, as the sweep, evolves 18 sink
+    # waveguides of them
     "long-chain": dict(disorder=3.0, sink_length=100),
+    "disorder-10-chain-80": dict(disorder=10.0, sink_length=80),
 }
 
 
@@ -552,26 +535,15 @@ class TestSingleTrace:
         cfg = small_cfg(grid=(0.7, 1.5), noise_kind="colored", **kw)
         [seed] = _noise_seeds(cfg.seed, [0], 1)
         # one sample a segment: the sweep's one step a segment
-        tr, _ = single_trace(cfg, cfg.grid[0], seed,
-                             cfg.observe_z / cfg.segments)
-        # the sweep's columns on the trace's chip, the state cone's
-        base = experiments._base_hamiltonian(cfg, False)
+        dz = cfg.observe_z / cfg.segments
+        tr, _ = single_trace(cfg, cfg.grid[0], seed, dz)
+        base = experiments._base_hamiltonian(cfg)
         detunings, diagonals, couplings = experiments._study_columns(cfg, base)
-        first, *_ = dynamics.traces(
-            base, detunings, cfg.observe_z / cfg.segments,
-            cfg.observe_z / cfg.segments, diagonals, couplings)
-        np.testing.assert_array_equal(tr.amplitudes[-1], first.amplitudes[-1])
-        # the sweep reads its efficiency off the return-trip cone's chip
-        # (dynamics.final_sink_fractions).  Each efficiency is within
-        # (e (2 + e) + B (2 + B)) / (1 - B)^2 of the uncut chip's, where
-        # the network rows move by at most e = B + LIGHT_CONE_TOL and the
-        # norm by at most B = TRUNCATION_BUDGET (see test_dynamics'
-        # fraction_bound); the two differ by at most twice that
-        e, b = (dynamics.TRUNCATION_BUDGET + dynamics.LIGHT_CONE_TOL,
-                dynamics.TRUNCATION_BUDGET)
-        bound = 2.0 * (e * (2.0 + e) + b * (2.0 + b)) / (1.0 - b) ** 2
-        assert abs(transport_efficiency(tr)
-                   - sweep_dephasing(cfg).values[0, 0]) <= bound
+        first, *_ = dynamics.traces(base, detunings, dz, dz, diagonals,
+                                    couplings)
+        np.testing.assert_array_equal(tr.amplitudes, first.amplitudes)
+        # the sweep reads the same state through the same norm
+        assert transport_efficiency(tr) == sweep_dephasing(cfg).values[0, 0]
 
 
 @pytest.mark.parametrize("record,names", [
@@ -585,11 +557,8 @@ def test_records_hold_only_fields_their_readers_use(record, names):
 
 
 def test_each_study_builds_the_chip_of_the_cone_it_reads(monkeypatch):
-    # a chain of 100 lies past both light cones of the default 20 mm chip.
-    # The sweeps, the vibrational comparison and the excitation traces read
-    # the network rows alone, so their chips hold the return-trip cone's
-    # 18 sink waveguides; a single trace lists the chain rows, so its chip
-    # holds the state cone's 34
+    # a chain of 100 lies past the light cone of the default 20 mm chip,
+    # so every study's chip holds the cone's 18 sink waveguides
     cfg = small_cfg(grid=(0.5,), realizations=1, sink_length=100)
     chips, rows = [], []
     plan, traces = dynamics._plan, dynamics.traces
@@ -610,7 +579,7 @@ def test_each_study_builds_the_chip_of_the_cone_it_reads(monkeypatch):
     assert chips == [(7, 18, 7 + 18), (8, 18, 8 + 18)]
     excitation_trace_study(cfg, disorders=(3.0,), amplitudes=(0.5,))
     single_trace(cfg, 0.5, 1)
-    assert rows == [{7 + 18}, {7 + 34}]
+    assert rows == [{7 + 18}, {7 + 18}]
 
 
 # the columns a chip's light cone is checked on
@@ -623,35 +592,36 @@ def test_study_chip_is_within_the_cone_bound_of_twice_the_chain(kw):
     # the kernel evolves every row it is given, so a study's light cone is
     # the chip it builds.  The same columns on that chip and on one with
     # twice its chain: with B = TRUNCATION_BUDGET and e = B +
-    # LIGHT_CONE_TOL, each chip's sink fractions are within 2 e + 2 B of
-    # the uncut chip's, to first order, and each state single_trace's chip
-    # records within e; so the two chips agree within twice that
+    # LIGHT_CONE_TOL, each chip's network rows are within e of the uncut
+    # chip's at every sample, and its sink fractions and chain totals
+    # within 2 e + 2 B, to first order; so the two chips agree within
+    # twice that
     b, tol = dynamics.TRUNCATION_BUDGET, dynamics.LIGHT_CONE_TOL
     cfg = small_cfg(grid=(0.0, 0.5, 3.0), realizations=2, sink_length=100,
                     **kw)
     dz = cfg.observe_z / cfg.segments
-    for return_trip in (True, False):
-        chip = experiments._base_hamiltonian(cfg, return_trip)
-        longer = model.attach_sink(experiments.network_hamiltonian(cfg),
-                                   2 * len(chip.sink_indices))
-        det, diag, couplings = experiments._study_columns(cfg, longer)
-        if return_trip:
-            short, long = (dynamics.final_sink_fractions(
-                h, det, dz, diag[:h.dim], couplings) for h in (chip, longer))
-            assert np.abs(short - long).max() <= 8 * b + 4 * tol
-        else:
-            for short, long in zip(*(dynamics.traces(
-                    h, det, dz, None, diag[:h.dim], couplings)
-                    for h in (chip, longer))):
-                assert np.abs(short.amplitudes
-                              - long.amplitudes[:, :chip.dim]).max() \
-                    <= 2 * (b + tol)
+    chip = experiments._base_hamiltonian(cfg)
+    longer = model.attach_sink(experiments.network_hamiltonian(cfg),
+                               2 * len(chip.sink_indices))
+    det, diag, couplings = experiments._study_columns(cfg, longer)
+    short, long = (dynamics.final_sink_fractions(
+        h, det, dz, diag[:h.dim], couplings) for h in (chip, longer))
+    assert np.abs(short - long).max() <= 8 * b + 4 * tol
+    net = slice(len(chip.block))
+    for short, long in zip(*(dynamics.traces(
+            h, det, dz, None, diag[:h.dim], couplings)
+            for h in (chip, longer))):
+        assert np.abs(short.amplitudes[:, net]
+                      - long.amplitudes[:, net]).max() <= 2 * (b + tol)
+        totals = [dynamics.site_probabilities(tr, tr.sink_indices).sum(axis=1)
+                  for tr in (short, long)]
+        assert np.abs(totals[0] - totals[1]).max() <= 8 * b + 4 * tol
 
 
 def test_traces_carry_the_hamiltonians_indices():
     # the vibration mode sits between the network sites and the sink
     cfg = small_cfg(with_vibration=True)
-    h = experiments._base_hamiltonian(cfg, False)
+    h = experiments._base_hamiltonian(cfg)
     assert h.roles[7] == "vibration"
     tr, _ = single_trace(cfg, 0.5, 1)
     evolved = dynamics.evolve(h, np.zeros((7, cfg.segments)),

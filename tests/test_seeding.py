@@ -216,3 +216,36 @@ def test_check_seed_keeps_large_and_numpy_integers():
     assert _seeding.check_seed(2**70) == 2**70
     got = _seeding.check_seed(np.uint64(2**63))
     assert got == 2**63 and type(got) is int
+
+
+# (config, field, value) of real-number fields given something else
+NOT_REALS = [
+    (experiments.SweepConfig, "grid", 0.5),
+    (experiments.SweepConfig, "grid", None),
+    (experiments.SweepConfig, "grid", ("a",)),
+    (experiments.SweepConfig, "grid", (1j,)),
+    (experiments.SweepConfig, "disorder", "x"),
+    (model.FmoSpec, "coupling_scale", "x"),
+    (model.FmoSpec, "coupling_scale", None),
+    (model.FmoSpec, "site_energy_scale", "x"),
+    (model.FmoSpec, "unit_conversion", None),
+    (noise.NoiseConfig, "amplitude", "x"),
+    (noise.NoiseConfig, "amplitude", 10 ** 400),
+    (noise.NoiseConfig, "total_length", None),
+    (noise.NoiseConfig, "filter_time_scale", "a"),
+]
+
+
+@pytest.mark.parametrize("config,name,value", NOT_REALS,
+                         ids=[f"{c.__name__}-{n}-{v!r:.8}"
+                              for c, n, v in NOT_REALS])
+def test_real_fields_not_a_real_number_rejected(config, name, value):
+    # one checker, _seeding.check_real, names the field
+    with pytest.raises(PhysicsError, match=name):
+        config(**{name: value})
+
+
+def test_check_real_reads_numpy_reals_as_floats():
+    for value in (np.float32(0.5), np.int64(3), 7):
+        got = _seeding.check_real(value, "x")
+        assert got == value and type(got) is float
