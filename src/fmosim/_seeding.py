@@ -71,6 +71,14 @@ def check_real(value, name: str) -> float:
     return value
 
 
+def check_bool(value, name: str) -> bool:
+    """``value`` as a bool if it is one (a numpy one included, an int not);
+    PhysicsError naming ``name`` if not."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise PhysicsError(f"{name} must be true or false, got {value!r}")
+    return bool(value)
+
+
 def check_seed(seed) -> int:
     """``seed`` as an int if it is a nonnegative integer; PhysicsError if not.
 

@@ -176,7 +176,8 @@ def fit_reorganization_law(points) -> LinearFitResult:
 
 def _index_at(tr: EvolutionTrace, z: float) -> int:
     j = z / tr.fine_step
-    if abs(j - round(j)) > 1e-9 or not 0 <= round(j) < len(tr.positions):
+    if not (np.isfinite(j) and abs(j - round(j)) <= 1e-9
+            and 0 <= round(j) < len(tr.positions)):
         raise PhysicsError(f"z={z:g} mm is not on the trace grid")
     return int(round(j))
 
@@ -328,6 +329,8 @@ def efficiency_from_intensity_image(pixels, fmo_mask: EllipseMask,
     img = np.asarray(pixels, dtype=float)
     if img.ndim != 2:
         raise PhysicsError("pixel matrix must be two-dimensional")
+    if not (np.isfinite(img).all() and np.isfinite(background)):
+        raise PhysicsError("pixel values and background must be finite")
     m_fmo = fmo_mask.select(img.shape)
     m_sink = sink_mask.select(img.shape)
     if not m_fmo.any() or not m_sink.any():

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import _csv
+from . import _csv, _seeding
 from .errors import PhysicsError
 from .model import HERMITICITY_TOL, Hamiltonian
 
@@ -72,8 +72,8 @@ __all__ = ["EvolutionTrace", "segment_propagator", "sink_fractions",
            "final_sink_fractions", "traces", "evolve", "site_probabilities",
            "write_trace_csv"]
 
-#: Default fine sampling step in mm: 20 samples per 1 mm segment resolves
-#: the fastest beating frequency present on the chip (~1.344 mm^-1).
+#: Longest default sample step in mm: 20 steps a 1 mm segment resolve the
+#: fastest beating frequency present on the chip (~1.344 mm^-1).
 DEFAULT_FINE_STEP = 0.05
 
 #: Largest norm by which truncating the Chebyshev series may move a state
@@ -90,7 +90,7 @@ STEP_CUT_FLOOR = 1e-16
 #: study: amplitude 90 and disorder 100 mm^-1 over 1 mm segments).
 MAX_SERIES_TERMS = 10_000
 
-#: Most samples one trace may record (5,000 mm at the default fine step).
+#: Most samples one trace may record (5,000 mm of 1 mm segments by default).
 MAX_TRACE_SAMPLES = 100_000
 
 #: Largest |1 - ||psi||^2| accepted at any sample of a propagation.
@@ -158,35 +158,6 @@ def _head_block(h: Hamiltonian) -> np.ndarray:
     hb[:n0, :n0] = h.block - np.diag(np.diag(h.block))
     hb[n0:, h.drain_index] = hb[h.drain_index, n0:] = h.sink_coupling
     return hb
-
-
-def _batch(h: Hamiltonian, detunings, diagonals, couplings):
-    """Validated detunings, diagonals and couplings (see traces)."""
-    n0 = len(h.block)
-    det = np.asarray(detunings, dtype=float)
-    if det.ndim != 3 or 0 in det.shape or det.shape[1] != len(h.fmo_indices):
-        raise PhysicsError("detunings must have shape (realizations, network "
-                           "sites, segments), none of them empty")
-    if diagonals is None:
-        diag = np.repeat(h.diagonal[:, None], det.shape[0], axis=1)
-    else:
-        diag = np.asarray(diagonals, dtype=float)
-        if diag.shape != (h.dim, det.shape[0]):
-            raise PhysicsError("diagonals must have shape (dim, realizations)")
-    if not (np.isfinite(det).all() and np.isfinite(diag).all()):
-        raise PhysicsError("detunings and diagonals must be finite")
-    over = {}
-    for key, c in (couplings or {}).items():
-        ij, c = np.asarray(key), np.asarray(c, dtype=float)
-        if not (ij.shape == (2,) and ij.dtype.kind in "iu" and ij[0] != ij[1]
-                and ((0 <= ij) & (ij < n0)).all()
-                and tuple(ij[::-1].tolist()) not in over
-                and c.shape == det.shape[::2] and np.isfinite(c).all()):
-            raise PhysicsError(
-                f"coupling {key!r} must join two distinct rows below {n0}, "
-                "once, by a finite (realizations, segments) array")
-        over[tuple(ij.tolist())] = c
-    return det, diag, over
 
 
 def _chip_spectrum(h: Hamiltonian) -> tuple:
@@ -485,8 +456,8 @@ def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
     x[:, 1::2] = cos_t * im - sin_t * re
 
 
-class _Plan(namedtuple("_Plan", "steps lo hi lengths rows_terms weights "
-                       "head chain written net chunks buffer state ops")):
+class _Plan(namedtuple("_Plan", "steps lo hi lengths weights head chain "
+                       "written net chunks buffer state ops")):
     """What one kernel call will do, as :func:`_plan` builds it; :func:`_run`
     runs it, once.
 
@@ -501,9 +472,9 @@ class _Plan(namedtuple("_Plan", "steps lo hi lengths rows_terms weights "
     longest series of its own columns.  ``state`` is the live real state,
     and ``ops`` holds per chunk the arguments of :func:`_chebyshev_step`.
 
-    The work counts are fields too, the same on any host: on realization r
-    the run spends ``lengths[r]`` terms a step, its chunk's longest series,
-    and ``rows_terms[r]`` rows times terms over the call.
+    The work counts are the same on any host: on realization r the run
+    spends ``lengths[r]`` terms a step, its chunk's longest series, over
+    ``steps`` times ``len(net)`` steps on ``len(state)`` rows.
     """
 
 
@@ -524,14 +495,36 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
     1 and 2 hold a row's lower neighbour, the row itself and its upper
     neighbour, and the ghost rows stand in past either end.
     """
-    det, diag, couplings = _batch(h, detunings, diagonals, couplings)
+    n0, rows, sites = len(h.block), h.dim, list(h.fmo_indices)
+    det = np.asarray(detunings, dtype=float)
+    if det.ndim != 3 or 0 in det.shape or det.shape[1] != len(sites):
+        raise PhysicsError("detunings must have shape (realizations, network "
+                           "sites, segments), none of them empty")
+    n_real = det.shape[0]
+    if diagonals is None:
+        diag = np.repeat(h.diagonal[:, None], n_real, axis=1)
+    else:
+        diag = np.asarray(diagonals, dtype=float)
+        if diag.shape != (rows, n_real):
+            raise PhysicsError("diagonals must have shape (dim, realizations)")
+    if not (np.isfinite(det).all() and np.isfinite(diag).all()):
+        raise PhysicsError("detunings and diagonals must be finite")
+    pairs = {}
+    for key, c in (couplings or {}).items():
+        ij, c = np.asarray(key), np.asarray(c, dtype=float)
+        if not (ij.shape == (2,) and ij.dtype.kind in "iu" and ij[0] != ij[1]
+                and ((0 <= ij) & (ij < n0)).all()
+                and tuple(ij[::-1].tolist()) not in pairs
+                and c.shape == det.shape[::2] and np.isfinite(c).all()):
+            raise PhysicsError(
+                f"coupling {key!r} must join two distinct rows below {n0}, "
+                "once, by a finite (realizations, segments) array")
+        pairs[tuple(ij.tolist())] = c
     if not (math.isfinite(segment_length) and segment_length > 0):
         raise PhysicsError("segment length must be positive and finite")
-    if steps_per_segment < 1:
-        raise PhysicsError("steps_per_segment must be >= 1")
-    n0, n_real, sites = len(h.block), det.shape[0], list(h.fmo_indices)
-    rows = h.dim
-    lo, hi = _interval(h, det, diag, couplings)
+    steps_per_segment = _seeding.check_int(steps_per_segment,
+                                           "steps_per_segment", 1)
+    lo, hi = _interval(h, det, diag, pairs)
     bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)))
     if bad.size:
         raise PhysicsError(f"invalid spectral interval ({lo[bad[0]]:g}, "
@@ -565,8 +558,8 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
     chain[1] = np.repeat((diag[nb:] - center) * scale, 2, axis=1)
     # per segment, the (sites + 2 overrides, 2R) entries it writes: the
     # network diagonals, then each override at (i, j) and at (j, i)
-    i, j = [[pair[k] for pair in couplings] for k in (0, 1)]
-    over = [(c * scale[:, None]).T[:, None] for c in couplings.values()]
+    i, j = [[pair[k] for pair in pairs] for k in (0, 1)]
+    over = [(c * scale[:, None]).T[:, None] for c in pairs.values()]
     net = list(np.repeat(np.concatenate(
         [(diag[sites] + det.transpose(2, 1, 0) - center) * scale] + over * 2,
         axis=1), 2, axis=2))
@@ -599,9 +592,8 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
                  list(bands[:, :, nb:, :2 * (b - a)]))
         ops.append((x[:, cols], head[..., cols], chain[..., cols], slots,
                     weights[:run[a], cols], cos_t[a:b], sin_t[a:b]))
-    return _Plan(steps_per_segment, lo, hi, run,
-                 steps_per_segment * det.shape[2] * rows * run, weights,
-                 head, chain, written, net, chunks, buffer, x, ops)
+    return _Plan(steps_per_segment, lo, hi, run, weights, head, chain,
+                 written, net, chunks, buffer, x, ops)
 
 
 def _run(plan: _Plan):
@@ -622,7 +614,7 @@ def _run(plan: _Plan):
 
 
 def traces(h: Hamiltonian, detunings, segment_length: float,
-           fine_step: float | None = None, diagonals=None,
+           steps_per_segment: int | None = None, diagonals=None,
            couplings=None) -> list:
     """Evolve a batch of realizations, recorded as one EvolutionTrace per
     column.
@@ -635,10 +627,10 @@ def traces(h: Hamiltonian, detunings, segment_length: float,
     to an (R, segments) array that replaces their coupling per column and
     segment; by default every column keeps the couplings of ``h``.
 
-    Amplitudes are recorded every ``fine_step`` mm, which must divide the
-    segment length so segment boundaries land on the grid.  By default it
-    is the largest step of at most DEFAULT_FINE_STEP that divides the
-    segment length (0.05 mm on 1 mm segments).  A trace holds fewer than
+    Each segment takes ``steps_per_segment`` equal steps, an integer of at
+    least 1; by default the fewest whose step is at most DEFAULT_FINE_STEP
+    (20 on 1 mm segments, 134 on 20/3 mm ones).  A trace's ``fine_step``
+    is the segment length over the steps; it holds at most
     MAX_TRACE_SAMPLES samples.
 
     Every column starts with a unit excitation at the source site.  The
@@ -650,38 +642,29 @@ def traces(h: Hamiltonian, detunings, segment_length: float,
     Chebyshev weights summing below :func:`_step_cut` of the call's step
     count, so truncation moves each recorded state by at most
     TRUNCATION_BUDGET.  Raises PhysicsError if any column's norm drifts by
-    more than NORM_TOL.
-
-    The held terms of a step share one buffer of at most
-    TERM_BUFFER_BYTES (see :func:`_plan`); a wider batch runs as
-    column chunks, each through the longest series of its own columns.  A
-    column's interval, weights and operands come from its own inputs, so
-    its result is the same bits in any batch and any chunk.
+    more than NORM_TOL.  A column is the same bits in any batch and any
+    column chunk (see :func:`_plan`).
     """
-    det, diagonals, couplings = _batch(h, detunings, diagonals, couplings)
     if not 0 < segment_length < math.inf:
         raise PhysicsError("segment length must be positive and finite")
-    if fine_step is None:
+    if steps_per_segment is None:
         # the tolerance keeps a quotient that rounds just above an integer
-        # from adding a sample per segment
-        fine_step = segment_length / max(
+        # from adding a step per segment
+        steps_per_segment = max(
             1, math.ceil(segment_length / DEFAULT_FINE_STEP - 1e-9))
-    if not 0 < fine_step <= segment_length + 1e-15:
-        raise PhysicsError("fine step must lie in (0, segment_length]")
-    per_seg = segment_length / fine_step
-    if not det.shape[-1] * per_seg < MAX_TRACE_SAMPLES:
+    plan = _plan(h, detunings, segment_length, steps_per_segment, diagonals,
+                 couplings)
+    segments, n_real = len(plan.net), len(plan.lo)
+    if not segments * plan.steps < MAX_TRACE_SAMPLES:
         raise PhysicsError(
-            f"a trace of {det.shape[-1] * segment_length:g} mm would hold "
+            f"a trace of {segments * segment_length:g} mm would hold "
             f"more than {MAX_TRACE_SAMPLES} samples")
-    if abs(per_seg - round(per_seg)) > 1e-9:
-        raise PhysicsError("fine step must divide the segment length")
-    steps = int(round(per_seg))
-    plan = _plan(h, det, segment_length, steps, diagonals, couplings)
-    amps = np.empty((det.shape[-1] * steps + 1, h.dim, len(det)), complex)
+    amps = np.empty((segments * plan.steps + 1, h.dim, n_real), complex)
     for sample, x in zip(amps.view(float), _run(plan)):
         sample[...] = x
-    return [EvolutionTrace(amps[:, :, c], fine_step, h.fmo_indices,
-                           h.sink_indices) for c in range(len(det))]
+    return [EvolutionTrace(amps[:, :, c], segment_length / plan.steps,
+                           h.fmo_indices, h.sink_indices)
+            for c in range(n_real)]
 
 
 def sink_fractions(h: Hamiltonian, detunings, segment_length: float,
@@ -689,13 +672,12 @@ def sink_fractions(h: Hamiltonian, detunings, segment_length: float,
                    couplings=None):
     """Yield the (R,) sink fractions of a batch at every step.
 
-    Every argument is read as by :func:`traces`, which takes a sample step
-    where this takes ``steps_per_segment`` equal steps a segment, and the
-    fractions are yielded where it records its states: before the first
-    step, then after each step.  A fraction is its column's chain rows'
-    norm over its norm (:func:`_sink_fraction`), the same bits in any
-    batch.  The kernel is :func:`traces`', norm check included.  Raises
-    PhysicsError if the chip has no sink waveguide.
+    Every argument is read as by :func:`traces`, but ``steps_per_segment``
+    defaults to 1, and the fractions are yielded where it records its
+    states: before the first step, then after each step.  A fraction is
+    its column's chain rows' norm over its norm (:func:`_sink_fraction`),
+    the same bits in any batch.  The kernel is :func:`traces`', norm check
+    included.  Raises PhysicsError if the chip has no sink waveguide.
     """
     chain = _chain_rows(h)
     for x in _run(_plan(h, detunings, segment_length, steps_per_segment,
@@ -719,18 +701,19 @@ def final_sink_fractions(h: Hamiltonian, detunings, segment_length: float,
 
 
 def evolve(h: Hamiltonian, detunings, segment_length: float,
-           fine_step: float | None = None, diagonal=None,
+           steps_per_segment: int | None = None, diagonal=None,
            couplings=None) -> EvolutionTrace:
     """:func:`traces` on one column.
 
     ``detunings`` has shape (network sites, segments), ``diagonal`` (dim,)
     replaces the diagonal of ``h`` and ``couplings`` maps a pair of rows
-    to a (segments,) array; ``fine_step`` is read as by :func:`traces`.
+    to a (segments,) array; ``steps_per_segment`` is read as by
+    :func:`traces`.
     """
     det = np.asarray(detunings, dtype=float)
     if det.ndim != 2 or len(det) != len(h.fmo_indices):
         raise PhysicsError("detunings must have shape (network sites, segments)")
-    [tr] = traces(h, det[None], segment_length, fine_step,
+    [tr] = traces(h, det[None], segment_length, steps_per_segment,
                   None if diagonal is None else np.reshape(diagonal, (-1, 1)),
                   {k: np.asarray(c)[None] for k, c in (couplings or {}).items()})
     return tr

@@ -86,6 +86,9 @@ class SweepConfig:
         for name in ("realizations", "segments", "sink_length"):
             object.__setattr__(self, name, _seeding.check_int(
                 getattr(self, name), name, 1))
+        for name in ("with_vibration", "coupling_correction"):
+            object.__setattr__(self, name, _seeding.check_bool(
+                getattr(self, name), name))
         try:
             grid = tuple(self.grid)
         except TypeError:
@@ -339,32 +342,31 @@ def noise_distribution_comparison(cfg: SweepConfig):
 
 
 def _traces(cfg: SweepConfig, amplitudes, seeds, disorders,
-            fine_step) -> tuple:
+            steps_per_segment) -> tuple:
     """(traces, detunings) of the kernel columns :func:`_columns` builds
     from ``amplitudes``, ``seeds`` and ``disorders``, each with the static
-    disorder draw of the sweep's first column, recorded every
-    ``fine_step`` mm by one dynamics.traces call on the study's chip."""
+    disorder draw of the sweep's first column, ``steps_per_segment`` steps
+    a segment, in one dynamics.traces call on the study's chip."""
     base = _base_hamiltonian(cfg)
     det, diagonals, couplings = _columns(cfg, base, amplitudes, seeds,
                                          disorders, [(0, 0)] * len(seeds))
     return dynamics.traces(base, det, cfg.observe_z / cfg.segments,
-                           fine_step, diagonals, couplings), det
+                           steps_per_segment, diagonals, couplings), det
 
 
 def single_trace(cfg: SweepConfig, amplitude: float, seed: int,
-                 fine_step: float | None = None):
+                 steps_per_segment: int | None = None):
     """(EvolutionTrace, NoiseRealization) of one realization at
     ``amplitude``, its detunings drawn from ``seed`` as given.  It is
     built as a sweep builds each column, on the sweep's chip, with the
     static disorder of the sweep's first column.  At ``cfg.grid[0]``, that
-    column's noise seed and one sample a segment, it is, bit for bit, the
+    column's noise seed and one step a segment, it is, bit for bit, the
     first trace dynamics.traces records of the sweep's columns, and its
-    efficiency is the sweep's first value.
-
-    ``fine_step`` is read as by dynamics.traces (by default the largest
-    step of at most dynamics.DEFAULT_FINE_STEP that divides the segment).
+    efficiency is the sweep's first value.  ``steps_per_segment`` is read
+    as by dynamics.traces.
     """
-    [tr], [det] = _traces(cfg, [amplitude], [seed], cfg.disorder, fine_step)
+    [tr], [det] = _traces(cfg, [amplitude], [seed], cfg.disorder,
+                          steps_per_segment)
     return tr, noise_mod.NoiseRealization(det, noise_config(cfg, amplitude,
                                                             seed))
 
@@ -374,20 +376,20 @@ def excitation_trace_study(cfg: SweepConfig,
                            amplitudes=(0.1, 0.3, 0.5, 0.7, 1.0, 80.0)):
     """Renormalized seven-site probability tables and most-probable-site
     traces for a disorder family (no detuning) and a detuning family (no
-    disorder), sampled four times a segment.  Returns {(label, value):
+    disorder), four steps a segment.  Returns {(label, value):
     (positions, probs, argmax)}.
 
     Every member is a trace of one dynamics.traces call at the study's
-    first noise seed, bit for bit its :func:`single_trace`, and reads only
-    the network rows' renormalized probabilities.  A study reads one
-    realization of each member, whatever ``cfg.realizations`` says.
+    first noise seed, bit for bit its :func:`single_trace` at four steps a
+    segment, and reads only the network rows' renormalized probabilities.
+    A study reads one realization of each member, whatever
+    ``cfg.realizations`` says.
     """
     [seed] = _noise_seeds(cfg.seed, [0], 1)
     members = ([("disorder", float(g), float(g), 0.0) for g in disorders]
                + [("detuning", float(a), 0.0, float(a)) for a in amplitudes])
     traces, _ = _traces(cfg, [a for *_, a in members], [seed] * len(members),
-                        [gamma for _, _, gamma, _ in members],
-                        cfg.observe_z / cfg.segments / 4.0)
+                        [gamma for _, _, gamma, _ in members], 4)
     return {(label, value): (tr.positions,
                              dynamics.site_probabilities(tr, tr.fmo_indices,
                                                          renormalize=True),

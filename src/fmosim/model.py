@@ -122,6 +122,9 @@ class FmoSpec:
         # checked, not stored as floats: an int spelling keeps its hash
         for name in ("coupling_scale", "unit_conversion", "site_energy_scale"):
             _seeding.check_real(getattr(self, name), name)
+        name = "include_weak_couplings"
+        object.__setattr__(self, name,
+                           _seeding.check_bool(getattr(self, name), name))
         if not 0 < self.coupling_scale <= 1:
             raise PhysicsError(f"coupling_scale must be in (0, 1], got {self.coupling_scale}")
 

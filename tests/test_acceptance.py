@@ -171,7 +171,7 @@ def test_a05_numerical_core():
     failures = []
     for kind in noise_mod.NOISE_KINDS:
         tr = dynamics.evolve(**default_chip(1.0, seed=3, kind=kind),
-                             fine_step=1.0)
+                             steps_per_segment=1)
         drift = float(np.abs(np.linalg.norm(tr.amplitudes, axis=1) - 1.0).max())
         if drift >= 1e-9:
             failures.append(f"{kind} norm drift {drift:.2e} >= 1e-9")

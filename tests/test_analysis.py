@@ -240,12 +240,12 @@ class TestVarianceAndFit:
             fit_reorganization_law([(0.0, 0.0), (1.0, 1.0)])
 
 
-def make_trace(amplitude=0.5, seed=0, sink=100, fine_step=0.5):
+def make_trace(amplitude=0.5, seed=0, sink=100, steps_per_segment=2):
     h = attach_sink(build_fmo_hamiltonian(FmoSpec()), sink)
     cfg = NoiseConfig(kind="uniform_white", amplitude=amplitude, segments=20,
                       total_length=20.0, seed=seed)
     det = generate(cfg).sequences if amplitude else np.zeros((7, 20))
-    return evolve(h, det, 1.0, fine_step=fine_step)
+    return evolve(h, det, 1.0, steps_per_segment=steps_per_segment)
 
 
 class TestTransportEfficiency:
@@ -254,7 +254,7 @@ class TestTransportEfficiency:
         assert transport_efficiency(tr, z=0.0) == 0.0
 
     def test_all_in_sink_gives_one(self):
-        tr = make_trace(sink=10, fine_step=1.0)
+        tr = make_trace(sink=10, steps_per_segment=1)
         amps = np.zeros_like(tr.amplitudes)
         amps[:, tr.sink_indices[0]] = 1.0
         full = EvolutionTrace(amps, tr.fine_step, tr.fmo_indices,
@@ -269,7 +269,7 @@ class TestTransportEfficiency:
 
     def test_no_sink_rejected(self):
         h = build_fmo_hamiltonian(FmoSpec())
-        tr = evolve(h, np.zeros((7, 20)), 1.0, fine_step=1.0)
+        tr = evolve(h, np.zeros((7, 20)), 1.0, steps_per_segment=1)
         with pytest.raises(PhysicsError):
             transport_efficiency(tr)
 
@@ -317,8 +317,8 @@ class TestTransferTime:
         assert 0.0 < tau <= 20.0
 
     def test_refinement_consistency(self):
-        coarse = make_trace(0.5, seed=1, fine_step=0.5)
-        fine = make_trace(0.5, seed=1, fine_step=0.25)
+        coarse = make_trace(0.5, seed=1, steps_per_segment=2)
+        fine = make_trace(0.5, seed=1, steps_per_segment=4)
         assert abs(transfer_time(coarse) - transfer_time(fine)) < 0.5
 
     def test_zero_efficiency_rejected(self):
@@ -408,13 +408,13 @@ class TestEigenSiteDistribution:
 
 class TestMostProbableSite:
     def test_starts_at_site_six(self):
-        tr = make_trace(0.0, fine_step=1.0)
+        tr = make_trace(0.0, steps_per_segment=1)
         assert most_probable_site(tr)[0] == 6
 
     def test_zero_hamiltonian_stays_at_six(self):
         m = np.zeros((7, 7))
         h = Hamiltonian(m, tuple(f"fmo_site_{i}" for i in range(1, 8)))
-        tr = evolve(h, np.zeros((7, 20)), 1.0, fine_step=1.0)
+        tr = evolve(h, np.zeros((7, 20)), 1.0, steps_per_segment=1)
         assert np.all(most_probable_site(tr) == 6)
 
     def test_tie_breaks_to_lowest_site(self):
@@ -524,9 +524,17 @@ REJECTIONS = {
         "empty spectrum"),
     "variance-empty": (lambda d: variance([]), "no variance"),
     "efficiency-off-grid": (
-        lambda d: transport_efficiency(make_trace(sink=2, fine_step=1.0),
+        lambda d: transport_efficiency(make_trace(sink=2, steps_per_segment=1),
                                        z=0.5),
         "z=0.5 mm is not on the trace grid"),
+    "efficiency-nan-z": (
+        lambda d: transport_efficiency(make_trace(sink=2, steps_per_segment=1),
+                                       z=math.nan),
+        "z=nan mm is not on the trace grid"),
+    "efficiency-infinite-z": (
+        lambda d: transport_efficiency(make_trace(sink=2, steps_per_segment=1),
+                                       z=math.inf),
+        "z=inf mm is not on the trace grid"),
     "transfer-time-no-sink": (
         lambda d: transfer_time(EvolutionTrace(np.ones((3, 7)), 0.5,
                                                range(7), ())),
@@ -562,6 +570,16 @@ REJECTIONS = {
         lambda d: efficiency_from_intensity_image(
             np.ones((4, 4)), EllipseMask(1, 1, 1, 1), RectMask(9, 9, 2, 2)),
         "mask lies outside the image"),
+    "image-nan-background": (
+        lambda d: efficiency_from_intensity_image(
+            np.ones((4, 4)), EllipseMask(1, 1, 1, 1), RectMask(3, 0, 1, 4),
+            background=math.nan),
+        "must be finite"),
+    "image-infinite-pixel": (
+        lambda d: efficiency_from_intensity_image(
+            np.array([[1.0, 1.0, 1.0, math.inf]] * 4), EllipseMask(1, 1, 1, 1),
+            RectMask(3, 0, 1, 4)),
+        "must be finite"),
 }
 
 

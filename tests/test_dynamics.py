@@ -160,12 +160,12 @@ class TestBudgets:
     def test_trace_over_budget_rejected(self):
         with pytest.raises(PhysicsError, match="samples"):
             evolve(**default_chip(0.0),
-                   fine_step=20.0 / dynamics.MAX_TRACE_SAMPLES)
+                   steps_per_segment=dynamics.MAX_TRACE_SAMPLES // 20)
 
 
 class TestEvolve:
     def test_initial_state_is_source_basis_vector(self):
-        tr = evolve(**default_chip(0.0), fine_step=1.0)
+        tr = evolve(**default_chip(0.0), steps_per_segment=1)
         psi0 = tr.amplitudes[0]
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 100)
         expected = np.zeros(h.dim)
@@ -177,41 +177,41 @@ class TestEvolve:
         m = np.zeros((7, 7))
         from fmosim.model import Hamiltonian
         h = Hamiltonian(m, tuple(f"fmo_site_{i}" for i in range(1, 8)))
-        tr = evolve(h, np.zeros((7, 4)), 1.0, fine_step=0.5)
+        tr = evolve(h, np.zeros((7, 4)), 1.0, steps_per_segment=2)
         for psi in tr.amplitudes:
             np.testing.assert_array_equal(psi, tr.amplitudes[0])
 
     def test_deterministic_trace(self):
-        a = evolve(**default_chip(0.3, seed=5), fine_step=0.5)
-        b = evolve(**default_chip(0.3, seed=5), fine_step=0.5)
+        a = evolve(**default_chip(0.3, seed=5), steps_per_segment=2)
+        b = evolve(**default_chip(0.3, seed=5), steps_per_segment=2)
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
     def test_norm_conservation(self):
         for kind in ("uniform_white", "colored", "cauchy"):
             tr = evolve(**default_chip(0.8, seed=3, kind=kind),
-                        fine_step=0.25)
+                        steps_per_segment=4)
             norms = np.linalg.norm(tr.amplitudes, axis=1)
             assert np.abs(norms - 1.0).max() < 1e-9
 
     def test_grid_refinement_identity(self):
         ph = default_chip(0.5, seed=1)
-        coarse = evolve(**ph, fine_step=0.5)
-        fine = evolve(**ph, fine_step=0.25)
+        coarse = evolve(**ph, steps_per_segment=2)
+        fine = evolve(**ph, steps_per_segment=4)
         np.testing.assert_allclose(coarse.amplitudes, fine.amplitudes[::2],
                                    atol=1e-12)
 
     def test_global_diagonal_shift_invariance(self):
         ph = default_chip(0.5, seed=2)
-        tr = evolve(**ph, fine_step=1.0)
+        tr = evolve(**ph, steps_per_segment=1)
         h = ph["h"]
         shifted = with_diagonal(h, h.diagonal + 3.7)
-        tr2 = evolve(**{**ph, "h": shifted}, fine_step=1.0)
+        tr2 = evolve(**{**ph, "h": shifted}, steps_per_segment=1)
         assert np.abs(np.abs(tr.amplitudes) ** 2
                       - np.abs(tr2.amplitudes) ** 2).max() < 1e-10
 
     def test_time_reversal(self):
         ph = default_chip(0.5, seed=4)
-        tr = evolve(**ph, fine_step=1.0)
+        tr = evolve(**ph, steps_per_segment=1)
         psi = tr.amplitudes[-1].copy()
         for k in reversed(range(ph["detunings"].shape[1])):
             u = segment_propagator(
@@ -225,18 +225,28 @@ class TestEvolve:
         src = h.source_index
         pops = {}
         for amp in (0.1, 80.0):
-            tr = evolve(**default_chip(amp, seed=6), fine_step=1.0)
+            tr = evolve(**default_chip(amp, seed=6), steps_per_segment=1)
             j = int(round(2.0 / tr.fine_step))
             pops[amp] = abs(tr.amplitudes[j][src]) ** 2
         assert pops[80.0] > pops[0.1]
 
-    def test_large_step_rejected(self):
-        with pytest.raises(PhysicsError):
-            evolve(**default_chip(0.0), fine_step=2.0)
-
-    def test_non_dividing_step_rejected(self):
-        with pytest.raises(PhysicsError):
-            evolve(**default_chip(0.0), fine_step=0.3)
+    @pytest.mark.parametrize("steps", [0, -1, 1.5, True, "2", np.float64(2.0),
+                                       np.int64(2)], ids=repr)
+    def test_steps_per_segment_is_an_integer_of_at_least_one(self, steps):
+        chip = default_chip(0.5, seed=3, segments=4, sink=10)
+        h, det = chip["h"], chip["detunings"][None]
+        readouts = {
+            "traces": lambda s: dynamics.traces(h, det, 5.0, s)[0].amplitudes,
+            "evolve": lambda s: evolve(**chip, steps_per_segment=s).amplitudes,
+            "sink_fractions": lambda s: np.array(list(
+                dynamics.sink_fractions(h, det, 5.0, s)))}
+        for name, readout in readouts.items():
+            if isinstance(steps, np.integer):
+                # a numpy integer is read as the int it holds
+                assert readout(steps).tobytes() == readout(2).tobytes(), name
+            else:
+                with pytest.raises(PhysicsError, match="steps_per_segment"):
+                    readout(steps)
 
     @pytest.mark.parametrize("shape", [(20,), (6, 20), (1, 7, 20)])
     def test_detunings_of_another_shape_rejected(self, shape):
@@ -256,13 +266,14 @@ class TestEvolve:
             dynamics.DEFAULT_FINE_STEP
 
     def test_final_position_is_total_length(self):
-        tr = evolve(**default_chip(0.2, seed=9), fine_step=0.5)
+        tr = evolve(**default_chip(0.2, seed=9), steps_per_segment=2)
         assert tr.positions[-1] == pytest.approx(20.0)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=10, deadline=None)
     def test_norm_conserved_any_seed(self, seed):
-        tr = evolve(**default_chip(1.0, seed=seed, sink=20), fine_step=1.0)
+        tr = evolve(**default_chip(1.0, seed=seed, sink=20),
+                    steps_per_segment=1)
         assert abs(np.linalg.norm(tr.amplitudes[-1]) - 1.0) < 1e-9
 
 
@@ -286,10 +297,10 @@ class TestTraces:
 
         # every kernel call plans once
         monkeypatch.setattr(dynamics, "_plan", spy)
-        batch = dynamics.traces(h, det, 1.0, 0.5, diagonals, couplings)
+        batch = dynamics.traces(h, det, 1.0, 2, diagonals, couplings)
         assert calls == [det.shape]
         for r, tr in enumerate(batch):
-            alone = evolve(h, det[r], 1.0, 0.5, diagonals[:, r],
+            alone = evolve(h, det[r], 1.0, 2, diagonals[:, r],
                            {k: c[r] for k, c in couplings.items()})
             assert tr.amplitudes.tobytes() == alone.amplitudes.tobytes()
             assert (tr.fine_step, tr.fmo_indices, tr.sink_indices) == \
@@ -328,23 +339,23 @@ class TestCouplingCorrection:
 
 class TestSiteProbabilities:
     def test_z0_source_probability_one(self):
-        tr = evolve(**default_chip(0.0), fine_step=1.0)
+        tr = evolve(**default_chip(0.0), steps_per_segment=1)
         p = site_probabilities(tr, tr.fmo_indices)
         assert p[0, 5] == pytest.approx(1.0)
         assert p[0].sum() == pytest.approx(1.0)
 
     def test_renormalized_rows_sum_to_one(self):
-        tr = evolve(**default_chip(0.4, seed=2), fine_step=0.5)
+        tr = evolve(**default_chip(0.4, seed=2), steps_per_segment=2)
         p = site_probabilities(tr, tr.fmo_indices, renormalize=True)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_full_probabilities_sum_to_one(self):
-        tr = evolve(**default_chip(0.4, seed=2), fine_step=0.5)
+        tr = evolve(**default_chip(0.4, seed=2), steps_per_segment=2)
         p = site_probabilities(tr)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
     def test_empty_subset_rejected(self):
-        tr = evolve(**default_chip(0.0), fine_step=1.0)
+        tr = evolve(**default_chip(0.0), steps_per_segment=1)
         with pytest.raises(PhysicsError):
             site_probabilities(tr, [])
 
@@ -352,14 +363,14 @@ class TestSiteProbabilities:
         m = np.zeros((7, 7))
         from fmosim.model import Hamiltonian
         h = Hamiltonian(m, tuple(f"fmo_site_{i}" for i in range(1, 8)))
-        tr = evolve(h, np.zeros((7, 2)), 1.0, fine_step=1.0)
+        tr = evolve(h, np.zeros((7, 2)), 1.0, steps_per_segment=1)
         with pytest.raises(PhysicsError, match="z="):
             site_probabilities(tr, [0], renormalize=True)
 
 
 class TestTraceExport:
     def test_csv_columns_and_stride(self, tmp_path):
-        tr = evolve(**default_chip(0.2, seed=1, sink=10), fine_step=1.0)
+        tr = evolve(**default_chip(0.2, seed=1, sink=10), steps_per_segment=1)
         path = tmp_path / "trace.csv"
         write_trace_csv(tr, path, stride=5)
         lines = path.read_text().strip().split("\n")
@@ -394,8 +405,8 @@ def kernel_states(h, det, segment_length, steps=1, diagonals=None,
     """The (dim, R) states of the batch ``det`` after each of ``steps``
     steps a segment, the initial state first, as :func:`traces` records
     them at one sample a step."""
-    batch = dynamics.traces(h, det, segment_length, segment_length / steps,
-                            diagonals, couplings)
+    batch = dynamics.traces(h, det, segment_length, steps, diagonals,
+                            couplings)
     return list(np.stack([tr.amplitudes for tr in batch], axis=2))
 
 
@@ -669,7 +680,9 @@ class TestPropagate:
         assert (plan.lengths == 17).all()
         assert (plan.steps * len(plan.net) * plan.lengths == 340).all()
         assert len(plan.state) == 25
-        assert (plan.rows_terms == 8500).all()
+        # rows times terms over the call
+        assert (len(plan.state) * plan.steps * len(plan.net) * plan.lengths
+                == 8500).all()
 
     def test_plan_of_figS8_at_the_strongest_disorder(self):
         # figS8's gamma = 100 sweep at seed 0 (fmosim reproduce figS8):
@@ -1279,7 +1292,7 @@ class TestPropagate:
     def test_nan_detuning_rejected(self):
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 10)
         with pytest.raises(PhysicsError, match="finite"):
-            evolve(h, np.full((7, 20), np.nan), 1.0, fine_step=1.0)
+            evolve(h, np.full((7, 20), np.nan), 1.0, steps_per_segment=1)
 
     def test_non_finite_interval_rejected(self, monkeypatch):
         # one column's interval is infinite, undefined or empty
@@ -1420,7 +1433,7 @@ REJECTIONS = {
         lambda d: dynamics.traces(_CHIP, _DET, -1.0),
         "segment length must be positive and finite"),
     "trace-csv-stride": (
-        lambda d: write_trace_csv(evolve(_CHIP, _DET[0], 1.0, 1.0),
+        lambda d: write_trace_csv(evolve(_CHIP, _DET[0], 1.0, 1),
                                   d / "trace.csv", stride=0),
         "stride must be >= 1"),
 }

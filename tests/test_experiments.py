@@ -112,6 +112,24 @@ class TestSweepConfig:
         assert small_cfg(sink_coupling=0.2).config_hash() == "4c7f7d2f0bba2143"
         assert "sink_coupling" not in small_cfg().canonical_dict()
 
+    BOOLEAN_FIELDS = {
+        "with_vibration": lambda v: SweepConfig(with_vibration=v),
+        "coupling_correction": lambda v: SweepConfig(coupling_correction=v),
+        "include_weak_couplings":
+            lambda v: SweepConfig(fmo=FmoSpec(include_weak_couplings=v))}
+
+    @pytest.mark.parametrize("field", BOOLEAN_FIELDS)
+    def test_boolean_fields_take_only_booleans(self, field):
+        build = self.BOOLEAN_FIELDS[field]
+        for value in ("no", "", 0, 1, 1.0, None):
+            with pytest.raises(PhysicsError, match=field):
+                build(value)
+        # a numpy bool is the Python bool it holds, hash included
+        for flag in (False, True):
+            assert build(np.bool_(flag)) == build(flag)
+            assert build(np.bool_(flag)).config_hash() == \
+                build(flag).config_hash()
+
     @pytest.mark.parametrize("field,value", [
         ("observe_z", 20), ("disorder", 0), ("sink_coupling", 1),
         ("filter_time_scale", 1)])
@@ -160,6 +178,19 @@ class TestSweepDephasing:
             lone = sweep_dephasing(replace(cfg, realizations=1)).values
             batch = sweep_dephasing(cfg).values
             assert lone[:, 0].tobytes() == batch[:, 0].tobytes()
+
+    @pytest.mark.parametrize("kw", [
+        {}, dict(noise_kind="colored", disorder=10.0),
+        dict(coupling_correction=True), dict(noise_kind="cauchy"),
+        dict(with_vibration=True)],
+        ids=["uniform", "colored-disorder", "correction", "cauchy", "mode"])
+    def test_study_is_the_first_realizations_of_a_larger_one(self, kw):
+        # every realization's seeds depend on its index alone and a column
+        # on its own inputs, so more realizations only add columns
+        cfg = small_cfg(**kw)
+        more = sweep_dephasing(replace(cfg, realizations=7)).values
+        assert sweep_dephasing(cfg).values.tobytes() == \
+            more[:, :cfg.realizations].tobytes()
 
     def test_chain_past_the_light_cone_changes_no_byte(self):
         # the default 20 mm chip evolves 18 sink waveguides at most; a
@@ -476,12 +507,11 @@ class TestExcitationTraceStudy:
     @staticmethod
     def assert_members_are_single_traces(cfg, out):
         [seed] = _noise_seeds(cfg.seed, [0], 1)
-        fine = cfg.observe_z / cfg.segments / 4.0
         for (label, value), (z, probs, mps) in out.items():
             gamma, amplitude = (value, 0.0) if label == "disorder" else \
                 (0.0, value)
             tr, _ = single_trace(replace(cfg, disorder=gamma),
-                                 amplitude, seed, fine)
+                                 amplitude, seed, 4)
             np.testing.assert_array_equal(z, tr.positions)
             np.testing.assert_array_equal(probs, dynamics.site_probabilities(
                 tr, tr.fmo_indices, renormalize=True))
@@ -534,12 +564,12 @@ class TestSingleTrace:
     def test_trace_is_its_sweep_column(self, kw):
         cfg = small_cfg(grid=(0.7, 1.5), noise_kind="colored", **kw)
         [seed] = _noise_seeds(cfg.seed, [0], 1)
-        # one sample a segment: the sweep's one step a segment
+        # one step a segment, as the sweep takes
         dz = cfg.observe_z / cfg.segments
-        tr, _ = single_trace(cfg, cfg.grid[0], seed, dz)
+        tr, _ = single_trace(cfg, cfg.grid[0], seed, 1)
         base = experiments._base_hamiltonian(cfg)
         detunings, diagonals, couplings = experiments._study_columns(cfg, base)
-        first, *_ = dynamics.traces(base, detunings, dz, dz, diagonals,
+        first, *_ = dynamics.traces(base, detunings, dz, 1, diagonals,
                                     couplings)
         np.testing.assert_array_equal(tr.amplitudes, first.amplitudes)
         # the sweep reads the same state through the same norm
