@@ -15,14 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicsError
-from .dynamics import (EvolutionTrace, _norms, _sink_fraction,
+from .dynamics import (EvolutionTrace, _norms, _real_rows, _sink_fraction,
                        site_probabilities)
 
 __all__ = ["SpectrumEstimate", "LinearFitResult", "sample_acf", "sample_ccf",
            "psd_periodogram", "reorganization_energy", "variance",
            "fit_reorganization_law", "transport_efficiency", "transfer_time",
            "ipr", "eigen_site_distribution", "most_probable_site",
-           "efficiency_from_intensity_image", "read_pixel_matrix",
+           "efficiency_from_intensity_image", "intensity_image_sums",
+           "read_pixel_matrix",
            "EllipseMask", "RectMask"]
 
 
@@ -182,11 +183,6 @@ def _index_at(tr: EvolutionTrace, z: float) -> int:
     return int(round(j))
 
 
-def _real_samples(tr: EvolutionTrace, j=slice(None)) -> np.ndarray:
-    """The samples ``j`` of ``tr`` as a contiguous real (dim, 2n) state."""
-    return np.ascontiguousarray(tr.amplitudes[j].T).view(float)
-
-
 def transport_efficiency(tr: EvolutionTrace, z: float | None = None) -> float:
     """Fraction of intensity that has reached the sink chain at z (by
     default the end of the trace), as dynamics.sink_fractions reads it."""
@@ -194,7 +190,7 @@ def transport_efficiency(tr: EvolutionTrace, z: float | None = None) -> float:
     if not sink:
         raise PhysicsError("trace has no sink waveguides")
     j = len(tr.positions) - 1 if z is None else _index_at(tr, z)
-    return float(_sink_fraction(_real_samples(tr, [j]), sink)[0])
+    return float(_sink_fraction(_real_rows(tr.amplitudes[[j]]), sink)[0])
 
 
 def transfer_time(tr: EvolutionTrace) -> float:
@@ -212,7 +208,7 @@ def transfer_time(tr: EvolutionTrace) -> float:
     if n < 1:
         raise PhysicsError("trace too short for a transfer time")
     dt = tr.fine_step
-    p_sink = _norms(_real_samples(tr)[sink])
+    p_sink = _norms(_real_rows(tr.amplitudes)[sink])
     eta_n = transport_efficiency(tr)
     if eta_n <= 0:
         raise PhysicsError("zero terminal efficiency: transfer time undefined")
@@ -326,6 +322,14 @@ def efficiency_from_intensity_image(pixels, fmo_mask: EllipseMask,
                                     sink_mask: RectMask,
                                     background: float = 0.0) -> float:
     """Sink fraction of masked intensity after background subtraction."""
+    return intensity_image_sums(pixels, fmo_mask, sink_mask, background)[2]
+
+
+def intensity_image_sums(pixels, fmo_mask: EllipseMask, sink_mask: RectMask,
+                         background: float = 0.0) -> tuple:
+    """(network sum, sink sum, sink fraction) of the background-subtracted
+    pixels under the two masks, as :func:`efficiency_from_intensity_image`
+    reads them."""
     img = np.asarray(pixels, dtype=float)
     if img.ndim != 2:
         raise PhysicsError("pixel matrix must be two-dimensional")
@@ -343,4 +347,4 @@ def efficiency_from_intensity_image(pixels, fmo_mask: EllipseMask,
     total = s_fmo + s_sink
     if total <= 0:
         raise PhysicsError("zero total masked intensity")
-    return s_sink / total
+    return s_fmo, s_sink, s_sink / total

@@ -343,11 +343,9 @@ def cmd_reproduce(args) -> int:
                   f"gamma{gamma:g}_", f"gamma={gamma:g}: argmax ")
     elif fig == "figS9":
         h7 = experiments.network_hamiltonian(base)
-        gammas = (0.0, 1.0, 5.0, 10.0, 50.0, 100.0)
-        shifts = model.static_disorder_shifts(h7.dim, gammas, [[seed, int(g)] for g in gammas])
-        for gamma, row in zip(gammas, shifts):
+        for gamma in (0.0, 1.0, 5.0, 10.0, 50.0, 100.0):
             w, dist = analysis.eigen_site_distribution(
-                replace(h7, block=h7.block + np.diag(row)))
+                model.apply_static_disorder(h7, gamma, [seed, int(gamma)]))
             table(f"gamma{gamma:g}",
                   ["eigenvalue"] + [f"w_site{i}" for i in range(1, 8)],
                   [(wa, *col) for wa, col in zip(w, dist.T)])
@@ -383,14 +381,10 @@ def cmd_analyze_image(args) -> int:
     cx, cy, rx, ry = _parse_floats(args.ellipse, 4, "--ellipse")
     x, y, w, h = _parse_floats(args.rect, 4, "--rect")
     [background] = _parse_floats(args.background, 1, "--background")
-    pixels = analysis.read_pixel_matrix(args.image)
-    fmo_mask = analysis.EllipseMask(cx, cy, rx, ry)
-    sink_mask = analysis.RectMask(x, y, w, h)
-    eta = analysis.efficiency_from_intensity_image(
-        pixels, fmo_mask, sink_mask, background=background)
-    net = pixels - background
-    s_fmo = float(net[fmo_mask.select(pixels.shape)].sum())
-    s_sink = float(net[sink_mask.select(pixels.shape)].sum())
+    s_fmo, s_sink, eta = analysis.intensity_image_sums(
+        analysis.read_pixel_matrix(args.image),
+        analysis.EllipseMask(cx, cy, rx, ry), analysis.RectMask(x, y, w, h),
+        background)
     print(f"network sum: {s_fmo:.12g}")
     print(f"sink sum: {s_sink:.12g}")
     print(f"efficiency: {eta:.12g}")

@@ -44,9 +44,9 @@ are plan fields, exact on any host.  :func:`sink_fractions` and
 :func:`final_sink_fractions` each run a plan and read out the fractions
 they hand back, through the norm check's :func:`_norms`.  :func:`traces`
 writes each live state straight into one :class:`EvolutionTrace` array
-for the whole batch, and :func:`evolve` is :func:`traces` on one column.
-:func:`segment_propagator` builds the exact propagator from a Hermitian
-eigendecomposition; the tests check the kernel against it.
+for the whole batch.  Every readout takes one step a segment unless told
+otherwise.  :func:`segment_propagator` builds the exact propagator from a
+Hermitian eigendecomposition; the tests check the kernel against it.
 """
 
 from __future__ import annotations
@@ -69,12 +69,8 @@ else:
     from numpy.core.multiarray import c_einsum
 
 __all__ = ["EvolutionTrace", "segment_propagator", "sink_fractions",
-           "final_sink_fractions", "traces", "evolve", "site_probabilities",
+           "final_sink_fractions", "traces", "site_probabilities",
            "write_trace_csv"]
-
-#: Longest default sample step in mm: 20 steps a 1 mm segment resolve the
-#: fastest beating frequency present on the chip (~1.344 mm^-1).
-DEFAULT_FINE_STEP = 0.05
 
 #: Largest norm by which truncating the Chebyshev series may move a state
 #: over a whole kernel call (see :func:`_step_cut`).  The studies' means
@@ -479,9 +475,11 @@ class _Plan(namedtuple("_Plan", "steps lo hi lengths weights head chain "
 
 
 def _plan(h: Hamiltonian, detunings, segment_length: float,
-          steps_per_segment: int, diagonals, couplings) -> _Plan:
+          steps_per_segment: int, diagonals, couplings,
+          max_samples=math.inf) -> _Plan:
     """Check the arguments of :func:`traces`, read as there, and plan
-    the kernel call on them (see :class:`_Plan`).
+    the kernel call on them (see :class:`_Plan`).  A call of
+    ``max_samples`` steps or more is rejected before any series is sized.
 
     The term buffer holds TERMS_HELD terms of a realization, or the whole
     series if shorter, or the largest even count from four up that fits in
@@ -524,6 +522,10 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
         raise PhysicsError("segment length must be positive and finite")
     steps_per_segment = _seeding.check_int(steps_per_segment,
                                            "steps_per_segment", 1)
+    if not det.shape[2] * steps_per_segment < max_samples:
+        raise PhysicsError(
+            f"a trace of {det.shape[2] * segment_length:g} mm would hold "
+            f"more than {max_samples} samples")
     lo, hi = _interval(h, det, diag, pairs)
     bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)))
     if bad.size:
@@ -614,7 +616,7 @@ def _run(plan: _Plan):
 
 
 def traces(h: Hamiltonian, detunings, segment_length: float,
-           steps_per_segment: int | None = None, diagonals=None,
+           steps_per_segment: int = 1, diagonals=None,
            couplings=None) -> list:
     """Evolve a batch of realizations, recorded as one EvolutionTrace per
     column.
@@ -628,10 +630,8 @@ def traces(h: Hamiltonian, detunings, segment_length: float,
     segment; by default every column keeps the couplings of ``h``.
 
     Each segment takes ``steps_per_segment`` equal steps, an integer of at
-    least 1; by default the fewest whose step is at most DEFAULT_FINE_STEP
-    (20 on 1 mm segments, 134 on 20/3 mm ones).  A trace's ``fine_step``
-    is the segment length over the steps; it holds at most
-    MAX_TRACE_SAMPLES samples.
+    least 1, one by default.  A trace's ``fine_step`` is the segment length
+    over the steps; it holds at most MAX_TRACE_SAMPLES samples.
 
     Every column starts with a unit excitation at the source site.  The
     batch runs as one kernel call, one step a sample, on every row of
@@ -645,20 +645,9 @@ def traces(h: Hamiltonian, detunings, segment_length: float,
     more than NORM_TOL.  A column is the same bits in any batch and any
     column chunk (see :func:`_plan`).
     """
-    if not 0 < segment_length < math.inf:
-        raise PhysicsError("segment length must be positive and finite")
-    if steps_per_segment is None:
-        # the tolerance keeps a quotient that rounds just above an integer
-        # from adding a step per segment
-        steps_per_segment = max(
-            1, math.ceil(segment_length / DEFAULT_FINE_STEP - 1e-9))
     plan = _plan(h, detunings, segment_length, steps_per_segment, diagonals,
-                 couplings)
+                 couplings, MAX_TRACE_SAMPLES)
     segments, n_real = len(plan.net), len(plan.lo)
-    if not segments * plan.steps < MAX_TRACE_SAMPLES:
-        raise PhysicsError(
-            f"a trace of {segments * segment_length:g} mm would hold "
-            f"more than {MAX_TRACE_SAMPLES} samples")
     amps = np.empty((segments * plan.steps + 1, h.dim, n_real), complex)
     for sample, x in zip(amps.view(float), _run(plan)):
         sample[...] = x
@@ -672,9 +661,9 @@ def sink_fractions(h: Hamiltonian, detunings, segment_length: float,
                    couplings=None):
     """Yield the (R,) sink fractions of a batch at every step.
 
-    Every argument is read as by :func:`traces`, but ``steps_per_segment``
-    defaults to 1, and the fractions are yielded where it records its
-    states: before the first step, then after each step.  A fraction is
+    Every argument is read as by :func:`traces`, and the fractions are
+    yielded where it records its states: before the first step, then after
+    each step, with no cap on their count.  A fraction is
     its column's chain rows' norm over its norm (:func:`_sink_fraction`),
     the same bits in any batch.  The kernel is :func:`traces`', norm check
     included.  Raises PhysicsError if the chip has no sink waveguide.
@@ -700,23 +689,17 @@ def final_sink_fractions(h: Hamiltonian, detunings, segment_length: float,
     return _sink_fraction(x, chain)
 
 
-def evolve(h: Hamiltonian, detunings, segment_length: float,
-           steps_per_segment: int | None = None, diagonal=None,
-           couplings=None) -> EvolutionTrace:
-    """:func:`traces` on one column.
+# Not part of the API, and called by nothing here: bench/tracing.py wraps
+# the name until the benchmark reads a hook of the library (ROADMAP item 2b).
+evolve = traces
 
-    ``detunings`` has shape (network sites, segments), ``diagonal`` (dim,)
-    replaces the diagonal of ``h`` and ``couplings`` maps a pair of rows
-    to a (segments,) array; ``steps_per_segment`` is read as by
-    :func:`traces`.
-    """
-    det = np.asarray(detunings, dtype=float)
-    if det.ndim != 2 or len(det) != len(h.fmo_indices):
-        raise PhysicsError("detunings must have shape (network sites, segments)")
-    [tr] = traces(h, det[None], segment_length, steps_per_segment,
-                  None if diagonal is None else np.reshape(diagonal, (-1, 1)),
-                  {k: np.asarray(c)[None] for k, c in (couplings or {}).items()})
-    return tr
+
+def _real_rows(amplitudes: np.ndarray) -> np.ndarray:
+    """The complex (samples, rows) ``amplitudes`` as a C-ordered real
+    (rows, 2 samples) copy in the kernel's layout, column 2j the real and
+    2j + 1 the imaginary part of sample j: how :func:`_norms` reads a
+    trace."""
+    return np.ascontiguousarray(amplitudes.T).view(float)
 
 
 def site_probabilities(tr: EvolutionTrace, subset=None, renormalize: bool = False) -> np.ndarray:
@@ -732,7 +715,7 @@ def site_probabilities(tr: EvolutionTrace, subset=None, renormalize: bool = Fals
     subset = list(subset)
     if not subset:
         raise PhysicsError("subset must be nonempty")
-    x = np.ascontiguousarray(tr.amplitudes[:, subset].T).view(float)
+    x = _real_rows(tr.amplitudes[:, subset])
     p = (x[:, 0::2] ** 2 + x[:, 1::2] ** 2).T
     if renormalize:
         totals = _norms(x)
@@ -754,7 +737,7 @@ def write_trace_csv(tr: EvolutionTrace, path, stride: int = 1) -> None:
         raise PhysicsError("stride must be >= 1")
     amps, sink = tr.amplitudes[::stride], list(tr.sink_indices)
     rows = [i for i in range(amps.shape[1]) if i not in sink]
-    totals = _norms(np.ascontiguousarray(amps[:, sink].T).view(float))
+    totals = _norms(_real_rows(amps[:, sink]))
 
     def table():
         for z, net, total in zip(tr.positions[::stride], amps[:, rows],

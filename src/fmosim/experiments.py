@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -54,6 +55,11 @@ FIGS5_GRID = DEFAULT_GRID[::2]
 FIGS8_GRIDS = {0.0: DEFAULT_GRID,
                10.0: tuple(np.geomspace(0.3, 12.0, 11).round(6)),
                100.0: tuple(np.geomspace(3.0, 90.0, 11).round(6))}
+
+#: Longest default sample step of :func:`single_trace` in mm: 20 steps a
+#: 1 mm segment resolve the fastest beating frequency present on the chip
+#: (~1.344 mm^-1).
+DEFAULT_FINE_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -362,9 +368,20 @@ def single_trace(cfg: SweepConfig, amplitude: float, seed: int,
     static disorder of the sweep's first column.  At ``cfg.grid[0]``, that
     column's noise seed and one step a segment, it is, bit for bit, the
     first trace dynamics.traces records of the sweep's columns, and its
-    efficiency is the sweep's first value.  ``steps_per_segment`` is read
-    as by dynamics.traces.
+    efficiency is the sweep's first value.
+
+    ``steps_per_segment`` is read as by dynamics.traces; by default it is
+    the fewest steps whose step is at most DEFAULT_FINE_STEP (20 on 1 mm
+    segments, 134 on 20/3 mm ones), the resolution of ``fmosim simulate``.
     """
+    if steps_per_segment is None:
+        # the tolerance keeps a quotient that rounds just above an integer
+        # from adding a step per segment.  A quotient past MAX_TRACE_SAMPLES
+        # is capped there, so that it cannot overflow: the trace is rejected
+        # either way, by the plan, before it sizes a series
+        steps_per_segment = max(1, math.ceil(min(
+            cfg.observe_z / cfg.segments / DEFAULT_FINE_STEP - 1e-9,
+            dynamics.MAX_TRACE_SAMPLES)))
     [tr], [det] = _traces(cfg, [amplitude], [seed], cfg.disorder,
                           steps_per_segment)
     return tr, noise_mod.NoiseRealization(det, noise_config(cfg, amplitude,

@@ -170,8 +170,8 @@ def test_a05_numerical_core():
     t0 = time.time()
     failures = []
     for kind in noise_mod.NOISE_KINDS:
-        tr = dynamics.evolve(**default_chip(1.0, seed=3, kind=kind),
-                             steps_per_segment=1)
+        [tr] = dynamics.traces(**default_chip(1.0, seed=3, kind=kind),
+                               steps_per_segment=1)
         drift = float(np.abs(np.linalg.norm(tr.amplitudes, axis=1) - 1.0).max())
         if drift >= 1e-9:
             failures.append(f"{kind} norm drift {drift:.2e} >= 1e-9")

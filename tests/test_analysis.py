@@ -27,7 +27,7 @@ from fmosim.analysis import (
     transport_efficiency,
     variance,
 )
-from fmosim.dynamics import EvolutionTrace, evolve
+from fmosim.dynamics import EvolutionTrace, traces
 from fmosim.errors import PhysicsError
 from fmosim.model import FmoSpec, Hamiltonian, attach_sink, build_fmo_hamiltonian
 from fmosim.noise import NoiseConfig, generate
@@ -245,7 +245,7 @@ def make_trace(amplitude=0.5, seed=0, sink=100, steps_per_segment=2):
     cfg = NoiseConfig(kind="uniform_white", amplitude=amplitude, segments=20,
                       total_length=20.0, seed=seed)
     det = generate(cfg).sequences if amplitude else np.zeros((7, 20))
-    return evolve(h, det, 1.0, steps_per_segment=steps_per_segment)
+    return traces(h, det[None], 1.0, steps_per_segment)[0]
 
 
 class TestTransportEfficiency:
@@ -269,7 +269,7 @@ class TestTransportEfficiency:
 
     def test_no_sink_rejected(self):
         h = build_fmo_hamiltonian(FmoSpec())
-        tr = evolve(h, np.zeros((7, 20)), 1.0, steps_per_segment=1)
+        [tr] = traces(h, np.zeros((1, 7, 20)), 1.0)
         with pytest.raises(PhysicsError):
             transport_efficiency(tr)
 
@@ -414,7 +414,7 @@ class TestMostProbableSite:
     def test_zero_hamiltonian_stays_at_six(self):
         m = np.zeros((7, 7))
         h = Hamiltonian(m, tuple(f"fmo_site_{i}" for i in range(1, 8)))
-        tr = evolve(h, np.zeros((7, 20)), 1.0, steps_per_segment=1)
+        [tr] = traces(h, np.zeros((1, 7, 20)), 1.0)
         assert np.all(most_probable_site(tr) == 6)
 
     def test_tie_breaks_to_lowest_site(self):

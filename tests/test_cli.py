@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import fmosim
 
-from fmosim import analysis, dynamics, model, noise
+from fmosim import analysis, dynamics, experiments, model, noise
 from fmosim.cli import (
     CONFIG_KEYS,
     EXIT_CONFIG,
@@ -417,7 +417,7 @@ class TestSimulate:
         assert len(z) == segments * per_segment + 1
         assert z[-1] == pytest.approx(20.0, abs=1e-12)
         if segments == 20:
-            assert z[1] == dynamics.DEFAULT_FINE_STEP
+            assert z[1] == experiments.DEFAULT_FINE_STEP
 
     @pytest.mark.parametrize("length,expected", [(1e-12, EXIT_OK),
                                                  (5e-324, EXIT_PHYSICS)])
@@ -561,18 +561,20 @@ class TestReproduce:
         assert "figS9_gamma0.csv" in files
         assert "figS9_gamma100.csv" in files
 
-    def test_figS9_draws_its_disorder_once(self, tmp_path, monkeypatch):
+    def test_figS9_builds_each_chip_through_apply_static_disorder(
+            self, tmp_path, monkeypatch):
         calls = []
-        draw = model.static_disorder_shifts
+        apply = model.apply_static_disorder
 
-        def spy(n, gamma, seeds):
-            calls.append(len(seeds))
-            return draw(n, gamma, seeds)
+        def spy(h, gamma, seed):
+            calls.append((h.dim, gamma, seed))
+            return apply(h, gamma, seed)
 
-        monkeypatch.setattr(model, "static_disorder_shifts", spy)
+        monkeypatch.setattr(model, "apply_static_disorder", spy)
         assert main(["reproduce", "figS9", "--seed", "4",
                      "--out", str(tmp_path / "s9")]) == EXIT_OK
-        assert calls == [6]
+        assert calls == [(7, g, [4, int(g)])
+                         for g in (0.0, 1.0, 5.0, 10.0, 50.0, 100.0)]
 
     def test_figS9_rows_are_each_strengths_own_disorder(self, tmp_path):
         out = tmp_path / "s9"
@@ -785,7 +787,7 @@ class TestOneReading:
         det = noise.generate(noise.NoiseConfig(
             kind="colored", amplitude=0.7, segments=10, total_length=10,
             seed=8, filter_time_scale=0.5), n_sites=7)
-        tr = dynamics.evolve(h, det.sequences, 1.0)
+        [tr] = dynamics.traces(h, det.sequences[None], 1.0, 20)
         dynamics.write_trace_csv(tr, tmp_path / "trace.csv")
         noise.write_noise_csv(det, tmp_path / "noise.csv")
         for name in ("trace.csv", "noise.csv"):
@@ -916,6 +918,18 @@ class TestPhysicsRejections:
         code, err, _ = run_cli(tmp_path, "simulate", doc, "run")
         assert code == EXIT_PHYSICS
         assert "samples" in err
+
+    @pytest.mark.parametrize("length", [1e300, 1.7e308])
+    def test_simulate_past_the_sample_cap_exits_three(self, tmp_path, length):
+        # one segment of 1.7e308 mm: its default step count lies past the
+        # float range, and it is rejected as 1e300 mm is
+        doc = {"schema_version": 1, "sweep": {"observe_z_mm": length},
+               "noise": {"segments": 1, "total_length_mm": length}}
+        code, err, out = run_cli(tmp_path, "simulate", doc, "run")
+        assert code == EXIT_PHYSICS
+        assert err == (f"rejected: a trace of {length:g} mm would hold more "
+                       "than 100000 samples\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_memory_refused_exits_three(self, tmp_path, monkeypatch, command):

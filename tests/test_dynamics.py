@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmosim import dynamics, experiments
+from fmosim import analysis, dynamics, experiments
 from fmosim.dynamics import (
     EvolutionTrace,
-    evolve,
     segment_propagator,
     site_probabilities,
+    traces,
     write_trace_csv,
 )
 from fmosim.errors import PhysicsError
@@ -43,7 +43,8 @@ def expm_taylor(a, order=30):
 
 def default_chip(amplitude=0.5, seed=0, segments=20, sink=100,
                  kind="uniform_white", correction=False):
-    """Keyword arguments of :func:`evolve` for the default 20 mm chip."""
+    """Keyword arguments of :func:`traces` for one realization on the
+    default 20 mm chip."""
     h = attach_sink(build_fmo_hamiltonian(FmoSpec()), sink)
     if amplitude == 0:
         det = np.zeros((7, segments))
@@ -51,10 +52,8 @@ def default_chip(amplitude=0.5, seed=0, segments=20, sink=100,
         det = generate(NoiseConfig(kind=kind, amplitude=amplitude,
                                    segments=segments, total_length=20.0,
                                    seed=seed)).sequences
-    return dict(h=h, detunings=det, segment_length=20.0 / segments,
-                couplings={k: c[0] for k, c in
-                           corrected_couplings(h, det[None], correction)
-                           .items()})
+    return dict(h=h, detunings=det[None], segment_length=20.0 / segments,
+                couplings=corrected_couplings(h, det[None], correction))
 
 
 def with_diagonal(h, diagonal):
@@ -159,13 +158,13 @@ class TestBudgets:
 
     def test_trace_over_budget_rejected(self):
         with pytest.raises(PhysicsError, match="samples"):
-            evolve(**default_chip(0.0),
+            traces(**default_chip(0.0),
                    steps_per_segment=dynamics.MAX_TRACE_SAMPLES // 20)
 
 
 class TestEvolve:
     def test_initial_state_is_source_basis_vector(self):
-        tr = evolve(**default_chip(0.0), steps_per_segment=1)
+        tr = traces(**default_chip(0.0), steps_per_segment=1)[0]
         psi0 = tr.amplitudes[0]
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 100)
         expected = np.zeros(h.dim)
@@ -177,45 +176,45 @@ class TestEvolve:
         m = np.zeros((7, 7))
         from fmosim.model import Hamiltonian
         h = Hamiltonian(m, tuple(f"fmo_site_{i}" for i in range(1, 8)))
-        tr = evolve(h, np.zeros((7, 4)), 1.0, steps_per_segment=2)
+        [tr] = traces(h, np.zeros((1, 7, 4)), 1.0, 2)
         for psi in tr.amplitudes:
             np.testing.assert_array_equal(psi, tr.amplitudes[0])
 
     def test_deterministic_trace(self):
-        a = evolve(**default_chip(0.3, seed=5), steps_per_segment=2)
-        b = evolve(**default_chip(0.3, seed=5), steps_per_segment=2)
+        a = traces(**default_chip(0.3, seed=5), steps_per_segment=2)[0]
+        b = traces(**default_chip(0.3, seed=5), steps_per_segment=2)[0]
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
     def test_norm_conservation(self):
         for kind in ("uniform_white", "colored", "cauchy"):
-            tr = evolve(**default_chip(0.8, seed=3, kind=kind),
-                        steps_per_segment=4)
+            tr = traces(**default_chip(0.8, seed=3, kind=kind),
+                        steps_per_segment=4)[0]
             norms = np.linalg.norm(tr.amplitudes, axis=1)
             assert np.abs(norms - 1.0).max() < 1e-9
 
     def test_grid_refinement_identity(self):
         ph = default_chip(0.5, seed=1)
-        coarse = evolve(**ph, steps_per_segment=2)
-        fine = evolve(**ph, steps_per_segment=4)
+        coarse = traces(**ph, steps_per_segment=2)[0]
+        fine = traces(**ph, steps_per_segment=4)[0]
         np.testing.assert_allclose(coarse.amplitudes, fine.amplitudes[::2],
                                    atol=1e-12)
 
     def test_global_diagonal_shift_invariance(self):
         ph = default_chip(0.5, seed=2)
-        tr = evolve(**ph, steps_per_segment=1)
+        tr = traces(**ph, steps_per_segment=1)[0]
         h = ph["h"]
         shifted = with_diagonal(h, h.diagonal + 3.7)
-        tr2 = evolve(**{**ph, "h": shifted}, steps_per_segment=1)
+        tr2 = traces(**{**ph, "h": shifted}, steps_per_segment=1)[0]
         assert np.abs(np.abs(tr.amplitudes) ** 2
                       - np.abs(tr2.amplitudes) ** 2).max() < 1e-10
 
     def test_time_reversal(self):
         ph = default_chip(0.5, seed=4)
-        tr = evolve(**ph, steps_per_segment=1)
+        tr = traces(**ph, steps_per_segment=1)[0]
         psi = tr.amplitudes[-1].copy()
-        for k in reversed(range(ph["detunings"].shape[1])):
+        for k in reversed(range(ph["detunings"].shape[2])):
             u = segment_propagator(
-                segment_matrix(ph["h"], ph["detunings"][:, k]),
+                segment_matrix(ph["h"], ph["detunings"][0, :, k]),
                 ph["segment_length"])
             psi = u.conj().T @ psi
         np.testing.assert_allclose(psi, tr.amplitudes[0], atol=1e-9)
@@ -225,7 +224,7 @@ class TestEvolve:
         src = h.source_index
         pops = {}
         for amp in (0.1, 80.0):
-            tr = evolve(**default_chip(amp, seed=6), steps_per_segment=1)
+            tr = traces(**default_chip(amp, seed=6), steps_per_segment=1)[0]
             j = int(round(2.0 / tr.fine_step))
             pops[amp] = abs(tr.amplitudes[j][src]) ** 2
         assert pops[80.0] > pops[0.1]
@@ -234,10 +233,10 @@ class TestEvolve:
                                        np.int64(2)], ids=repr)
     def test_steps_per_segment_is_an_integer_of_at_least_one(self, steps):
         chip = default_chip(0.5, seed=3, segments=4, sink=10)
-        h, det = chip["h"], chip["detunings"][None]
+        h, det = chip["h"], chip["detunings"]
         readouts = {
-            "traces": lambda s: dynamics.traces(h, det, 5.0, s)[0].amplitudes,
-            "evolve": lambda s: evolve(**chip, steps_per_segment=s).amplitudes,
+            "traces": lambda s: traces(**chip, steps_per_segment=s)[0]
+            .amplitudes,
             "sink_fractions": lambda s: np.array(list(
                 dynamics.sink_fractions(h, det, 5.0, s)))}
         for name, readout in readouts.items():
@@ -248,45 +247,44 @@ class TestEvolve:
                 with pytest.raises(PhysicsError, match="steps_per_segment"):
                     readout(steps)
 
-    @pytest.mark.parametrize("shape", [(20,), (6, 20), (1, 7, 20)])
+    @pytest.mark.parametrize("shape", [(7, 20), (1, 6, 20), (1, 1, 7, 20),
+                                       ()])
     def test_detunings_of_another_shape_rejected(self, shape):
         h = default_chip(0.0)["h"]
-        with pytest.raises(PhysicsError, match=r"\(network sites, segments\)"):
-            evolve(h, np.zeros(shape), 1.0)
+        with pytest.raises(PhysicsError, match=r"\(realizations, network "
+                           r"sites, segments\)"):
+            traces(h, np.zeros(shape), 1.0)
 
-    def test_default_step_divides_the_segment(self):
-        # 20/3 mm segments: the largest step of at most 0.05 mm that
-        # divides one is a 134th of it
-        h = default_chip(0.0, sink=10)["h"]
-        tr = evolve(h, np.zeros((7, 3)), 20.0 / 3)
-        assert len(tr.positions) == 3 * 134 + 1
-        assert tr.fine_step == 20.0 / 3 / 134
-        assert tr.positions[-1] == pytest.approx(20.0)
-        assert evolve(h, np.zeros((7, 20)), 1.0).fine_step == \
-            dynamics.DEFAULT_FINE_STEP
+    def test_one_step_a_segment_by_default(self):
+        chip = default_chip(0.5, seed=3, segments=4, sink=10)
+        [tr] = traces(**chip)
+        assert len(tr.positions) == 4 + 1
+        assert tr.fine_step == 5.0
+        assert tr.amplitudes.tobytes() == \
+            traces(**chip, steps_per_segment=1)[0].amplitudes.tobytes()
 
     def test_final_position_is_total_length(self):
-        tr = evolve(**default_chip(0.2, seed=9), steps_per_segment=2)
+        tr = traces(**default_chip(0.2, seed=9), steps_per_segment=2)[0]
         assert tr.positions[-1] == pytest.approx(20.0)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=10, deadline=None)
     def test_norm_conserved_any_seed(self, seed):
-        tr = evolve(**default_chip(1.0, seed=seed, sink=20),
-                    steps_per_segment=1)
+        tr = traces(**default_chip(1.0, seed=seed, sink=20),
+                    steps_per_segment=1)[0]
         assert abs(np.linalg.norm(tr.amplitudes[-1]) - 1.0) < 1e-9
 
 
 class TestTraces:
-    def test_batch_is_its_evolve_columns_in_one_kernel_call(
+    def test_batch_is_its_lone_columns_in_one_kernel_call(
             self, monkeypatch):
         chips = [default_chip(a, seed=s, sink=20, correction=True)
                  for a, s in ((0.0, 0), (0.5, 1), (2.0, 2))]
         h = chips[0]["h"]
-        det = np.array([c["detunings"] for c in chips])
+        det = np.concatenate([c["detunings"] for c in chips])
         diagonals = h.matrix.diagonal()[:, None] + static_disorder_shifts(
             h.dim, 3.0, [(1, 0, r, 1) for r in range(len(chips))]).T
-        couplings = {k: np.array([c["couplings"][k] for c in chips])
+        couplings = {k: np.concatenate([c["couplings"][k] for c in chips])
                      for k in chips[0]["couplings"]}
         calls = []
         plan = dynamics._plan
@@ -300,11 +298,28 @@ class TestTraces:
         batch = dynamics.traces(h, det, 1.0, 2, diagonals, couplings)
         assert calls == [det.shape]
         for r, tr in enumerate(batch):
-            alone = evolve(h, det[r], 1.0, 2, diagonals[:, r],
-                           {k: c[r] for k, c in couplings.items()})
+            [alone] = traces(h, det[r:r + 1], 1.0, 2, diagonals[:, r:r + 1],
+                             {k: c[r:r + 1] for k, c in couplings.items()})
             assert tr.amplitudes.tobytes() == alone.amplitudes.tobytes()
             assert (tr.fine_step, tr.fmo_indices, tr.sink_indices) == \
                 (alone.fine_step, alone.fmo_indices, alone.sink_indices)
+
+    def test_efficiency_at_every_sample_is_its_sink_fraction(self):
+        # at the default step a segment, a trace's efficiency is the sink
+        # fraction of its column at every sample, bit for bit, on a
+        # disordered, coupling-corrected batch
+        cfg = SweepConfig(grid=(0.0, 0.5, 2.0), realizations=2, disorder=3.0,
+                          coupling_correction=True, sink_length=20)
+        base = experiments._base_hamiltonian(cfg)
+        det, diagonals, couplings = experiments._study_columns(cfg, base)
+        dz = cfg.observe_z / cfg.segments
+        eta = np.array(list(dynamics.sink_fractions(
+            base, det, dz, diagonals=diagonals, couplings=couplings)))
+        batch = traces(base, det, dz, diagonals=diagonals, couplings=couplings)
+        assert len(eta) == cfg.segments + 1 and couplings
+        for c, tr in enumerate(batch):
+            assert [analysis.transport_efficiency(tr, z)
+                    for z in tr.positions] == eta[:, c].tolist()
 
 
 class TestCouplingCorrection:
@@ -316,7 +331,7 @@ class TestCouplingCorrection:
         cfg = SweepConfig(coupling_correction=correction)
         [det], _, couplings = experiments._columns(
             cfg, ph["h"], [0.5], [1], 0.0, [(0, 0)])
-        np.testing.assert_array_equal(det, ph["detunings"])
+        np.testing.assert_array_equal(det, ph["detunings"][0])
         block = dynamics._head_block(ph["h"])
         for (i, j), [c] in couplings.items():
             block[i, j] = block[j, i] = c[k]
@@ -339,23 +354,23 @@ class TestCouplingCorrection:
 
 class TestSiteProbabilities:
     def test_z0_source_probability_one(self):
-        tr = evolve(**default_chip(0.0), steps_per_segment=1)
+        tr = traces(**default_chip(0.0), steps_per_segment=1)[0]
         p = site_probabilities(tr, tr.fmo_indices)
         assert p[0, 5] == pytest.approx(1.0)
         assert p[0].sum() == pytest.approx(1.0)
 
     def test_renormalized_rows_sum_to_one(self):
-        tr = evolve(**default_chip(0.4, seed=2), steps_per_segment=2)
+        tr = traces(**default_chip(0.4, seed=2), steps_per_segment=2)[0]
         p = site_probabilities(tr, tr.fmo_indices, renormalize=True)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_full_probabilities_sum_to_one(self):
-        tr = evolve(**default_chip(0.4, seed=2), steps_per_segment=2)
+        tr = traces(**default_chip(0.4, seed=2), steps_per_segment=2)[0]
         p = site_probabilities(tr)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
     def test_empty_subset_rejected(self):
-        tr = evolve(**default_chip(0.0), steps_per_segment=1)
+        tr = traces(**default_chip(0.0), steps_per_segment=1)[0]
         with pytest.raises(PhysicsError):
             site_probabilities(tr, [])
 
@@ -363,14 +378,14 @@ class TestSiteProbabilities:
         m = np.zeros((7, 7))
         from fmosim.model import Hamiltonian
         h = Hamiltonian(m, tuple(f"fmo_site_{i}" for i in range(1, 8)))
-        tr = evolve(h, np.zeros((7, 2)), 1.0, steps_per_segment=1)
+        [tr] = traces(h, np.zeros((1, 7, 2)), 1.0)
         with pytest.raises(PhysicsError, match="z="):
             site_probabilities(tr, [0], renormalize=True)
 
 
 class TestTraceExport:
     def test_csv_columns_and_stride(self, tmp_path):
-        tr = evolve(**default_chip(0.2, seed=1, sink=10), steps_per_segment=1)
+        tr = traces(**default_chip(0.2, seed=1, sink=10), steps_per_segment=1)[0]
         path = tmp_path / "trace.csv"
         write_trace_csv(tr, path, stride=5)
         lines = path.read_text().strip().split("\n")
@@ -1292,7 +1307,7 @@ class TestPropagate:
     def test_nan_detuning_rejected(self):
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 10)
         with pytest.raises(PhysicsError, match="finite"):
-            evolve(h, np.full((7, 20), np.nan), 1.0, steps_per_segment=1)
+            traces(h, np.full((1, 7, 20), np.nan), 1.0)
 
     def test_non_finite_interval_rejected(self, monkeypatch):
         # one column's interval is infinite, undefined or empty
@@ -1433,7 +1448,7 @@ REJECTIONS = {
         lambda d: dynamics.traces(_CHIP, _DET, -1.0),
         "segment length must be positive and finite"),
     "trace-csv-stride": (
-        lambda d: write_trace_csv(evolve(_CHIP, _DET[0], 1.0, 1),
+        lambda d: write_trace_csv(traces(_CHIP, _DET, 1.0)[0],
                                   d / "trace.csv", stride=0),
         "stride must be >= 1"),
 }

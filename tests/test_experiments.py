@@ -575,6 +575,20 @@ class TestSingleTrace:
         # the sweep reads the same state through the same norm
         assert transport_efficiency(tr) == sweep_dephasing(cfg).values[0, 0]
 
+    def test_default_step_divides_the_segment(self):
+        # the fewest whole steps a segment of at most DEFAULT_FINE_STEP
+        # (0.05 mm): 20 on 1 mm segments, 134 on 20/3 mm ones
+        step = experiments.DEFAULT_FINE_STEP
+        for segments, steps in ((20, 20), (3, 134)):
+            cfg = small_cfg(segments=segments)
+            tr, _ = single_trace(cfg, 0.5, 1)
+            pinned, _ = single_trace(cfg, 0.5, 1, steps)
+            assert len(tr.positions) == segments * steps + 1
+            assert tr.fine_step == 20.0 / segments / steps <= step
+            assert 20.0 / segments / (steps - 1) > step
+            assert tr.positions[-1] == pytest.approx(20.0)
+            assert tr.amplitudes.tobytes() == pinned.amplitudes.tobytes()
+
 
 @pytest.mark.parametrize("record,names", [
     (SweepResult, ["grid", "values"]),
@@ -639,7 +653,7 @@ def test_study_chip_is_within_the_cone_bound_of_twice_the_chain(kw):
     assert np.abs(short - long).max() <= 8 * b + 4 * tol
     net = slice(len(chip.block))
     for short, long in zip(*(dynamics.traces(
-            h, det, dz, None, diag[:h.dim], couplings)
+            h, det, dz, 20, diag[:h.dim], couplings)
             for h in (chip, longer))):
         assert np.abs(short.amplitudes[:, net]
                       - long.amplitudes[:, net]).max() <= 2 * (b + tol)
@@ -654,8 +668,8 @@ def test_traces_carry_the_hamiltonians_indices():
     h = experiments._base_hamiltonian(cfg)
     assert h.roles[7] == "vibration"
     tr, _ = single_trace(cfg, 0.5, 1)
-    evolved = dynamics.evolve(h, np.zeros((7, cfg.segments)),
-                              cfg.observe_z / cfg.segments)
+    [evolved] = dynamics.traces(h, np.zeros((1, 7, cfg.segments)),
+                                cfg.observe_z / cfg.segments)
     for t in (tr, evolved):
         assert t.fmo_indices == tuple(h.fmo_indices)
         assert t.sink_indices == tuple(h.sink_indices)
