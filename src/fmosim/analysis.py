@@ -248,11 +248,9 @@ def eigen_site_distribution(h):
 def most_probable_site(tr: EvolutionTrace) -> np.ndarray:
     """Per-sample 1-based network site with the largest renormalized
     probability; ties break toward the lowest site number."""
-    fmo = list(tr.fmo_indices)
-    if len(fmo) < 7:
+    if len(tr.fmo_indices) < 7:
         raise PhysicsError("trace does not cover the seven network sites")
-    p = site_probabilities(tr, fmo, renormalize=True)
-    return np.argmax(p, axis=1) + 1
+    return np.argmax(site_probabilities(tr), axis=1) + 1
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,8 @@ blocked sums may depend on the batch width.  A column's interval, series
 and weights come from its own inputs, and its weights are exact zeros
 past its own series, so its result is the same bits in any batch.
 
-The sink chain only has to look irreversible over the chip, so the light
-never reaches its far end.  A study builds only the chain waveguides
-within the light cone of the network rows
-(``experiments._base_hamiltonian``), to the depth that
-:func:`_light_cone_depth` takes from a Combes-Thomas bound and proves: 18
-on the default chip (20 segments of 1 mm, chain coupling 0.2 mm^-1).  The
-depth depends only on the chain coupling and the segment ends, never on
-the detunings or diagonals, so a longer chain changes no byte of a study,
-and no dense chip matrix is built.  The kernel evolves every row of the
-chip it is given.  A column's spectral interval is the intersection of a
+The kernel evolves every row of the chip it is given, and builds no
+dense chip matrix.  A column's spectral interval is the intersection of a
 Weyl bound (the base chip's spectral bound moved by the column's diagonal
 offsets) and the Gershgorin discs of its rows.
 
@@ -91,9 +83,6 @@ MAX_TRACE_SAMPLES = 100_000
 
 #: Largest |1 - ||psi||^2| accepted at any sample of a propagation.
 NORM_TOL = 1e-9
-
-#: Largest bound on how far cutting the sink chain moves a propagated state.
-LIGHT_CONE_TOL = 1e-16
 
 #: Most Chebyshev terms of a realization one step holds at once; a longer
 #: series runs through them as a ring, summed with its weights each time it
@@ -328,85 +317,6 @@ def _chain_rows(h: Hamiltonian) -> slice:
     return slice(len(h.block), None)
 
 
-def _cone_log_weight(depth: int, a: float) -> float:
-    """log E(depth, t), a = 2 c t: the Combes-Thomas bound on the weight at
-    chain depth ``depth`` and beyond (see :func:`_light_cone_depth`).
-
-    E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L), reached at
-    cosh mu = L / 2ct, which gives sqrt(L^2 - a^2) - L arccosh(L / a) for
-    L > a, and at mu = 0 otherwise, where the bound is 1.
-    """
-    if depth <= a:
-        return 0.0
-    return math.sqrt(depth * depth - a * a) - depth * math.acosh(depth / a)
-
-
-def _light_cone_depth(coupling: float, segment_length: float, segments: int,
-                      max_depth: int) -> int:
-    """Chain depth L of the light cone of the network rows over
-    ``segments`` segments of ``segment_length``, segment k running from
-    t_k-1 = segment_length * k to t_k = segment_length * (k + 1).
-
-    L is the smallest depth with c T E(L, t_k) E(L, T - t_k-1) <=
-    LIGHT_CONE_TOL in every segment k, capped at ``max_depth`` (the whole
-    chain), where c is ``coupling``, the chain's absolute coupling (the
-    drain link and every bond), T the last end (the whole propagation) and
-    E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L)
-    (:func:`_cone_log_weight`), which falls as L grows.  It is 0 if the
-    chain is uncoupled, or if the segment length is not positive and
-    finite, which the kernel rejects; on the default chip it is 18.
-
-    Cutting the chain below depth L moves the network rows of every state
-    :func:`traces` records by at most LIGHT_CONE_TOL, and so every sink
-    fraction that :func:`sink_fractions` yields, the chain's total weight,
-    by at most 2 LIGHT_CONE_TOL, truncation aside.  The chain's rows one by
-    one are not bounded.  The proof, with t_-1 = 0:
-
-    - Let N be the chain-depth operator: 0 on the network rows and the
-      vibration mode, m on the m-th sink waveguide, and P_0 project on
-      depth 0.  The network block (the coupling overrides included) and
-      every diagonal (detunings and disorder included) commute with N.  So
-      e^{mu N} H e^{-mu N} - H = (e^mu - 1) V+ + (e^-mu - 1) V-, where V+
-      is the part of H that raises the depth (the drain link and the chain
-      bonds, ||V+|| <= c) and V- = V+^T.  Its anti-Hermitian part is
-      sinh mu (V+ - V-), of norm at most 2 c sinh mu.  The source is at
-      depth 0, so ||e^{mu N} psi(t)|| <= e^{2 c t sinh mu} (Combes &
-      Thomas, Commun. Math. Phys. 34, 251 (1973)), and the weight at depth
-      L and beyond is at most e^{-mu L} times that, for every mu >= 0: at
-      most E(L, t).
-    - Let V be the cut bond, between depths L and L + 1.  Duhamel's formula
-      writes P_0 (psi(T) - psi_cut(T)) as -i times the integral over s of
-      P_0 U_cut(T, s) V psi(s), where psi is the uncut evolution and U_cut
-      the cut one.  V psi(s) lies at depth L and beyond, with ||V psi(s)||
-      <= c E(L, s).
-    - Back to depth 0 (Combes-Thomas with e^{-mu N}): P_0 = P_0 e^{-mu N},
-      ||e^{-mu N} U_cut(T, s) e^{mu N}|| <= e^{2 c (T - s) sinh mu}, since
-      the cut generator raises the depth by a part of norm at most c too,
-      and e^{-mu N} damps what lies at depth L and beyond by e^{-mu L}.
-      So ||P_0 U_cut(T, s) V psi(s)|| <= E(L, T - s) ||V psi(s)||.
-    - E grows with t, so the depth-0 error at T is at most
-      c sum_k Delta_k E(L, t_k) E(L, T - t_k-1) <= LIGHT_CONE_TOL, the
-      segment lengths Delta_k summing to T.  At a sample t <= T the same
-      sum holds with t for T, and E(L, t - s) <= E(L, T - s).  A sink
-      fraction is 1 minus the depth-0 share of the norm, and both states
-      are unit vectors, so it moves by at most 2 LIGHT_CONE_TOL.
-    """
-    ends = [segment_length * (k + 1) for k in range(segments)]
-    if coupling == 0.0 or not ends or not 0 < segment_length < math.inf:
-        return 0
-    budget = (math.log(LIGHT_CONE_TOL) - math.log(coupling)
-              - math.log(ends[-1]))
-    depth = 0
-    for k, t in enumerate(ends):
-        a = 2.0 * coupling * t
-        back = 2.0 * coupling * (ends[-1] - segment_length * k)
-        while depth < max_depth and (_cone_log_weight(depth, a)
-                                     + _cone_log_weight(depth, back)
-                                     > budget):
-            depth += 1
-    return depth
-
-
 def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
     """Overwrite the (rows, C) real columns ``x`` with exp(-i H dt) x.
 
@@ -533,8 +443,12 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
                            f"{hi[bad[0]]:g}) of realization {bad[0]}")
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     dt = segment_length / steps_per_segment
+    # a step whose half * dt overflows to inf (one 1.7e308 mm segment, say)
+    # is rejected by the series bound, with its own message
+    with np.errstate(over="ignore"):
+        rho = half * dt
     weights = np.repeat(_chebyshev_weights(
-        half * dt, _step_cut(det.shape[2] * steps_per_segment)), 2, axis=1)
+        rho, _step_cut(det.shape[2] * steps_per_segment)), 2, axis=1)
     # each column's own series: its weights past the last nonzero are zeros
     length = len(weights) - (weights[::-1, 0::2] != 0).argmax(axis=0)
     # libm per realization: the same bits at any batch width
@@ -702,37 +616,28 @@ def _real_rows(amplitudes: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(amplitudes.T).view(float)
 
 
-def site_probabilities(tr: EvolutionTrace, subset=None, renormalize: bool = False) -> np.ndarray:
-    """Probability series |psi_i(z_j)|^2 for the chosen indices.
-
-    Returns an array of shape (n_samples, len(subset)).  With
-    ``renormalize`` the rows are divided by their subset totals, as used
-    for seven-site excitation traces.  A probability is Re^2 + Im^2 and a
-    total is :func:`_norms` of the subset's rows, as every sum of |psi|^2.
-    """
-    if subset is None:
-        subset = range(tr.amplitudes.shape[1])
-    subset = list(subset)
-    if not subset:
-        raise PhysicsError("subset must be nonempty")
-    x = _real_rows(tr.amplitudes[:, subset])
-    p = (x[:, 0::2] ** 2 + x[:, 1::2] ** 2).T
-    if renormalize:
-        totals = _norms(x)
-        bad = np.nonzero(totals == 0)[0]
-        if bad.size:
-            raise PhysicsError(
-                f"subset probability is zero at z={tr.positions[bad[0]]:g} mm")
-        p = p / totals[:, None]
-    return p
+def site_probabilities(tr: EvolutionTrace) -> np.ndarray:
+    """(n_samples, network sites) probabilities |psi_i(z_j)|^2 of the
+    network sites, each sample's divided by their total there: the rows a
+    study's chip bounds at every sample, unlike the chain's rows one by
+    one.  A probability is Re^2 + Im^2 and a total is :func:`_norms` of the
+    network rows, as every sum of |psi|^2.  Raises PhysicsError where the
+    total is zero."""
+    x = _real_rows(tr.amplitudes[:, list(tr.fmo_indices)])
+    totals = _norms(x)
+    bad = np.nonzero(totals == 0)[0]
+    if bad.size:
+        raise PhysicsError(f"network probability is zero at "
+                           f"z={tr.positions[bad[0]]:g} mm")
+    return (x[:, 0::2] ** 2 + x[:, 1::2] ** 2).T / totals[:, None]
 
 
 def write_trace_csv(tr: EvolutionTrace, path, stride: int = 1) -> None:
     """Write (z, site_index, re, im, probability) rows, optionally strided:
     per sample, every waveguide outside the sink chain, then, if there is
     a chain, one row ``z, sink, , , total`` of its summed weight
-    (:func:`_norms`), which the light cone bounds as it does not bound the
-    chain's rows one by one (:func:`_light_cone_depth`)."""
+    (:func:`_norms`), which a study's chip bounds, as it does not bound the
+    chain's rows one by one (experiments._light_cone_depth)."""
     if stride < 1:
         raise PhysicsError("stride must be >= 1")
     amps, sink = tr.amplitudes[::stride], list(tr.sink_indices)

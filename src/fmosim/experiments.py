@@ -8,14 +8,18 @@ seeds are derived from (master seed, grid index, realization index), and
 all the realizations of a study are evolved together as the columns of
 one kernel batch, whose columns do not depend on each other.
 
-Every study's chip is the light cone of the network rows
-(:func:`_base_hamiltonian`), whatever ``sink_length`` says past that, and
-the kernel evolves every row of it, so a longer chain changes no byte and
-costs nothing more.  This is the one place the light cone is decided (its
-depth and its proof: dynamics._light_cone_depth): 18 sink waveguides on
-the default 20 mm chip.  Every study reads the network rows or the sink
-as one total, as ``trace.csv`` does, and the cone bounds both at every
-sample, though not the chain's rows one by one.
+The sink chain only has to look irreversible over the chip, so the light
+never reaches its far end.  Every study's chip is the light cone of the
+network rows (:func:`_base_hamiltonian`), whatever ``sink_length`` says
+past that, and the kernel evolves every row of it, so a longer chain
+changes no byte and costs nothing more.  This module is the one place the
+light cone is decided: :func:`_light_cone_depth` takes its depth from a
+Combes-Thomas bound and proves it, 18 sink waveguides on the default chip
+(20 segments of 1 mm, chain coupling 0.2 mm^-1).  The depth depends only
+on the chain coupling and the segment ends, never on the detunings or
+diagonals.  Every study reads the network rows or the sink as one total,
+as ``trace.csv`` does, and the cone bounds both at every sample, though
+not the chain's rows one by one.
 """
 
 from __future__ import annotations
@@ -60,6 +64,9 @@ FIGS8_GRIDS = {0.0: DEFAULT_GRID,
 #: 1 mm segment resolve the fastest beating frequency present on the chip
 #: (~1.344 mm^-1).
 DEFAULT_FINE_STEP = 0.05
+
+#: Largest bound on how far cutting the sink chain moves a propagated state.
+LIGHT_CONE_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,9 @@ class SweepConfig:
             raise PhysicsError("observation length must be positive")
         if self.sink_coupling <= 0:
             raise PhysicsError("sink coupling must be positive")
+        # the noise recipe's own checks (the kind, a positive filter time
+        # scale), with the messages a study would raise
+        noise_config(self, 0.0, self.seed)
 
     def canonical_dict(self) -> dict:
         d = asdict(self)
@@ -176,16 +186,94 @@ def network_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
     return attach_vibrational_mode(h) if cfg.with_vibration else h
 
 
+def _cone_log_weight(depth: int, a: float) -> float:
+    """log E(depth, t), a = 2 c t: the Combes-Thomas bound on the weight at
+    chain depth ``depth`` and beyond (see :func:`_light_cone_depth`).
+
+    E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L), reached at
+    cosh mu = L / 2ct, which gives sqrt(L^2 - a^2) - L arccosh(L / a) for
+    L > a, and at mu = 0 otherwise, where the bound is 1.
+    """
+    if depth <= a:
+        return 0.0
+    return math.sqrt(depth * depth - a * a) - depth * math.acosh(depth / a)
+
+
+def _light_cone_depth(coupling: float, segment_length: float, segments: int,
+                      max_depth: int) -> int:
+    """Chain depth L of the light cone of the network rows over
+    ``segments`` segments of ``segment_length``, segment k running from
+    t_k-1 = segment_length * k to t_k = segment_length * (k + 1).
+
+    L is the smallest depth with c T E(L, t_k) E(L, T - t_k-1) <=
+    LIGHT_CONE_TOL in every segment k, capped at ``max_depth`` (the whole
+    chain), where c is ``coupling``, the chain's absolute coupling (the
+    drain link and every bond), T the last end (the whole propagation) and
+    E(L, t) = min over mu >= 0 of exp(2 c t sinh mu - mu L)
+    (:func:`_cone_log_weight`), which falls as L grows.  It is 0 if the
+    chain is uncoupled, or if the segment length is not positive and
+    finite, which the kernel rejects; on the default chip it is 18.
+
+    Cutting the chain below depth L moves the network rows of every state
+    dynamics.traces records by at most LIGHT_CONE_TOL, and so every sink
+    fraction that dynamics.sink_fractions yields, the chain's total weight,
+    by at most 2 LIGHT_CONE_TOL, truncation aside.  The chain's rows one by
+    one are not bounded.  The proof, with t_-1 = 0:
+
+    - Let N be the chain-depth operator: 0 on the network rows and the
+      vibration mode, m on the m-th sink waveguide, and P_0 project on
+      depth 0.  The network block (the coupling overrides included) and
+      every diagonal (detunings and disorder included) commute with N.  So
+      e^{mu N} H e^{-mu N} - H = (e^mu - 1) V+ + (e^-mu - 1) V-, where V+
+      is the part of H that raises the depth (the drain link and the chain
+      bonds, ||V+|| <= c) and V- = V+^T.  Its anti-Hermitian part is
+      sinh mu (V+ - V-), of norm at most 2 c sinh mu.  The source is at
+      depth 0, so ||e^{mu N} psi(t)|| <= e^{2 c t sinh mu} (Combes &
+      Thomas, Commun. Math. Phys. 34, 251 (1973)), and the weight at depth
+      L and beyond is at most e^{-mu L} times that, for every mu >= 0: at
+      most E(L, t).
+    - Let V be the cut bond, between depths L and L + 1.  Duhamel's formula
+      writes P_0 (psi(T) - psi_cut(T)) as -i times the integral over s of
+      P_0 U_cut(T, s) V psi(s), where psi is the uncut evolution and U_cut
+      the cut one.  V psi(s) lies at depth L and beyond, with ||V psi(s)||
+      <= c E(L, s).
+    - Back to depth 0 (Combes-Thomas with e^{-mu N}): P_0 = P_0 e^{-mu N},
+      ||e^{-mu N} U_cut(T, s) e^{mu N}|| <= e^{2 c (T - s) sinh mu}, since
+      the cut generator raises the depth by a part of norm at most c too,
+      and e^{-mu N} damps what lies at depth L and beyond by e^{-mu L}.
+      So ||P_0 U_cut(T, s) V psi(s)|| <= E(L, T - s) ||V psi(s)||.
+    - E grows with t, so the depth-0 error at T is at most
+      c sum_k Delta_k E(L, t_k) E(L, T - t_k-1) <= LIGHT_CONE_TOL, the
+      segment lengths Delta_k summing to T.  At a sample t <= T the same
+      sum holds with t for T, and E(L, t - s) <= E(L, T - s).  A sink
+      fraction is 1 minus the depth-0 share of the norm, and both states
+      are unit vectors, so it moves by at most 2 LIGHT_CONE_TOL.
+    """
+    ends = [segment_length * (k + 1) for k in range(segments)]
+    if coupling == 0.0 or not ends or not 0 < segment_length < math.inf:
+        return 0
+    budget = (math.log(LIGHT_CONE_TOL) - math.log(coupling)
+              - math.log(ends[-1]))
+    depth = 0
+    for k, t in enumerate(ends):
+        a = 2.0 * coupling * t
+        back = 2.0 * coupling * (ends[-1] - segment_length * k)
+        while depth < max_depth and (_cone_log_weight(depth, a)
+                                     + _cone_log_weight(depth, back)
+                                     > budget):
+            depth += 1
+    return depth
+
+
 def _base_hamiltonian(cfg: SweepConfig) -> Hamiltonian:
     """The study's chip: :func:`network_hamiltonian` and as many sink
     waveguides as the depth of the light cone over its segments
-    (dynamics._light_cone_depth), at least one and at most
+    (:func:`_light_cone_depth`), at least one and at most
     ``cfg.sink_length``.  A light cone deeper than MAX_SINK_LENGTH is
     rejected."""
-    depth = dynamics._light_cone_depth(
+    length = max(1, _light_cone_depth(
         cfg.sink_coupling, cfg.observe_z / cfg.segments, cfg.segments,
-        min(cfg.sink_length, MAX_SINK_LENGTH + 1))
-    length = min(cfg.sink_length, max(1, depth))
+        min(cfg.sink_length, MAX_SINK_LENGTH + 1)))
     if length > MAX_SINK_LENGTH:
         raise PhysicsError(f"the sink chain's light cone is deeper than "
                            f"MAX_SINK_LENGTH ({MAX_SINK_LENGTH}) waveguides")
@@ -408,8 +496,7 @@ def excitation_trace_study(cfg: SweepConfig,
     traces, _ = _traces(cfg, [a for *_, a in members], [seed] * len(members),
                         [gamma for _, _, gamma, _ in members], 4)
     return {(label, value): (tr.positions,
-                             dynamics.site_probabilities(tr, tr.fmo_indices,
-                                                         renormalize=True),
+                             dynamics.site_probabilities(tr),
                              analysis.most_probable_site(tr))
             for (label, value, _, _), tr in zip(members, traces)}
 

@@ -85,10 +85,10 @@ HERMITICITY_TOL = 1e-12
 DEFAULT_SINK_COUPLING = 0.2
 
 #: Most sink waveguides a chain may hold (16 bytes each).  A study attaches
-#: only the chain's light cone, at most about 2 c T deep for chain coupling
-#: c over a chip of length T: 18 on the default chip, 100,400 at c = 10
-#: mm^-1 over the longest trace (5,000 mm) in one segment, so a longer
-#: chain would change no output.
+#: only the chain's light cone (experiments._light_cone_depth), at most
+#: about 2 c T deep for chain coupling c over a chip of length T: 18 on the
+#: default chip, 100,400 at c = 10 mm^-1 over the longest trace (5,000 mm)
+#: in one segment, so a longer chain would change no output.
 #: So this guards direct callers of attach_sink, whose whole chain the
 #: kernel evolves, and studies whose light cone is deeper than 10**6.
 MAX_SINK_LENGTH = 10 ** 6

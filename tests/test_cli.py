@@ -931,6 +931,21 @@ class TestPhysicsRejections:
                        "than 100000 samples\n")
         assert not out.exists()
 
+    def test_sweep_of_one_overflowing_segment_exits_three(self, tmp_path):
+        # a sweep has no sample cap: its one 1.7e308 mm step overflows the
+        # series' rho to inf, which the series bound rejects, with no
+        # numpy warning on the way
+        doc = {"schema_version": 1, "sweep": {"observe_z_mm": 1.7e308},
+               "noise": {"segments": 1, "total_length_mm": 1.7e308}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err, out = run_cli(tmp_path, "sweep", doc, "run")
+        assert code == EXIT_PHYSICS
+        assert err == ("rejected: the Chebyshev series for rho=inf (spectral "
+                       "half-width times step) may need more than 10000 "
+                       "terms\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_memory_refused_exits_three(self, tmp_path, monkeypatch, command):
         # a study whose arrays the host refuses: the refusal is simulated,

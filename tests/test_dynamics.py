@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import replace
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -163,6 +162,11 @@ class TestBudgets:
 
 
 class TestEvolve:
+    """One realization's trace (``traces(h, det[None], ...)[0]``): its
+    physics and the checks of its arguments.  The class keeps the name of
+    the readout that once recorded one trace, so that its test ids stay
+    stable."""
+
     def test_initial_state_is_source_basis_vector(self):
         tr = traces(**default_chip(0.0), steps_per_segment=1)[0]
         psi0 = tr.amplitudes[0]
@@ -355,32 +359,23 @@ class TestCouplingCorrection:
 class TestSiteProbabilities:
     def test_z0_source_probability_one(self):
         tr = traces(**default_chip(0.0), steps_per_segment=1)[0]
-        p = site_probabilities(tr, tr.fmo_indices)
+        p = site_probabilities(tr)
+        assert p.shape == (len(tr.positions), 7)
         assert p[0, 5] == pytest.approx(1.0)
         assert p[0].sum() == pytest.approx(1.0)
 
     def test_renormalized_rows_sum_to_one(self):
         tr = traces(**default_chip(0.4, seed=2), steps_per_segment=2)[0]
-        p = site_probabilities(tr, tr.fmo_indices, renormalize=True)
+        p = site_probabilities(tr)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_full_probabilities_sum_to_one(self):
-        tr = traces(**default_chip(0.4, seed=2), steps_per_segment=2)[0]
-        p = site_probabilities(tr)
-        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_empty_subset_rejected(self):
-        tr = traces(**default_chip(0.0), steps_per_segment=1)[0]
-        with pytest.raises(PhysicsError):
-            site_probabilities(tr, [])
-
     def test_zero_subset_probability_rejected_with_position(self):
-        m = np.zeros((7, 7))
-        from fmosim.model import Hamiltonian
-        h = Hamiltonian(m, tuple(f"fmo_site_{i}" for i in range(1, 8)))
-        [tr] = traces(h, np.zeros((1, 7, 2)), 1.0)
-        with pytest.raises(PhysicsError, match="z="):
-            site_probabilities(tr, [0], renormalize=True)
+        # the whole weight sits in the sink at the second sample
+        amps = np.zeros((3, 8), complex)
+        amps[[0, 1, 2], [5, 7, 0]] = 1.0
+        tr = EvolutionTrace(amps, 0.5, range(7), [7])
+        with pytest.raises(PhysicsError, match="z=0.5 mm"):
+            site_probabilities(tr)
 
 
 class TestTraceExport:
@@ -466,31 +461,6 @@ def budgets(bound, floor_bound):
     return [(dynamics.TRUNCATION_BUDGET, bound), (0.0, floor_bound)]
 
 
-def cone_bound_exact(c, t, length, depth, back, digits=50):
-    """c T E(depth, t) E(depth, ``back``) in ``digits``-digit decimals,
-    T = ``length``, with E(L, t) = min over mu >= 0 of
-    exp(2 c t sinh mu - mu L) found by a ternary search over mu (the
-    exponent is convex in mu), not from the closed form the kernel uses."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        c, length = Decimal(c), Decimal(length)
-
-        def weight(t):
-            def exponent(mu):
-                return c * t * (mu.exp() - (-mu).exp()) - mu * depth
-
-            lo, hi = Decimal(0), Decimal(60)
-            for _ in range(200):
-                a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-                if exponent(a) <= exponent(b):
-                    hi = b
-                else:
-                    lo = a
-            return min(exponent(lo), Decimal(0)).exp()
-
-        return c * length * weight(Decimal(t)) * weight(Decimal(back))
-
-
 def fraction_bound(error, budget):
     """How far a sink fraction may move from an exact unit state's when
     the state's depth-0 rows (network and vibration mode) move by at most
@@ -531,16 +501,6 @@ def long_chain_inputs(columns):
 COLUMN_CASES = [(c, v, sink, segments)
                 for sink, segments in ((20, 6), (100, 20))
                 for c in (False, True) for v in (False, True)]
-
-
-# (coupling, segment length, segments, chain length) of light-cone checks
-CONE_CASES = [
-    (0.2, 1.0, 20, 100),    # the default chip: 2 c T = 8
-    (0.2, 1.0, 20, 25),     # a chain shorter than the light cone
-    (0.5, 3.0, 7, 400),
-    (0.05, 0.25, 9, 100),
-    (1e-20, 1.0, 3, 100),   # c T below the tolerance: every depth 0
-]
 
 
 class TestPropagate:
@@ -739,75 +699,6 @@ class TestPropagate:
             for a, b in zip(ring, every):
                 assert np.abs(a - b).max() < bound
 
-    @pytest.mark.parametrize("c,step,segments,max_depth", CONE_CASES)
-    def test_light_cone_depths_are_the_smallest_within_tolerance(
-            self, c, step, segments, max_depth):
-        # the kernel picks the depth by the closed form of E
-        # (_cone_log_weight); at the depth and one short of it, that form
-        # is every segment's bound c T E(L, t_k) E(L, T - t_k-1) as the
-        # exact minimum over mu finds it
-        ends = [step * (k + 1) for k in range(segments)]
-        depth = dynamics._light_cone_depth(c, step, segments, max_depth)
-        for d in {depth, max(depth - 1, 0)}:
-            for k, t in enumerate(ends):
-                back = ends[-1] - step * k
-                closed = math.exp(math.log(c * ends[-1])
-                                  + dynamics._cone_log_weight(d, 2 * c * t)
-                                  + dynamics._cone_log_weight(d,
-                                                              2 * c * back))
-                exact = cone_bound_exact(c, t, ends[-1], d, back)
-                assert closed == pytest.approx(float(exact), rel=1e-9, abs=0)
-
-    @pytest.mark.parametrize("c,step,segments,max_depth", CONE_CASES)
-    def test_return_trip_depths_are_the_smallest_within_tolerance(
-            self, c, step, segments, max_depth):
-        # the smallest depth L with c T E(L, t_k) E(L, T - t_k-1) within
-        # the tolerance in every segment k: L - 1 misses it in one
-        ends = [step * (k + 1) for k in range(segments)]
-        depth = dynamics._light_cone_depth(c, step, segments, max_depth)
-        tol = Decimal(dynamics.LIGHT_CONE_TOL)
-
-        def worst(depth):
-            return max(cone_bound_exact(c, t, ends[-1], depth,
-                                        ends[-1] - step * k)
-                       for k, t in enumerate(ends))
-
-        assert 0 <= depth <= max_depth
-        if depth < max_depth:
-            assert worst(depth) <= tol
-        if depth > 0:
-            assert worst(depth - 1) > tol
-
-    def test_light_cone_depth_is_the_smallest_within_tolerance(self):
-        # the default chip, c = 0.2 mm^-1 over 20 segments of 1 mm: 18 sink
-        # waveguides, and a chain shorter than that stops at its end
-        assert dynamics._light_cone_depth(0.2, 1.0, 20, 100) == 18
-        assert [dynamics._light_cone_depth(0.2, 1.0, 20, m)
-                for m in (0, 17, 18, 19)] == [0, 17, 18, 18]
-
-    def test_return_trip_depths_on_the_default_chip(self):
-        # each segment's own smallest depth: the out and back legs swap
-        # between segment k and segment 19 - k, so the depths are
-        # symmetric, and the middle segments, whose legs are both long,
-        # need the chip's 18
-        ends = [float(k + 1) for k in range(20)]
-        tol = Decimal(dynamics.LIGHT_CONE_TOL)
-        own = [12, 14, 15, 16, 16, 17, 17, 17, 18, 18]
-        own += own[::-1]
-        for k, (t, d) in enumerate(zip(ends, own)):
-            assert cone_bound_exact(0.2, t, 20.0, d, 20.0 - k) <= tol
-            assert cone_bound_exact(0.2, t, 20.0, d - 1, 20.0 - k) > tol
-        assert dynamics._light_cone_depth(0.2, 1.0, 20, 100) == max(own)
-
-    @given(c=st.floats(1e-3, 10.0), step=st.floats(1e-2, 5.0),
-           segments=st.integers(1, 40), max_depth=st.integers(0, 300))
-    @settings(max_examples=200, deadline=None)
-    def test_light_cone_depth_is_the_uncut_depth_capped_at_the_chain(
-            self, c, step, segments, max_depth):
-        uncut = dynamics._light_cone_depth(c, step, segments, 10 ** 6)
-        assert dynamics._light_cone_depth(c, step, segments, max_depth) \
-            == min(uncut, max_depth)
-
     @pytest.mark.parametrize("disorder", [0.0, 100.0])
     def test_sink_fractions_match_segment_propagator_chain(self, disorder,
                                                            monkeypatch):
@@ -894,50 +785,12 @@ class TestPropagate:
             tracemalloc.stop()
         assert peak < 2 * (det.nbytes + diag.nbytes)
 
-    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
-    def test_light_cone_depths_without_a_finite_length_are_zero(self, step):
-        # the kernel rejects such a segment length with its own message
-        assert dynamics._light_cone_depth(0.2, step, 3, 100) == 0
-
     def test_short_chain_keeps_every_row(self):
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 20)
         det = generate(NoiseConfig(kind="colored", amplitude=0.5,
                                    seed=3)).sequences[None]
         *_, last = kernel_states(h, det, 1.0)
         assert last[-1, 0] != 0.0
-
-    @pytest.mark.parametrize("chip, segment_length", [
-        (lambda h7: replace(attach_sink(h7, 3), sink_coupling=0.0), 1.0),
-        (lambda h7: attach_sink(h7, 3, 1e-30), 1.0),
-        (lambda h7: attach_sink(attach_vibrational_mode(h7), 1), 1e-300),
-    ], ids=["coupling-0", "coupling-1e-30", "vibration-length-1e-300"])
-    def test_light_cone_that_never_reaches_the_chain(self, chip,
-                                                     segment_length,
-                                                     monkeypatch):
-        # the depth is 0, which needs c T <= LIGHT_CONE_TOL: the drain
-        # link, of norm c, moves a state by at most c T over the chip
-        # (Duhamel), so the chain rows, which the kernel evolves, hold at
-        # most LIGHT_CONE_TOL beside the truncation
-        h = chip(build_fmo_hamiltonian(FmoSpec()))
-        det = generate_batch(NoiseConfig(segments=4), [0.5, 1.0], [1, 2])
-        assert dynamics._light_cone_depth(
-            abs(h.sink_coupling), segment_length, 4,
-            len(h.sink_indices)) == 0
-        # a norm within the budget of 1 squares to within (1 + B)^2 - 1
-        b, tol = dynamics.TRUNCATION_BUDGET, dynamics.LIGHT_CONE_TOL
-        for budget, bound in budgets((1.0 + b) ** 2 - 1.0, 1e-12):
-            monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
-            states = kernel_states(h, det, segment_length)
-            assert len(states) == 5
-            for psi in states:
-                assert np.abs((np.abs(psi) ** 2).sum(axis=0)
-                              - 1.0).max() < bound
-                assert np.abs(psi[h.sink_indices]).max() <= b + tol
-        # so are the fractions, for a lone column too
-        for cols in (slice(0, 1), slice(None)):
-            eta = list(dynamics.sink_fractions(h, det[cols], segment_length))
-            assert len(eta) == 5
-            assert np.max(eta) <= ((b + tol) / (1.0 - b)) ** 2
 
     def test_yields_are_fresh_arrays(self, monkeypatch):
         # the steps overwrite one live state in place; each sample of a

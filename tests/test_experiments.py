@@ -2,10 +2,14 @@
 and structural invariants on small, fast configurations."""
 
 import json
+import math
 from dataclasses import fields, replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmosim import analysis, dynamics, experiments, model
 from fmosim.analysis import most_probable_site, transport_efficiency
@@ -25,7 +29,10 @@ from fmosim.experiments import (
     write_manifest,
     write_sweep_csv,
 )
-from fmosim.model import FmoSpec
+from fmosim.model import (FmoSpec, attach_sink, attach_vibrational_mode,
+                          build_fmo_hamiltonian)
+from fmosim.noise import NoiseConfig, generate_batch
+from test_dynamics import budgets, kernel_states
 
 
 def small_cfg(**kw):
@@ -513,8 +520,8 @@ class TestExcitationTraceStudy:
             tr, _ = single_trace(replace(cfg, disorder=gamma),
                                  amplitude, seed, 4)
             np.testing.assert_array_equal(z, tr.positions)
-            np.testing.assert_array_equal(probs, dynamics.site_probabilities(
-                tr, tr.fmo_indices, renormalize=True))
+            np.testing.assert_array_equal(probs,
+                                          dynamics.site_probabilities(tr))
             np.testing.assert_array_equal(mps, most_probable_site(tr))
 
     @pytest.mark.parametrize("kw", [{}, dict(coupling_correction=True,
@@ -640,7 +647,7 @@ def test_study_chip_is_within_the_cone_bound_of_twice_the_chain(kw):
     # chip's at every sample, and its sink fractions and chain totals
     # within 2 e + 2 B, to first order; so the two chips agree within
     # twice that
-    b, tol = dynamics.TRUNCATION_BUDGET, dynamics.LIGHT_CONE_TOL
+    b, tol = dynamics.TRUNCATION_BUDGET, experiments.LIGHT_CONE_TOL
     cfg = small_cfg(grid=(0.0, 0.5, 3.0), realizations=2, sink_length=100,
                     **kw)
     dz = cfg.observe_z / cfg.segments
@@ -657,9 +664,158 @@ def test_study_chip_is_within_the_cone_bound_of_twice_the_chain(kw):
             for h in (chip, longer))):
         assert np.abs(short.amplitudes[:, net]
                       - long.amplitudes[:, net]).max() <= 2 * (b + tol)
-        totals = [dynamics.site_probabilities(tr, tr.sink_indices).sum(axis=1)
+        totals = [dynamics._norms(dynamics._real_rows(
+                      tr.amplitudes[:, list(tr.sink_indices)]))
                   for tr in (short, long)]
         assert np.abs(totals[0] - totals[1]).max() <= 8 * b + 4 * tol
+
+
+def cone_bound_exact(c, t, length, depth, back, digits=50):
+    """c T E(depth, t) E(depth, ``back``) in ``digits``-digit decimals,
+    T = ``length``, with E(L, t) = min over mu >= 0 of
+    exp(2 c t sinh mu - mu L) found by a ternary search over mu (the
+    exponent is convex in mu), not from the closed form the study uses."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        c, length = Decimal(c), Decimal(length)
+
+        def weight(t):
+            def exponent(mu):
+                return c * t * (mu.exp() - (-mu).exp()) - mu * depth
+
+            lo, hi = Decimal(0), Decimal(60)
+            for _ in range(200):
+                a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+                if exponent(a) <= exponent(b):
+                    hi = b
+                else:
+                    lo = a
+            return min(exponent(lo), Decimal(0)).exp()
+
+        return c * length * weight(Decimal(t)) * weight(Decimal(back))
+
+
+# (coupling, segment length, segments, chain length) of light-cone checks
+CONE_CASES = [
+    (0.2, 1.0, 20, 100),    # the default chip: 2 c T = 8
+    (0.2, 1.0, 20, 25),     # a chain shorter than the light cone
+    (0.5, 3.0, 7, 400),
+    (0.05, 0.25, 9, 100),
+    (1e-20, 1.0, 3, 100),   # c T below the tolerance: every depth 0
+]
+
+
+class TestLightCone:
+    """The depth of the light cone that every study's chip holds
+    (``experiments._light_cone_depth``) and its Combes-Thomas bound."""
+
+    @pytest.mark.parametrize("c,step,segments,max_depth", CONE_CASES)
+    def test_closed_form_is_the_exact_bound(
+            self, c, step, segments, max_depth):
+        # the depth is picked by the closed form of E (_cone_log_weight);
+        # at the depth and one short of it, that form is every segment's
+        # bound c T E(L, t_k) E(L, T - t_k-1) as the exact minimum over mu
+        # finds it
+        ends = [step * (k + 1) for k in range(segments)]
+        depth = experiments._light_cone_depth(c, step, segments, max_depth)
+        for d in {depth, max(depth - 1, 0)}:
+            for k, t in enumerate(ends):
+                back = ends[-1] - step * k
+                closed = math.exp(math.log(c * ends[-1])
+                                  + experiments._cone_log_weight(d, 2 * c * t)
+                                  + experiments._cone_log_weight(
+                                      d, 2 * c * back))
+                exact = cone_bound_exact(c, t, ends[-1], d, back)
+                assert closed == pytest.approx(float(exact), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("c,step,segments,max_depth", CONE_CASES)
+    def test_light_cone_depth_is_the_smallest_on_each_chip(
+            self, c, step, segments, max_depth):
+        # the smallest depth L with c T E(L, t_k) E(L, T - t_k-1) within
+        # the tolerance in every segment k: L - 1 misses it in one
+        ends = [step * (k + 1) for k in range(segments)]
+        depth = experiments._light_cone_depth(c, step, segments, max_depth)
+        tol = Decimal(experiments.LIGHT_CONE_TOL)
+
+        def worst(depth):
+            return max(cone_bound_exact(c, t, ends[-1], depth,
+                                        ends[-1] - step * k)
+                       for k, t in enumerate(ends))
+
+        assert 0 <= depth <= max_depth
+        if depth < max_depth:
+            assert worst(depth) <= tol
+        if depth > 0:
+            assert worst(depth - 1) > tol
+
+    def test_light_cone_depth_is_the_smallest_within_tolerance(self):
+        # the default chip, c = 0.2 mm^-1 over 20 segments of 1 mm: 18 sink
+        # waveguides, and a chain shorter than that stops at its end
+        assert experiments._light_cone_depth(0.2, 1.0, 20, 100) == 18
+        assert [experiments._light_cone_depth(0.2, 1.0, 20, m)
+                for m in (0, 17, 18, 19)] == [0, 17, 18, 18]
+
+    def test_each_segment_bound_on_the_default_chip(self):
+        # each segment's own smallest depth: the out and back legs swap
+        # between segment k and segment 19 - k, so the depths are
+        # symmetric, and the middle segments, whose legs are both long,
+        # need the chip's 18
+        ends = [float(k + 1) for k in range(20)]
+        tol = Decimal(experiments.LIGHT_CONE_TOL)
+        own = [12, 14, 15, 16, 16, 17, 17, 17, 18, 18]
+        own += own[::-1]
+        for k, (t, d) in enumerate(zip(ends, own)):
+            assert cone_bound_exact(0.2, t, 20.0, d, 20.0 - k) <= tol
+            assert cone_bound_exact(0.2, t, 20.0, d - 1, 20.0 - k) > tol
+        assert experiments._light_cone_depth(0.2, 1.0, 20, 100) == max(own)
+
+    @given(c=st.floats(1e-3, 10.0), step=st.floats(1e-2, 5.0),
+           segments=st.integers(1, 40), max_depth=st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_light_cone_depth_is_the_uncut_depth_capped_at_the_chain(
+            self, c, step, segments, max_depth):
+        uncut = experiments._light_cone_depth(c, step, segments, 10 ** 6)
+        assert experiments._light_cone_depth(c, step, segments, max_depth) \
+            == min(uncut, max_depth)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_light_cone_depth_without_a_finite_length_is_zero(self, step):
+        # the kernel rejects such a segment length with its own message
+        assert experiments._light_cone_depth(0.2, step, 3, 100) == 0
+
+    @pytest.mark.parametrize("chip, segment_length", [
+        (lambda h7: replace(attach_sink(h7, 3), sink_coupling=0.0), 1.0),
+        (lambda h7: attach_sink(h7, 3, 1e-30), 1.0),
+        (lambda h7: attach_sink(attach_vibrational_mode(h7), 1), 1e-300),
+    ], ids=["coupling-0", "coupling-1e-30", "vibration-length-1e-300"])
+    def test_light_cone_that_never_reaches_the_chain(self, chip,
+                                                     segment_length,
+                                                     monkeypatch):
+        # the depth is 0, which needs c T <= LIGHT_CONE_TOL: the drain
+        # link, of norm c, moves a state by at most c T over the chip
+        # (Duhamel), so the chain rows, which the kernel evolves, hold at
+        # most LIGHT_CONE_TOL beside the truncation
+        h = chip(build_fmo_hamiltonian(FmoSpec()))
+        det = generate_batch(NoiseConfig(segments=4), [0.5, 1.0], [1, 2])
+        assert experiments._light_cone_depth(
+            abs(h.sink_coupling), segment_length, 4,
+            len(h.sink_indices)) == 0
+        # a norm within the budget of 1 squares to within (1 + B)^2 - 1
+        b, tol = dynamics.TRUNCATION_BUDGET, experiments.LIGHT_CONE_TOL
+        for budget, bound in budgets((1.0 + b) ** 2 - 1.0, 1e-12):
+            monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
+            states = kernel_states(h, det, segment_length)
+            assert len(states) == 5
+            for psi in states:
+                assert np.abs((np.abs(psi) ** 2).sum(axis=0)
+                              - 1.0).max() < bound
+                assert np.abs(psi[h.sink_indices]).max() <= b + tol
+        # so are the fractions, for a lone column too
+        for cols in (slice(0, 1), slice(None)):
+            eta = list(dynamics.sink_fractions(h, det[cols], segment_length))
+            assert len(eta) == 5
+            assert np.max(eta) <= ((b + tol) / (1.0 - b)) ** 2
+
 
 
 def test_traces_carry_the_hamiltonians_indices():
@@ -771,6 +927,13 @@ class TestSeeding:
 REJECTIONS = {
     "observe-z": (lambda: small_cfg(observe_z=0.0),
                   "observation length must be positive"),
+    # the noise recipe's fields, with the messages a study raises
+    "noise-kind": (lambda: small_cfg(noise_kind="pink"),
+                   "unknown noise kind 'pink'"),
+    "filter-time-scale-zero": (lambda: small_cfg(filter_time_scale=0.0),
+                               "filter_time_scale must be positive"),
+    "filter-time-scale-negative": (lambda: small_cfg(filter_time_scale=-0.2),
+                                   "filter_time_scale must be positive"),
     # 20 segments over 1e-320 mm sample at a rate that overflows to inf
     "reorganization-infinite-sampling-frequency": (
         lambda: reorganization_curve(SweepConfig(
