@@ -6,14 +6,19 @@ Carlo dephasing sweep), ``reproduce`` (named preset studies),
 ``chip-plan`` (fabrication plan export).
 
 Configuration documents are JSON with unit-suffixed field names.
-``simulate``, ``sweep`` and ``chip-plan`` check and read a document
-through one table, :data:`CONFIG_KEYS` (each key's field, JSON type and
-bound; an unknown key is rejected with its path), into an
-``experiments.SweepConfig``, whose defaults fill the keys left out (no
-``noise.kind`` means ``uniform_white``).  A key the subcommand does not read
-(:data:`UNREAD_KEYS`) gets one ``note:`` line on stderr; the run goes on.
-So does ``reproduce --realizations`` for the figures that do not read it
-(None in :data:`FIGURES`, which gives each figure's default).
+``simulate``, ``sweep`` and ``chip-plan`` read a document through one
+map, :data:`CONFIG_KEYS` (each key's field; an unknown key is rejected
+with its path), into an ``experiments.SweepConfig`` with its
+``model.FmoSpec``, whose defaults fill the keys left out (no
+``noise.kind`` means ``uniform_white``), and a single-trace amplitude.
+The CLI checks the document's shape; the objects that hold the values
+check them, the amplitude through ``experiments.noise_config``.  A value
+they reject exits 2 with the first such key in document order and their
+message, as ``cfg.json: at sweep/realizations: realizations must be >= 1,
+got 0``.  A key the subcommand does not read (:data:`UNREAD_KEYS`) gets one
+``note:`` line on stderr and is not checked; the run goes on.  So does
+``reproduce --realizations`` for the figures that do not read it (None in
+:data:`FIGURES`, which gives each figure's default).
 
 Exit codes: 0 success, 2 configuration error, 3 physics rejection (also a
 series or trace over the ``dynamics.MAX_*`` budgets, or a study whose
@@ -26,11 +31,9 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,106 +68,65 @@ def _int_at_least(low: int):
     return parse
 
 
-class Key(NamedTuple):
-    """One row of :data:`CONFIG_KEYS`: the field a key sets, the key's JSON
-    type (a name in :data:`_TYPES`) and its bound, ``value op limit``."""
-
-    field: str | None
-    type: str
-    op: str = ""
-    limit: int = 0
-
-
-#: The one description of a config document: (section, key) -> the
-#: SweepConfig field the key sets, "fmo.<field>" for a FmoSpec field, or
-#: "amplitude" for the detuning amplitude of a single trace (simulate and
-#: chip-plan), with the key's JSON type and bound.  Top-level keys have
-#: section None; None as the field marks a key that is only checked.  Two
-#: keys that set one field must agree.
+#: The one map of a config document: (section, key) -> the SweepConfig
+#: field the key sets, "fmo.<field>" for a FmoSpec field, or "amplitude"
+#: for the detuning amplitude of a single trace (simulate and chip-plan).
+#: Top-level keys have section None; schema_version sets no field.  Two
+#: keys that set one field must agree.  The library object that holds a
+#: field checks its value.
 CONFIG_KEYS = {
-    ("system", "coupling_scale"): Key("fmo.coupling_scale", "number"),
-    ("system", "site_energy_scale"): Key("fmo.site_energy_scale", "number"),
-    ("system", "unit_conversion"): Key("fmo.unit_conversion", "number"),
-    ("system", "include_weak_couplings"):
-        Key("fmo.include_weak_couplings", "boolean"),
-    ("system", "sink_length"): Key("sink_length", "integer", ">=", 1),
-    ("system", "sink_coupling_per_mm"): Key("sink_coupling", "number", ">", 0),
-    ("system", "with_vibration"): Key("with_vibration", "boolean"),
-    ("noise", "kind"): Key("noise_kind", "noise kind"),
-    ("noise", "amplitude_per_mm"): Key("amplitude", "number", ">=", 0),
-    ("noise", "segments"): Key("segments", "integer", ">=", 1),
-    ("noise", "total_length_mm"): Key("observe_z", "number", ">", 0),
-    ("noise", "filter_time_scale"): Key("filter_time_scale", "number", ">", 0),
-    ("sweep", "grid_per_mm"): Key("grid", "numbers"),
-    ("sweep", "realizations"): Key("realizations", "integer", ">=", 1),
-    ("sweep", "disorder_per_mm"): Key("disorder", "number", ">=", 0),
-    ("sweep", "observe_z_mm"): Key("observe_z", "number", ">", 0),
-    ("sweep", "coupling_correction"): Key("coupling_correction", "boolean"),
-    (None, "seed"): Key("seed", "integer", ">=", 0),
-    (None, "schema_version"): Key(None, "number", "==", SCHEMA_VERSION),
+    ("system", "coupling_scale"): "fmo.coupling_scale",
+    ("system", "site_energy_scale"): "fmo.site_energy_scale",
+    ("system", "unit_conversion"): "fmo.unit_conversion",
+    ("system", "include_weak_couplings"): "fmo.include_weak_couplings",
+    ("system", "sink_length"): "sink_length",
+    ("system", "sink_coupling_per_mm"): "sink_coupling",
+    ("system", "with_vibration"): "with_vibration",
+    ("noise", "kind"): "noise_kind",
+    ("noise", "amplitude_per_mm"): "amplitude",
+    ("noise", "segments"): "segments",
+    ("noise", "total_length_mm"): "observe_z",
+    ("noise", "filter_time_scale"): "filter_time_scale",
+    ("sweep", "grid_per_mm"): "grid",
+    ("sweep", "realizations"): "realizations",
+    ("sweep", "disorder_per_mm"): "disorder",
+    ("sweep", "observe_z_mm"): "observe_z",
+    ("sweep", "coupling_correction"): "coupling_correction",
+    (None, "seed"): "seed",
+    (None, "schema_version"): None,
 }
 
 _SECTIONS = {section for section, _ in CONFIG_KEYS} - {None}
 
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is a JSON number (a boolean is not); NaN, an
-    infinity and an integer too large for a float are rejected."""
-    if type(value) not in (int, float):
-        return False
-    try:
-        if math.isfinite(value):
-            return True
-    except OverflowError:
-        pass
-    raise ConfigError(f"non-finite number {value} is not allowed")
-
-
-#: JSON type of a config key -> (test of a parsed value, its name in errors).
-#: An integer is a JSON integer: 10.0 and 1e2 are not.
-_TYPES = {
-    "integer": (lambda v: type(v) is int, "an integer"),
-    "number": (_is_number, "a number"),
-    "boolean": (lambda v: type(v) is bool, "a boolean"),
-    "noise kind": (lambda v: v in noise_mod.NOISE_KINDS,
-                   "one of " + ", ".join(noise_mod.NOISE_KINDS)),
-    "numbers": (lambda v: type(v) is list and v != [] and all(map(_is_number, v)),
-                "a non-empty list of numbers"),
-}
-
-_BOUNDS = {">=": operator.ge, ">": operator.gt, "==": operator.eq}
-
-
-def _check_value(row: Key | None, value) -> None:
-    if row is None:
-        raise ConfigError("unknown key")
-    is_type, name = _TYPES[row.type]
-    if not is_type(value):
-        raise ConfigError(f"{json.dumps(value)} is not {name}")
-    if row.op and not _BOUNDS[row.op](value, row.limit):
-        raise ConfigError(f"must be {row.op} {row.limit}, got {value}")
+def _leaves(doc: dict):
+    """((section, key), value) of each key of ``doc``, in document order;
+    ConfigError at a section that is not a JSON object."""
+    for key, value in doc.items():
+        if key not in _SECTIONS:
+            yield (None, key), value
+        elif type(value) is dict:
+            for sub, item in value.items():
+                yield (key, sub), item
+        else:
+            raise ConfigError(f"at {key}: must be a JSON object")
 
 
 def _check(doc) -> None:
     """Raise ConfigError at the first key of ``doc``, in document order,
-    that :data:`CONFIG_KEYS` rejects."""
+    that breaks the document's shape."""
     if type(doc) is not dict:
         raise ConfigError("at (top level): must be a JSON object")
     if "schema_version" not in doc:
         raise ConfigError("at (top level): schema_version is required")
-    for key, value in doc.items():
-        if key not in _SECTIONS:
-            leaves = [(key, CONFIG_KEYS.get((None, key)), value)]
-        elif type(value) is dict:
-            leaves = [(f"{key}/{sub}", CONFIG_KEYS.get((key, sub)), item)
-                      for sub, item in value.items()]
-        else:
-            raise ConfigError(f"at {key}: must be a JSON object")
-        for where, row, item in leaves:
-            try:
-                _check_value(row, item)
-            except ConfigError as exc:
-                raise ConfigError(f"at {where}: {exc}") from None
+    for (section, key), value in _leaves(doc):
+        where = f"{section}/{key}" if section else key
+        if (section, key) not in CONFIG_KEYS:
+            raise ConfigError(f"at {where}: unknown key")
+        if (where == "schema_version" and not (
+                type(value) in (int, float) and value == SCHEMA_VERSION)):
+            raise ConfigError(f"at {where}: must be == {SCHEMA_VERSION}, "
+                              f"got {json.dumps(value)}")
 
 
 def _object(pairs) -> dict:
@@ -180,6 +142,10 @@ def _object(pairs) -> dict:
 
 
 def load_config(path) -> dict:
+    """The JSON document at ``path``, checked for its shape only: a JSON
+    object with ``schema_version`` 1, sections that are objects, no unknown
+    key and no key given twice.  The values are checked where they are
+    read (see :func:`_study`)."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f, object_pairs_hook=_object)
@@ -197,7 +163,7 @@ def load_config(path) -> dict:
 _ENSEMBLE_KEYS = {("sweep", "grid_per_mm"), ("sweep", "realizations")}
 
 #: Keys each subcommand does not read: a document that sets one gets a
-#: note on stderr, and the key is left out of the study.
+#: note on stderr, and the key is left out of the study, unchecked.
 UNREAD_KEYS = {
     "sweep": {("noise", "amplitude_per_mm")},
     "simulate": _ENSEMBLE_KEYS,
@@ -207,33 +173,61 @@ UNREAD_KEYS = {
 }
 
 
+def _build(fields: dict) -> tuple:
+    """(SweepConfig, single-trace amplitude) of ``fields`` (a CONFIG_KEYS
+    field -> its value); PhysicsError from the object that rejects a value."""
+    fields = dict(fields)
+    amplitude = fields.pop("amplitude", noise_mod.NoiseConfig.amplitude)
+    fmo = model.FmoSpec(**{name[4:]: fields.pop(name) for name in list(fields)
+                           if name.startswith("fmo.")})
+    cfg = experiments.SweepConfig(fmo=fmo, **fields)
+    experiments.noise_config(cfg, amplitude, cfg.seed)
+    return cfg, amplitude
+
+
 def _study(doc: dict, args):
-    """(SweepConfig, single-trace amplitude) of a validated document, as
-    the subcommand ``args.command`` reads it; ``--seed`` overrides the
-    document's seed."""
-    kwargs, source = {}, {}
-    for (section, key), (name, *_) in CONFIG_KEYS.items():
+    """(SweepConfig, single-trace amplitude) of a document of checked
+    shape, as the subcommand ``args.command`` reads it; ``--seed``
+    replaces the document's seed once that is checked.
+
+    A value the library rejects is a ConfigError that names the first key,
+    in document order, at which the keys read so far are rejected, with
+    the library's message.
+    """
+    unread, fields, source = UNREAD_KEYS[args.command], {}, {}
+    for (section, key), name in CONFIG_KEYS.items():
         part = doc.get(section, {}) if section else doc
         if name is None or key not in part:
             continue
         where = f"{section}.{key}" if section else key
-        if (section, key) in UNREAD_KEYS[args.command]:
+        if (section, key) in unread:
             print(f"note: {args.command} does not read {where}; ignored",
                   file=sys.stderr)
             continue
-        if kwargs.setdefault(name, part[key]) != part[key]:
+        value = part[key]
+        # unchecked yet: a NaN is unequal to itself, and only json.dumps
+        # prints any JSON value
+        if name in fields and fields[name] != value:
             raise ConfigError(
-                f"{where} ({part[key]:g}) and {source[name]} "
-                f"({kwargs[name]:g}) disagree; give one of them, or the "
-                "same value for both")
-        source[name] = where
-    fmo = {name[4:]: kwargs.pop(name) for name in list(kwargs)
-           if name.startswith("fmo.")}
-    amplitude = kwargs.pop("amplitude", noise_mod.NoiseConfig.amplitude)
+                f"{where} ({json.dumps(value)}) and {source[name]} "
+                f"({json.dumps(fields[name])}) disagree; give one of them, "
+                "or the same value for both")
+        fields[name], source[name] = value, where
+    try:
+        cfg, amplitude = _build(fields)
+    except PhysicsError:
+        read = [(leaf, value) for leaf, value in _leaves(doc)
+                if CONFIG_KEYS[leaf] and leaf not in unread]
+        for n, ((section, key), _) in enumerate(read, 1):
+            try:
+                _build({CONFIG_KEYS[leaf]: value for leaf, value in read[:n]})
+            except PhysicsError as exc:
+                where = f"{section}/{key}" if section else key
+                raise ConfigError(f"{args.config}: at {where}: {exc}") from None
+        raise  # the last prefix is the whole document, so not reached
     if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return experiments.SweepConfig(fmo=model.FmoSpec(**fmo),
-                                   **kwargs), amplitude
+        cfg = replace(cfg, seed=args.seed)
+    return cfg, amplitude
 
 
 def _outdir(args) -> str:

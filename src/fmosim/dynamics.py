@@ -204,14 +204,18 @@ def _interval(h: Hamiltonian, det, diag, couplings) -> tuple:
     for row, g in grow.items():
         low[:, row] = (net[:, row] - g).min(axis=1)
         high[:, row] = (net[:, row] + g).max(axis=1)
-    # a chain row's bonds within the chain first, then the head rows' sums
+    # a chain row's bonds within the chain first, then the head rows' sums;
+    # a sum that overflows to inf (a chain coupling near the float range,
+    # say) leaves an interval that the caller rejects, with its own message
     depth, hb = np.arange(len(h.sink_indices)), _head_block(h)
     radius = np.zeros((h.dim, 1))
-    radius[n0:, 0] = abs(h.sink_coupling) * (
-        1.0 * (depth > 0) + (depth < len(h.sink_indices) - 1))
-    radius[:len(hb), 0] += np.abs(hb).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        radius[n0:, 0] = abs(h.sink_coupling) * (
+            1.0 * (depth > 0) + (depth < len(h.sink_indices) - 1))
+        radius[:len(hb), 0] += np.abs(hb).sum(axis=1)
+        lo_g = (low[1] - radius).min(axis=0)
+        hi_g = (high[1] + radius).max(axis=0)
     (lam_lo, lam_hi), base = _chip_spectrum(h), h.diagonal[:, None]
-    lo_g, hi_g = (low[1] - radius).min(axis=0), (high[1] + radius).max(axis=0)
     lo_w = lam_lo + (low[0] - base).min(axis=0)
     hi_w = lam_hi + (high[0] - base).max(axis=0)
     return np.maximum(lo_g, lo_w), np.minimum(hi_g, hi_w)

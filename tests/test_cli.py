@@ -58,25 +58,70 @@ def base_config(**over):
     return doc
 
 
-#: Values of the wrong JSON type for each type of CONFIG_KEYS.
-WRONG_TYPES = {
-    "integer": [True, 2.0, "2", None],
-    "number": [True, "1", [1.0], None],
-    "boolean": [1, "true", None],
-    "noise kind": ["pink", True, 0],
-    "numbers": [True, 0.5, [True], ["0.5"]],
+def reads(command, section, key):
+    """Whether ``command`` reads the config key (section, key)."""
+    return (section, key) not in UNREAD_KEYS[command]
+
+
+_BELOW_ZERO = math.nextafter(0.0, -math.inf)
+
+#: Per key of CONFIG_KEYS: (a value of the wrong JSON type, the message
+#: that rejects it), then (a value past the key's bound, its message) if
+#: the key has a bound.  The library object that holds the key's field
+#: gives every message but schema_version's.
+BAD_VALUES = {
+    ("system", "coupling_scale"): [
+        ("1", "coupling_scale must be a real number, got '1'"),
+        (2, "coupling_scale must be in (0, 1], got 2")],
+    ("system", "site_energy_scale"): [
+        (True, "site_energy_scale must be a real number, got True")],
+    ("system", "unit_conversion"): [
+        ([1.0], "unit_conversion must be a real number, got [1.0]")],
+    ("system", "include_weak_couplings"): [
+        (1, "include_weak_couplings must be true or false, got 1")],
+    ("system", "sink_length"): [
+        (2.0, "sink_length must be an integer, got 2.0"),
+        (0, "sink_length must be >= 1, got 0")],
+    ("system", "sink_coupling_per_mm"): [
+        (None, "sink_coupling must be a real number, got None"),
+        (0, "sink coupling must be positive")],
+    ("system", "with_vibration"): [
+        ("true", "with_vibration must be true or false, got 'true'")],
+    ("noise", "kind"): [
+        (0, f"unknown noise kind 0; choose from {noise.NOISE_KINDS}"),
+        ("pink", f"unknown noise kind 'pink'; choose from {noise.NOISE_KINDS}")],
+    ("noise", "amplitude_per_mm"): [
+        ("1", "amplitude must be a real number, got '1'"),
+        (_BELOW_ZERO, "amplitude must be nonnegative")],
+    ("noise", "segments"): [
+        (True, "segments must be an integer, got True"),
+        (0, "segments must be >= 1, got 0")],
+    ("noise", "total_length_mm"): [
+        ("20", "observe_z must be a real number, got '20'"),
+        (0, "observation length must be positive")],
+    ("noise", "filter_time_scale"): [
+        (None, "filter_time_scale must be a real number, got None"),
+        (0, "filter_time_scale must be positive")],
+    ("sweep", "grid_per_mm"): [
+        (0.5, "grid must be a sequence of real numbers, got 0.5"),
+        ([1.0, 0.5], "grid must be sorted ascending")],
+    ("sweep", "realizations"): [
+        ("2", "realizations must be an integer, got '2'"),
+        (0, "realizations must be >= 1, got 0")],
+    ("sweep", "disorder_per_mm"): [
+        (True, "disorder must be a real number, got True"),
+        (_BELOW_ZERO, "disorder strength must be nonnegative")],
+    ("sweep", "observe_z_mm"): [
+        ([20], "observe_z must be a real number, got [20]"),
+        (0.0, "observation length must be positive")],
+    ("sweep", "coupling_correction"): [
+        (0, "coupling_correction must be true or false, got 0")],
+    (None, "seed"): [
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be >= 0, got -1")],
+    (None, "schema_version"): [
+        ("1", 'must be == 1, got "1"'), (2, "must be == 1, got 2")],
 }
-
-
-def bound_edges(row):
-    """(a value just past the bound of ``row``, the value at its edge that
-    loads)."""
-    if row.op == ">":
-        return row.limit, math.nextafter(row.limit, math.inf)
-    if row.op == "==":
-        return row.limit + 1, row.limit
-    below = math.nextafter(row.limit, -math.inf)
-    return (row.limit - 1 if row.type == "integer" else below), row.limit
 
 
 class TestConfigLoading:
@@ -119,17 +164,23 @@ class TestConfigLoading:
         doc = base_config()
         doc[where][key] = value
         path = write_config(tmp_path, doc)   # json.dumps writes NaN/Infinity
-        assert main(["sweep", "--config", path,
+        command = "sweep" if reads("sweep", where, key) else "simulate"
+        assert main([command, "--config", path,
                      "--out", str(tmp_path / "run")]) == EXIT_CONFIG
-        assert "non-finite number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"at {where}/{key}: " in err and "must be finite" in err
         assert not (tmp_path / "run").exists()
 
-    def test_overflowing_number_rejected(self, tmp_path):
+    def test_overflowing_number_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('{"schema_version": 1, "seed": 0, '
                         '"sweep": {"observe_z_mm": 1e999}}')
-        with pytest.raises(ConfigError, match="non-finite"):
-            load_config(str(path))
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: {path}: at sweep/observe_z_mm: "
+            "observe_z must be finite\n")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "simulate", "chip-plan"])
     @pytest.mark.parametrize("key,text", [
@@ -151,34 +202,31 @@ class TestConfigLoading:
     def test_bad_noise_kind_rejected(self, tmp_path):
         doc = base_config()
         doc["noise"]["kind"] = "pink"
-        path = write_config(tmp_path, doc)
-        with pytest.raises(ConfigError):
-            load_config(path)
+        code, err, out = run_cli(tmp_path, "sweep", doc, "run")
+        assert code == EXIT_CONFIG
+        assert "at noise/kind: unknown noise kind 'pink'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section,key", CONFIG_KEYS, ids=[
         f"{section}.{key}" if section else key for section, key in CONFIG_KEYS])
     def test_every_key_checks_its_type_and_bound(self, tmp_path, capsys,
                                                  section, key):
-        row = CONFIG_KEYS[section, key]
+        # each value alone in a document, through a subcommand that reads it
+        command = "sweep" if reads("sweep", section, key) else "simulate"
         where = f"{section}/{key}" if section else key
-        cases = [(value, f"at {where}: {json.dumps(value)} is not")
-                 for value in WRONG_TYPES[row.type]]
-        if row.op:
-            past, edge = bound_edges(row)
-            cases.append((past, f"at {where}: must be {row.op} {row.limit}"))
-        for i, (value, message) in enumerate(cases):
-            doc = base_config()
-            (doc[section] if section else doc)[key] = value
+        for i, (value, message) in enumerate(BAD_VALUES[section, key]):
+            doc = {"schema_version": 1}
+            if section:
+                doc[section] = {key: value}
+            else:
+                doc[key] = value
             path = write_config(tmp_path, doc)
             out = tmp_path / f"run{i}"
-            assert main(["sweep", "--config", path,
+            assert main([command, "--config", path,
                          "--out", str(out)]) == EXIT_CONFIG
-            assert f"{path}: {message}" in capsys.readouterr().err
+            assert capsys.readouterr().err == (
+                f"configuration error: {path}: at {where}: {message}\n")
             assert not out.exists()
-        if row.op:
-            doc = base_config()
-            (doc[section] if section else doc)[key] = edge
-            load_config(write_config(tmp_path, doc))
 
     @pytest.mark.parametrize("text,message", [
         ("[1]", "at (top level): must be a JSON object"),
@@ -187,16 +235,19 @@ class TestConfigLoading:
          "at noise: must be a JSON object"),
         ('{"schema_version": 1, "seeds": 1}', "at seeds: unknown key"),
         ('{"schema_version": 1, "sweep": {"grid_per_mm": []}}',
-         "at sweep/grid_per_mm: [] is not a non-empty list of numbers"),
+         "at sweep/grid_per_mm: grid must be nonempty"),
         # the first failing key in document order is the one reported
         ('{"schema_version": 1, "sweep": {"realizations": 0}, '
          '"noise": {"segments": "20"}}',
-         "at sweep/realizations: must be >= 1, got 0"),
+         "at sweep/realizations: realizations must be >= 1, got 0"),
         ('{"schema_version": 1, "noise": {"segments": "20"}, '
          '"sweep": {"realizations": 0}}',
-         'at noise/segments: "20" is not an integer')],
+         "at noise/segments: segments must be an integer, got '20'"),
+        # the shape is checked before any value
+        ('{"schema_version": 1, "sweep": {"realizations": 0}, "seeds": 1}',
+         "at seeds: unknown key")],
         ids=["top-level", "required", "section", "unknown", "empty-grid",
-             "first-of-two", "first-of-two-reversed"])
+             "first-of-two", "first-of-two-reversed", "shape-before-values"])
     def test_document_shape_exits_two(self, tmp_path, capsys, text, message):
         path = tmp_path / "cfg.json"
         path.write_text(text)
@@ -212,14 +263,21 @@ class TestConfigLoading:
         ids=["sink_length", "segments", "realizations", "seed"])
     def test_integral_float_at_integer_key_exits_two(self, tmp_path, command,
                                                      section, key):
+        # where the subcommand reads the key; where it does not, the key
+        # gets its note and is not checked
         doc = base_config()
         part = doc[section] if section else doc
         part[key] = float(part[key])
         code, err, out = run_cli(tmp_path, command, doc, "run")
-        assert code == EXIT_CONFIG
-        where = f"{section}/{key}" if section else key
-        assert f"at {where}: {part[key]!r} is not an integer" in err
-        assert not out.exists()
+        if reads(command, section, key):
+            assert code == EXIT_CONFIG
+            where = f"{section}/{key}" if section else key
+            assert (f"at {where}: {key} must be an integer, "
+                    f"got {part[key]!r}") in err
+            assert not out.exists()
+        else:
+            assert code == EXIT_OK
+            assert f"does not read {section}.{key}; ignored" in err
 
     @pytest.mark.parametrize("command", ["sweep", "simulate", "chip-plan"])
     @pytest.mark.parametrize("section,key,value", [
@@ -229,13 +287,22 @@ class TestConfigLoading:
         ids=["observe_z", "grid-item", "amplitude"])
     def test_integer_too_large_for_a_float_exits_two(self, tmp_path, command,
                                                      section, key, value):
+        # where the subcommand reads the key (see the test above); the
+        # observe-z keys are compared before they are checked, so only one
+        # of them is given
         doc = base_config()
         doc[section][key] = value
+        if key == "observe_z_mm":
+            del doc["noise"]["total_length_mm"]
         code, err, out = run_cli(tmp_path, command, doc, "run")
-        assert code == EXIT_CONFIG
-        assert f"at {section}/{key}: non-finite number" in err
         assert "Traceback" not in err
-        assert not out.exists()
+        if reads(command, section, key):
+            assert code == EXIT_CONFIG
+            assert f"at {section}/{key}: " in err and "must be finite" in err
+            assert not out.exists()
+        else:
+            assert code == EXIT_OK
+            assert f"does not read {section}.{key}; ignored" in err
 
     @pytest.mark.parametrize("command", ["sweep", "simulate", "chip-plan"])
     @pytest.mark.parametrize("text,message", [
@@ -281,14 +348,24 @@ class TestExitCodes:
         assert "amplitude must be finite and nonnegative" in (
             capsys.readouterr().err)
 
-    def test_physics_error_is_three(self, tmp_path):
-        # a descending sweep grid passes the key table but is rejected by
-        # the physics layer
+    def test_descending_grid_is_two(self, tmp_path):
+        # SweepConfig rejects it while the config is built, before any work
         doc = base_config()
         doc["sweep"]["grid_per_mm"] = [1.0, 0.5]
-        path = write_config(tmp_path, doc)
-        assert main(["sweep", "--config", path,
-                     "--out", str(tmp_path)]) == EXIT_PHYSICS
+        code, err, out = run_cli(tmp_path, "sweep", doc, "run")
+        assert code == EXIT_CONFIG
+        assert err.endswith(
+            "at sweep/grid_per_mm: grid must be sorted ascending\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "chip-plan"])
+    def test_seed_flag_does_not_hide_a_bad_document_seed(self, tmp_path,
+                                                         command):
+        code, err, out = run_cli(tmp_path, command, base_config(seed=-1),
+                                 "run", "--seed", "5")
+        assert code == EXIT_CONFIG
+        assert "at seed: seed must be >= 0, got -1" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--seed", "-1"], ["simulate", "--seed", "-1"],
@@ -467,7 +544,7 @@ class TestSweep:
         assert manifest["config"]["realizations"] == 2
 
     def test_seed_past_64_bits_runs(self, tmp_path):
-        # the key table takes any nonnegative seed; 2**70 is three words
+        # any nonnegative seed runs; 2**70 is three words
         path = write_config(tmp_path, base_config(seed=2**70))
         out = tmp_path / "run"
         assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_OK
@@ -518,6 +595,23 @@ class TestSweep:
         path = write_config(tmp_path, doc)
         assert main(["sweep", "--config", path,
                      "--out", str(tmp_path / "run")]) == EXIT_OK
+
+    @pytest.mark.parametrize("sweep,noise_part,message", [
+        ({"observe_z_mm": float("nan")}, {},
+         "at sweep/observe_z_mm: observe_z must be finite"),
+        ({"observe_z_mm": float("nan")}, {"total_length_mm": float("nan")},
+         "sweep.observe_z_mm (NaN) and noise.total_length_mm (NaN) disagree"),
+        ({"observe_z_mm": "x"}, {"total_length_mm": 20},
+         'sweep.observe_z_mm ("x") and noise.total_length_mm (20) disagree')],
+        ids=["nan-at-one-key", "nan-at-both", "string-against-20"])
+    def test_unchecked_observe_z_values_exit_two(self, tmp_path, sweep,
+                                                 noise_part, message):
+        # the two keys are compared before any value is checked
+        doc = {"schema_version": 1, "sweep": sweep, "noise": noise_part}
+        code, err, out = run_cli(tmp_path, "sweep", doc, "run")
+        assert code == EXIT_CONFIG
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_total_length_conflicting_with_observe_z_exits_two(
             self, tmp_path, capsys):
@@ -751,9 +845,9 @@ class TestOneReading:
         assert unread <= keys
         fields = {f.name for f in dataclasses.fields(SweepConfig)}
         fmo_fields = {f.name for f in dataclasses.fields(model.FmoSpec)}
-        for row in CONFIG_KEYS.values():
-            assert (row.field in (None, "amplitude") or row.field in fields
-                    or row.field.removeprefix("fmo.") in fmo_fields), row
+        for name in CONFIG_KEYS.values():
+            assert (name in (None, "amplitude") or name in fields
+                    or name.removeprefix("fmo.") in fmo_fields), name
 
     @pytest.mark.parametrize("where,key,value", [
         ("sweep", "disorder_per_mm", 10.0),
@@ -838,13 +932,20 @@ class TestOneReading:
         assert sorted(notes) == sorted(
             f"note: {command} does not read {key}; ignored" for key in unread)
 
-    @pytest.mark.parametrize("command", ["simulate", "chip-plan"])
-    def test_unread_key_does_not_reject(self, tmp_path, command):
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("simulate", "sweep", "grid_per_mm", [1.0, 0.5]),
+        ("chip-plan", "sweep", "grid_per_mm", [1.0, 0.5]),
+        ("sweep", "noise", "amplitude_per_mm", -1)],
+        ids=["simulate", "chip-plan", "sweep"])
+    def test_unread_key_does_not_reject(self, tmp_path, command, section, key,
+                                        value):
+        # an unread key is not checked, whatever its value
         doc = base_config()
-        doc["sweep"]["grid_per_mm"] = [1.0, 0.5]
+        doc[section][key] = value
         code, err, _ = run_cli(tmp_path, command, doc, "run")
         assert code == EXIT_OK
-        assert "sweep.grid_per_mm; ignored" in err
+        assert (f"note: {command} does not read {section}.{key}; ignored"
+                in err.splitlines())
 
     @pytest.mark.parametrize("command", ["simulate", "chip-plan"])
     def test_observe_z_conflict_exits_two(self, tmp_path, command):
@@ -857,9 +958,9 @@ class TestOneReading:
 
 
 class TestPhysicsRejections:
-    """A document the key table accepts that cannot run exits 3 with a
-    message: a series or a trace too large to allocate, or detunings not
-    finite."""
+    """A document whose values the config objects accept that cannot run
+    exits 3 with a message: a series or a trace too large to allocate, a
+    spectral interval that is not finite, or detunings not finite."""
 
     @pytest.mark.parametrize("sweep", [
         {"grid_per_mm": [0.5], "realizations": 1, "observe_z_mm": 1e300},
@@ -947,6 +1048,22 @@ class TestPhysicsRejections:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_chain_coupling_near_the_float_range_exits_three(self, tmp_path,
+                                                             command):
+        # the interval's sums overflow to inf, which the interval check
+        # rejects, with no numpy warning on the way
+        doc = {"schema_version": 1, "system": {"sink_coupling_per_mm": 1e308},
+               "sweep": {"realizations": 1, "grid_per_mm": [0.5]}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err, out = run_cli(tmp_path, command, doc, "run")
+        assert code == EXIT_PHYSICS
+        assert err.splitlines()[-1] == (
+            "rejected: invalid spectral interval (-inf, inf) of realization 0")
+        assert "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_memory_refused_exits_three(self, tmp_path, monkeypatch, command):
         # a study whose arrays the host refuses: the refusal is simulated,
         # never provoked by a real allocation
@@ -974,10 +1091,14 @@ def _number(lo, hi):
                 lambda n: n if lo >= 0 else -n))
 
 
+# JSON values of the wrong type for most keys: every key also draws them.
+_WRONG = (st.text(max_size=3) | st.none() | st.booleans()
+          | st.just(float("nan")) | st.lists(st.integers(0, 2), max_size=2))
+
 # Documents drawn over CONFIG_KEYS, with values of each key's type, in and
-# out of its bounds.  The bounds on the magnitudes (sink length,
-# amplitudes, disorder, lengths, couplings, realizations) only keep each
-# run short; they hide no failure.
+# out of its bounds, and of the wrong type.  The bounds on the magnitudes
+# (sink length, amplitudes, disorder, lengths, couplings, realizations)
+# only keep each run short; they hide no failure.
 _SECTIONS = {
     "system": {
         "coupling_scale": _number(-1.0, 2.0),
@@ -1006,8 +1127,9 @@ _SECTIONS = {
 
 documents = st.fixed_dictionaries(
     {"schema_version": st.just(1)},
-    optional={"seed": _integer(0, 2 ** 64),
-              **{name: st.fixed_dictionaries({}, optional=keys)
+    optional={"seed": _integer(0, 2 ** 64) | _WRONG,
+              **{name: st.fixed_dictionaries(
+                  {}, optional={k: v | _WRONG for k, v in keys.items()})
                  for name, keys in _SECTIONS.items()}})
 
 
