@@ -14,11 +14,15 @@ truncation moves each column's state by at most TRUNCATION_BUDGET (2e-11)
 in norm, rounding aside.  The per-step cut never goes below
 STEP_CUT_FLOOR (1e-16), so a call of more than TRUNCATION_BUDGET /
 STEP_CUT_FLOOR (200,000) steps may drop up to N * 1e-16 in all (see
-:func:`_step_cut`).  Each term costs three numpy calls that follow
-the array's structure (:func:`_chebyshev_step`), none through BLAS, whose
-blocked sums may depend on the batch width.  A column's interval, series
-and weights come from its own inputs, and its weights are exact zeros
-past its own series, so its result is the same bits in any batch.
+:func:`_step_cut`).  A series of K terms in the column's scaled
+Hamiltonian A runs as ceil(K / 2) terms of one recurrence in B = T_2(A) =
+2 A^2 - I, plus one application of A for its odd part (:func:`_b_weights`).
+Each B-term costs three numpy calls that follow the array's structure
+(:func:`_chebyshev_step`): a dense head, five bands on the chain, and the
+recurrence, none through BLAS, whose blocked sums may depend on the batch
+width.  A column's interval, series and weights come from its own inputs,
+and its weights are exact zeros past its own series, so its result is the
+same bits in any batch.
 
 The kernel evolves every row of the chip it is given, and builds no
 dense chip matrix.  A column's spectral interval is the intersection of a
@@ -84,16 +88,16 @@ MAX_TRACE_SAMPLES = 100_000
 #: Largest |1 - ||psi||^2| accepted at any sample of a propagation.
 NORM_TOL = 1e-9
 
-#: Most Chebyshev terms of a realization one step holds at once; a longer
-#: series runs through them as a ring, summed with its weights each time it
-#: fills.  The clean sweep's and fig4e's 17 terms sum once; the colored CLI
-#: sweep's 34 to 36 sum twice, for two more einsums and two adds a step.
-#: Even, so that a term's slot in the ring has the term's parity.
+#: Most B-terms (see :func:`_b_weights`) of a realization one step holds at
+#: once; a longer series runs through them as a ring, summed with its
+#: weights each time it fills.  The clean sweep's 9 (17 in A) and the
+#: colored CLI sweep's 17 or 18 (34 to 36 in A) sum once; figS8's widest
+#: study, 69 (138 in A), sums three times.
 TERMS_HELD = 24
 
 #: Most bytes the held terms of one step may take.  A batch that would need
 #: more runs as column chunks in lockstep.  The benchmark's sweeps fit in
-#: one chunk on their 25-row chips (0.31 MiB on sweep_clean, 0.44 MiB on
+#: one chunk on their 25-row chips (0.18 MiB on sweep_clean, 0.35 MiB on
 #: sweep_disorder_cli).
 TERM_BUFFER_BYTES = 4 << 20
 
@@ -135,13 +139,16 @@ def segment_propagator(h_eff: np.ndarray, dz: float) -> np.ndarray:
     return np.einsum("ik,jk->ij", v * np.exp(-1j * w * dz), v.conj())
 
 
-def _head_block(h: Hamiltonian) -> np.ndarray:
-    """(nb, nb) couplings, diagonal zeroed, among the non-sink rows and,
-    when there is a sink, the first sink waveguide."""
+def _head_block(h: Hamiltonian, rows: int) -> np.ndarray:
+    """(rows, rows) couplings, diagonal zeroed, among the first ``rows`` rows
+    of ``h``, at least its non-sink rows: the block's, the drain link and
+    the chain bonds among the sink waveguides there."""
     n0 = len(h.block)
-    hb = np.zeros((min(h.dim, n0 + 1),) * 2)
+    hb = np.zeros((rows, rows))
     hb[:n0, :n0] = h.block - np.diag(np.diag(h.block))
-    hb[n0:, h.drain_index] = hb[h.drain_index, n0:] = h.sink_coupling
+    chain = np.arange(n0, rows)
+    above = np.append(h.drain_index, chain)[:len(chain)]
+    hb[chain, above] = hb[above, chain] = h.sink_coupling
     return hb
 
 
@@ -207,7 +214,8 @@ def _interval(h: Hamiltonian, det, diag, couplings) -> tuple:
     # a chain row's bonds within the chain first, then the head rows' sums;
     # a sum that overflows to inf (a chain coupling near the float range,
     # say) leaves an interval that the caller rejects, with its own message
-    depth, hb = np.arange(len(h.sink_indices)), _head_block(h)
+    depth = np.arange(len(h.sink_indices))
+    hb = _head_block(h, min(h.dim, n0 + 1))
     radius = np.zeros((h.dim, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         radius[n0:, 0] = abs(h.sink_coupling) * (
@@ -321,27 +329,59 @@ def _chain_rows(h: Hamiltonian) -> slice:
     return slice(len(h.block), None)
 
 
-def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
+def _b_weights(w: np.ndarray) -> np.ndarray:
+    """(M, 2, R) weights of the series in B = T_2(A) = 2 A^2 - I that sums
+    to exp(-i rho A) x = sum_k w_k T_k(A) x, for the (K, R) weights ``w``
+    and M = ceil(K / 2) terms S_j = T_j(B) x = T_2j(A) x.
+
+    Row 0 of term j is the even part's w_2j.  Row 1 is b_j / 2, with the
+    odd part A sum_j b_j S_j: T_2m+1(A) = A V_m(B) for the third-kind V_m =
+    (-1)^m T_0 + 2 sum_{j=1..m} (-1)^(m-j) T_j, so b_j = 2 (-1)^j sum_{m>=j}
+    (-1)^m w_2m+1 for j >= 1 and b_0 is half that sum (Mason & Handscomb,
+    Chebyshev Polynomials, 2003).  The half makes the odd part 2A times the
+    sum, with 2A the kernel's operand.  (-1)^m w_2m+1 = 2 J_2m+1(rho), so
+    b_j / 2 is +-2 times a tail of Bessel values, summed from the far end,
+    where a column's exact zeros past its own series add nothing.
+    """
+    m, half_m = (len(w) + 1) // 2, len(w) // 2
+    b = np.zeros((m, 2, w.shape[1]))
+    b[:, 0] = w[0::2]
+    sign = np.where(np.arange(half_m) % 2, -1.0, 1.0)[:, None]
+    b[:half_m, 1] = sign * np.cumsum((sign * w[1::2])[::-1], axis=0)[::-1]
+    b[0, 1] *= 0.5
+    return b
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """The writeable (n, C) diagonal view of the (n, >= n, C) array ``a``."""
+    s = a.strides
+    return as_strided(a, (a.shape[0], a.shape[2]), (s[0] + s[1], s[2]))
+
+
+def _chebyshev_step(x, head, chain, a_head, a_chain, slots, weights, cos_t,
+                    sin_t):
     """Overwrite the (rows, C) real columns ``x`` with exp(-i H dt) x.
 
-    2 A, with A = (H - center) / half for each column's own center and
-    half-width, is split by rows: on the first nb rows it is ``head``, the
-    per-column (nb, nb + 1, C) couplings among the first nb + 1 rows,
-    diagonal included; past them it is ``chain``, the (3, rows - nb, C)
-    lower chain bond, diagonal and upper chain bond of every row.  Term k
-    is written into slot k % K of the ring ``slots`` (see :func:`_plan`)
-    by three numpy calls: the head einsum, the banded chain einsum and the
-    recurrence.  The held terms are summed with the (terms, C) ``weights``
-    when the ring fills and after the last term; a ring shorter than the
-    series has even length, so a slot's parity is its term's.  ``cos_t``
-    and ``sin_t`` are each realization's phase.  Every call is an
-    elementwise loop over the columns that sums in term order, so a column
-    depends on its own operands and weights alone, and its zero weights
-    add exact zeros.
+    With A = (H - center) / half for each column's own center and
+    half-width, the series sum_k w_k T_k(A) x runs as M = ceil(K / 2)
+    terms S_j = T_j(B) x of B = 2 A^2 - I (see :func:`_b_weights`).  2B is
+    split by rows: on the first rows it is ``head``, the per-column
+    couplings among the leading rows, diagonal included; past them it is
+    ``chain``, the five bands of the chain rows, from two rows below to
+    two rows above.  Term j is written into slot j % held of the
+    ring ``slots`` (see :func:`_plan`) by three numpy calls: the head
+    einsum, the banded chain einsum and the recurrence.  The held terms
+    are summed with the (terms, 2, C) ``weights`` when the ring fills and
+    after the last term, into the even part and into the sum that 2A,
+    ``a_head`` over the first rows and the three bands ``a_chain`` past
+    them, then maps to the odd part.  ``cos_t`` and ``sin_t`` are each
+    realization's phase.  Every call is an elementwise loop over the
+    columns that sums in term order, so a column depends on its own
+    operands and weights alone, and its zero weights add exact zeros.
     """
-    held_terms, term, head_in, head_out, chain_out, chain_in = slots
+    terms, term, head_in, head_out, chain_in, chain_out, odd = slots
+    pre, pre_head, pre_chain, out, out_head, out_chain = odd
     held, n_terms = len(term), len(weights)
-    even = odd = None
     for k in range(n_terms):
         s = k % held
         if k == 0:
@@ -351,40 +391,80 @@ def _chebyshev_step(x, head, chain, slots, weights, cos_t, sin_t):
             c_einsum("ijr,jr->ir", head, head_in[p], out=head_out[s])
             c_einsum("krc,krc->rc", chain, chain_in[p], out=chain_out[s])
             if k == 1:
-                term[1] *= 0.5  # T_1 = A x; then T_k = 2 A T_k-1 - T_k-2
+                term[1] *= 0.5  # S_1 = B x; then S_j = 2 B S_j-1 - S_j-2
             else:
                 term[s] -= term[(k - 2) % held]
         if s == held - 1 or k == n_terms - 1:
-            w, ts = weights[k - s:k + 1], held_terms[:s + 1]
-            e = c_einsum("kc,krc->rc", w[0::2], ts[0::2])
-            o = c_einsum("kc,krc->rc", w[1::2], ts[1::2])
-            even, odd = (e, o) if even is None else (even + e, odd + o)
+            w, ts = weights[k - s:k + 1], terms[:s + 1]
+            if k == s:
+                even = c_einsum("kc,krc->rc", w[:, 0], ts)
+                c_einsum("kc,krc->rc", w[:, 1], ts, out=pre)
+            else:
+                even += c_einsum("kc,krc->rc", w[:, 0], ts)
+                pre += c_einsum("kc,krc->rc", w[:, 1], ts)
+    c_einsum("ijr,jr->ir", a_head, pre_head, out=out_head)
+    c_einsum("krc,krc->rc", a_chain, pre_chain, out=out_chain)
     # x = (cos - i sin) (even - i odd); term 0 already holds x's copy
-    re = even[:, 0::2] + odd[:, 1::2]
-    im = even[:, 1::2] - odd[:, 0::2]
+    re = even[:, 0::2] + out[:, 1::2]
+    im = even[:, 1::2] - out[:, 0::2]
     x[:, 0::2] = cos_t * re + sin_t * im
     x[:, 1::2] = cos_t * im - sin_t * re
 
 
-class _Plan(namedtuple("_Plan", "steps lo hi lengths weights head chain "
-                       "written net chunks buffer state ops")):
+def _write_segment(values, fresh, corner, written, head, square, scratch):
+    """Write one segment's ``values`` into the 2A ``corner`` at
+    ``written``, and refresh the head rows of 2B = (2A)^2 - 2 where a
+    segment can change them: ``head``, their leading (nb, nb) block, nb
+    the first n0 + 1 rows or every row, which holds every entry a segment
+    writes and every product of two of them.
+
+    With Q the corner's couplings, g its diagonal and M = (Q + diag g)
+    diag g over that block, 2B = Q^2 - 2 + M + M^T - diag(g^2) there.
+    ``square`` holds Q^2 - 2 over the block; a ``fresh`` segment, which
+    changes a coupling, recomputes it as the plan did: ``fixed``, the sum
+    over the rows from n0 on less 2, plus the sum over the first n0.
+    ``scratch`` holds the diagonal views of the corner and of ``head``,
+    n0 and ``fixed``, and room for M (or Q), g and g^2.
+    """
+    g, head_diag, n0, fixed, m, g_block, g_sq = scratch
+    block = corner[:len(head), :len(head)]
+    corner[written] = values
+    if fresh:
+        np.copyto(m, block)
+        _diagonal(m)[...] = 0.0
+        np.add(fixed, c_einsum("ikr,kjr->ijr", m[:, :n0], m[:n0]),
+               out=square)
+    np.copyto(g_block, g)
+    np.multiply(block, g_block, out=m)
+    np.add(m, square, out=head)
+    head += m.transpose(1, 0, 2)
+    np.multiply(g_block, g_block, out=g_sq)
+    head_diag -= g_sq
+
+
+class _Plan(namedtuple("_Plan", "steps lo hi lengths weights net fresh "
+                       "segment chunks buffer state ops")):
     """What one kernel call will do, as :func:`_plan` builds it; :func:`_run`
     runs it, once.
 
     ``steps`` is the steps a segment takes.  Per realization r, ``lo[r]``
-    and ``hi[r]`` bound its spectral interval, and ``weights`` (K, 2R) holds
-    every column's Bessel weights, exact zeros past its own series.  The
-    operands are ``head`` and ``chain`` (see :func:`_chebyshev_step`);
-    segment k writes ``net[k]`` into the entries ``written`` of ``head``:
-    the network diagonals and the overridden couplings.  ``chunks`` holds
-    the realization bounds (a, b) of each column chunk; the chunks share the
-    term buffer ``buffer`` (K, dim + 2, C) in turn, each running through the
-    longest series of its own columns.  ``state`` is the live real state,
-    and ``ops`` holds per chunk the arguments of :func:`_chebyshev_step`.
+    and ``hi[r]`` bound its spectral interval, and ``weights`` (M, 2, 2R)
+    holds every column's weights of the series in B (:func:`_b_weights`),
+    exact zeros past its own series.  Segment k writes ``net[k]``, the
+    network diagonals and the overridden couplings, through
+    :func:`_write_segment` with ``fresh[k]``, whether it changes a
+    coupling, and the arguments ``segment``; it refreshes the head rows of
+    2B (see :func:`_chebyshev_step`).  ``chunks`` holds
+    the realization bounds (a, b) of each column chunk; the chunks share
+    the term buffer ``buffer`` (held, dim + 4, C) in turn, each running
+    through the longest series of its own columns.  ``state`` is the live
+    real state, and ``ops`` holds per chunk the arguments of
+    :func:`_chebyshev_step`.
 
     The work counts are the same on any host: on realization r the run
-    spends ``lengths[r]`` terms a step, its chunk's longest series, over
-    ``steps`` times ``len(net)`` steps on ``len(state)`` rows.
+    spends ``lengths[r]`` B-terms a step, its chunk's longest series, and
+    one application of A, over ``steps`` times ``len(net)`` steps on
+    ``len(state)`` rows.
     """
 
 
@@ -395,17 +475,17 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
     the kernel call on them (see :class:`_Plan`).  A call of
     ``max_samples`` steps or more is rejected before any series is sized.
 
-    The term buffer holds TERMS_HELD terms of a realization, or the whole
-    series if shorter, or the largest even count from four up that fits in
+    The term buffer holds TERMS_HELD B-terms of a realization, or the whole
+    series if shorter, or the most from three up that fit in
     TERM_BUFFER_BYTES if fewer fit; then as many realizations share it as
     fit, and at least one.  So it takes at most TERM_BUFFER_BYTES unless
-    four terms of one realization take more (from 65,535 rows on).  The
+    three terms of one realization take more (from 87,378 rows on).  The
     terms held depend on the series and the chip only, never on the batch,
     so a column's sums do not depend on its batch either.  Each term
-    carries a zero ghost row above and below the chip; its band view is
-    (K, 3, dim, C), where band j of row i is padded row i + j, so bands 0,
-    1 and 2 hold a row's lower neighbour, the row itself and its upper
-    neighbour, and the ghost rows stand in past either end.
+    carries two zero ghost rows above and two below the chip; its band
+    view is (held, 5, dim, C), where band j of row i is padded row i + j,
+    so bands 0 to 4 hold row i - 2 to row i + 2, and the ghost rows stand
+    in past either end.
     """
     n0, rows, sites = len(h.block), h.dim, list(h.fmo_indices)
     det = np.asarray(detunings, dtype=float)
@@ -451,81 +531,118 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
     # is rejected by the series bound, with its own message
     with np.errstate(over="ignore"):
         rho = half * dt
-    weights = np.repeat(_chebyshev_weights(
-        rho, _step_cut(det.shape[2] * steps_per_segment)), 2, axis=1)
+    w = _chebyshev_weights(rho, _step_cut(det.shape[2] * steps_per_segment))
+    weights = np.repeat(_b_weights(w), 2, axis=2)
     # each column's own series: its weights past the last nonzero are zeros
-    length = len(weights) - (weights[::-1, 0::2] != 0).argmax(axis=0)
+    length = (len(w) + 1 - (w[::-1] != 0).argmax(axis=0)) // 2
     # libm per realization: the same bits at any batch width
     cos_t, sin_t = (np.array([f(a) for a in (center * dt).tolist()])
                     for f in (math.cos, math.sin))
-    scale = 2.0 / np.where(half > 0, half, math.inf)      # 0 if half is 0
+    # per column, 0 if half is 0
+    scale = np.repeat(2.0 / np.where(half > 0, half, math.inf), 2)
 
-    # 2 (H - center) / half per column, split by rows (see _chebyshev_step)
-    # and built once for the whole batch: a segment sets the network
-    # diagonals (and overridden couplings) of `head`
-    hb = _head_block(h)
-    nb, m = len(hb), rows - len(hb)
-    # the chain bond below each chain row, 0 below the last
-    bond = np.append(np.full(m, h.sink_coupling), 0.0)[:, None] * np.repeat(
-        scale, 2)
-    head = np.zeros((nb, nb + 1, 2 * n_real))
-    head[:, :nb] = hb[:, :, None] * np.repeat(scale, 2)
-    head[range(nb), range(nb)] = np.repeat((diag[:nb] - center) * scale, 2,
-                                           axis=1)
-    head[n0:nb, nb] = bond[0]                    # the first chain bond
-    chain = np.zeros((3, m, 2 * n_real))
-    chain[0], chain[2] = bond[:m], bond[1:m + 1]
-    chain[1] = np.repeat((diag[nb:] - center) * scale, 2, axis=1)
+    # 2A = 2 (H - center) / half per column: g its diagonal and `corner`
+    # its leading (cb, cb) block, which holds every entry a segment
+    # writes.  2A's own head rows, where it applies 2A, are its first nb;
+    # the head rows of 2B are its first rb, and a segment changes them only
+    # in their leading (nb, nb) block (see _write_segment).  There Q^2 - 2,
+    # Q the couplings, is the sum over the rows from n0 on less 2, `fixed`,
+    # plus the sum over the first n0, which has no term past row nb
+    nb = min(rows, n0 + 1)
+    rb, cb = min(rows, nb + 1), min(rows, nb + 3)
+    g = np.repeat((diag - center), 2, axis=1) * scale
+    corner = _head_block(h, cb)[:, :, None] * scale
+    head = c_einsum("ikr,kjr->ijr", corner[:rb, n0:], corner[n0:])
+    _diagonal(head)[...] -= 2.0
+    fixed = head[:nb, :nb].copy()
+    head[:nb, :nb] += c_einsum("ikr,kjr->ijr", corner[:nb, :n0],
+                               corner[:n0, :nb])
+    square = head[:nb, :nb].copy()
+    _diagonal(corner)[...] = g[:cb]
+    head += corner[:rb] * g[:cb]
+    head += (corner[:, :rb] * g[:rb]).transpose(1, 0, 2)
+    _diagonal(head)[...] -= g[:rb] * g[:rb]
+    # the chain bond from each row to the next, 0 from the last row on;
+    # past nb every row has a chain bond below it
+    up = np.zeros((rows + 1, 2 * n_real))
+    up[n0:rows - 1] = h.sink_coupling * scale
+    a_chain = np.stack([up[nb - 1:rows - 1], g[nb:], up[nb:rows]])
+    # (2B)_i,i+d for d = -2 .. 2 on the chain rows past rb, fixed for the
+    # whole call
+    i = np.arange(rb, rows)
+    lo_1, lo_2, hi_1, hi_2 = up[i - 1], up[i - 2], up[i], up[i + 1]
+    g_0, g_lo, g_hi = g[i], g[i - 1], g[np.minimum(i + 1, rows - 1)]
+    chain = np.stack([lo_1 * lo_2, lo_1 * (g_lo + g_0),
+                      lo_1 * lo_1 + hi_1 * hi_1 + g_0 * g_0 - 2.0,
+                      hi_1 * (g_0 + g_hi), hi_1 * hi_2])
     # per segment, the (sites + 2 overrides, 2R) entries it writes: the
     # network diagonals, then each override at (i, j) and at (j, i)
-    i, j = [[pair[k] for pair in pairs] for k in (0, 1)]
-    over = [(c * scale[:, None]).T[:, None] for c in pairs.values()]
-    net = list(np.repeat(np.concatenate(
-        [(diag[sites] + det.transpose(2, 1, 0) - center) * scale] + over * 2,
-        axis=1), 2, axis=2))
-    written = tuple(np.array(sites + ij) for ij in (i + j, j + i))
+    ii, jj = [[pair[k] for pair in pairs] for k in (0, 1)]
+    over = [(c * scale[::2, None]).T[:, None] for c in pairs.values()]
+    net = np.repeat(np.concatenate(
+        [(diag[sites] + det.transpose(2, 1, 0) - center) * scale[::2]]
+        + over * 2, axis=1), 2, axis=2)
+    written = tuple(np.array(sites + ij) for ij in (ii + jj, jj + ii))
+    # whether segment k changes a coupling from segment k - 1 (from the
+    # chip before the first): only such a segment recomputes Q^2
+    new = net[:, len(sites):]
+    fresh = (new != np.concatenate([corner[written][None, len(sites):],
+                                    new[:-1]])).any(axis=(1, 2))
+    segment = (corner, written, head[:nb, :nb], square,
+               (_diagonal(corner)[:nb], _diagonal(head)[:nb], n0, fixed,
+                np.empty_like(square), np.empty((nb, 2 * n_real)),
+                np.empty((nb, 2 * n_real))))
 
-    term = (rows + 2) * 2 * 8  # one padded term of one realization
-    held = min(len(weights), TERMS_HELD,
-               max(4, TERM_BUFFER_BYTES // term // 2 * 2))
+    term = (rows + 4) * 2 * 8  # one padded term of one realization
+    held = min(len(weights), TERMS_HELD, max(3, TERM_BUFFER_BYTES // term))
     width = max(1, min(n_real, TERM_BUFFER_BYTES // (held * term)))
-    buffer = np.zeros((held, rows + 2, 2 * width))
-    bands = as_strided(buffer, (held, 3, rows, 2 * width),
+    buffer = np.zeros((held, rows + 4, 2 * width))
+    bands = as_strided(buffer, (held, 5, rows, 2 * width),
                        np.take(buffer.strides, [0, 1, 1, 2]), writeable=False)
+    # the sum 2A maps to the odd part, padded like a term, with its band
+    # view of three bands (row i - 1 to row i + 1), and the odd part
+    pre = np.zeros((rows + 4, 2 * width))
+    pre_bands = as_strided(pre[1:], (3, rows, 2 * width),
+                           np.take(pre.strides, [0, 0, 1]), writeable=False)
+    out = np.empty((rows, 2 * width))
     # column chunks of at most `width` realizations share the term buffer,
     # each running through the longest series of its own columns
     chunks = [(a, min(a + width, n_real)) for a in range(0, n_real, width)]
     run = np.concatenate([[length[a:b].max()] * (b - a) for a, b in chunks])
 
     # The state is real: column 2r holds Re psi_r and column 2r + 1 Im psi_r,
-    # which the real operator 2 (H - center) / half acts on alike; each step
-    # writes it in place.  The views of `head` see every segment's writes.
-    # Per chunk and slot of the ring: the term, its nb + 1 leading rows, its
-    # first nb rows, its chain rows past them, and the band view of those
+    # which the real operators act on alike; each step writes it in place.
+    # The views of `head` and `corner` see every segment's writes.  Per
+    # chunk and slot of the ring: the term, its cb leading rows, its first
+    # rb rows, the band view of its chain rows past them, and those rows
     x = np.zeros((rows, 2 * n_real))
     x[h.source_index, 0::2] = 1.0
     ops = []
     for a, b in chunks:
-        cols, t = slice(2 * a, 2 * b), buffer[..., :2 * (b - a)]
-        slots = (t[:, 1:-1], list(t[:, 1:-1]), list(t[:, 1:nb + 2]),
-                 list(t[:, 1:nb + 1]), list(t[:, nb + 1:-1]),
-                 list(bands[:, :, nb:, :2 * (b - a)]))
-        ops.append((x[:, cols], head[..., cols], chain[..., cols], slots,
-                    weights[:run[a], cols], cos_t[a:b], sin_t[a:b]))
-    return _Plan(steps_per_segment, lo, hi, run, weights, head, chain,
-                 written, net, chunks, buffer, x, ops)
+        cols, c = slice(2 * a, 2 * b), slice(0, 2 * (b - a))
+        t = buffer[..., c]
+        odd = (pre[2:-2, c], pre[2:rb + 2, c], pre_bands[:, nb:, c],
+               out[:, c], out[:nb, c], out[nb:, c])
+        slots = (t[:, 2:-2], list(t[:, 2:-2]), list(t[:, 2:cb + 2]),
+                 list(t[:, 2:rb + 2]), list(bands[:, :, rb:, c]),
+                 list(t[:, rb + 2:-2]), odd)
+        ops.append((x[:, cols], head[..., cols], chain[..., cols],
+                    corner[:nb, :rb, cols], a_chain[..., cols], slots,
+                    weights[:run[a], :, cols], cos_t[a:b], sin_t[a:b]))
+    return _Plan(steps_per_segment, lo, hi, run, weights, list(net),
+                 fresh.tolist(), segment, chunks, buffer, x, ops)
 
 
 def _run(plan: _Plan):
     """Run ``plan``: yield its live real state, column 2r the real and
     2r + 1 the imaginary part of realization r, before the first step and
     after each step; the next step overwrites it in place.  Each segment
-    writes its network diagonals and couplings into ``head``, then each
-    of its steps steps every chunk and checks the norm.
+    writes its network diagonals and couplings (:func:`_write_segment`),
+    then each of its steps steps every chunk and checks the norm.
     """
     yield plan.state
-    for values in plan.net:
-        plan.head[plan.written] = values
+    for values, fresh in zip(plan.net, plan.fresh):
+        _write_segment(values, fresh, *plan.segment)
         for _ in range(plan.steps):
             for args in plan.ops:
                 _chebyshev_step(*args)

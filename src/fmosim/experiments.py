@@ -214,6 +214,13 @@ def _light_cone_depth(coupling: float, segment_length: float, segments: int,
     chain is uncoupled, or if the segment length is not positive and
     finite, which the kernel rejects; on the default chip it is 18.
 
+    Only the middle segments, k = (N - 1) // 2 and N // 2 of N, need the
+    test, so the depth costs the same at any segment count: log E(L, t) is
+    concave in t (its slope in 2 c t is sinh mu at the minimum, which falls
+    as t grows, to 0 from 2 c t = L on), t_k + (T - t_k-1) is the same in
+    every segment, and the two middle segments mirror each other, so the
+    sum of the two logs is largest there.
+
     Cutting the chain below depth L moves the network rows of every state
     dynamics.traces records by at most LIGHT_CONE_TOL, and so every sink
     fraction that dynamics.sink_fractions yields, the chain's total weight,
@@ -249,15 +256,14 @@ def _light_cone_depth(coupling: float, segment_length: float, segments: int,
       fraction is 1 minus the depth-0 share of the norm, and both states
       are unit vectors, so it moves by at most 2 LIGHT_CONE_TOL.
     """
-    ends = [segment_length * (k + 1) for k in range(segments)]
-    if coupling == 0.0 or not ends or not 0 < segment_length < math.inf:
+    if coupling == 0.0 or segments < 1 or not 0 < segment_length < math.inf:
         return 0
-    budget = (math.log(LIGHT_CONE_TOL) - math.log(coupling)
-              - math.log(ends[-1]))
+    end = segment_length * segments
+    budget = math.log(LIGHT_CONE_TOL) - math.log(coupling) - math.log(end)
     depth = 0
-    for k, t in enumerate(ends):
-        a = 2.0 * coupling * t
-        back = 2.0 * coupling * (ends[-1] - segment_length * k)
+    for k in {(segments - 1) // 2, segments // 2}:
+        a = 2.0 * coupling * (segment_length * (k + 1))
+        back = 2.0 * coupling * (end - segment_length * k)
         while depth < max_depth and (_cone_log_weight(depth, a)
                                      + _cone_log_weight(depth, back)
                                      > budget):

@@ -219,8 +219,12 @@ def build_fmo_hamiltonian(spec: FmoSpec = FmoSpec()) -> Hamiltonian:
     np.fill_diagonal(off, 0.0)
     if not spec.include_weak_couplings:
         off[np.abs(off) < WEAK_COUPLING_CUTOFF_CM] = 0.0
-    diag = (np.diag(raw) - np.diag(raw).min()) * spec.site_energy_scale
-    matrix = (off * spec.coupling_scale + np.diag(diag)) * spec.unit_conversion
+    # a scale that overflows an entry to inf leaves a chip that Hamiltonian
+    # rejects as not finite, with its own message
+    with np.errstate(over="ignore"):
+        diag = (np.diag(raw) - np.diag(raw).min()) * spec.site_energy_scale
+        matrix = ((off * spec.coupling_scale + np.diag(diag))
+                  * spec.unit_conversion)
     roles = tuple(f"fmo_site_{i + 1}" for i in range(n))
     return Hamiltonian(block=matrix, roles=roles)
 

@@ -308,6 +308,20 @@ class TestTraces:
             assert (tr.fine_step, tr.fmo_indices, tr.sink_indices) == \
                 (alone.fine_step, alone.fmo_indices, alone.sink_indices)
 
+    def test_chip_without_a_sink_is_exact_and_batch_free(self,
+                                                         monkeypatch):
+        # the seven network rows alone, all of them head rows of 2B, two
+        # steps a segment
+        h = build_fmo_hamiltonian(FmoSpec())
+        _, det, diag = batch_inputs()
+        diag = diag[:h.dim]
+        plan = dynamics._plan(h, det, 1.0, 2, diag, None)
+        _, _, head, *_ = plan.segment
+        assert not len(h.sink_indices) and len(head) == h.dim
+        for budget, bound in budgets(dynamics.TRUNCATION_BUDGET, 1e-12):
+            monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
+            assert_exact_and_batch_free(h, det, 1.0, 2, diag, {}, bound)
+
     def test_efficiency_at_every_sample_is_its_sink_fraction(self):
         # at the default step a segment, a trace's efficiency is the sink
         # fraction of its column at every sample, bit for bit, on a
@@ -336,7 +350,7 @@ class TestCouplingCorrection:
         [det], _, couplings = experiments._columns(
             cfg, ph["h"], [0.5], [1], 0.0, [(0, 0)])
         np.testing.assert_array_equal(det, ph["detunings"][0])
-        block = dynamics._head_block(ph["h"])
+        block = dynamics._head_block(ph["h"], len(ph["h"].block) + 1)
         for (i, j), [c] in couplings.items():
             block[i, j] = block[j, i] = c[k]
         return block, det[:, k]
@@ -420,6 +434,47 @@ def kernel_states(h, det, segment_length, steps=1, diagonals=None,
     return list(np.stack([tr.amplitudes for tr in batch], axis=2))
 
 
+def dense_states(h, det, segment_length, steps, diagonals, couplings):
+    """The (dim, R) states of :func:`kernel_states`, each column stepped by
+    the exact propagator of its dense segment matrices, couplings
+    overridden as :func:`traces` reads them."""
+    psi = np.zeros((h.dim, len(det)), complex)
+    psi[h.source_index] = 1.0
+    states = [psi]
+    for k in range(det.shape[2]):
+        u = []
+        for c in range(len(det)):
+            hd = with_diagonal(h, diagonals[:, c])
+            m = segment_matrix(hd, det[c, :, k])
+            for (i, j), v in couplings.items():
+                m[i, j] = m[j, i] = v[c, k]
+            u.append(segment_propagator(m, segment_length / steps))
+        for _ in range(steps):
+            psi = np.stack([u[c] @ psi[:, c] for c in range(len(det))],
+                           axis=1)
+            states.append(psi)
+    return states
+
+
+def assert_exact_and_batch_free(h, det, segment_length, steps, diagonals,
+                                couplings, bound):
+    """The kernel's states of a batch lie within ``bound`` of
+    :func:`dense_states`, and each column's are its lone run's, bit for
+    bit."""
+    batch = kernel_states(h, det, segment_length, steps, diagonals,
+                          couplings)
+    expected = dense_states(h, det, segment_length, steps, diagonals,
+                            couplings)
+    assert len(batch) == det.shape[2] * steps + 1
+    assert np.abs(np.array(batch) - np.array(expected)).max() < bound
+    for c in range(len(det)):
+        alone = kernel_states(h, det[c:c + 1], segment_length, steps,
+                              diagonals[:, c:c + 1],
+                              {k: v[c:c + 1] for k, v in couplings.items()})
+        for a, b in zip(alone, batch):
+            assert a[:, 0].tobytes() == b[:, c].tobytes()
+
+
 def run_states(h, det, diag, correction, steps=2):
     return kernel_states(h, det, 1.0, steps, diag,
                          corrected_couplings(h, det, correction))
@@ -438,7 +493,9 @@ def states_plan(h, det, diag, correction, steps=2):
 
 
 def buffer_shape(plan):
-    """(terms held, chip rows, columns) of a plan's term buffer."""
+    """(terms held, rows, columns) of a plan's term buffer, rows being its
+    padded rows less two, so that one term of one realization takes
+    (rows + 2) * 2 * 8 bytes."""
     held, padded, cols = plan.buffer.shape
     return held, padded - 2, cols
 
@@ -556,14 +613,15 @@ class TestPropagate:
         h, det, diag = long_chain_inputs(3)
         whole = run_states(h, det, diag, correction)
         n_terms, rows, _ = buffer_shape(states_plan(h, det, diag, correction))
-        # the smallest even ring from six up that the series runs past and
+        # the smallest ring from four up that the series runs past and
         # ends partway through, so that the last sum takes a partial ring
-        size = next(k for k in range(6, n_terms, 2) if n_terms % k)
-        for held in (4, size):
-            # a budget below one realization's series, with room for
-            # held + 1 of its terms: the ring keeps an even count
+        size = next(k for k in range(4, n_terms) if n_terms % k)
+        for held in (3, size):
+            # a budget below one realization's series, with room for held
+            # of its terms; three, the fewest a ring holds, is the
+            # recurrence's two last terms and the one it writes
             monkeypatch.setattr(dynamics, "TERM_BUFFER_BYTES",
-                                (held + 1) * (rows + 2) * 2 * 8 + 8)
+                                held * (rows + 2) * 2 * 8 + 8)
             ring = run_states(h, det, diag, correction)
             assert buffer_shape(states_plan(h, det, diag, correction)) == \
                 (held, rows, 2)
@@ -591,16 +649,20 @@ class TestPropagate:
         h, det, diag = long_chain_inputs(1)
         own = run_states(h, det, diag, correction)
         n_own = len(states_plan(h, det, diag, correction).buffer)
-        weights = dynamics._chebyshev_weights
+        weights, lengths = dynamics._chebyshev_weights, set()
 
         def padded(rho, cut):
             w = weights(rho, cut)
+            lengths.add(len(w))
             return np.pad(w, [(0, pad)] + [(0, 0)] * (w.ndim - 1))
 
         monkeypatch.setattr(dynamics, "_chebyshev_weights", padded)
         longer = run_states(h, det, diag, correction)
         n_longer = len(states_plan(h, det, diag, correction).buffer)
-        assert n_longer == min(n_own + pad, dynamics.TERMS_HELD)
+        # a series of K terms in A holds ceil(K / 2) terms in B
+        [k] = lengths
+        assert n_own == (k + 1) // 2
+        assert n_longer == min((k + pad + 1) // 2, dynamics.TERMS_HELD)
         for a, b in zip(longer, own):
             np.testing.assert_array_equal(a, b)
 
@@ -608,14 +670,17 @@ class TestPropagate:
     @pytest.mark.parametrize("rows", [8, 54, 5823, 70_000])
     def test_term_buffer_stays_within_its_budget(self, n_terms, rows,
                                                  monkeypatch):
-        # 5823 rows leave room for an odd count (45) of terms; plans of a
-        # chip of ``rows`` rows, with series of n_terms terms
+        # 70,000 rows leave room for three terms, the fewest a ring holds;
+        # plans of a chip of ``rows`` rows, with series of n_terms terms in
+        # A, ceil(n_terms / 2) in B
         monkeypatch.setattr(dynamics, "_chebyshev_weights",
                             lambda rho, cut: np.broadcast_to(
                                 1.0, (n_terms, len(rho))))
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), rows - 7,
                         coupling=1e5)
-        term = (rows + 2) * 2 * 8  # one padded term of one realization
+        n_b = (n_terms + 1) // 2
+        held_max = min(n_b, dynamics.TERMS_HELD)
+        term = (rows + 4) * 2 * 8  # one padded term of one realization
         budget = dynamics.TERM_BUFFER_BYTES
         # the widest batch is 1,100 realizations, or one more than the
         # budget holds single terms of, whichever is fewer: wider than any
@@ -625,57 +690,58 @@ class TestPropagate:
                                   None)
             held, padded, cols = plan.buffer.shape
             width = cols // 2
-            assert padded == rows + 2 and len(plan.weights) == n_terms
+            assert padded == rows + 4 and len(plan.weights) == n_b
             assert plan.chunks == [(a, min(a + width, n_real))
                                    for a in range(0, n_real, width)]
             assert 1 <= width <= n_real
-            assert held * width * term <= max(budget, 4 * term)
-            assert held <= min(n_terms, dynamics.TERMS_HELD)
-            if held < n_terms:
-                assert held >= 4 and held % 2 == 0
-            if min(n_terms, dynamics.TERMS_HELD) * term <= budget:
-                assert held == min(n_terms, dynamics.TERMS_HELD)
+            assert held * width * term <= max(budget, 3 * term)
+            assert held <= held_max
+            if held < held_max:
+                assert held >= 3
+            if held_max * term <= budget:
+                assert held == held_max
                 assert width == min(n_real, budget // (held * term))
 
     def test_buffer_shape_at_the_benchmark_sweeps(self):
         # 25 rows (the sweeps' chip) and 44 realizations: the clean
-        # sweep's 17-term series is held whole, the colored CLI sweep's 34
-        # to 36 terms run through a ring of 24
-        for shape, held in (("sweep_clean", 17), ("sweep_disorder_cli", 24)):
+        # sweep's 17-term series is 9 terms in B, the colored CLI sweep's
+        # 34 to 36 are 17 or 18, each held whole
+        for shape, held in (("sweep_clean", 9), ("sweep_disorder_cli", 18)):
             cfg = SweepConfig(realizations=4, **self.GATED[shape])
             plan = study_plan(cfg)
-            assert plan.buffer.shape == (held, 25 + 2, 2 * 44)
+            assert plan.buffer.shape == (held, 25 + 4, 2 * 44)
             assert len(plan.chunks) == 1
 
     def test_plan_work_counts_of_the_clean_sweep(self):
-        # 17 terms a step and 340 a column, on the sweep's 25 rows
+        # 9 B-terms a step (17 in A) and 180 a column, each step with one
+        # application of A, on the sweep's 25 rows
         cfg = SweepConfig(realizations=4, **self.GATED["sweep_clean"])
         plan = study_plan(cfg)
         assert len(plan.lengths) == 44 and plan.steps == 1
-        assert (plan.lengths == 17).all()
-        assert (plan.steps * len(plan.net) * plan.lengths == 340).all()
+        assert (plan.lengths == 9).all()
+        assert (plan.steps * len(plan.net) * plan.lengths == 180).all()
         assert len(plan.state) == 25
         # rows times terms over the call
         assert (len(plan.state) * plan.steps * len(plan.net) * plan.lengths
-                == 8500).all()
+                == 4500).all()
 
     def test_plan_of_figS8_at_the_strongest_disorder(self):
         # figS8's gamma = 100 sweep at seed 0 (fmosim reproduce figS8):
-        # 1,100 columns on 25 rows, a 138-term series through a
-        # ring of 24 terms, in column chunks of 404, 404 and 292
+        # 1,100 columns on 25 rows, a 138-term series, 69 terms in B,
+        # through a ring of 24 terms, in column chunks of 376, 376 and 348
         cfg = SweepConfig(realizations=100, disorder=100.0, sink_length=80,
                           grid=experiments.FIGS8_GRIDS[100.0])
         plan = study_plan(cfg)
         assert len(plan.lengths) == 1100 and len(plan.state) == 25
-        assert len(plan.weights) == plan.lengths.max() == 138
-        assert plan.buffer.shape == (24, 25 + 2, 2 * 404)
-        assert [b - a for a, b in plan.chunks] == [404, 404, 292]
+        assert len(plan.weights) == plan.lengths.max() == 69
+        assert plan.buffer.shape == (24, 25 + 4, 2 * 376)
+        assert [b - a for a, b in plan.chunks] == [376, 376, 348]
 
     def test_colored_series_in_a_ring_matches_holding_every_term(
             self, monkeypatch):
         # the colored CLI sweep's shape: colored noise up to 12 mm^-1,
-        # disorder 10 and 80 sink waveguides take more than TERMS_HELD
-        # terms a step, under either budget
+        # disorder 10 and 80 sink waveguides take more than a ring of 8
+        # B-terms a step, under either budget
         h = attach_sink(build_fmo_hamiltonian(FmoSpec()), 80)
         amplitudes = np.repeat(np.geomspace(0.3, 12.0, 4), 2)
         seeds = list(range(len(amplitudes)))
@@ -684,10 +750,11 @@ class TestPropagate:
                              amplitudes, seeds)
         diag = (h.matrix.diagonal()[:, None]
                 + static_disorder_shifts(h.dim, 10.0, seeds).T)
-        held = dynamics.TERMS_HELD
+        held = 8
         # both runs share the series, and differ only in how its sums group
         for budget, bound in budgets(1e-14, 1e-14):
             monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
+            monkeypatch.setattr(dynamics, "TERMS_HELD", held)
             ring = run_states(h, det, diag, False, steps=1)
             n_ring = len(states_plan(h, det, diag, False, steps=1).buffer)
             monkeypatch.setattr(dynamics, "TERMS_HELD",
@@ -891,6 +958,11 @@ class TestPropagate:
         couplings = corrected_couplings(h, det, correction)
         couplings.update(zeroed_mode(h, det))
         assert np.ptp(diag[h.sink_indices], axis=0).all()   # disorder 3
+        # the zeroed couplings change the chip once, before the first
+        # segment, and the correction changes them in every segment: only
+        # such a segment recomputes the head's square
+        plan = dynamics._plan(h, det, 1.0, 2, diag, couplings)
+        assert plan.fresh == [True] + [correction] * (det.shape[2] - 1)
         # two chips, two series, each within the budget of the same states
         for budget, bound in budgets(2 * dynamics.TRUNCATION_BUDGET, 1e-13):
             monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
@@ -1023,6 +1095,54 @@ class TestPropagate:
                 assert np.abs(np.array(got)
                               - np.array(expected)).max() < bound
 
+    # (vibration, sink waveguides, disorder, correction, steps a segment)
+    # of the cases of the series in B, on six 1 mm segments
+    B_CASES = {"odd_and_even_series": (False, 20, 3.0, False, 1),
+               "longer_than_the_ring": (False, 20, 100.0, False, 1),
+               "one_sink_waveguide": (False, 1, 3.0, False, 1),
+               "overrides_each_segment": (True, 20, 3.0, True, 2),
+               "steps_a_segment": (False, 20, 3.0, False, 3)}
+
+    @pytest.mark.parametrize("case", list(B_CASES))
+    def test_series_in_b_is_exact_and_batch_free(self, case, monkeypatch):
+        # each case against the dense propagator, and each column alone
+        # against its batch, bit for bit
+        vibration, sink, disorder, correction, steps = self.B_CASES[case]
+        h, det, _ = batch_inputs(vibration, sink=sink)
+        diag = np.stack([apply_static_disorder(h, disorder, [11, r])
+                         .matrix.diagonal() for r in range(len(det))], axis=1)
+        couplings = corrected_couplings(h, det, correction)
+        plan = dynamics._plan(h, det, 1.0, steps, diag, couplings)
+        _, _, head, *_ = plan.segment
+        if case == "longer_than_the_ring":
+            # 83 or 84 terms in A, 42 in B
+            assert plan.lengths.min() > dynamics.TERMS_HELD
+        if case == "one_sink_waveguide":
+            assert h.dim == len(h.block) + 1 == len(head)
+        if case == "overrides_each_segment":
+            # every coupling moves from segment to segment in a noisy
+            # column, and the head's square is recomputed in every segment
+            assert all(np.ptp(v, axis=1).any() for v in couplings.values())
+            assert all(plan.fresh)
+        else:
+            assert not any(plan.fresh)
+        assert plan.steps == steps
+        lengths, weights = [], dynamics._chebyshev_weights
+
+        def spy(rho, cut):
+            w = weights(rho, cut)
+            lengths.append(len(w))
+            return w
+
+        for budget, bound in budgets(dynamics.TRUNCATION_BUDGET, 1e-12):
+            monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
+            monkeypatch.setattr(dynamics, "_chebyshev_weights", spy)
+            assert_exact_and_batch_free(h, det, 1.0, steps, diag, couplings,
+                                        bound)
+        if case == "odd_and_even_series":
+            # the lone columns' series in A have both parities
+            assert {n % 2 for n in lengths} == {0, 1}
+
     # SweepConfig fields of the benchmark's gated sweeps, 20 segments each,
     # and of the vibration mode and the coupling correction on them.  The
     # first two mirror the sweep_clean and sweep_disorder_cli studies of
@@ -1067,7 +1187,7 @@ class TestPropagate:
         # fewest realizations whose batch does not fit one chunk: its
         # series is longer than TERMS_HELD, so every chunk runs through the
         # ring of held terms
-        cfg = SweepConfig(realizations=24, disorder=100.0, sink_length=80,
+        cfg = SweepConfig(realizations=23, disorder=100.0, sink_length=80,
                           grid=experiments.FIGS8_GRIDS[100.0])
         base = attach_sink(experiments.network_hamiltonian(cfg), 34)
         det, diag, _ = experiments._study_columns(cfg, base)
@@ -1175,8 +1295,9 @@ class TestPropagate:
                 run_states(h, det, diag, False)
 
     # (h, correction) of the split product's edge cases: a chip with no
-    # chain row (a one-waveguide sink), the vibration mode in the head rows
-    # (nb = 9) and the per-column couplings of the coupling correction
+    # chain row past the head (a one-waveguide sink), the vibration mode in
+    # the head rows (the 9 of 2B that a segment refreshes) and the
+    # per-column couplings of the coupling correction
     SPLIT_CASES = {"no_chain_row": (False, 1, False),
                    "vibration": (True, 20, False),
                    "correction": (False, 20, True)}
@@ -1185,11 +1306,11 @@ class TestPropagate:
     def test_split_product_edge_cases(self, case, monkeypatch):
         vibration, sink, correction = self.SPLIT_CASES[case]
         h, det, diag = batch_inputs(vibration, sink=sink)
-        nb = len(dynamics._head_block(h))
+        _, _, head, *_ = states_plan(h, det, diag, correction).segment
         if case == "no_chain_row":
-            assert nb == h.dim
+            assert len(head) == h.dim
         if case == "vibration":
-            assert nb == 9
+            assert len(head) == 9
         expected = np.zeros((2 * det.shape[2] + 1,) + diag.shape, complex)
         expected[0, h.source_index] = 1.0
         for c in range(det.shape[0]):
@@ -1220,23 +1341,26 @@ class TestPropagate:
     def test_c_einsum_is_numpy_einsum(self):
         # every subscript the kernel calls, on the strided views a plan
         # passes: a column chunk of the band view, the head rows, the held
-        # terms of its (K, rows + 2, 10) term buffer
+        # terms of its (held, rows + 4, 10) term buffer and their weights,
+        # and the square of the head couplings
         rng = np.random.default_rng(0)
         plan = states_plan(*long_chain_inputs(5), False)
         terms = plan.buffer
         k, padded, cols = terms.shape
-        assert k >= 4 and cols == 10
-        terms[:, 1:-1] = rng.standard_normal((k, padded - 2, cols))
-        # the step arguments of the first chunk; its slots end with each
-        # held term's band view of the chain rows
-        bands = plan.ops[0][3][-1][1]
+        assert k >= 3 and cols == 10
+        terms[:, 2:-2] = rng.standard_normal((k, padded - 4, cols))
+        # the step arguments of the first chunk; its slots hold each held
+        # term's band view of the chain rows fifth
+        bands = plan.ops[0][5][4][1]
         chain = rng.standard_normal(bands.shape)
         head = rng.standard_normal((5, 6, 10))
-        w = rng.standard_normal((k, 10))
+        off = rng.standard_normal((6, 6, 10))
+        w = rng.standard_normal((k, 2, 10))
         cases = [("krc,krc->rc", chain[:, 3:, :7], bands[:, 3:, :7]),
-                 ("ijr,jr->ir", head[:, :, :7], terms[1, 1:7, :7]),
-                 ("kc,krc->rc", w[0::2, :7], terms[0::2, 1:-1, :7]),
-                 ("ij,ij->j", terms[2, 1:-1], terms[2, 1:-1])]
+                 ("ijr,jr->ir", head[:, :, :7], terms[1, 2:8, :7]),
+                 ("kc,krc->rc", w[:, 1, :7], terms[:, 2:-2, :7]),
+                 ("ikr,kjr->ijr", off[:5, :, :7], off[:, :, :7]),
+                 ("ij,ij->j", terms[2, 2:-2], terms[2, 2:-2])]
         for subscripts, *operands in cases:
             expected = np.einsum(subscripts, *operands)
             got, out = np.empty_like(expected), np.empty_like(expected)

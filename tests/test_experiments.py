@@ -778,6 +778,39 @@ class TestLightCone:
         assert experiments._light_cone_depth(c, step, segments, max_depth) \
             == min(uncut, max_depth)
 
+    @given(c=st.floats(1e-3, 10.0), step=st.floats(1e-3, 5.0),
+           segments=st.integers(1, 120), max_depth=st.integers(0, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_middle_segments_set_the_depth_of_every_segment(
+            self, c, step, segments, max_depth):
+        # the depth the middle segments need is the depth every segment's
+        # own test needs, taken one segment after another
+        end = step * segments
+        budget = (math.log(experiments.LIGHT_CONE_TOL) - math.log(c)
+                  - math.log(end))
+        depth = 0
+        for k in range(segments):
+            a, back = 2.0 * c * (step * (k + 1)), 2.0 * c * (end - step * k)
+            while depth < max_depth and (
+                    experiments._cone_log_weight(depth, a)
+                    + experiments._cone_log_weight(depth, back) > budget):
+                depth += 1
+        assert experiments._light_cone_depth(c, step, segments,
+                                             max_depth) == depth
+
+    def test_a_billion_segments_take_no_time_or_memory(self):
+        # the depth costs the same at any segment count: 17 sink waveguides
+        # for the default chip's 20 mm in 1e9 segments
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            depth = experiments._light_cone_depth(0.2, 20.0 / 10 ** 9,
+                                                  10 ** 9, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert depth == 17 and peak < 10_000
+
     @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
     def test_light_cone_depth_without_a_finite_length_is_zero(self, step):
         # the kernel rejects such a segment length with its own message

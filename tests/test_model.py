@@ -103,6 +103,16 @@ class TestBuildFmoHamiltonian:
             scaled.matrix[off].real, default.matrix[off].real * (s / 0.14),
             rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("scale", ["site_energy_scale",
+                                       "unit_conversion"])
+    def test_overflowing_scale_rejected_without_a_warning(self, scale):
+        # 1e308 times an energy or a coupling overflows to inf: the chip is
+        # rejected as not finite, and numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PhysicsError, match="must be finite"):
+                build_fmo_hamiltonian(FmoSpec(**{scale: 1e308}))
+
 
 class TestAttachSink:
     def test_dimension_107(self):
