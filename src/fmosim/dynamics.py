@@ -34,15 +34,18 @@ and returns a frozen record (:class:`_Plan`) of all it will do: each
 column's interval, weights and series length, the operands, the column
 chunks and their term buffer, and the views each term reads and writes,
 built once.  :func:`_run` is the loop: each segment writes its diagonals
-and couplings, steps every chunk, checks the norm and yields the live
-state.  The work counts (terms a step, and rows times terms per column)
-are plan fields, exact on any host.  :func:`sink_fractions` and
-:func:`final_sink_fractions` each run a plan and read out the fractions
-they hand back, through the norm check's :func:`_norms`.  :func:`traces`
-writes each live state straight into one :class:`EvolutionTrace` array
-for the whole batch.  Every readout takes one step a segment unless told
-otherwise.  :func:`segment_propagator` builds the exact propagator from a
-Hermitian eigendecomposition; the tests check the kernel against it.
+and couplings into 2A's leading block and squares that block into the
+head rows of 2B, by one formula with or without coupling overrides
+(:func:`_write_segment`); then it steps every chunk, checks the norm and
+yields the live state.  The work counts (terms a step, and rows times
+terms per column) are plan fields, exact on any host.
+:func:`sink_fractions` and :func:`final_sink_fractions` each run a plan
+and read out the fractions they hand back, through the norm check's
+:func:`_norms`.  :func:`traces` writes each live state straight into one
+:class:`EvolutionTrace` array for the whole batch.  Every readout takes
+one step a segment unless told otherwise.  :func:`segment_propagator`
+builds the exact propagator from a Hermitian eigendecomposition; the
+tests check the kernel against it.
 """
 
 from __future__ import annotations
@@ -141,11 +144,12 @@ def segment_propagator(h_eff: np.ndarray, dz: float) -> np.ndarray:
 
 def _head_block(h: Hamiltonian, rows: int) -> np.ndarray:
     """(rows, rows) couplings, diagonal zeroed, among the first ``rows`` rows
-    of ``h``, at least its non-sink rows: the block's, the drain link and
-    the chain bonds among the sink waveguides there."""
+    of ``h``, at least its non-sink rows: the block's, read from its lower
+    triangle as ``eigvalsh`` reads it so that they are exactly symmetric,
+    the drain link and the chain bonds among the sink waveguides there."""
     n0 = len(h.block)
     hb = np.zeros((rows, rows))
-    hb[:n0, :n0] = h.block - np.diag(np.diag(h.block))
+    hb[:n0, :n0] = np.tril(h.block, -1) + np.tril(h.block, -1).T
     chain = np.arange(n0, rows)
     above = np.append(h.drain_index, chain)[:len(chain)]
     hb[chain, above] = hb[above, chain] = h.sink_coupling
@@ -411,38 +415,26 @@ def _chebyshev_step(x, head, chain, a_head, a_chain, slots, weights, cos_t,
     x[:, 1::2] = cos_t * im - sin_t * re
 
 
-def _write_segment(values, fresh, corner, written, head, square, scratch):
+def _write_segment(values, corner, written, head, fixed, n0):
     """Write one segment's ``values`` into the 2A ``corner`` at
-    ``written``, and refresh the head rows of 2B = (2A)^2 - 2 where a
-    segment can change them: ``head``, their leading (nb, nb) block, nb
-    the first n0 + 1 rows or every row, which holds every entry a segment
-    writes and every product of two of them.
+    ``written``, and refresh ``head``, the leading (nb, nb) block of the
+    head rows of 2B = (2A)^2 - 2, nb the first n0 + 1 rows or every row.
 
-    With Q the corner's couplings, g its diagonal and M = (Q + diag g)
-    diag g over that block, 2B = Q^2 - 2 + M + M^T - diag(g^2) there.
-    ``square`` holds Q^2 - 2 over the block; a ``fresh`` segment, which
-    changes a coupling, recomputes it as the plan did: ``fixed``, the sum
-    over the rows from n0 on less 2, plus the sum over the first n0.
-    ``scratch`` holds the diagonal views of the corner and of ``head``,
-    n0 and ``fixed``, and room for M (or Q), g and g^2.
+    There (2A)^2 - 2 is ``fixed``, the sum over the rows from n0 on less 2,
+    which no segment writes, plus the sum of corner[i, k] corner[j, k] over
+    the rows k below n0 (the corner is exactly symmetric, see
+    :func:`_head_block`, and numpy loops over its rows faster); outside the
+    block no row below n0 adds a term.  Every segment runs this on its
+    column's own corner, so a column that writes its base values gets the
+    same bits as one that writes none.
     """
-    g, head_diag, n0, fixed, m, g_block, g_sq = scratch
-    block = corner[:len(head), :len(head)]
     corner[written] = values
-    if fresh:
-        np.copyto(m, block)
-        _diagonal(m)[...] = 0.0
-        np.add(fixed, c_einsum("ikr,kjr->ijr", m[:, :n0], m[:n0]),
-               out=square)
-    np.copyto(g_block, g)
-    np.multiply(block, g_block, out=m)
-    np.add(m, square, out=head)
-    head += m.transpose(1, 0, 2)
-    np.multiply(g_block, g_block, out=g_sq)
-    head_diag -= g_sq
+    rows = corner[:len(head), :n0]
+    c_einsum("ikr,jkr->ijr", rows, rows, out=head)
+    head += fixed
 
 
-class _Plan(namedtuple("_Plan", "steps lo hi lengths weights net fresh "
+class _Plan(namedtuple("_Plan", "steps lo hi lengths weights net "
                        "segment chunks buffer state ops")):
     """What one kernel call will do, as :func:`_plan` builds it; :func:`_run`
     runs it, once.
@@ -452,13 +444,12 @@ class _Plan(namedtuple("_Plan", "steps lo hi lengths weights net fresh "
     holds every column's weights of the series in B (:func:`_b_weights`),
     exact zeros past its own series.  Segment k writes ``net[k]``, the
     network diagonals and the overridden couplings, through
-    :func:`_write_segment` with ``fresh[k]``, whether it changes a
-    coupling, and the arguments ``segment``; it refreshes the head rows of
-    2B (see :func:`_chebyshev_step`).  ``chunks`` holds
-    the realization bounds (a, b) of each column chunk; the chunks share
-    the term buffer ``buffer`` (held, dim + 4, C) in turn, each running
-    through the longest series of its own columns.  ``state`` is the live
-    real state, and ``ops`` holds per chunk the arguments of
+    :func:`_write_segment` with the arguments ``segment``, which refreshes
+    the head rows of 2B (see :func:`_chebyshev_step`).  ``chunks`` holds the
+    realization bounds (a, b) of each column chunk; the chunks share the
+    term buffer ``buffer`` (held, dim + 4, C) in turn, each running through
+    the longest series of its own columns.  ``state`` is the live real
+    state, and ``ops`` holds per chunk the arguments of
     :func:`_chebyshev_step`.
 
     The work counts are the same on any host: on realization r the run
@@ -543,25 +534,17 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
 
     # 2A = 2 (H - center) / half per column: g its diagonal and `corner`
     # its leading (cb, cb) block, which holds every entry a segment
-    # writes.  2A's own head rows, where it applies 2A, are its first nb;
-    # the head rows of 2B are its first rb, and a segment changes them only
-    # in their leading (nb, nb) block (see _write_segment).  There Q^2 - 2,
-    # Q the couplings, is the sum over the rows from n0 on less 2, `fixed`,
-    # plus the sum over the first n0, which has no term past row nb
+    # writes.  2A's head rows are its first nb, 2B's its first rb; here
+    # 2B's take the sum over the rows from n0 on, less 2, and each segment
+    # adds the rest in their leading block, `fixed` (see _write_segment)
     nb = min(rows, n0 + 1)
     rb, cb = min(rows, nb + 1), min(rows, nb + 3)
     g = np.repeat((diag - center), 2, axis=1) * scale
     corner = _head_block(h, cb)[:, :, None] * scale
+    _diagonal(corner)[...] = g[:cb]
     head = c_einsum("ikr,kjr->ijr", corner[:rb, n0:], corner[n0:])
     _diagonal(head)[...] -= 2.0
     fixed = head[:nb, :nb].copy()
-    head[:nb, :nb] += c_einsum("ikr,kjr->ijr", corner[:nb, :n0],
-                               corner[:n0, :nb])
-    square = head[:nb, :nb].copy()
-    _diagonal(corner)[...] = g[:cb]
-    head += corner[:rb] * g[:cb]
-    head += (corner[:, :rb] * g[:rb]).transpose(1, 0, 2)
-    _diagonal(head)[...] -= g[:rb] * g[:rb]
     # the chain bond from each row to the next, 0 from the last row on;
     # past nb every row has a chain bond below it
     up = np.zeros((rows + 1, 2 * n_real))
@@ -583,15 +566,7 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
         [(diag[sites] + det.transpose(2, 1, 0) - center) * scale[::2]]
         + over * 2, axis=1), 2, axis=2)
     written = tuple(np.array(sites + ij) for ij in (ii + jj, jj + ii))
-    # whether segment k changes a coupling from segment k - 1 (from the
-    # chip before the first): only such a segment recomputes Q^2
-    new = net[:, len(sites):]
-    fresh = (new != np.concatenate([corner[written][None, len(sites):],
-                                    new[:-1]])).any(axis=(1, 2))
-    segment = (corner, written, head[:nb, :nb], square,
-               (_diagonal(corner)[:nb], _diagonal(head)[:nb], n0, fixed,
-                np.empty_like(square), np.empty((nb, 2 * n_real)),
-                np.empty((nb, 2 * n_real))))
+    segment = (corner, written, head[:nb, :nb], fixed, n0)
 
     term = (rows + 4) * 2 * 8  # one padded term of one realization
     held = min(len(weights), TERMS_HELD, max(3, TERM_BUFFER_BYTES // term))
@@ -630,7 +605,7 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
                     corner[:nb, :rb, cols], a_chain[..., cols], slots,
                     weights[:run[a], :, cols], cos_t[a:b], sin_t[a:b]))
     return _Plan(steps_per_segment, lo, hi, run, weights, list(net),
-                 fresh.tolist(), segment, chunks, buffer, x, ops)
+                 segment, chunks, buffer, x, ops)
 
 
 def _run(plan: _Plan):
@@ -641,8 +616,8 @@ def _run(plan: _Plan):
     then each of its steps steps every chunk and checks the norm.
     """
     yield plan.state
-    for values, fresh in zip(plan.net, plan.fresh):
-        _write_segment(values, fresh, *plan.segment)
+    for values in plan.net:
+        _write_segment(values, *plan.segment)
         for _ in range(plan.steps):
             for args in plan.ops:
                 _chebyshev_step(*args)

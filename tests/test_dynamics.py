@@ -958,11 +958,6 @@ class TestPropagate:
         couplings = corrected_couplings(h, det, correction)
         couplings.update(zeroed_mode(h, det))
         assert np.ptp(diag[h.sink_indices], axis=0).all()   # disorder 3
-        # the zeroed couplings change the chip once, before the first
-        # segment, and the correction changes them in every segment: only
-        # such a segment recomputes the head's square
-        plan = dynamics._plan(h, det, 1.0, 2, diag, couplings)
-        assert plan.fresh == [True] + [correction] * (det.shape[2] - 1)
         # two chips, two series, each within the budget of the same states
         for budget, bound in budgets(2 * dynamics.TRUNCATION_BUDGET, 1e-13):
             monkeypatch.setattr(dynamics, "TRUNCATION_BUDGET", budget)
@@ -1120,12 +1115,8 @@ class TestPropagate:
         if case == "one_sink_waveguide":
             assert h.dim == len(h.block) + 1 == len(head)
         if case == "overrides_each_segment":
-            # every coupling moves from segment to segment in a noisy
-            # column, and the head's square is recomputed in every segment
+            # every coupling moves from segment to segment in a noisy column
             assert all(np.ptp(v, axis=1).any() for v in couplings.values())
-            assert all(plan.fresh)
-        else:
-            assert not any(plan.fresh)
         assert plan.steps == steps
         lengths, weights = [], dynamics._chebyshev_weights
 
@@ -1142,6 +1133,71 @@ class TestPropagate:
         if case == "odd_and_even_series":
             # the lone columns' series in A have both parities
             assert {n % 2 for n in lengths} == {0, 1}
+
+    # (vibration, correction, zeroed mode) of the head refresh's cases
+    HEAD_CASES = {"no_overrides": (False, False, False),
+                  "overrides_each_segment": (False, True, False),
+                  "zeroed_mode_and_correction": (True, True, True)}
+
+    @pytest.mark.parametrize("case", list(HEAD_CASES))
+    def test_head_rows_are_the_square_of_each_segment(self, case):
+        # after each segment's write, the head rows of 2B that the steps
+        # read are (2A_k)^2 - 2 of the dense segment matrix, to a few ulps
+        vibration, correction, zeroed = self.HEAD_CASES[case]
+        h, det, diag = batch_inputs(vibration)
+        couplings = corrected_couplings(h, det, correction)
+        if zeroed:
+            couplings.update(zeroed_mode(h, det))
+        plan = dynamics._plan(h, det, 1.0, 1, diag, couplings)
+        [(_, head, *_)] = plan.ops
+        rows, cols, _ = head.shape
+        center, half = (plan.hi + plan.lo) / 2, (plan.hi - plan.lo) / 2
+        eps = np.finfo(float).eps
+        run = dynamics._run(plan)
+        next(run)   # the state before the first segment's write
+        for k, _ in enumerate(run):   # one step a segment
+            for c in range(len(det)):
+                hd = with_diagonal(h, diag[:, c])
+                m = segment_matrix(hd, det[c, :, k])
+                for (i, j), v in couplings.items():
+                    m[i, j] = m[j, i] = v[c, k]
+                a2 = 2.0 * (m - center[c] * np.eye(h.dim)) / half[c]
+                square = (a2 @ a2 - 2.0 * np.eye(h.dim))[:rows, :cols]
+                size = (np.abs(a2) @ np.abs(a2))[:rows, :cols] + 2.0
+                for part in (2 * c, 2 * c + 1):
+                    assert (np.abs(head[..., part] - square)
+                            <= 4 * eps * size).all()
+        assert k == det.shape[2] - 1
+
+    def test_base_overrides_leave_a_column_bitwise_unchanged(self):
+        # the vibration comparison's with-mode half: columns whose
+        # overrides hold their base couplings, batched with columns whose
+        # overrides zero the mode and correct the couplings, read the bits
+        # of a call without overrides in every segment's head block and in
+        # every state
+        h, det, diag = batch_inputs(vibration=True)
+        couplings = corrected_couplings(h, det)
+        couplings.update(zeroed_mode(h, det))
+        for (i, j), v in couplings.items():
+            v[:2] = h.block[i, j]
+        runs = [dynamics._plan(h, det, 1.0, 2, diag, couplings),
+                dynamics._plan(h, det[:2], 1.0, 2, diag[:, :2], None)]
+        mixed, base = (plan.segment[2] for plan in runs)
+        for k, (x, y) in enumerate(zip(*map(dynamics._run, runs))):
+            assert x[:, :4].tobytes() == y.tobytes()
+            assert mixed[..., :4].tobytes() == base.tobytes()
+        assert k == 2 * det.shape[2]
+
+    def test_block_is_read_from_its_lower_triangle(self):
+        # a block symmetric only within HERMITICITY_TOL runs as the chip
+        # of its lower triangle, which the spectral bound's eigvalsh reads
+        # too, bit for bit
+        h, det, diag = batch_inputs()
+        skew = replace(h, block=h.block + np.triu(np.full((7, 7), 1e-13), 1))
+        assert (skew.block != skew.block.T).any()
+        for a, b in zip(kernel_states(skew, det, 1.0, 2, diag),
+                        kernel_states(h, det, 1.0, 2, diag)):
+            assert a.tobytes() == b.tobytes()
 
     # SweepConfig fields of the benchmark's gated sweeps, 20 segments each,
     # and of the vibration mode and the coupling correction on them.  The
@@ -1342,7 +1398,7 @@ class TestPropagate:
         # every subscript the kernel calls, on the strided views a plan
         # passes: a column chunk of the band view, the head rows, the held
         # terms of its (held, rows + 4, 10) term buffer and their weights,
-        # and the square of the head couplings
+        # and the square of 2A's leading block, by columns and by rows
         rng = np.random.default_rng(0)
         plan = states_plan(*long_chain_inputs(5), False)
         terms = plan.buffer
@@ -1360,6 +1416,7 @@ class TestPropagate:
                  ("ijr,jr->ir", head[:, :, :7], terms[1, 2:8, :7]),
                  ("kc,krc->rc", w[:, 1, :7], terms[:, 2:-2, :7]),
                  ("ikr,kjr->ijr", off[:5, :, :7], off[:, :, :7]),
+                 ("ikr,jkr->ijr", off[:5, :4, :7], off[:5, :4, :7]),
                  ("ij,ij->j", terms[2, 2:-2], terms[2, 2:-2])]
         for subscripts, *operands in cases:
             expected = np.einsum(subscripts, *operands)
