@@ -32,13 +32,15 @@ offsets) and the Gershgorin discs of its rows.
 Every readout is a plan and a run.  :func:`_plan` checks a call's inputs
 and returns a frozen record (:class:`_Plan`) of all it will do: each
 column's interval, weights and series length, the operands, the column
-chunks and their term buffer, and the views each term reads and writes,
-built once.  :func:`_run` is the loop: each segment writes its diagonals
-and couplings into 2A's leading block and squares that block into the
-head rows of 2B, by one formula with or without coupling overrides
-(:func:`_write_segment`); then it steps every chunk, checks the norm and
-yields the live state.  The work counts (terms a step, and rows times
-terms per column) are plan fields, exact on any host.
+chunks and their one padded term buffer, whose last slot holds the odd
+part's sum, and the views each term reads and writes, all of them
+numpy's slices and band windows, built once.  :func:`_run` is the loop:
+each segment writes its diagonals and couplings into 2A's leading block
+and squares that block into the head rows of 2B, by one formula with or
+without coupling overrides (:func:`_write_segment`); then it steps every
+chunk, checks the norm and yields the live state.  The work counts (terms
+a step, and rows times terms per column) are plan fields, exact on any
+host.
 :func:`sink_fractions` and :func:`final_sink_fractions` each run a plan
 and read out the fractions they hand back, through the norm check's
 :func:`_norms`.  :func:`traces` writes each live state straight into one
@@ -55,7 +57,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _csv, _seeding
 from .errors import PhysicsError
@@ -99,9 +101,10 @@ NORM_TOL = 1e-9
 TERMS_HELD = 24
 
 #: Most bytes the held terms of one step may take.  A batch that would need
-#: more runs as column chunks in lockstep.  The benchmark's sweeps fit in
-#: one chunk on their 25-row chips (0.18 MiB on sweep_clean, 0.35 MiB on
-#: sweep_disorder_cli).
+#: more runs as column chunks in lockstep.  The buffer's one slot past the
+#: held terms, the odd part's sum, lies outside the budget.  The
+#: benchmark's sweeps fit in one chunk on their 25-row chips (0.18 MiB on
+#: sweep_clean, 0.35 MiB on sweep_disorder_cli).
 TERM_BUFFER_BYTES = 4 << 20
 
 
@@ -199,8 +202,7 @@ def _interval(h: Hamiltonian, det, diag, couplings) -> tuple:
     """
     n0 = len(h.block)
     net = np.repeat(diag[None, :n0], det.shape[2], axis=0)   # (S, n0, R)
-    for a, i in enumerate(h.fmo_indices):   # in place, site by site
-        net[:, i] += det[:, a].T
+    net[:, list(h.fmo_indices)] += det.transpose(2, 1, 0)
     low = np.stack([diag] * 2)                            # (2, dim, R)
     high = low.copy()
     low[:, :n0], high[:, :n0] = net.min(axis=0), net.max(axis=0)
@@ -356,12 +358,6 @@ def _b_weights(w: np.ndarray) -> np.ndarray:
     return b
 
 
-def _diagonal(a: np.ndarray) -> np.ndarray:
-    """The writeable (n, C) diagonal view of the (n, >= n, C) array ``a``."""
-    s = a.strides
-    return as_strided(a, (a.shape[0], a.shape[2]), (s[0] + s[1], s[2]))
-
-
 def _chebyshev_step(x, head, chain, a_head, a_chain, slots, weights, cos_t,
                     sin_t):
     """Overwrite the (rows, C) real columns ``x`` with exp(-i H dt) x.
@@ -415,21 +411,21 @@ def _chebyshev_step(x, head, chain, a_head, a_chain, slots, weights, cos_t,
     x[:, 1::2] = cos_t * im - sin_t * re
 
 
-def _write_segment(values, corner, written, head, fixed, n0):
+def _write_segment(values, corner, written, head, fixed, rows):
     """Write one segment's ``values`` into the 2A ``corner`` at
     ``written``, and refresh ``head``, the leading (nb, nb) block of the
     head rows of 2B = (2A)^2 - 2, nb the first n0 + 1 rows or every row.
 
     There (2A)^2 - 2 is ``fixed``, the sum over the rows from n0 on less 2,
     which no segment writes, plus the sum of corner[i, k] corner[j, k] over
-    the rows k below n0 (the corner is exactly symmetric, see
+    the rows k below n0, read through ``rows``, the plan's view
+    corner[:nb, :n0] (the corner is exactly symmetric, see
     :func:`_head_block`, and numpy loops over its rows faster); outside the
     block no row below n0 adds a term.  Every segment runs this on its
     column's own corner, so a column that writes its base values gets the
     same bits as one that writes none.
     """
     corner[written] = values
-    rows = corner[:len(head), :n0]
     c_einsum("ikr,jkr->ijr", rows, rows, out=head)
     head += fixed
 
@@ -446,11 +442,12 @@ class _Plan(namedtuple("_Plan", "steps lo hi lengths weights net "
     network diagonals and the overridden couplings, through
     :func:`_write_segment` with the arguments ``segment``, which refreshes
     the head rows of 2B (see :func:`_chebyshev_step`).  ``chunks`` holds the
-    realization bounds (a, b) of each column chunk; the chunks share the
-    term buffer ``buffer`` (held, dim + 4, C) in turn, each running through
-    the longest series of its own columns.  ``state`` is the live real
-    state, and ``ops`` holds per chunk the arguments of
-    :func:`_chebyshev_step`.
+    realization bounds (a, b) of each column chunk; the chunks share one
+    padded buffer in turn, each running through the longest series of its
+    own columns.  ``buffer`` is its held term slots, (held, dim + 4, C);
+    its one slot past them holds the odd part's sum.  ``state`` is the live
+    real state, and ``ops`` holds per chunk the arguments of
+    :func:`_chebyshev_step`, every one a view numpy builds.
 
     The work counts are the same on any host: on realization r the run
     spends ``lengths[r]`` B-terms a step, its chunk's longest series, and
@@ -469,14 +466,17 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
     The term buffer holds TERMS_HELD B-terms of a realization, or the whole
     series if shorter, or the most from three up that fit in
     TERM_BUFFER_BYTES if fewer fit; then as many realizations share it as
-    fit, and at least one.  So it takes at most TERM_BUFFER_BYTES unless
-    three terms of one realization take more (from 87,378 rows on).  The
-    terms held depend on the series and the chip only, never on the batch,
-    so a column's sums do not depend on its batch either.  Each term
-    carries two zero ghost rows above and two below the chip; its band
-    view is (held, 5, dim, C), where band j of row i is padded row i + j,
-    so bands 0 to 4 hold row i - 2 to row i + 2, and the ghost rows stand
-    in past either end.
+    fit, and at least one.  So the held terms take at most
+    TERM_BUFFER_BYTES unless three terms of one realization take more
+    (from 87,378 rows on).  The terms held depend on the series and the
+    chip only, never on the batch, so a column's sums do not depend on its
+    batch either.  The buffer has one slot more, its last, for the sum that
+    2A maps to the odd part.  Each slot carries two zero ghost rows above
+    and two below the chip.  numpy's ``sliding_window_view`` gives the
+    band view (held + 1, 5, dim, C), where band j of row i is padded row
+    i + j, so bands 0 to 4 hold row i - 2 to row i + 2, and the ghost rows
+    stand in past either end; the odd sum's three bands are its bands 1
+    to 3.
     """
     n0, rows, sites = len(h.block), h.dim, list(h.fmo_indices)
     det = np.asarray(detunings, dtype=float)
@@ -541,9 +541,9 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
     rb, cb = min(rows, nb + 1), min(rows, nb + 3)
     g = np.repeat((diag - center), 2, axis=1) * scale
     corner = _head_block(h, cb)[:, :, None] * scale
-    _diagonal(corner)[...] = g[:cb]
+    corner[range(cb), range(cb)] = g[:cb]
     head = c_einsum("ikr,kjr->ijr", corner[:rb, n0:], corner[n0:])
-    _diagonal(head)[...] -= 2.0
+    head[range(rb), range(rb)] -= 2.0
     fixed = head[:nb, :nb].copy()
     # the chain bond from each row to the next, 0 from the last row on;
     # past nb every row has a chain bond below it
@@ -566,20 +566,18 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
         [(diag[sites] + det.transpose(2, 1, 0) - center) * scale[::2]]
         + over * 2, axis=1), 2, axis=2)
     written = tuple(np.array(sites + ij) for ij in (ii + jj, jj + ii))
-    segment = (corner, written, head[:nb, :nb], fixed, n0)
+    segment = (corner, written, head[:nb, :nb], fixed, corner[:nb, :n0])
 
     term = (rows + 4) * 2 * 8  # one padded term of one realization
     held = min(len(weights), TERMS_HELD, max(3, TERM_BUFFER_BYTES // term))
     width = max(1, min(n_real, TERM_BUFFER_BYTES // (held * term)))
-    buffer = np.zeros((held, rows + 4, 2 * width))
-    bands = as_strided(buffer, (held, 5, rows, 2 * width),
-                       np.take(buffer.strides, [0, 1, 1, 2]), writeable=False)
-    # the sum 2A maps to the odd part, padded like a term, with its band
-    # view of three bands (row i - 1 to row i + 1), and the odd part
-    pre = np.zeros((rows + 4, 2 * width))
-    pre_bands = as_strided(pre[1:], (3, rows, 2 * width),
-                           np.take(pre.strides, [0, 0, 1]), writeable=False)
-    out = np.empty((rows, 2 * width))
+    # one buffer: the held terms, then in slot held, outside the budget,
+    # the sum `pre` that 2A maps to the odd part `out`.  Band j of row i is
+    # padded row i + j, so pre's three bands (row i - 1 to row i + 1) are
+    # its bands 1 to 3
+    buffer = np.zeros((held + 1, rows + 4, 2 * width))
+    bands = np.moveaxis(sliding_window_view(buffer, 5, axis=1), 3, 1)
+    pre, out = buffer[held], np.empty((rows, 2 * width))
     # column chunks of at most `width` realizations share the term buffer,
     # each running through the longest series of its own columns
     chunks = [(a, min(a + width, n_real)) for a in range(0, n_real, width)]
@@ -595,17 +593,17 @@ def _plan(h: Hamiltonian, detunings, segment_length: float,
     ops = []
     for a, b in chunks:
         cols, c = slice(2 * a, 2 * b), slice(0, 2 * (b - a))
-        t = buffer[..., c]
-        odd = (pre[2:-2, c], pre[2:rb + 2, c], pre_bands[:, nb:, c],
+        t = buffer[:held, :, c]
+        odd = (pre[2:-2, c], pre[2:rb + 2, c], bands[held, 1:4, nb:, c],
                out[:, c], out[:nb, c], out[nb:, c])
         slots = (t[:, 2:-2], list(t[:, 2:-2]), list(t[:, 2:cb + 2]),
-                 list(t[:, 2:rb + 2]), list(bands[:, :, rb:, c]),
+                 list(t[:, 2:rb + 2]), list(bands[:held, :, rb:, c]),
                  list(t[:, rb + 2:-2]), odd)
         ops.append((x[:, cols], head[..., cols], chain[..., cols],
                     corner[:nb, :rb, cols], a_chain[..., cols], slots,
                     weights[:run[a], :, cols], cos_t[a:b], sin_t[a:b]))
     return _Plan(steps_per_segment, lo, hi, run, weights, list(net),
-                 segment, chunks, buffer, x, ops)
+                 segment, chunks, buffer[:held], x, ops)
 
 
 def _run(plan: _Plan):

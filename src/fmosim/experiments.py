@@ -361,7 +361,9 @@ def reorganization_curve(cfg: SweepConfig):
 
     Pure noise post-processing: sequences are generated at each amplitude,
     their variance and periodogram-based reorganization energy averaged
-    over sites and realizations.  Returns (points array, LinearFitResult).
+    over sites and realizations.  The periodogram pads each sequence to
+    128 points, or to the next power of two past its segments.  Returns
+    (points array, LinearFitResult).
     """
     # every row is drawn and scaled, so a zero amplitude gives zeros: its
     # variance and energy are exactly 0
@@ -370,11 +372,12 @@ def reorganization_curve(cfg: SweepConfig):
         _noise_seeds(cfg.seed, range(len(cfg.grid)), cfg.realizations)
     ).reshape(len(cfg.grid), -1, cfg.segments)
     f_s = cfg.segments / cfg.observe_z
+    nfft = max(128, 1 << (cfg.segments - 1).bit_length())
     # one grid point's spectra at a time, never the whole grid's
     points = np.array([
         (analysis.variance(seqs).mean(),
          analysis.reorganization_energy(
-             analysis.psd_periodogram(seqs, f_s)).mean())
+             analysis.psd_periodogram(seqs, f_s, nfft)).mean())
         for seqs in rows])
     fit = analysis.fit_reorganization_law(points)
     return points, fit

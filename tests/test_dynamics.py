@@ -702,6 +702,50 @@ class TestPropagate:
                 assert held == held_max
                 assert width == min(n_real, budget // (held * term))
 
+    def test_term_slots_and_the_odd_sum_share_one_buffer(self, monkeypatch):
+        # one padded buffer per plan: the held term slots, then the odd
+        # part's sum in its last slot, every view of it numpy's
+        h, det, diag = long_chain_inputs(3)
+        n_terms, rows, _ = buffer_shape(states_plan(h, det, diag, False))
+        # room for two realizations: chunks of 2 and 1
+        monkeypatch.setattr(dynamics, "TERM_BUFFER_BYTES",
+                            2 * n_terms * (rows + 2) * 2 * 8 + 8)
+        plan = states_plan(h, det, diag, False)
+        whole = plan.buffer.base
+        held = len(plan.buffer)
+        assert held == n_terms == min(len(plan.weights), dynamics.TERMS_HELD)
+        assert whole.shape == (held + 1, rows + 2, 2 * 2)
+        assert plan.buffer.ctypes.data == whole.ctypes.data
+        # after a full run, the ghost rows of every slot are still zero,
+        # and the run has written every slot's rows
+        for _ in dynamics._run(plan):
+            pass
+        assert not whole[:, :2].any() and not whole[:, -2:].any()
+        assert whole[:, 2:-2].any(axis=(1, 2)).all()
+        # slot k of padded row p holds 1000 k + p: band j of chain row i
+        # reads padded row i + j, and the odd sum's band j padded row
+        # i + 1 + j
+        whole[...] = (1000 * np.arange(held + 1)[:, None, None]
+                      + np.arange(rows + 2)[:, None])
+        for *_, slots, _, _, _ in plan.ops:
+            terms, term, *_, chain_in, _, (pre, _, pre_chain, *_) = slots
+            assert len(term) == len(chain_in) == held
+            for view in [terms, pre, *term]:
+                assert view.base is whole
+            assert (pre == 1000 * held + np.arange(2, rows)[:, None]).all()
+            for k, bands in enumerate(chain_in):
+                assert (terms[k] == 1000 * k
+                        + np.arange(2, rows)[:, None]).all()
+                first = rows - 2 - bands.shape[1]   # the first chain row
+                i = first + np.arange(bands.shape[1])
+                assert (bands == 1000 * k + i[:, None]
+                        + np.arange(5)[:, None, None]).all()
+            first = rows - 2 - pre_chain.shape[1]
+            i = first + np.arange(pre_chain.shape[1])
+            assert len(pre_chain) == 3
+            assert (pre_chain == 1000 * held + i[:, None] + 1
+                    + np.arange(3)[:, None, None]).all()
+
     def test_buffer_shape_at_the_benchmark_sweeps(self):
         # 25 rows (the sweeps' chip) and 44 realizations: the clean
         # sweep's 17-term series is 9 terms in B, the colored CLI sweep's

@@ -333,6 +333,29 @@ class TestReorganizationCurve:
         assert pts.tobytes() == stacked.tobytes()
         assert fit == analysis.fit_reorganization_law(stacked)
 
+    @pytest.mark.parametrize("segments,nfft",
+                             [(64, 128), (128, 128), (129, 256), (200, 256)])
+    def test_reorganization_periodogram_pads_to_a_power_of_two(
+            self, segments, nfft):
+        # 128 points up to 128 segments, as every curve had, and the next
+        # power of two past them, which a sequence of more segments needs
+        cfg = small_cfg(grid=(0.0, 0.25, 0.5, 0.75, 1.0), realizations=20,
+                        noise_kind="colored", segments=segments)
+        rows = generate_batch(
+            experiments.noise_config(cfg, 0.0, 0),
+            np.repeat(cfg.grid, cfg.realizations),
+            _noise_seeds(cfg.seed, range(len(cfg.grid)), cfg.realizations)
+        ).reshape(len(cfg.grid), -1, cfg.segments)
+        f_s = cfg.segments / cfg.observe_z
+        expected = np.array(
+            [(analysis.variance(seqs).mean(), analysis.reorganization_energy(
+                analysis.psd_periodogram(seqs, f_s, nfft)).mean())
+             for seqs in rows])
+        pts, fit = reorganization_curve(cfg)
+        assert pts.tobytes() == expected.tobytes()
+        assert pts[0].tolist() == [0.0, 0.0]
+        assert fit.r_squared > 0.99 and fit.slope > 0
+
     def test_working_set_is_one_grid_point(self):
         # fig3b's size: 10 grid points of 100 colored realizations.  The
         # whole grid's complex spectra alone would take 7.3 MB.
